@@ -13,14 +13,13 @@ the largest circular gap between those positions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .exactreal import CFNumber, CertifiedFloat, SurdReal
+from .exactreal import HALF, CFNumber, CertifiedFloat, SurdReal
 from .scan import OrbitScan, orbit_scan
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "visit_set",
     "max_gap",
 ]
-
-_HALF = SurdReal(1, 0, 2)
 
 AlphaLike = Union[CFNumber, SurdReal]
 PointLike = Union["CirclePoint", SurdReal, int, Fraction]
@@ -107,7 +104,7 @@ def rotate(x: PointLike, alpha: AlphaLike, n: int = 1) -> CirclePoint:
 def sign_f(x: PointLike) -> int:
     """+1 on [0, 1/2), -1 on [1/2, 1); both endpoints land in the -1 half."""
     x = CirclePoint(x)
-    return 1 if x.position < _HALF else -1
+    return 1 if x.position < HALF else -1
 
 
 def skew_step(p: SkewPoint, alpha: AlphaLike) -> SkewPoint:

@@ -15,6 +15,13 @@ and escalate to exact ``SurdReal`` arithmetic when it is not.  The
 escalation counter is module level so tests can assert how often the
 slow path fires.
 
+``Frame`` is the lattice the exact orbit walkers run on.  It fixes one
+common denominator R and one field Q(sqrt(d)) for every value a walk
+touches, and holds each point as an integer pair (P, Q) standing for
+(P + Q*sqrt(d))/R.  A rotation step is then two integer adds, and every
+comparison is one call of the same integer sign test that
+``SurdReal.sign`` uses, against thresholds embedded once.
+
 ``CFNumber`` is an eventually periodic continued fraction
 [0; c1, c2, ...] normalized to a primitive period and minimal
 preperiod, with an exact ``SurdReal`` value.
@@ -30,6 +37,7 @@ from typing import Callable, Iterator, Union
 
 __all__ = [
     "SurdReal",
+    "Frame",
     "CertifiedFloat",
     "CFNumber",
     "parse_cf",
@@ -131,20 +139,7 @@ class SurdReal:
 
     def _sign(self) -> int:
         """Sign of the value, exactly.  r > 0, so only p + q*sqrt(d) matters."""
-        p, q = self.p, self.q
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return 1 if q > 0 else -1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs; q*sqrt(d) irrational so no tie is possible
-        a, b = p * p, q * q * self.d
-        if p > 0:  # q < 0
-            return 1 if a > b else -1
-        return 1 if b > a else -1
+        return _surd_sign(self.p, self.q, self.d)
 
     # -- field operations ----------------------------------------------
 
@@ -295,18 +290,24 @@ class SurdReal:
         if self.q == 0:
             v = self.p / self.r  # correctly rounded for any int sizes
             return CertifiedFloat(v, math.ulp(abs(v)) if v else 5e-324)
+        v, den = self._shifted()
+        # isqrt error <= 1 gives 1/den; float rounding gives ulp/2; pad both
+        return CertifiedFloat(v, 2.0 / den + math.ulp(abs(v)))
+
+    def _shifted(self) -> tuple[float, int]:
+        """(value, den) for irrational self: value = num/den rounded once."""
         sh = SurdReal._SHIFT
         s = math.isqrt(self.q * self.q * self.d << (2 * sh))
         if self.q < 0:
             s = -s
-        num = (self.p << sh) + s
         den = self.r << sh
-        v = num / den
-        # isqrt error <= 1 gives 1/den; float rounding gives ulp/2; pad both
-        return CertifiedFloat(v, 2.0 / den + math.ulp(abs(v)))
+        return ((self.p << sh) + s) / den, den
 
     def __float__(self) -> float:
-        return self.certified().value
+        """The value of ``certified()``, without building its radius."""
+        if self.q == 0:
+            return self.p / self.r
+        return self._shifted()[0]
 
     # -- formatting --------------------------------------------------------
 
@@ -318,6 +319,22 @@ class SurdReal:
 
     def __repr__(self):
         return "SurdReal[%s ~ %.12g]" % (self.exact_str(), float(self))
+
+
+def _surd_sign(p: int, q: int, d: int) -> int:
+    """Sign of p + q*sqrt(d) as -1, 0 or +1, exactly.
+
+    d must be square-free, and d > 1 whenever q != 0: then q*sqrt(d) is
+    irrational, so when p and q*sqrt(d) have opposite signs their
+    squares never tie.  This is the package's one exact sign test.
+    """
+    if q == 0:
+        return (p > 0) - (p < 0)
+    if (p > 0) == (q > 0):  # same sign, or p == 0 < -q
+        return 1 if p > 0 else -1
+    if p * p > q * q * d:
+        return 1 if p > 0 else -1
+    return 1 if q > 0 else -1
 
 
 def _coerce(x):
@@ -333,6 +350,48 @@ def _coerce(x):
 ZERO = SurdReal(0)
 ONE = SurdReal(1)
 HALF = SurdReal(1, 0, 2)
+
+
+class Frame:
+    """The lattice {(P + Q*sqrt(d))/R : P, Q integers} of one walk.
+
+    Built once from every value the walk will touch: its start, its
+    step and its thresholds.  R is their common denominator and d
+    their common field, so each of them embeds exactly as an integer
+    pair (P, Q).  Sums and differences of embedded values stay on the
+    lattice, which is all a rotation or the leaf turn map needs, and
+    x < t is ``frame.sign(Px - Pt, Qx - Qt) < 0``.  Mixing two fields
+    raises, with the same message as ``SurdReal`` arithmetic.
+    """
+
+    __slots__ = ("R", "d")
+
+    def __init__(self, *values: SurdReal):
+        R, d = 1, 1
+        for v in values:
+            if v.q != 0:
+                if d == 1:
+                    d = v.d
+                elif v.d != d:
+                    raise ValueError("cannot mix sqrt(%d) with sqrt(%d)" % (d, v.d))
+            R = math.lcm(R, v.r)
+        self.R = R
+        self.d = d
+
+    def embed(self, x: SurdReal) -> tuple[int, int]:
+        """(P, Q) with x = (P + Q*sqrt(d))/R; x must lie on the lattice."""
+        if self.R % x.r or (x.q != 0 and x.d != self.d):
+            raise ValueError("%s is not on the lattice of this frame" % (x.exact_str(),))
+        m = self.R // x.r
+        return x.p * m, x.q * m
+
+    def sign(self, P: int, Q: int) -> int:
+        """Sign of the lattice point (P + Q*sqrt(d))/R, exactly."""
+        return _surd_sign(P, Q, self.d)
+
+    def surd(self, P: int, Q: int) -> SurdReal:
+        """The lattice point as a canonical SurdReal."""
+        return SurdReal(P, Q, self.R, self.d)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ the sign cocycle.  Two bookkeepings are provided:
 
 Both tracers step the turn map; the closed formulas above are what the
 tests compare them against, so the tracers never consult them.  The
-"certified" policy rides the orbit scan arrays; "exact" steps surds.
+"certified" policy rides the orbit scan arrays; "exact" steps b on an
+``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
+lattice, b(x) and 1 - b(x) are integer differences, and the split
+1 - alpha is a threshold embedded once.
 
 ``example_m_formulas`` checks the word-combinatorics package deriving
 the non-dense leaf family: alpha = [0;2m+1,(2m+2)], x = (1+alpha)/2,
@@ -39,19 +42,18 @@ and closed forms for the prefix maxima of the return words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .circle import CirclePoint, _alpha_value, rotate, sign_f
-from .exactreal import CFNumber, SurdReal
-from .renorm import RenormLevel, tower
+from .circle import CirclePoint, _alpha_value
+from .exactreal import HALF, ONE, CFNumber, Frame, SurdReal
+from .renorm import tower
 from .scan import orbit_scan
 from .words import SignWord, concat_all, power
 
 __all__ = [
-    "LeafState",
     "LeafTrace",
     "leaf_turn",
     "trace_ray",
@@ -63,17 +65,28 @@ __all__ = [
     "ExampleReport",
 ]
 
-_HALF = SurdReal(1, 0, 2)
-_ONE = SurdReal(1)
 
+def _turn_map(frame: Frame, alpha: SurdReal):
+    """b on the lattice of ``frame``, which must hold alpha.
 
-@dataclass(frozen=True)
-class LeafState:
-    """A vertical segment: horizontal coordinate, rectangle, direction."""
+    b(x) = 1 - alpha - x left of the split 1 - alpha and 2 - alpha - x
+    right of it; for x in [0, 1) both land in (0, 1), so b needs no
+    reduction.  x = 1 - alpha runs into the corner of the rectangle
+    (the singular connection) and is refused.
+    """
+    R, sign = frame.R, frame.sign
+    Pa, Qa = frame.embed(alpha)
+    Ps, Qs = R - Pa, -Qa  # the split 1 - alpha
 
-    x: CirclePoint
-    level: int
-    going_up: bool
+    def turn(P: int, Q: int) -> tuple[int, int]:
+        c = sign(P - Ps, Q - Qs)
+        if c == 0:
+            raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
+        if c < 0:
+            return Ps - P, Qs - Q
+        return Ps + R - P, Qs - Q
+
+    return turn
 
 
 def leaf_turn(x, alpha) -> CirclePoint:
@@ -84,13 +97,9 @@ def leaf_turn(x, alpha) -> CirclePoint:
     """
     a = _alpha_value(alpha)
     pos = CirclePoint(x).position
-    split = _ONE - a
-    c = (pos - split).sign()
-    if c == 0:
-        raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
-    if c < 0:
-        return CirclePoint(split - pos)
-    return CirclePoint(SurdReal(2) - a - pos)
+    frame = Frame(pos, a)
+    turn = _turn_map(frame, a)
+    return CirclePoint(frame.surd(*turn(*frame.embed(pos))))
 
 
 @dataclass
@@ -100,7 +109,8 @@ class LeafTrace:
     entry_x[k] and entry_level[k] describe the visit with index
     n = start_index + k (ray visits count from 1, leaf visits from 0;
     backward traces count 1, 2, ... steps into the past).  Exact traces
-    also keep the entry coordinates as surds.
+    also keep the entry coordinates as surds; certified traces bound
+    the error of every entry_x by radius_bound.
     """
 
     seed: str
@@ -110,6 +120,7 @@ class LeafTrace:
     entry_level: np.ndarray
     policy: str
     exact_x: Optional[list] = None
+    radius_bound: float = 0.0
 
     @property
     def visits(self) -> int:
@@ -131,32 +142,43 @@ class LeafTrace:
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
                  direction: int, ray_convention: bool):
-    """Step the turn map with surds; never consult the orbit formula.
+    """Step the turn map on one frame; never consult the orbit formula.
 
     Forward, from an upward segment at x: the next upward segment is at
     1 - b(x) with the level moved by f of the new coordinate (entry
     convention, used by rays) or of the old one (orbit convention, used
     by leaves).  Backward inverts that using that b is an involution.
+    Every visit is also kept as a canonical surd.
     """
+    frame = Frame(x0, alpha, HALF)
+    R, sign = frame.R, frame.sign
+    turn = _turn_map(frame, alpha)
+    Ph, _ = frame.embed(HALF)
+    P, Q = frame.embed(x0)
+    # forward rays and backward leaves move by f of the new coordinate
+    f_of_new = (direction == 1) == ray_convention
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
     exact = []
-    x, j = x0, level0
+    j = level0
     for k in range(count):
+        x = frame.surd(P, Q)
         xs[k] = float(x)
         lv[k] = j
         exact.append(x)
         if k + 1 == count:
             break
+        if not f_of_new:
+            f = 1 if sign(P - Ph, Q) < 0 else -1
         if direction == 1:
-            down = leaf_turn(x, alpha).position
-            nxt = (_ONE - down).frac()
-            j += sign_f(nxt) if ray_convention else sign_f(x)
-            x = nxt
+            dP, dQ = turn(P, Q)
+            P, Q = R - dP, -dQ  # 1 - b(x), already in (0, 1)
         else:
-            prev = leaf_turn((_ONE - x).frac(), alpha).position
-            j -= sign_f(x) if ray_convention else sign_f(prev)
-            x = prev
+            # b(1 - x): 1 - x is in (0, 1], and at 1 b agrees with b(0)
+            P, Q = turn(R - P, -Q)
+        if f_of_new:
+            f = 1 if sign(P - Ph, Q) < 0 else -1
+        j += direction * f
     return xs, lv, exact
 
 
@@ -171,12 +193,12 @@ def trace_ray(i: int, alpha, N: int, *, policy: str = "certified") -> LeafTrace:
     a = _alpha_value(alpha)
     seed = "ray %d" % (i,)
     if policy == "exact":
-        xs, lv, exact = _trace_exact(_HALF, i, a, N, 1, ray_convention=True)
+        xs, lv, exact = _trace_exact(HALF, i, a, N, 1, ray_convention=True)
         return LeafTrace(seed, 1, 1, xs, lv, policy, exact)
-    scan = orbit_scan(_HALF, a, N, policy=policy)
+    scan = orbit_scan(HALF, a, N, policy=policy)
     xs = scan.positions[:N].copy()
     lv = i + 1 + scan.sums[1 : N + 1]
-    return LeafTrace(seed, 1, 1, xs, lv, policy)
+    return LeafTrace(seed, 1, 1, xs, lv, policy, radius_bound=scan.radius_bound)
 
 
 def trace_leaf_through(
@@ -201,7 +223,8 @@ def trace_leaf_through(
         return LeafTrace(seed, direction, 0, xs, lv, policy, exact)
     scan = orbit_scan(x0.position, a, N, direction=direction, policy=policy)
     return LeafTrace(
-        seed, direction, 0, scan.positions.copy(), j0 + scan.sums, policy
+        seed, direction, 0, scan.positions.copy(), j0 + scan.sums, policy,
+        radius_bound=scan.radius_bound,
     )
 
 
@@ -218,7 +241,7 @@ def example_alpha(m: int) -> CFNumber:
 
 def example_point(alpha: CFNumber) -> SurdReal:
     """The distinguished symmetric point x = (1 + alpha)/2."""
-    return (SurdReal(1) + alpha.value) / 2
+    return (ONE + alpha.value) / 2
 
 
 @dataclass(frozen=True)

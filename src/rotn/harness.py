@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .circle import max_gap, visit_set
-from .exactreal import CFNumber, SurdReal, parse_cf
+from .exactreal import HALF, ONE, ZERO, CFNumber, SurdReal, parse_cf
 from .foliation import example_m_formulas, trace_leaf_through, trace_ray
 from .renorm import (
     oracle_first_return,
@@ -36,10 +36,11 @@ from .renorm import (
 from .scan import orbit_scan
 from .words import expand, iter_letters
 
-_HALF = SurdReal(1, 0, 2)
-
 KINDS = ("tower", "density", "example", "leaf", "heavy", "oracle")
 PRECISIONS = ("certified-fast", "exact-only")
+# leaf visits retraced under the other policy; small enough that the
+# check stays cheap next to a long certified trace
+_LEAF_CHECK_VISITS = 256
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,7 @@ def run_density(alpha: Union[str, CFNumber], m: int, k: int, N: int, *,
     cf = _alpha_cf(alpha)
     cfg = ExperimentConfig(kind="density", alpha=str(cf), m=m, k=k, N=N,
                            out=out, precision=precision)
-    vs = visit_set(_HALF, cf.value, m, N, k=k, policy=cfg.policy)
+    vs = visit_set(HALF, cf.value, m, N, k=k, policy=cfg.policy)
 
     rows = []
     for h in _gap_ladder(N):
@@ -329,7 +330,12 @@ def run_leaf(alpha: Union[str, CFNumber], N: int, *,
              backward: bool = False,
              out: Optional[str] = None,
              precision: str = "certified-fast") -> dict:
-    """Trace one leaf: a singular ray or the leaf through a given point."""
+    """Trace one leaf: a singular ray or the leaf through a given point.
+
+    The run passes when consecutive entry levels differ by exactly 1 and
+    the other precision, retracing the first visits, agrees with them:
+    equal levels, and positions within the certified radius.
+    """
     if (ray is None) == (through is None):
         raise ValueError("give exactly one of ray=... or through=...")
     cf = _alpha_cf(alpha)
@@ -339,14 +345,39 @@ def run_leaf(alpha: Union[str, CFNumber], N: int, *,
     if ray is not None:
         if backward:
             raise ValueError("rays only go forward; trace a leaf through a point instead")
-        trace = trace_ray(ray, cf.value, N, policy=cfg.policy)
+
+        def trace_for(n, policy):
+            return trace_ray(ray, cf.value, n, policy=policy)
     else:
         x0 = parse_point(through, cf.value)
-        trace = trace_leaf_through(x0, level, cf.value, N,
-                                   direction=-1 if backward else 1,
-                                   policy=cfg.policy)
 
-    report = {**trace.summary(), "policy": cfg.policy, "ok": True}
+        def trace_for(n, policy):
+            return trace_leaf_through(x0, level, cf.value, n,
+                                      direction=-1 if backward else 1,
+                                      policy=policy)
+
+    trace = trace_for(N, cfg.policy)
+    # the other policy retraces a short prefix; the two must agree on it
+    other = trace_for(min(N, _LEAF_CHECK_VISITS),
+                      "certified" if cfg.policy == "exact" else "exact")
+    cert, exact = (other, trace) if cfg.policy == "exact" else (trace, other)
+    k = other.visits
+    steps = np.diff(trace.entry_level)
+    levels_step_by_one = bool(
+        steps.size == 0
+        or (steps.min() >= -1 and steps.max() <= 1
+            and np.count_nonzero(steps) == steps.size)
+    )
+    # an exact entry_x is a float shadow, off by at most one rounding
+    prefix_agrees = bool(
+        np.array_equal(cert.entry_level[:k], exact.entry_level[:k])
+        and np.all(np.abs(cert.entry_x[:k] - exact.entry_x[:k])
+                   <= cert.radius_bound + 2.0 ** -52)
+    )
+    report = {**trace.summary(), "policy": cfg.policy,
+              "levels_step_by_one": levels_step_by_one,
+              "prefix_visits_checked": k, "prefix_agrees": prefix_agrees,
+              "ok": levels_step_by_one and prefix_agrees}
     if out:
         step = trace.direction
         rows = (
@@ -366,7 +397,7 @@ def run_heavy(alpha: Union[str, CFNumber], N: int, *,
                            precision=precision)
     if N < 1:
         raise ValueError("need N >= 1, got %r" % (N,))
-    scan = orbit_scan(_HALF, cf.value, N, policy=cfg.policy)
+    scan = orbit_scan(HALF, cf.value, N, policy=cfg.policy)
     sums = scan.sums[1:]
     violations = int(np.count_nonzero(sums >= 0))
     report = {
@@ -405,19 +436,18 @@ def run_oracle(alpha: Union[str, CFNumber], depth: int, samples: int, *,
                            precision="exact-only")
     levels = tower(cf, depth)
     rng = random.Random(seed)
-    one = SurdReal(1)
 
     rows = []
     total = matched = 0
     for lvl in levels[1:]:
         if lvl.beta.sign() > 0:
-            regions = [("plus", SurdReal(0), _HALF),
-                       ("minus", _HALF, one - lvl.beta),
-                       ("minus_zero", one - lvl.beta, one)]
+            regions = [("plus", ZERO, HALF),
+                       ("minus", HALF, ONE - lvl.beta),
+                       ("minus_zero", ONE - lvl.beta, ONE)]
         else:
-            regions = [("plus_zero", SurdReal(0), -lvl.beta),
-                       ("plus", -lvl.beta, _HALF),
-                       ("minus", _HALF, one)]
+            regions = [("plus_zero", ZERO, -lvl.beta),
+                       ("plus", -lvl.beta, HALF),
+                       ("minus", HALF, ONE)]
         for name, lo, hi in regions:
             good = 0
             for q in rationals_strictly_between(lo, hi, samples, rng):

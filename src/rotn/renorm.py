@@ -26,21 +26,22 @@ at level 40 (length ~ 10^28) are a few integer operations.
 ``oracle_first_return`` is the dual route: simulate the rotation point
 by point in exact arithmetic until it re-enters I_i and record what it
 did.  It shares no code with the substitution side, which is exactly
-why their agreement is evidence.
+why their agreement is evidence.  It walks on an ``exactreal.Frame``
+holding the start, alpha, 1/2 and the interval endpoints, so a step is
+integer adds and exact sign tests; only the landing point is turned
+back into a ``SurdReal``.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
-from .exactreal import CFNumber, SurdReal, alpha_next, gauss_step
+from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, SurdReal, alpha_next,
+                        gauss_step)
 from .words import SignWord, concat, concat_all, empty, power, prefix_sum_at
-from .words import MINUS, PLUS, iter_letters
+from .words import MINUS, PLUS
 
 __all__ = [
     "ExactInterval",
@@ -58,11 +59,6 @@ __all__ = [
     "rationals_strictly_between",
 ]
 
-_HALF = SurdReal(1, 0, 2)
-_ZERO = SurdReal(0)
-_ONE = SurdReal(1)
-
-
 @dataclass(frozen=True)
 class ExactInterval:
     """Half-open [left, right) with exact endpoints, symmetric about 1/2."""
@@ -73,7 +69,7 @@ class ExactInterval:
     def __post_init__(self):
         if not (self.left < self.right):
             raise ValueError("empty interval")
-        if self.left + self.right != SurdReal(1):
+        if self.left + self.right != ONE:
             raise ValueError(
                 "interval [%s, %s) is not symmetric about 1/2"
                 % (self.left.exact_str(), self.right.exact_str())
@@ -169,7 +165,7 @@ def base_level(alpha: CFNumber) -> RenormLevel:
     value = alpha.value
     return RenormLevel(
         index=1,
-        interval=ExactInterval(_ZERO, _ONE),
+        interval=ExactInterval(ZERO, ONE),
         beta=value,
         beta_cf=alpha,
         n_half=(alpha.coefficient(1) - 1) // 2,
@@ -185,14 +181,14 @@ def step(level: RenormLevel) -> RenormLevel:
     n = level.n_half
     beta_abs = level.beta if level.beta.sign() > 0 else -level.beta
     g = gauss_step(beta_abs)
-    scale = beta_abs * (SurdReal(1) - g)
+    scale = beta_abs * (ONE - g)
     new_len = scale * level.interval.length
     half_len = new_len / 2
-    interval = ExactInterval(_HALF - half_len, _HALF + half_len)
+    interval = ExactInterval(HALF - half_len, HALF + half_len)
     if not (new_len <= beta_abs * level.interval.length):
         raise AssertionError("contraction failed at level %d" % (level.index,))
 
-    new_beta_abs = g / (SurdReal(1) - g)
+    new_beta_abs = g / (ONE - g)
     new_cf = alpha_next(level.beta_cf)
     if new_cf.value != new_beta_abs:
         raise AssertionError(
@@ -373,13 +369,30 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
         )
     alpha = level.base_alpha
     budget = 10 * (level.f_minus.length + level.f_zero.length)
+    frame = Frame(x, alpha, HALF, interval.left, interval.right)
+    R, sign = frame.R, frame.sign
+    P, Q = frame.embed(x)
+    Pa, Qa = frame.embed(alpha)
+    Ph, _ = frame.embed(HALF)
+    Pl, Ql = frame.embed(interval.left)
+    Pr, Qr = frame.embed(interval.right)
+    # alpha is in (0, 1), so a step wraps at most once; when alpha < 1/2
+    # a point left of 1/2 cannot wrap at all
+    short = sign(Ph - Pa, -Qa) > 0
+    left = sign(P - Ph, Q) < 0
     word = []
-    y = x
     for _ in range(budget):
-        word.append(1 if y < _HALF else -1)
-        y = (y + alpha).frac()
-        if interval.contains(y):
-            return ReturnRecord(start=x, time=len(word), word=tuple(word), landing=y)
+        word.append(1 if left else -1)
+        P += Pa
+        Q += Qa
+        if not (short and left) and sign(P - R, Q) >= 0:
+            P -= R
+        # the interval is symmetric about 1/2, so the side of 1/2 the
+        # point is on tells which endpoint can exclude it
+        left = sign(P - Ph, Q) < 0
+        if (sign(P - Pl, Q - Ql) >= 0) if left else (sign(P - Pr, Q - Qr) < 0):
+            return ReturnRecord(start=x, time=len(word), word=tuple(word),
+                                landing=frame.surd(P, Q))
     raise RuntimeError(
         "no return to level %d within %d steps from %s"
         % (level.index, budget, x.exact_str())
@@ -404,8 +417,8 @@ def predicted_return_word(level: RenormLevel, x: SurdReal) -> SignWord:
         )
     y = interval.to_local(x)
     if level.beta.sign() > 0:
-        split = SurdReal(1) - level.beta
-        if y < _HALF:
+        split = ONE - level.beta
+        if y < HALF:
             return level.f_plus
         if y == split:
             raise ValueError("local coordinate sits exactly on the case boundary")
@@ -417,7 +430,7 @@ def predicted_return_word(level: RenormLevel, x: SurdReal) -> SignWord:
         raise ValueError("local coordinate sits exactly on the case boundary")
     if y < gamma:
         return concat(level.f_plus, level.f_zero)
-    if y < _HALF:
+    if y < HALF:
         return level.f_plus
     return level.f_minus
 
@@ -436,7 +449,8 @@ def fast_birkhoff(alpha: CFNumber, n: int) -> int:
         return 0
     levels = _tower_cache.get(alpha)
     if levels is None:
-        levels = tower(alpha, 1)
+        tower(alpha, 1)  # returns a copy; the loop below grows the cached list
+        levels = _tower_cache[alpha]
     while levels[-1].f_minus.length < n:
         tower(alpha, len(levels) + 1)
     return prefix_sum_at(levels[-1].f_minus, n)

@@ -15,10 +15,12 @@ numpy and compiled backends agree bitwise.  The backend is chosen at
 import time: the compiled kernel if it built, else numpy.  Set
 ROTN_SCAN_BACKEND=python to force the fallback.
 
-The "exact" policy replaces the float loop with integer arithmetic in
-the quadratic field (positions are still reported as floats, but every
-sign and wrap decision is exact).  The "audit" policy runs both and
-insists they agree.
+The "exact" policy replaces the float loop with a walk on an
+``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
+common denominator R, a step is two integer adds, and every sign and
+wrap decision is one exact integer sign test.  Positions are still
+reported as floats, (P + Q*sqrt(d))/R.  The "audit" policy runs both
+and insists they agree.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactreal import SurdReal, escalations
+from .exactreal import HALF, Frame, SurdReal, escalations
 
 __all__ = ["OrbitScan", "orbit_scan", "backend_name", "kernel_for"]
 
@@ -90,9 +92,6 @@ class OrbitScan:
     sums: np.ndarray
     escalated: np.ndarray
     radius_bound: float
-
-    def sign_at(self, i: int) -> int:
-        return int(self.signs[i])
 
     def sum_at(self, j: int) -> int:
         return int(self.sums[j])
@@ -175,10 +174,9 @@ def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     positions, signs, ambiguous = _impl.scan_kernel(x0f, step, count, base, slope)
     if ambiguous.size:
         exact_step = alpha if direction == 1 else -alpha
-        half = SurdReal(1, 0, 2)
         for i in ambiguous:
             exact = (x0 + exact_step * int(i)).frac()
-            signs[i] = 1 if exact < half else -1
+            signs[i] = 1 if exact < HALF else -1
             positions[i] = float(exact)
         escalations.bump(int(ambiguous.size))
         logger.debug(
@@ -187,49 +185,35 @@ def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     return positions, signs, ambiguous, base + (count - 1) * slope
 
 
-def _int_sign(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d), exact integer arithmetic."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0:
-        if b > 0:
-            return 1
-        t = a * a - b * b * d
-    else:
-        if b < 0:
-            return -1
-        t = b * b * d - a * a
-    return (t > 0) - (t < 0)
-
-
 def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
-    """Integer-only scan: exact signs, float positions for reporting.
+    """Integer-only scan on one frame: exact signs, float positions.
 
-    Orbit points stay over one common denominator R in one field, so a
-    step is two integer adds, a wrap test and a sign test.
+    x0 lies in [0, 1) and the step in (-1, 1), so after a step one
+    wrap test, in the step's direction, brings the point back.  A step
+    shorter than 1/2 cannot wrap from the half of the circle away from
+    the edge it moves toward, and then the test is skipped.
     """
     if alpha.is_rational:
         raise ValueError("rotation number must be irrational")
-    d = alpha.d if x0.is_rational else x0._join(alpha)
-    R = math.lcm(x0.r, alpha.r)
-    P = x0.p * (R // x0.r)
-    Q = x0.q * (R // x0.r)
-    Pa = alpha.p * (R // alpha.r) * direction
-    Qa = alpha.q * (R // alpha.r) * direction
+    frame = Frame(x0, alpha, HALF)
+    R, sign = frame.R, frame.sign
+    P, Q = frame.embed(x0)
+    Pa, Qa = frame.embed(alpha if direction == 1 else -alpha)
+    Ph, _ = frame.embed(HALF)
+    short = sign(Ph - direction * Pa, -direction * Qa) > 0
 
-    sqd = math.sqrt(d)
+    sqd = math.sqrt(frame.d)
     positions = np.empty(count, dtype=np.float64)
     signs = np.empty(count, dtype=np.int8)
     for i in range(count):
-        # x < 1/2 iff 2P - R + 2Q*sqrt(d) < 0; the boundary itself is -1
         positions[i] = (P + Q * sqd) / R
-        signs[i] = 1 if _int_sign(2 * P - R, 2 * Q, d) < 0 else -1
+        left = sign(P - Ph, Q) < 0  # 1/2 itself is on the right
+        signs[i] = 1 if left else -1
         P += Pa
         Q += Qa
-        if _int_sign(P - R, Q, d) >= 0:
-            P -= R
-        elif _int_sign(P, Q, d) < 0:
+        if direction == 1:
+            if not (short and left) and sign(P - R, Q) >= 0:
+                P -= R
+        elif (left or not short) and sign(P, Q) < 0:
             P += R
     return positions, signs, np.empty(0, dtype=np.int64), 0.0

@@ -213,3 +213,42 @@ def test_cli_precision_flag(tmp_path):
     assert main(["density", "--N", "300", "--precision", "exact-only",
                  "--out", out]) == 0
     assert config_from_header(read_header(out)).precision == "exact-only"
+
+
+def _more_levels(trace):
+    trace.entry_level[10:] += 1  # one step of 0 or 2
+
+
+def _moved_position(trace):
+    trace.entry_x[5] = (trace.entry_x[5] + 1e-6) % 1.0
+
+
+@pytest.mark.parametrize("doctor, failed", [
+    (_more_levels, "levels_step_by_one"),
+    (_moved_position, "prefix_agrees"),
+])
+def test_leaf_checks_catch_a_doctored_trace(monkeypatch, capsys, doctor, failed):
+    from rotn import harness
+
+    honest = harness.trace_ray
+
+    def doctored(i, alpha, N, *, policy="certified"):
+        trace = honest(i, alpha, N, policy=policy)
+        if policy == "certified":
+            doctor(trace)
+        return trace
+
+    monkeypatch.setattr(harness, "trace_ray", doctored)
+    rep = run_leaf("[0;5,(6)]", 100, ray=0)
+    assert rep[failed] is False and rep["ok"] is False
+    assert main(["leaf", "--ray", "0", "--N", "100"]) == 1
+    capsys.readouterr()
+
+
+def test_cli_refuses_a_point_from_another_field(capsys):
+    argv = ["leaf", "--through", "sqrt(2)/3", "--precision", "exact-only",
+            "--N", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rotn: error: cannot mix ")
+    assert err.count("\n") == 1 and "Traceback" not in err

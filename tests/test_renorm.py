@@ -229,3 +229,24 @@ def test_rationals_strictly_between():
     assert got == again  # same seed, same draw
     with pytest.raises(ValueError):
         rationals_strictly_between(lo, lo, 1, random.Random(0))
+
+
+def test_fast_birkhoff_on_a_cold_cache():
+    # a fresh interpreter starts with an empty tower cache; this call used
+    # to loop forever there, so it runs in its own process with a deadline
+    import os
+    import subprocess
+    import sys
+
+    import rotn
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rotn.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("from rotn.exactreal import parse_cf\n"
+            "from rotn.renorm import fast_birkhoff\n"
+            "print(fast_birkhoff(parse_cf('[0;5,(6)]'), 100))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) == birkhoff(HALF, ALPHA.value, 100)
