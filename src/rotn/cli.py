@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .harness import ExperimentConfig, run
+from .harness import PRECISIONS, ExperimentConfig, run
 
 _EXAMPLES = """\
 examples:
@@ -30,9 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the full report here (JSON or CSV by experiment)")
-    common.add_argument("--precision", choices=("certified-fast", "exact-only"),
-                        default="certified-fast",
-                        help="certified floats with exact escalation, or exact only")
+    # tower and oracle are exact by construction and take no --precision
+    scanning = argparse.ArgumentParser(add_help=False, parents=[common])
+    scanning.add_argument("--precision", choices=PRECISIONS, default="certified-fast",
+                          help="certified floats with exact escalation, or exact only")
 
     p = argparse.ArgumentParser(
         prog="rotn",
@@ -47,21 +49,21 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--alpha", default="[0;5,(6)]", help="continued fraction literal")
     t.add_argument("--depth", type=int, default=20)
 
-    d = sub.add_parser("density", parents=[common],
+    d = sub.add_parser("density", parents=[scanning],
                        help="gap decay of the visit positions at one level")
     d.add_argument("--alpha", default="[0;5,(6)]")
     d.add_argument("--m", type=int, default=0, help="height whose visit times are collected")
     d.add_argument("--k", type=int, default=0, help="index shift applied to the positions")
     d.add_argument("--N", type=int, default=1000000, help="orbit horizon")
 
-    e = sub.add_parser("example", parents=[common],
+    e = sub.add_parser("example", parents=[scanning],
                        help="the orbit family with forward sums capped at -1")
     e.add_argument("--m", type=int, default=2)
     e.add_argument("--kmax", type=int, default=10, dest="k_max",
                    help="how many tower levels the formulas are checked on")
     e.add_argument("--N", type=int, default=1000000, help="orbit audit horizon")
 
-    l = sub.add_parser("leaf", parents=[common],
+    l = sub.add_parser("leaf", parents=[scanning],
                        help="trace rectangle entries of one leaf")
     l.add_argument("--alpha", default="[0;5,(6)]")
     l.add_argument("--N", type=int, default=100000, help="number of entries")
@@ -74,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     l.add_argument("--backward", action="store_true",
                    help="trace into the past (with --through)")
 
-    h = sub.add_parser("heavy", parents=[common],
+    h = sub.add_parser("heavy", parents=[scanning],
                        help="contrast family: verify S_n(1/2) stays negative")
     h.add_argument("--alpha", default="[0;(2)]")
     h.add_argument("--N", type=int, default=1000000)
@@ -90,12 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(ns: argparse.Namespace) -> ExperimentConfig:
-    fields = {}
-    for name in ("kind", "alpha", "depth", "N", "m", "k", "k_max", "samples",
-                 "seed", "ray", "through", "level", "backward", "out", "precision"):
-        if hasattr(ns, name):
-            fields[name] = getattr(ns, name)
-    return ExperimentConfig(**fields)
+    given = {f.name: getattr(ns, f.name) for f in fields(ExperimentConfig)
+             if hasattr(ns, f.name)}
+    return ExperimentConfig(**given)
 
 
 def main(argv=None) -> int:
@@ -103,7 +102,7 @@ def main(argv=None) -> int:
     try:
         config = _config(ns)
         report = run(config)
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, MemoryError) as err:
         print("rotn: error: %s" % (err,), file=sys.stderr)
         return 2
     ok = bool(report.get("ok", False))

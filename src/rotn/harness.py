@@ -183,7 +183,10 @@ def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
                 raise ValueError("** needs an integer literal exponent")
         raise ValueError("unsupported syntax in point %r" % (expr,))
 
-    return ev(node)
+    try:
+        return ev(node)
+    except ZeroDivisionError:
+        raise ValueError("division by zero in point %r" % (expr,)) from None
 
 
 def _alpha_cf(alpha: Union[str, CFNumber]) -> CFNumber:

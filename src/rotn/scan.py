@@ -9,11 +9,9 @@ touches 0, 1/2 or 1 are recomputed exactly.  With the standard radii
 that is a handful of escalations per 10^7 steps, and the resulting sign
 sequence is exact, not approximate.
 
-Positions are evaluated by the direct formula frac(x0 + i*alpha), not
-incrementally, so the error is linear in i with no compounding and the
-numpy and compiled backends agree bitwise.  The backend is chosen at
-import time: the compiled kernel if it built, else numpy.  Set
-ROTN_SCAN_BACKEND=python to force the fallback.
+The float loop is one numpy kernel, ``scan_kernel``.  Positions are
+evaluated by the direct formula frac(x0 + i*alpha), not incrementally,
+so the error is linear in i with no compounding.
 
 The "exact" policy replaces the float loop with a walk on an
 ``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,33 +35,61 @@ __all__ = ["OrbitScan", "orbit_scan", "backend_name", "kernel_for"]
 
 logger = logging.getLogger(__name__)
 
-from . import _scan_py as _fallback
+# keeps the kernel's temporaries around 8 MB regardless of scan length
+_CHUNK = 1 << 20
 
-_impl = _fallback
-_backend = "python"
-if os.environ.get("ROTN_SCAN_BACKEND", "") != "python":
-    try:
-        from . import _scan_cy as _compiled
 
-        _impl = _compiled
-        _backend = "cython"
-    except ImportError:
-        logger.info("compiled scan kernel not available; using numpy fallback")
+def scan_kernel(x0, alpha, n, base_radius, radius_slope):
+    """Return (pos[n], signs[n], ambiguous indices) for i = 0..n-1.
+
+    Positions are frac(x0 + i*alpha) in double precision, signs are
+    decided against 1/2, and every index whose certified interval
+    touches 0, 1/2 or 1 is reported for exact escalation by the caller.
+    """
+    pos = np.empty(n, dtype=np.float64)
+    signs = np.empty(n, dtype=np.int8)
+    amb_parts = []
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        i = np.arange(lo, hi, dtype=np.float64)
+        z = x0 + i * alpha
+        z -= np.floor(z)
+        # frac can round up to exactly 1.0 for z just under an integer
+        wrapped = z >= 1.0
+        if wrapped.any():
+            z[wrapped] = 0.0
+        pos[lo:hi] = z
+        signs[lo:hi] = np.where(z < 0.5, 1, -1).astype(np.int8)
+        rad = base_radius + i * radius_slope
+        bad = (np.abs(z - 0.5) <= rad) | (z <= rad) | (z >= 1.0 - rad)
+        if bad.any():
+            amb_parts.append(np.nonzero(bad)[0].astype(np.int64) + lo)
+    if amb_parts:
+        ambiguous = np.concatenate(amb_parts)
+    else:
+        ambiguous = np.empty(0, dtype=np.int64)
+    return pos, signs, ambiguous
+
+
+# rotnbench records backend_name() in its results and probes every
+# kernel kernel_for() can load, skipping names that raise ImportError.
 
 
 def backend_name() -> str:
-    """Which kernel this process is using: 'cython' or 'python'."""
-    return _backend
+    """The name of the float scan kernel."""
+    return "python"
 
 
 def kernel_for(name: str):
-    """Fetch a specific kernel implementation (for benchmarks and tests)."""
-    if name == "python":
-        return _fallback.scan_kernel
-    if name == "cython":
-        from . import _scan_cy  # ImportError if not built
+    """The float scan kernel called `name`; "python" is the only one.
 
-        return _scan_cy.scan_kernel
+    "cython", a compiled kernel this package no longer ships, raises
+    ImportError like any kernel that cannot be loaded.
+    """
+    if name == "python":
+        return scan_kernel
+    if name == "cython":
+        raise ImportError("rotn has no compiled scan kernel")
     raise ValueError("unknown backend %r" % (name,))
 
 
@@ -86,7 +111,6 @@ class OrbitScan:
     count: int
     direction: int
     policy: str
-    backend: str
     positions: np.ndarray
     signs: np.ndarray
     sums: np.ndarray
@@ -98,11 +122,13 @@ class OrbitScan:
 
 
 def _scan_radii(x0: SurdReal, alpha: SurdReal):
-    """Float seeds and rigorous radius model rad(i) = base + i*slope.
+    """Float seeds and the rigorous radius model rad(i) = base + i*slope
+    that ``scan_kernel`` tests each position against.
 
     Covers: the certified radii of x0 and alpha, the rounding of i*af,
     of the sum, and the one possible rounding in the wrap for backward
-    scans.  Factors of 4 give headroom so the bound is unimpeachable.
+    scans.  Each rounding term is 2^-51, four units of roundoff, so the
+    bound has headroom.
     """
     c0 = x0.certified()
     ca = alpha.certified()
@@ -131,12 +157,10 @@ def orbit_scan(
 
     if policy == "exact":
         positions, signs, escalated, radius = _exact_scan(x0, alpha, count, direction)
-        backend = "exact"
     else:
         positions, signs, escalated, radius = _certified_scan(
             x0, alpha, count, direction
         )
-        backend = _backend
         if policy == "audit":
             ep, es, _, _ = _exact_scan(x0, alpha, count, direction)
             bad = np.nonzero(es != signs)[0]
@@ -159,7 +183,6 @@ def orbit_scan(
         count=count,
         direction=direction,
         policy=policy,
-        backend=backend,
         positions=positions,
         signs=signs,
         sums=sums,
@@ -171,7 +194,7 @@ def orbit_scan(
 def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     x0f, af, base, slope = _scan_radii(x0, alpha)
     step = af if direction == 1 else -af
-    positions, signs, ambiguous = _impl.scan_kernel(x0f, step, count, base, slope)
+    positions, signs, ambiguous = scan_kernel(x0f, step, count, base, slope)
     if ambiguous.size:
         exact_step = alpha if direction == 1 else -alpha
         for i in ambiguous:

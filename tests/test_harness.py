@@ -192,6 +192,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["tower", "--alpha", "[0;4,(6)]", "--depth", "3"]) == 2
     assert main(["leaf", "--through", "import os", "--N", "5"]) == 2
     capsys.readouterr()
+    assert main(["leaf", "--through", "1/0", "--N", "5"]) == 2
+    assert capsys.readouterr().err == "rotn: error: division by zero in point '1/0'\n"
+    # 10^18 steps cannot be allocated on any machine: one line, no traceback
+    huge = str(10**18)
+    for argv in (["heavy", "--N", huge], ["heavy", "--N", huge, "--precision", "exact-only"],
+                 ["density", "--N", huge], ["leaf", "--ray", "0", "--N", huge],
+                 ["example", "--N", huge]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rotn: error: ") and err.count("\n") == 1
+    # tower and oracle are exact by construction and take no --precision
+    for kind in ("tower", "oracle"):
+        with pytest.raises(SystemExit) as usage:
+            main([kind, "--precision", "exact-only"])
+        assert usage.value.code == 2
+    capsys.readouterr()
 
 
 def test_cli_writes_and_reports(tmp_path, capsys):

@@ -1,37 +1,34 @@
-"""The two scan kernels, certified-vs-exact agreement, escalation."""
-
-import os
+"""The scan kernel, certified-vs-exact agreement, escalation."""
 
 import numpy as np
 import pytest
 
+import rotn.scan
 from rotn.exactreal import SurdReal, parse_cf
-from rotn.scan import _scan_radii, backend_name, kernel_for, orbit_scan
+from rotn.scan import backend_name, kernel_for, orbit_scan
 
 A = parse_cf("[0;5,(6)]").value
 HALF = SurdReal(1, 0, 2)
 
 
-def test_backend_selection():
-    assert backend_name() in ("cython", "python")
-    assert callable(kernel_for("python"))
+def test_backend_selection(monkeypatch):
+    assert backend_name() == "python"
+    kernel = kernel_for(backend_name())
+    assert kernel is rotn.scan.scan_kernel
+    with pytest.raises(ImportError):
+        kernel_for("cython")
     with pytest.raises(ValueError):
         kernel_for("fortran")
+    # the certified scan runs that same kernel
+    calls = []
 
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
 
-def test_kernels_bitwise_identical():
-    try:
-        fast = kernel_for("cython")
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    slow = kernel_for("python")
-    x0f, af, base, slope = _scan_radii(HALF, A)
-    for n in (1, 17, 10**4, 10**6):
-        a = fast(x0f, af, n, base, slope)
-        b = slow(x0f, af, n, base, slope)
-        for xa, xb in zip(a, b):
-            assert xa.dtype == xb.dtype
-            assert np.array_equal(xa, xb)
+    monkeypatch.setattr(rotn.scan, "scan_kernel", spy)
+    orbit_scan(HALF, A, 10, policy="certified")
+    assert len(calls) == 1
 
 
 def test_certified_agrees_with_exact():
@@ -83,16 +80,6 @@ def test_radius_model_is_honest():
     err = np.abs(scan.positions - exact.positions)
     # true float error must sit inside the claimed radius everywhere
     assert float(err.max()) <= scan.radius_bound
-
-
-def test_env_var_forces_python_backend():
-    import subprocess
-    import sys
-    code = "from rotn.scan import backend_name; print(backend_name())"
-    env = dict(os.environ, ROTN_SCAN_BACKEND="python")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "python"
 
 
 def test_policy_validation():
