@@ -22,7 +22,6 @@ from .exactreal import (
     CertifiedFloat,
     SurdReal,
     alpha_next,
-    certified_compare,
     cf_value,
     convergent,
     gauss_step,
@@ -36,7 +35,6 @@ __all__ = [
     "CertifiedFloat",
     "SurdReal",
     "alpha_next",
-    "certified_compare",
     "cf_value",
     "convergent",
     "gauss_step",

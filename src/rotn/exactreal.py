@@ -12,8 +12,8 @@ this module unless explicitly asked for via ``certified``.
 throughout the package is: decide predicates (is x < 1/2, did the orbit
 wrap) on certified floats when the interval is clear of the threshold,
 and escalate to exact ``SurdReal`` arithmetic when it is not.  The
-escalation counter is module level so tests can assert how often the
-slow path fires.
+orbit scan adds each escalation to the module-level ``escalations``
+counter.
 
 ``Frame`` is the lattice the exact orbit walkers run on.  It fixes one
 common denominator R and one field Q(sqrt(d)) for every value a walk
@@ -33,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Iterator, Union
 
 __all__ = [
     "SurdReal",
@@ -46,7 +46,6 @@ __all__ = [
     "alpha_next",
     "convergent",
     "expand_coefficients",
-    "certified_compare",
     "escalations",
 ]
 
@@ -291,8 +290,10 @@ class SurdReal:
             v = self.p / self.r  # correctly rounded for any int sizes
             return CertifiedFloat(v, math.ulp(abs(v)) if v else 5e-324)
         v, den = self._shifted()
-        # isqrt error <= 1 gives 1/den; float rounding gives ulp/2; pad both
-        return CertifiedFloat(v, 2.0 / den + math.ulp(abs(v)))
+        # isqrt error <= 1 gives 1/den; float rounding gives ulp/2; pad
+        # both.  2 / den divides ints, correctly rounded: den as a float
+        # would overflow once it passes 2^1024
+        return CertifiedFloat(v, 2 / den + math.ulp(abs(v)))
 
     def _shifted(self) -> tuple[float, int]:
         """(value, den) for irrational self: value = num/den rounded once."""
@@ -408,10 +409,6 @@ class CertifiedFloat:
         if not (self.radius >= 0.0) or math.isnan(self.value):
             raise ValueError("bad certified float (%r, %r)" % (self.value, self.radius))
 
-    def separated_from(self, other: "CertifiedFloat") -> bool:
-        """True when the two intervals do not overlap."""
-        return abs(self.value - other.value) > self.radius + other.radius
-
 
 class EscalationCounter:
     """Counts how often certified comparisons fell back to exact arithmetic."""
@@ -424,49 +421,8 @@ class EscalationCounter:
     def bump(self, n: int = 1) -> None:
         self.count += n
 
-    def reset(self) -> int:
-        n, self.count = self.count, 0
-        return n
-
 
 escalations = EscalationCounter()
-
-
-def _threshold_certified(threshold) -> CertifiedFloat:
-    if isinstance(threshold, SurdReal):
-        return threshold.certified()
-    f = Fraction(threshold)
-    v = f.numerator / f.denominator
-    return CertifiedFloat(v, math.ulp(abs(v)) if v else 5e-324)
-
-
-def certified_compare(
-    x: CertifiedFloat,
-    threshold: Union[Rationalish, SurdReal],
-    fallback: Callable[[], SurdReal],
-) -> int:
-    """Order x against threshold: -1 or +1, never 0.
-
-    Decides from the certified intervals when they are disjoint;
-    otherwise calls ``fallback()`` for the exact value and compares
-    exactly (bumping the module escalation counter).  An exact tie
-    raises: the quantities compared in this package (orbit points
-    against 1/2 or 0) are provably never equal, so a tie means the
-    caller fed us a bad point.
-    """
-    t = _threshold_certified(threshold)
-    if x.separated_from(t):
-        return 1 if x.value > t.value else -1
-    escalations.bump()
-    exact = fallback()
-    if not isinstance(threshold, SurdReal):
-        threshold = SurdReal.from_fraction(threshold)
-    s = (exact - threshold)._sign()
-    if s == 0:
-        raise ValueError(
-            "exact tie against threshold %s" % (threshold.exact_str(),)
-        )
-    return s
 
 
 # ---------------------------------------------------------------------------

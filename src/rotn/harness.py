@@ -1,12 +1,18 @@
 """Experiment runner: reproducible command-line runs over the library.
 
-Each run_* function performs one experiment, returns a JSON-friendly
-report dict, and optionally writes it to disk.  Output files are
-self-describing: a JSON header that round-trips the full configuration,
-then the payload.  CSV-shaped outputs put the header on a single
-leading comment line; report-shaped outputs are one JSON document with
-the header inside.  Under the exact-only policy identical configs give
-byte-identical payload bytes.
+``run(config)`` is the one entry point.  Every experiment is a function
+of its ``ExperimentConfig`` alone, found in one table by the config's
+kind; it returns a JSON-friendly report, plus the rows of a table for
+the CSV-shaped kinds, and ``run`` writes ``config.out`` in one place.
+All validation and normalization happens when the config is built, so
+the config a caller holds is the config its output header records.
+
+Output files are self-describing: a JSON header that round-trips the
+full configuration (``config_from_header(read_header(path))`` equals
+the config that wrote it), then the payload.  CSV-shaped outputs put
+the header on a single leading comment line; report-shaped outputs are
+one JSON document with the header inside.  Under the exact-only policy
+identical configs give byte-identical payload bytes.
 """
 
 from __future__ import annotations
@@ -14,17 +20,18 @@ from __future__ import annotations
 import ast
 import json
 import math
+import operator
 import random
 from dataclasses import asdict, dataclass, fields
 from itertools import islice
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .circle import max_gap, visit_set
-from .exactreal import HALF, ONE, ZERO, CFNumber, SurdReal, parse_cf
-from .foliation import example_m_formulas, trace_leaf_through, trace_ray
+from .exactreal import HALF, ONE, ZERO, SurdReal, parse_cf
+from .foliation import example_alpha, example_m_formulas, trace_leaf_through, trace_ray
 from .renorm import (
     oracle_first_return,
     predicted_return_word,
@@ -36,11 +43,17 @@ from .renorm import (
 from .scan import orbit_scan
 from .words import expand, iter_letters
 
-KINDS = ("tower", "density", "example", "leaf", "heavy", "oracle")
 PRECISIONS = ("certified-fast", "exact-only")
 # leaf visits retraced under the other policy; small enough that the
 # check stays cheap next to a long certified trace
 _LEAF_CHECK_VISITS = 256
+# leaf seeds: a**100000 already takes 0.2 s to parse.  Every value a
+# seed expression builds has at most ~4000 digits, so each step costs
+# little and the seed prints under Python's 4300-digit int-to-str limit
+_MAX_EXPONENT = 10 ** 4
+_MAX_POINT_BITS = 13300
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
 @dataclass(frozen=True)
@@ -48,7 +61,11 @@ class ExperimentConfig:
     """Everything needed to reproduce one run.
 
     The alpha literal and the leaf seed stay in their surface syntax so
-    a written header parses back to an equal config.
+    a written header parses back to an equal config.  Building a config
+    checks it and normalizes its derived fields: alpha to its canonical
+    literal (for ``example``, the family member ``m`` selects), and the
+    precision of the exact-by-construction ``tower`` and ``oracle`` to
+    exact-only.
     """
 
     kind: str
@@ -77,6 +94,26 @@ class ExperimentConfig:
         for name in ("depth", "N", "k_max", "samples"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % (name,))
+        kind = self.kind
+        if kind == "example":
+            alpha = example_alpha(self.m)
+        else:
+            alpha = parse_cf(self.alpha)
+        object.__setattr__(self, "alpha", str(alpha))
+        if kind in ("tower", "oracle"):
+            object.__setattr__(self, "precision", "exact-only")
+        if kind == "leaf":
+            if (self.ray is None) == (self.through is None):
+                raise ValueError("give exactly one of ray=... or through=...")
+            if self.ray is not None and self.backward:
+                raise ValueError("rays only go forward; trace a leaf through a point instead")
+        if kind == "heavy" and self.N < 1:
+            raise ValueError("need N >= 1, got %r" % (self.N,))
+        if kind == "oracle":
+            if self.depth < 2:
+                raise ValueError("oracle needs depth >= 2, got %r" % (self.depth,))
+            if self.samples < 1:
+                raise ValueError("need samples >= 1, got %r" % (self.samples,))
 
     @property
     def policy(self) -> str:
@@ -142,18 +179,50 @@ def read_header(path: str) -> dict:
 # leaf seeds
 
 
+def _sqrt_in_field(n: int, alpha: SurdReal) -> SurdReal:
+    """sqrt(n) as a point of alpha's field, found without factoring n.
+
+    A perfect square is rational; n = d*s*s for alpha's square-free d
+    is s*sqrt(d); any other n lies in another field.
+    """
+    if n < 0:
+        raise ValueError("sqrt() of a negative number %d" % (n,))
+    s = math.isqrt(n)
+    if s * s == n:
+        return SurdReal(s)
+    d = alpha.d
+    if n % d == 0:
+        s = math.isqrt(n // d)
+        if s * s * d == n:
+            return SurdReal(0, s, 1, d)
+    raise ValueError("cannot mix sqrt(%d) with sqrt(%d)" % (d, n))
+
+
+def _bits(x: SurdReal) -> int:
+    return max(abs(x.p), abs(x.q), x.r).bit_length()
+
+
 def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
     """Evaluate a seed expression like "(1+a)/2" to an exact point.
 
     Grammar: integers, the name `a` (the rotation number), sqrt(int),
-    +, -, *, /, ** with integer exponents, and parentheses.
+    +, -, *, /, ** with integer exponents, and parentheses.  sqrt(n)
+    must lie in alpha's field.  An exponent may be at most 10^4, and
+    the point and every value on the way to it at most 13,300 bits.
     """
     try:
         node = ast.parse(expr, mode="eval").body
     except SyntaxError as err:
         raise ValueError("cannot parse point %r: %s" % (expr, err)) from None
+    too_large = "point %r has a value of more than %d bits" % (expr, _MAX_POINT_BITS)
 
     def ev(n):
+        v = value_of(n)
+        if _bits(v) > _MAX_POINT_BITS:
+            raise ValueError(too_large)
+        return v
+
+    def value_of(n):
         if isinstance(n, ast.Constant) and isinstance(n.value, int):
             return SurdReal(n.value)
         if isinstance(n, ast.Name) and n.id == "a":
@@ -165,22 +234,22 @@ def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
                 and n.func.id == "sqrt" and len(n.args) == 1 and not n.keywords:
             arg = n.args[0]
             if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
-                return SurdReal.root(arg.value)
+                return _sqrt_in_field(arg.value, alpha)
             raise ValueError("sqrt() takes an integer literal")
-        if isinstance(n, ast.BinOp):
-            a, b = ev(n.left), ev(n.right)
-            if isinstance(n.op, ast.Add):
-                return a + b
-            if isinstance(n.op, ast.Sub):
-                return a - b
-            if isinstance(n.op, ast.Mult):
-                return a * b
-            if isinstance(n.op, ast.Div):
-                return a / b
-            if isinstance(n.op, ast.Pow):
-                if isinstance(n.right, ast.Constant) and isinstance(n.right.value, int):
-                    return a ** n.right.value
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
+            if not (isinstance(n.right, ast.Constant) and isinstance(n.right.value, int)):
                 raise ValueError("** needs an integer literal exponent")
+            e = n.right.value
+            if e > _MAX_EXPONENT:
+                raise ValueError("exponent %d in point %r is above the limit %d"
+                                 % (e, expr, _MAX_EXPONENT))
+            base = ev(n.left)
+            # base**e has at least e*(bits - 1) bits: refuse before computing
+            if e * (_bits(base) - 1) > _MAX_POINT_BITS:
+                raise ValueError(too_large)
+            return base ** e
+        if isinstance(n, ast.BinOp) and type(n.op) in _ARITHMETIC:
+            return _ARITHMETIC[type(n.op)](ev(n.left), ev(n.right))
         raise ValueError("unsupported syntax in point %r" % (expr,))
 
     try:
@@ -189,20 +258,14 @@ def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
         raise ValueError("division by zero in point %r" % (expr,)) from None
 
 
-def _alpha_cf(alpha: Union[str, CFNumber]) -> CFNumber:
-    return parse_cf(alpha) if isinstance(alpha, str) else alpha
-
-
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each maps a config to (report, table), where table is
+# (columns, rows) for the CSV-shaped kinds and None for the JSON ones
 
 
-def run_tower(alpha: Union[str, CFNumber], depth: int, *,
-              out: Optional[str] = None) -> dict:
+def _tower(config: ExperimentConfig):
     """Build the tower and verify every stats inequality along it."""
-    cf = _alpha_cf(alpha)
-    cfg = ExperimentConfig(kind="tower", alpha=str(cf), depth=depth, out=out)
-    levels = tower(cf, depth)
+    levels = tower(parse_cf(config.alpha), config.depth)
 
     bound_rows = []
     for parent, child in zip(levels, levels[1:]):
@@ -231,16 +294,14 @@ def run_tower(alpha: Union[str, CFNumber], depth: int, *,
 
     ok = all(r.ok for r in bound_rows) and all(r.ok for r in chain_rows)
     report = {
-        "alpha": str(cf),
-        "depth": depth,
+        "alpha": config.alpha,
+        "depth": config.depth,
         "levels": [level_entry(l) for l in levels],
         "bounds": [check_entry(r) for r in bound_rows],
         "chains": [check_entry(r) for r in chain_rows],
         "ok": ok,
     }
-    if out:
-        write_json(out, cfg, report)
-    return report
+    return report, None
 
 
 def _gap_ladder(N: int) -> list:
@@ -248,14 +309,11 @@ def _gap_ladder(N: int) -> list:
     return sorted(horizons)
 
 
-def run_density(alpha: Union[str, CFNumber], m: int, k: int, N: int, *,
-                out: Optional[str] = None,
-                precision: str = "certified-fast") -> dict:
+def _density(config: ExperimentConfig):
     """How the level-m visit positions fill the circle as N grows."""
-    cf = _alpha_cf(alpha)
-    cfg = ExperimentConfig(kind="density", alpha=str(cf), m=m, k=k, N=N,
-                           out=out, precision=precision)
-    vs = visit_set(HALF, cf.value, m, N, k=k, policy=cfg.policy)
+    m, N = config.m, config.N
+    vs = visit_set(HALF, parse_cf(config.alpha).value, m, N, k=config.k,
+                   policy=config.policy)
 
     rows = []
     for h in _gap_ladder(N):
@@ -273,22 +331,17 @@ def run_density(alpha: Union[str, CFNumber], m: int, k: int, N: int, *,
 
     report = {**vs.summary(), "escalations": vs.escalations, "horizons": rows,
               "ok": ok}
-    if out:
-        write_csv(out, cfg, ["N", "count", "first_time", "max_gap"],
-                  [(r["N"], r["count"], r["first_time"], r["max_gap"]) for r in rows])
-    return report
+    columns = ["N", "count", "first_time", "max_gap"]
+    return report, (columns, [tuple(r[c] for c in columns) for r in rows])
 
 
-def run_example(m: int, k_max: int, N: int, *,
-                out: Optional[str] = None,
-                precision: str = "certified-fast") -> dict:
+def _example(config: ExperimentConfig):
     """The bounded-above orbit family: formulas plus an orbit audit."""
+    m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
-    cfg = ExperimentConfig(kind="example", alpha=str(rep.alpha), m=m,
-                           k_max=k_max, N=N, out=out, precision=precision)
 
     report = {
-        "alpha": str(rep.alpha),
+        "alpha": config.alpha,
         "m": m,
         "k_max": k_max,
         "x": rep.x.exact_str(),
@@ -304,9 +357,9 @@ def run_example(m: int, k_max: int, N: int, *,
 
     if N >= 1:
         av = rep.alpha.value
-        fwd = orbit_scan(rep.x, av, N, policy=cfg.policy)
+        fwd = orbit_scan(rep.x, av, N, policy=config.policy)
         n_sym = min(N, 10 ** 5)
-        back = orbit_scan(rep.x, av, n_sym, direction=-1, policy=cfg.policy)
+        back = orbit_scan(rep.x, av, n_sym, direction=-1, policy=config.policy)
         report["max_forward_sum"] = int(fwd.sums[1:].max())
         report["symmetric_sums"] = bool(
             np.array_equal(back.sums[1: n_sym + 1], fwd.sums[1: n_sym + 1])
@@ -321,49 +374,34 @@ def run_example(m: int, k_max: int, N: int, *,
     else:
         report["ok"] = report["formulas_ok"] and rep.ok
 
-    if out:
-        write_json(out, cfg, report)
-    return report
+    return report, None
 
 
-def run_leaf(alpha: Union[str, CFNumber], N: int, *,
-             ray: Optional[int] = None,
-             through: Optional[str] = None,
-             level: int = 0,
-             backward: bool = False,
-             out: Optional[str] = None,
-             precision: str = "certified-fast") -> dict:
+def _leaf(config: ExperimentConfig):
     """Trace one leaf: a singular ray or the leaf through a given point.
 
     The run passes when consecutive entry levels differ by exactly 1 and
     the other precision, retracing the first visits, agrees with them:
     equal levels, and positions within the certified radius.
     """
-    if (ray is None) == (through is None):
-        raise ValueError("give exactly one of ray=... or through=...")
-    cf = _alpha_cf(alpha)
-    cfg = ExperimentConfig(kind="leaf", alpha=str(cf), N=N, ray=ray,
-                           through=through, level=level, backward=backward,
-                           out=out, precision=precision)
-    if ray is not None:
-        if backward:
-            raise ValueError("rays only go forward; trace a leaf through a point instead")
-
+    alpha = parse_cf(config.alpha).value
+    if config.ray is not None:
         def trace_for(n, policy):
-            return trace_ray(ray, cf.value, n, policy=policy)
+            return trace_ray(config.ray, alpha, n, policy=policy)
     else:
-        x0 = parse_point(through, cf.value)
+        x0 = parse_point(config.through, alpha)
 
         def trace_for(n, policy):
-            return trace_leaf_through(x0, level, cf.value, n,
-                                      direction=-1 if backward else 1,
+            return trace_leaf_through(x0, config.level, alpha, n,
+                                      direction=-1 if config.backward else 1,
                                       policy=policy)
 
-    trace = trace_for(N, cfg.policy)
+    N, policy = config.N, config.policy
+    trace = trace_for(N, policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(min(N, _LEAF_CHECK_VISITS),
-                      "certified" if cfg.policy == "exact" else "exact")
-    cert, exact = (other, trace) if cfg.policy == "exact" else (trace, other)
+                      "certified" if policy == "exact" else "exact")
+    cert, exact = (other, trace) if policy == "exact" else (trace, other)
     k = other.visits
     steps = np.diff(trace.entry_level)
     levels_step_by_one = bool(
@@ -377,34 +415,26 @@ def run_leaf(alpha: Union[str, CFNumber], N: int, *,
         and np.all(np.abs(cert.entry_x[:k] - exact.entry_x[:k])
                    <= cert.radius_bound + 2.0 ** -52)
     )
-    report = {**trace.summary(), "policy": cfg.policy,
+    report = {**trace.summary(), "policy": policy,
               "levels_step_by_one": levels_step_by_one,
               "prefix_visits_checked": k, "prefix_agrees": prefix_agrees,
               "ok": levels_step_by_one and prefix_agrees}
-    if out:
-        step = trace.direction
-        rows = (
-            (trace.start_index + step * i, trace.entry_x[i], int(trace.entry_level[i]))
-            for i in range(trace.visits)
-        )
-        write_csv(out, cfg, ["n", "x", "level"], rows)
-    return report
+    step = trace.direction
+    rows = (
+        (trace.start_index + step * i, trace.entry_x[i], int(trace.entry_level[i]))
+        for i in range(trace.visits)
+    )
+    return report, (["n", "x", "level"], rows)
 
 
-def run_heavy(alpha: Union[str, CFNumber], N: int, *,
-              out: Optional[str] = None,
-              precision: str = "certified-fast") -> dict:
+def _heavy(config: ExperimentConfig):
     """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N."""
-    cf = _alpha_cf(alpha)
-    cfg = ExperimentConfig(kind="heavy", alpha=str(cf), N=N, out=out,
-                           precision=precision)
-    if N < 1:
-        raise ValueError("need N >= 1, got %r" % (N,))
-    scan = orbit_scan(HALF, cf.value, N, policy=cfg.policy)
+    N = config.N
+    scan = orbit_scan(HALF, parse_cf(config.alpha).value, N, policy=config.policy)
     sums = scan.sums[1:]
     violations = int(np.count_nonzero(sums >= 0))
     report = {
-        "alpha": str(cf),
+        "alpha": config.alpha,
         "N": N,
         "violations": violations,
         "min_sum": int(sums.min()),
@@ -413,15 +443,11 @@ def run_heavy(alpha: Union[str, CFNumber], N: int, *,
         "escalations": int(scan.escalated.size),
         "ok": violations == 0,
     }
-    if out:
-        rows = ((n, scan.positions[n], int(scan.sums[n])) for n in range(N + 1))
-        write_csv(out, cfg, ["n", "position", "S_n"], rows)
-    return report
+    rows = ((n, scan.positions[n], int(scan.sums[n])) for n in range(N + 1))
+    return report, (["n", "position", "S_n"], rows)
 
 
-def run_oracle(alpha: Union[str, CFNumber], depth: int, samples: int, *,
-               seed: int = 0,
-               out: Optional[str] = None) -> dict:
+def _oracle(config: ExperimentConfig):
     """Dual-route check: predicted return words vs simulated first returns.
 
     For every level 2..depth and each of its three case regions, draws
@@ -429,16 +455,9 @@ def run_oracle(alpha: Union[str, CFNumber], depth: int, samples: int, *,
     demands the substitution word equal the simulated sign word letter
     for letter and both routes land on the same exact point.
     """
-    cf = _alpha_cf(alpha)
-    if depth < 2:
-        raise ValueError("oracle needs depth >= 2, got %r" % (depth,))
-    if samples < 1:
-        raise ValueError("need samples >= 1, got %r" % (samples,))
-    cfg = ExperimentConfig(kind="oracle", alpha=str(cf), depth=depth,
-                           samples=samples, seed=seed, out=out,
-                           precision="exact-only")
-    levels = tower(cf, depth)
-    rng = random.Random(seed)
+    samples = config.samples
+    levels = tower(parse_cf(config.alpha), config.depth)
+    rng = random.Random(config.seed)
 
     rows = []
     total = matched = 0
@@ -466,36 +485,34 @@ def run_oracle(alpha: Union[str, CFNumber], depth: int, samples: int, *,
             matched += good
 
     report = {
-        "alpha": str(cf),
-        "depth": depth,
+        "alpha": config.alpha,
+        "depth": config.depth,
         "samples_per_region": samples,
         "regions": rows,
         "total": total,
         "matches": matched,
         "ok": matched == total,
     }
-    if out:
-        write_json(out, cfg, report)
-    return report
+    return report, None
+
+
+_EXPERIMENTS = {
+    "tower": _tower,
+    "density": _density,
+    "example": _example,
+    "leaf": _leaf,
+    "heavy": _heavy,
+    "oracle": _oracle,
+}
+KINDS = tuple(_EXPERIMENTS)
 
 
 def run(config: ExperimentConfig) -> dict:
-    """Dispatch a parsed config to its experiment."""
-    if config.kind == "tower":
-        return run_tower(config.alpha, config.depth, out=config.out)
-    if config.kind == "density":
-        return run_density(config.alpha, config.m, config.k, config.N,
-                           out=config.out, precision=config.precision)
-    if config.kind == "example":
-        return run_example(config.m, config.k_max, config.N,
-                           out=config.out, precision=config.precision)
-    if config.kind == "leaf":
-        return run_leaf(config.alpha, config.N, ray=config.ray,
-                        through=config.through, level=config.level,
-                        backward=config.backward, out=config.out,
-                        precision=config.precision)
-    if config.kind == "heavy":
-        return run_heavy(config.alpha, config.N, out=config.out,
-                         precision=config.precision)
-    return run_oracle(config.alpha, config.depth, config.samples,
-                      seed=config.seed, out=config.out)
+    """Run the experiment a config describes, write config.out, return the report."""
+    report, table = _EXPERIMENTS[config.kind](config)
+    if config.out:
+        if table is None:
+            write_json(config.out, config, report)
+        else:
+            write_csv(config.out, config, *table)
+    return report

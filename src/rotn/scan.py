@@ -17,8 +17,7 @@ The "exact" policy replaces the float loop with a walk on an
 ``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
 common denominator R, a step is two integer adds, and every sign and
 wrap decision is one exact integer sign test.  Positions are still
-reported as floats, (P + Q*sqrt(d))/R.  The "audit" policy runs both
-and insists they agree.
+reported as floats, (P + Q*sqrt(d))/R.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ def kernel_for(name: str):
     raise ValueError("unknown backend %r" % (name,))
 
 
-_POLICIES = ("certified", "exact", "audit")
+_POLICIES = ("certified", "exact")
 
 
 @dataclass
@@ -161,14 +160,6 @@ def orbit_scan(
         positions, signs, escalated, radius = _certified_scan(
             x0, alpha, count, direction
         )
-        if policy == "audit":
-            ep, es, _, _ = _exact_scan(x0, alpha, count, direction)
-            bad = np.nonzero(es != signs)[0]
-            if bad.size:
-                raise AssertionError(
-                    "certified scan disagrees with exact arithmetic at "
-                    "indices %s" % (bad[:10],)
-                )
 
     sums = np.zeros(count, dtype=np.int64)
     if direction == 1:

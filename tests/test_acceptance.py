@@ -19,7 +19,7 @@ from rotn.foliation import (
     trace_leaf_through,
     trace_ray,
 )
-from rotn.harness import run_example, run_heavy, run_oracle, run_tower
+from rotn.harness import ExperimentConfig, run
 from rotn.renorm import fast_birkhoff, tower
 from rotn.scan import orbit_scan
 from rotn.words import MINUS, PLUS, concat, expand, power, prefix_sum_at
@@ -44,7 +44,8 @@ def test_1_return_words_match_direct_simulation():
     # per case region per level; word and landing compared exactly
     t0 = time.time()
     for i, alpha in enumerate(ALPHAS):
-        rep = run_oracle(alpha, 5, 100, seed=101 + i)
+        rep = run(ExperimentConfig(kind="oracle", alpha=alpha, depth=5, samples=100,
+                                   seed=101 + i))
         assert rep["ok"], alpha
         assert rep["matches"] == rep["total"] == 4 * 3 * 100
         assert {r["level"] for r in rep["regions"]} == {2, 3, 4, 5}
@@ -53,7 +54,7 @@ def test_1_return_words_match_direct_simulation():
 
 def test_2_prefix_extrema_inequalities_to_level_40():
     for alpha in ALPHAS:
-        rep = run_tower(alpha, 40)
+        rep = run(ExperimentConfig(kind="tower", alpha=alpha, depth=40))
         assert rep["ok"], alpha
         bad = [row for row in rep["bounds"] + rep["chains"] if not row["ok"]]
         assert bad == [], (alpha, bad)
@@ -81,7 +82,7 @@ def test_3_half_orbit_fills_every_nearby_level(half_scan):
 
 def test_4_example_orbit_caps_at_minus_one_and_mirrors():
     for m in (2, 3):
-        rep = run_example(m, 10, 10**6)
+        rep = run(ExperimentConfig(kind="example", m=m, k_max=10, N=10**6))
         assert rep["ok"], m
         assert rep["max_forward_sum"] == -1
         assert rep["symmetric_sums"] and rep["witness_prefix_ok"]
@@ -107,7 +108,7 @@ def test_5_tower_birkhoff_shortcut_matches_scan(half_scan):
 
 
 def test_6_doubling_alpha_orbit_stays_strictly_negative():
-    rep = run_heavy("[0;(2)]", 10**6)
+    rep = run(ExperimentConfig(kind="heavy", alpha="[0;(2)]", N=10**6))
     assert rep["ok"] and rep["violations"] == 0
     assert rep["max_sum"] <= -1
     print("[0;(2)]: S_n(1/2) in [%d, %d] for n <= 10^6, zero violations"

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rotn.circle import birkhoff, rotate
 from rotn.exactreal import HALF, CFNumber, Frame, SurdReal, parse_cf
 from rotn.foliation import trace_leaf_through, trace_ray
-from rotn.harness import run_leaf
+from rotn.harness import ExperimentConfig, run
 from rotn.renorm import oracle_first_return, predicted_return_word, tower
 from rotn.scan import orbit_scan
 from rotn.words import expand
@@ -110,8 +110,9 @@ def test_certified_scan_matches_the_exact_engine(alpha, seed, direction, n):
 def test_leaf_checks_pass_on_honest_traces(alpha, seed, direction, precision):
     assume(_off_the_orbit_of_zero(seed))
     p, q, r = seed
-    rep = run_leaf(alpha, 300, through="(%d+%d*a)/%d" % (p, q, r),
-                   backward=direction == -1, precision=precision)
+    rep = run(ExperimentConfig(kind="leaf", alpha=str(alpha), N=300,
+                               through="(%d+%d*a)/%d" % (p, q, r),
+                               backward=direction == -1, precision=precision))
     assert rep["ok"] and rep["prefix_visits_checked"] == 257
 
 

@@ -12,10 +12,8 @@ from rotn.exactreal import (
     CFNumber,
     SurdReal,
     alpha_next,
-    certified_compare,
     cf_value,
     convergent,
-    escalations,
     expand_coefficients,
     gauss_step,
     parse_cf,
@@ -127,21 +125,14 @@ def test_certified_shadow_is_tight():
         assert abs(c.value - float(true)) <= c.radius
 
 
-def test_certified_compare_escalates_on_tiny_margin():
-    # 2^-80 above 1/2 is far inside the float ambiguity band
-    x = SurdReal(1, 0, 2) + SurdReal(1) / 2**80
-    escalations.reset()
-    assert certified_compare(x.certified(), Fraction(1, 2), lambda: x) == 1
-    assert escalations.reset() >= 1
-    y = SurdReal(1, 0, 4)
-    assert certified_compare(y.certified(), Fraction(1, 2), lambda: y) == -1
-    assert escalations.reset() == 0  # clean separation needs no fallback
-
-
-def test_certified_compare_refuses_exact_tie():
-    h = SurdReal(1, 0, 2)
-    with pytest.raises(ValueError, match="tie"):
-        certified_compare(h.certified(), Fraction(1, 2), lambda: h)
+@pytest.mark.parametrize("r", [2**1000 + 1, 2**2000 + 1], ids=["2^1000", "2^2000"])
+def test_certified_radius_holds_for_huge_denominators(r):
+    # den = r << 72 is past the float range; at r = 2^2000 + 1 the
+    # second value underflows to 0.0
+    for x in (SurdReal(r // 3, r // 7, r, 10), SurdReal(1, 1, r, 10)):
+        c = x.certified()
+        assert x >= Fraction(c.value) - Fraction(c.radius)
+        assert x <= Fraction(c.value) + Fraction(c.radius)
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,12 @@ import pytest
 from rotn.cli import main
 from rotn.exactreal import SurdReal, parse_cf
 from rotn.harness import (
+    PRECISIONS,
     ExperimentConfig,
     config_from_header,
     parse_point,
     read_header,
     run,
-    run_density,
-    run_example,
-    run_heavy,
-    run_leaf,
-    run_oracle,
-    run_tower,
 )
 
 A = parse_cf("[0;5,(6)]").value
@@ -35,7 +30,16 @@ def test_config_validation():
         ExperimentConfig(kind="tower", precision="fast-and-loose")
     with pytest.raises(ValueError):
         ExperimentConfig(kind="density", N=-5)
-    assert ExperimentConfig(kind="heavy", precision="exact-only").policy == "exact"
+    assert ExperimentConfig(kind="heavy", N=1, precision="exact-only").policy == "exact"
+    # a config that cannot run is refused when it is built
+    with pytest.raises(ValueError, match="need N >= 1"):
+        ExperimentConfig(kind="heavy", N=0)
+    with pytest.raises(ValueError, match="depth >= 2"):
+        ExperimentConfig(kind="oracle", depth=1, samples=1)
+    with pytest.raises(ValueError, match="samples >= 1"):
+        ExperimentConfig(kind="oracle", depth=2)
+    with pytest.raises(ValueError, match="bad continued fraction"):
+        ExperimentConfig(kind="heavy", alpha="[0;5]", N=1)
 
 
 def test_parse_point():
@@ -44,11 +48,15 @@ def test_parse_point():
     assert parse_point("a**2", A) == A * A
     assert parse_point("-a + 1", A) == 1 - A
     assert parse_point("3/7", A) == SurdReal(3, 0, 7)
+    assert parse_point("sqrt(40)", A) == SurdReal(0, 2, 1, 10)
+    assert parse_point("sqrt(9) - sqrt(0)", A) == 3
+    assert parse_point("a**5000", A) == A ** 5000
 
 
 @pytest.mark.parametrize("expr", [
     "import os", "__import__('os')", "a.b", "2**a", "sqrt(a)", "open('x')",
-    "[1,2]", "1.5",
+    "[1,2]", "1.5", "sqrt(2)", "sqrt(-4)", "a**10001", "(a**100)**1000",
+    "a**5000 * a**5000",
 ])
 def test_parse_point_rejects(expr):
     with pytest.raises(ValueError):
@@ -61,7 +69,7 @@ def test_parse_point_rejects(expr):
 
 def test_run_tower_report(tmp_path):
     out = str(tmp_path / "tower.json")
-    rep = run_tower("[0;5,(6)]", 6, out=out)
+    rep = run(ExperimentConfig(kind="tower", alpha="[0;5,(6)]", depth=6, out=out))
     assert rep["ok"]
     assert len(rep["levels"]) == 6
     assert rep["levels"][1]["length_exact"] == "(-3+1*sqrt(10))/1"
@@ -75,7 +83,7 @@ def test_run_tower_report(tmp_path):
 
 def test_run_density_report(tmp_path):
     out = str(tmp_path / "gaps.csv")
-    rep = run_density("[0;5,(6)]", 0, 0, 20000, out=out)
+    rep = run(ExperimentConfig(kind="density", N=20000, out=out))
     assert rep["ok"] and rep["count"] > 1000
     gaps = [h["max_gap"] for h in rep["horizons"]]
     assert gaps == sorted(gaps, reverse=True)
@@ -87,16 +95,16 @@ def test_run_density_report(tmp_path):
 
 
 def test_run_density_trivial_cases():
-    assert run_density("[0;5,(6)]", 0, 0, 0)["max_gap"] == 1.0
-    assert run_density("[0;5,(6)]", -1, 0, 50)["first_time"] == 1
-    empty = run_density("[0;5,(6)]", 9, 0, 10)
+    assert run(ExperimentConfig(kind="density", N=0))["max_gap"] == 1.0
+    assert run(ExperimentConfig(kind="density", m=-1, N=50))["first_time"] == 1
+    empty = run(ExperimentConfig(kind="density", m=9, N=10))
     assert empty["count"] == 0 and empty["ok"]
     assert math.isnan(empty["horizons"][0]["max_gap"])
 
 
 def test_run_example_report(tmp_path):
     out = str(tmp_path / "example.json")
-    rep = run_example(2, 4, 5000, out=out)
+    rep = run(ExperimentConfig(kind="example", m=2, k_max=4, N=5000, out=out))
     assert rep["ok"] and rep["formulas_ok"]
     assert rep["max_forward_sum"] == -1
     assert rep["symmetric_sums"] and rep["witness_prefix_ok"]
@@ -106,7 +114,7 @@ def test_run_example_report(tmp_path):
 
 def test_run_leaf_ray_csv(tmp_path):
     out = str(tmp_path / "leaf.csv")
-    rep = run_leaf("[0;5,(6)]", 400, ray=0, out=out)
+    rep = run(ExperimentConfig(kind="leaf", N=400, ray=0, out=out))
     assert rep["ok"] and rep["min_level"] < 0 < rep["max_level"]
     rows = open(out).read().splitlines()[2:]
     assert len(rows) == 400
@@ -116,34 +124,69 @@ def test_run_leaf_ray_csv(tmp_path):
 
 def test_run_leaf_backward_indices(tmp_path):
     out = str(tmp_path / "back.csv")
-    run_leaf("[0;5,(6)]", 5, through="(1+a)/2", level=0, backward=True, out=out)
+    run(ExperimentConfig(kind="leaf", N=5, through="(1+a)/2", backward=True,
+                         out=out))
     ns = [int(r.split(",")[0]) for r in open(out).read().splitlines()[2:]]
     assert ns == [0, -1, -2, -3, -4, -5]
 
 
 def test_run_leaf_needs_one_seed():
     with pytest.raises(ValueError):
-        run_leaf("[0;5,(6)]", 10)
+        run(ExperimentConfig(kind="leaf", N=10))
     with pytest.raises(ValueError):
-        run_leaf("[0;5,(6)]", 10, ray=0, through="(1+a)/2")
+        run(ExperimentConfig(kind="leaf", N=10, ray=0, through="(1+a)/2"))
     with pytest.raises(ValueError):
-        run_leaf("[0;5,(6)]", 10, ray=0, backward=True)
+        run(ExperimentConfig(kind="leaf", N=10, ray=0, backward=True))
 
 
 def test_run_heavy_contrast():
-    rep = run_heavy("[0;(2)]", 3000)
+    rep = run(ExperimentConfig(kind="heavy", alpha="[0;(2)]", N=3000))
     assert rep["ok"] and rep["violations"] == 0 and rep["max_sum"] <= -1
     # an admissible alpha is not heavy: its sums cross zero
-    rep2 = run_heavy("[0;5,(6)]", 3000)
+    rep2 = run(ExperimentConfig(kind="heavy", N=3000))
     assert not rep2["ok"] and rep2["violations"] > 0
 
 
 def test_run_oracle_report(tmp_path):
     out = str(tmp_path / "oracle.json")
-    rep = run_oracle("[0;5,(6)]", 3, 4, seed=7, out=out)
+    rep = run(ExperimentConfig(kind="oracle", depth=3, samples=4, seed=7, out=out))
     assert rep["ok"] and rep["matches"] == rep["total"] == 2 * 3 * 4
     assert {r["level"] for r in rep["regions"]} == {2, 3}
     assert config_from_header(read_header(out)).samples == 4
+
+
+# one config per kind, and the argv that asks for the same run; the
+# density alpha is not in canonical form, and example --m 3 selects an
+# alpha of its own
+_ROUND_TRIPS = [
+    (dict(kind="tower", depth=3, precision="exact-only"),
+     ["tower", "--alpha", "[0;5,(6)]", "--depth", "3"]),
+    (dict(kind="density", alpha="[0; 5, (6,6)]", N=500),
+     ["density", "--alpha", "[0; 5, (6,6)]", "--m", "0", "--k", "0", "--N", "500"]),
+    (dict(kind="example", m=3, k_max=2, N=500),
+     ["example", "--m", "3", "--kmax", "2", "--N", "500"]),
+    (dict(kind="leaf", N=50, through="(1+a)/2", level=1, backward=True,
+          precision="exact-only"),
+     ["leaf", "--alpha", "[0;5,(6)]", "--N", "50", "--through", "(1+a)/2",
+      "--level", "1", "--backward", "--precision", "exact-only"]),
+    (dict(kind="heavy", alpha="[0;(2)]", N=500),
+     ["heavy", "--alpha", "[0;(2)]", "--N", "500"]),
+    (dict(kind="oracle", depth=2, samples=2, seed=3),
+     ["oracle", "--alpha", "[0;5,(6)]", "--depth", "2", "--samples", "2",
+      "--seed", "3"]),
+]
+
+
+@pytest.mark.parametrize("given, argv", _ROUND_TRIPS,
+                         ids=[given["kind"] for given, _ in _ROUND_TRIPS])
+def test_every_header_round_trips(tmp_path, capsys, given, argv):
+    lib, cli = str(tmp_path / "lib.out"), str(tmp_path / "cli.out")
+    config = ExperimentConfig(**given, out=lib)
+    assert run(config)["ok"]
+    assert config_from_header(read_header(lib)) == config
+    assert main(argv + ["--out", cli]) == 0
+    capsys.readouterr()
+    assert config_from_header(read_header(cli)) == ExperimentConfig(**given, out=cli)
 
 
 def test_run_dispatch_covers_all_kinds():
@@ -164,19 +207,19 @@ def test_run_dispatch_covers_all_kinds():
 
 def test_exact_runs_are_byte_identical(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    run_density("[0;5,(6)]", 0, 0, 3000, out=a, precision="exact-only")
-    run_density("[0;5,(6)]", 0, 0, 3000, out=b, precision="exact-only")
+    run(ExperimentConfig(kind="density", N=3000, out=a, precision="exact-only"))
+    run(ExperimentConfig(kind="density", N=3000, out=b, precision="exact-only"))
     payload = lambda p: open(p, "rb").read().split(b"\n", 1)[1]
     assert payload(a) == payload(b)
-    run_density("[0;5,(6)]", 0, 0, 3000, out=a, precision="exact-only")
+    run(ExperimentConfig(kind="density", N=3000, out=a, precision="exact-only"))
     assert payload(a) == payload(b)
 
 
 def test_leaf_exact_determinism(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for p in (a, b):
-        run_leaf("[0;5,(6)]", 200, through="(1+a)/2", level=2, out=p,
-                 precision="exact-only")
+        run(ExperimentConfig(kind="leaf", N=200, through="(1+a)/2", level=2, out=p,
+                             precision="exact-only"))
     payload = lambda q: open(q, "rb").read().split(b"\n", 1)[1]
     assert payload(a) == payload(b)
 
@@ -202,6 +245,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("rotn: error: ") and err.count("\n") == 1
+    # a seed with a 12,900-bit denominator runs in both precisions
+    for precision in PRECISIONS:
+        assert main(["leaf", "--through", "a**5000", "--N", "3",
+                     "--precision", precision]) == 0
     # tower and oracle are exact by construction and take no --precision
     for kind in ("tower", "oracle"):
         with pytest.raises(SystemExit) as usage:
@@ -255,7 +302,7 @@ def test_leaf_checks_catch_a_doctored_trace(monkeypatch, capsys, doctor, failed)
         return trace
 
     monkeypatch.setattr(harness, "trace_ray", doctored)
-    rep = run_leaf("[0;5,(6)]", 100, ray=0)
+    rep = run(ExperimentConfig(kind="leaf", N=100, ray=0))
     assert rep[failed] is False and rep["ok"] is False
     assert main(["leaf", "--ray", "0", "--N", "100"]) == 1
     capsys.readouterr()
@@ -268,3 +315,28 @@ def test_cli_refuses_a_point_from_another_field(capsys):
     err = capsys.readouterr().err
     assert err.startswith("rotn: error: cannot mix ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, said", [
+    # factoring this 61-digit semiprime used to run for minutes
+    ("sqrt(4000000000000000000000000000249000000000000000000000000001197)",
+     "cannot mix sqrt(10) with sqrt("),
+    ("a**100000000", "is above the limit 10000"),
+], ids=["sqrt-of-a-semiprime", "huge-exponent"])
+def test_cli_parses_a_point_in_bounded_time(expr, said):
+    # a fresh process with a deadline, so a parser that hangs fails here
+    import os
+    import subprocess
+    import sys
+
+    import rotn
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rotn.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "rotn.cli", "leaf", "--through", expr, "--N", "3"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 2
+    assert out.stderr.startswith("rotn: error: ") and out.stderr.count("\n") == 1
+    assert said in out.stderr

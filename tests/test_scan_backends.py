@@ -41,12 +41,6 @@ def test_certified_agrees_with_exact():
                   <= fast.radius_bound + 1e-12)
 
 
-def test_audit_policy_runs_both_routes():
-    scan = orbit_scan(HALF, A, 10**4, policy="audit")
-    assert scan.policy == "audit"
-    assert scan.sums[4] == -2
-
-
 def test_backward_scan_sums():
     x = (1 + A) / 2
     fwd = orbit_scan(x, A, 200, policy="exact")
