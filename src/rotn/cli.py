@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     try:
         config = _config(ns)
         report = run(config)
-    except (ValueError, RuntimeError, MemoryError) as err:
+    except (ValueError, RuntimeError, MemoryError, OSError) as err:
         print("rotn: error: %s" % (err,), file=sys.stderr)
         return 2
     ok = bool(report.get("ok", False))

@@ -52,21 +52,51 @@ __all__ = [
 Rationalish = Union[int, Fraction]
 
 
+# trial division stops at _TRIAL_LIMIT, about 0.1 s of divisions; sympy
+# gets what is left up to _FACTOR_LIMIT, since its core() took ~1 s on a
+# 120-bit cofactor and ~13 s on a 140-bit one
+_TRIAL_LIMIT = 1 << 20
+_FACTOR_LIMIT = 1 << 128
+
+
 def _squarefree_core(n: int) -> tuple[int, int]:
-    """Return (s, d) with n = s*s*d and d square-free, for n >= 1."""
+    """Return (s, d) with n = s*s*d and d square-free, for n >= 1.
+
+    Trial division takes out 2, then odd p, while p**3 <= m, the cofactor
+    still unfactored.  Once p**3 > m every prime factor of m is at least
+    p, so m has at most two of them: it is square-free unless it is a
+    perfect square, and one isqrt settles that.  Only a cofactor that
+    outlasts p = _TRIAL_LIMIT goes to sympy, and only up to _FACTOR_LIMIT.
+    """
     if n < 1:
         raise ValueError("need a positive integer, got %r" % (n,))
-    s = math.isqrt(n)
-    if s * s == n:
-        return s, 1
-    # factoring is off the hot path: discriminants come from CF periods,
-    # which are short in practice
+    s, d, m = 1, 1, n
+    p = 2
+    while p * p * p <= m and p <= _TRIAL_LIMIT:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            s *= p ** (e // 2)
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    r = math.isqrt(m)
+    if r * r == m:
+        return s * r, d
+    if p * p * p > m:
+        return s, d * m
+    if m > _FACTOR_LIMIT:
+        raise ValueError(
+            "cannot take the square-free core of a %d-bit integer: trial division "
+            "leaves a %d-bit cofactor, above the limit of 2^%d"
+            % (n.bit_length(), m.bit_length(), _FACTOR_LIMIT.bit_length() - 1)
+        )
     from sympy.ntheory.factor_ import core
 
-    d = int(core(n, 2))
-    s = math.isqrt(n // d)
-    assert s * s * d == n
-    return s, d
+    dm = int(core(m, 2))
+    return s * math.isqrt(m // dm), d * dm
 
 
 class SurdReal:

@@ -47,6 +47,8 @@ PRECISIONS = ("certified-fast", "exact-only")
 # leaf visits retraced under the other policy; small enough that the
 # check stays cheap next to a long certified trace
 _LEAF_CHECK_VISITS = 256
+# oracle walks: at ~2 us per exact step, 10^8 steps is a few minutes
+_MAX_ORACLE_STEPS = 10 ** 8
 # leaf seeds: a**100000 already takes 0.2 s to parse.  Every value a
 # seed expression builds has at most ~4000 digits, so each step costs
 # little and the seed prints under Python's 4300-digit int-to-str limit
@@ -457,6 +459,13 @@ def _oracle(config: ExperimentConfig):
     """
     samples = config.samples
     levels = tower(parse_cf(config.alpha), config.depth)
+    # each first return takes at most |F-| + |F0| steps
+    steps = 3 * samples * sum(lvl.f_minus.length + lvl.f_zero.length
+                              for lvl in levels[1:])
+    if steps > _MAX_ORACLE_STEPS:
+        raise ValueError("oracle at depth %d with %d samples predicts %.2g steps, "
+                         "above the limit of %.0e; lower --depth or --samples"
+                         % (config.depth, samples, steps, _MAX_ORACLE_STEPS))
     rng = random.Random(config.seed)
 
     rows = []

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotn.exactreal import (
+    _TRIAL_LIMIT,
     CFNumber,
     SurdReal,
+    _squarefree_core,
     alpha_next,
     cf_value,
     convergent,
@@ -42,6 +44,50 @@ def test_mixed_radicals_refused():
 def test_zero_denominator_refused():
     with pytest.raises(ZeroDivisionError):
         SurdReal(1, 0, 0)
+
+
+def _core_matches_sympy(n):
+    from sympy.ntheory.factor_ import core
+
+    s, d = _squarefree_core(n)
+    assert d == core(n, 2) and s * s * d == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**40), st.integers(1, 2**12))
+def test_squarefree_core_matches_sympy(n, k):
+    _core_matches_sympy(n)
+    _core_matches_sympy(n * k * k)
+
+
+def _squarefree_core_cases():
+    from sympy import nextprime, prevprime
+
+    past, below = nextprime(_TRIAL_LIMIT), prevprime(_TRIAL_LIMIT)
+    cases = [1, 2, 4, 8, 12]
+    # prime squares and p^2 * q with p on either side of the trial cap;
+    # past**2 * nextprime(past) is left to the fallback
+    cases += [past**2, below**2, 3 * past**2, below**2 * past, past**2 * nextprime(past)]
+    # perfect cubes, again on either side of the cap
+    cases += [27, 30**3, below**3, past**3]
+    # two primes either side of the cube-root stop: q * Q with Q ~ q^2,
+    # so the loop finds q below n^(1/3) and stops short of it above
+    for base in (100, 1000, 10**5):
+        Q = nextprime(base * base)
+        for q in (prevprime(base), nextprime(base)):
+            cases += [q * Q, q * q * Q, q * Q * Q, q * q]
+    return cases
+
+
+@pytest.mark.parametrize("n", _squarefree_core_cases())
+def test_squarefree_core_built_cases(n):
+    _core_matches_sympy(n)
+
+
+def test_squarefree_core_refuses_a_large_cofactor():
+    # two Mersenne primes: no factor below the trial cap, 196 bits left
+    with pytest.raises(ValueError, match="196-bit cofactor, above the limit of 2\\^128"):
+        _squarefree_core((2**89 - 1) * (2**107 - 1))
 
 
 def test_arithmetic_identities():

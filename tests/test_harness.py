@@ -237,6 +237,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["leaf", "--through", "1/0", "--N", "5"]) == 2
     assert capsys.readouterr().err == "rotn: error: division by zero in point '1/0'\n"
+    # an --out path that cannot be written
+    assert main(["heavy", "--N", "10", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rotn: error: ") and err.count("\n") == 1
     # 10^18 steps cannot be allocated on any machine: one line, no traceback
     huge = str(10**18)
     for argv in (["heavy", "--N", huge], ["heavy", "--N", huge, "--precision", "exact-only"],
@@ -317,14 +321,8 @@ def test_cli_refuses_a_point_from_another_field(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("expr, said", [
-    # factoring this 61-digit semiprime used to run for minutes
-    ("sqrt(4000000000000000000000000000249000000000000000000000000001197)",
-     "cannot mix sqrt(10) with sqrt("),
-    ("a**100000000", "is above the limit 10000"),
-], ids=["sqrt-of-a-semiprime", "huge-exponent"])
-def test_cli_parses_a_point_in_bounded_time(expr, said):
-    # a fresh process with a deadline, so a parser that hangs fails here
+def _fresh_python(*argv):
+    # a fresh process with a deadline, so a run that hangs fails here
     import os
     import subprocess
     import sys
@@ -333,10 +331,51 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rotn.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "rotn.cli", "leaf", "--through", expr, "--N", "3"],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=path))
+
+
+def _refused_in_one_line(said, *args):
+    out = _fresh_python("-m", "rotn.cli", *args)
     assert out.returncode == 2
     assert out.stderr.startswith("rotn: error: ") and out.stderr.count("\n") == 1
     assert said in out.stderr
+
+
+@pytest.mark.parametrize("expr, said", [
+    # factoring this 61-digit semiprime used to run for minutes
+    ("sqrt(4000000000000000000000000000249000000000000000000000000001197)",
+     "cannot mix sqrt(10) with sqrt("),
+    ("a**100000000", "is above the limit 10000"),
+], ids=["sqrt-of-a-semiprime", "huge-exponent"])
+def test_cli_parses_a_point_in_bounded_time(expr, said):
+    _refused_in_one_line(said, "leaf", "--through", expr, "--N", "3")
+
+
+@pytest.mark.parametrize("args, said", [
+    # a 345-bit cofactor of the discriminant is left after trial division
+    (["heavy", "--alpha",
+      "[0;(1234567890123456789,9876543210987654321,1111111111111111111)]", "--N", "10"],
+     "above the limit of 2^128"),
+    (["heavy", "--alpha",
+      "[0;(12345678901234567890123,98765432109876543210987,"
+      "11111111111111111111111,22222222222222222222223)]", "--N", "10"],
+     "above the limit of 2^128"),
+    # 3.1e9 and 2.3e8 predicted oracle steps: about 2 h and 9 min of walking
+    (["oracle", "--depth", "12", "--samples", "1"], "predicts 3.1e+09 steps"),
+    (["oracle", "--depth", "3", "--samples", "1000000"], "predicts 2.3e+08 steps"),
+], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
+        "oracle-depth-12", "oracle-a-million-samples"])
+def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
+    _refused_in_one_line(said, *args)
+
+
+def test_small_runs_never_import_sympy():
+    code = ("import sys, rotn.cli\n"
+            "from rotn.exactreal import parse_cf\n"
+            "parse_cf('[0;5,(6)]').value\n"
+            "assert rotn.cli.main(['tower', '--depth', '10']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n")
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -8,7 +8,7 @@
 # REF's, extracted with git archive into a temporary directory, in two
 # output directories under the same relative names, so the headers can
 # match too.  Prints "same" or "DIFFERS" per file and exits 1 if any file
-# differs or was not written.
+# differs or was not written, 2 if the README block holds no command.
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
 repo=$(pwd)
@@ -18,6 +18,10 @@ mkdir "$tmp/ref" "$tmp/checkout.out" "$tmp/ref.out"
 git archive "$1" src | tar -x -C "$tmp/ref" || exit 2
 
 sed -n '/^## Command line/,/^## /p' README.md | grep '^rotn ' > "$tmp/commands"
+[ -s "$tmp/commands" ] || {
+    echo "$0: no 'rotn ...' line in the README's \"Command line\" block" >&2
+    exit 2
+}
 status=0
 i=0
 while IFS= read -r line; do
