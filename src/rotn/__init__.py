@@ -11,10 +11,12 @@ Layout:
 
 - ``exactreal``:  quadratic surds, continued fractions, certified floats
 - ``words``:      hash-consed sign words with O(1) prefix statistics
-- ``circle``:     the rotation, the sign cocycle, orbit scans, visit sets
+- ``scan``:       long orbit scans: certified float kernel or exact walk
+- ``circle``:     visit sets of one level and their circular gaps
 - ``renorm``:     the tower of return maps, substitutions, bounds checks
 - ``foliation``:  rectangle-to-rectangle leaf tracing
-- ``harness``:    experiment drivers behind the ``rotn`` command line
+- ``harness``:    experiment drivers, one table of kinds
+- ``cli``:        the ``rotn`` command line
 """
 
 from .exactreal import (

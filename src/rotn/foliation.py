@@ -47,7 +47,6 @@ from typing import Optional
 
 import numpy as np
 
-from .circle import CirclePoint, _alpha_value
 from .exactreal import HALF, ONE, CFNumber, Frame, SurdReal
 from .renorm import tower
 from .scan import orbit_scan
@@ -89,17 +88,16 @@ def _turn_map(frame: Frame, alpha: SurdReal):
     return turn
 
 
-def leaf_turn(x, alpha) -> CirclePoint:
-    """Where the leaf comes back down after going up at x.
+def leaf_turn(x: SurdReal, alpha: SurdReal) -> SurdReal:
+    """Where the leaf comes back down after going up at x mod 1.
 
     Refuses x = 1 - alpha: that segment runs into the corner of the
     rectangle (the singular connection), b would wrap to 1.
     """
-    a = _alpha_value(alpha)
-    pos = CirclePoint(x).position
-    frame = Frame(pos, a)
-    turn = _turn_map(frame, a)
-    return CirclePoint(frame.surd(*turn(*frame.embed(pos))))
+    x = x.frac()
+    frame = Frame(x, alpha)
+    turn = _turn_map(frame, alpha)
+    return frame.surd(*turn(*frame.embed(x)))
 
 
 @dataclass
@@ -182,7 +180,8 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     return xs, lv, exact
 
 
-def trace_ray(i: int, alpha, N: int, *, policy: str = "certified") -> LeafTrace:
+def trace_ray(i: int, alpha: SurdReal, N: int, *,
+              policy: str = "certified") -> LeafTrace:
     """Entries 1..N of the upward separatrix from the singularity (1/2, 0, i).
 
     Entry n is at t^(n-1)(1/2) with level i + 1 + S_n(1/2); the first
@@ -190,21 +189,21 @@ def trace_ray(i: int, alpha, N: int, *, policy: str = "certified") -> LeafTrace:
     """
     if N < 1:
         raise ValueError("need N >= 1 visits, got %r" % (N,))
-    a = _alpha_value(alpha)
     seed = "ray %d" % (i,)
     if policy == "exact":
-        xs, lv, exact = _trace_exact(HALF, i, a, N, 1, ray_convention=True)
+        xs, lv, exact = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
         return LeafTrace(seed, 1, 1, xs, lv, policy, exact)
-    scan = orbit_scan(HALF, a, N, policy=policy)
+    scan = orbit_scan(HALF, alpha, N, policy=policy)
     xs = scan.positions[:N].copy()
     lv = i + 1 + scan.sums[1 : N + 1]
     return LeafTrace(seed, 1, 1, xs, lv, policy, radius_bound=scan.radius_bound)
 
 
 def trace_leaf_through(
-    x0, j0: int, alpha, N: int, *, direction: int = 1, policy: str = "certified"
+    x0: SurdReal, j0: int, alpha: SurdReal, N: int, *, direction: int = 1,
+    policy: str = "certified",
 ) -> LeafTrace:
-    """Visits 0..N of the leaf through (x0, j0), labeled by the skew orbit.
+    """Visits 0..N of the leaf through (x0 mod 1, j0), labeled by the skew orbit.
 
     Visit n (n signed via ``direction``) is at t^n(x0) with level
     j0 + S_n(x0); levels never skip, moving by f along the leaf.
@@ -213,15 +212,14 @@ def trace_leaf_through(
         raise ValueError("need N >= 0, got %r" % (N,))
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    a = _alpha_value(alpha)
-    x0 = CirclePoint(x0)
-    seed = "leaf through (%s, %d)" % (x0.position.exact_str(), j0)
+    x0 = x0.frac()  # the seed names the point on the circle
+    seed = "leaf through (%s, %d)" % (x0.exact_str(), j0)
     if policy == "exact":
         xs, lv, exact = _trace_exact(
-            x0.position, j0, a, N + 1, direction, ray_convention=False
+            x0, j0, alpha, N + 1, direction, ray_convention=False
         )
         return LeafTrace(seed, direction, 0, xs, lv, policy, exact)
-    scan = orbit_scan(x0.position, a, N, direction=direction, policy=policy)
+    scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     return LeafTrace(
         seed, direction, 0, scan.positions.copy(), j0 + scan.sums, policy,
         radius_bound=scan.radius_bound,

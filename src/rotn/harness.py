@@ -23,6 +23,7 @@ import math
 import operator
 import random
 from dataclasses import asdict, dataclass, fields
+from decimal import Decimal
 from itertools import islice
 from typing import Optional
 
@@ -49,6 +50,9 @@ PRECISIONS = ("certified-fast", "exact-only")
 _LEAF_CHECK_VISITS = 256
 # oracle walks: at ~2 us per exact step, 10^8 steps is a few minutes
 _MAX_ORACLE_STEPS = 10 ** 8
+# tower levels: the endpoints' integers grow by ~0.8 digits per level, so
+# each level costs more than the last; depth 1000 takes about a second
+_MAX_DEPTH = 1000
 # leaf seeds: a**100000 already takes 0.2 s to parse.  Every value a
 # seed expression builds has at most ~4000 digits, so each step costs
 # little and the seed prints under Python's 4300-digit int-to-str limit
@@ -97,6 +101,13 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % (name,))
         kind = self.kind
+        if kind in ("tower", "oracle") and self.depth > _MAX_DEPTH:
+            raise ValueError("depth %d is above the limit of %d"
+                             % (self.depth, _MAX_DEPTH))
+        # example builds a tower of 2*k_max + 1 levels
+        if kind == "example" and self.k_max > _MAX_DEPTH // 2:
+            raise ValueError("k_max %d is above the limit of %d"
+                             % (self.k_max, _MAX_DEPTH // 2))
         if kind == "example":
             alpha = example_alpha(self.m)
         else:
@@ -463,9 +474,12 @@ def _oracle(config: ExperimentConfig):
     steps = 3 * samples * sum(lvl.f_minus.length + lvl.f_zero.length
                               for lvl in levels[1:])
     if steps > _MAX_ORACLE_STEPS:
-        raise ValueError("oracle at depth %d with %d samples predicts %.2g steps, "
+        # steps can pass the float range, so Decimal rounds it
+        mantissa, exponent = format(Decimal(steps), ".1e").split("e")
+        raise ValueError("oracle at depth %d with %d samples predicts %se%+03d steps, "
                          "above the limit of %.0e; lower --depth or --samples"
-                         % (config.depth, samples, steps, _MAX_ORACLE_STEPS))
+                         % (config.depth, samples, mantissa, int(exponent),
+                            _MAX_ORACLE_STEPS))
     rng = random.Random(config.seed)
 
     rows = []

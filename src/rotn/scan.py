@@ -116,9 +116,6 @@ class OrbitScan:
     escalated: np.ndarray
     radius_bound: float
 
-    def sum_at(self, j: int) -> int:
-        return int(self.sums[j])
-
 
 def _scan_radii(x0: SurdReal, alpha: SurdReal):
     """Float seeds and the rigorous radius model rad(i) = base + i*slope

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from rotn.circle import birkhoff, visit_set
+from rotn.circle import visit_set
 from rotn.exactreal import SurdReal, parse_cf
 from rotn.foliation import (
     example_alpha,
@@ -101,9 +101,10 @@ def test_5_tower_birkhoff_shortcut_matches_scan(half_scan):
             HALF, cf.value, 10**6)
         for n in picks:
             assert fast_birkhoff(cf, n) == scan.sums[n], (alpha, n)
+        exact = orbit_scan(HALF, cf.value, 10**3, policy="exact").sums
         for n in range(1, 10**3 + 1):
             got = fast_birkhoff(cf, n)
-            assert got == scan.sums[n] == birkhoff(HALF, cf.value, n), n
+            assert got == scan.sums[n] == exact[n], n
         print("%-12s 10^4 random n <= 10^6 plus all n <= 10^3 agree" % alpha)
 
 

@@ -2,75 +2,67 @@
 
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotn.circle import (
-    CirclePoint,
-    SkewPoint,
-    birkhoff,
-    max_gap,
-    rotate,
-    sign_f,
-    skew_step,
-    visit_set,
-)
-from rotn.exactreal import SurdReal, parse_cf
+from rotn.circle import max_gap, visit_set
+from rotn.exactreal import HALF, SurdReal, parse_cf
+from rotn.scan import orbit_scan
 
 ALPHA = parse_cf("[0;5,(6)]")
 A = ALPHA.value
-HALF = SurdReal(1, 0, 2)
 X = (1 + A) / 2
+
+
+def _f(x):
+    return 1 if x.frac() < HALF else -1
+
+
+def _sum(x, n):
+    """S_n(x) for signed n, from the exact scan."""
+    scan = orbit_scan(x, A, abs(n), direction=1 if n >= 0 else -1, policy="exact")
+    return int(scan.sums[-1])
 
 
 def test_rotate_frozen():
     # 3a = (sqrt(10) - 2)/2, so 1/2 + 3a wraps to (sqrt(10) - 3)/2
-    assert rotate(HALF, A, 3).position == (SurdReal.root(10) - 3) / 2
-    assert abs(float(rotate(HALF, A, 3)) - 0.08113883008418966) < 1e-15
-    assert rotate(HALF, A, 0).position == HALF
-    assert rotate(rotate(HALF, A, 5).position, A, -5).position == HALF
+    assert (HALF + A * 3).frac() == (SurdReal.root(10) - 3) / 2
+    assert abs(float((HALF + A * 3).frac()) - 0.08113883008418966) < 1e-15
+    assert (HALF + A * 0).frac() == HALF
+    assert ((HALF + A * 5).frac() + A * -5).frac() == HALF
 
 
 def test_sign_convention():
-    assert sign_f(SurdReal(0)) == 1
-    assert sign_f(Fraction(49, 100)) == 1
-    assert sign_f(HALF) == -1  # the half-open split puts 1/2 on the right
-    assert sign_f(Fraction(99, 100)) == -1
+    assert _f(SurdReal(0)) == 1
+    assert _f(SurdReal(49, 0, 100)) == 1
+    assert _f(HALF) == -1  # the half-open split puts 1/2 on the right
+    assert _f(SurdReal(99, 0, 100)) == -1
 
 
 def test_birkhoff_frozen():
-    assert birkhoff(HALF, A, 0) == 0
-    assert birkhoff(HALF, A, 4) == -2
-    signs = [sign_f(rotate(HALF, A, n).position) for n in range(4)]
+    assert _sum(HALF, 0) == 0
+    assert _sum(HALF, 4) == -2
+    signs = [_f(HALF + A * n) for n in range(4)]
     assert signs == [-1, -1, -1, 1]
-    assert birkhoff(X, A, 7) == -3
-    assert birkhoff(X, A, -7) == -3
-
-
-def test_skew_step_tracks_birkhoff():
-    p = SkewPoint(CirclePoint(HALF), 0)
-    for n in range(1, 30):
-        p = skew_step(p, A)
-        assert p.level == birkhoff(HALF, A, n)
-        assert p.base.position == rotate(HALF, A, n).position
+    assert _sum(X, 7) == -3
+    assert _sum(X, -7) == -3
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40), st.fractions(0, 1, max_denominator=97))
 def test_cocycle_property(m, n, x0):
     x = SurdReal.from_fraction(x0).frac()
-    lhs = birkhoff(x, A, m + n)
-    rhs = birkhoff(x, A, m) + birkhoff(rotate(x, A, m).position, A, n)
+    lhs = _sum(x, m + n)
+    rhs = _sum(x, m) + _sum((x + A * m).frac(), n)
     assert lhs == rhs
 
 
 def test_backward_orbit_symmetry():
     # this seed's backward orbit mirrors its forward orbit around 1/2
     for n in range(1, 400):
-        assert rotate(X, A, -(n + 1)).position == (1 - rotate(X, A, n).position).frac()
+        assert (X + A * -(n + 1)).frac() == (1 - (X + A * n).frac()).frac()
     for n in range(1, 120):
-        assert birkhoff(X, A, -n) == birkhoff(X, A, n)
+        assert _sum(X, -n) == _sum(X, n)
 
 
 def test_visit_set_against_hand_loop():
@@ -78,8 +70,8 @@ def test_visit_set_against_hand_loop():
     sums = {0: 0}
     x, s = HALF, 0
     for n in range(1, N + 1):
-        s += sign_f(x)
-        x = rotate(x, A, 1).position
+        s += _f(x)
+        x = (x + A).frac()
         sums[n] = s
     for m in (-2, -1, 0, 1):
         vs = visit_set(HALF, A, m, N)
@@ -93,15 +85,15 @@ def test_visit_set_positions_shift_by_k():
     vs0 = visit_set(HALF, A, 0, 2000, k=0)
     vs1 = visit_set(HALF, A, 0, 2000, k=1)
     assert np.array_equal(vs0.times, vs1.times)  # k moves positions, not times
-    x5 = float(rotate(HALF, A, int(vs0.times[5])).position)
+    x5 = float((HALF + A * int(vs0.times[5])).frac())
     assert abs(vs0.positions[5] - x5) <= vs0.position_radius
-    y5 = float(rotate(HALF, A, int(vs0.times[5]) + 1).position)
+    y5 = float((HALF + A * (int(vs0.times[5]) + 1)).frac())
     assert abs(vs1.positions[5] - y5) <= vs1.position_radius
 
 
 def test_visit_set_negative_k():
     vs = visit_set(HALF, A, 0, 50, k=-3)
-    x0 = float(rotate(HALF, A, -3).position)  # time 0 looks 3 steps back
+    x0 = float((HALF + A * -3).frac())  # time 0 looks 3 steps back
     assert abs(vs.positions[0] - x0) < 1e-12
 
 
@@ -125,10 +117,24 @@ def test_max_gap():
         max_gap([1.25])
 
 
-def test_circle_point_wraps_and_freezes():
-    p = CirclePoint(Fraction(7, 2))
-    assert p.position == HALF
-    with pytest.raises(AttributeError):
-        p.position = HALF
-    c = p.shadow
-    assert abs(c.value - 0.5) <= c.radius
+# ---------------------------------------------------------------------------
+# public names
+
+
+def test_every_listed_name_exists():
+    import importlib
+    import pkgutil
+
+    import rotn
+
+    names = ["rotn"] + ["rotn." + m.name for m in pkgutil.iter_modules(rotn.__path__)]
+    listed = 0
+    for name in names:
+        module = importlib.import_module(name)
+        for public in getattr(module, "__all__", ()):
+            assert hasattr(module, public), (name, public)
+            listed += 1
+    assert listed > 0
+    # exact points are plain SurdReals: no point wrapper or orbit helper is listed
+    assert sorted(importlib.import_module("rotn.circle").__all__) \
+        == ["VisitSet", "max_gap", "visit_set"]

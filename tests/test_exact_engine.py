@@ -2,9 +2,10 @@
 
 The exact scan, the exact leaf tracer and the first-return oracle all
 walk on an ``exactreal.Frame``.  Their reference here is plain
-``SurdReal`` arithmetic (``rotate``, ``birkhoff``, ``return_map``),
-which shares no code with the frame walks, over random admissible
-rotation numbers, random exact seeds (p + q*a)/r and both directions.
+``SurdReal`` arithmetic (orbit points ``(x + a*n).frac()``, sums of
+their signs, ``return_map``), which shares no code with the frame
+walks, over random admissible rotation numbers, random exact seeds
+(p + q*a)/r and both directions.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rotn.circle import birkhoff, rotate
 from rotn.exactreal import HALF, CFNumber, Frame, SurdReal, parse_cf
 from rotn.foliation import trace_leaf_through, trace_ray
 from rotn.harness import ExperimentConfig, run
@@ -37,6 +37,15 @@ def _point(seed, a):
     return (SurdReal(p) + a * q) / r
 
 
+def _sum(x, a, n):
+    """S_n(x) for signed n, one SurdReal sign test per orbit point."""
+    def f(j):
+        return 1 if (x + a * j).frac() < HALF else -1
+    if n >= 0:
+        return sum(f(j) for j in range(n))
+    return -sum(f(j) for j in range(n, 0))
+
+
 def _off_the_orbit_of_zero(seed):
     # (p + q*a)/r = n*a + m runs into the singular corner of the leaf
     p, q, r = seed
@@ -54,8 +63,8 @@ def test_exact_leaf_trace_follows_the_rotation(alpha, seed, j0, direction):
     tr = trace_leaf_through(x0, j0, a, N, direction=direction, policy="exact")
     for k in range(N + 1):
         n = direction * k
-        assert tr.exact_x[k] == rotate(x0, a, n).position, k
-        assert tr.entry_level[k] == j0 + birkhoff(x0, a, n), k
+        assert tr.exact_x[k] == (x0 + a * n).frac(), k
+        assert tr.entry_level[k] == j0 + _sum(x0, a, n), k
 
 
 @engine
@@ -65,8 +74,8 @@ def test_exact_ray_trace_follows_the_rotation(alpha, i):
     N = 40
     tr = trace_ray(i, a, N, policy="exact")
     for n in range(1, N + 1):
-        assert tr.exact_x[n - 1] == rotate(HALF, a, n - 1).position, n
-        assert tr.entry_level[n - 1] == i + 1 + birkhoff(HALF, a, n), n
+        assert tr.exact_x[n - 1] == (HALF + a * (n - 1)).frac(), n
+        assert tr.entry_level[n - 1] == i + 1 + _sum(HALF, a, n), n
 
 
 @engine

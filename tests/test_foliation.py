@@ -6,7 +6,6 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from rotn.circle import birkhoff, rotate, sign_f
 from rotn.exactreal import SurdReal, parse_cf
 from rotn.foliation import (
     example_alpha,
@@ -24,16 +23,23 @@ A = ALPHA.value
 HALF = SurdReal(1, 0, 2)
 
 
+def _sum(x, n):
+    """S_n(x) for signed n, from the exact scan."""
+    scan = orbit_scan(x, A, abs(n), direction=1 if n >= 0 else -1, policy="exact")
+    return int(scan.sums[-1])
+
+
 # ---------------------------------------------------------------------------
 # the turn map
 
 
 def test_leaf_turn_frozen():
-    b3 = leaf_turn(Fraction(3, 10), A)
-    assert b3.position == 1 - A - Fraction(3, 10)
+    b3 = leaf_turn(SurdReal(3, 0, 10), A)
+    assert b3 == 1 - A - Fraction(3, 10)
     assert abs(float(b3) - 0.5062870566386034) < 1e-15
-    b9 = leaf_turn(Fraction(9, 10), A)
-    assert b9.position == 2 - A - Fraction(9, 10)
+    assert leaf_turn(SurdReal(23, 0, 10), A) == b3  # x is taken mod 1
+    b9 = leaf_turn(SurdReal(9, 0, 10), A)
+    assert b9 == 2 - A - Fraction(9, 10)
     assert abs(float(b9) - 0.9062870566386034) < 1e-15
 
 
@@ -47,14 +53,14 @@ def test_leaf_turn_is_an_involution():
     rng = random.Random(5)
     for _ in range(100):
         x = SurdReal.from_fraction(Fraction(rng.randrange(1, 997), 997))
-        y = leaf_turn(x, A).position
-        assert leaf_turn(y, A).position == x
+        y = leaf_turn(x, A)
+        assert leaf_turn(y, A) == x
 
 
 def test_leaf_turn_is_one_minus_rotation():
     for num in (1, 3, 450, 996):
         x = SurdReal.from_fraction(Fraction(num, 997))
-        assert leaf_turn(x, A).position == (1 - rotate(x, A, 1).position).frac()
+        assert leaf_turn(x, A) == (1 - (x + A).frac()).frac()
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +73,8 @@ def test_ray_entry_law_exact_small():
         assert tr.start_index == 1
         for k in range(200):
             n = k + 1
-            assert tr.exact_x[k] == rotate(HALF, A, n - 1).position
-            assert tr.entry_level[k] == i + 1 + birkhoff(HALF, A, n)
+            assert tr.exact_x[k] == (HALF + A * (n - 1)).frac()
+            assert tr.entry_level[k] == i + 1 + _sum(HALF, n)
 
 
 def test_ray_certified_matches_exact():
@@ -105,16 +111,16 @@ def test_leaf_through_orbit_convention():
     x = (1 + A) / 2
     tr = trace_leaf_through(x, 3, A, 150, policy="exact")
     for n in range(151):
-        assert tr.exact_x[n] == rotate(x, A, n).position
-        assert tr.entry_level[n] == 3 + birkhoff(x, A, n)
+        assert tr.exact_x[n] == (x + A * n).frac()
+        assert tr.entry_level[n] == 3 + _sum(x, n)
 
 
 def test_leaf_through_backward():
     x = (1 + A) / 2
     tr = trace_leaf_through(x, 0, A, 150, direction=-1, policy="exact")
     for k in range(151):
-        assert tr.exact_x[k] == rotate(x, A, -k).position
-        assert tr.entry_level[k] == birkhoff(x, A, -k)
+        assert tr.exact_x[k] == (x + A * -k).frac()
+        assert tr.entry_level[k] == _sum(x, -k)
 
 
 def test_leaf_through_certified_matches_exact():

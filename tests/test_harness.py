@@ -40,6 +40,13 @@ def test_config_validation():
         ExperimentConfig(kind="oracle", depth=2)
     with pytest.raises(ValueError, match="bad continued fraction"):
         ExperimentConfig(kind="heavy", alpha="[0;5]", N=1)
+    # the largest towers each kind may build
+    assert ExperimentConfig(kind="tower", depth=1000).depth == 1000
+    assert ExperimentConfig(kind="example", m=2, k_max=500).k_max == 500
+    with pytest.raises(ValueError, match="above the limit of 1000"):
+        ExperimentConfig(kind="tower", depth=1001)
+    with pytest.raises(ValueError, match="above the limit of 500"):
+        ExperimentConfig(kind="example", m=2, k_max=501)
 
 
 def test_parse_point():
@@ -215,6 +222,19 @@ def test_exact_runs_are_byte_identical(tmp_path):
     assert payload(a) == payload(b)
 
 
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_leaf_seed_is_taken_mod_1(tmp_path, precision):
+    # the seed string and every row name the point on the circle
+    reports, rows = [], []
+    for name, through in (("x.csv", "(1+a)/2"), ("x3.csv", "(1+a)/2 + 3")):
+        out = str(tmp_path / name)
+        reports.append(run(ExperimentConfig(kind="leaf", N=300, through=through,
+                                            out=out, precision=precision)))
+        rows.append(open(out).read().split("\n", 1)[1])
+    assert reports[0] == reports[1] and rows[0] == rows[1]
+    assert reports[0]["seed"] == "leaf through (%s, 0)" % (((1 + A) / 2).exact_str(),)
+
+
 def test_leaf_exact_determinism(tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for p in (a, b):
@@ -364,8 +384,17 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
     # 3.1e9 and 2.3e8 predicted oracle steps: about 2 h and 9 min of walking
     (["oracle", "--depth", "12", "--samples", "1"], "predicts 3.1e+09 steps"),
     (["oracle", "--depth", "3", "--samples", "1000000"], "predicts 2.3e+08 steps"),
+    # a step count past the float range used to end in an OverflowError
+    (["oracle", "--depth", "400", "--samples", "1"], "predicts 8.1e+315 steps"),
+    # towers: depth 1000 takes about a second, and each level costs more
+    (["tower", "--depth", "100000"], "depth 100000 is above the limit of 1000"),
+    (["oracle", "--depth", "100000", "--samples", "1"],
+     "depth 100000 is above the limit of 1000"),
+    (["example", "--kmax", "100000", "--N", "1000"],
+     "k_max 100000 is above the limit of 500"),
 ], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
-        "oracle-depth-12", "oracle-a-million-samples"])
+        "oracle-depth-12", "oracle-a-million-samples", "oracle-past-floats",
+        "tower-depth", "oracle-depth", "example-kmax"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
 

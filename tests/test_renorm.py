@@ -17,8 +17,8 @@ from rotn.renorm import (
     verify_bounds,
     verify_chains,
 )
+from rotn.scan import orbit_scan
 from rotn.words import EMPTY, MINUS, PLUS, expand, iter_letters, prefix_sum_at
-from rotn.circle import birkhoff
 
 ALPHA = parse_cf("[0;5,(6)]")
 HALF = SurdReal(1, 0, 2)
@@ -129,11 +129,13 @@ def test_minus_words_extend_each_other():
 
 def test_fast_birkhoff_equals_direct():
     assert fast_birkhoff(ALPHA, 4) == -2
+    sums = orbit_scan(HALF, ALPHA.value, 54321, policy="exact").sums
     for n in list(range(1, 300)) + [1234, 12345, 54321]:
-        assert fast_birkhoff(ALPHA, n) == birkhoff(HALF, ALPHA.value, n)
+        assert fast_birkhoff(ALPHA, n) == sums[n]
     beta = parse_cf("[0;5,8,(6)]")
+    sums = orbit_scan(HALF, beta.value, 9999, policy="exact").sums
     for n in (1, 2, 77, 500, 9999):
-        assert fast_birkhoff(beta, n) == birkhoff(HALF, beta.value, n)
+        assert fast_birkhoff(beta, n) == sums[n]
 
 
 # ---------------------------------------------------------------------------
@@ -249,4 +251,4 @@ def test_fast_birkhoff_on_a_cold_cache():
                          text=True, timeout=60,
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) == birkhoff(HALF, ALPHA.value, 100)
+    assert int(out.stdout) == orbit_scan(HALF, ALPHA.value, 100, policy="exact").sums[100]
