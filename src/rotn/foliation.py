@@ -125,7 +125,14 @@ class LeafTrace:
         return int(self.entry_level.size)
 
     def levels_visited(self) -> list[int]:
-        return [int(v) for v in np.unique(self.entry_level)]
+        """The distinct entry levels, ascending.
+
+        Levels move by one per visit, so they span at most ``visits``
+        values and a bincount over that span replaces a sort.
+        """
+        lv = self.entry_level
+        lo = int(lv.min())
+        return (np.flatnonzero(np.bincount(lv - lo)) + lo).tolist()
 
     def summary(self) -> dict:
         levels = self.levels_visited()
@@ -194,9 +201,10 @@ def trace_ray(i: int, alpha: SurdReal, N: int, *,
         xs, lv, exact = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
         return LeafTrace(seed, 1, 1, xs, lv, policy, exact)
     scan = orbit_scan(HALF, alpha, N, policy=policy)
-    xs = scan.positions[:N].copy()
-    lv = i + 1 + scan.sums[1 : N + 1]
-    return LeafTrace(seed, 1, 1, xs, lv, policy, radius_bound=scan.radius_bound)
+    lv = scan.sums[1 : N + 1]
+    lv += i + 1
+    return LeafTrace(seed, 1, 1, scan.positions[:N], lv, policy,
+                     radius_bound=scan.radius_bound)
 
 
 def trace_leaf_through(
@@ -220,8 +228,9 @@ def trace_leaf_through(
         )
         return LeafTrace(seed, direction, 0, xs, lv, policy, exact)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
+    scan.sums += j0
     return LeafTrace(
-        seed, direction, 0, scan.positions.copy(), j0 + scan.sums, policy,
+        seed, direction, 0, scan.positions, scan.sums, policy,
         radius_bound=scan.radius_bound,
     )
 

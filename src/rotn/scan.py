@@ -11,7 +11,11 @@ sequence is exact, not approximate.
 
 The float loop is one numpy kernel, ``scan_kernel``.  Positions are
 evaluated by the direct formula frac(x0 + i*alpha), not incrementally,
-so the error is linear in i with no compounding.
+so the error is linear in i with no compounding.  The kernel and the
+running sums walk the orbit in chunks small enough to stay in a
+per-core L2 cache, writing into the output arrays in place, so a
+certified scan holds little beyond its output: 8 + 1 + 8 bytes per
+step for positions, signs and sums.
 
 The "exact" policy replaces the float loop with a walk on an
 ``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
@@ -34,35 +38,78 @@ __all__ = ["OrbitScan", "orbit_scan", "backend_name", "kernel_for"]
 
 logger = logging.getLogger(__name__)
 
-# keeps the kernel's temporaries around 8 MB regardless of scan length
-_CHUNK = 1 << 20
+# Scan chunk length: the kernel's buffers (18 bytes per index) and the
+# chunk of positions and signs it writes (9 more) take 1.8 MB, so one
+# chunk's whole pass stays inside a 2 MB per-core L2 cache.
+_CHUNK = 1 << 16
 
 
 def scan_kernel(x0, alpha, n, base_radius, radius_slope):
     """Return (pos[n], signs[n], ambiguous indices) for i = 0..n-1.
 
     Positions are frac(x0 + i*alpha) in double precision, signs are
-    decided against 1/2, and every index whose certified interval
-    touches 0, 1/2 or 1 is reported for exact escalation by the caller.
+    decided against 1/2, and every index i whose certified interval
+    touches 0, 1/2 or 1 is reported for exact escalation by the caller:
+    with rad(i) = base_radius + i*radius_slope and d = |z - 1/2|,
+
+        d <= rad(i)  or  z <= rad(i)  or  z >= 1 - rad(i).
+
+    The scan runs in chunks of ``_CHUNK`` indices through buffers
+    allocated once per call, writing positions and signs in place.
+    The radius test first screens a chunk against its largest radius
+    rmax: it keeps i when d <= rmax + 2^-50 or d >= 1/2 - 2*rmax - 2^-50,
+    and runs the test above, with the per-index radius, on those
+    candidates only.  The candidates are a superset of the flagged
+    indices, so the flagged set is the one the full test gives:
+
+    - rad(i) <= rmax, because rounding is monotone, radius_slope >= 0
+      and i <= hi - 1; so the first clause implies d <= rmax;
+    - z <= rad(i) <= rmax < 1/4 makes d the rounding of 1/2 - z, at
+      least the rounding of 1/2 - rmax, and so d >= 1/2 - 2*rmax - 2^-50;
+    - z >= 1 - rad(i) > 1/2 makes d = z - 1/2 exactly (Sterbenz), and
+      1 - rad(i) rounds by at most 2^-53, so d >= 1/2 - rmax - 2^-53.
+
+    (When rmax >= 1/4 the screen keeps every index.)
     """
     pos = np.empty(n, dtype=np.float64)
     signs = np.empty(n, dtype=np.int8)
+    size = min(n, _CHUNK)
+    idx = np.arange(size, dtype=np.float64)  # lo + k, exact below 2^53
+    tmp = np.empty(size, dtype=np.float64)
+    mask = np.empty(size, dtype=bool)
+    far = np.empty(size, dtype=bool)
     amb_parts = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        i = np.arange(lo, hi, dtype=np.float64)
-        z = x0 + i * alpha
-        z -= np.floor(z)
+        m = hi - lo
+        i, d, b, b2 = idx[:m], tmp[:m], mask[:m], far[:m]
+        z = pos[lo:hi]
+        np.multiply(i, alpha, out=z)
+        z += x0
+        np.floor(z, out=d)
+        z -= d
         # frac can round up to exactly 1.0 for z just under an integer
-        wrapped = z >= 1.0
-        if wrapped.any():
-            z[wrapped] = 0.0
-        pos[lo:hi] = z
-        signs[lo:hi] = np.where(z < 0.5, 1, -1).astype(np.int8)
-        rad = base_radius + i * radius_slope
-        bad = (np.abs(z - 0.5) <= rad) | (z <= rad) | (z >= 1.0 - rad)
-        if bad.any():
-            amb_parts.append(np.nonzero(bad)[0].astype(np.int64) + lo)
+        np.greater_equal(z, 1.0, out=b)
+        if b.any():
+            z[b] = 0.0
+        np.less(z, 0.5, out=b)
+        s = signs[lo:hi]
+        np.multiply(b.view(np.int8), 2, out=s)
+        s -= 1
+        np.subtract(z, 0.5, out=d)
+        np.abs(d, out=d)
+        rmax = base_radius + (hi - 1) * radius_slope
+        np.less_equal(d, rmax + 2.0**-50, out=b)
+        np.greater_equal(d, 0.5 - 2.0 * rmax - 2.0**-50, out=b2)
+        b |= b2
+        cand = np.flatnonzero(b)
+        if cand.size:
+            zc = z[cand]
+            rad = base_radius + i[cand] * radius_slope
+            bad = (np.abs(zc - 0.5) <= rad) | (zc <= rad) | (zc >= 1.0 - rad)
+            if bad.any():
+                amb_parts.append(cand[bad].astype(np.int64) + lo)
+        idx += _CHUNK
     if amb_parts:
         ambiguous = np.concatenate(amb_parts)
     else:
@@ -158,12 +205,18 @@ def orbit_scan(
             x0, alpha, count, direction
         )
 
-    sums = np.zeros(count, dtype=np.int64)
-    if direction == 1:
-        np.cumsum(signs[: count - 1], dtype=np.int64, out=sums[1:])
-    else:
-        np.cumsum(signs[1:], dtype=np.int64, out=sums[1:])
-        np.negative(sums, out=sums)
+    # chunk by chunk with a carry, so cumsum's int8 -> int64 cast copy
+    # stays chunk-sized
+    steps = signs[: count - 1] if direction == 1 else signs[1:]
+    sums = np.empty(count, dtype=np.int64)
+    sums[0] = carry = 0
+    for lo in range(0, count - 1, _CHUNK):
+        part = sums[lo + 1 : lo + 1 + _CHUNK]
+        np.cumsum(steps[lo : lo + _CHUNK], dtype=np.int64, out=part)
+        if direction == -1:
+            np.negative(part, out=part)
+        part += carry
+        carry = part[-1]
 
     return OrbitScan(
         x0=x0,

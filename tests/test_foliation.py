@@ -8,6 +8,7 @@ import pytest
 
 from rotn.exactreal import SurdReal, parse_cf
 from rotn.foliation import (
+    LeafTrace,
     example_alpha,
     example_m_formulas,
     example_point,
@@ -128,6 +129,16 @@ def test_leaf_through_certified_matches_exact():
     fast = trace_leaf_through(x, 0, A, 3000)
     slow = trace_leaf_through(x, 0, A, 3000, policy="exact")
     assert np.array_equal(fast.entry_level, slow.entry_level)
+
+
+def test_levels_visited_matches_unique():
+    rng = np.random.default_rng(5)
+    for start in (-40, 0, 7):
+        for visits in (1, 2, 5000):
+            walk = rng.choice(np.array([-1, 1]), size=visits - 1)
+            lv = start + np.concatenate([[0], np.cumsum(walk)])
+            trace = LeafTrace("walk", 1, 0, np.zeros(visits), lv, "certified")
+            assert trace.levels_visited() == [int(v) for v in np.unique(lv)]
 
 
 def test_leaf_summary_shape():

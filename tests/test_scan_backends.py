@@ -1,11 +1,15 @@
 """The scan kernel, certified-vs-exact agreement, escalation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import rotn.scan
 from rotn.exactreal import SurdReal, parse_cf
-from rotn.scan import backend_name, kernel_for, orbit_scan
+from rotn.scan import (
+    _CHUNK, _scan_radii, backend_name, kernel_for, orbit_scan, scan_kernel,
+)
 
 A = parse_cf("[0;5,(6)]").value
 HALF = SurdReal(1, 0, 2)
@@ -82,3 +86,81 @@ def test_policy_validation():
         orbit_scan(HALF, A, -1)
     with pytest.raises(ValueError):
         orbit_scan(HALF, A, 10, direction=0)
+
+
+def _reference_kernel(x0, alpha, n, base_radius, radius_slope):
+    """The kernel as it was before chunk buffers and the radius screen:
+    2^20-index chunks, fresh temporaries, and the full radius test on
+    every index.  Kept verbatim as the reference for ``scan_kernel``."""
+    _CHUNK = 1 << 20
+    pos = np.empty(n, dtype=np.float64)
+    signs = np.empty(n, dtype=np.int8)
+    amb_parts = []
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        i = np.arange(lo, hi, dtype=np.float64)
+        z = x0 + i * alpha
+        z -= np.floor(z)
+        # frac can round up to exactly 1.0 for z just under an integer
+        wrapped = z >= 1.0
+        if wrapped.any():
+            z[wrapped] = 0.0
+        pos[lo:hi] = z
+        signs[lo:hi] = np.where(z < 0.5, 1, -1).astype(np.int8)
+        rad = base_radius + i * radius_slope
+        bad = (np.abs(z - 0.5) <= rad) | (z <= rad) | (z >= 1.0 - rad)
+        if bad.any():
+            amb_parts.append(np.nonzero(bad)[0].astype(np.int64) + lo)
+    if amb_parts:
+        ambiguous = np.concatenate(amb_parts)
+    else:
+        ambiguous = np.empty(0, dtype=np.int64)
+    return pos, signs, ambiguous
+
+
+@pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;(2)]"])  # admissible, not
+@pytest.mark.parametrize("seed", ["1/2", "(1+a)/2", "a/3"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_kernel_matches_reference_bit_for_bit(cf, seed, direction):
+    alpha = parse_cf(cf).value
+    x0 = {"1/2": HALF, "(1+a)/2": (1 + alpha) / 2, "a/3": alpha / 3}[seed]
+    x0f, af, base, slope = _scan_radii(x0, alpha)
+    rng = np.random.default_rng(len(cf) + len(seed) + direction)
+    sizes = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, int(rng.integers(0, 3 * _CHUNK)))
+    # the real radii, then stress radii that flag many indices per chunk
+    radii = ((base, slope), (1e-4, 1e-11), (1e-4, 0.0), (0.0, 1e-11))
+    flagged = 0
+    for n in sizes:
+        for b, r in radii:
+            pos, signs, amb = scan_kernel(x0f, direction * af, n, b, r)
+            ref_pos, ref_signs, ref_amb = _reference_kernel(
+                x0f, direction * af, n, b, r)
+            assert np.array_equal(pos.view(np.uint64), ref_pos.view(np.uint64))
+            assert np.array_equal(signs, ref_signs)
+            assert amb.dtype == ref_amb.dtype and np.array_equal(amb, ref_amb)
+            flagged += ref_amb.size
+    assert flagged > 0  # the radius screen was exercised
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_sums_are_a_plain_cumsum_across_chunks(direction):
+    for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):
+        scan = orbit_scan(HALF, A, n, direction=direction)
+        steps = scan.signs[:-1] if direction == 1 else -scan.signs[1:]
+        expected = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+        assert np.array_equal(scan.sums, expected)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_certified_scan_memory_is_its_output(direction):
+    n = 10**6
+    orbit_scan(HALF, A, 10, direction=direction)  # warm the radius caches
+    tracemalloc.start()
+    try:
+        orbit_scan(HALF, A, n, direction=direction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # positions, signs and sums take 8 + 1 + 8 bytes per step; the
+    # kernel's chunk buffers and cumsum's cast copy fit in the 4 MB
+    assert peak <= 17 * n + 4 * 2**20
