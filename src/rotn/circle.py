@@ -83,8 +83,8 @@ def visit_set(
     elif scan.direction != 1 or scan.count < need + 1:
         raise ValueError("supplied scan is too short or not forward")
 
-    times = np.nonzero(scan.sums[: N + 1] == m)[0].astype(np.int64)
-    idx = times + k
+    times = np.flatnonzero(scan.sums[: N + 1] == m)
+    idx = times + k if k else times
     positions = np.empty(times.size, dtype=np.float64)
     neg = int(np.searchsorted(idx, 0))  # idx ascending; entries below 0 first
     positions[neg:] = scan.positions[idx[neg:]]

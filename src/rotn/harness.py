@@ -2,10 +2,12 @@
 
 ``run(config)`` is the one entry point.  Every experiment is a function
 of its ``ExperimentConfig`` alone, found in one table by the config's
-kind; it returns a JSON-friendly report, plus the rows of a table for
-the CSV-shaped kinds, and ``run`` writes ``config.out`` in one place.
-All validation and normalization happens when the config is built, so
-the config a caller holds is the config its output header records.
+kind; it returns a JSON-friendly report, plus a column-major table for
+the CSV-shaped kinds (the column names and one sequence per column:
+the scan's own arrays, a range of indices, or a short list), and
+``run`` writes ``config.out`` in one place.  All validation and
+normalization happens when the config is built, so the config a caller
+holds is the config its output header records.
 
 Output files are self-describing: a JSON header that round-trips the
 full configuration (``config_from_header(read_header(path))`` equals
@@ -13,6 +15,13 @@ the config that wrote it), then the payload.  CSV-shaped outputs put
 the header on a single leading comment line; report-shaped outputs are
 one JSON document with the header inside.  Under the exact-only policy
 identical configs give byte-identical payload bytes.
+
+``write_columns`` formats a table _ROWS_PER_WRITE (2^13) rows at a
+time: each column's slice becomes a list, one formatter per column
+spells every cell of the slice, and one join writes the chunk, so the
+memory it holds does not grow with the row count.  ``write_csv`` takes
+the same table as rows, for callers that build rows, such as the
+benchmark's writer probe, and gives the same bytes.
 """
 
 from __future__ import annotations
@@ -58,6 +67,9 @@ _MAX_DEPTH = 1000
 # little and the seed prints under Python's 4300-digit int-to-str limit
 _MAX_EXPONENT = 10 ** 4
 _MAX_POINT_BITS = 13300
+# CSV rows formatted per write: a chunk's cell strings take about 3 MB
+# at three columns, so a 10^9-row table never holds a whole column
+_ROWS_PER_WRITE = 1 << 13
 _ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.Div: operator.truediv}
 
@@ -163,12 +175,58 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
+def _formatter(cells):
+    """One function that formats every cell of a chunk's column as _cell does."""
+    kinds = set(map(type, cells))
+    if kinds == {int}:  # not bool, which _cell spells true/false
+        return int.__repr__
+    if all(issubclass(t, float) for t in kinds):
+        return float.__repr__  # repr(float(v)), also for np.float64
+    return _cell
+
+
+def _write_chunk(fh, cols) -> None:
+    """Write the rows of a chunk given column by column (lists or tuples)."""
+    cells = [list(map(_formatter(c), c)) for c in cols]
+    fh.write("\n".join(map(",".join, zip(*cells))))
+    fh.write("\n")
+
+
+def _write_head(fh, config: ExperimentConfig, names) -> None:
+    fh.write("# %s\n" % json.dumps(config.header(), sort_keys=True))
+    fh.write(",".join(names) + "\n")
+
+
+def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) -> None:
+    """Write a column-major table: cols[j] holds column names[j], top to bottom.
+
+    A column is any sliceable sequence of one length: a list, a range,
+    or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, so no
+    column is ever converted to a whole-length list.
+    """
+    rows = len(cols[0])
     with open(path, "w", newline="") as fh:
-        fh.write("# %s\n" % json.dumps(config.header(), sort_keys=True))
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        _write_head(fh, config, names)
+        for lo in range(0, rows, _ROWS_PER_WRITE):
+            chunk = [c[lo: lo + _ROWS_PER_WRITE] for c in cols]
+            _write_chunk(fh, [c.tolist() if isinstance(c, np.ndarray) else c
+                              for c in chunk])
+
+
+def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
+    """Write a row-major table with the column names ``columns``.
+
+    ``rows`` is any iterable of equal-length rows.  Each chunk of
+    _ROWS_PER_WRITE rows is transposed and formatted as write_columns
+    formats it, so both give the same bytes.  ``run`` writes column
+    tables; this form serves callers that build rows, such as the
+    benchmark's writer probe (rotnbench/layers.py).
+    """
+    rows = iter(rows)
+    with open(path, "w", newline="") as fh:
+        _write_head(fh, config, columns)
+        while chunk := list(islice(rows, _ROWS_PER_WRITE)):
+            _write_chunk(fh, list(zip(*chunk)))
 
 
 def write_json(path: str, config: ExperimentConfig, report: dict) -> None:
@@ -273,7 +331,7 @@ def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
 
 # ---------------------------------------------------------------------------
 # experiments: each maps a config to (report, table), where table is
-# (columns, rows) for the CSV-shaped kinds and None for the JSON ones
+# (names, columns) for the CSV-shaped kinds and None for the JSON ones
 
 
 def _tower(config: ExperimentConfig):
@@ -344,8 +402,8 @@ def _density(config: ExperimentConfig):
 
     report = {**vs.summary(), "escalations": vs.escalations, "horizons": rows,
               "ok": ok}
-    columns = ["N", "count", "first_time", "max_gap"]
-    return report, (columns, [tuple(r[c] for c in columns) for r in rows])
+    names = ["N", "count", "first_time", "max_gap"]
+    return report, (names, [[r[c] for r in rows] for c in names])
 
 
 def _example(config: ExperimentConfig):
@@ -432,12 +490,9 @@ def _leaf(config: ExperimentConfig):
               "levels_step_by_one": levels_step_by_one,
               "prefix_visits_checked": k, "prefix_agrees": prefix_agrees,
               "ok": levels_step_by_one and prefix_agrees}
-    step = trace.direction
-    rows = (
-        (trace.start_index + step * i, trace.entry_x[i], int(trace.entry_level[i]))
-        for i in range(trace.visits)
-    )
-    return report, (["n", "x", "level"], rows)
+    start, step = trace.start_index, trace.direction
+    ns = range(start, start + step * trace.visits, step)
+    return report, (["n", "x", "level"], [ns, trace.entry_x, trace.entry_level])
 
 
 def _heavy(config: ExperimentConfig):
@@ -456,8 +511,7 @@ def _heavy(config: ExperimentConfig):
         "escalations": int(scan.escalated.size),
         "ok": violations == 0,
     }
-    rows = ((n, scan.positions[n], int(scan.sums[n])) for n in range(N + 1))
-    return report, (["n", "position", "S_n"], rows)
+    return report, (["n", "position", "S_n"], [range(N + 1), scan.positions, scan.sums])
 
 
 def _oracle(config: ExperimentConfig):
@@ -469,17 +523,21 @@ def _oracle(config: ExperimentConfig):
     for letter and both routes land on the same exact point.
     """
     samples = config.samples
-    levels = tower(parse_cf(config.alpha), config.depth)
-    # each first return takes at most |F-| + |F0| steps
-    steps = 3 * samples * sum(lvl.f_minus.length + lvl.f_zero.length
-                              for lvl in levels[1:])
-    if steps > _MAX_ORACLE_STEPS:
-        # steps can pass the float range, so Decimal rounds it
-        mantissa, exponent = format(Decimal(steps), ".1e").split("e")
-        raise ValueError("oracle at depth %d with %d samples predicts %se%+03d steps, "
-                         "above the limit of %.0e; lower --depth or --samples"
-                         % (config.depth, samples, mantissa, int(exponent),
-                            _MAX_ORACLE_STEPS))
+    cf = parse_cf(config.alpha)
+    # each first return takes at most |F-| + |F0| steps; levels are built
+    # one at a time, so a refusal stops at the first level past the limit
+    steps = 0
+    for depth in range(2, config.depth + 1):
+        lvl = tower(cf, depth)[-1]
+        steps += 3 * samples * (lvl.f_minus.length + lvl.f_zero.length)
+        if steps > _MAX_ORACLE_STEPS:
+            # steps can pass the float range, so Decimal rounds it
+            mantissa, exponent = format(Decimal(steps), ".1e").split("e")
+            raise ValueError("oracle at depth %d with %d samples predicts at least "
+                             "%se%+03d steps, above the limit of %.0e; lower --depth "
+                             "or --samples" % (config.depth, samples, mantissa,
+                                               int(exponent), _MAX_ORACLE_STEPS))
+    levels = tower(cf, config.depth)
     rng = random.Random(config.seed)
 
     rows = []
@@ -537,5 +595,5 @@ def run(config: ExperimentConfig) -> dict:
         if table is None:
             write_json(config.out, config, report)
         else:
-            write_csv(config.out, config, *table)
+            write_columns(config.out, config, *table)
     return report

@@ -2,19 +2,25 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from rotn.cli import main
-from rotn.exactreal import SurdReal, parse_cf
+from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
+    _ROWS_PER_WRITE,
     PRECISIONS,
     ExperimentConfig,
     config_from_header,
     parse_point,
     read_header,
     run,
+    write_columns,
+    write_csv,
 )
+from rotn.scan import orbit_scan
 
 A = parse_cf("[0;5,(6)]").value
 
@@ -209,6 +215,103 @@ def test_run_dispatch_covers_all_kinds():
 
 
 # ---------------------------------------------------------------------------
+# the CSV writer, against the row-by-row writer it replaced
+
+
+def _ref_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # shortest round-trip form, stable across runs
+    return str(v)
+
+
+def _ref_write_csv(path, config, columns, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("# %s\n" % json.dumps(config.header(), sort_keys=True))
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_ref_cell(v) for v in row) + "\n")
+
+
+_C = _ROWS_PER_WRITE
+_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, 1 / 3, -2.5]
+_INTS = [0, -1, 7, -(2 ** 63), 2 ** 63 - 1, -123456789]
+
+
+def _table(rows):
+    """One column of each kind the writer meets, rows long."""
+    rng = np.random.default_rng(rows)
+    x = rng.random(rows)
+    x[: len(_FLOATS)] = _FLOATS[:rows]
+    s = rng.integers(-(2 ** 40), 2 ** 40, rows)
+    s[: len(_INTS)] = _INTS[:rows]
+    big = [(-3) ** (i % 70) for i in range(rows)]  # ints past int64
+    # None, bools and ints mixed; the last chunk alone holds a None
+    mixed = [i if i % 3 else bool(i % 2) for i in range(rows)]
+    maybe = [None if i == rows - 1 else i for i in range(rows)]
+    floats = [_FLOATS[i % len(_FLOATS)] for i in range(rows)]
+    names = ["n", "x", "S", "big", "mixed", "maybe", "floats"]
+    # a backward leaf's indices: 5, 4, 3, ...
+    return names, [range(5, 5 - rows, -1), x, s, big, mixed, maybe, floats]
+
+
+@pytest.mark.parametrize("rows", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 5])
+def test_writer_matches_the_row_by_row_reference(tmp_path, rows):
+    config = ExperimentConfig(kind="heavy", N=1)
+    names, cols = _table(rows)
+    # rows read column by column, numpy scalars and all
+    as_rows = [tuple(c[i] for c in cols) for i in range(rows)]
+    ref, by_col, by_row = (str(tmp_path / n) for n in ("ref", "col", "row"))
+    _ref_write_csv(ref, config, names, as_rows)
+    write_columns(by_col, config, names, cols)
+    write_csv(by_row, config, names, iter(as_rows))
+    want = open(ref, "rb").read()
+    assert want.count(b"\n") == rows + 2
+    assert open(by_col, "rb").read() == want
+    assert open(by_row, "rb").read() == want
+
+
+def test_writer_takes_the_benchmark_row_form(tmp_path):
+    # (int, np.float64, int) rows, as the benchmark's writer probe builds them
+    N = 2 * _C + 3
+    scan = orbit_scan(HALF, parse_cf("[0;(2)]").value, N)
+    config = ExperimentConfig(kind="heavy", alpha="[0;(2)]", N=N)
+
+    def rows():
+        return ((n, scan.positions[n], int(scan.sums[n])) for n in range(N + 1))
+
+    names = ["n", "position", "S_n"]
+    ref, by_row, by_run = (str(tmp_path / n) for n in ("ref", "row", "run"))
+    _ref_write_csv(ref, config, names, rows())
+    write_csv(by_row, config, names, rows())
+    run(ExperimentConfig(kind="heavy", alpha="[0;(2)]", N=N, out=by_run))
+    payload = lambda p: open(p, "rb").read().split(b"\n", 1)[1]
+    assert open(by_row, "rb").read() == open(ref, "rb").read()
+    assert payload(by_run) == payload(ref)
+
+
+def test_writer_never_holds_a_whole_column(tmp_path):
+    # one column as a list of floats would take 32 B/row, 8 MB here; a
+    # chunk's strings take about 3 MB whatever the row count
+    N = 250_000
+    scan = orbit_scan(HALF, parse_cf("[0;(2)]").value, N)
+    config = ExperimentConfig(kind="heavy", alpha="[0;(2)]", N=N)
+    tracemalloc.start()
+    try:
+        write_columns(str(tmp_path / "h.csv"), config, ["n", "position", "S_n"],
+                      [range(N + 1), scan.positions, scan.sums])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 
@@ -381,11 +484,15 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
       "[0;(12345678901234567890123,98765432109876543210987,"
       "11111111111111111111111,22222222222222222222223)]", "--N", "10"],
      "above the limit of 2^128"),
-    # 3.1e9 and 2.3e8 predicted oracle steps: about 2 h and 9 min of walking
-    (["oracle", "--depth", "12", "--samples", "1"], "predicts 3.1e+09 steps"),
-    (["oracle", "--depth", "3", "--samples", "1000000"], "predicts 2.3e+08 steps"),
+    # 3.1e9 and 2.3e8 predicted oracle steps: about 2 h and 9 min of walking;
+    # the count stops at the first level past the limit
+    (["oracle", "--depth", "12", "--samples", "1"], "predicts at least 5.0e+08 steps"),
+    (["oracle", "--depth", "3", "--samples", "1000000"],
+     "predicts at least 2.3e+08 steps"),
+    (["oracle", "--depth", "400", "--samples", "1"], "predicts at least 5.0e+08 steps"),
     # a step count past the float range used to end in an OverflowError
-    (["oracle", "--depth", "400", "--samples", "1"], "predicts 8.1e+315 steps"),
+    (["oracle", "--depth", "2", "--samples", str(10 ** 400)],
+     "predicts at least 3.3e+401 steps"),
     # towers: depth 1000 takes about a second, and each level costs more
     (["tower", "--depth", "100000"], "depth 100000 is above the limit of 1000"),
     (["oracle", "--depth", "100000", "--samples", "1"],
@@ -393,10 +500,23 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
     (["example", "--kmax", "100000", "--N", "1000"],
      "k_max 100000 is above the limit of 500"),
 ], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
-        "oracle-depth-12", "oracle-a-million-samples", "oracle-past-floats",
-        "tower-depth", "oracle-depth", "example-kmax"])
+        "oracle-depth-12", "oracle-a-million-samples", "oracle-depth-400",
+        "oracle-past-floats", "tower-depth", "oracle-depth", "example-kmax"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
+
+
+def test_oracle_refuses_before_building_the_whole_tower():
+    # a fresh process, so no cached tower makes the refusal fast
+    code = ("import time\n"
+            "from rotn.cli import main\n"
+            "t = time.perf_counter()\n"
+            "status = main(['oracle', '--depth', '1000', '--samples', '1'])\n"
+            "print(status, time.perf_counter() - t)\n")
+    out = _fresh_python("-c", code)
+    status, seconds = out.stdout.split()
+    assert status == "2" and "predicts at least" in out.stderr
+    assert float(seconds) < 0.3
 
 
 def test_small_runs_never_import_sympy():
