@@ -188,7 +188,7 @@ def _formatter(cells):
 def _write_chunk(fh, cols) -> None:
     """Write the rows of a chunk given column by column (lists or tuples)."""
     cells = [list(map(_formatter(c), c)) for c in cols]
-    fh.write("\n".join(map(",".join, zip(*cells))))
+    fh.write("\n".join(map(",".join, zip(*cells, strict=True))))
     fh.write("\n")
 
 
@@ -202,9 +202,12 @@ def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) 
 
     A column is any sliceable sequence of one length: a list, a range,
     or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, so no
-    column is ever converted to a whole-length list.
+    column is ever converted to a whole-length list.  Columns of
+    different lengths raise ValueError before anything is written.
     """
     rows = len(cols[0])
+    if any(len(c) != rows for c in cols):
+        raise ValueError("columns of different lengths: %s" % [len(c) for c in cols])
     with open(path, "w", newline="") as fh:
         _write_head(fh, config, names)
         for lo in range(0, rows, _ROWS_PER_WRITE):
@@ -218,15 +221,16 @@ def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
 
     ``rows`` is any iterable of equal-length rows.  Each chunk of
     _ROWS_PER_WRITE rows is transposed and formatted as write_columns
-    formats it, so both give the same bytes.  ``run`` writes column
-    tables; this form serves callers that build rows, such as the
-    benchmark's writer probe (rotnbench/layers.py).
+    formats it, so both give the same bytes.  A row of another length
+    raises ValueError; the chunks before its own are already written.
+    ``run`` writes column tables; this form serves callers that build
+    rows, such as the benchmark's writer probe (rotnbench/layers.py).
     """
     rows = iter(rows)
     with open(path, "w", newline="") as fh:
         _write_head(fh, config, columns)
         while chunk := list(islice(rows, _ROWS_PER_WRITE)):
-            _write_chunk(fh, list(zip(*chunk)))
+            _write_chunk(fh, list(zip(*chunk, strict=True)))
 
 
 def write_json(path: str, config: ExperimentConfig, report: dict) -> None:

@@ -295,6 +295,29 @@ def test_writer_takes_the_benchmark_row_form(tmp_path):
     assert payload(by_run) == payload(ref)
 
 
+@pytest.mark.parametrize("short", [0, 5, _C + 5])
+def test_writer_refuses_a_row_of_another_length(tmp_path, short):
+    # a short row anywhere, in the first chunk or a later one, is an error,
+    # never a chunk cut to its shortest row
+    config = ExperimentConfig(kind="heavy", N=1)
+    rows = [(i, 0.5, i) for i in range(2 * _C)]
+    rows[short] = (short, 0.5)
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "r.csv"), config, ["n", "x", "S"], rows)
+    rows[short] = (short, 0.5, short, 1)
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "r.csv"), config, ["n", "x", "S"], rows)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (_C + 1, _C + 2)])
+def test_writer_refuses_columns_of_different_lengths(tmp_path, lengths):
+    config = ExperimentConfig(kind="heavy", N=1)
+    path = tmp_path / "c.csv"
+    with pytest.raises(ValueError):
+        write_columns(str(path), config, ["a", "b"], [range(n) for n in lengths])
+    assert not path.exists()
+
+
 def test_writer_never_holds_a_whole_column(tmp_path):
     # one column as a list of floats would take 32 B/row, 8 MB here; a
     # chunk's strings take about 3 MB whatever the row count

@@ -2,11 +2,12 @@
 """Run alternating parent/change benchmark pairs and record them in a BENCH file.
 
     tools/bench_pairs.py REF --workload W --seeds S [S ...] --out BENCH_<pr>.json
-                         [--trace 0|1] [--seconds 25]
+                         [--trace 0|1]
 
 For each seed, runs ``rotnbench/run.py --workload W --seed S`` once from
 commit REF and once from this checkout, the side that runs first
-alternating from pair to pair.  REF's ``src`` and ``rotnbench`` are
+alternating from pair to pair, each run as long as BENCHMARK.json's
+run_seconds says.  REF's ``src`` and ``rotnbench`` are
 extracted with ``git archive`` into a temporary directory, as in
 ``tools/out_bytes.sh``; the change side is the working tree, committed
 or not.  Both results files are copied verbatim into the BENCH file.
@@ -23,7 +24,6 @@ median.  Nothing under ``rotnbench/`` is changed.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import shutil
@@ -35,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "rotnbench"), str(ROOT / "src")]
+from runner import _src_digest  # noqa: E402  the header's src_sha256 of this checkout
 NOTE = (
     "Alternating parent/change pairs on one host, the side run first alternating "
     "from pair to pair, recorded by tools/bench_pairs.py. Each entry holds both "
@@ -51,14 +53,6 @@ NOTE = (
 def _git(*args) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
                           capture_output=True, text=True).stdout.strip()
-
-
-def _src_digest(root: Path) -> str:
-    """The digest rotnbench writes as its header's src_sha256."""
-    h = hashlib.sha256()
-    for path in sorted((root / "src" / "rotn").glob("*.py*")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
 
 
 def _extract(ref: str, into: Path) -> None:
@@ -119,13 +113,12 @@ def _summary(pairs: list, declared: dict) -> dict:
     return summary
 
 
-def _write(path: Path, bench: dict, parent_commit: str, pairs: list,
-           seconds: float) -> None:
+def _write(path: Path, bench: dict, parent_commit: str, pairs: list) -> None:
     declared = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     out = {
         "benchmark": "rotnbench",
         "command": " ".join(bench["command"])
-                   + " --workload W --seed S --seconds %g --trace T" % seconds,
+                   + " --workload W --seed S --seconds %g --trace T" % bench["run_seconds"],
         "parent_commit": parent_commit,
         "parent_src_sha256": pairs[-1]["parent"]["header"]["src_sha256"],
         "change_src_sha256": pairs[-1]["change"]["header"]["src_sha256"],
@@ -152,7 +145,6 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--seconds", type=float, default=25.0)
     args = p.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -163,7 +155,7 @@ def main(argv=None) -> int:
         if doc.get("parent_commit") != parent_commit:
             raise SystemExit("bench_pairs: %s was measured against %s, not %s"
                              % (args.out, doc.get("parent_commit"), parent_commit))
-        if doc.get("change_src_sha256") != _src_digest(ROOT):
+        if doc.get("change_src_sha256") != _src_digest():
             raise SystemExit("bench_pairs: %s was measured on other sources than "
                              "this checkout's src/rotn" % (args.out,))
 
@@ -176,11 +168,11 @@ def main(argv=None) -> int:
             pair = {"workload": args.workload, "seed": seed, "trace": args.trace,
                     "first": order[0]}
             for side in order:
-                pair[side] = _run(sides[side], args.workload, seed, args.seconds,
-                                  args.trace)
+                pair[side] = _run(sides[side], args.workload, seed,
+                                  bench["run_seconds"], args.trace)
             doc["pairs"].append(pair)
             # written after every pair, so an interrupted series keeps its pairs
-            _write(args.out, bench, parent_commit, doc["pairs"], args.seconds)
+            _write(args.out, bench, parent_commit, doc["pairs"])
             # traced runs report the per-layer metrics, without wall_s
             print("%s seed %d trace %d: wall_s parent %s change %s" % (
                 args.workload, seed, args.trace, pair["parent"]["metrics"].get("wall_s"),
