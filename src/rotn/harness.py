@@ -39,10 +39,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .circle import max_gap, visit_set
+from .circle import VisitSet, max_gap, visit_set
 from .exactreal import HALF, ONE, ZERO, SurdReal, parse_cf
 from .foliation import example_alpha, example_m_formulas, trace_leaf_through, trace_ray
 from .renorm import (
+    admissible,
+    half_word,
     oracle_first_return,
     predicted_return_word,
     rationals_strictly_between,
@@ -50,8 +52,8 @@ from .renorm import (
     verify_bounds,
     verify_chains,
 )
-from .scan import orbit_scan
-from .words import expand, iter_letters
+from .scan import orbit_positions, orbit_scan
+from .words import MAX_HISTOGRAM_LENGTH, expand, letters, prefix_histogram, prefix_sum_at
 
 PRECISIONS = ("certified-fast", "exact-only")
 # leaf visits retraced under the other policy; small enough that the
@@ -70,6 +72,12 @@ _MAX_POINT_BITS = 13300
 # CSV rows formatted per write: a chunk's cell strings take about 3 MB
 # at three columns, so a 10^9-row table never holds a whole column
 _ROWS_PER_WRITE = 1 << 13
+# steps of the orbit of 1/2 that a run reading its signs off the tower
+# also scans, so the two routes check each other; about 1 ms of scan
+_PREFIX_STEPS = 1 << 16
+# visit times are found this many steps at a time, so the running sums
+# exist one chunk at a time next to the int8 signs
+_SUM_CHUNK = 1 << 16
 _ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.Div: operator.truediv}
 
@@ -112,6 +120,9 @@ class ExperimentConfig:
         for name in ("depth", "N", "k_max", "samples"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % (name,))
+        # orbit indices and visit counts are int64
+        if self.N > MAX_HISTOGRAM_LENGTH:
+            raise ValueError("N %d is above the limit of 2^63 - 1" % (self.N,))
         kind = self.kind
         if kind in ("tower", "oracle") and self.depth > _MAX_DEPTH:
             raise ValueError("depth %d is above the limit of %d"
@@ -384,11 +395,73 @@ def _gap_ladder(N: int) -> list:
     return sorted(horizons)
 
 
+def _tower_word(config: ExperimentConfig, cf):
+    """half_word(cf, N) when the run reads the orbit of 1/2 off the tower, else None.
+
+    A certified run on an admissible alpha does: the orbit of 1/2 writes
+    the letters of half_word, exactly.  Exact-only runs stay the ground
+    truth and scan, and so does any alpha without a tower.
+    """
+    if config.policy == "certified" and admissible(cf):
+        return half_word(cf, config.N)
+    return None
+
+
+def _prefix_check(alpha: SurdReal, signs: np.ndarray):
+    """Scan len(signs) steps of the orbit of 1/2 and compare the signs.
+
+    Returns the scan and the report keys that say where the signs came
+    from and whether the scan agreed.
+    """
+    steps = signs.size
+    scan = orbit_scan(HALF, alpha, steps)
+    agrees = bool(np.array_equal(scan.signs[:steps], signs))
+    return scan, {"signs": "tower", "prefix_steps_checked": steps,
+                  "prefix_agrees": agrees}
+
+
+_SCANNED = {"signs": "scan", "prefix_steps_checked": 0}
+
+
+def _half_visits(alpha: SurdReal, word, m: int, N: int, k: int):
+    """visit_set(HALF, alpha, m, N, k=k), with the signs read off word.
+
+    The visit times come from a chunked cumsum of the first N letters,
+    and positions are computed only at the visit indices, by the scan's
+    own formula and radius test, so they equal the scan's bit for bit.
+    Returns the visit set and the prefix check's report keys.
+    """
+    signs = letters(word, N)
+    parts = [np.zeros(1, dtype=np.int64)] if m == 0 else []  # S_0 = 0
+    carry = 0
+    for lo in range(0, N, _SUM_CHUNK):
+        chunk = signs[lo:lo + _SUM_CHUNK]
+        if abs(m - carry) > chunk.size:  # S_n moves by 1 a step: out of reach
+            carry += int(chunk.sum(dtype=np.int64))
+            continue
+        # sums within a chunk fit int32, whose cumsum is ~3x faster than int64's
+        rise = np.cumsum(chunk, dtype=np.int32)
+        parts.append(np.flatnonzero(rise == m - carry) + (lo + 1))
+        carry += int(rise[-1])
+    times = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    positions, escalated, radius = orbit_positions(HALF, alpha, times + k)
+    scan, check = _prefix_check(alpha, signs[:_PREFIX_STEPS])
+    vs = VisitSet(m=m, k=k, horizon=N, times=times, positions=positions,
+                  position_radius=radius,
+                  escalations=int(scan.escalated.size + escalated.size))
+    return vs, check
+
+
 def _density(config: ExperimentConfig):
     """How the level-m visit positions fill the circle as N grows."""
-    m, N = config.m, config.N
-    vs = visit_set(HALF, parse_cf(config.alpha).value, m, N, k=config.k,
-                   policy=config.policy)
+    m, N, k = config.m, config.N, config.k
+    cf = parse_cf(config.alpha)
+    word = _tower_word(config, cf)
+    if word is None:
+        vs = visit_set(HALF, cf.value, m, N, k=k, policy=config.policy)
+        check = _SCANNED
+    else:
+        vs, check = _half_visits(cf.value, word, m, N, k)
 
     rows = []
     for h in _gap_ladder(N):
@@ -405,7 +478,7 @@ def _density(config: ExperimentConfig):
         ok = False
 
     report = {**vs.summary(), "escalations": vs.escalations, "horizons": rows,
-              "ok": ok}
+              **check, "ok": ok and check.get("prefix_agrees", True)}
     names = ["N", "count", "first_time", "max_gap"]
     return report, (names, [[r[c] for r in rows] for c in names])
 
@@ -440,8 +513,8 @@ def _example(config: ExperimentConfig):
             np.array_equal(back.sums[1: n_sym + 1], fwd.sums[1: n_sym + 1])
         )
         n_pref = min(N, 20000)
-        prefix = list(islice(iter_letters(rep.witness), n_pref))
-        report["witness_prefix_ok"] = prefix == list(fwd.signs[:n_pref])
+        prefix = letters(rep.witness, min(n_pref, rep.witness.length))
+        report["witness_prefix_ok"] = bool(np.array_equal(prefix, fwd.signs[:n_pref]))
         report["ok"] = (report["formulas_ok"] and rep.ok
                         and report["max_forward_sum"] == -1
                         and report["symmetric_sums"]
@@ -500,21 +573,39 @@ def _leaf(config: ExperimentConfig):
 
 
 def _heavy(config: ExperimentConfig):
-    """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N."""
+    """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N.
+
+    When the signs come off the tower, the counts and extrema are one
+    prefix histogram of half_word and the final sum one prefix sum, at
+    any N below 2^63; the scan then only checks the tower, over 2^16
+    steps, or over all N when --out needs its table.
+    """
     N = config.N
-    scan = orbit_scan(HALF, parse_cf(config.alpha).value, N, policy=config.policy)
-    sums = scan.sums[1:]
-    violations = int(np.count_nonzero(sums >= 0))
+    cf = parse_cf(config.alpha)
+    word = _tower_word(config, cf)
+    if word is None:
+        scan = orbit_scan(HALF, cf.value, N, policy=config.policy)
+        sums = scan.sums[1:]
+        stats = {"violations": int(np.count_nonzero(sums >= 0)),
+                 "min_sum": int(sums.min()), "max_sum": int(sums.max()),
+                 "final_sum": int(sums[-1])}
+        check = _SCANNED
+    else:
+        lo, counts = prefix_histogram(word, N)
+        stats = {"violations": int(counts[max(0, -lo):].sum()),
+                 "min_sum": lo, "max_sum": lo + counts.size - 1,
+                 "final_sum": prefix_sum_at(word, N)}
+        steps = N if config.out else min(N, _PREFIX_STEPS)
+        scan, check = _prefix_check(cf.value, letters(word, steps))
     report = {
         "alpha": config.alpha,
         "N": N,
-        "violations": violations,
-        "min_sum": int(sums.min()),
-        "max_sum": int(sums.max()),
-        "final_sum": int(sums[-1]),
+        **stats,
         "escalations": int(scan.escalated.size),
-        "ok": violations == 0,
+        **check,
+        "ok": stats["violations"] == 0 and check.get("prefix_agrees", True),
     }
+    # written only with --out, when the scan covers all N steps
     return report, (["n", "position", "S_n"], [range(N + 1), scan.positions, scan.sums])
 
 

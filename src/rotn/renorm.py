@@ -35,6 +35,7 @@ back into a ``SurdReal``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ __all__ = [
     "RenormLevel",
     "ReturnRecord",
     "BoundsCheck",
+    "admissible",
     "base_level",
     "step",
     "tower",
@@ -56,6 +58,7 @@ __all__ = [
     "oracle_first_return",
     "predicted_return_word",
     "fast_birkhoff",
+    "half_word",
     "rationals_strictly_between",
 ]
 
@@ -141,27 +144,34 @@ class RenormLevel:
         return self.interval.from_local((self.interval.to_local(x) + self.beta).frac())
 
 
-def _check_admissible(alpha: CFNumber) -> None:
-    """The tower hypothesis: a1 odd >= 5, everything after even >= 6."""
+def _inadmissibility(alpha: CFNumber) -> str | None:
+    """Why alpha breaks the tower hypothesis, or None when it holds.
+
+    The hypothesis: a1 odd >= 5, everything after even >= 6.
+    """
     a1 = alpha.coefficient(1)
     if a1 % 2 == 0 or a1 < 5:
-        raise ValueError(
-            "coefficient a1 = %d of %s must be odd and >= 5" % (a1, alpha)
-        )
+        return "coefficient a1 = %d of %s must be odd and >= 5" % (a1, alpha)
     # two periods past the preperiod covers every distinct position,
     # including a period head that recycles into position 1's slot
     horizon = len(alpha.preperiod) + 2 * len(alpha.period)
     for i in range(2, horizon + 1):
         c = alpha.coefficient(i)
         if c % 2 == 1 or c < 6:
-            raise ValueError(
-                "coefficient a%d = %d of %s must be even and >= 6" % (i, c, alpha)
-            )
+            return "coefficient a%d = %d of %s must be even and >= 6" % (i, c, alpha)
+    return None
+
+
+def admissible(alpha: CFNumber) -> bool:
+    """Whether alpha has a renormalization tower: a1 odd >= 5, the rest even >= 6."""
+    return _inadmissibility(alpha) is None
 
 
 def base_level(alpha: CFNumber) -> RenormLevel:
     """Level 1: the rotation itself on I_1 = [0, 1), one-letter words."""
-    _check_admissible(alpha)
+    reason = _inadmissibility(alpha)
+    if reason is not None:
+        raise ValueError(reason)
     value = alpha.value
     return RenormLevel(
         index=1,
@@ -228,17 +238,39 @@ def step(level: RenormLevel) -> RenormLevel:
 _tower_cache: dict[CFNumber, list[RenormLevel]] = {}
 
 
-def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
-    """Levels 1..depth.  Levels are deterministic, so they are cached."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1, got %r" % (depth,))
+def _cached_levels(alpha: CFNumber) -> list[RenormLevel]:
+    """The cached list of alpha's levels, which callers grow in place."""
     levels = _tower_cache.get(alpha)
     if levels is None:
         levels = [base_level(alpha)]
         _tower_cache[alpha] = levels
+    return levels
+
+
+def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
+    """Levels 1..depth.  Levels are deterministic, so they are cached."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1, got %r" % (depth,))
+    levels = _cached_levels(alpha)
     while len(levels) < depth:
         levels.append(step(levels[-1]))
     return levels[:depth]
+
+
+def half_word(alpha: CFNumber, n: int) -> SignWord:
+    """F_minus of the shallowest level with at least n letters.
+
+    1/2 sits at local coordinate 1/2 of every level, so the orbit of
+    1/2 writes F_minus of each level as its opening letters: the words
+    are nested prefixes of one another, and the first n letters of the
+    returned word are the signs f(t^j(1/2)), j = 0..n-1.  Each level is
+    at least three times as long as the last, so the tower grows by
+    O(log n) levels at most.
+    """
+    levels = _cached_levels(alpha)
+    while levels[-1].f_minus.length < n:
+        levels.append(step(levels[-1]))
+    return levels[bisect_left(levels, n, key=lambda lvl: lvl.f_minus.length)].f_minus
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +468,10 @@ def predicted_return_word(level: RenormLevel, x: SurdReal) -> SignWord:
 
 
 def fast_birkhoff(alpha: CFNumber, n: int) -> int:
-    """S_n(1/2) in O(tower depth), via prefix sums of the return words.
-
-    1/2 sits at local coordinate 1/2 of every level, so the orbit of
-    1/2 writes F_minus of each level as its opening letters; the words
-    are nested prefixes of one another and any S_n(1/2) is a prefix sum
-    of a deep enough F_minus.
-    """
+    """S_n(1/2) in O(tower depth): a prefix sum of ``half_word``."""
     if n < 0:
         raise ValueError("fast_birkhoff needs n >= 0, got %d" % (n,))
-    if n == 0:
-        return 0
-    levels = _tower_cache.get(alpha)
-    if levels is None:
-        tower(alpha, 1)  # returns a copy; the loop below grows the cached list
-        levels = _tower_cache[alpha]
-    while levels[-1].f_minus.length < n:
-        tower(alpha, len(levels) + 1)
-    return prefix_sum_at(levels[-1].f_minus, n)
+    return prefix_sum_at(half_word(alpha, n), n)
 
 
 def rationals_strictly_between(

@@ -15,7 +15,9 @@ so the error is linear in i with no compounding.  The kernel and the
 running sums walk the orbit in chunks small enough to stay in a
 per-core L2 cache, writing into the output arrays in place, so a
 certified scan holds little beyond its output: 8 + 1 + 8 bytes per
-step for positions, signs and sums.
+step for positions, signs and sums.  ``orbit_positions`` evaluates the
+kernel's formula and radius test at chosen indices only, for callers
+that know the signs already and need a few positions.
 
 The "exact" policy replaces the float loop with a walk on an
 ``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
@@ -34,7 +36,7 @@ import numpy as np
 
 from .exactreal import HALF, Frame, SurdReal, escalations
 
-__all__ = ["OrbitScan", "orbit_scan", "backend_name", "kernel_for"]
+__all__ = ["OrbitScan", "orbit_scan", "orbit_positions", "backend_name", "kernel_for"]
 
 logger = logging.getLogger(__name__)
 
@@ -84,14 +86,7 @@ def scan_kernel(x0, alpha, n, base_radius, radius_slope):
         m = hi - lo
         i, d, b, b2 = idx[:m], tmp[:m], mask[:m], far[:m]
         z = pos[lo:hi]
-        np.multiply(i, alpha, out=z)
-        z += x0
-        np.floor(z, out=d)
-        z -= d
-        # frac can round up to exactly 1.0 for z just under an integer
-        np.greater_equal(z, 1.0, out=b)
-        if b.any():
-            z[b] = 0.0
+        _frac_points(i, x0, alpha, z, d, b)
         np.less(z, 0.5, out=b)
         s = signs[lo:hi]
         np.multiply(b.view(np.int8), 2, out=s)
@@ -104,9 +99,7 @@ def scan_kernel(x0, alpha, n, base_radius, radius_slope):
         b |= b2
         cand = np.flatnonzero(b)
         if cand.size:
-            zc = z[cand]
-            rad = base_radius + i[cand] * radius_slope
-            bad = (np.abs(zc - 0.5) <= rad) | (zc <= rad) | (zc >= 1.0 - rad)
+            bad = _undecided(z[cand], i[cand], base_radius, radius_slope)
             if bad.any():
                 amb_parts.append(cand[bad].astype(np.int64) + lo)
         idx += _CHUNK
@@ -115,6 +108,59 @@ def scan_kernel(x0, alpha, n, base_radius, radius_slope):
     else:
         ambiguous = np.empty(0, dtype=np.int64)
     return pos, signs, ambiguous
+
+
+def _frac_points(i, x0, alpha, z, tmp, wrapped) -> None:
+    """z = frac(x0 + i*alpha) in place, for float indices i.
+
+    tmp and wrapped are scratch buffers of z's length (float, bool).
+    """
+    np.multiply(i, alpha, out=z)
+    z += x0
+    np.floor(z, out=tmp)
+    z -= tmp
+    # frac can round up to exactly 1.0 for z just under an integer
+    np.greater_equal(z, 1.0, out=wrapped)
+    if wrapped.any():
+        z[wrapped] = 0.0
+
+
+def _undecided(z, i, base_radius, radius_slope):
+    """Mask of the points z at float indices i whose certified interval,
+    of radius base_radius + i*radius_slope, touches 0, 1/2 or 1."""
+    rad = base_radius + i * radius_slope
+    return (np.abs(z - 0.5) <= rad) | (z <= rad) | (z >= 1.0 - rad)
+
+
+def orbit_positions(x0: SurdReal, alpha: SurdReal, indices: np.ndarray):
+    """Positions t^i(x0) at the given int64 indices i, as the scan gives them.
+
+    Returns (positions, escalated, radius_bound).  An index i >= 0 gets
+    the kernel's float frac(x0 + i*alpha), or the float of the exact
+    point where the kernel's radius test flags i (those indices come
+    back as ``escalated``), so each position is bit-equal to
+    ``orbit_scan(x0, alpha, n).positions[i]`` for any n >= i.  An index
+    below 0 is outside the radius model and gets the exact point.
+    radius_bound is the certified radius at the largest index.
+    """
+    x0 = x0.frac()
+    x0f, af, base, slope = _scan_radii(x0, alpha)
+    pos = np.empty(indices.size, dtype=np.float64)
+    escalated = []
+    for lo in range(0, indices.size, _CHUNK):
+        idx = indices[lo:lo + _CHUNK]
+        i = idx.astype(np.float64)
+        z = pos[lo:lo + _CHUNK]
+        _frac_points(i, x0f, af, z, np.empty_like(i), np.empty(i.size, dtype=bool))
+        bad = np.flatnonzero(_undecided(z, i, base, slope) & (idx >= 0))
+        escalated.append(idx[bad])
+        for j in np.flatnonzero(idx < 0).tolist() + bad.tolist():
+            z[j] = float((x0 + alpha * int(idx[j])).frac())
+    escalated = np.concatenate(escalated) if escalated else np.empty(0, dtype=np.int64)
+    if escalated.size:
+        escalations.bump(int(escalated.size))
+    top = int(indices.max()) if indices.size else 0
+    return pos, escalated, base + max(top, 0) * slope
 
 
 # rotnbench records backend_name() in its results and probes every

@@ -23,11 +23,21 @@ summaries:
 words are the same object and the memoized stats are shared.  All
 counters are Python ints: a depth-40 tower has word lengths around
 10^28 and that must not overflow.
+
+Two more readers work by descent, at a cost that grows with the depth
+of the DAG and not with the prefix length: ``letters`` writes a prefix
+as an int8 array by block copies, and ``prefix_histogram`` counts how
+often each value occurs among the prefix sums.  The second memoizes
+each node's histogram, which composes like the stats above: a concat
+shifts the right histogram by the left total, and a power adds copies
+shifted by multiples of the base total.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "SignWord",
@@ -37,7 +47,10 @@ __all__ = [
     "concat_all",
     "power",
     "expand",
+    "letters",
     "prefix_sum_at",
+    "prefix_histogram",
+    "MAX_HISTOGRAM_LENGTH",
     "to_sexpr",
     "PLUS",
     "MINUS",
@@ -65,6 +78,7 @@ class SignWord:
         "total",
         "_maxp",
         "_minp",
+        "_hist",
         "uid",
     )
 
@@ -78,6 +92,7 @@ class SignWord:
         self.exp = exp
         self.uid = _next_uid
         _next_uid += 1
+        self._hist = None  # (lo, counts), filled by _histogram
         if kind == _ATOM:
             self.length = 1
             self.total = sign
@@ -207,6 +222,169 @@ def prefix_sum_at(w: SignWord, k: int) -> int:
                 k -= w.left.length
                 w = w.right
     return acc
+
+
+def letters(w: SignWord, n: int) -> np.ndarray:
+    """The first n letters, 0 <= n <= length, as an int8 array.
+
+    Fills the output left to right by descent.  A node already written
+    in full earlier in the output is copied from there, and a power
+    writes its base once and broadcasts it over the other copies; a
+    partial last copy is a prefix of the first.  So the work is one
+    pass of block copies plus one step per DAG node visited, and
+    nothing beyond the output is allocated but a table of node offsets.
+    """
+    if not (0 <= n <= w.length):
+        raise ValueError("prefix length %d outside [0, %d]" % (n, w.length))
+    out = np.empty(n, dtype=np.int8)
+    written = {}  # uid -> offset of a full copy of that node in out
+    # (node, start, count, False) fills out[start:start + count] with the
+    # node's first letters; the same entry with True runs once its parts
+    # are written, to tile a power's copies and note a full node
+    todo = [(w, 0, n, False)]
+    while todo:
+        node, start, count, parts_written = todo.pop()
+        if parts_written:
+            if node.kind == _POWER and count > node.base.length:
+                bl = node.base.length
+                copies, rem = divmod(count, bl)
+                first = out[start:start + bl]
+                out[start + bl:start + copies * bl].reshape(copies - 1, bl)[:] = first
+                out[start + copies * bl:start + count] = first[:rem]
+            if count == node.length:
+                written[node.uid] = start
+            continue
+        if count == 0:
+            continue
+        if count == node.length and node.uid in written:
+            src = written[node.uid]
+            out[start:start + count] = out[src:src + count]
+            continue
+        kind = node.kind
+        if kind == _ATOM:
+            out[start] = node.sign
+            written[node.uid] = start
+            continue
+        todo.append((node, start, count, True))
+        if kind == _POWER:
+            todo.append((node.base, start, min(count, node.base.length), False))
+        else:  # concat
+            cut = node.left.length
+            if count > cut:
+                todo.append((node.right, start + cut, count - cut, False))
+            todo.append((node.left, start, min(count, cut), False))
+    return out
+
+
+# Prefix-sum histograms are pairs (lo, counts): counts[j] is how many of
+# the prefix sums s_1..s_k equal lo + j.  Counts are int64, so k, and
+# every node whose histogram is built, stays below 2^63.
+MAX_HISTOGRAM_LENGTH = 2 ** 63 - 1
+
+_NO_SUMS = (0, np.zeros(0, dtype=np.int64))
+
+
+def _add_shifted(parts) -> tuple:
+    """The sum of histograms (lo, counts), each moved up by its shift."""
+    parts = [(lo + shift, c) for shift, (lo, c) in parts if c.size]
+    if not parts:
+        return _NO_SUMS
+    lo = min(p[0] for p in parts)
+    hi = max(p[0] + p[1].size for p in parts)
+    out = np.zeros(hi - lo, dtype=np.int64)
+    for plo, c in parts:
+        out[plo - lo:plo - lo + c.size] += c
+    return lo, out
+
+
+def _power_histogram(hist: tuple, total: int, exp: int) -> tuple:
+    """The histogram of base^exp, from the base's histogram and total.
+
+    Copy j adds the base histogram shifted by j*total.  Those shifts
+    step by |total|, so each output count is a window sum of exp
+    entries along one residue class mod |total|: a cumsum down the
+    columns of a (rows, |total|) reshape, minus itself exp rows up.
+    That is linear in the output's size, whatever exp is.
+    """
+    lo, counts = hist
+    if total == 0:
+        return lo, counts * exp
+    step = abs(total)
+    size = counts.size + (exp - 1) * step
+    rows = -(-size // step)
+    grid = np.zeros(rows * step, dtype=np.int64)
+    grid[:counts.size] = counts
+    run = grid.reshape(rows, step).cumsum(axis=0)
+    run[exp:] -= run[:-exp].copy()
+    return lo + min(0, (exp - 1) * total), run.ravel()[:size]
+
+
+def _histogram(w: SignWord) -> tuple:
+    """The histogram of all prefix sums of w, memoized on every node."""
+    todo = [w]
+    while todo:
+        node = todo[-1]
+        if node._hist is not None:
+            todo.pop()
+            continue
+        kind = node.kind
+        if kind == _ATOM:
+            node._hist = (node.sign, np.ones(1, dtype=np.int64))
+        elif kind == _EMPTY:
+            node._hist = _NO_SUMS
+        else:
+            kids = [node.base] if kind == _POWER else [node.left, node.right]
+            missing = [c for c in kids if c._hist is None]
+            if missing:
+                todo.extend(missing)
+                continue
+            if kind == _POWER:
+                node._hist = _power_histogram(node.base._hist, node.base.total,
+                                              node.exp)
+            else:
+                node._hist = _add_shifted([(0, node.left._hist),
+                                           (node.left.total, node.right._hist)])
+        todo.pop()
+    return w._hist
+
+
+def prefix_histogram(w: SignWord, k: int) -> tuple:
+    """(lo, counts) with counts[j] = #{1 <= i <= k : s_i = lo + j}.
+
+    s_i is the sum of the first i letters; 0 <= k <= length, and k is at
+    most MAX_HISTOGRAM_LENGTH, because the counts are int64.  Letters
+    are +-1, so the sums take every value from lo = min(s_1..s_k) to
+    their max and no count is 0 (k = 0 gives (0, [])).  Descends the
+    DAG like prefix_sum_at, adding the memoized histograms of the whole
+    nodes it passes.
+    """
+    if not (0 <= k <= w.length):
+        raise ValueError("prefix length %d outside [0, %d]" % (k, w.length))
+    if k > MAX_HISTOGRAM_LENGTH:
+        raise ValueError("prefix length %d is above the int64 limit 2^63 - 1" % (k,))
+    parts = []  # (shift, histogram)
+    acc = 0
+    while k > 0:
+        if k == w.length:
+            parts.append((acc, _histogram(w)))
+            break
+        if w.kind == _POWER:
+            base = w.base
+            copies, k = divmod(k, base.length)
+            if copies:
+                parts.append((acc, _power_histogram(_histogram(base), base.total,
+                                                    copies)))
+                acc += copies * base.total
+            w = base
+        else:  # concat; an atom has length 1 and was taken whole above
+            if k > w.left.length:
+                parts.append((acc, _histogram(w.left)))
+                acc += w.left.total
+                k -= w.left.length
+                w = w.right
+            else:
+                w = w.left
+    return _add_shifted(parts)
 
 
 def iter_letters(w: SignWord) -> Iterator[int]:

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rotn import harness
 from rotn.cli import main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
@@ -20,6 +21,7 @@ from rotn.harness import (
     write_columns,
     write_csv,
 )
+from rotn.renorm import fast_birkhoff
 from rotn.scan import orbit_scan
 
 A = parse_cf("[0;5,(6)]").value
@@ -158,6 +160,117 @@ def test_run_heavy_contrast():
     # an admissible alpha is not heavy: its sums cross zero
     rep2 = run(ExperimentConfig(kind="heavy", N=3000))
     assert not rep2["ok"] and rep2["violations"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the orbit of 1/2 read off the tower, against the scan
+
+
+def _scan_route(monkeypatch, **fields):
+    """The report of the scan route (orbit_scan and visit_set): the same
+    run with no alpha admissible, so no tower is read."""
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "admissible", lambda cf: False)
+        return run(ExperimentConfig(**fields))
+
+
+def _same_values(tower_rep, scan_rep, steps):
+    assert tower_rep["signs"] == "tower" and tower_rep["prefix_agrees"] is True
+    assert tower_rep["prefix_steps_checked"] == steps
+    assert scan_rep["signs"] == "scan" and scan_rep["prefix_steps_checked"] == 0
+    assert "prefix_agrees" not in scan_rep
+    own = {"signs", "prefix_steps_checked", "prefix_agrees", "escalations"}
+    assert {k: v for k, v in tower_rep.items() if k not in own} \
+        == {k: v for k, v in scan_rep.items() if k not in own}
+    # max_gap bit for bit: nan == nan, and 0.0 != -0.0, in this form
+    gaps = [np.float64(h["max_gap"]).tobytes() for h in tower_rep.get("horizons", [])]
+    assert gaps == [np.float64(h["max_gap"]).tobytes()
+                    for h in scan_rep.get("horizons", [])]
+
+
+@pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+def test_density_off_the_tower_equals_the_scan(monkeypatch, N):
+    for m in range(-3, 4):
+        for k in (-2, 0, 3):
+            fields = dict(kind="density", m=m, k=k, N=N)
+            _same_values(run(ExperimentConfig(**fields)),
+                         _scan_route(monkeypatch, **fields), min(N, 2**16))
+
+
+@pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"])
+def test_heavy_off_the_tower_equals_the_scan(monkeypatch, alpha, N):
+    fields = dict(kind="heavy", alpha=alpha, N=N)
+    _same_values(run(ExperimentConfig(**fields)), _scan_route(monkeypatch, **fields),
+                 min(N, 2**16))
+
+
+def test_heavy_out_scans_every_step_once(monkeypatch, tmp_path):
+    N = 2**16 + 1
+    scans = []
+    honest = harness.orbit_scan
+
+    def counted(*args, **kwargs):
+        scans.append(args[2])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "orbit_scan", counted)
+    tower_out, scan_out = str(tmp_path / "tower.csv"), str(tmp_path / "scan.csv")
+    rep = run(ExperimentConfig(kind="heavy", N=N, out=tower_out))
+    assert scans == [N]
+    _same_values(rep, _scan_route(monkeypatch, kind="heavy", N=N, out=scan_out), N)
+    # the header lines differ only in the --out path they record
+    assert open(tower_out, "rb").readlines()[1:] == open(scan_out, "rb").readlines()[1:]
+
+
+def test_exact_only_and_inadmissible_runs_scan():
+    for fields in (dict(kind="heavy", N=100, precision="exact-only"),
+                   dict(kind="density", N=100, precision="exact-only"),
+                   dict(kind="heavy", alpha="[0;(2)]", N=100),
+                   dict(kind="density", alpha="[0;(2)]", N=100)):
+        rep = run(ExperimentConfig(**fields))
+        assert rep["signs"] == "scan" and rep["prefix_steps_checked"] == 0
+
+
+@pytest.mark.parametrize("kind", ["density", "heavy"])
+def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind):
+    argv = [kind, "--N", "1000"] + (["--alpha", "[0;5,(6)]"] if kind == "heavy" else [])
+    honest = harness.letters
+    assert main(argv) == (0 if kind == "density" else 1)  # heavy: its sums cross 0
+
+    def flipped(w, n):
+        out = honest(w, n)
+        if n > 100:
+            out[100] *= -1
+        return out
+
+    monkeypatch.setattr(harness, "letters", flipped)
+    rep = run(ExperimentConfig(kind=kind, N=1000))
+    assert rep["prefix_agrees"] is False and rep["ok"] is False
+    assert main(argv) == 1
+    capsys.readouterr()
+
+
+def test_heavy_answers_n_past_memory_off_the_tower():
+    # a fresh process, so the tower is built from a cold cache
+    code = ("import contextlib, io, json, time\n"
+            "from rotn.cli import main\n"
+            "said = io.StringIO()\n"
+            "t = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(said):\n"
+            "    status = main(['heavy', '--alpha', '[0;5,(6)]', '--N', str(10**18)])\n"
+            "print(json.dumps({'status': status, 'seconds': time.perf_counter() - t,\n"
+            "                  'report': json.loads(said.getvalue())}))\n")
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["status"] == 1 and doc["seconds"] < 1.0
+    rep = doc["report"]
+    assert rep["final_sum"] == fast_birkhoff(parse_cf("[0;5,(6)]"), 10**18)
+    assert rep["signs"] == "tower" and rep["prefix_agrees"] is True
+    assert rep["prefix_steps_checked"] == 2**16
+    assert rep["min_sum"] <= min(rep["final_sum"], -1) and rep["max_sum"] >= 0
+    assert 0 < rep["violations"] < 10**18
 
 
 def test_run_oracle_report(tmp_path):
@@ -522,9 +635,14 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
      "depth 100000 is above the limit of 1000"),
     (["example", "--kmax", "100000", "--N", "1000"],
      "k_max 100000 is above the limit of 500"),
+    # counts and orbit indices are int64, whichever route reads the signs
+    (["heavy", "--alpha", "[0;5,(6)]", "--N", str(2 ** 63)],
+     "N 9223372036854775808 is above the limit of 2^63 - 1"),
+    (["density", "--N", str(10 ** 4000)], "is above the limit of 2^63 - 1"),
 ], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
         "oracle-depth-12", "oracle-a-million-samples", "oracle-depth-400",
-        "oracle-past-floats", "tower-depth", "oracle-depth", "example-kmax"])
+        "oracle-past-floats", "tower-depth", "oracle-depth", "example-kmax",
+        "heavy-past-int64", "density-past-int64"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
 

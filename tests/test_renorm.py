@@ -7,8 +7,10 @@ import pytest
 
 from rotn.exactreal import SurdReal, parse_cf
 from rotn.renorm import (
+    admissible,
     base_level,
     fast_birkhoff,
+    half_word,
     oracle_first_return,
     predicted_return_word,
     rationals_strictly_between,
@@ -37,8 +39,16 @@ HALF = SurdReal(1, 0, 2)
     ("[0;5,(4)]", "a2 = 4"),
 ])
 def test_admissibility_diagnostics(bad, fragment):
+    assert not admissible(parse_cf(bad))
     with pytest.raises(ValueError, match=fragment.replace("(", "\\(")):
         tower(parse_cf(bad), 3)
+
+
+@pytest.mark.parametrize("good", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;9,6,(12)]",
+                                  "[0;5,8,(6)]"])
+def test_admissible_alphas_build_towers(good):
+    assert admissible(parse_cf(good))
+    assert len(tower(parse_cf(good), 4)) == 4
 
 
 def test_base_level():
@@ -125,6 +135,21 @@ def test_minus_words_extend_each_other():
         for _ in range(40):
             k = rng.randrange(w0.length + 1)
             assert prefix_sum_at(w0, k) == prefix_sum_at(w1, k)
+
+
+def test_half_word_is_the_shallowest_long_enough_f_minus():
+    cf = parse_cf("[0;7,(8,10)]")
+    tower(cf, 9)  # a deeper cached tower must not change the answer
+    lengths = [lvl.f_minus.length for lvl in tower(cf, 9)]
+    for n in (0, 1, 2, lengths[2] - 1, lengths[2], lengths[2] + 1, lengths[8]):
+        w = half_word(cf, n)
+        assert w.length >= n
+        assert w.length == min(x for x in lengths if x >= n)
+    # past the cached levels the tower grows, and the words stay nested
+    deep = half_word(cf, lengths[8] + 1)
+    assert deep.length > lengths[8] and len(tower(cf, 10)) == 10
+    sums = orbit_scan(HALF, cf.value, 5000, policy="exact").sums
+    assert [prefix_sum_at(deep, n) for n in range(5001)] == sums.tolist()
 
 
 def test_fast_birkhoff_equals_direct():

@@ -8,7 +8,8 @@ import pytest
 import rotn.scan
 from rotn.exactreal import SurdReal, parse_cf
 from rotn.scan import (
-    _CHUNK, _scan_radii, backend_name, kernel_for, orbit_scan, scan_kernel,
+    _CHUNK, _scan_radii, backend_name, kernel_for, orbit_positions, orbit_scan,
+    scan_kernel,
 )
 
 A = parse_cf("[0;5,(6)]").value
@@ -164,3 +165,29 @@ def test_certified_scan_memory_is_its_output(direction):
     # positions, signs and sums take 8 + 1 + 8 bytes per step; the
     # kernel's chunk buffers and cumsum's cast copy fit in the 4 MB
     assert peak <= 17 * n + 4 * 2**20
+
+
+@pytest.mark.parametrize("seed", ["1/2", "(1+a)/2", "1/2+2^-80", "1/2-123457*a"])
+def test_positions_at_indices_are_the_scans_bit_for_bit(seed):
+    x0 = {"1/2": HALF, "(1+a)/2": (1 + A) / 2,
+          "1/2+2^-80": HALF + SurdReal(1) / 2**80,
+          "1/2-123457*a": (HALF - A * 123457).frac()}[seed]
+    n = 3 * _CHUNK + 5
+    scan = orbit_scan(x0, A, n)
+    rng = np.random.default_rng(7)
+    idx = np.unique(np.concatenate([[0, 1, _CHUNK - 1, _CHUNK, 123457, n],
+                                    rng.integers(0, n + 1, 3 * _CHUNK)]))
+    pos, escalated, radius = orbit_positions(x0, A, idx)
+    assert np.array_equal(pos.view(np.uint64), scan.positions[idx].view(np.uint64))
+    assert np.array_equal(escalated, np.intersect1d(scan.escalated, idx))
+    assert radius == scan.radius_bound
+    # the seeds at 1/2 are flagged at index 0; the last one reaches 1/2
+    # at index 123457, where only the exact point rounds to 0.5
+    flagged = {"1/2": 0, "1/2+2^-80": 0, "1/2-123457*a": 123457}.get(seed)
+    if flagged is not None:
+        assert flagged in escalated and pos[np.searchsorted(idx, flagged)] == 0.5
+    # indices below 0 are outside the radius model: exact points
+    back, escalated, _ = orbit_positions(x0, A, np.array([-3, -1, 2]))
+    assert back[:2].tolist() == [float((x0 + A * i).frac()) for i in (-3, -1)]
+    assert back[2] == scan.positions[2]
+    assert -3 not in escalated and -1 not in escalated

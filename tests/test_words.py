@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotn.exactreal import parse_cf
+from rotn.renorm import tower
 from rotn.words import (
     EMPTY,
+    MAX_HISTOGRAM_LENGTH,
     MINUS,
     PLUS,
     atom,
@@ -17,7 +20,9 @@ from rotn.words import (
     expand,
     intern_size,
     iter_letters,
+    letters,
     power,
+    prefix_histogram,
     prefix_sum_at,
     to_sexpr,
 )
@@ -142,3 +147,95 @@ def test_dag_stats_match_naive(w, data):
         assert w.min_prefix == int(sums.min())
         k = data.draw(st.integers(0, w.length))
         assert prefix_sum_at(w, k) == (int(sums[k - 1]) if k else 0)
+
+
+# ---------------------------------------------------------------------------
+# letters and prefix histograms, against numpy on the expanded word
+
+
+def _numpy_reference(w, n):
+    """The first n letters by the letter generator, and their sums' histogram."""
+    ref = np.fromiter(islice(iter_letters(w), n), dtype=np.int8, count=n)
+    sums = np.cumsum(ref, dtype=np.int64)
+    lo = int(sums.min()) if n else 0
+    return ref, lo, np.bincount(sums - lo) if n else np.zeros(0, dtype=np.int64)
+
+
+def _check_prefix(w, n):
+    ref, lo, counts = _numpy_reference(w, n)
+    got = letters(w, n)
+    assert got.dtype == np.int8 and np.array_equal(got, ref)
+    hist_lo, hist = prefix_histogram(w, n)
+    assert hist_lo == lo and np.array_equal(hist, counts), n
+
+
+def _node_boundaries(w, cap):
+    """Offsets below cap where a DAG node starts or ends, found by descent."""
+    found, todo = set(), [(w, 0)]
+    while todo and len(found) < 200:
+        node, start = todo.pop()
+        if start >= cap or node.length < 2:
+            continue
+        if node.kind == "power":
+            step = node.base.length
+            found.update(range(start, min(start + node.length, cap) + 1, step))
+            todo.append((node.base, start))
+        else:
+            found.add(start + node.left.length)
+            todo += [(node.left, start), (node.right, start + node.left.length)]
+    return found
+
+
+@st.composite
+def admissible_levels(draw):
+    a1 = draw(st.sampled_from([5, 7, 9, 11, 13, 15]))
+    period = draw(st.lists(st.sampled_from([6, 8, 10, 14, 20]), min_size=1, max_size=2))
+    levels = tower(parse_cf("[0;%d,(%s)]" % (a1, ",".join(map(str, period)))), 7)
+    level = draw(st.sampled_from(levels))
+    return draw(st.sampled_from([level.f_plus, level.f_minus, level.f_zero]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible_levels(), st.data())
+def test_letters_and_histogram_match_numpy_on_tower_words(w, data):
+    cap = min(w.length, 10**5)
+    n = data.draw(st.integers(0, cap))
+    _check_prefix(w, n)
+    edges = sorted(_node_boundaries(w, cap))
+    for b in data.draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else ():
+        for m in (b - 1, b, b + 1):
+            if 0 <= m <= cap:
+                _check_prefix(w, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_words(), st.data())
+def test_letters_and_histogram_match_numpy_on_any_word(w, data):
+    _check_prefix(w, data.draw(st.integers(0, w.length)))
+    _check_prefix(w, w.length)
+
+
+def test_histogram_of_a_long_power_in_closed_form():
+    # a total-0 base repeated 10^9 times: its histogram, times 10^9
+    lo, counts = prefix_histogram(power(concat_all([PLUS, PLUS, MINUS, MINUS]), 10**9),
+                                  4 * 10**9)
+    assert (lo, counts.tolist()) == (0, [10**9, 2 * 10**9, 10**9])
+    # (+ + -)^e climbs by 1 a copy: copy j writes j+1, j+2, j+1
+    e = 10**6
+    lo, counts = prefix_histogram(power(concat_all([PLUS, PLUS, MINUS]), e), 3 * e)
+    assert lo == 1 and counts.tolist() == [2] + [3] * (e - 1) + [1]
+    lo, counts = prefix_histogram(power(concat_all([MINUS, MINUS, PLUS]), e), 3 * e)
+    assert lo == -(e + 1) and counts.tolist() == [1] + [3] * (e - 1) + [2]
+
+
+def test_prefix_readers_check_their_length():
+    w = power(PLUS, 5)
+    for read in (letters, prefix_histogram):
+        with pytest.raises(ValueError):
+            read(w, 6)
+        with pytest.raises(ValueError):
+            read(w, -1)
+    huge = power(PLUS, MAX_HISTOGRAM_LENGTH + 1)
+    with pytest.raises(ValueError, match="int64"):
+        prefix_histogram(huge, MAX_HISTOGRAM_LENGTH + 1)
+    assert prefix_histogram(huge, 3)[1].tolist() == [1, 1, 1]
