@@ -25,7 +25,6 @@ from .exactreal import (
     SurdReal,
     alpha_next,
     cf_value,
-    convergent,
     gauss_step,
     parse_cf,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "SurdReal",
     "alpha_next",
     "cf_value",
-    "convergent",
     "gauss_step",
     "parse_cf",
     "__version__",

@@ -44,7 +44,6 @@ __all__ = [
     "cf_value",
     "gauss_step",
     "alpha_next",
-    "convergent",
     "expand_coefficients",
     "escalations",
 ]
@@ -357,7 +356,8 @@ def _surd_sign(p: int, q: int, d: int) -> int:
 
     d must be square-free, and d > 1 whenever q != 0: then q*sqrt(d) is
     irrational, so when p and q*sqrt(d) have opposite signs their
-    squares never tie.  This is the package's one exact sign test.
+    squares never tie.  This is the package's one exact sign test;
+    ``_surd_signs`` is its array form.
     """
     if q == 0:
         return (p > 0) - (p < 0)
@@ -366,6 +366,21 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     if p * p > q * q * d:
         return 1 if p > 0 else -1
     return 1 if q > 0 else -1
+
+
+def _surd_signs(p, q, d: int):
+    """``_surd_sign`` elementwise over numpy integer arrays p and q.
+
+    The same test: the sign of p where p and q agree, and otherwise of
+    whichever of p and q*sqrt(d) is larger, p*p against q*q*d.  int64
+    arrays need p*p and q*q*d below 2^63; object arrays of Python ints
+    have no bound.  Returns an array of -1, 0 and +1 of their dtype.
+    """
+    import numpy as np
+
+    sp = np.sign(p)
+    sq = np.sign(q)
+    return np.where((sp == sq) | (p * p > q * q * d), sp, sq)
 
 
 def _coerce(x):
@@ -640,19 +655,6 @@ def alpha_next(alpha: CFNumber) -> CFNumber:
         return CFNumber(pre, shifted.period)
     per = shifted.period
     return CFNumber((per[0] - 1,), per[1:] + per[:1])
-
-
-def convergent(alpha: CFNumber, k: int) -> Fraction:
-    """The k-th convergent p_k/q_k, k >= 1, from the first k coefficients."""
-    if k < 1:
-        raise ValueError("convergent index must be >= 1, got %d" % (k,))
-    p0, q0 = 0, 1  # p_0/q_0
-    p1, q1 = 1, alpha.coefficient(1)  # p_1/q_1
-    for i in range(2, k + 1):
-        c = alpha.coefficient(i)
-        p0, p1 = p1, c * p1 + p0
-        q0, q1 = q1, c * q1 + q0
-    return Fraction(p1, q1)
 
 
 def expand_coefficients(x: SurdReal, count: int) -> list[int]:

@@ -21,9 +21,16 @@ that know the signs already and need a few positions.
 
 The "exact" policy replaces the float loop with a walk on an
 ``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
-common denominator R, a step is two integer adds, and every sign and
-wrap decision is one exact integer sign test.  Positions are still
-reported as floats, (P + Q*sqrt(d))/R.
+common denominator R, and the walk takes 2^12 of them at a time as
+numpy arrays.  For each point it finds g = floor(2x) of the unwrapped
+point x: a float guess that two exact bracket tests, g <= 2x and
+2x < g + 1, confirm or move by one.  Those tests are the package's one
+exact integer sign test in array form, and the float only picks which
+integer they test, so every sign (the parity of g) and every wrap (by
+g >> 1) is exact.  The arrays are int64 while the tests' squares stay
+below 2^62, which for the alphas of the README holds for 10^7 to 10^8
+steps, and Python ints past that.  Positions are still reported as
+floats, (P + Q*sqrt(d))/R.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactreal import HALF, Frame, SurdReal, escalations
+from .exactreal import HALF, Frame, SurdReal, _surd_signs, escalations
 
 __all__ = ["OrbitScan", "orbit_scan", "orbit_positions", "backend_name", "kernel_for"]
 
@@ -44,6 +51,15 @@ logger = logging.getLogger(__name__)
 # chunk of positions and signs it writes (9 more) take 1.8 MB, so one
 # chunk's whole pass stays inside a 2 MB per-core L2 cache.
 _CHUNK = 1 << 16
+
+# The exact walk's chunk length: its temporaries are a few dozen arrays
+# of this many integers.  Bracket tests run on int64 while p and
+# q*sqrt(d) stay below _INT64_ROOT, so that p*p and q*q*d stay below
+# 2^62, and on Python ints past that.  A guess off by one settles in
+# the second of _ROUNDS rounds.
+_EXACT_CHUNK = 1 << 12
+_INT64_ROOT = 1 << 31
+_ROUNDS = 2
 
 
 def scan_kernel(x0, alpha, n, base_radius, radius_slope):
@@ -298,32 +314,79 @@ def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
 def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     """Integer-only scan on one frame: exact signs, float positions.
 
-    x0 lies in [0, 1) and the step in (-1, 1), so after a step one
-    wrap test, in the step's direction, brings the point back.  A step
-    shorter than 1/2 cannot wrap from the half of the circle away from
-    the edge it moves toward, and then the test is skipped.
+    Walks ``_EXACT_CHUNK`` points at a time from the chunk's first
+    point (P, Q), which lies in [0, 1).  Its k-th point, unwrapped, is
+    x_k = (P + k*Pa + (Q + k*Qa)*sqrt(d))/R, and g_k = floor(2*x_k)
+    says everything the scan needs: the sign is +1 exactly when g_k is
+    even, and the wrapped point is P + k*Pa - (g_k >> 1)*R over the same
+    Q.  ``_floor_twice`` finds g_k from a float guess.  The last point
+    of one chunk, wrapped, is the first of the next, so no chunk's
+    integers grow with its index, only Q does.
+
+    A chunk runs on int64 arrays while its bracket tests stay below
+    2^62: every |2P - gR| tested is below 2R + 2|Q|*sqrt(d), and |Q| is
+    largest at an end of the chunk.  Past that it runs the same code on
+    object arrays of Python ints.  Positions are (P + Q*sqrt(d))/R in
+    IEEE arithmetic, whichever the dtype.
     """
     if alpha.is_rational:
         raise ValueError("rotation number must be irrational")
+    step = alpha if direction == 1 else -alpha
     frame = Frame(x0, alpha, HALF)
-    R, sign = frame.R, frame.sign
+    R, d = frame.R, frame.d
     P, Q = frame.embed(x0)
-    Pa, Qa = frame.embed(alpha if direction == 1 else -alpha)
-    Ph, _ = frame.embed(HALF)
-    short = sign(Ph - direction * Pa, -direction * Qa) > 0
+    Pa, Qa = frame.embed(step)
+    af = float(step)
+    sqd = math.sqrt(d)
+    root = math.isqrt(d) + 1
 
-    sqd = math.sqrt(frame.d)
     positions = np.empty(count, dtype=np.float64)
     signs = np.empty(count, dtype=np.int8)
-    for i in range(count):
-        positions[i] = (P + Q * sqd) / R
-        left = sign(P - Ph, Q) < 0  # 1/2 itself is on the right
-        signs[i] = 1 if left else -1
-        P += Pa
-        Q += Qa
-        if direction == 1:
-            if not (short and left) and sign(P - R, Q) >= 0:
-                P -= R
-        elif (left or not short) and sign(P, Q) < 0:
-            P += R
+    kf = np.arange(_EXACT_CHUNK + 1, dtype=np.float64)
+    for lo in range(0, count, _EXACT_CHUNK):
+        m = min(_EXACT_CHUNK, count - lo)
+        top = max(abs(Q), abs(Q + m * Qa))
+        dtype = np.int64 if 2 * R + 2 * top * root < _INT64_ROOT else object
+        k = np.arange(m + 1, dtype=dtype)
+        Pk = P + k * Pa
+        Qk = Q + k * Qa
+        # within 2^-38 of 2*x_k for |alpha| < 1: float(x) is within 2^-53
+        # of x < 1, and each of k*af's two roundings and the sum's costs
+        # at most 2^-41 for k <= 2^12, so the guess is off by at most one
+        guess = np.floor(2.0 * (kf[: m + 1] * af + float(frame.surd(P, Q))))
+        g = _floor_twice(Pk, Qk, R, d, guess.astype(np.int64).astype(dtype))
+        Pk -= (g >> 1) * R
+        positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]
+        signs[lo : lo + m] = 1 - 2 * (g[:m] & 1)
+        P, Q = int(Pk[m]), int(Qk[m])
     return positions, signs, np.empty(0, dtype=np.int64), 0.0
+
+
+def _floor_twice(P, Q, R: int, d: int, g):
+    """floor(2x) for the lattice points x = (P + Q*sqrt(d))/R, from a
+    guess g that is off by at most ``_ROUNDS`` - 1.
+
+    g is right exactly when g <= 2x < g + 1, that is when
+    ``_surd_signs(2P - gR, 2Q, d) >= 0`` and
+    ``_surd_signs(2P - (g+1)R, 2Q, d) < 0``.  Each round runs both
+    tests on the points still unsettled and moves each failing guess
+    one toward 2x.  P, Q and g are int64 arrays whose tested values
+    keep p*p and q*q*d below 2^63, or object arrays; g is updated in
+    place and returned.  Raises ArithmeticError if the rounds run out.
+    """
+    at = np.arange(g.size)
+    p = 2 * P - g * R
+    q = 2 * Q
+    for _ in range(_ROUNDS):
+        low = _surd_signs(p, q, d) < 0
+        high = _surd_signs(p - R, q, d) >= 0
+        miss = np.flatnonzero(low | high)
+        if not miss.size:
+            return g
+        move = high[miss].astype(g.dtype) - low[miss].astype(g.dtype)
+        at, p, q = at[miss], p[miss] - move * R, q[miss]
+        g[at] += move
+    raise ArithmeticError(
+        "floor(2x) not settled in %d rounds at %d of %d points: the float "
+        "guess was off by more than %d" % (_ROUNDS, at.size, g.size, _ROUNDS - 1)
+    )

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +14,10 @@ from rotn.exactreal import (
     CFNumber,
     SurdReal,
     _squarefree_core,
+    _surd_sign,
+    _surd_signs,
     alpha_next,
     cf_value,
-    convergent,
     expand_coefficients,
     gauss_step,
     parse_cf,
@@ -158,6 +160,48 @@ def test_field_ops_match_mpmath(p1, q1, r1, p2, q2, r2):
             assert abs(float(got) - float(want)) < 1e-12
 
 
+_SQUAREFREE = st.integers(2, 10**6).filter(lambda d: _squarefree_core(d)[0] == 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=_SQUAREFREE, data=st.data())
+def test_array_sign_is_the_scalar_sign(d, data):
+    # int64 arrays take p*p and q*q*d up to 2^62; object arrays any size
+    qmax = math.isqrt(2**62 // d)
+    small = st.tuples(st.integers(-(2**31), 2**31), st.integers(-qmax, qmax))
+    big = st.tuples(st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
+    for dtype, pairs in ((np.int64, small), (object, big)):
+        ps, qs = zip(*data.draw(st.lists(pairs, min_size=1, max_size=20)))
+        got = _surd_signs(np.array(ps, dtype=dtype), np.array(qs, dtype=dtype), d)
+        assert got.tolist() == [_surd_sign(p, q, d) for p, q in zip(ps, qs)]
+
+
+@pytest.mark.parametrize("d, named", [
+    (2, [(1, 1), (3, 2), (7, 5), (17, 12)]),
+    (7, [(8, 3), (127, 48)]),
+    (13, [(18, 5)]),
+])
+def test_array_sign_on_pell_near_ties(d, named):
+    # powers of p1 + q1*sqrt(d) give p*p - d*q*q = +-1: their squares
+    # nearly tie, and the larger decides the sign of p - q*sqrt(d)
+    (p1, q1), (p, q) = named[0], named[0]
+    pell = []
+    while p < 2**120:
+        assert abs(p * p - d * q * q) == 1
+        pell.append((p, q))
+        p, q = p * p1 + d * q * q1, p * q1 + q * p1
+    assert pell[:len(named)] == named
+    for dtype, limit in ((np.int64, 2**31), (object, 2**120)):
+        pairs = [(sp * p, sq * q) for p, q in pell if p < limit
+                 for sp in (1, -1) for sq in (1, -1)]
+        ps, qs = zip(*pairs)
+        got = _surd_signs(np.array(ps, dtype=dtype), np.array(qs, dtype=dtype), d)
+        assert got.tolist() == [_surd_sign(p, q, d) for p, q in pairs]
+        larger = [p if p * p > d * q * q else q for p, q in pairs]
+        assert got.tolist() == [1 if x > 0 else -1 for x in larger]
+    assert max(p for p, _ in pell if p < 2**31) > 2**28  # near the int64 limit
+
+
 # ---------------------------------------------------------------------------
 # certified floats
 
@@ -223,21 +267,6 @@ def test_gauss_step_and_alpha_next():
 def test_alpha_next_needs_room():
     with pytest.raises(ValueError):
         alpha_next(parse_cf("[0;5,(1)]"))
-
-
-def test_convergents():
-    assert convergent(ALPHA, 1) == Fraction(1, 5)
-    assert convergent(ALPHA, 2) == Fraction(6, 31)
-    assert convergent(ALPHA, 3) == Fraction(37, 191)
-    root2 = parse_cf("[0;(2)]")
-    assert [convergent(root2, k) for k in (1, 2, 3)] == [
-        Fraction(1, 2), Fraction(2, 5), Fraction(5, 12),
-    ]
-    # convergents strictly alternate around the value
-    v = ALPHA.value
-    for k in range(1, 8):
-        lo, hi = sorted([convergent(ALPHA, k), convergent(ALPHA, k + 1)])
-        assert SurdReal.from_fraction(lo) < v < SurdReal.from_fraction(hi)
 
 
 def test_expand_coefficients_recovers_cf():

@@ -1,15 +1,16 @@
 """The scan kernel, certified-vs-exact agreement, escalation."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import rotn.scan
-from rotn.exactreal import SurdReal, parse_cf
+from rotn.exactreal import Frame, SurdReal, parse_cf
 from rotn.scan import (
-    _CHUNK, _scan_radii, backend_name, kernel_for, orbit_positions, orbit_scan,
-    scan_kernel,
+    _CHUNK, _EXACT_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
+    kernel_for, orbit_positions, orbit_scan, scan_kernel,
 )
 
 A = parse_cf("[0;5,(6)]").value
@@ -165,6 +166,116 @@ def test_certified_scan_memory_is_its_output(direction):
     # positions, signs and sums take 8 + 1 + 8 bytes per step; the
     # kernel's chunk buffers and cumsum's cast copy fit in the 4 MB
     assert peak <= 17 * n + 4 * 2**20
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_exact_scan_memory_is_its_output(direction):
+    n = 2 * 10**5
+    orbit_scan(HALF, A, 10, direction=direction, policy="exact")
+    tracemalloc.start()
+    try:
+        orbit_scan(HALF, A, n, direction=direction, policy="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output, 17 bytes per step, plus one chunk's temporaries of the
+    # exact walk and cumsum's chunk-sized cast copy
+    assert peak <= 17 * n + 2**20
+
+
+def _reference_exact_scan(x0, alpha, count, direction):
+    """The exact scan as a per-step loop: two integer adds a step and
+    one scalar sign test per decision.  Kept verbatim as the reference
+    for ``_exact_scan``."""
+    if alpha.is_rational:
+        raise ValueError("rotation number must be irrational")
+    frame = Frame(x0, alpha, HALF)
+    R, sign = frame.R, frame.sign
+    P, Q = frame.embed(x0)
+    Pa, Qa = frame.embed(alpha if direction == 1 else -alpha)
+    Ph, _ = frame.embed(HALF)
+    short = sign(Ph - direction * Pa, -direction * Qa) > 0
+
+    sqd = math.sqrt(frame.d)
+    positions = np.empty(count, dtype=np.float64)
+    signs = np.empty(count, dtype=np.int8)
+    for i in range(count):
+        positions[i] = (P + Q * sqd) / R
+        left = sign(P - Ph, Q) < 0  # 1/2 itself is on the right
+        signs[i] = 1 if left else -1
+        P += Pa
+        Q += Qa
+        if direction == 1:
+            if not (short and left) and sign(P - R, Q) >= 0:
+                P -= R
+        elif (left or not short) and sign(P, Q) < 0:
+            P += R
+    return positions, signs, np.empty(0, dtype=np.int64), 0.0
+
+
+def _same_walk(got, ref):
+    assert np.array_equal(got[1], ref[1])
+    assert np.array_equal(got[0].view(np.uint64), ref[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;1,(3)]"])  # alpha < 1/2, > 1/2
+@pytest.mark.parametrize("direction", [1, -1])
+def test_exact_walk_matches_the_loop_bit_for_bit(cf, direction):
+    alpha = parse_cf(cf).value
+    rng = np.random.default_rng(len(cf) + direction)
+    dyadic = [SurdReal(int(rng.integers(0, 2**k)), 0, 2**k) for k in (1, 7, 40)]
+    surd = [((SurdReal(int(rng.integers(-50, 50))) + alpha * int(rng.integers(-50, 50)))
+             / int(rng.integers(1, 30))).frac() for _ in range(3)]
+    sizes = (0, 1, _EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 5)
+    for x0 in dyadic + surd:
+        ref = _reference_exact_scan(x0, alpha, sizes[-1], direction)
+        for n in sizes:
+            _same_walk(_exact_scan(x0, alpha, n, direction), [a[:n] for a in ref[:2]])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_floor_twice_settles_guesses_off_by_one(dtype):
+    alpha = parse_cf("[0;13,(20,6)]").value
+    frame = Frame(HALF, alpha)
+    R, d = frame.R, frame.d
+    Pa, Qa = frame.embed(alpha)
+    k = np.arange(-300, 300)
+    P, Q = (k * Pa).astype(dtype), (k * Qa + 1).astype(dtype)
+    exact = np.array([math.floor(2 * SurdReal(int(p), int(q), R, d)) for p, q in zip(P, Q)])
+    for off in (-1, 0, 1):
+        g = (exact + off).astype(dtype)
+        assert np.array_equal(_floor_twice(P, Q, R, d, g), exact)
+    with pytest.raises(ArithmeticError, match="off by more than 1"):
+        _floor_twice(P, Q, R, d, (exact + 2).astype(dtype))
+
+
+def test_exact_scan_crosses_from_int64_to_python_ints(monkeypatch):
+    # d is about 1.2*10^8, so (2*max|Q|)^2 * d passes 2^62 near step 10^5
+    alpha = parse_cf("[0;21,(30,28,26)]").value
+    n = 100_000 + 3 * _EXACT_CHUNK
+    dtypes = []
+
+    def spy(P, *args):
+        dtypes.append(P.dtype)
+        return _floor_twice(P, *args)
+
+    monkeypatch.setattr(rotn.scan, "_floor_twice", spy)
+    for direction in (1, -1):
+        dtypes.clear()
+        scan = orbit_scan(HALF, alpha, n, direction=direction, policy="exact")
+        switch = dtypes.index(np.dtype(object)) * _EXACT_CHUNK
+        assert 0 < switch < n and set(dtypes[switch // _EXACT_CHUNK:]) == {np.dtype(object)}
+        rng = np.random.default_rng(11)
+        for i in rng.integers(0, n + 1, 200).tolist() + [switch - 1, switch, n]:
+            x = (HALF + alpha * (direction * i)).frac()
+            assert scan.signs[i] == (1 if x < HALF else -1), i
+        # the loop from the exact point two chunks before the switch walks
+        # the same lattice points, so its window must match bit for bit
+        lo = switch - 2 * _EXACT_CHUNK
+        start = (HALF + alpha * (direction * lo)).frac()
+        ref = _reference_exact_scan(start, alpha, 4 * _EXACT_CHUNK, direction)
+        _same_walk((scan.positions[lo:lo + 4 * _EXACT_CHUNK],
+                    scan.signs[lo:lo + 4 * _EXACT_CHUNK]), ref)
 
 
 @pytest.mark.parametrize("seed", ["1/2", "(1+a)/2", "1/2+2^-80", "1/2-123457*a"])
