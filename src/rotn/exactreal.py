@@ -20,7 +20,8 @@ common denominator R and one field Q(sqrt(d)) for every value a walk
 touches, and holds each point as an integer pair (P, Q) standing for
 (P + Q*sqrt(d))/R.  A rotation step is then two integer adds, and every
 comparison is one call of the same integer sign test that
-``SurdReal.sign`` uses, against thresholds embedded once.
+``SurdReal.sign`` uses, against thresholds embedded once, or of its
+array form ``_surd_signs`` on numpy arrays of lattice points.
 
 ``CFNumber`` is an eventually periodic continued fraction
 [0; c1, c2, ...] normalized to a primitive period and minimal
@@ -376,7 +377,7 @@ def _surd_signs(p, q, d: int):
     arrays need p*p and q*q*d below 2^63; object arrays of Python ints
     have no bound.  Returns an array of -1, 0 and +1 of their dtype.
     """
-    import numpy as np
+    import numpy as np  # here, so that importing this module needs no numpy
 
     sp = np.sign(p)
     sq = np.sign(q)

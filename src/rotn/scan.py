@@ -28,9 +28,9 @@ point x: a float guess that two exact bracket tests, g <= 2x and
 exact integer sign test in array form, and the float only picks which
 integer they test, so every sign (the parity of g) and every wrap (by
 g >> 1) is exact.  The arrays are int64 while the tests' squares stay
-below 2^62, which for the alphas of the README holds for 10^7 to 10^8
-steps, and Python ints past that.  Positions are still reported as
-floats, (P + Q*sqrt(d))/R.
+below 2^62, which for the README's alphas holds past 10^8 steps (for
+[0;21,(30,28,26)], with d ~ 1.2*10^8, only to ~10^5), and Python ints
+past that.  Positions are still reported as floats, (P + Q*sqrt(d))/R.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     if alpha.is_rational:
         raise ValueError("rotation number must be irrational")
     step = alpha if direction == 1 else -alpha
-    frame = Frame(x0, alpha, HALF)
+    frame = Frame(x0, alpha)
     R, d = frame.R, frame.d
     P, Q = frame.embed(x0)
     Pa, Qa = frame.embed(step)
