@@ -223,6 +223,7 @@ def _same_walk(got, ref):
 def test_exact_walk_matches_the_loop_bit_for_bit(cf, direction):
     alpha = parse_cf(cf).value
     rng = np.random.default_rng(len(cf) + direction)
+    # R = 2^40 is past the int64 bound: that seed walks on Python ints
     dyadic = [SurdReal(int(rng.integers(0, 2**k)), 0, 2**k) for k in (1, 7, 40)]
     surd = [((SurdReal(int(rng.integers(-50, 50))) + alpha * int(rng.integers(-50, 50)))
              / int(rng.integers(1, 30))).frac() for _ in range(3)]
