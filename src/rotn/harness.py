@@ -46,6 +46,7 @@ from .renorm import (
     admissible,
     half_word,
     oracle_first_return,
+    orbit_word,
     predicted_return_word,
     rationals_strictly_between,
     tower,
@@ -407,14 +408,14 @@ def _tower_word(config: ExperimentConfig, cf):
     return None
 
 
-def _prefix_check(alpha: SurdReal, signs: np.ndarray):
-    """Scan len(signs) steps of the orbit of 1/2 and compare the signs.
+def _prefix_check(x: SurdReal, alpha: SurdReal, signs: np.ndarray):
+    """Scan len(signs) steps of the orbit of x and compare the signs.
 
     Returns the scan and the report keys that say where the signs came
     from and whether the scan agreed.
     """
     steps = signs.size
-    scan = orbit_scan(HALF, alpha, steps)
+    scan = orbit_scan(x, alpha, steps)
     agrees = bool(np.array_equal(scan.signs[:steps], signs))
     return scan, {"signs": "tower", "prefix_steps_checked": steps,
                   "prefix_agrees": agrees}
@@ -445,7 +446,7 @@ def _half_visits(alpha: SurdReal, word, m: int, N: int, k: int):
         carry += int(rise[-1])
     times = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     positions, escalated, radius = orbit_positions(HALF, alpha, times + k)
-    scan, check = _prefix_check(alpha, signs[:_PREFIX_STEPS])
+    scan, check = _prefix_check(HALF, alpha, signs[:_PREFIX_STEPS])
     vs = VisitSet(m=m, k=k, horizon=N, times=times, positions=positions,
                   position_radius=radius,
                   escalations=int(scan.escalated.size + escalated.size))
@@ -484,7 +485,19 @@ def _density(config: ExperimentConfig):
 
 
 def _example(config: ExperimentConfig):
-    """The bounded-above orbit family: formulas plus an orbit audit."""
+    """The bounded-above orbit family: formulas plus an orbit audit.
+
+    The audit follows x = (1+alpha)/2 for N steps: max_forward_sum is the
+    largest of S_1(x)..S_N(x), symmetric_sums compares the first
+    min(N, 10^5) forward sums with the backward ones, and
+    witness_prefix_ok compares the first 20,000 signs with the witness
+    word.  An exact-only run scans all N steps.  A certified run reads
+    max_forward_sum off one prefix histogram of orbit_word, the tower
+    descent of x, at any N below 2^63; its forward scan covers only
+    min(N, 10^5) steps, serves both checks above, and must equal the
+    descent's letters for ok to hold.  The descent never reads the
+    witness, which is what the audit checks.
+    """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
 
@@ -505,10 +518,19 @@ def _example(config: ExperimentConfig):
 
     if N >= 1:
         av = rep.alpha.value
-        fwd = orbit_scan(rep.x, av, N, policy=config.policy)
         n_sym = min(N, 10 ** 5)
+        if config.policy == "certified":
+            word = orbit_word(rep.alpha, rep.x, N)
+            lo, counts = prefix_histogram(word, N)
+            max_forward_sum = lo + counts.size - 1
+            fwd, check = _prefix_check(rep.x, av, letters(word, n_sym))
+            descent_agrees = check["prefix_agrees"]
+        else:
+            fwd = orbit_scan(rep.x, av, N, policy="exact")
+            max_forward_sum = int(fwd.sums[1:].max())
+            descent_agrees = True
         back = orbit_scan(rep.x, av, n_sym, direction=-1, policy=config.policy)
-        report["max_forward_sum"] = int(fwd.sums[1:].max())
+        report["max_forward_sum"] = max_forward_sum
         report["symmetric_sums"] = bool(
             np.array_equal(back.sums[1: n_sym + 1], fwd.sums[1: n_sym + 1])
         )
@@ -518,7 +540,7 @@ def _example(config: ExperimentConfig):
         report["ok"] = (report["formulas_ok"] and rep.ok
                         and report["max_forward_sum"] == -1
                         and report["symmetric_sums"]
-                        and report["witness_prefix_ok"])
+                        and report["witness_prefix_ok"] and descent_agrees)
     else:
         report["ok"] = report["formulas_ok"] and rep.ok
 
@@ -619,7 +641,7 @@ def _heavy(config: ExperimentConfig):
                  "min_sum": lo, "max_sum": lo + counts.size - 1,
                  "final_sum": prefix_sum_at(word, N)}
         steps = N if config.out else min(N, _PREFIX_STEPS)
-        scan, check = _prefix_check(cf.value, letters(word, steps))
+        scan, check = _prefix_check(HALF, cf.value, letters(word, steps))
     report = {
         "alpha": config.alpha,
         "N": N,

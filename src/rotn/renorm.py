@@ -59,6 +59,7 @@ __all__ = [
     "predicted_return_word",
     "fast_birkhoff",
     "half_word",
+    "orbit_word",
     "rationals_strictly_between",
 ]
 
@@ -271,6 +272,75 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     while levels[-1].f_minus.length < n:
         levels.append(step(levels[-1]))
     return levels[bisect_left(levels, n, key=lambda lvl: lvl.f_minus.length)].f_minus
+
+
+def _returns_bound(level: RenormLevel) -> int:
+    """Most return-map steps the orbit of a point of I_i takes to enter I_(i+1).
+
+    In the local chart of I_i the return map is rotation by beta, with
+    |beta| = 1/(b + g) for the leading coefficient b = 2*n_half + 1 and
+    g = G(|beta|) < 1/6, and I_(i+1) is |beta|*(1 - g) long.  After b
+    steps a point sits delta = g*|beta| from where it started, so the
+    first 2b + 1 points of any orbit are x_j and x_j - delta, j < b,
+    and x_0 - 2*delta, whose gaps are delta or |beta| - delta, all at
+    most the length of I_(i+1): one of them lies in it, after at most 2b
+    steps.  Random starts in five fields reach 2b at every level.
+    """
+    return 4 * level.n_half + 2
+
+
+def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
+    """A word whose first n letters are f(t^j(x)), j = 0..n-1, for exact x in [0, 1).
+
+    Follows x down the tower: at level i, the return word that
+    ``predicted_return_word`` names for x covers the orbit up to its
+    next visit to I_i.  If that word reaches n letters, the descent
+    stops; if x lies in I_(i+1) it moves down a level, whose returns are
+    made of level-i returns; otherwise the word is appended and x moves
+    on by the return map.  Each level takes at most 4*n_half + 2
+    returns (see ``_returns_bound``; more raise RuntimeError), so the
+    cost is O(depth * b) exact operations whatever n is, and the word
+    is built from the levels' words, so its prefix readers cost the
+    same.  A start outside [0, 1), outside alpha's field, or whose orbit
+    meets a case boundary (a singular orbit) raises ValueError.
+    """
+    if n < 0:
+        raise ValueError("orbit_word needs n >= 0, got %d" % (n,))
+    if not ZERO <= x < ONE:
+        raise ValueError("start %s is outside [0, 1)" % (x.exact_str(),))
+    if x.q and x.d != alpha.value.d:
+        raise ValueError("start %s is not in the field of %s" % (x.exact_str(), alpha))
+    levels = _cached_levels(alpha)
+    start = x
+    parts = []  # [word, repeats]: runs of one return word at one level
+    length = 0
+    i = returns = 0  # the level, and the returns taken on it
+    while True:
+        lvl = levels[i]
+        try:
+            w = predicted_return_word(lvl, x)
+        except ValueError:
+            raise ValueError("the orbit of %s meets a case boundary of level %d"
+                             % (start.exact_str(), lvl.index)) from None
+        if length + w.length >= n:
+            parts.append([w, 1])
+            break
+        if i + 1 == len(levels):
+            levels.append(step(lvl))
+        if levels[i + 1].interval.contains(x):
+            i, returns = i + 1, 0
+            continue
+        returns += 1
+        if returns > _returns_bound(lvl):
+            raise RuntimeError("no entry into level %d within %d returns from %s"
+                               % (i + 2, _returns_bound(lvl), start.exact_str()))
+        if parts and parts[-1][0] is w:
+            parts[-1][1] += 1
+        else:
+            parts.append([w, 1])
+        length += w.length
+        x = lvl.return_map(x)
+    return concat_all(power(w, k) for w, k in parts)
 
 
 # ---------------------------------------------------------------------------

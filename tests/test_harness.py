@@ -21,6 +21,7 @@ from rotn.harness import (
     write_columns,
     write_csv,
 )
+from rotn.foliation import example_m_formulas
 from rotn.renorm import fast_birkhoff, half_word
 from rotn.scan import orbit_scan
 from rotn.words import prefix_histogram
@@ -251,6 +252,41 @@ def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind
     assert rep["prefix_agrees"] is False and rep["ok"] is False
     assert main(argv) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_example_off_the_descent_equals_the_exact_scan(m):
+    # past the 10^5-step scan window, only the descent covers the steps
+    fields = dict(kind="example", m=m, k_max=6, N=3 * 10**5)
+    cert = run(ExperimentConfig(**fields))
+    assert cert == run(ExperimentConfig(**fields, precision="exact-only"))
+    assert cert["ok"] is True
+
+
+def test_example_forward_max_is_the_witness_prefix_max_far_out():
+    N = 10**12
+    for m, k_max in ((2, 10), (3, 8)):
+        witness = example_m_formulas(m, k_max).witness
+        lo, counts = prefix_histogram(witness, N)
+        rep = run(ExperimentConfig(kind="example", m=m, k_max=k_max, N=N))
+        assert rep["max_forward_sum"] == lo + counts.size - 1 == -1 and rep["ok"]
+
+
+def test_a_flipped_descent_letter_fails_the_example(monkeypatch):
+    witness = example_m_formulas(2, 6).witness
+    honest = harness.letters
+
+    def flipped(w, n):
+        out = honest(w, n)
+        if w is not witness:
+            out[100] *= -1
+        return out
+
+    monkeypatch.setattr(harness, "letters", flipped)
+    rep = run(ExperimentConfig(kind="example", m=2, k_max=6, N=1000))
+    assert rep["max_forward_sum"] == -1
+    assert rep["symmetric_sums"] and rep["witness_prefix_ok"] and rep["formulas_ok"]
+    assert rep["ok"] is False
 
 
 def test_heavy_answers_n_past_memory_off_the_tower():
@@ -565,17 +601,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err.startswith("rotn: error: ") and err.count("\n") == 1
     # 10^18 steps cannot be allocated on any machine: one line, no traceback.
     # A summary-only certified ray on an admissible alpha reads its levels
-    # off the tower instead; an exact one, one with no tower and one that
+    # off the tower instead, and a certified example its forward sums off
+    # the descent of x; an exact one, one with no tower and one that
     # writes every entry must still scan
     huge = str(10**18)
     ray = ["leaf", "--ray", "0", "--N", huge]
     for argv in (["heavy", "--N", huge], ["heavy", "--N", huge, "--precision", "exact-only"],
-                 ["density", "--N", huge], ["example", "--N", huge],
+                 ["density", "--N", huge], ["example", "--N", huge, "--precision", "exact-only"],
                  ray + ["--precision", "exact-only"], ray + ["--alpha", "[0;(2)]"],
                  ray + ["--out", str(tmp_path / "ray.csv")]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("rotn: error: ") and err.count("\n") == 1
+    assert main(["example", "--N", huge]) == 0
+    assert json.loads(capsys.readouterr().out)["max_forward_sum"] == -1
     # a seed with a 12,900-bit denominator runs in both precisions
     for precision in PRECISIONS:
         assert main(["leaf", "--through", "a**5000", "--N", "3",

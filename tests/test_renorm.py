@@ -3,15 +3,20 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotn.exactreal import SurdReal, parse_cf
+from rotn import renorm
+from rotn.exactreal import ONE, SurdReal, parse_cf
 from rotn.renorm import (
     admissible,
     base_level,
     fast_birkhoff,
     half_word,
     oracle_first_return,
+    orbit_word,
     predicted_return_word,
     rationals_strictly_between,
     step,
@@ -20,7 +25,7 @@ from rotn.renorm import (
     verify_chains,
 )
 from rotn.scan import orbit_scan
-from rotn.words import EMPTY, MINUS, PLUS, expand, iter_letters, prefix_sum_at
+from rotn.words import EMPTY, MINUS, PLUS, expand, iter_letters, letters, prefix_sum_at
 
 ALPHA = parse_cf("[0;5,(6)]")
 HALF = SurdReal(1, 0, 2)
@@ -161,6 +166,77 @@ def test_fast_birkhoff_equals_direct():
     sums = orbit_scan(HALF, beta.value, 9999, policy="exact").sums
     for n in (1, 2, 77, 500, 9999):
         assert fast_birkhoff(beta, n) == sums[n]
+
+
+# ---------------------------------------------------------------------------
+# the tower descent of any start point
+
+FIELDS = ["[0;5,(6)]", "[0;7,(8)]", "[0;9,(18)]", "[0;13,(20,6)]", "[0;5,6,(8)]"]
+# (p, q, r) for the start ((p + q*alpha)/r).frac(): dyadic rationals, and
+# surds off the orbit of 0, whose backward half meets the case boundaries
+dyadic = st.integers(0, 40).flatmap(
+    lambda k: st.tuples(st.integers(0, 2 ** k - 1), st.just(0), st.just(2 ** k)))
+surd = st.tuples(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
+                 st.integers(2, 40)).filter(lambda s: s[0] % s[2] or s[1] % s[2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.sampled_from(FIELDS), seed=st.one_of(dyadic, surd),
+       n=st.one_of(st.integers(0, 200), st.integers(2 * 10 ** 4, 10 ** 5)))
+def test_orbit_word_letters_are_the_exact_scan_signs(alpha, seed, n):
+    cf = parse_cf(alpha)
+    p, q, r = seed
+    x = ((SurdReal(p) + cf.value * q) / r).frac()
+    w = orbit_word(cf, x, n)
+    assert w.length >= n
+    signs = orbit_scan(x, cf.value, n, policy="exact").signs[:n]
+    assert np.array_equal(letters(w, n), signs)
+
+
+def test_orbit_word_at_half_is_half_word():
+    for alpha in FIELDS:
+        cf = parse_cf(alpha)
+        for n in (0, 1, 2, 17, 5 * 10 ** 6, 10 ** 18):
+            assert orbit_word(cf, HALF, n) is half_word(cf, n)
+
+
+def test_orbit_word_refuses_singular_outside_and_foreign_starts():
+    a = ALPHA.value
+    with pytest.raises(ValueError, match="case boundary of level 1"):
+        orbit_word(ALPHA, ONE - a, 10)
+    l3 = tower(ALPHA, 3)[2]
+    on_l3 = l3.interval.from_local(ONE - l3.beta)
+    with pytest.raises(ValueError, match="case boundary of level 3"):
+        orbit_word(ALPHA, on_l3, 10 ** 6)
+    for outside in (ONE, SurdReal(-1, 0, 4), a + 1):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            orbit_word(ALPHA, outside, 10)
+    with pytest.raises(ValueError, match="not in the field"):
+        orbit_word(ALPHA, SurdReal(0, 1, 2, 2), 10)  # sqrt(2)/2
+    with pytest.raises(ValueError, match="n >= 0"):
+        orbit_word(ALPHA, HALF, -1)
+
+
+def test_orbit_word_returns_reach_the_bound_and_never_pass_it(monkeypatch):
+    # the descent raises past the bound, so every start passing is "never
+    # past it"; one return fewer on level L alone fails some start, so
+    # some start reaches the bound on that level
+    rng = random.Random(3)
+    starts = [SurdReal(rng.getrandbits(40), 0, 2 ** 40) for _ in range(200)]
+    for alpha in FIELDS:
+        for x in starts[:50]:
+            orbit_word(parse_cf(alpha), x, 10 ** 9)
+    # the starts that need all 2b returns fill about G(|beta|)*|beta| of a
+    # level, so the fields with small coefficients reach the bound soonest
+    for alpha in ("[0;5,(6)]", "[0;7,(8)]"):
+        cf = parse_cf(alpha)
+        for level in range(1, 9):
+            monkeypatch.setattr(renorm, "_returns_bound", lambda lvl: (
+                4 * lvl.n_half + 2 - (lvl.index == level)))
+            with pytest.raises(RuntimeError, match="no entry into level %d " % (level + 1)):
+                for x in starts:
+                    orbit_word(cf, x, 10 ** 9)
+            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------
