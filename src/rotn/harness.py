@@ -54,7 +54,8 @@ from .renorm import (
     verify_chains,
 )
 from .scan import orbit_positions, orbit_scan
-from .words import MAX_HISTOGRAM_LENGTH, expand, letters, prefix_histogram, prefix_sum_at
+from .words import (MAX_HISTOGRAM_LENGTH, expand, letters, level_times, prefix_histogram,
+                    prefix_sum_at)
 
 PRECISIONS = ("certified-fast", "exact-only")
 # leaf visits retraced under the other policy; small enough that the
@@ -76,9 +77,6 @@ _ROWS_PER_WRITE = 1 << 13
 # steps of the orbit of 1/2 that a run reading its signs off the tower
 # also scans, so the two routes check each other; about 1 ms of scan
 _PREFIX_STEPS = 1 << 16
-# visit times are found this many steps at a time, so the running sums
-# exist one chunk at a time next to the int8 signs
-_SUM_CHUNK = 1 << 16
 _ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
                ast.Mult: operator.mul, ast.Div: operator.truediv}
 
@@ -427,26 +425,16 @@ _SCANNED = {"signs": "scan", "prefix_steps_checked": 0}
 def _half_visits(alpha: SurdReal, word, m: int, N: int, k: int):
     """visit_set(HALF, alpha, m, N, k=k), with the signs read off word.
 
-    The visit times come from a chunked cumsum of the first N letters,
+    The visit times come from ``level_times``, by descent of the word,
     and positions are computed only at the visit indices, by the scan's
     own formula and radius test, so they equal the scan's bit for bit.
     Returns the visit set and the prefix check's report keys.
     """
-    signs = letters(word, N)
-    parts = [np.zeros(1, dtype=np.int64)] if m == 0 else []  # S_0 = 0
-    carry = 0
-    for lo in range(0, N, _SUM_CHUNK):
-        chunk = signs[lo:lo + _SUM_CHUNK]
-        if abs(m - carry) > chunk.size:  # S_n moves by 1 a step: out of reach
-            carry += int(chunk.sum(dtype=np.int64))
-            continue
-        # sums within a chunk fit int32, whose cumsum is ~3x faster than int64's
-        rise = np.cumsum(chunk, dtype=np.int32)
-        parts.append(np.flatnonzero(rise == m - carry) + (lo + 1))
-        carry += int(rise[-1])
-    times = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    times = level_times(word, m, N)
+    if m == 0:  # S_0 = 0
+        times = np.concatenate([np.zeros(1, dtype=np.int64), times])
     positions, escalated, radius = orbit_positions(HALF, alpha, times + k)
-    scan, check = _prefix_check(HALF, alpha, signs[:_PREFIX_STEPS])
+    scan, check = _prefix_check(HALF, alpha, letters(word, min(N, _PREFIX_STEPS)))
     vs = VisitSet(m=m, k=k, horizon=N, times=times, positions=positions,
                   position_radius=radius,
                   escalations=int(scan.escalated.size + escalated.size))

@@ -317,8 +317,9 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
     i = returns = 0  # the level, and the returns taken on it
     while True:
         lvl = levels[i]
+        y = lvl.interval.to_local(x)
         try:
-            w = predicted_return_word(lvl, x)
+            w = _local_return_word(lvl, y)
         except ValueError:
             raise ValueError("the orbit of %s meets a case boundary of level %d"
                              % (start.exact_str(), lvl.index)) from None
@@ -339,7 +340,7 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
         else:
             parts.append([w, 1])
         length += w.length
-        x = lvl.return_map(x)
+        x = lvl.interval.from_local((y + lvl.beta).frac())
     return concat_all(power(w, k) for w, k in parts)
 
 
@@ -517,7 +518,11 @@ def predicted_return_word(level: RenormLevel, x: SurdReal) -> SignWord:
         raise ValueError(
             "%s is outside level %d" % (x.exact_str(), level.index)
         )
-    y = interval.to_local(x)
+    return _local_return_word(level, interval.to_local(x))
+
+
+def _local_return_word(level: RenormLevel, y: SurdReal) -> SignWord:
+    """predicted_return_word's case choice, from the local coordinate y of x."""
     if level.beta.sign() > 0:
         split = ONE - level.beta
         if y < HALF:

@@ -24,13 +24,15 @@ words are the same object and the memoized stats are shared.  All
 counters are Python ints: a depth-40 tower has word lengths around
 10^28 and that must not overflow.
 
-Two more readers work by descent, at a cost that grows with the depth
-of the DAG and not with the prefix length: ``letters`` writes a prefix
-as an int8 array by block copies, and ``prefix_histogram`` counts how
-often each value occurs among the prefix sums.  The second memoizes
-each node's histogram, which composes like the stats above: a concat
-shifts the right histogram by the left total, and a power adds copies
-shifted by multiples of the base total.
+Three more readers work by descent, at a cost that grows with the
+depth of the DAG and not with the prefix length: ``letters`` writes a
+prefix as an int8 array by block copies, ``prefix_histogram`` counts
+how often each value occurs among the prefix sums, and ``level_times``
+lists the times at which the prefix sum equals one value.  The second
+memoizes each node's histogram, which composes like the stats above: a
+concat shifts the right histogram by the left total, and a power adds
+copies shifted by multiples of the base total.  The third is sized by
+the second and skips every node whose prefix range misses its level.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ __all__ = [
     "letters",
     "prefix_sum_at",
     "prefix_histogram",
+    "level_times",
     "MAX_HISTOGRAM_LENGTH",
+    "MAX_LEVEL_TIMES",
     "to_sexpr",
     "PLUS",
     "MINUS",
@@ -385,6 +389,108 @@ def prefix_histogram(w: SignWord, k: int) -> tuple:
             else:
                 w = w.left
     return _add_shifted(parts)
+
+
+# level_times answers at most this many visits: 16 B each, 8 for the
+# time and 8 for the position a caller computes at it, is 4 GiB
+MAX_LEVEL_TIMES = 2 ** 28
+# a node prefix this short is expanded and summed instead of descended;
+# the sums of up to _SUMMED_NODES whole such nodes (256 KiB each) are
+# kept, for the other levels the same node is read at
+_SUM_CHUNK = 1 << 16
+_SUMMED_NODES = 16
+
+
+def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
+    """The sorted int64 times i, 1 <= i <= n, at which s_i = m.
+
+    Allocates the output once, sized by ``prefix_histogram(w, n)``, and
+    refuses more than MAX_LEVEL_TIMES visits with ValueError.  Fills it
+    left to right by descent, the target level moving down by each
+    total it passes: a node whose [min_prefix, max_prefix] misses its
+    target is skipped; a whole node already written at the same target
+    is copied from there, shifted in time; a power of total 0 writes its
+    base once and tiles it, and one of nonzero total descends only into
+    the copies whose target lies in the base's range.  A node prefix of
+    at most 2^16 letters is expanded and summed.
+    """
+    lo, counts = prefix_histogram(w, n)
+    total = int(counts[m - lo]) if lo <= m < lo + counts.size else 0
+    if total > MAX_LEVEL_TIMES:
+        raise ValueError("level %d is reached %d times in %d steps, above the budget "
+                         "of %d visits" % (m, total, n, MAX_LEVEL_TIMES))
+    out = np.empty(total, dtype=np.int64)
+    at = 0  # the next entry of out to write
+    written = {}  # (uid, target) -> (entry, size, time) of a whole node
+    summed = {}  # uid -> prefix sums of a whole node of at most 2^16 letters
+    # (node, time, count, target, None) writes the times time + i, i <=
+    # count, at which the node's prefix sum s_i equals target; the same
+    # entry with the node's first output entry in place of None runs once
+    # its parts are written, to tile a total-0 power and note a whole node
+    todo = [(w, 0, n, m, None)] if total else []
+    while todo:
+        node, time, count, target, first = todo.pop()
+        if first is not None:
+            if node.kind == _POWER and node.total == 0 and count > node.base.length:
+                bl = node.base.length
+                copies, rem = divmod(count, bl)
+                one = out[first:at]
+                rows = np.arange(1, copies, dtype=np.int64) * bl
+                tiles = out[at:at + rows.size * one.size].reshape(rows.size, one.size)
+                np.add(one, rows[:, None], out=tiles)
+                at += tiles.size
+                part = int(np.searchsorted(one, time + rem, side="right"))
+                np.add(one[:part], copies * bl, out=out[at:at + part])
+                at += part
+            if count == node.length:
+                written[node.uid, target] = (first, at - first, time)
+            continue
+        # s_1..s_count lie in the node's range and within count of 0
+        if abs(target) > count or not node._minp <= target <= node._maxp:
+            continue
+        if count == node.length and (node.uid, target) in written:
+            src, size, src_time = written[node.uid, target]
+            np.add(out[src:src + size], time - src_time, out=out[at:at + size])
+            at += size
+            continue
+        if count <= _SUM_CHUNK:
+            sums = summed.get(node.uid) if count == node.length else None
+            if sums is None:
+                sums = np.cumsum(letters(node, count), dtype=np.int32)
+                if count == node.length:
+                    if len(summed) == _SUMMED_NODES:
+                        summed.clear()
+                    summed[node.uid] = sums
+            hits = np.flatnonzero(sums == target)
+            out[at:at + hits.size] = hits + (time + 1)
+            if count == node.length:
+                written[node.uid, target] = (at, hits.size, time)
+            at += hits.size
+            continue
+        todo.append((node, time, count, target, at))
+        if node.kind == _CONCAT:
+            left = node.left
+            if count > left.length:
+                todo.append((node.right, time + left.length, count - left.length,
+                             target - left.total, None))
+            todo.append((left, time, min(count, left.length), target, None))
+        elif node.total == 0:  # a power whose copies all write the same times
+            todo.append((node.base, time, min(count, node.base.length), target, None))
+        else:  # a power: copy j aims at target - j*step, within the base's range
+            base, step = node.base, node.base.total
+            copies, rem = divmod(count, base.length)
+            # j*step within [target - max_prefix, target - min_prefix]
+            a, b = target - base._maxp, target - base._minp
+            if step < 0:
+                a, b = b, a
+            j_lo = max(0, -(-a // step))
+            j_hi = min(copies if rem else copies - 1, b // step)
+            for j in range(j_hi, j_lo - 1, -1):
+                todo.append((base, time + j * base.length,
+                             rem if j == copies else base.length, target - j * step,
+                             None))
+    assert at == total
+    return out
 
 
 def iter_letters(w: SignWord) -> Iterator[int]:

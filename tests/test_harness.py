@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotn import harness
+from rotn import harness, words
 from rotn.cli import main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
@@ -223,6 +223,36 @@ def test_heavy_out_scans_every_step_once(monkeypatch, tmp_path):
     _same_values(rep, _scan_route(monkeypatch, kind="heavy", N=N, out=scan_out), N)
     # the header lines differ only in the --out path they record
     assert open(tower_out, "rb").readlines()[1:] == open(scan_out, "rb").readlines()[1:]
+
+
+def test_density_expands_no_more_letters_than_the_prefix_check(monkeypatch):
+    asked = []
+
+    def counted(honest):
+        def letters(w, n):
+            asked.append(n)
+            return honest(w, n)
+        return letters
+
+    monkeypatch.setattr(harness, "letters", counted(harness.letters))
+    monkeypatch.setattr(words, "letters", counted(words.letters))
+    for m in (-2, 0, 3):
+        rep = run(ExperimentConfig(kind="density", m=m, N=10**6))
+        assert rep["signs"] == "tower" and rep["prefix_agrees"] and rep["count"] > 0
+    assert asked and max(asked) <= 2**16
+
+
+def test_density_refuses_visits_over_budget_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        assert main(["density", "--N", str(10**15)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("rotn: error: level 0 is reached ") and err.count("\n") == 1
+    assert "above the budget of 268435456 visits" in err
+    assert peak < 2**22
 
 
 def test_exact_only_and_inadmissible_runs_scan():
@@ -600,6 +630,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("rotn: error: ") and err.count("\n") == 1
     # 10^18 steps cannot be allocated on any machine: one line, no traceback.
+    # A certified density on an admissible alpha allocates only its visits,
+    # and refuses the ~10^17 visits of level 0 as over its budget.
     # A summary-only certified ray on an admissible alpha reads its levels
     # off the tower instead, and a certified example its forward sums off
     # the descent of x; an exact one, one with no tower and one that
@@ -687,7 +719,7 @@ def _moved_position(trace):
     (_moved_position, "prefix_agrees"),
 ])
 def test_leaf_checks_catch_a_doctored_trace(monkeypatch, capsys, doctor, failed):
-    from rotn import harness
+    from rotn import harness, words
 
     honest = harness.trace_ray
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotn import words
 from rotn.exactreal import parse_cf
-from rotn.renorm import tower
+from rotn.renorm import half_word, tower
 from rotn.words import (
     EMPTY,
     MAX_HISTOGRAM_LENGTH,
@@ -21,6 +22,7 @@ from rotn.words import (
     intern_size,
     iter_letters,
     letters,
+    level_times,
     power,
     prefix_histogram,
     prefix_sum_at,
@@ -239,3 +241,77 @@ def test_prefix_readers_check_their_length():
     with pytest.raises(ValueError, match="int64"):
         prefix_histogram(huge, MAX_HISTOGRAM_LENGTH + 1)
     assert prefix_histogram(huge, 3)[1].tolist() == [1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# level times, against the visits of the expanded prefix sums
+
+
+def _check_level_times(w, m, n):
+    got = level_times(w, m, n)
+    want = np.flatnonzero(np.cumsum(letters(w, n), dtype=np.int64) == m) + 1
+    assert got.dtype == np.int64 and np.array_equal(got, want), (m, n)
+
+
+@st.composite
+def power_words(draw):
+    """Concatenations of long powers whose bases total 0, +-1 or +-3."""
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        total = draw(st.sampled_from([0, 1, -1, 3, -3]))
+        pairs = draw(st.integers(0 if total else 1, 3))
+        signs = draw(st.permutations([1, -1] * pairs + [1 if total > 0 else -1] * abs(total)))
+        base = concat_all(atom(s) for s in signs)
+        if draw(st.booleans()):  # a power inside the base, and one more letter
+            base = concat(power(base, draw(st.integers(2, 50))),
+                          draw(st.sampled_from([PLUS, MINUS])))
+        parts.append(power(base, draw(st.integers(1, 3 * 2**16 // base.length))))
+        parts.append(draw(st.sampled_from([PLUS, MINUS, EMPTY])))
+    return concat_all(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_words(), st.data())
+def test_level_times_match_numpy_on_long_powers(w, data):
+    edges = [n for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, w.length) if n <= w.length]
+    for n in edges + [data.draw(st.integers(0, w.length))]:  # a partial last copy, often
+        lo, counts = prefix_histogram(w, n)
+        hi = lo + counts.size - 1
+        for m in {lo - 1, hi + 1, 0, data.draw(st.integers(lo, max(lo, hi)))}:
+            _check_level_times(w, m, n)
+    assert level_times(w, w.max_prefix + 1, w.length).size == 0
+    assert level_times(w, w.min_prefix - 10**20, w.length).size == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(sign_words(), st.data())
+def test_level_times_descend_any_word(w, data):
+    # nodes of more than 4 letters are descended, not expanded
+    n = data.draw(st.integers(0, w.length))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "_SUM_CHUNK", 4)
+        for m in range(-3, 4):
+            _check_level_times(w, m, n)
+
+
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"])
+def test_level_times_of_half_word_at_every_level(alpha):
+    n = 10**6
+    w = half_word(parse_cf(alpha), n)
+    sums = np.cumsum(letters(w, n), dtype=np.int64)
+    lo, counts = prefix_histogram(w, n)
+    for m in range(lo - 1, lo + counts.size + 1):
+        got = level_times(w, m, n)
+        assert np.array_equal(got, np.flatnonzero(sums == m) + 1), m
+        assert got.size == (counts[m - lo] if lo <= m < lo + counts.size else 0)
+
+
+def test_level_times_refuse_a_count_over_budget(monkeypatch):
+    w = power(concat(PLUS, MINUS), 2**40)  # level 1 is visited 2^40 times
+    with pytest.raises(ValueError, match="budget"):
+        level_times(w, 1, w.length)
+    assert level_times(w, 2, w.length).size == 0
+    monkeypatch.setattr(words, "MAX_LEVEL_TIMES", 5)
+    assert level_times(w, 1, 10).tolist() == [1, 3, 5, 7, 9]
+    with pytest.raises(ValueError, match="budget of 5 visits"):
+        level_times(w, 1, 11)
