@@ -369,19 +369,21 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     return 1 if q > 0 else -1
 
 
-def _surd_signs(p, q, d: int):
+def _surd_signs(p, q, d: int, q_part=None):
     """``_surd_sign`` elementwise over numpy integer arrays p and q.
 
     The same test: the sign of p where p and q agree, and otherwise of
     whichever of p and q*sqrt(d) is larger, p*p against q*q*d.  int64
     arrays need p*p and q*q*d below 2^63; object arrays of Python ints
     have no bound.  Returns an array of -1, 0 and +1 of their dtype.
+    A caller that tests several p against one q may pass
+    q_part = (sign(q), q*q*d), computed once, in place of q.
     """
     import numpy as np  # here, so that importing this module needs no numpy
 
     sp = np.sign(p)
-    sq = np.sign(q)
-    return np.where((sp == sq) | (p * p > q * q * d), sp, sq)
+    sq, qqd = (np.sign(q), q * q * d) if q_part is None else q_part
+    return np.where((sp == sq) | (p * p > qqd), sp, sq)
 
 
 def _coerce(x):

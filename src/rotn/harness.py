@@ -433,7 +433,7 @@ def _half_visits(alpha: SurdReal, word, m: int, N: int, k: int):
     times = level_times(word, m, N)
     if m == 0:  # S_0 = 0
         times = np.concatenate([np.zeros(1, dtype=np.int64), times])
-    positions, escalated, radius = orbit_positions(HALF, alpha, times + k)
+    positions, escalated, radius = orbit_positions(HALF, alpha, times + k if k else times)
     scan, check = _prefix_check(HALF, alpha, letters(word, min(N, _PREFIX_STEPS)))
     vs = VisitSet(m=m, k=k, horizon=N, times=times, positions=positions,
                   position_radius=radius,

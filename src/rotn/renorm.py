@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, SurdReal, alpha_next,
                         gauss_step)
@@ -65,10 +66,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactInterval:
-    """Half-open [left, right) with exact endpoints, symmetric about 1/2."""
+    """Half-open [left, right) with exact endpoints, symmetric about 1/2.
+
+    ``length`` is right - left, computed once here: ``step`` and the
+    local chart read it at every level and every orbit point.
+    """
 
     left: SurdReal
     right: SurdReal
+    length: SurdReal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.left < self.right):
@@ -78,10 +84,7 @@ class ExactInterval:
                 "interval [%s, %s) is not symmetric about 1/2"
                 % (self.left.exact_str(), self.right.exact_str())
             )
-
-    @property
-    def length(self) -> SurdReal:
-        return self.right - self.left
+        object.__setattr__(self, "length", self.right - self.left)
 
     def contains(self, x: SurdReal) -> bool:
         return self.left <= x < self.right
@@ -122,6 +125,11 @@ class RenormLevel:
         if self.beta.sign() != sign:
             raise ValueError(
                 "level %d must have beta of sign %+d" % (self.index, sign)
+            )
+        if (self.beta if sign > 0 else -self.beta) != self.beta_cf.value:
+            raise ValueError(
+                "level %d has |beta| = %s, not the value of %s"
+                % (self.index, self.beta.exact_str(), self.beta_cf)
             )
         if not (self.f_plus.total == 1 and self.f_minus.total == -1):
             raise ValueError("return words must have totals +1/-1")
@@ -187,29 +195,47 @@ def base_level(alpha: CFNumber) -> RenormLevel:
     )
 
 
-def step(level: RenormLevel) -> RenormLevel:
-    """One renormalization: I_(i+1) inside I_i and the rewritten words."""
-    n = level.n_half
-    beta_abs = level.beta if level.beta.sign() > 0 else -level.beta
-    g = gauss_step(beta_abs)
-    scale = beta_abs * (ONE - g)
-    new_len = scale * level.interval.length
-    half_len = new_len / 2
-    interval = ExactInterval(HALF - half_len, HALF + half_len)
-    if not (new_len <= beta_abs * level.interval.length):
-        raise AssertionError("contraction failed at level %d" % (level.index,))
+@lru_cache(maxsize=1024)
+def _beta_step(beta_cf: CFNumber) -> tuple[SurdReal, SurdReal, CFNumber, int]:
+    """The exact beta arithmetic of ``step``, a function of beta_cf alone.
 
-    new_beta_abs = g / (ONE - g)
-    new_cf = alpha_next(level.beta_cf)
+    With |beta| = beta_cf.value and g = G(|beta|), returns the scale
+    |beta|(1 - g) by which the next interval is shorter, the next
+    |beta| = g/(1 - g), its continued fraction (whose value is then
+    cached on it) and that fraction's leading coefficient b.  Checks
+    the contraction (scale <= |beta|, the interval inequality divided
+    by the positive length), the coefficient surgery against the Gauss
+    map, and that b is odd and >= 5.  A tail of an eventually periodic
+    fraction recurs once a period, so a tower runs this once per
+    distinct tail; the memo is bounded, and a failed check is never
+    cached.
+    """
+    beta_abs = beta_cf.value
+    g = gauss_step(beta_abs)
+    co_g = ONE - g
+    scale = beta_abs * co_g
+    if not (scale <= beta_abs):
+        raise AssertionError("contraction failed for |beta| = %s" % (beta_cf,))
+    new_beta_abs = g / co_g
+    new_cf = alpha_next(beta_cf)
     if new_cf.value != new_beta_abs:
         raise AssertionError(
-            "coefficient surgery and Gauss map disagree at level %d" % (level.index,)
+            "coefficient surgery and Gauss map disagree after %s" % (beta_cf,)
         )
     b = new_cf.coefficient(1)
     if b % 2 == 0 or b < 5:
         raise ValueError(
             "next level needs an odd leading coefficient >= 5, got %d" % (b,)
         )
+    return scale, new_beta_abs, new_cf, b
+
+
+def step(level: RenormLevel) -> RenormLevel:
+    """One renormalization: I_(i+1) inside I_i and the rewritten words."""
+    n = level.n_half
+    scale, new_beta_abs, new_cf, b = _beta_step(level.beta_cf)
+    half_len = scale * level.interval.length * HALF
+    interval = ExactInterval(HALF - half_len, HALF + half_len)
 
     fp, fm, f0 = level.f_plus, level.f_minus, level.f_zero
     if level.beta.sign() > 0:

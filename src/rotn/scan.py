@@ -370,21 +370,25 @@ def _floor_twice(P, Q, R: int, d: int, g):
     ``_surd_signs(2P - gR, 2Q, d) >= 0`` and
     ``_surd_signs(2P - (g+1)R, 2Q, d) < 0``.  Each round runs both
     tests on the points still unsettled and moves each failing guess
-    one toward 2x.  P, Q and g are int64 arrays whose tested values
-    keep p*p and q*q*d below 2^63, or object arrays; g is updated in
-    place and returned.  Raises ArithmeticError if the rounds run out.
+    one toward 2x.  Both tests share q = 2Q, so sign(q) and q*q*d are
+    computed once and narrowed with the points.  P, Q and g are int64
+    arrays whose tested values keep p*p and q*q*d below 2^63, or object
+    arrays; g is updated in place and returned.  Raises ArithmeticError
+    if the rounds run out.
     """
     at = np.arange(g.size)
     p = 2 * P - g * R
     q = 2 * Q
+    sq, qqd = np.sign(q), q * q * d
     for _ in range(_ROUNDS):
-        low = _surd_signs(p, q, d) < 0
-        high = _surd_signs(p - R, q, d) >= 0
+        low = _surd_signs(p, None, d, (sq, qqd)) < 0
+        high = _surd_signs(p - R, None, d, (sq, qqd)) >= 0
         miss = np.flatnonzero(low | high)
         if not miss.size:
             return g
         move = high[miss].astype(g.dtype) - low[miss].astype(g.dtype)
-        at, p, q = at[miss], p[miss] - move * R, q[miss]
+        at, p = at[miss], p[miss] - move * R
+        sq, qqd = sq[miss], qqd[miss]
         g[at] += move
     raise ArithmeticError(
         "floor(2x) not settled in %d rounds at %d of %d points: the float "

@@ -242,6 +242,22 @@ def test_density_expands_no_more_letters_than_the_prefix_check(monkeypatch):
     assert asked and max(asked) <= 2**16
 
 
+def test_density_on_the_tower_peaks_under_25_bytes_a_visit(capsys):
+    # its times and positions, 16 B a visit, and one sorted copy of the
+    # positions at a time; the gaps are taken slice by slice
+    assert main(["density", "--N", "1000", "--m", "2"]) == 0  # imports and tower cache
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["density", "--N", "5000000", "--m", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["signs"] == "tower" and rep["count"] > 250_000
+    assert peak < 25 * rep["count"], peak / rep["count"]
+
+
 def test_density_refuses_visits_over_budget_before_allocating(capsys):
     tracemalloc.start()
     try:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotn import renorm
-from rotn.exactreal import ONE, SurdReal, parse_cf
+from rotn.exactreal import ONE, ZERO, CFNumber, SurdReal, alpha_next, gauss_step, parse_cf
 from rotn.renorm import (
+    ExactInterval,
+    RenormLevel,
     admissible,
     base_level,
     fast_birkhoff,
@@ -25,7 +27,8 @@ from rotn.renorm import (
     verify_chains,
 )
 from rotn.scan import orbit_scan
-from rotn.words import EMPTY, MINUS, PLUS, expand, iter_letters, letters, prefix_sum_at
+from rotn.words import (EMPTY, MINUS, PLUS, concat_all, expand, iter_letters, letters,
+                        power, prefix_sum_at)
 
 ALPHA = parse_cf("[0;5,(6)]")
 HALF = SurdReal(1, 0, 2)
@@ -126,6 +129,157 @@ def test_tower_is_cached_prefixwise():
     t5 = tower(ALPHA, 5)
     t8 = tower(ALPHA, 8)
     assert all(a is b for a, b in zip(t5, t8[:5]))
+
+
+# ---------------------------------------------------------------------------
+# step's beta memo against the step that redid its arithmetic at every level
+
+
+def _reference_step(level: RenormLevel) -> RenormLevel:
+    """One renormalization: I_(i+1) inside I_i and the rewritten words."""
+    n = level.n_half
+    beta_abs = level.beta if level.beta.sign() > 0 else -level.beta
+    g = gauss_step(beta_abs)
+    scale = beta_abs * (ONE - g)
+    new_len = scale * level.interval.length
+    half_len = new_len / 2
+    interval = ExactInterval(HALF - half_len, HALF + half_len)
+    if not (new_len <= beta_abs * level.interval.length):
+        raise AssertionError("contraction failed at level %d" % (level.index,))
+
+    new_beta_abs = g / (ONE - g)
+    new_cf = alpha_next(level.beta_cf)
+    if new_cf.value != new_beta_abs:
+        raise AssertionError(
+            "coefficient surgery and Gauss map disagree at level %d" % (level.index,)
+        )
+    b = new_cf.coefficient(1)
+    if b % 2 == 0 or b < 5:
+        raise ValueError(
+            "next level needs an odd leading coefficient >= 5, got %d" % (b,)
+        )
+
+    fp, fm, f0 = level.f_plus, level.f_minus, level.f_zero
+    if level.beta.sign() > 0:
+        new_plus = concat_all([fp, power(fm, n), f0, power(fp, n)])
+        new_minus = concat_all([power(fm, n + 1), f0, power(fp, n)])
+        new_zero = concat_all([fp, power(fm, n + 1), f0, power(fp, n)])
+        new_beta = -new_beta_abs
+    else:
+        new_plus = concat_all([power(fp, n + 1), f0, power(fm, n)])
+        new_minus = concat_all([fm, power(fp, n), f0, power(fm, n)])
+        new_zero = concat_all([fm, power(fp, n + 1), f0, power(fm, n)])
+        new_beta = new_beta_abs
+
+    return RenormLevel(
+        index=level.index + 1,
+        interval=interval,
+        beta=new_beta,
+        beta_cf=new_cf,
+        n_half=(b - 1) // 2,
+        f_plus=new_plus,
+        f_minus=new_minus,
+        f_zero=new_zero,
+        base_alpha=level.base_alpha,
+    )
+
+
+def _seeded_alpha(rng: random.Random) -> CFNumber:
+    """[0;a1,c...,(c...)]: a1 odd >= 5, a preperiod and a period of 1-3 terms."""
+    pre = [rng.randrange(5, 22, 2)] + [rng.randrange(6, 31, 2) for _ in range(rng.randint(0, 2))]
+    period = [rng.randrange(6, 31, 2) for _ in range(rng.randint(1, 3))]
+    return CFNumber(pre, period)
+
+
+@pytest.fixture
+def cleared_memo():
+    renorm._beta_step.cache_clear()
+    yield
+    renorm._beta_step.cache_clear()
+
+
+def test_memoized_tower_equals_the_reference_field_by_field(cleared_memo):
+    rng = random.Random(1414)
+    alphas = {_seeded_alpha(rng) for _ in range(24)}
+    assert len(alphas) >= 20
+    assert {len(a.period) for a in alphas} == {1, 2, 3}
+    assert {len(a.preperiod) for a in alphas} >= {2, 3}
+    for cf in sorted(alphas, key=str):
+        levels = tower(cf, 60)
+        ref = base_level(cf)
+        for lvl in levels:
+            assert lvl.index == ref.index
+            # compared as a list of names, so a mismatch of long strings
+            # fails without pytest diffing them
+            exact = [(lvl.interval.left, ref.interval.left),
+                     (lvl.interval.right, ref.interval.right),
+                     (lvl.interval.length, ref.interval.length), (lvl.beta, ref.beta)]
+            differ = [i for i, (a, b) in enumerate(exact) if a.exact_str() != b.exact_str()]
+            assert not differ, (str(cf), lvl.index, differ)
+            assert lvl.beta_cf == ref.beta_cf and lvl.n_half == ref.n_half
+            # words are interned, so equal words are one node
+            assert lvl.f_plus is ref.f_plus
+            assert lvl.f_minus is ref.f_minus
+            assert lvl.f_zero is ref.f_zero
+            assert lvl.base_alpha == ref.base_alpha
+            assert lvl == ref
+            if lvl.index < 60:
+                ref = _reference_step(ref)
+    # a tail recurs once a period, so the memo saw far fewer tails than levels
+    assert renorm._beta_step.cache_info().hits > 50 * len(alphas)
+
+
+def test_a_wrong_successor_fails_the_consistency_check(cleared_memo, monkeypatch):
+    cf = parse_cf("[0;7,(8)]")
+    assert alpha_next(cf) == cf
+    wrong = parse_cf("[0;7,(10)]")  # a valid leading coefficient, another value
+    monkeypatch.setattr(renorm, "alpha_next", lambda c: wrong)
+    for _ in range(2):  # a failed check is not memoized
+        with pytest.raises(AssertionError, match="disagree"):
+            step(base_level(cf))
+
+
+def test_an_inadmissible_successor_is_refused(cleared_memo):
+    # [0;5,7,6,7,...] passes to [0;6,6,7,...], whose leading 6 is even;
+    # base_level refuses such an alpha, so the level is built by hand
+    cf = parse_cf("[0;5,(7,6)]")
+    level = RenormLevel(index=1, interval=ExactInterval(ZERO, ONE), beta=cf.value,
+                        beta_cf=cf, n_half=2, f_plus=PLUS, f_minus=MINUS,
+                        f_zero=EMPTY, base_alpha=cf.value)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="odd leading coefficient"):
+            step(level)
+
+
+def test_a_level_whose_beta_is_not_its_cf_value_is_refused():
+    cf = parse_cf("[0;7,(8)]")
+    with pytest.raises(ValueError, match="not the value"):
+        RenormLevel(index=1, interval=ExactInterval(ZERO, ONE), beta=ALPHA.value,
+                    beta_cf=cf, n_half=3, f_plus=PLUS, f_minus=MINUS,
+                    f_zero=EMPTY, base_alpha=ALPHA.value)
+
+
+def test_the_memo_stays_within_its_bound(cleared_memo):
+    bound = renorm._beta_step.cache_info().maxsize
+    assert bound is not None
+    alphas = [CFNumber((a1,), (c1, c2)) for a1 in range(5, 22, 2)
+              for c1 in range(6, 31, 2) for c2 in range(6, 31, 2)]
+    assert len(alphas) > bound
+    for cf in alphas[: bound + 50]:
+        step(base_level(cf))  # keyed by cf itself, a new tail each time
+    info = renorm._beta_step.cache_info()
+    assert info.misses == bound + 50
+    assert info.currsize == bound
+
+
+def test_interval_length_is_stored_and_outside_equality():
+    a = ExactInterval(ZERO, ONE)
+    assert a.length == ONE
+    half = SurdReal.root(10) - 3
+    b = ExactInterval(HALF - half / 2, HALF + half / 2)
+    assert b.length == half and b.length is b.length
+    assert a == ExactInterval(ZERO, ONE) and hash(a) == hash(ExactInterval(ZERO, ONE))
+    assert "length" not in repr(a)
 
 
 # ---------------------------------------------------------------------------
