@@ -15,8 +15,14 @@ Layout:
 - ``circle``:     visit sets of one level and their circular gaps
 - ``renorm``:     the tower of return maps, substitutions, bounds checks
 - ``foliation``:  rectangle-to-rectangle leaf tracing
-- ``harness``:    experiment drivers, one table of kinds
+- ``example``:    the orbit family whose forward sums stay at most -1
+- ``harness``:    configs, output files, and the exact experiments
+- ``orbits``:     the experiments that read an orbit
 - ``cli``:        the ``rotn`` command line
+
+``scan``, ``circle``, ``foliation`` and ``orbits`` import numpy; in
+``words`` and ``exactreal`` only the functions that make arrays do.  So
+the exact runs (``tower``, ``oracle``, ``fast_birkhoff``) never load it.
 """
 
 from .exactreal import (

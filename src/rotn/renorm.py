@@ -77,14 +77,15 @@ class ExactInterval:
     length: SurdReal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.left < self.right):
+        length = self.right - self.left
+        if length.sign() <= 0:
             raise ValueError("empty interval")
         if self.left + self.right != ONE:
             raise ValueError(
                 "interval [%s, %s) is not symmetric about 1/2"
                 % (self.left.exact_str(), self.right.exact_str())
             )
-        object.__setattr__(self, "length", self.right - self.left)
+        object.__setattr__(self, "length", length)
 
     def contains(self, x: SurdReal) -> bool:
         return self.left <= x < self.right

@@ -33,13 +33,16 @@ memoizes each node's histogram, which composes like the stats above: a
 concat shifts the right histogram by the left total, and a power adds
 copies shifted by multiples of the base total.  The third is sized by
 the second and skips every node whose prefix range misses its level.
+These three import numpy when called and hand it to their private
+helpers; building words and reading their stats needs no numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SignWord",
@@ -238,6 +241,8 @@ def letters(w: SignWord, n: int) -> np.ndarray:
     pass of block copies plus one step per DAG node visited, and
     nothing beyond the output is allocated but a table of node offsets.
     """
+    import numpy as np
+
     if not (0 <= n <= w.length):
         raise ValueError("prefix length %d outside [0, %d]" % (n, w.length))
     out = np.empty(n, dtype=np.int8)
@@ -285,14 +290,12 @@ def letters(w: SignWord, n: int) -> np.ndarray:
 # every node whose histogram is built, stays below 2^63.
 MAX_HISTOGRAM_LENGTH = 2 ** 63 - 1
 
-_NO_SUMS = (0, np.zeros(0, dtype=np.int64))
 
-
-def _add_shifted(parts) -> tuple:
+def _add_shifted(np, parts) -> tuple:
     """The sum of histograms (lo, counts), each moved up by its shift."""
     parts = [(lo + shift, c) for shift, (lo, c) in parts if c.size]
     if not parts:
-        return _NO_SUMS
+        return 0, np.zeros(0, dtype=np.int64)
     lo = min(p[0] for p in parts)
     hi = max(p[0] + p[1].size for p in parts)
     out = np.zeros(hi - lo, dtype=np.int64)
@@ -301,7 +304,7 @@ def _add_shifted(parts) -> tuple:
     return lo, out
 
 
-def _power_histogram(hist: tuple, total: int, exp: int) -> tuple:
+def _power_histogram(np, hist: tuple, total: int, exp: int) -> tuple:
     """The histogram of base^exp, from the base's histogram and total.
 
     Copy j adds the base histogram shifted by j*total.  Those shifts
@@ -323,7 +326,7 @@ def _power_histogram(hist: tuple, total: int, exp: int) -> tuple:
     return lo + min(0, (exp - 1) * total), run.ravel()[:size]
 
 
-def _histogram(w: SignWord) -> tuple:
+def _histogram(np, w: SignWord) -> tuple:
     """The histogram of all prefix sums of w, memoized on every node."""
     todo = [w]
     while todo:
@@ -335,7 +338,7 @@ def _histogram(w: SignWord) -> tuple:
         if kind == _ATOM:
             node._hist = (node.sign, np.ones(1, dtype=np.int64))
         elif kind == _EMPTY:
-            node._hist = _NO_SUMS
+            node._hist = (0, np.zeros(0, dtype=np.int64))
         else:
             kids = [node.base] if kind == _POWER else [node.left, node.right]
             missing = [c for c in kids if c._hist is None]
@@ -343,11 +346,11 @@ def _histogram(w: SignWord) -> tuple:
                 todo.extend(missing)
                 continue
             if kind == _POWER:
-                node._hist = _power_histogram(node.base._hist, node.base.total,
+                node._hist = _power_histogram(np, node.base._hist, node.base.total,
                                               node.exp)
             else:
-                node._hist = _add_shifted([(0, node.left._hist),
-                                           (node.left.total, node.right._hist)])
+                node._hist = _add_shifted(np, [(0, node.left._hist),
+                                               (node.left.total, node.right._hist)])
         todo.pop()
     return w._hist
 
@@ -362,6 +365,8 @@ def prefix_histogram(w: SignWord, k: int) -> tuple:
     DAG like prefix_sum_at, adding the memoized histograms of the whole
     nodes it passes.
     """
+    import numpy as np
+
     if not (0 <= k <= w.length):
         raise ValueError("prefix length %d outside [0, %d]" % (k, w.length))
     if k > MAX_HISTOGRAM_LENGTH:
@@ -370,25 +375,25 @@ def prefix_histogram(w: SignWord, k: int) -> tuple:
     acc = 0
     while k > 0:
         if k == w.length:
-            parts.append((acc, _histogram(w)))
+            parts.append((acc, _histogram(np, w)))
             break
         if w.kind == _POWER:
             base = w.base
             copies, k = divmod(k, base.length)
             if copies:
-                parts.append((acc, _power_histogram(_histogram(base), base.total,
-                                                    copies)))
+                parts.append((acc, _power_histogram(np, _histogram(np, base),
+                                                    base.total, copies)))
                 acc += copies * base.total
             w = base
         else:  # concat; an atom has length 1 and was taken whole above
             if k > w.left.length:
-                parts.append((acc, _histogram(w.left)))
+                parts.append((acc, _histogram(np, w.left)))
                 acc += w.left.total
                 k -= w.left.length
                 w = w.right
             else:
                 w = w.left
-    return _add_shifted(parts)
+    return _add_shifted(np, parts)
 
 
 # level_times answers at most this many visits.  A density run holds
@@ -417,6 +422,8 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
     the copies whose target lies in the base's range.  A node prefix of
     at most 2^16 letters is expanded and summed.
     """
+    import numpy as np
+
     lo, counts = prefix_histogram(w, n)
     total = int(counts[m - lo]) if lo <= m < lo + counts.size else 0
     if total > MAX_LEVEL_TIMES:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotn import harness, words
+from rotn import orbits, words
 from rotn.cli import main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
@@ -172,7 +172,7 @@ def _scan_route(monkeypatch, **fields):
     """The report of the scan route (orbit_scan and visit_set): the same
     run with no alpha admissible, so no tower is read."""
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "admissible", lambda cf: False)
+        patch.setattr(orbits, "admissible", lambda cf: False)
         return run(ExperimentConfig(**fields))
 
 
@@ -210,13 +210,13 @@ def test_heavy_off_the_tower_equals_the_scan(monkeypatch, alpha, N):
 def test_heavy_out_scans_every_step_once(monkeypatch, tmp_path):
     N = 2**16 + 1
     scans = []
-    honest = harness.orbit_scan
+    honest = orbits.orbit_scan
 
     def counted(*args, **kwargs):
         scans.append(args[2])
         return honest(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "orbit_scan", counted)
+    monkeypatch.setattr(orbits, "orbit_scan", counted)
     tower_out, scan_out = str(tmp_path / "tower.csv"), str(tmp_path / "scan.csv")
     rep = run(ExperimentConfig(kind="heavy", N=N, out=tower_out))
     assert scans == [N]
@@ -234,7 +234,7 @@ def test_density_expands_no_more_letters_than_the_prefix_check(monkeypatch):
             return honest(w, n)
         return letters
 
-    monkeypatch.setattr(harness, "letters", counted(harness.letters))
+    monkeypatch.setattr(orbits, "letters", counted(orbits.letters))
     monkeypatch.setattr(words, "letters", counted(words.letters))
     for m in (-2, 0, 3):
         rep = run(ExperimentConfig(kind="density", m=m, N=10**6))
@@ -284,7 +284,7 @@ def test_exact_only_and_inadmissible_runs_scan():
 def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind):
     seed = {"heavy": ["--alpha", "[0;5,(6)]"], "leaf": ["--ray", "0"]}.get(kind, [])
     argv = [kind, "--N", "1000"] + seed
-    honest = harness.letters
+    honest = orbits.letters
     assert main(argv) == (1 if kind == "heavy" else 0)  # heavy: its sums cross 0
 
     def flipped(w, n):
@@ -293,7 +293,7 @@ def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind
             out[100] *= -1
         return out
 
-    monkeypatch.setattr(harness, "letters", flipped)
+    monkeypatch.setattr(orbits, "letters", flipped)
     rep = run(ExperimentConfig(kind=kind, N=1000, ray=0 if kind == "leaf" else None))
     assert rep["prefix_agrees"] is False and rep["ok"] is False
     assert main(argv) == 1
@@ -320,7 +320,7 @@ def test_example_forward_max_is_the_witness_prefix_max_far_out():
 
 def test_a_flipped_descent_letter_fails_the_example(monkeypatch):
     witness = example_m_formulas(2, 6).witness
-    honest = harness.letters
+    honest = orbits.letters
 
     def flipped(w, n):
         out = honest(w, n)
@@ -328,7 +328,7 @@ def test_a_flipped_descent_letter_fails_the_example(monkeypatch):
             out[100] *= -1
         return out
 
-    monkeypatch.setattr(harness, "letters", flipped)
+    monkeypatch.setattr(orbits, "letters", flipped)
     rep = run(ExperimentConfig(kind="example", m=2, k_max=6, N=1000))
     assert rep["max_forward_sum"] == -1
     assert rep["symmetric_sums"] and rep["witness_prefix_ok"] and rep["formulas_ok"]
@@ -378,13 +378,13 @@ def test_leaf_ray_off_the_tower_equals_the_scan(monkeypatch, alpha, N):
 def test_leaf_ray_out_traces_every_entry_once(monkeypatch, tmp_path):
     N = 2**16 + 1
     traces = []
-    honest = harness.trace_ray
+    honest = orbits.trace_ray
 
     def counted(i, alpha, n, *, policy="certified"):
         traces.append((n, policy))
         return honest(i, alpha, n, policy=policy)
 
-    monkeypatch.setattr(harness, "trace_ray", counted)
+    monkeypatch.setattr(orbits, "trace_ray", counted)
     tower_out, scan_out = str(tmp_path / "tower.csv"), str(tmp_path / "scan.csv")
     rep = run(ExperimentConfig(kind="leaf", ray=3, N=N, out=tower_out))
     # one full certified trace, and the 256-entry exact retrace
@@ -513,17 +513,24 @@ def _table(rows):
     mixed = [i if i % 3 else bool(i % 2) for i in range(rows)]
     maybe = [None if i == rows - 1 else i for i in range(rows)]
     floats = [_FLOATS[i % len(_FLOATS)] for i in range(rows)]
-    names = ["n", "x", "S", "big", "mixed", "maybe", "floats"]
+    # arrays whose formatter is not picked from the dtype (bool) or is (int8)
+    flags = x < 0.5
+    steps = np.where(flags, 1, -1).astype(np.int8)
+    names = ["n", "x", "S", "big", "mixed", "maybe", "floats", "flags", "steps"]
     # a backward leaf's indices: 5, 4, 3, ...
-    return names, [range(5, 5 - rows, -1), x, s, big, mixed, maybe, floats]
+    return names, [range(5, 5 - rows, -1), x, s, big, mixed, maybe, floats, flags,
+                   steps]
 
 
 @pytest.mark.parametrize("rows", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 5])
 def test_writer_matches_the_row_by_row_reference(tmp_path, rows):
     config = ExperimentConfig(kind="heavy", N=1)
     names, cols = _table(rows)
-    # rows read column by column, numpy scalars and all
-    as_rows = [tuple(c[i] for c in cols) for i in range(rows)]
+    # rows read column by column, numpy scalars and all; but a bool
+    # array's cells are bools, which _cell spells true/false, and an
+    # np.bool_ it would spell True/False
+    readable = [c.tolist() if getattr(c, "dtype", None) == bool else c for c in cols]
+    as_rows = [tuple(c[i] for c in readable) for i in range(rows)]
     ref, by_col, by_row = (str(tmp_path / n) for n in ("ref", "col", "row"))
     _ref_write_csv(ref, config, names, as_rows)
     write_columns(by_col, config, names, cols)
@@ -735,9 +742,7 @@ def _moved_position(trace):
     (_moved_position, "prefix_agrees"),
 ])
 def test_leaf_checks_catch_a_doctored_trace(monkeypatch, capsys, doctor, failed):
-    from rotn import harness, words
-
-    honest = harness.trace_ray
+    honest = orbits.trace_ray
 
     def doctored(i, alpha, N, *, policy="certified"):
         trace = honest(i, alpha, N, policy=policy)
@@ -745,7 +750,7 @@ def test_leaf_checks_catch_a_doctored_trace(monkeypatch, capsys, doctor, failed)
             doctor(trace)
         return trace
 
-    monkeypatch.setattr(harness, "trace_ray", doctored)
+    monkeypatch.setattr(orbits, "trace_ray", doctored)
     rep = run(ExperimentConfig(kind="leaf", N=100, ray=0))
     assert rep[failed] is False and rep["ok"] is False
     assert main(["leaf", "--ray", "0", "--N", "100"]) == 1
@@ -841,6 +846,23 @@ def test_oracle_refuses_before_building_the_whole_tower():
     status, seconds = out.stdout.split()
     assert status == "2" and "predicts at least" in out.stderr
     assert float(seconds) < 0.3
+
+
+def test_exact_runs_never_import_numpy():
+    # tower, oracle and fast_birkhoff are exact arithmetic on words and
+    # surds; only the kinds that read an orbit import numpy
+    code = ("import sys, rotn.cli\n"
+            "from rotn.exactreal import parse_cf\n"
+            "from rotn.renorm import fast_birkhoff\n"
+            "cf = parse_cf('[0;5,(6)]')\n"
+            "cf.value\n"
+            "assert rotn.cli.main(['tower', '--depth', '10']) == 0\n"
+            "assert rotn.cli.main(['oracle', '--depth', '3', '--samples', '1']) == 0\n"
+            "assert fast_birkhoff(cf, 10**15) == -6\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_small_runs_never_import_sympy():

@@ -282,6 +282,17 @@ def test_interval_length_is_stored_and_outside_equality():
     assert "length" not in repr(a)
 
 
+@pytest.mark.parametrize("left, right, said", [
+    (HALF, HALF, "empty interval"),
+    (ONE, ZERO, "empty interval"),
+    (HALF + SurdReal.root(2) / 4, HALF - SurdReal.root(2) / 4, "empty interval"),
+    (ZERO, HALF, "not symmetric about 1/2"),
+])
+def test_interval_refuses_empty_and_lopsided_ends(left, right, said):
+    with pytest.raises(ValueError, match=said):
+        ExactInterval(left, right)
+
+
 # ---------------------------------------------------------------------------
 # words of deeper levels refine shallower ones
 

@@ -7,15 +7,18 @@
 # subcommand takes --precision.  It runs from this checkout's src/ and from
 # REF's, extracted with git archive into a temporary directory, in two
 # output directories under the same relative names, so the headers can
-# match too.  Prints "same" or "DIFFERS" per file and exits 1 if any file
-# differs or was not written, 2 if the README block holds no command.
+# match too.  Prints "same" per file when both sides wrote the same bytes
+# and exited with the same status (a check verdict), else "DIFFERS", and
+# exits 1 if any file differs, was not written or came with another exit
+# status, 2 if the README block holds no command.
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
 repo=$(pwd)
+ref=$1
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/ref" "$tmp/checkout.out" "$tmp/ref.out"
-git archive "$1" src | tar -x -C "$tmp/ref" || exit 2
+git archive "$ref" src | tar -x -C "$tmp/ref" || exit 2
 
 sed -n '/^## Command line/,/^## /p' README.md | grep '^rotn ' > "$tmp/commands"
 [ -s "$tmp/commands" ] || {
@@ -44,8 +47,12 @@ while IFS= read -r line; do
             (cd "$tmp/$side.out" \
                 && PYTHONPATH="$src" python3 -m rotn.cli "$@" $flag --out "$name" \
                     </dev/null >/dev/null 2>&1)
+            eval "exit_$side=\$?"
         done
-        if cmp "$tmp/checkout.out/$name" "$tmp/ref.out/$name" >"$tmp/cmp" 2>&1; then
+        if [ "$exit_checkout" != "$exit_ref" ]; then
+            echo "DIFFERS  $name: exit status $exit_checkout here, $exit_ref at $ref"
+            status=1
+        elif cmp "$tmp/checkout.out/$name" "$tmp/ref.out/$name" >"$tmp/cmp" 2>&1; then
             echo "same     $name"
         else
             echo "DIFFERS  $name: $(sed "s|$tmp/||g; q" "$tmp/cmp")"
