@@ -113,8 +113,8 @@ def main(argv=None) -> int:
     if config.out:
         print("%s: %s -> %s" % (config.kind, "ok" if ok else "FAILED", config.out))
     else:
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        print()
+        # one write: json.dump would stream thousands of small ones
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 

@@ -175,6 +175,9 @@ def _cell(v) -> str:
         return str(int(v))
     if isinstance(v, numbers.Real):
         return repr(float(v))  # shortest round-trip form, stable across runs
+    # np.bool_ is neither a bool nor a numbers.Integral
+    if getattr(getattr(v, "dtype", None), "kind", None) == "b":
+        return "true" if v else "false"
     return str(v)
 
 
@@ -261,8 +264,7 @@ def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
 def write_json(path: str, config: ExperimentConfig, report: dict) -> None:
     doc = {"header": config.header(), "report": report}
     with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def read_header(path: str) -> dict:

@@ -20,9 +20,11 @@ summaries:
                    max_prefix = maxA + max(0, (n - 1) * tA)
 
 (min is the mirror image).  Nodes are interned, so structurally equal
-words are the same object and the memoized stats are shared.  All
-counters are Python ints: a depth-40 tower has word lengths around
-10^28 and that must not overflow.
+*live* words are the same object and the memoized stats are shared.
+The intern table holds its nodes weakly: a node lives as long as some
+word or caller holds it, and a word dropped by everyone is freed with
+its memoized histogram.  All counters are Python ints: a depth-40 tower
+has word lengths around 10^28 and that must not overflow.
 
 Three more readers work by descent, at a cost that grows with the
 depth of the DAG and not with the prefix length: ``letters`` writes a
@@ -39,6 +41,7 @@ helpers; building words and reading their stats needs no numpy.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -66,9 +69,15 @@ __all__ = [
 
 _ATOM, _EMPTY, _CONCAT, _POWER = "atom", "empty", "concat", "power"
 
-# the intern table holds strong references, so node uids are stable keys
+# key -> weakref.ref of the node.  Structurally equal *live* words are the
+# same object.  A uid comes from a counter and is never reused, so a key
+# naming a dead node's uid can never match a node built later.  Dead
+# entries are swept out once the table has doubled since the last sweep,
+# which costs O(1) per new node amortized.
 _interned: dict = {}
 _next_uid = 0
+_SWEEP_MIN = 4096
+_sweep_at = _SWEEP_MIN
 
 
 class SignWord:
@@ -87,6 +96,7 @@ class SignWord:
         "_minp",
         "_hist",
         "uid",
+        "__weakref__",
     )
 
     def __init__(self, kind, *, sign=0, left=None, right=None, base=None, exp=0):
@@ -144,10 +154,17 @@ class SignWord:
 
 
 def _intern(key, make) -> SignWord:
-    node = _interned.get(key)
-    if node is None:
-        node = make()
-        _interned[key] = node
+    global _interned, _sweep_at
+    ref = _interned.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = make()
+    _interned[key] = weakref.ref(node)
+    if len(_interned) > _sweep_at:
+        _interned = {k: r for k, r in _interned.items() if r() is not None}
+        _sweep_at = max(_SWEEP_MIN, 2 * len(_interned))
     return node
 
 
@@ -200,7 +217,7 @@ EMPTY = empty()
 
 def intern_size() -> int:
     """Number of live interned nodes (for dedup tests)."""
-    return len(_interned)
+    return sum(r() is not None for r in _interned.values())
 
 
 def prefix_sum_at(w: SignWord, k: int) -> int:

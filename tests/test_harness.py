@@ -479,7 +479,7 @@ def test_run_dispatch_covers_all_kinds():
 def _ref_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -526,11 +526,8 @@ def _table(rows):
 def test_writer_matches_the_row_by_row_reference(tmp_path, rows):
     config = ExperimentConfig(kind="heavy", N=1)
     names, cols = _table(rows)
-    # rows read column by column, numpy scalars and all; but a bool
-    # array's cells are bools, which _cell spells true/false, and an
-    # np.bool_ it would spell True/False
-    readable = [c.tolist() if getattr(c, "dtype", None) == bool else c for c in cols]
-    as_rows = [tuple(c[i] for c in readable) for i in range(rows)]
+    # rows read column by column, numpy scalars (np.bool_ among them) and all
+    as_rows = [tuple(c[i] for c in cols) for i in range(rows)]
     ref, by_col, by_row = (str(tmp_path / n) for n in ("ref", "col", "row"))
     _ref_write_csv(ref, config, names, as_rows)
     write_columns(by_col, config, names, cols)

@@ -1,6 +1,7 @@
 """The interval tower: substitution words, stats inequalities, oracles."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +28,9 @@ from rotn.renorm import (
     verify_chains,
 )
 from rotn.scan import orbit_scan
-from rotn.words import (EMPTY, MINUS, PLUS, concat_all, expand, iter_letters, letters,
-                        power, prefix_sum_at)
+from rotn import words
+from rotn.words import (EMPTY, MINUS, PLUS, concat_all, expand, intern_size, iter_letters,
+                        letters, power, prefix_sum_at)
 
 ALPHA = parse_cf("[0;5,(6)]")
 HALF = SurdReal(1, 0, 2)
@@ -291,6 +293,101 @@ def test_interval_length_is_stored_and_outside_equality():
 def test_interval_refuses_empty_and_lopsided_ends(left, right, said):
     with pytest.raises(ValueError, match=said):
         ExactInterval(left, right)
+
+
+# ---------------------------------------------------------------------------
+# the bounded tower cache and the weak intern table
+
+# 500 distinct admissible alphas [0;a,(b,c)]: a odd in 5..13, b and c even in
+# 6..24.  None has a1 = 21, so none is _KEPT
+_FRESH = ["[0;%d,(%d,%d)]" % (a, b, c) for a in range(5, 15, 2)
+          for b in range(6, 26, 2) for c in range(6, 26, 2)]
+_KEPT = "[0;21,(26,30)]"
+# a step makes at most 11 nodes: the three words' 8 concats and 3 new powers
+_NODES_PER_LEVEL = 11
+
+
+def _evict(alpha: CFNumber) -> None:
+    """Build depth-1 towers of fresh alphas until alpha's tower leaves the cache."""
+    for literal in _FRESH:
+        if alpha not in renorm._tower_cache:
+            return
+        tower(parse_cf(literal), 1)
+    raise AssertionError("%s outlived %d fresh towers" % (alpha, len(_FRESH)))
+
+
+def _dag(w) -> list:
+    """w's DAG as text, one line a node in post-order: equal text, equal words."""
+    index, lines, todo = {}, [], [w]
+    while todo:
+        node = todo[-1]
+        if node.uid in index:
+            todo.pop()
+            continue
+        kids = ([node.base] if node.kind == "power"
+                else [node.left, node.right] if node.kind == "concat" else [])
+        missing = [k for k in kids if k.uid not in index]
+        if missing:
+            todo.extend(reversed(missing))
+            continue
+        todo.pop()
+        index[node.uid] = len(lines)
+        lines.append("%s %d %d %s" % (node.kind, node.sign, node.exp,
+                                      " ".join(str(index[k.uid]) for k in kids)))
+    return lines
+
+
+def _snapshot(levels) -> list:
+    """Every field of every level, as exact strings."""
+    return [(lvl.index, lvl.interval.left.exact_str(), lvl.interval.right.exact_str(),
+             lvl.beta.exact_str(), str(lvl.beta_cf), lvl.n_half,
+             lvl.base_alpha.exact_str(), _dag(lvl.f_plus), _dag(lvl.f_minus),
+             _dag(lvl.f_zero)) for lvl in levels]
+
+
+def test_500_fresh_towers_keep_both_caches_bounded():
+    before = intern_size()
+    live_bound = before + renorm._TOWER_CACHE_SIZE * _NODES_PER_LEVEL * 40
+    # the table also holds dead entries until its next sweep
+    table_bound = max(words._SWEEP_MIN, 2 * live_bound) + 1
+    # sizes are read into ints first: pytest's report of a failed assert
+    # would print the words, and a deep word's text is exponentially long
+    for i, literal in enumerate(_FRESH):
+        tower(parse_cf(literal), 40)
+        if i % 50 == 49:
+            cached, live, table = (len(renorm._tower_cache), intern_size(),
+                                   len(words._interned))
+            assert cached <= renorm._TOWER_CACHE_SIZE, (i, cached)
+            assert live <= live_bound, (i, live, live_bound)
+            assert table <= table_bound, (i, table, table_bound)
+    cached = len(renorm._tower_cache)
+    assert cached == renorm._TOWER_CACHE_SIZE
+
+
+def test_a_held_word_is_the_word_of_the_rebuilt_tower():
+    alpha = parse_cf(_KEPT)
+    kept = tower(alpha, 40)[-1].f_minus
+    _evict(alpha)
+    rebuilt = tower(alpha, 40)
+    # the word kept holds the words of every level below it, and the rebuilt
+    # levels are made of those same live nodes
+    same = rebuilt[-1].f_minus is kept and rebuilt[-2].f_plus is kept.right.base
+    assert same
+
+
+def test_a_rebuilt_tower_equals_the_dropped_one_field_by_field():
+    alpha = parse_cf(_KEPT)
+    _evict(alpha)
+    levels = tower(alpha, 40)
+    want = _snapshot(levels)
+    dropped = weakref.ref(levels[-1].f_plus)
+    del levels
+    _evict(alpha)
+    alive = dropped() is not None  # no table kept the evicted tower's words
+    assert not alive
+    got = _snapshot(tower(alpha, 40))
+    differ = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert len(got) == len(want) == 40 and not differ, differ
 
 
 # ---------------------------------------------------------------------------

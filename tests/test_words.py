@@ -1,5 +1,6 @@
 """Hash-consed sign words: structure sharing, stats, lazy expansion."""
 
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -78,6 +79,23 @@ def test_interning_shares_structure():
     before = intern_size()
     concat(power(MINUS, 5), PLUS)
     assert intern_size() == before
+
+
+def test_dead_nodes_are_dropped_and_their_uids_never_reused():
+    held = concat(power(MINUS, 123_456_789), PLUS)
+    dead = concat(power(PLUS, 987_654_321), MINUS)  # exponents no other test uses
+    dead_uids = {dead.uid, dead.left.uid}
+    ref = weakref.ref(dead)
+    del dead
+    alive = ref() is not None
+    assert not alive
+    # more new entries than the table takes before its next sweep
+    for k in range(words._sweep_at + 1):
+        power(PLUS, 10**9 + k)
+    again = concat(power(PLUS, 987_654_321), MINUS)
+    assert min(again.uid, again.left.uid) > max(dead_uids)
+    same = concat(power(MINUS, 123_456_789), PLUS) is held
+    assert same
 
 
 def test_power_rejects_bad_exponent():

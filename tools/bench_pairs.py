@@ -63,6 +63,19 @@ def _extract(ref: str, into: Path) -> None:
         tf.extractall(into, filter="data")
 
 
+# rotnbench's peak_rss_mb is getrusage(RUSAGE_SELF).ru_maxrss, and on Linux a
+# process inherits the high-water mark of the process that forked and exec'd
+# it.  This launcher holds numpy, rotn and the BENCH file, so each run starts
+# through one small interpreter: the run then inherits that one's ~10 MB.
+_HOP = [sys.executable, "-c",
+        "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"]
+
+
+def launch(cmd: list, **kwargs) -> subprocess.CompletedProcess:
+    """subprocess.run(cmd, **kwargs), with cmd started by a fresh interpreter."""
+    return subprocess.run(_HOP + cmd, **kwargs)
+
+
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One benchmark run from the checkout at root; returns its results file."""
     path = root / ".rotnbench" / "results" / ("%s-seed%d-trace%d.json"
@@ -71,7 +84,7 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
         path.unlink()
     cmd = [sys.executable, str(root / "rotnbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    done = launch(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0 or not path.exists():
         raise SystemExit("bench_pairs: %s exited %d\n%s"
                          % (" ".join(cmd), done.returncode, done.stderr[-2000:]))
