@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +32,12 @@ _GAP_SLICE = 1 << 14
 
 @dataclass
 class VisitSet:
-    """Times n in [0, N] with S_n(x) = m, and positions t^(n+k)(x)."""
+    """Times n in [0, N] with S_n(x) = m, and positions t^(n+k)(x).
 
-    m: int
-    k: int
-    horizon: int
+    The ``density`` report reads only the times, the escalations and
+    ``max_gaps`` over its horizons, which end at N.
+    """
+
     times: np.ndarray  # int64, strictly ascending
     positions: np.ndarray  # float64
     position_radius: float
@@ -51,23 +51,17 @@ class VisitSet:
     def first_time(self) -> int | None:
         return int(self.times[0]) if self.times.size else None
 
-    @cached_property
-    def _sorted_positions(self) -> np.ndarray:
-        return _on_circle(np.sort(self.positions))
-
     def max_gap(self) -> float:
-        if not self.count:
-            raise ValueError("max_gap of no points")
-        return _sorted_gap(self._sorted_positions)
+        return max_gap(self.positions)
 
     def max_gaps(self, horizons) -> list[float]:
         """max_gap of the positions visited by each horizon h; NaN where none.
 
-        All positions are sorted once, and that sort serves max_gap() and
-        every horizon that saw them all.  A shorter horizon sorts its own
-        prefix (positions come in time order); when horizons grow tenfold,
-        as density's do, those prefixes together cost about a tenth of
-        the full sort.  Taking each horizon's subset of the full sort by
+        All positions are sorted once, and that sort serves every horizon
+        that saw them all.  A shorter horizon sorts its own prefix
+        (positions come in time order); when horizons grow tenfold, as
+        density's do, those prefixes together cost about a tenth of the
+        full sort.  Taking each horizon's subset of the full sort by
         visit time instead needs an argsort, which took 3.6 times as
         long as np.sort on 400,000 floats (numpy 2.4, x86-64).  Given
         ascending horizons, each prefix is sorted and dropped before the
@@ -83,18 +77,8 @@ class VisitSet:
                 gaps.append(_sorted_gap(_on_circle(np.sort(self.positions[:cnt]))))
             else:
                 gaps.append(None)  # all of them, below
-        full = self._sorted_positions  # after the prefixes; checks every position
+        full = _on_circle(np.sort(self.positions))  # after the prefixes
         return [_sorted_gap(full) if g is None else g for g in gaps]
-
-    def summary(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "N": self.horizon,
-            "count": self.count,
-            "first_time": self.first_time,
-            "max_gap": self.max_gap() if self.count else None,
-        }
 
 
 def visit_set(
@@ -127,15 +111,8 @@ def visit_set(
     positions[neg:] = scan.positions[idx[neg:]]
     for j in range(neg):  # k < 0 can push the first few lookups backward
         positions[j] = float((x + alpha * int(idx[j])).frac())
-    return VisitSet(
-        m=m,
-        k=k,
-        horizon=N,
-        times=times,
-        positions=positions,
-        position_radius=scan.radius_bound,
-        escalations=int(scan.escalated.size),
-    )
+    return VisitSet(times=times, positions=positions, position_radius=scan.radius_bound,
+                    escalations=int(scan.escalated.size))
 
 
 def max_gap(points: np.ndarray | Sequence[float]) -> float:

@@ -45,7 +45,7 @@ import numpy as np
 from .example import (ExampleReport, FormulaCheck, example_alpha, example_m_formulas,
                       example_point)
 from .exactreal import HALF, Frame, SurdReal
-from .scan import orbit_scan
+from .scan import orbit_scan, sums_histogram
 
 __all__ = [
     "LeafTrace",
@@ -103,7 +103,8 @@ class LeafTrace:
     n = start_index + k (ray visits count from 1, leaf visits from 0;
     backward traces count 1, 2, ... steps into the past).  Exact traces
     also keep the entry coordinates as surds; certified traces bound
-    the error of every entry_x by radius_bound.
+    the error of every entry_x by radius_bound.  The ``leaf`` report
+    reads its level summary off ``scan.sums_histogram(entry_level)``.
     """
 
     seed: str
@@ -120,24 +121,9 @@ class LeafTrace:
         return int(self.entry_level.size)
 
     def levels_visited(self) -> list[int]:
-        """The distinct entry levels, ascending.
-
-        Levels move by one per visit, so they span at most ``visits``
-        values and a bincount over that span replaces a sort.
-        """
-        lv = self.entry_level
-        lo = int(lv.min())
-        return (np.flatnonzero(np.bincount(lv - lo)) + lo).tolist()
-
-    def summary(self) -> dict:
-        levels = self.levels_visited()
-        return {
-            "seed": self.seed,
-            "N": self.visits - 1 + self.start_index,
-            "min_level": levels[0],
-            "max_level": levels[-1],
-            "levels_visited": levels,
-        }
+        """The distinct entry levels, ascending, read off their histogram."""
+        lo, counts = sums_histogram(self.entry_level)
+        return (np.flatnonzero(counts) + lo).tolist()
 
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,

@@ -6,6 +6,11 @@ to them.  They work on numpy arrays (orbit scans, letters of the tower
 words, visit sets), so this module imports numpy and the array
 modules, and ``harness.run`` imports it only for these kinds: ``tower``
 and ``oracle`` run on the standard library alone.
+
+``heavy``, ``leaf`` and ``density`` read their signs off the tower or
+off a scan, and either route yields one summary that the report is
+built from once: the histogram (lo, counts) of the sums for ``heavy``
+and ``leaf``, and the visit set for ``density``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .exactreal import HALF, SurdReal, parse_cf
 from .foliation import trace_leaf_through, trace_ray
 from .harness import ExperimentConfig, parse_point
 from .renorm import admissible, half_word, orbit_word
-from .scan import orbit_positions, orbit_scan
+from .scan import orbit_positions, orbit_scan, sums_histogram
 from .words import letters, level_times, prefix_histogram, prefix_sum_at
 
 # leaf visits retraced under the other policy; small enough that the
@@ -75,14 +80,18 @@ def _half_visits(alpha: SurdReal, word, m: int, N: int, k: int):
         times = np.concatenate([np.zeros(1, dtype=np.int64), times])
     positions, escalated, radius = orbit_positions(HALF, alpha, times + k if k else times)
     scan, check = _prefix_check(HALF, alpha, letters(word, min(N, _PREFIX_STEPS)))
-    vs = VisitSet(m=m, k=k, horizon=N, times=times, positions=positions,
-                  position_radius=radius,
+    vs = VisitSet(times=times, positions=positions, position_radius=radius,
                   escalations=int(scan.escalated.size + escalated.size))
     return vs, check
 
 
 def _density(config: ExperimentConfig):
-    """How the level-m visit positions fill the circle as N grows."""
+    """How the level-m visit positions fill the circle as N grows.
+
+    Either route gives a visit set, and the report reads it once: a row
+    per horizon, the last of which, N's, gives the top-level count,
+    first_time and max_gap (None when level m is not visited by N).
+    """
     m, N, k = config.m, config.N, config.k
     cf = parse_cf(config.alpha)
     word = _tower_word(config, cf)
@@ -96,17 +105,19 @@ def _density(config: ExperimentConfig):
     ladder = _gap_ladder(N)
     for h, gap in zip(ladder, vs.max_gaps(ladder)):
         cnt = int(np.searchsorted(vs.times, h, side="right"))
-        first = int(vs.times[0]) if cnt else None
-        rows.append({"N": h, "count": cnt, "first_time": first, "max_gap": gap})
+        rows.append({"N": h, "count": cnt, "first_time": vs.first_time if cnt else None,
+                     "max_gap": gap})
+    last = rows[-1]
 
     # The visit set only grows with the horizon, so the gap cannot rise;
     # and m = 0 always holds at n = 0.
     gaps = [r["max_gap"] for r in rows if r["count"]]
-    ok = all(b <= a for a, b in zip(gaps, gaps[1:]))
-    if m == 0 and vs.count == 0:
-        ok = False
+    ok = all(b <= a for a, b in zip(gaps, gaps[1:])) and (m != 0 or last["count"] > 0)
 
-    report = {**vs.summary(), "escalations": vs.escalations, "horizons": rows,
+    report = {"m": m, "k": k, "N": N, "count": last["count"],
+              "first_time": last["first_time"],
+              "max_gap": last["max_gap"] if last["count"] else None,
+              "escalations": vs.escalations, "horizons": rows,
               **check, "ok": ok and check.get("prefix_agrees", True)}
     names = ["N", "count", "first_time", "max_gap"]
     return report, (names, [[r[c] for r in rows] for c in names])
@@ -182,9 +193,11 @@ def _leaf(config: ExperimentConfig):
     the other precision, retracing the first visits, agrees with them:
     equal levels, and positions within the certified radius.
 
-    Ray entry n sits at level ray + 1 + S_n(1/2), so when the signs come
-    off the tower and no --out needs every entry_x, the levels are one
-    prefix histogram of half_word, at any N below 2^63.  The trace then
+    min_level, max_level and levels_visited are read off the histogram
+    (lo, counts) of the entry levels: a full trace bins its own.  Ray
+    entry n sits at level ray + 1 + S_n(1/2), so when the signs come
+    off the tower and no --out needs every entry_x, it is one prefix
+    histogram of half_word, at any N below 2^63.  The trace then
     covers only min(N, 2^16) entries: its levels must equal the word's
     running sums, and the step check runs on it (beyond it every letter
     is +-1, so the levels step by one by construction).
@@ -226,17 +239,17 @@ def _leaf(config: ExperimentConfig):
                    <= cert.radius_bound + 2.0 ** -52)
     )
     if word is None:
-        summary, check = trace.summary(), _SCANNED
+        lo, counts = sums_histogram(trace.entry_level)
+        check = _SCANNED
     else:
         level0 = config.ray + 1  # entry n sits at level0 + S_n(1/2)
         lo, counts = prefix_histogram(word, N)
-        summary = {"seed": trace.seed, "N": N, "min_level": level0 + lo,
-                   "max_level": level0 + lo + counts.size - 1,
-                   "levels_visited": (np.flatnonzero(counts) + (level0 + lo)).tolist()}
+        lo += level0
         running = np.cumsum(letters(word, trace.visits), dtype=np.int64) + level0
         prefix_agrees = prefix_agrees and bool(np.array_equal(trace.entry_level, running))
         check = {"signs": "tower", "prefix_steps_checked": trace.visits}
-    report = {**summary, "policy": policy,
+    report = {"seed": trace.seed, "N": N, "min_level": lo, "max_level": lo + counts.size - 1,
+              "levels_visited": (np.flatnonzero(counts) + lo).tolist(), "policy": policy,
               "levels_step_by_one": levels_step_by_one,
               "prefix_visits_checked": k, "prefix_agrees": prefix_agrees,
               **check, "ok": levels_step_by_one and prefix_agrees}
@@ -248,36 +261,30 @@ def _leaf(config: ExperimentConfig):
 def _heavy(config: ExperimentConfig):
     """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N.
 
-    When the signs come off the tower, the counts and extrema are one
-    prefix histogram of half_word and the final sum one prefix sum, at
-    any N below 2^63; the scan then only checks the tower, over 2^16
-    steps, or over all N when --out needs its table.
+    The report reads only the histogram (lo, counts) of S_1..S_N and
+    S_N.  A scan bins its sums; when the signs come off the tower, they
+    are one prefix histogram and one prefix sum of half_word, at any N
+    below 2^63, and the scan only checks the tower, over 2^16 steps, or
+    over all N when --out needs its table.
     """
     N = config.N
     cf = parse_cf(config.alpha)
     word = _tower_word(config, cf)
     if word is None:
         scan = orbit_scan(HALF, cf.value, N, policy=config.policy)
-        sums = scan.sums[1:]
-        stats = {"violations": int(np.count_nonzero(sums >= 0)),
-                 "min_sum": int(sums.min()), "max_sum": int(sums.max()),
-                 "final_sum": int(sums[-1])}
+        lo, counts = sums_histogram(scan.sums[1:])
+        final_sum = int(scan.sums[-1])
         check = _SCANNED
     else:
         lo, counts = prefix_histogram(word, N)
-        stats = {"violations": int(counts[max(0, -lo):].sum()),
-                 "min_sum": lo, "max_sum": lo + counts.size - 1,
-                 "final_sum": prefix_sum_at(word, N)}
+        final_sum = prefix_sum_at(word, N)
         steps = N if config.out else min(N, _PREFIX_STEPS)
         scan, check = _prefix_check(HALF, cf.value, letters(word, steps))
-    report = {
-        "alpha": config.alpha,
-        "N": N,
-        **stats,
-        "escalations": int(scan.escalated.size),
-        **check,
-        "ok": stats["violations"] == 0 and check.get("prefix_agrees", True),
-    }
+    violations = int(counts[max(0, -lo):].sum())
+    report = {"alpha": config.alpha, "N": N, "violations": violations, "min_sum": lo,
+              "max_sum": lo + counts.size - 1, "final_sum": final_sum,
+              "escalations": int(scan.escalated.size), **check,
+              "ok": violations == 0 and check.get("prefix_agrees", True)}
     # written only with --out, when the scan covers all N steps
     return report, (["n", "position", "S_n"], [range(N + 1), scan.positions, scan.sums])
 

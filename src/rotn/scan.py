@@ -42,8 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactreal import HALF, Frame, SurdReal, _surd_signs, escalations
+from .words import _add_shifted
 
-__all__ = ["OrbitScan", "orbit_scan", "orbit_positions", "backend_name", "kernel_for"]
+__all__ = ["OrbitScan", "orbit_scan", "orbit_positions", "sums_histogram", "backend_name",
+           "kernel_for"]
 
 logger = logging.getLogger(__name__)
 
@@ -292,6 +294,22 @@ def orbit_scan(
         escalated=escalated,
         radius_bound=radius,
     )
+
+
+def sums_histogram(sums: np.ndarray) -> tuple:
+    """(lo, counts) with counts[j] = #{i : sums[i] = lo + j}, lo = min(sums),
+    in ``words.prefix_histogram``'s format; an empty array gives (0, []).
+
+    Each ``_CHUNK`` values are binned from their own minimum, and the
+    chunks' histograms added as the word's nodes' are, so no full-length
+    copy is made and a chunk costs its length and span.
+    """
+    parts = []
+    for start in range(0, sums.size, _CHUNK):
+        part = sums[start : start + _CHUNK]
+        base = int(part.min())
+        parts.append((0, (base, np.bincount(part - base))))
+    return _add_shifted(np, parts)
 
 
 def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):

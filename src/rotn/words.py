@@ -150,7 +150,10 @@ class SignWord:
         return iter_letters(self)
 
     def __repr__(self):
-        return "SignWord[%s len=%d total=%d]" % (to_sexpr(self), self.length, self.total)
+        # to_sexpr writes a shared subword once per occurrence (a tower
+        # word's text grows ~4x a level), so only a short word is spelled out
+        spelled = to_sexpr(self) if self.length <= 64 else "uid=%d %s" % (self.uid, self.kind)
+        return "SignWord[%s len=%d total=%d]" % (spelled, self.length, self.total)
 
 
 def _intern(key, make) -> SignWord:

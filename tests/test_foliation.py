@@ -141,12 +141,6 @@ def test_levels_visited_matches_unique():
             assert trace.levels_visited() == [int(v) for v in np.unique(lv)]
 
 
-def test_leaf_summary_shape():
-    s = trace_leaf_through(HALF, 0, A, 100).summary()
-    assert set(s) == {"seed", "N", "min_level", "max_level", "levels_visited"}
-    assert s["N"] == 100
-
-
 # ---------------------------------------------------------------------------
 # the bounded-orbit family
 

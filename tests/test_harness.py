@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rotn import orbits, words
+from rotn.circle import visit_set
 from rotn.cli import main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
@@ -416,6 +417,69 @@ def test_leaf_ray_answers_n_past_memory_off_the_tower():
     assert rep["levels_visited"] == list(range(1 + lo, 1 + lo + counts.size))
     assert rep["N"] == 10**18 and rep["signs"] == "tower"
     assert rep["prefix_steps_checked"] == 2**16 and rep["prefix_agrees"] is True
+
+
+@pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16 + 1, 10**5])
+def test_reports_read_one_summary_whichever_route(monkeypatch, N):
+    # each report against its own run with no alpha admissible (the
+    # scan route), and both against one exact scan of the orbit of 1/2
+    for alpha in ("[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"):
+        av = parse_cf(alpha).value
+        sums = orbit_scan(HALF, av, N, policy="exact").sums
+
+        def both(**fields):
+            reps = run(ExperimentConfig(alpha=alpha, N=N, **fields)), \
+                _scan_route(monkeypatch, alpha=alpha, N=N, **fields)
+            assert [r["signs"] for r in reps] == ["tower", "scan"]
+            return reps
+
+        s = sums[1:]
+        want = {"violations": int(np.count_nonzero(s >= 0)), "min_sum": int(s.min()),
+                "max_sum": int(s.max()), "final_sum": int(s[-1])}
+        for rep in both(kind="heavy"):
+            assert {k: rep[k] for k in want} == want
+
+        want = {"seed": "ray 2", "N": N, "min_level": 3 + int(s.min()),
+                "max_level": 3 + int(s.max()),
+                "levels_visited": [3 + int(v) for v in np.unique(s)]}
+        for rep in both(kind="leaf", ray=2):
+            assert {k: rep[k] for k in want} == want
+
+        for m in (-1, 0, 40):  # level 40 is never visited
+            vs = visit_set(HALF, av, m, N)  # certified positions, as the runs'
+            assert vs.count == np.count_nonzero(sums == m)
+            want = {"m": m, "k": 0, "N": N, "count": vs.count,
+                    "first_time": vs.first_time,
+                    "max_gap": vs.max_gap() if vs.count else None}
+            for rep in both(kind="density", m=m):
+                assert {k: rep[k] for k in want} == want
+                last = rep["horizons"][-1]
+                assert {k: last[k] for k in ("N", "count", "first_time")} \
+                    == {k: rep[k] for k in ("N", "count", "first_time")}
+                if vs.count:
+                    assert last["max_gap"] == rep["max_gap"]
+                else:
+                    assert math.isnan(last["max_gap"])
+
+
+@pytest.mark.parametrize("argv, bytes_per_step", [
+    (["heavy", "--alpha", "[0;(2)]"], 17.6),
+    (["leaf", "--alpha", "[0;(2)]", "--ray", "0"], 25.0),
+])
+def test_scan_route_summaries_copy_no_full_array(capsys, argv, bytes_per_step):
+    # heavy holds its scan, 17 B a step (positions, signs and sums), and
+    # leaf the trace plus its steps' differences, 8 B more; the summary
+    # bins the sums a chunk at a time
+    assert main(argv + ["--N", "1000"]) == 0  # imports
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--N", str(10**6)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["signs"] == "scan"
+    assert peak <= bytes_per_step * 10**6, peak / 10**6
 
 
 def test_run_oracle_report(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 
 import rotn.scan
 from rotn.exactreal import Frame, SurdReal, parse_cf
+from rotn.renorm import half_word
 from rotn.scan import (
     _CHUNK, _EXACT_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
-    kernel_for, orbit_positions, orbit_scan, scan_kernel,
+    kernel_for, orbit_positions, orbit_scan, scan_kernel, sums_histogram,
 )
+from rotn.words import prefix_histogram
 
 A = parse_cf("[0;5,(6)]").value
 HALF = SurdReal(1, 0, 2)
@@ -303,3 +305,17 @@ def test_positions_at_indices_are_the_scans_bit_for_bit(seed):
     assert back[:2].tolist() == [float((x0 + A * i).frac()) for i in (-3, -1)]
     assert back[2] == scan.positions[2]
     assert -3 not in escalated and -1 not in escalated
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK, 3 * _CHUNK + 5])
+def test_sums_histogram_is_the_word_histogram(n):
+    # chunks reach different ranges of sums, and are binned each from its own
+    sums = orbit_scan(HALF, A, n).sums[1:]
+    lo, counts = sums_histogram(sums)
+    want_lo, want = prefix_histogram(half_word(parse_cf("[0;5,(6)]"), n), n)
+    assert lo == want_lo and counts.dtype == np.int64 and np.array_equal(counts, want)
+    if n:
+        assert np.array_equal(counts, np.bincount(sums - sums.min()))
+    # values that skip a level leave a zero count
+    lo, counts = sums_histogram(np.array([5, 2, 5, -1], dtype=np.int64))
+    assert lo == -1 and counts.tolist() == [1, 0, 0, 1, 0, 0, 2]

@@ -1,5 +1,6 @@
 """Hash-consed sign words: structure sharing, stats, lazy expansion."""
 
+import time
 import weakref
 from itertools import islice
 
@@ -130,6 +131,18 @@ def test_sexpr():
     assert to_sexpr(w) == "(- (+^3))"
     assert to_sexpr(EMPTY) == "()"
     assert to_sexpr(concat_all([MINUS, MINUS, PLUS])) == "(- - +)"
+
+
+def test_repr_of_a_deep_word_is_short():
+    # to_sexpr of a depth-40 tower word would run to ~10^24 characters
+    level = tower(parse_cf("[0;5,(6)]"), 40)[-1]
+    t = time.perf_counter()
+    size = len(repr(level))
+    assert time.perf_counter() - t < 0.1
+    assert size < 10**4
+    assert repr(level.f_zero) == "SignWord[uid=%d concat len=%d total=0]" \
+        % (level.f_zero.uid, level.f_zero.length)
+    assert repr(concat(MINUS, power(PLUS, 3))) == "SignWord[(- (+^3)) len=4 total=2]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 #!/bin/sh
 # The per-change gate in one command: the tier-1 suite, each test file in
 # its own process (the benchmark's own tests among them), the README
-# commands' --out bytes against commit REF, and rotnbench/ and
-# BENCHMARK.json unchanged since REF.  Runs every step, prints FAILED
-# for each that fails, and exits 1 if any did.  Usage: tools/check.sh REF
+# commands' --out bytes and stdout reports against commit REF, and
+# rotnbench/ and BENCHMARK.json unchanged since REF.  Runs every step,
+# prints FAILED for each that fails, and exits 1 if any did.
+# Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
 status=0
