@@ -105,14 +105,16 @@ def _density(config: ExperimentConfig):
     ladder = _gap_ladder(N)
     for h, gap in zip(ladder, vs.max_gaps(ladder)):
         cnt = int(np.searchsorted(vs.times, h, side="right"))
-        rows.append({"N": h, "count": cnt, "first_time": vs.first_time if cnt else None,
-                     "max_gap": gap})
+        first = int(vs.times[0]) if cnt else None
+        rows.append({"N": h, "count": cnt, "first_time": first, "max_gap": gap})
     last = rows[-1]
 
     # The visit set only grows with the horizon, so the gap cannot rise;
     # and m = 0 always holds at n = 0.
     gaps = [r["max_gap"] for r in rows if r["count"]]
-    ok = all(b <= a for a, b in zip(gaps, gaps[1:])) and (m != 0 or last["count"] > 0)
+    ok = all(b <= a for a, b in zip(gaps, gaps[1:]))
+    if m == 0 and vs.count == 0:
+        ok = False
 
     report = {"m": m, "k": k, "N": N, "count": last["count"],
               "first_time": last["first_time"],
