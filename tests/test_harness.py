@@ -468,8 +468,8 @@ def test_reports_read_one_summary_whichever_route(monkeypatch, N):
 ])
 def test_scan_route_summaries_copy_no_full_array(capsys, argv, bytes_per_step):
     # heavy holds its scan, 17 B a step (positions, signs and sums), and
-    # leaf the trace plus its steps' differences, 8 B more; the summary
-    # bins the sums a chunk at a time
+    # leaf its trace, 16 B (positions and levels), and the levels'
+    # differences, 8 B; the summary bins the sums a chunk at a time
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     tracemalloc.start()
