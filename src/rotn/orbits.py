@@ -7,10 +7,14 @@ words, visit sets), so this module imports numpy and the array
 modules, and ``harness.run`` imports it only for these kinds: ``tower``
 and ``oracle`` run on the standard library alone.
 
-``heavy``, ``leaf`` and ``density`` read their signs off the tower or
-off a scan, and either route yields one summary that the report is
-built from once: the histogram (lo, counts) of the sums for ``heavy``
-and ``leaf``, and the visit set for ``density``.
+One function, ``_orbit``, picks where the signs of an orbit come from:
+``heavy`` and ``density`` read the orbit of 1/2, ``example`` that of
+(1+alpha)/2.  A certified run on an admissible alpha reads them off the
+tower and scans a prefix that must agree with it; any other run scans
+every step.  ``leaf --ray`` takes the same route test, and checks the
+word against its own trace.  Either route yields one summary that the
+report is built from once: the histogram (lo, counts) of the sums for
+``heavy``, ``example`` and ``leaf``, and the visit set for ``density``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ _LEAF_CHECK_VISITS = 256
 # steps of the orbit of 1/2 that a run reading its signs off the tower
 # also scans, so the two routes check each other; about 1 ms of scan
 _PREFIX_STEPS = 1 << 16
+# entry levels per slice of the leaf's step check (512 KiB of int64)
+_STEP_CHUNK = 1 << 16
 
 
 def _gap_ladder(N: int) -> list:
@@ -39,90 +45,91 @@ def _gap_ladder(N: int) -> list:
     return sorted(horizons)
 
 
-def _tower_word(config: ExperimentConfig, cf):
-    """half_word(cf, N) when the run reads the orbit of 1/2 off the tower, else None.
+def _on_tower(config: ExperimentConfig, cf) -> bool:
+    """Whether the run reads its signs off the tower: certified, on an
+    admissible alpha.  Exact-only runs, the ground truth, always scan."""
+    return config.policy == "certified" and admissible(cf)
 
-    A certified run on an admissible alpha does: the orbit of 1/2 writes
-    the letters of half_word, exactly.  Exact-only runs stay the ground
-    truth and scan, and so does any alpha without a tower.
+
+def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
+    """The signs of n steps of the orbit of x, as (word, scan, check).
+
+    On the tower (``_on_tower``) the word's first n letters are the signs,
+    exactly: ``half_word`` at x = 1/2, else ``orbit_word``, the descent of
+    x (the same word at 1/2, at far more cost); scan covers min(n, checked)
+    steps, and check says whether they agree with the word.  Any other run
+    scans all n steps, with word None.  check holds the route's report keys.
     """
-    if config.policy == "certified" and admissible(cf):
-        return half_word(cf, config.N)
-    return None
+    if not _on_tower(config, cf):
+        scan = orbit_scan(x, cf.value, n, policy=config.policy)
+        return None, scan, {"signs": "scan", "prefix_steps_checked": 0}
+    word = half_word(cf, n) if x == HALF else orbit_word(cf, x, n)
+    steps = min(n, checked)
+    scan = orbit_scan(x, cf.value, steps)
+    agrees = bool(np.array_equal(scan.signs[:steps], letters(word, steps)))
+    return word, scan, {"signs": "tower", "prefix_steps_checked": steps,
+                        "prefix_agrees": agrees}
 
 
-def _prefix_check(x: SurdReal, alpha: SurdReal, signs: np.ndarray):
-    """Scan len(signs) steps of the orbit of x and compare the signs.
-
-    Returns the scan and the report keys that say where the signs came
-    from and whether the scan agreed.
-    """
-    steps = signs.size
-    scan = orbit_scan(x, alpha, steps)
-    agrees = bool(np.array_equal(scan.signs[:steps], signs))
-    return scan, {"signs": "tower", "prefix_steps_checked": steps,
-                  "prefix_agrees": agrees}
-
-
-_SCANNED = {"signs": "scan", "prefix_steps_checked": 0}
-
-
-def _half_visits(alpha: SurdReal, word, m: int, N: int, k: int):
-    """visit_set(HALF, alpha, m, N, k=k), with the signs read off word.
-
-    The visit times come from ``level_times``, by descent of the word,
-    and positions are computed only at the visit indices, by the scan's
-    own formula and radius test, so they equal the scan's bit for bit.
-    Returns the visit set and the prefix check's report keys.
-    """
-    times = level_times(word, m, N)
-    if m == 0:  # S_0 = 0
-        times = np.concatenate([np.zeros(1, dtype=np.int64), times])
-    positions, escalated, radius = orbit_positions(HALF, alpha, times + k if k else times)
-    scan, check = _prefix_check(HALF, alpha, letters(word, min(N, _PREFIX_STEPS)))
-    vs = VisitSet(times=times, positions=positions, position_radius=radius,
-                  escalations=int(scan.escalated.size + escalated.size))
-    return vs, check
+def _sums(word, scan, n: int) -> tuple:
+    """(lo, counts, S_n) of the orbit ``_orbit`` gave for n steps, with
+    (lo, counts) the histogram of S_1..S_n in ``prefix_histogram``'s format:
+    off the word at any n below 2^63, or off the scan a chunk at a time."""
+    if word is None:
+        return (*sums_histogram(scan.sums[1:]), int(scan.sums[-1]))
+    return (*prefix_histogram(word, n), prefix_sum_at(word, n))
 
 
 def _density(config: ExperimentConfig):
     """How the level-m visit positions fill the circle as N grows.
 
-    Either route gives a visit set, and the report reads it once: a row
-    per horizon, the last of which, N's, gives the top-level count,
-    first_time and max_gap (None when level m is not visited by N).
+    The scan route reads its visit set off ``_orbit``'s scan of N + max(k, 0)
+    steps.  On the tower, whose check scans min(N, 2^16) steps, the visit
+    times come from ``level_times``, by descent of the word, and positions
+    only at the visits, by the scan's own formula and radius test, so they
+    equal the scan's bit for bit.  The report reads the visit set once: a
+    row per horizon, the last of which, N's, gives the top-level count,
+    first_time and max_gap (None, and NaN in the table, with no visit).
     """
     m, N, k = config.m, config.N, config.k
     cf = parse_cf(config.alpha)
-    word = _tower_word(config, cf)
+    alpha = cf.value
+    word, scan, check = _orbit(config, cf, HALF, N + max(k, 0), min(N, _PREFIX_STEPS))
     if word is None:
-        vs = visit_set(HALF, cf.value, m, N, k=k, policy=config.policy)
-        check = _SCANNED
+        vs = visit_set(HALF, alpha, m, N, k=k, scan=scan)
     else:
-        vs, check = _half_visits(cf.value, word, m, N, k)
+        prior = int(scan.escalated.size)
+        del scan  # 17 B a checked step, not to be held across level_times
+        times = level_times(word, m, N)
+        if m == 0:  # S_0 = 0
+            times = np.concatenate([np.zeros(1, dtype=np.int64), times])
+        positions, escalated, radius = orbit_positions(HALF, alpha, times + k if k else times)
+        vs = VisitSet(times=times, positions=positions, position_radius=radius,
+                      escalations=prior + int(escalated.size))
 
     rows = []
     ladder = _gap_ladder(N)
-    for h, gap in zip(ladder, vs.max_gaps(ladder)):
+    gaps = vs.max_gaps(ladder)
+    for h, gap in zip(ladder, gaps):
         cnt = int(np.searchsorted(vs.times, h, side="right"))
         first = int(vs.times[0]) if cnt else None
-        rows.append({"N": h, "count": cnt, "first_time": first, "max_gap": gap})
+        rows.append({"N": h, "count": cnt, "first_time": first,
+                     "max_gap": gap if cnt else None})
     last = rows[-1]
 
     # The visit set only grows with the horizon, so the gap cannot rise;
     # and m = 0 always holds at n = 0.
-    gaps = [r["max_gap"] for r in rows if r["count"]]
-    ok = all(b <= a for a, b in zip(gaps, gaps[1:]))
+    seen = [r["max_gap"] for r in rows if r["count"]]
+    ok = all(b <= a for a, b in zip(seen, seen[1:]))
     if m == 0 and vs.count == 0:
         ok = False
 
     report = {"m": m, "k": k, "N": N, "count": last["count"],
-              "first_time": last["first_time"],
-              "max_gap": last["max_gap"] if last["count"] else None,
+              "first_time": last["first_time"], "max_gap": last["max_gap"],
               "escalations": vs.escalations, "horizons": rows,
               **check, "ok": ok and check.get("prefix_agrees", True)}
-    names = ["N", "count", "first_time", "max_gap"]
-    return report, (names, [[r[c] for r in rows] for c in names])
+    names = ["N", "count", "first_time"]
+    return report, (names + ["max_gap"], [[r[c] for r in rows] for c in names] + [gaps])
 
 
 def _example(config: ExperimentConfig):
@@ -132,12 +139,13 @@ def _example(config: ExperimentConfig):
     largest of S_1(x)..S_N(x), symmetric_sums compares the first
     min(N, 10^5) forward sums with the backward ones, and
     witness_prefix_ok compares the first 20,000 signs with the witness
-    word.  An exact-only run scans all N steps.  A certified run reads
-    max_forward_sum off one prefix histogram of orbit_word, the tower
-    descent of x, at any N below 2^63; its forward scan covers only
-    min(N, 10^5) steps, serves both checks above, and must equal the
-    descent's letters for ok to hold.  The descent never reads the
-    witness, which is what the audit checks.
+    word.  The forward signs come from ``_orbit`` with a check of 10^5
+    steps: on the tower, max_forward_sum is one prefix histogram of
+    orbit_word, the descent of x, at any N below 2^63, and the forward
+    scan covers only min(N, 10^5) steps, serves both checks above, and
+    must equal the descent's letters for ok to hold; any other run scans
+    all N steps.  The descent never reads the witness, which is what the
+    audit checks.
     """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
@@ -158,20 +166,11 @@ def _example(config: ExperimentConfig):
     }
 
     if N >= 1:
-        av = rep.alpha.value
         n_sym = min(N, 10 ** 5)
-        if config.policy == "certified":
-            word = orbit_word(rep.alpha, rep.x, N)
-            lo, counts = prefix_histogram(word, N)
-            max_forward_sum = lo + counts.size - 1
-            fwd, check = _prefix_check(rep.x, av, letters(word, n_sym))
-            descent_agrees = check["prefix_agrees"]
-        else:
-            fwd = orbit_scan(rep.x, av, N, policy="exact")
-            max_forward_sum = int(fwd.sums[1:].max())
-            descent_agrees = True
-        back = orbit_scan(rep.x, av, n_sym, direction=-1, policy=config.policy)
-        report["max_forward_sum"] = max_forward_sum
+        word, fwd, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
+        lo, counts, _ = _sums(word, fwd, N)
+        back = orbit_scan(rep.x, rep.alpha.value, n_sym, direction=-1, policy=config.policy)
+        report["max_forward_sum"] = lo + counts.size - 1
         report["symmetric_sums"] = bool(
             np.array_equal(back.sums[1: n_sym + 1], fwd.sums[1: n_sym + 1])
         )
@@ -181,7 +180,8 @@ def _example(config: ExperimentConfig):
         report["ok"] = (report["formulas_ok"] and rep.ok
                         and report["max_forward_sum"] == -1
                         and report["symmetric_sums"]
-                        and report["witness_prefix_ok"] and descent_agrees)
+                        and report["witness_prefix_ok"]
+                        and check.get("prefix_agrees", True))
     else:
         report["ok"] = report["formulas_ok"] and rep.ok
 
@@ -206,10 +206,11 @@ def _leaf(config: ExperimentConfig):
     """
     cf = parse_cf(config.alpha)
     alpha = cf.value
+    N, policy = config.N, config.policy
     word = None
     if config.ray is not None:
-        if not config.out:
-            word = _tower_word(config, cf)
+        if not config.out and _on_tower(config, cf):
+            word = half_word(cf, N)
 
         def trace_for(n, policy):
             return trace_ray(config.ray, alpha, n, policy=policy)
@@ -221,19 +222,18 @@ def _leaf(config: ExperimentConfig):
                                       direction=-1 if config.backward else 1,
                                       policy=policy)
 
-    N, policy = config.N, config.policy
     trace = trace_for(N if word is None else min(N, _PREFIX_STEPS), policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(min(N, _LEAF_CHECK_VISITS),
                       "certified" if policy == "exact" else "exact")
     cert, exact = (other, trace) if policy == "exact" else (trace, other)
     k = other.visits
-    steps = np.diff(trace.entry_level)
-    levels_step_by_one = bool(
-        steps.size == 0
-        or (steps.min() >= -1 and steps.max() <= 1
-            and np.count_nonzero(steps) == steps.size)
-    )
+    # the differences a chunk at a time, each overlapping the next by one
+    # entry, so no full-length copy of the levels is made
+    levels = trace.entry_level
+    levels_step_by_one = all(
+        bool(np.all(np.abs(np.diff(levels[i:i + _STEP_CHUNK + 1])) == 1))
+        for i in range(0, levels.size - 1, _STEP_CHUNK))
     # an exact entry_x is a float shadow, off by at most one rounding
     prefix_agrees = bool(
         np.array_equal(cert.entry_level[:k], exact.entry_level[:k])
@@ -242,7 +242,7 @@ def _leaf(config: ExperimentConfig):
     )
     if word is None:
         lo, counts = sums_histogram(trace.entry_level)
-        check = _SCANNED
+        check = {"signs": "scan", "prefix_steps_checked": 0}
     else:
         level0 = config.ray + 1  # entry n sits at level0 + S_n(1/2)
         lo, counts = prefix_histogram(word, N)
@@ -264,24 +264,14 @@ def _heavy(config: ExperimentConfig):
     """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N.
 
     The report reads only the histogram (lo, counts) of S_1..S_N and
-    S_N.  A scan bins its sums; when the signs come off the tower, they
-    are one prefix histogram and one prefix sum of half_word, at any N
-    below 2^63, and the scan only checks the tower, over 2^16 steps, or
-    over all N when --out needs its table.
+    S_N, which ``_sums`` gives from either route of ``_orbit``: on the
+    tower the scan only checks the word, over 2^16 steps, or over all N
+    when --out needs its table.
     """
     N = config.N
     cf = parse_cf(config.alpha)
-    word = _tower_word(config, cf)
-    if word is None:
-        scan = orbit_scan(HALF, cf.value, N, policy=config.policy)
-        lo, counts = sums_histogram(scan.sums[1:])
-        final_sum = int(scan.sums[-1])
-        check = _SCANNED
-    else:
-        lo, counts = prefix_histogram(word, N)
-        final_sum = prefix_sum_at(word, N)
-        steps = N if config.out else min(N, _PREFIX_STEPS)
-        scan, check = _prefix_check(HALF, cf.value, letters(word, steps))
+    word, scan, check = _orbit(config, cf, HALF, N, N if config.out else _PREFIX_STEPS)
+    lo, counts, final_sum = _sums(word, scan, N)
     violations = int(counts[max(0, -lo):].sum())
     report = {"alpha": config.alpha, "N": N, "violations": violations, "min_sum": lo,
               "max_sum": lo + counts.size - 1, "final_sum": final_sum,

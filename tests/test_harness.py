@@ -117,7 +117,22 @@ def test_run_density_trivial_cases():
     assert run(ExperimentConfig(kind="density", m=-1, N=50))["first_time"] == 1
     empty = run(ExperimentConfig(kind="density", m=9, N=10))
     assert empty["count"] == 0 and empty["ok"]
-    assert math.isnan(empty["horizons"][0]["max_gap"])
+    assert empty["horizons"][0]["max_gap"] is None
+
+
+def test_density_report_is_strict_json_and_its_table_keeps_nan(tmp_path, capsys):
+    # a horizon with no visit: null in the report, nan in the CSV, which
+    # readers of the table parse with float()
+    def refuse(name):
+        raise ValueError("not strict JSON: %s" % name)
+
+    argv = ["density", "--m", "9", "--N", "10"]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert rep["horizons"] == [{"N": 10, "count": 0, "first_time": None, "max_gap": None}]
+    out = str(tmp_path / "gaps.csv")
+    assert main(argv + ["--out", out]) == 0
+    assert open(out).read().splitlines()[1:] == ["N,count,first_time,max_gap", "10,0,,nan"]
 
 
 def test_run_example_report(tmp_path):
@@ -310,6 +325,28 @@ def test_example_off_the_descent_equals_the_exact_scan(m):
     assert cert["ok"] is True
 
 
+@pytest.mark.parametrize("N", [1, 2**16 + 1, 10**5 + 1])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
+    # the descent scans only the 10^5 steps it checks; the scan route, the
+    # same run with no alpha admissible, scans all N
+    forward = []
+    honest = orbits.orbit_scan
+
+    def counted(x, alpha, n, *, direction=1, policy="certified"):
+        if direction == 1:
+            forward.append(n)
+        return honest(x, alpha, n, direction=direction, policy=policy)
+
+    monkeypatch.setattr(orbits, "orbit_scan", counted)
+    fields = dict(kind="example", m=m, k_max=6, N=N)
+    rep = run(ExperimentConfig(**fields))
+    assert forward == [min(N, 10**5)] and rep["ok"] is True
+    forward.clear()
+    assert _scan_route(monkeypatch, **fields) == rep
+    assert forward == [N]
+
+
 def test_example_forward_max_is_the_witness_prefix_max_far_out():
     N = 10**12
     for m, k_max in ((2, 10), (3, 8)):
@@ -459,17 +496,18 @@ def test_reports_read_one_summary_whichever_route(monkeypatch, N):
                 if vs.count:
                     assert last["max_gap"] == rep["max_gap"]
                 else:
-                    assert math.isnan(last["max_gap"])
+                    assert last["max_gap"] is None
 
 
 @pytest.mark.parametrize("argv, bytes_per_step", [
     (["heavy", "--alpha", "[0;(2)]"], 17.6),
-    (["leaf", "--alpha", "[0;(2)]", "--ray", "0"], 25.0),
+    (["leaf", "--alpha", "[0;(2)]", "--ray", "0"], 17.6),
 ])
 def test_scan_route_summaries_copy_no_full_array(capsys, argv, bytes_per_step):
     # heavy holds its scan, 17 B a step (positions, signs and sums), and
-    # leaf its trace, 16 B (positions and levels), and the levels'
-    # differences, 8 B; the summary bins the sums a chunk at a time
+    # leaf its trace, 16 B (positions and levels); the summary bins the
+    # sums, and leaf's step check takes the levels' differences, a chunk
+    # at a time
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     tracemalloc.start()
