@@ -312,33 +312,19 @@ class SurdReal:
 
     # -- float shadow -----------------------------------------------------
 
-    _SHIFT = 72
-
     def certified(self) -> "CertifiedFloat":
         """Float approximation with a rigorous error radius."""
-        if self.q == 0:
-            v = self.p / self.r  # correctly rounded for any int sizes
+        v = float(self)
+        if self.q == 0:  # p / r is correctly rounded
             return CertifiedFloat(v, math.ulp(abs(v)) if v else 5e-324)
-        v, den = self._shifted()
         # isqrt error <= 1 gives 1/den; float rounding gives ulp/2; pad
         # both.  2 / den divides ints, correctly rounded: den as a float
         # would overflow once it passes 2^1024
-        return CertifiedFloat(v, 2 / den + math.ulp(abs(v)))
-
-    def _shifted(self) -> tuple[float, int]:
-        """(value, den) for irrational self: value = num/den rounded once."""
-        sh = SurdReal._SHIFT
-        s = math.isqrt(self.q * self.q * self.d << (2 * sh))
-        if self.q < 0:
-            s = -s
-        den = self.r << sh
-        return ((self.p << sh) + s) / den, den
+        return CertifiedFloat(v, 2 / (self.r << _SHIFT) + math.ulp(abs(v)))
 
     def __float__(self) -> float:
         """The value of ``certified()``, without building its radius."""
-        if self.q == 0:
-            return self.p / self.r
-        return self._shifted()[0]
+        return _surd_float(self.p, self.q, self.r, self.d)
 
     # -- formatting --------------------------------------------------------
 
@@ -367,6 +353,33 @@ def _surd_sign(p: int, q: int, d: int) -> int:
     if p * p > q * q * d:
         return 1 if p > 0 else -1
     return 1 if q > 0 else -1
+
+
+_SHIFT = 72
+
+
+def _surd_float(p: int, q: int, r: int, d: int) -> float:
+    """(p + q*sqrt(d))/r as a float, for r > 0: the package's one float formula.
+
+    A rational value is p / r, correctly rounded for any int sizes.
+    Otherwise p, q and r are first divided by gcd(p, q, r), so that
+    every representation of one number gives the float of its canonical
+    form, and the value is num/den rounded once, with
+    num = (p << 72) + isqrt(q*q*d << 144) (negated with q) and
+    den = r << 72.  ``SurdReal.__float__`` and ``Frame.float`` both
+    call it, so a walker's float shadow equals float() of its surd.
+    """
+    if q == 0:
+        return p / r
+    g = math.gcd(p, q, r)
+    if g > 1:
+        p //= g
+        q //= g
+        r //= g
+    s = math.isqrt(q * q * d << (2 * _SHIFT))
+    if q < 0:
+        s = -s
+    return ((p << _SHIFT) + s) / (r << _SHIFT)
 
 
 def _surd_signs(p, q, d: int, q_part=None):
@@ -441,6 +454,10 @@ class Frame:
     def surd(self, P: int, Q: int) -> SurdReal:
         """The lattice point as a canonical SurdReal."""
         return SurdReal(P, Q, self.R, self.d)
+
+    def float(self, P: int, Q: int) -> float:
+        """float() of the lattice point, without building its SurdReal."""
+        return _surd_float(P, Q, self.R, self.d)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,10 @@ tests compare them against, so the tracers never consult them.  The
 "certified" policy rides the orbit scan arrays; "exact" steps b on an
 ``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
 lattice, b(x) and 1 - b(x) are integer differences, and the split
-1 - alpha is a threshold embedded once.
+1 - alpha is a threshold embedded once.  An exact trace keeps each
+entry as its lattice pair and writes its float shadow with
+``Frame.float``, the formula ``float()`` of a ``SurdReal`` uses; its
+surds are built only when ``LeafTrace.exact_x`` is read.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
 lives in ``rotn.example``, which needs no numpy; it is re-exported here,
@@ -102,9 +105,12 @@ class LeafTrace:
     entry_x[k] and entry_level[k] describe the visit with index
     n = start_index + k (ray visits count from 1, leaf visits from 0;
     backward traces count 1, 2, ... steps into the past).  Exact traces
-    also keep the entry coordinates as surds; certified traces bound
-    the error of every entry_x by radius_bound.  The ``leaf`` report
-    reads its level summary off ``scan.sums_histogram(entry_level)``.
+    also keep every entry coordinate exactly, as its integer pair on the
+    walk's frame, (frame, Ps, Qs); ``exact_x`` turns them into surds
+    on access, and each entry_x is float() of that surd.  Certified
+    traces bound the error of every entry_x by radius_bound.  The
+    ``leaf`` report reads its level summary off
+    ``scan.sums_histogram(entry_level)``.
     """
 
     seed: str
@@ -113,12 +119,20 @@ class LeafTrace:
     entry_x: np.ndarray
     entry_level: np.ndarray
     policy: str
-    exact_x: Optional[list] = None
+    lattice: Optional[tuple[Frame, list, list]] = None
     radius_bound: float = 0.0
 
     @property
     def visits(self) -> int:
         return int(self.entry_level.size)
+
+    @property
+    def exact_x(self) -> Optional[list]:
+        """The entry coordinates as canonical surds; None for a certified trace."""
+        if self.lattice is None:
+            return None
+        frame, Ps, Qs = self.lattice
+        return [frame.surd(P, Q) for P, Q in zip(Ps, Qs)]
 
     def levels_visited(self) -> list[int]:
         """The distinct entry levels, ascending, read off their histogram."""
@@ -134,10 +148,13 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     1 - b(x) with the level moved by f of the new coordinate (entry
     convention, used by rays) or of the old one (orbit convention, used
     by leaves).  Backward inverts that using that b is an involution.
-    Every visit is also kept as a canonical surd.
+    Every visit is kept as its lattice pair (P, Q) and written as
+    ``frame.float(P, Q)``; no SurdReal is built.  All four per-visit
+    containers are allocated before the first step, so a count that
+    cannot fit is refused at once.
     """
     frame = Frame(x0, alpha, HALF)
-    R, sign = frame.R, frame.sign
+    R, sign, to_float = frame.R, frame.sign, frame.float
     turn = _turn_map(frame, alpha)
     Ph, _ = frame.embed(HALF)
     P, Q = frame.embed(x0)
@@ -145,13 +162,14 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     f_of_new = (direction == 1) == ray_convention
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
-    exact = []
+    Ps = [0] * count
+    Qs = [0] * count
     j = level0
     for k in range(count):
-        x = frame.surd(P, Q)
-        xs[k] = float(x)
+        xs[k] = to_float(P, Q)
         lv[k] = j
-        exact.append(x)
+        Ps[k] = P
+        Qs[k] = Q
         if k + 1 == count:
             break
         if not f_of_new:
@@ -165,7 +183,7 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
         if f_of_new:
             f = 1 if sign(P - Ph, Q) < 0 else -1
         j += direction * f
-    return xs, lv, exact
+    return xs, lv, (frame, Ps, Qs)
 
 
 def trace_ray(i: int, alpha: SurdReal, N: int, *,
@@ -179,8 +197,8 @@ def trace_ray(i: int, alpha: SurdReal, N: int, *,
         raise ValueError("need N >= 1 visits, got %r" % (N,))
     seed = "ray %d" % (i,)
     if policy == "exact":
-        xs, lv, exact = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
-        return LeafTrace(seed, 1, 1, xs, lv, policy, exact)
+        xs, lv, lattice = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
+        return LeafTrace(seed, 1, 1, xs, lv, policy, lattice)
     scan = orbit_scan(HALF, alpha, N, policy=policy)
     lv = scan.sums[1 : N + 1]
     lv += i + 1
@@ -204,10 +222,10 @@ def trace_leaf_through(
     x0 = x0.frac()  # the seed names the point on the circle
     seed = "leaf through (%s, %d)" % (x0.exact_str(), j0)
     if policy == "exact":
-        xs, lv, exact = _trace_exact(
+        xs, lv, lattice = _trace_exact(
             x0, j0, alpha, N + 1, direction, ray_convention=False
         )
-        return LeafTrace(seed, direction, 0, xs, lv, policy, exact)
+        return LeafTrace(seed, direction, 0, xs, lv, policy, lattice)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     scan.sums += j0
     return LeafTrace(

@@ -371,7 +371,7 @@ def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
         # within 2^-38 of 2*x_k for |alpha| < 1: float(x) is within 2^-53
         # of x < 1, and each of k*af's two roundings and the sum's costs
         # at most 2^-41 for k <= 2^12, so the guess is off by at most one
-        guess = np.floor(2.0 * (kf[: m + 1] * af + float(frame.surd(P, Q))))
+        guess = np.floor(2.0 * (kf[: m + 1] * af + frame.float(P, Q)))
         g = _floor_twice(Pk, Qk, R, d, guess.astype(np.int64).astype(dtype))
         Pk -= (g >> 1) * R
         positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]

@@ -545,12 +545,47 @@ def iter_letters(w: SignWord) -> Iterator[int]:
 
 
 def expand(w: SignWord, cap: int = 10**7) -> list[int]:
-    """Materialize the word as a list of +-1, refusing lengths above cap."""
+    """Materialize the word as a list of +-1, refusing lengths above cap.
+
+    Fills one list left to right, as ``letters`` fills its array: a node
+    met again is copied from its first occurrence, and a power writes
+    its base once and then repeats that slice, so each node is spelled
+    out once.  Plain lists keep it free of numpy.
+    """
     if w.length > cap:
         raise ValueError(
             "expansion of length %d exceeds cap %d" % (w.length, cap)
         )
-    return list(iter_letters(w))
+    out: list[int] = []
+    written = {}  # uid -> offset of the node's first copy in out
+    # a node to write, or (start, length, copies): repeat a written slice
+    todo: list = [w]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            start, length, copies = node
+            out += out[start:start + length] * copies
+            continue
+        kind = node.kind
+        if kind == _ATOM:
+            out.append(node.sign)
+            continue
+        if kind == _EMPTY:
+            continue
+        # a DAG node never contains itself, so its first copy is complete
+        # before the node can be met again
+        start = written.get(node.uid)
+        if start is not None:
+            out += out[start:start + node.length]
+            continue
+        written[node.uid] = len(out)
+        if kind == _POWER:
+            todo.append((len(out), node.base.length, node.exp - 1))
+            todo.append(node.base)
+        else:
+            todo.append(node.right)
+            todo.append(node.left)
+    return out
 
 
 def to_sexpr(w: SignWord) -> str:

@@ -61,9 +61,10 @@ def test_exact_leaf_trace_follows_the_rotation(alpha, seed, j0, direction):
     x0 = _point(seed, a)
     N = 40
     tr = trace_leaf_through(x0, j0, a, N, direction=direction, policy="exact")
+    exact = tr.exact_x  # built on each access
     for k in range(N + 1):
         n = direction * k
-        assert tr.exact_x[k] == (x0 + a * n).frac(), k
+        assert exact[k] == (x0 + a * n).frac(), k
         assert tr.entry_level[k] == j0 + _sum(x0, a, n), k
 
 
@@ -73,8 +74,9 @@ def test_exact_ray_trace_follows_the_rotation(alpha, i):
     a = alpha.value
     N = 40
     tr = trace_ray(i, a, N, policy="exact")
+    exact = tr.exact_x
     for n in range(1, N + 1):
-        assert tr.exact_x[n - 1] == (HALF + a * (n - 1)).frac(), n
+        assert exact[n - 1] == (HALF + a * (n - 1)).frac(), n
         assert tr.entry_level[n - 1] == i + 1 + _sum(HALF, a, n), n
 
 

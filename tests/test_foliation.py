@@ -1,5 +1,6 @@
 """The leaf structure: turn map, ray entries, the non-dense example."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -72,9 +73,10 @@ def test_ray_entry_law_exact_small():
     for i in (-1, 0, 2):
         tr = trace_ray(i, A, 200, policy="exact")
         assert tr.start_index == 1
+        exact = tr.exact_x  # built on each access
         for k in range(200):
             n = k + 1
-            assert tr.exact_x[k] == (HALF + A * (n - 1)).frac()
+            assert exact[k] == (HALF + A * (n - 1)).frac()
             assert tr.entry_level[k] == i + 1 + _sum(HALF, n)
 
 
@@ -111,16 +113,18 @@ def test_trace_ray_validates():
 def test_leaf_through_orbit_convention():
     x = (1 + A) / 2
     tr = trace_leaf_through(x, 3, A, 150, policy="exact")
+    exact = tr.exact_x
     for n in range(151):
-        assert tr.exact_x[n] == (x + A * n).frac()
+        assert exact[n] == (x + A * n).frac()
         assert tr.entry_level[n] == 3 + _sum(x, n)
 
 
 def test_leaf_through_backward():
     x = (1 + A) / 2
     tr = trace_leaf_through(x, 0, A, 150, direction=-1, policy="exact")
+    exact = tr.exact_x
     for k in range(151):
-        assert tr.exact_x[k] == (x + A * -k).frac()
+        assert exact[k] == (x + A * -k).frac()
         assert tr.entry_level[k] == _sum(x, -k)
 
 
@@ -129,6 +133,45 @@ def test_leaf_through_certified_matches_exact():
     fast = trace_leaf_through(x, 0, A, 3000)
     slow = trace_leaf_through(x, 0, A, 3000, policy="exact")
     assert np.array_equal(fast.entry_level, slow.entry_level)
+
+
+@pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;21,(30,28,26)]"])
+@pytest.mark.parametrize("seed, direction", [
+    ("ray", 1),
+    ("(1+a)/2", 1), ("(1+a)/2", -1),
+    ("1/2 + 1/2**80", 1), ("1/2 + 1/2**80", -1),  # integers past 64 bits
+])
+def test_exact_entry_x_is_the_float_of_its_orbit_point(cf, seed, direction):
+    # the float shadow is float() of the canonical surd, bit for bit, and
+    # that surd is the orbit formula's point
+    a = parse_cf(cf).value
+    N = 300
+    if seed == "ray":
+        x0 = HALF
+        tr = trace_ray(0, a, N + 1, policy="exact")
+    else:
+        x0 = (1 + a) / 2 if seed == "(1+a)/2" else HALF + SurdReal(1) / 2**80
+        tr = trace_leaf_through(x0, 0, a, N, direction=direction, policy="exact")
+    exact = tr.exact_x
+    assert len(exact) == tr.visits == N + 1
+    assert tr.entry_x.tobytes() == np.array([float(x) for x in exact]).tobytes()
+    for k in range(N + 1):
+        assert exact[k] == (x0 + a * (direction * k)).frac(), k
+
+
+def test_exact_ray_keeps_under_112_bytes_a_visit():
+    # two float64/int64 arrays (16 B) and two lists of lattice ints, two
+    # pointers and two small ints a visit; a SurdReal a visit took 152 B
+    trace_ray(0, A, 100, policy="exact")  # imports
+    N = 10**5
+    tracemalloc.start()
+    try:
+        tr = trace_ray(0, A, N, policy="exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.visits == N
+    assert peak < 112 * N, peak / N
 
 
 def test_levels_visited_matches_unique():

@@ -763,7 +763,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     for argv in (["heavy", "--N", huge], ["heavy", "--N", huge, "--precision", "exact-only"],
                  ["density", "--N", huge], ["example", "--N", huge, "--precision", "exact-only"],
                  ray + ["--precision", "exact-only"], ray + ["--alpha", "[0;(2)]"],
-                 ray + ["--out", str(tmp_path / "ray.csv")]):
+                 ray + ["--out", str(tmp_path / "ray.csv")],
+                 ["leaf", "--through", "(1+a)/2", "--N", huge, "--precision", "exact-only"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("rotn: error: ") and err.count("\n") == 1

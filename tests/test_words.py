@@ -158,7 +158,7 @@ def sign_words(draw, max_len=10**4):
         return EMPTY
     if kind == 2:
         a = draw(sign_words(max_len=max_len // 2))
-        b = draw(st.sampled_from([PLUS, MINUS]))
+        b = draw(st.sampled_from([PLUS, MINUS, a]))  # a twice: a shared node
         return concat(a, b)
     base = draw(sign_words(max_len=max_len // 4))
     if base.length == 0:
