@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import fields
 
-from .harness import PRECISIONS, ExperimentConfig, run
+from .harness import PRECISIONS, ExperimentConfig, json_text, run
 
 _EXAMPLES = """\
 examples:
@@ -114,7 +113,7 @@ def main(argv=None) -> int:
         print("%s: %s -> %s" % (config.kind, "ok" if ok else "FAILED", config.out))
     else:
         # one write: json.dump would stream thousands of small ones
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(report) + "\n")
     return 0 if ok else 1
 
 

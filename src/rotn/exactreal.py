@@ -324,7 +324,7 @@ class SurdReal:
 
     def __float__(self) -> float:
         """The value of ``certified()``, without building its radius."""
-        return _surd_float(self.p, self.q, self.r, self.d)
+        return _canonical_float(self.p, self.q, self.r, self.d)
 
     # -- formatting --------------------------------------------------------
 
@@ -359,23 +359,32 @@ _SHIFT = 72
 
 
 def _surd_float(p: int, q: int, r: int, d: int) -> float:
-    """(p + q*sqrt(d))/r as a float, for r > 0: the package's one float formula.
+    """(p + q*sqrt(d))/r as a float, for r > 0, from any representation.
 
-    A rational value is p / r, correctly rounded for any int sizes.
-    Otherwise p, q and r are first divided by gcd(p, q, r), so that
-    every representation of one number gives the float of its canonical
-    form, and the value is num/den rounded once, with
-    num = (p << 72) + isqrt(q*q*d << 144) (negated with q) and
-    den = r << 72.  ``SurdReal.__float__`` and ``Frame.float`` both
-    call it, so a walker's float shadow equals float() of its surd.
+    Divides p, q and r by gcd(p, q, r) and hands the canonical triple to
+    ``_canonical_float``, so every representation of one number gives
+    the float of its canonical form.  ``Frame.float`` calls it, so a
+    walker's float shadow equals float() of its surd.
     """
-    if q == 0:
-        return p / r
     g = math.gcd(p, q, r)
     if g > 1:
         p //= g
         q //= g
         r //= g
+    return _canonical_float(p, q, r, d)
+
+
+def _canonical_float(p: int, q: int, r: int, d: int) -> float:
+    """(p + q*sqrt(d))/r as a float, for a canonical triple: the package's one float formula.
+
+    A rational value is p / r, correctly rounded for any int sizes.
+    Otherwise the value is num/den rounded once, with
+    num = (p << 72) + isqrt(q*q*d << 144) (negated with q) and
+    den = r << 72.  ``SurdReal.__float__`` calls it directly, since a
+    SurdReal is canonical already; ``_surd_float`` reduces first.
+    """
+    if q == 0:
+        return p / r
     s = math.isqrt(q * q * d << (2 * _SHIFT))
     if q < 0:
         s = -s

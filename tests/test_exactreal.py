@@ -14,6 +14,7 @@ from rotn.exactreal import (
     CFNumber,
     SurdReal,
     _squarefree_core,
+    _surd_float,
     _surd_sign,
     _surd_signs,
     alpha_next,
@@ -174,6 +175,16 @@ def test_array_sign_is_the_scalar_sign(d, data):
         ps, qs = zip(*data.draw(st.lists(pairs, min_size=1, max_size=20)))
         got = _surd_signs(np.array(ps, dtype=dtype), np.array(qs, dtype=dtype), d)
         assert got.tolist() == [_surd_sign(p, q, d) for p, q in zip(ps, qs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=_SQUAREFREE, p=st.integers(-(2**100), 2**100), q=st.integers(-(2**100), 2**100),
+       r=st.integers(1, 2**100), k=st.integers(1, 2**40))
+def test_float_of_a_surd_is_the_float_of_any_representation(d, p, q, r, k):
+    # SurdReal.__float__ skips the gcd of an already canonical surd; the
+    # reducing entry point must land on the same float from a scaled copy
+    s = SurdReal(p, q, r, d)
+    assert float(s).hex() == _surd_float(s.p * k, s.q * k, s.r * k, s.d).hex()
 
 
 @pytest.mark.parametrize("d, named", [

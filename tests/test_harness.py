@@ -3,19 +3,23 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotn import orbits, words
 from rotn.circle import visit_set
-from rotn.cli import main
+from rotn.cli import _build_parser, _config, main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
     _ROWS_PER_WRITE,
     PRECISIONS,
     ExperimentConfig,
     config_from_header,
+    json_text,
     parse_point,
     read_header,
     run,
@@ -820,6 +824,62 @@ def test_cli_stdout_json(capsys):
     assert main(["density", "--N", "300"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True and doc["N"] == 300
+
+
+# strings the indent fix-ups must leave alone: brackets, commas, quotes,
+# newlines, the separators themselves, non-ASCII text
+_JSON_STR = st.text(st.sampled_from('}{][,:" \n\\aé€\U0001f600'), max_size=8) | st.text(max_size=4)
+_JSON_SCALAR = (st.none() | st.booleans() | _JSON_STR | st.floats()
+                | st.integers(-(2 ** 70), 2 ** 70)
+                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2 ** 64 + 1]))
+_JSON = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_JSON_STR, inner, max_size=4)
+                   # lists of scalar dicts, empty ones among them
+                   | st.lists(st.dictionaries(_JSON_STR, _JSON_SCALAR, max_size=3), max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_json_text_is_the_stdlib_indented_encoding(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [
+    [{"a": 1}, {}], [{}, {"a": 1}], [{"a": "},\n    {"}, {"b": 2}], {"x": [{}, []]},
+    {1: [1], 2.5: {"k": None}}, {None: [True]}, {False: {}, 3: [1]}, (), {}, "\u2028", 2 ** 64,
+])
+def test_json_text_on_edge_values(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tower", "--depth", "40"],
+    ["tower", "--alpha", "[0;7,10,(8,12)]", "--depth", "40"],
+    ["oracle", "--depth", "3", "--samples", "10"],
+    ["heavy", "--N", "10000"],
+    ["example", "--m", "2", "--kmax", "4", "--N", "5000"],
+    ["leaf", "--ray", "0", "--N", "400"],
+    ["density", "--m", "9", "--N", "10"],  # a horizon with no visit: null
+])
+def test_cli_prints_the_stdlib_encoding_of_the_report(capsys, argv):
+    status = main(argv)
+    printed = capsys.readouterr().out
+    report = run(_config(_build_parser().parse_args(argv)))
+    assert status == (0 if report["ok"] else 1)
+    assert printed == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_cli_out_file_is_the_stdlib_encoding_of_header_and_report(tmp_path, capsys):
+    out = str(tmp_path / "t.json")
+    argv = ["tower", "--depth", "40", "--out", out]
+    assert main(argv) == 0
+    capsys.readouterr()
+    config = _config(_build_parser().parse_args(argv))
+    doc = {"header": config.header(), "report": run(replace(config, out=None))}
+    assert open(out).read() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_precision_flag(tmp_path):

@@ -18,7 +18,10 @@ can collect several workloads, run one after another.  The summary gives,
 per workload (``W/trace1`` for traced runs), each metric BENCHMARK.json
 declares: its median and quartiles per side, how many pairs the change
 won (ties count for neither side), and the relative change of the
-median.  Nothing under ``rotnbench/`` is changed.
+median.  Under ``raw_s_by_kind`` it gives the same for each job kind's
+median raw time per run, before rotnbench scales it by the machine's
+speed factor, so a change in the code can be told from one in that
+factor.  Nothing under ``rotnbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ NOTE = (
     "header git_sha is that of the commit below it, and change_src_sha256 is the "
     "digest of its src/rotn. summary gives each declared metric's median and "
     "quartiles (inclusive method) per side over the pairs, the change's wins "
-    "(ties count for neither) and the relative change of the median."
+    "(ties count for neither) and the relative change of the median; "
+    "raw_s_by_kind gives the same for each job kind's median raw_s per run, "
+    "the job time before rotnbench's speed factor scales it."
 )
 
 
@@ -91,8 +96,31 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     return json.loads(path.read_text())
 
 
-def _better(declared: dict, name: str, change: float, parent: float) -> bool:
-    return change < parent if declared[name] == "lower" else change > parent
+def _compare(parent: list, change: list, better: str) -> dict:
+    """Median and quartiles per side, the change's wins and the median's change."""
+    stats = {}
+    for side, values in (("parent", parent), ("change", change)):
+        if len(values) > 1:
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        else:
+            q1 = median = q3 = values[0]
+        stats[side] = {"median": median, "q1": q1, "q3": q3}
+    wins = sum(c < p if better == "lower" else c > p for c, p in zip(change, parent))
+    base = stats["parent"]["median"]
+    return {
+        **stats,
+        "change_wins": "%d/%d" % (wins, len(parent)),
+        "median_change": (stats["change"]["median"] - base) / base if base else None,
+    }
+
+
+def _raw_by_kind(run: dict) -> dict:
+    """The median raw_s, unscaled by the speed factor, of each job kind in a run."""
+    times = {}
+    for job in run["jobs"]:
+        if not job["traced"]:
+            times.setdefault(job["kind"], []).append(job["raw_s"])
+    return {kind: statistics.median(ts) for kind, ts in times.items()}
 
 
 def _summary(pairs: list, declared: dict) -> dict:
@@ -103,25 +131,18 @@ def _summary(pairs: list, declared: dict) -> dict:
     summary = {}
     for key, group in sorted(groups.items()):
         names = sorted(set(group[0]["parent"]["metrics"]) & set(declared))
-        entry = {}
-        for name in names:
-            sides = {side: [p[side]["metrics"][name] for p in group]
-                     for side in ("parent", "change")}
-            stats = {}
-            for side, values in sides.items():
-                if len(values) > 1:
-                    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-                else:
-                    q1 = median = q3 = values[0]
-                stats[side] = {"median": median, "q1": q1, "q3": q3}
-            wins = sum(_better(declared, name, c, p)
-                       for c, p in zip(sides["change"], sides["parent"]))
-            base = stats["parent"]["median"]
-            entry[name] = {
-                **stats,
-                "change_wins": "%d/%d" % (wins, len(group)),
-                "median_change": (stats["change"]["median"] - base) / base if base else None,
-            }
+        entry = {name: _compare([p["parent"]["metrics"][name] for p in group],
+                                [p["change"]["metrics"][name] for p in group],
+                                declared[name])
+                 for name in names}
+        raw = [{side: _raw_by_kind(p[side]) for side in ("parent", "change")} for p in group]
+        kinds = sorted(set.intersection(*(set(r[side]) for r in raw
+                                          for side in ("parent", "change"))))
+        if kinds:
+            entry["raw_s_by_kind"] = {
+                kind: _compare([r["parent"][kind] for r in raw],
+                               [r["change"][kind] for r in raw], "lower")
+                for kind in kinds}
         summary[key] = entry
     return summary
 
