@@ -270,15 +270,16 @@ _INDENT = "  "
 def json_text(obj) -> str:
     """obj as JSON, keys sorted and indented by two spaces, mostly in C.
 
-    The bytes are json.dumps's with those two options.  json.dumps falls
-    back to its pure-Python encoder whenever it indents.  Here a non-empty container whose members are all scalars goes
-    to the C encoder in one call, with its members' newline and indent
-    in the item separator, and only its brackets are re-wrapped.  A list
-    of such dicts is one call too, with the dicts' inner separator; each
+    The bytes are json.dumps's with those two options, which makes
+    json.dumps fall back to its pure-Python encoder.  Here a non-empty
+    container whose members are all scalars goes to the C encoder in
+    one call, with its members' newline and indent in the item
+    separator, and only its brackets are re-wrapped.  A list of such
+    dicts is one call too, with the dicts' inner separator; each
     boundary between two dicts is then re-indented by one str.replace,
     which cannot touch an encoded string, since none holds a raw
-    newline.  Every other container recurses, so a tower report costs
-    three or four C calls.
+    newline.  Every other container recurses, so each of a tower
+    report's lists of level, bound and chain records is one C call.
     """
     return _json_text(obj, "\n")
 
