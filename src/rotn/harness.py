@@ -278,8 +278,9 @@ def json_text(obj) -> str:
     dicts is one call too, with the dicts' inner separator; each
     boundary between two dicts is then re-indented by one str.replace,
     which cannot touch an encoded string, since none holds a raw
-    newline.  Every other container recurses, so each of a tower
-    report's lists of level, bound and chain records is one C call.
+    newline.  Any other dict encodes its scalar entries in one call and
+    recurses into the rest, as any other list does into its members:
+    a tower report is five C calls.
     """
     return _json_text(obj, "\n")
 
@@ -303,11 +304,19 @@ def _json_text(obj, nl: str) -> str:
         text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
         return text[0] + inner + text[1:-1] + nl + text[-1]
     if isinstance(obj, dict):
-        # a key that is not a str is spelled as its JSON scalar, then quoted
-        body = ("," + inner).join(
-            json.dumps(k if isinstance(k, str) else json.dumps(k))
-            + ": " + _json_text(v, inner) for k, v in sorted(obj.items()))
-        return "{" + inner + body + nl + "}"
+        # the scalar entries are one C call, whose items come out in sorted
+        # key order and split apart at the separator, as no encoded string
+        # holds a raw newline; a key that is not a str is spelled as its
+        # JSON scalar, then quoted
+        sep = "," + inner
+        flat = {k: v for k, v in obj.items() if isinstance(v, _SCALARS)}
+        text = json.dumps(flat, sort_keys=True, separators=(sep, ": "))
+        parts = dict(zip(sorted(flat), text[1:-1].split(sep)))
+        for k, v in obj.items():
+            if k not in parts:
+                parts[k] = (json.dumps(k if isinstance(k, str) else json.dumps(k))
+                            + ": " + _json_text(v, inner))
+        return "{" + inner + sep.join(parts[k] for k in sorted(parts)) + nl + "}"
     if all(isinstance(v, dict) and v and _flat(v.values()) for v in obj):
         deep = inner + _INDENT
         text = json.dumps(obj, sort_keys=True, separators=("," + deep, ": "))
