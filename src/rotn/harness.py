@@ -280,7 +280,7 @@ def json_text(obj) -> str:
     which cannot touch an encoded string, since none holds a raw
     newline.  Any other dict encodes its scalar entries in one call and
     recurses into the rest, as any other list does into its members:
-    a tower report is five C calls.
+    a tower report takes four calls of the C encoder.
     """
     return _json_text(obj, "\n")
 
