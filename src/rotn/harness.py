@@ -61,6 +61,9 @@ _MAX_ORACLE_STEPS = 10 ** 8
 # tower levels: the endpoints' integers grow by ~0.8 digits per level, so
 # each level costs more than the last; depth 1000 takes about a second
 _MAX_DEPTH = 1000
+# a leaf's level moves by one a visit, and rotation Birkhoff sums grow
+# like log N, so a seed level this far inside int64 cannot leave it
+_MAX_LEVEL = 2 ** 62
 # leaf seeds: a**100000 already takes 0.2 s to parse.  Every value a
 # seed expression builds has at most ~4000 digits, so each step costs
 # little and the seed prints under Python's 4300-digit int-to-str limit
@@ -111,9 +114,18 @@ class ExperimentConfig:
         for name in ("depth", "N", "k_max", "samples"):
             if getattr(self, name) < 0:
                 raise ValueError("%s must be >= 0" % (name,))
-        # orbit indices and visit counts are int64
+        # orbit indices and visit counts are int64, and so are the shifted
+        # times of density and the entry levels of a leaf, which stay
+        # within N of --level or ray + 1
         if self.N > MAX_HISTOGRAM_LENGTH:
             raise ValueError("N %d is above the limit of 2^63 - 1" % (self.N,))
+        if abs(self.k) + self.N > MAX_HISTOGRAM_LENGTH:
+            raise ValueError("|k| + N = %d is above the limit of 2^63 - 1"
+                             % (abs(self.k) + self.N,))
+        for name in ("ray", "level"):
+            value = getattr(self, name)
+            if value is not None and abs(value) > _MAX_LEVEL:
+                raise ValueError("%s %d is outside the limit of +-2^62" % (name, value))
         kind = self.kind
         if kind in ("tower", "oracle") and self.depth > _MAX_DEPTH:
             raise ValueError("depth %d is above the limit of %d"

@@ -138,14 +138,14 @@ def _example(config: ExperimentConfig):
     The audit follows x = (1+alpha)/2 for N steps: max_forward_sum is the
     largest of S_1(x)..S_N(x), symmetric_sums compares the first
     min(N, 10^5) forward sums with the backward ones, and
-    witness_prefix_ok compares the first 20,000 signs with the witness
-    word.  The forward signs come from ``_orbit`` with a check of 10^5
-    steps: on the tower, max_forward_sum is one prefix histogram of
-    orbit_word, the descent of x, at any N below 2^63, and the forward
-    scan covers only min(N, 10^5) steps, serves both checks above, and
-    must equal the descent's letters for ok to hold; any other run scans
-    all N steps.  The descent never reads the witness, which is what the
-    audit checks.
+    witness_prefix_ok compares the first min(N, 20,000, witness length)
+    signs with the witness word.  The forward signs come from ``_orbit``
+    with a check of 10^5 steps: on the tower, max_forward_sum is one
+    prefix histogram of orbit_word, the descent of x, at any N below
+    2^63, and the forward scan covers only min(N, 10^5) steps, serves
+    both checks above, and must equal the descent's letters for ok to
+    hold; any other run scans all N steps.  The descent never reads the
+    witness, which is what the audit checks.
     """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
@@ -174,8 +174,8 @@ def _example(config: ExperimentConfig):
         report["symmetric_sums"] = bool(
             np.array_equal(back.sums[1: n_sym + 1], fwd.sums[1: n_sym + 1])
         )
-        n_pref = min(N, 20000)
-        prefix = letters(rep.witness, min(n_pref, rep.witness.length))
+        n_pref = min(N, 20000, rep.witness.length)
+        prefix = letters(rep.witness, n_pref)
         report["witness_prefix_ok"] = bool(np.array_equal(prefix, fwd.signs[:n_pref]))
         report["ok"] = (report["formulas_ok"] and rep.ok
                         and report["max_forward_sum"] == -1

@@ -28,13 +28,14 @@ has word lengths around 10^28 and that must not overflow.
 
 Three more readers work by descent, at a cost that grows with the
 depth of the DAG and not with the prefix length: ``letters`` writes a
-prefix as an int8 array by block copies, ``prefix_histogram`` counts
-how often each value occurs among the prefix sums, and ``level_times``
-lists the times at which the prefix sum equals one value.  The second
-memoizes each node's histogram, which composes like the stats above: a
-concat shifts the right histogram by the left total, and a power adds
-copies shifted by multiples of the base total.  The third is sized by
-the second and skips every node whose prefix range misses its level.
+prefix as an int8 array by block copies, with the one fill that
+``expand`` runs into a list, ``prefix_histogram`` counts how often each
+value occurs among the prefix sums, and ``level_times`` lists the times
+at which the prefix sum equals one value.  The second memoizes each
+node's histogram, which composes like the stats above: a concat shifts
+the right histogram by the left total, and a power adds copies shifted
+by multiples of the base total.  The third is sized by the second and
+skips every node whose prefix range misses its level.
 These three import numpy when called and hand it to their private
 helpers; building words and reading their stats needs no numpy.
 """
@@ -146,9 +147,6 @@ class SignWord:
             raise ValueError("min_prefix is undefined for the empty word")
         return self._minp
 
-    def __iter__(self) -> Iterator[int]:
-        return iter_letters(self)
-
     def __repr__(self):
         # to_sexpr writes a shared subword once per occurrence (a tower
         # word's text grows ~4x a level), so only a short word is spelled out
@@ -251,58 +249,66 @@ def prefix_sum_at(w: SignWord, k: int) -> int:
     return acc
 
 
-def letters(w: SignWord, n: int) -> np.ndarray:
-    """The first n letters, 0 <= n <= length, as an int8 array.
+def _spell(w: SignWord, n: int, out):
+    """Write the first n letters of w into out[:n] and return out.
 
-    Fills the output left to right by descent.  A node already written
-    in full earlier in the output is copied from there, and a power
-    writes its base once and broadcasts it over the other copies; a
-    partial last copy is a prefix of the first.  So the work is one
-    pass of block copies plus one step per DAG node visited, and
-    nothing beyond the output is allocated but a table of node offsets.
+    out is any preallocated buffer that takes slice assignment: an int8
+    array or a list.  The fill runs left to right.  A node met again is
+    copied from its first copy, complete by then, as a DAG node never
+    contains itself; a power writes its base once and doubles that copy
+    until its letters are written, a partial last copy included.  So
+    each DAG node is spelled out once, and nothing beyond the output is
+    allocated but a table of node offsets.  Only the nodes on the path
+    to letter n are cut short, and nothing is written after them.
     """
+    todo = [w]  # nodes to write, and tiles (start, end): double out[start:at]
+    pop, push = todo.pop, todo.append
+    written = {}  # uid -> offset of the node's first copy in out
+    at = 0  # the next letter of out to write
+    while at < n:
+        node = pop()
+        if type(node) is tuple:
+            start, end = node
+            if end > n:
+                end = n
+            size = at - start
+            while at + size < end:
+                out[at:at + size] = out[start:at]
+                at += size
+                size += size
+            out[at:end] = out[start:start + end - at]
+            at = end
+            continue
+        kind = node.kind
+        if kind == _ATOM:
+            out[at] = node.sign
+            at += 1
+            continue
+        src = written.get(node.uid)
+        if src is not None:
+            size = node.length
+            if size > n - at:
+                size = n - at
+            out[at:at + size] = out[src:src + size]
+            at += size
+            continue
+        written[node.uid] = at
+        if kind == _POWER:
+            push((at, at + node.length))
+            push(node.base)
+        else:
+            push(node.right)
+            push(node.left)
+    return out
+
+
+def letters(w: SignWord, n: int) -> np.ndarray:
+    """The first n letters, 0 <= n <= length, as an int8 array."""
     import numpy as np
 
     if not (0 <= n <= w.length):
         raise ValueError("prefix length %d outside [0, %d]" % (n, w.length))
-    out = np.empty(n, dtype=np.int8)
-    written = {}  # uid -> offset of a full copy of that node in out
-    # (node, start, count, False) fills out[start:start + count] with the
-    # node's first letters; the same entry with True runs once its parts
-    # are written, to tile a power's copies and note a full node
-    todo = [(w, 0, n, False)]
-    while todo:
-        node, start, count, parts_written = todo.pop()
-        if parts_written:
-            if node.kind == _POWER and count > node.base.length:
-                bl = node.base.length
-                copies, rem = divmod(count, bl)
-                first = out[start:start + bl]
-                out[start + bl:start + copies * bl].reshape(copies - 1, bl)[:] = first
-                out[start + copies * bl:start + count] = first[:rem]
-            if count == node.length:
-                written[node.uid] = start
-            continue
-        if count == 0:
-            continue
-        if count == node.length and node.uid in written:
-            src = written[node.uid]
-            out[start:start + count] = out[src:src + count]
-            continue
-        kind = node.kind
-        if kind == _ATOM:
-            out[start] = node.sign
-            written[node.uid] = start
-            continue
-        todo.append((node, start, count, True))
-        if kind == _POWER:
-            todo.append((node.base, start, min(count, node.base.length), False))
-        else:  # concat
-            cut = node.left.length
-            if count > cut:
-                todo.append((node.right, start + cut, count - cut, False))
-            todo.append((node.left, start, min(count, cut), False))
-    return out
+    return _spell(w, n, np.empty(n, dtype=np.int8))
 
 
 # Prefix-sum histograms are pairs (lo, counts): counts[j] is how many of
@@ -547,45 +553,14 @@ def iter_letters(w: SignWord) -> Iterator[int]:
 def expand(w: SignWord, cap: int = 10**7) -> list[int]:
     """Materialize the word as a list of +-1, refusing lengths above cap.
 
-    Fills one list left to right, as ``letters`` fills its array: a node
-    met again is copied from its first occurrence, and a power writes
-    its base once and then repeats that slice, so each node is spelled
-    out once.  Plain lists keep it free of numpy.
+    The list is filled by ``_spell``, as ``letters`` fills its array;
+    plain lists keep it free of numpy.
     """
     if w.length > cap:
         raise ValueError(
             "expansion of length %d exceeds cap %d" % (w.length, cap)
         )
-    out: list[int] = []
-    written = {}  # uid -> offset of the node's first copy in out
-    # a node to write, or (start, length, copies): repeat a written slice
-    todo: list = [w]
-    while todo:
-        node = todo.pop()
-        if type(node) is tuple:
-            start, length, copies = node
-            out += out[start:start + length] * copies
-            continue
-        kind = node.kind
-        if kind == _ATOM:
-            out.append(node.sign)
-            continue
-        if kind == _EMPTY:
-            continue
-        # a DAG node never contains itself, so its first copy is complete
-        # before the node can be met again
-        start = written.get(node.uid)
-        if start is not None:
-            out += out[start:start + node.length]
-            continue
-        written[node.uid] = len(out)
-        if kind == _POWER:
-            todo.append((len(out), node.base.length, node.exp - 1))
-            todo.append(node.base)
-        else:
-            todo.append(node.right)
-            todo.append(node.left)
-    return out
+    return _spell(w, w.length, [0] * w.length)
 
 
 def to_sexpr(w: SignWord) -> str:

@@ -139,7 +139,7 @@ def test_density_report_is_strict_json_and_its_table_keeps_nan(tmp_path, capsys)
     assert open(out).read().splitlines()[1:] == ["N,count,first_time,max_gap", "10,0,,nan"]
 
 
-def test_run_example_report(tmp_path):
+def test_run_example_report(tmp_path, monkeypatch):
     out = str(tmp_path / "example.json")
     rep = run(ExperimentConfig(kind="example", m=2, k_max=4, N=5000, out=out))
     assert rep["ok"] and rep["formulas_ok"]
@@ -147,6 +147,29 @@ def test_run_example_report(tmp_path):
     assert rep["symmetric_sums"] and rep["witness_prefix_ok"]
     assert rep["block_maxima"] == [-1] * 4
     assert config_from_header(read_header(out)).k_max == 4
+    # witnesses of 15 and 588 letters, shorter than N: the tower route
+    # (certified) and the scan route (exact-only) compare only the
+    # witness's letters, and fail when its last block is flipped
+    honest = orbits.letters
+    for k_max in (1, 2):
+        witness = example_m_formulas(2, k_max).witness
+        last_block = example_m_formulas(2, k_max - 1).witness.length if k_max > 1 else 0
+        for precision in ("certified-fast", "exact-only"):
+            fields = dict(kind="example", m=2, k_max=k_max, N=1000, precision=precision)
+            rep = run(ExperimentConfig(**fields))
+            assert rep["witness_length"] == witness.length < 1000
+            assert rep["witness_prefix_ok"] and rep["ok"]
+
+            def flipped(w, n):
+                got = honest(w, n)
+                if w is witness:
+                    got[last_block:] *= -1
+                return got
+
+            with monkeypatch.context() as patch:
+                patch.setattr(orbits, "letters", flipped)
+                rep = run(ExperimentConfig(**fields))
+            assert not rep["witness_prefix_ok"] and rep["ok"] is False
 
 
 def test_run_leaf_ray_csv(tmp_path):
@@ -987,10 +1010,28 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
     (["density", "--N", str(10 ** 4000)], "is above the limit of 2^63 - 1"),
     (["leaf", "--ray", "0", "--N", str(2 ** 63)],
      "N 9223372036854775808 is above the limit of 2^63 - 1"),
+    # entry levels and shifted times are int64 too; these used to end in
+    # an OverflowError traceback and exit 1, the failed-check status
+    (["leaf", "--ray", str(10 ** 20), "--N", "10"],
+     "ray 100000000000000000000 is outside the limit of +-2^62"),
+    (["leaf", "--ray", str(-10 ** 20), "--N", "10", "--precision", "exact-only"],
+     "ray -100000000000000000000 is outside the limit of +-2^62"),
+    (["leaf", "--through", "1/3", "--level", str(10 ** 20), "--N", "10"],
+     "level 100000000000000000000 is outside the limit of +-2^62"),
+    (["density", "--k", str(10 ** 20), "--N", "10"],
+     "|k| + N = 100000000000000000010 is above the limit of 2^63 - 1"),
+    (["density", "--k", str(-10 ** 20), "--N", "10"],
+     "|k| + N = 100000000000000000010 is above the limit of 2^63 - 1"),
+    # the scan route used to exit 2 with numpy's array-dimension error
+    (["density", "--alpha", "[0;(2)]", "--k", str(10 ** 20), "--N", "10"],
+     "|k| + N = 100000000000000000010 is above the limit of 2^63 - 1"),
 ], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
         "oracle-depth-12", "oracle-a-million-samples", "oracle-depth-400",
         "oracle-past-floats", "tower-depth", "oracle-depth", "example-kmax",
-        "heavy-past-int64", "density-past-int64", "leaf-past-int64"])
+        "heavy-past-int64", "density-past-int64", "leaf-past-int64",
+        "leaf-ray-past-int64", "exact-leaf-ray-past-int64", "leaf-level-past-int64",
+        "density-k-past-int64", "density-negative-k-past-int64",
+        "scan-density-k-past-int64"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
 

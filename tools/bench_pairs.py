@@ -20,8 +20,10 @@ declares: its median and quartiles per side, how many pairs the change
 won (ties count for neither side), and the relative change of the
 median.  Under ``raw_s_by_kind`` it gives the same for each job kind's
 median raw time per run, before rotnbench scales it by the machine's
-speed factor, so a change in the code can be told from one in that
-factor.  Nothing under ``rotnbench/`` is changed.
+speed factor, and under ``speed_factor`` that factor's median and
+quartiles per side, read from each run's ``raw_metrics``, so a change
+in the code can be told from one in the host's speed.  Nothing under
+``rotnbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ NOTE = (
     "quartiles (inclusive method) per side over the pairs, the change's wins "
     "(ties count for neither) and the relative change of the median; "
     "raw_s_by_kind gives the same for each job kind's median raw_s per run, "
-    "the job time before rotnbench's speed factor scales it."
+    "the job time before rotnbench's speed factor scales it; speed_factor gives "
+    "that factor's median and quartiles per side, from each run's raw_metrics."
 )
 
 
@@ -96,15 +99,18 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     return json.loads(path.read_text())
 
 
+def _quartiles(values: list) -> dict:
+    """The median and quartiles (inclusive method) of one side's values."""
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def _compare(parent: list, change: list, better: str) -> dict:
     """Median and quartiles per side, the change's wins and the median's change."""
-    stats = {}
-    for side, values in (("parent", parent), ("change", change)):
-        if len(values) > 1:
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        else:
-            q1 = median = q3 = values[0]
-        stats[side] = {"median": median, "q1": q1, "q3": q3}
+    stats = {"parent": _quartiles(parent), "change": _quartiles(change)}
     wins = sum(c < p if better == "lower" else c > p for c, p in zip(change, parent))
     base = stats["parent"]["median"]
     return {
@@ -143,6 +149,9 @@ def _summary(pairs: list, declared: dict) -> dict:
                 kind: _compare([r["parent"][kind] for r in raw],
                                [r["change"][kind] for r in raw], "lower")
                 for kind in kinds}
+        entry["speed_factor"] = {
+            side: _quartiles([p[side]["raw_metrics"]["speed_factor"] for p in group])
+            for side in ("parent", "change")}
         summary[key] = entry
     return summary
 

@@ -3,7 +3,9 @@
 # its own process (the benchmark's own tests among them), the README
 # commands' --out bytes and stdout reports against commit REF, and
 # rotnbench/ and BENCHMARK.json unchanged since REF.  Runs every step,
-# prints FAILED for each that fails, and exits 1 if any did.
+# prints FAILED for each that fails, and exits 1 if any did.  Last it
+# prints the size of the change to src/rotn and tests since REF (git
+# diff --shortstat), for information only: that step cannot fail.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -17,4 +19,6 @@ step env PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 step tools/test_each_file.sh
 step tools/out_bytes.sh "$1"
 step git diff --quiet "$1" -- rotnbench BENCHMARK.json
+echo "== git diff --shortstat $1 -- src/rotn tests"
+git diff --shortstat "$1" -- src/rotn tests || true
 exit $status
