@@ -363,8 +363,8 @@ def _surd_float(p: int, q: int, r: int, d: int) -> float:
 
     Divides p, q and r by gcd(p, q, r) and hands the canonical triple to
     ``_canonical_float``, so every representation of one number gives
-    the float of its canonical form.  ``Frame.float`` calls it, so a
-    walker's float shadow equals float() of its surd.
+    the float of its canonical form.  ``Frame.float`` and the exact leaf
+    trace call it, so a walker's float shadow equals float() of its surd.
     """
     g = math.gcd(p, q, r)
     if g > 1:
@@ -374,18 +374,44 @@ def _surd_float(p: int, q: int, r: int, d: int) -> float:
     return _canonical_float(p, q, r, d)
 
 
+# _canonical_float's root of each field: floor(sqrt(d) * 2^(_SHIFT + _GUARD))
+# by d, for at most _ROOTS_LIMIT fields, the oldest dropped first
+_GUARD = 64
+_BAND = 1 << _GUARD
+_LOW = _BAND - 1
+_ROOTS: dict = {}
+_ROOTS_LIMIT = 64
+
+
+def _field_root(d: int) -> int:
+    """floor(sqrt(d) * 2^(_SHIFT + _GUARD)), kept in ``_ROOTS``."""
+    if len(_ROOTS) >= _ROOTS_LIMIT:
+        del _ROOTS[next(iter(_ROOTS))]
+    S = _ROOTS[d] = math.isqrt(d << 2 * (_SHIFT + _GUARD))
+    return S
+
+
 def _canonical_float(p: int, q: int, r: int, d: int) -> float:
     """(p + q*sqrt(d))/r as a float, for a canonical triple: the package's one float formula.
 
     A rational value is p / r, correctly rounded for any int sizes.
     Otherwise the value is num/den rounded once, with
     num = (p << 72) + isqrt(q*q*d << 144) (negated with q) and
-    den = r << 72.  ``SurdReal.__float__`` calls it directly, since a
+    den = r << 72.  That isqrt comes from the field's root
+    S = floor(sqrt(d)*2^(72+G)), G = 64, kept in ``_ROOTS``, as (|q|*S) >> G:
+    |q|*S <= |q|*sqrt(d)*2^(72+G) < |q|*S + |q|, so the shift is the floor
+    unless the low G bits of |q|*S plus |q| pass 2^G, and only then is
+    isqrt called.  ``SurdReal.__float__`` calls it directly, since a
     SurdReal is canonical already; ``_surd_float`` reduces first.
     """
     if q == 0:
         return p / r
-    s = math.isqrt(q * q * d << (2 * _SHIFT))
+    a = q if q > 0 else -q
+    t = a * (_ROOTS.get(d) or _field_root(d))
+    if (t & _LOW) + a > _BAND:
+        s = math.isqrt(q * q * d << (2 * _SHIFT))
+    else:
+        s = t >> _GUARD
     if q < 0:
         s = -s
     return ((p << _SHIFT) + s) / (r << _SHIFT)
@@ -432,7 +458,11 @@ class Frame:
     pair (P, Q).  Sums and differences of embedded values stay on the
     lattice, which is all a rotation or the leaf turn map needs, and
     x < t is ``frame.sign(Px - Pt, Qx - Qt) < 0``.  Mixing two fields
-    raises, with the same message as ``SurdReal`` arithmetic.
+    raises, with the same message as ``SurdReal`` arithmetic.  The
+    per-step loops (the exact leaf trace, its turn map and the oracle's
+    first return) bind ``d`` and ``R`` once and call ``_surd_sign`` and
+    ``_surd_float`` themselves, one call less per use than ``sign`` and
+    ``float``.
     """
 
     __slots__ = ("R", "d")

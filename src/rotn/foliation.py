@@ -29,8 +29,8 @@ tests compare them against, so the tracers never consult them.  The
 ``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
 lattice, b(x) and 1 - b(x) are integer differences, and the split
 1 - alpha is a threshold embedded once.  An exact trace keeps each
-entry as its lattice pair and writes its float shadow with
-``Frame.float``, the formula ``float()`` of a ``SurdReal`` uses; its
+entry as its lattice pair and writes its float shadow as
+``Frame.float`` does, by the formula ``float()`` of a ``SurdReal`` uses; its
 surds are built only when ``LeafTrace.exact_x`` is read.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
@@ -47,7 +47,7 @@ import numpy as np
 
 from .example import (ExampleReport, FormulaCheck, example_alpha, example_m_formulas,
                       example_point)
-from .exactreal import HALF, Frame, SurdReal
+from .exactreal import HALF, Frame, SurdReal, _surd_float, _surd_sign
 from .scan import orbit_scan, sums_histogram
 
 __all__ = [
@@ -71,12 +71,12 @@ def _turn_map(frame: Frame, alpha: SurdReal):
     reduction.  x = 1 - alpha runs into the corner of the rectangle
     (the singular connection) and is refused.
     """
-    R, sign = frame.R, frame.sign
+    R, d = frame.R, frame.d
     Pa, Qa = frame.embed(alpha)
     Ps, Qs = R - Pa, -Qa  # the split 1 - alpha
 
     def turn(P: int, Q: int) -> tuple[int, int]:
-        c = sign(P - Ps, Q - Qs)
+        c = _surd_sign(P - Ps, Q - Qs, d)
         if c == 0:
             raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
         if c < 0:
@@ -149,12 +149,14 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     convention, used by rays) or of the old one (orbit convention, used
     by leaves).  Backward inverts that using that b is an involution.
     Every visit is kept as its lattice pair (P, Q) and written as
-    ``frame.float(P, Q)``; no SurdReal is built.  All four per-visit
+    ``_surd_float(P, Q, R, d)``, what ``frame.float(P, Q)`` returns, and
+    every side is one ``_surd_sign`` call; no SurdReal is built.  All four per-visit
     containers are allocated before the first step, so a count that
     cannot fit is refused at once.
     """
     frame = Frame(x0, alpha, HALF)
-    R, sign, to_float = frame.R, frame.sign, frame.float
+    R, d = frame.R, frame.d
+    sign, to_float = _surd_sign, _surd_float
     turn = _turn_map(frame, alpha)
     Ph, _ = frame.embed(HALF)
     P, Q = frame.embed(x0)
@@ -166,14 +168,14 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     Qs = [0] * count
     j = level0
     for k in range(count):
-        xs[k] = to_float(P, Q)
+        xs[k] = to_float(P, Q, R, d)
         lv[k] = j
         Ps[k] = P
         Qs[k] = Q
         if k + 1 == count:
             break
         if not f_of_new:
-            f = 1 if sign(P - Ph, Q) < 0 else -1
+            f = 1 if sign(P - Ph, Q, d) < 0 else -1
         if direction == 1:
             dP, dQ = turn(P, Q)
             P, Q = R - dP, -dQ  # 1 - b(x), already in (0, 1)
@@ -181,7 +183,7 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
             # b(1 - x): 1 - x is in (0, 1], and at 1 b agrees with b(0)
             P, Q = turn(R - P, -Q)
         if f_of_new:
-            f = 1 if sign(P - Ph, Q) < 0 else -1
+            f = 1 if sign(P - Ph, Q, d) < 0 else -1
         j += direction * f
     return xs, lv, (frame, Ps, Qs)
 

@@ -38,6 +38,10 @@ _LEAF_CHECK_VISITS = 256
 _PREFIX_STEPS = 1 << 16
 # entry levels per slice of the leaf's step check (512 KiB of int64)
 _STEP_CHUNK = 1 << 16
+# a scan holds a float64 position, an int8 sign and an int64 sum a point
+# (an exact leaf trace more), and numpy refuses an array past 2^63 - 1 bytes
+_SCAN_BYTES_PER_POINT = 17
+_MAX_ARRAY_BYTES = 2 ** 63 - 1
 
 
 def _gap_ladder(N: int) -> list:
@@ -51,6 +55,18 @@ def _on_tower(config: ExperimentConfig, cf) -> bool:
     return config.policy == "certified" and admissible(cf)
 
 
+def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
+    """Refuse, naming --N (and --k), a scan of this many points whose
+    arrays cannot be allocated, before any of them is."""
+    need = points * _SCAN_BYTES_PER_POINT
+    if need > _MAX_ARRAY_BYTES:
+        given = "--N %d" % (config.N,)
+        if config.kind == "density" and config.k > 0:
+            given += " and --k %d" % (config.k,)
+        raise ValueError("%s: a scan of %d points needs %d bytes, %d a point, above the "
+                         "limit of 2^63 - 1" % (given, points, need, _SCAN_BYTES_PER_POINT))
+
+
 def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
     """The signs of n steps of the orbit of x, as (word, scan, check).
 
@@ -60,11 +76,13 @@ def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
     steps, and check says whether they agree with the word.  Any other run
     scans all n steps, with word None.  check holds the route's report keys.
     """
-    if not _on_tower(config, cf):
+    on_tower = _on_tower(config, cf)
+    steps = min(n, checked) if on_tower else n
+    _refuse_unallocatable(config, steps + 1)
+    if not on_tower:
         scan = orbit_scan(x, cf.value, n, policy=config.policy)
         return None, scan, {"signs": "scan", "prefix_steps_checked": 0}
     word = half_word(cf, n) if x == HALF else orbit_word(cf, x, n)
-    steps = min(n, checked)
     scan = orbit_scan(x, cf.value, steps)
     agrees = bool(np.array_equal(scan.signs[:steps], letters(word, steps)))
     return word, scan, {"signs": "tower", "prefix_steps_checked": steps,
@@ -222,6 +240,8 @@ def _leaf(config: ExperimentConfig):
                                       direction=-1 if config.backward else 1,
                                       policy=policy)
 
+    if word is None:
+        _refuse_unallocatable(config, N + 1)
     trace = trace_for(N if word is None else min(N, _PREFIX_STEPS), policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(min(N, _LEAF_CHECK_VISITS),

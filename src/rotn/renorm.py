@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, SurdReal, alpha_next,
-                        gauss_step)
+                        _surd_sign, gauss_step)
 from .words import SignWord, concat, concat_all, empty, power, prefix_sum_at
 from .words import MINUS, PLUS
 
@@ -511,7 +511,7 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     alpha = level.base_alpha
     budget = 10 * (level.f_minus.length + level.f_zero.length)
     frame = Frame(x, alpha, HALF, interval.left, interval.right)
-    R, sign = frame.R, frame.sign
+    R, d, sign = frame.R, frame.d, _surd_sign
     P, Q = frame.embed(x)
     Pa, Qa = frame.embed(alpha)
     Ph, _ = frame.embed(HALF)
@@ -519,19 +519,19 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     Pr, Qr = frame.embed(interval.right)
     # alpha is in (0, 1), so a step wraps at most once; when alpha < 1/2
     # a point left of 1/2 cannot wrap at all
-    short = sign(Ph - Pa, -Qa) > 0
-    left = sign(P - Ph, Q) < 0
+    short = sign(Ph - Pa, -Qa, d) > 0
+    left = sign(P - Ph, Q, d) < 0
     word = []
     for _ in range(budget):
         word.append(1 if left else -1)
         P += Pa
         Q += Qa
-        if not (short and left) and sign(P - R, Q) >= 0:
+        if not (short and left) and sign(P - R, Q, d) >= 0:
             P -= R
         # the interval is symmetric about 1/2, so the side of 1/2 the
         # point is on tells which endpoint can exclude it
-        left = sign(P - Ph, Q) < 0
-        if (sign(P - Pl, Q - Ql) >= 0) if left else (sign(P - Pr, Q - Qr) < 0):
+        left = sign(P - Ph, Q, d) < 0
+        if (sign(P - Pl, Q - Ql, d) >= 0) if left else (sign(P - Pr, Q - Qr, d) < 0):
             return ReturnRecord(start=x, time=len(word), word=tuple(word),
                                 landing=frame.surd(P, Q))
     raise RuntimeError(

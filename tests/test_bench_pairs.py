@@ -1,6 +1,7 @@
 """tools/bench_pairs.py: each run's own peak memory, and the summary of the pairs."""
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,58 @@ def test_the_summary_gives_each_job_kinds_raw_median(monkeypatch):
     assert tower["median_change"] == pytest.approx(0.0085 / 0.011 - 1)
     assert queries["parent"]["median"] == queries["change"]["median"] == 0.0025
     assert queries["change_wins"] == "0/2" and queries["median_change"] == 0
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_both_sides_run_alike_apart_from_their_checkout(monkeypatch, tmp_path):
+    # a working tree whose src holds a stale bytecode cache, which a git
+    # archive of its own commit does not
+    work = tmp_path / "work"
+    (work / "src" / "rotn" / "__pycache__").mkdir(parents=True)
+    (work / "src" / "rotn" / "__init__.py").write_text("")
+    (work / "src" / "rotn" / "__pycache__" / "__init__.cpython-311.pyc").write_bytes(b"x")
+    (work / "rotnbench").mkdir()
+    (work / "rotnbench" / "run.py").write_text("")
+    (work / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "rotnbench/run.py"], "run_seconds": 1,
+        "end_to_end": [{"name": "wall_s", "better": "lower"}], "per_layer": []}))
+    _git(work, "init", "-q")
+    _git(work, "add", "src/rotn/__init__.py", "rotnbench", "BENCHMARK.json")
+    _git(work, "commit", "-q", "-m", "seed")
+
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "ROOT", work)
+    runs = []
+
+    def launch(cmd, cwd, **kwargs):
+        root = Path(cwd)
+        files = sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+        runs.append({"root": root, "files": files, "kwargs": kwargs,
+                     "cmd": [str(c).replace(str(root), "ROOT") for c in cmd]})
+        name = "%s-seed%s-trace%s.json" % (cmd[cmd.index("--workload") + 1],
+                                           cmd[cmd.index("--seed") + 1],
+                                           cmd[cmd.index("--trace") + 1])
+        results = root / ".rotnbench" / "results" / name
+        results.parent.mkdir(parents=True, exist_ok=True)
+        results.write_text(json.dumps({
+            "header": {"src_sha256": "0"}, "metrics": {"wall_s": 1.0}, "jobs": [],
+            "raw_metrics": {"speed_factor": 1.0}}))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs, "launch", launch)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["HEAD", "--workload", "w", "--seeds", "1", "2",
+                             "--out", str(out)]) == 0
+    assert len(runs) == 4 and json.loads(out.read_text())["summary"]["w"]
+    # the first pair runs the parent first, the second the change
+    for parent, change in ((runs[0], runs[1]), (runs[3], runs[2])):
+        assert parent["root"] != change["root"]
+        assert work not in (parent["root"], change["root"])
+        assert parent["cmd"] == change["cmd"] and parent["kwargs"] == change["kwargs"]
+        assert parent["files"] == change["files"]
+        assert not any("__pycache__" in f for f in change["files"])

@@ -10,9 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotn.exactreal import (
+    _GUARD,
+    _ROOTS,
+    _ROOTS_LIMIT,
     _TRIAL_LIMIT,
     CFNumber,
     SurdReal,
+    _canonical_float,
     _squarefree_core,
     _surd_float,
     _surd_sign,
@@ -185,6 +189,77 @@ def test_float_of_a_surd_is_the_float_of_any_representation(d, p, q, r, k):
     # reducing entry point must land on the same float from a scaled copy
     s = SurdReal(p, q, r, d)
     assert float(s).hex() == _surd_float(s.p * k, s.q * k, s.r * k, s.d).hex()
+
+
+def _isqrt_float(p: int, q: int, r: int, d: int) -> float:
+    """The float formula as it was before its per-field root, kept verbatim:
+    the reference the root's shortcut must match bit for bit."""
+    if q == 0:
+        return p / r
+    s = math.isqrt(q * q * d << (2 * 72))
+    if q < 0:
+        s = -s
+    return ((p << 72) + s) / (r << 72)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=_SQUAREFREE, p=st.integers(-(2**100), 2**100),
+       q=st.integers(1, 2**(_GUARD + 8)), negative=st.booleans(), r=st.integers(1, 2**100))
+def test_float_formula_is_the_isqrt_formula(d, p, q, negative, r):
+    q = -q if negative else q
+    assert _canonical_float(p, q, r, d).hex() == _isqrt_float(p, q, r, d).hex()
+
+
+def _band_q(d: int) -> tuple:
+    """(S, q, m): the field's root S = 2^v * odd, and q < m = 2^(G-v) with
+    q*S = -2^v mod 2^G."""
+    S = math.isqrt(d << 2 * (72 + _GUARD))
+    v = (S & -S).bit_length() - 1
+    m = 1 << (_GUARD - v)
+    return S, -pow(S >> v, -1, m) % m, m
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 120121, 9999991])
+def test_float_formula_in_the_guard_band(d):
+    # the low G bits of q*S lie within q of 2^G: the shortcut cannot tell
+    # the floor there, and isqrt decides
+    S, q, _ = _band_q(d)
+    assert q < 1 << _GUARD and ((q * S) & ((1 << _GUARD) - 1)) + q > 1 << _GUARD
+    for qq in (q, -q, q + (1 << _GUARD), 1, -1, 3):
+        for p, r in ((0, 1), (1, 2), (-(2**90) - 1, 2**70 + 3)):
+            assert _canonical_float(p, qq, r, d).hex() == _isqrt_float(p, qq, r, d).hex()
+
+
+# (d, c, p): q = c * _band_q(d)'s q mod m is in the guard band, where
+# (q*S) >> G is one below the floor, and q*sqrt(d) is within 2^-19 of the
+# integer -p, so the miss shows in the float of p + q*sqrt(d); found by a
+# search over c
+_SHORTCUT_MISSES = [
+    (2, 61017, -9297710131878631071),
+    (3, 60377, -31892748305342263248),
+    (5, 512345, -38620787996304600201),
+    (10, 82098, -10465879600596050381),
+]
+
+
+@pytest.mark.parametrize("d, c, p", _SHORTCUT_MISSES)
+def test_float_formula_where_the_shortcut_misses(d, c, p):
+    S, q, m = _band_q(d)
+    q = c * q % m
+    shortcut = ((p << 72) + ((q * S) >> _GUARD)) / (1 << 72)
+    assert shortcut != _isqrt_float(p, q, 1, d)
+    for pp, qq in ((p, q), (-p, -q)):
+        assert _canonical_float(pp, qq, 1, d).hex() == _isqrt_float(pp, qq, 1, d).hex()
+
+
+def test_float_formulas_root_cache_stays_bounded():
+    fields = [d for d in range(2, 10 * _ROOTS_LIMIT) if _squarefree_core(d)[0] == 1]
+    assert len(fields) > 2 * _ROOTS_LIMIT
+    for d in fields:
+        assert _canonical_float(1, 3, 7, d).hex() == _isqrt_float(1, 3, 7, d).hex()
+        assert len(_ROOTS) <= _ROOTS_LIMIT
+    # the newest fields are kept, each with its own root
+    assert _ROOTS == {d: math.isqrt(d << 2 * (72 + _GUARD)) for d in fields[-_ROOTS_LIMIT:]}
 
 
 @pytest.mark.parametrize("d, named", [

@@ -7,7 +7,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from rotn.exactreal import SurdReal, parse_cf
+from rotn.exactreal import _GUARD, SurdReal, parse_cf
 from rotn.foliation import (
     LeafTrace,
     example_alpha,
@@ -140,6 +140,8 @@ def test_leaf_through_certified_matches_exact():
     ("ray", 1),
     ("(1+a)/2", 1), ("(1+a)/2", -1),
     ("1/2 + 1/2**80", 1), ("1/2 + 1/2**80", -1),  # integers past 64 bits
+    # every |q| past 2^G: the float formula takes its isqrt branch
+    ("2**90*a", 1), ("2**90*a", -1),
 ])
 def test_exact_entry_x_is_the_float_of_its_orbit_point(cf, seed, direction):
     # the float shadow is float() of the canonical surd, bit for bit, and
@@ -150,11 +152,14 @@ def test_exact_entry_x_is_the_float_of_its_orbit_point(cf, seed, direction):
         x0 = HALF
         tr = trace_ray(0, a, N + 1, policy="exact")
     else:
-        x0 = (1 + a) / 2 if seed == "(1+a)/2" else HALF + SurdReal(1) / 2**80
+        x0 = {"(1+a)/2": (1 + a) / 2, "1/2 + 1/2**80": HALF + SurdReal(1) / 2**80,
+              "2**90*a": 2**90 * a}[seed]
         tr = trace_leaf_through(x0, 0, a, N, direction=direction, policy="exact")
     exact = tr.exact_x
     assert len(exact) == tr.visits == N + 1
     assert tr.entry_x.tobytes() == np.array([float(x) for x in exact]).tobytes()
+    if seed == "2**90*a":
+        assert all(abs(x.q) > 1 << _GUARD for x in exact)
     for k in range(N + 1):
         assert exact[k] == (x0 + a * (direction * k)).frac(), k
 

@@ -1025,13 +1025,27 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
     # the scan route used to exit 2 with numpy's array-dimension error
     (["density", "--alpha", "[0;(2)]", "--k", str(10 ** 20), "--N", "10"],
      "|k| + N = 100000000000000000010 is above the limit of 2^63 - 1"),
+    # scans whose arrays numpy cannot allocate, 17 B a point; these used
+    # to exit 2 with numpy's "array is too big", naming no option
+    (["density", "--alpha", "[0;(2)]", "--N", str(2 ** 62)],
+     "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
+    (["density", "--alpha", "[0;(2)]", "--k", str(2 ** 62), "--N", "10"],
+     "--N 10 and --k 4611686018427387904: a scan of 4611686018427387915 points"),
+    (["heavy", "--alpha", "[0;(2)]", "--N", str(2 ** 62), "--precision", "exact-only"],
+     "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
+    (["leaf", "--through", "1/3", "--N", str(2 ** 62)],
+     "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
+    # on the tower, --out needs the scan of every step
+    (["heavy", "--alpha", "[0;5,(6)]", "--N", str(2 ** 62), "--out", "/dev/null"],
+     "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
 ], ids=["three-19-digit-coefficients", "four-23-digit-coefficients",
         "oracle-depth-12", "oracle-a-million-samples", "oracle-depth-400",
         "oracle-past-floats", "tower-depth", "oracle-depth", "example-kmax",
         "heavy-past-int64", "density-past-int64", "leaf-past-int64",
         "leaf-ray-past-int64", "exact-leaf-ray-past-int64", "leaf-level-past-int64",
         "density-k-past-int64", "density-negative-k-past-int64",
-        "scan-density-k-past-int64"])
+        "scan-density-k-past-int64", "scan-density-past-numpy", "scan-density-k-past-numpy",
+        "exact-heavy-past-numpy", "leaf-through-past-numpy", "tower-heavy-out-past-numpy"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
 

@@ -9,8 +9,11 @@ commit REF and once from this checkout, the side that runs first
 alternating from pair to pair, each run as long as BENCHMARK.json's
 run_seconds says.  REF's ``src`` and ``rotnbench`` are
 extracted with ``git archive`` into a temporary directory, as in
-``tools/out_bytes.sh``; the change side is the working tree, committed
-or not.  Both results files are copied verbatim into the BENCH file.
+``tools/out_bytes.sh``; the change side is a copy of the working tree's,
+committed or not, into another, with no ``__pycache__``.  So both sides
+start with the same bytecode state, whatever the working tree holds, and
+run with the same environment and command apart from their directory.
+Both results files are copied verbatim into the BENCH file.
 
 If the BENCH file exists and was measured against the same REF, the new
 pairs are added to its own and its summary is recomputed, so one file
@@ -46,10 +49,11 @@ NOTE = (
     "Alternating parent/change pairs on one host, the side run first alternating "
     "from pair to pair, recorded by tools/bench_pairs.py. Each entry holds both "
     "results files verbatim, headers included, as rotnbench wrote them to "
-    ".rotnbench/results/. The parent ran from a git archive of parent_commit, so "
-    "its header has no git_sha; the change side ran from the working tree, so its "
-    "header git_sha is that of the commit below it, and change_src_sha256 is the "
-    "digest of its src/rotn. summary gives each declared metric's median and "
+    ".rotnbench/results/. The parent ran from a git archive of parent_commit and "
+    "the change from a copy of the working tree, each in its own temporary "
+    "directory without bytecode caches, with the same environment and command, "
+    "so neither header has a git_sha; change_src_sha256 is the digest of the "
+    "change's src/rotn. summary gives each declared metric's median and "
     "quartiles (inclusive method) per side over the pairs, the change's wins "
     "(ties count for neither) and the relative change of the median; "
     "raw_s_by_kind gives the same for each job kind's median raw_s per run, "
@@ -69,6 +73,15 @@ def _extract(ref: str, into: Path) -> None:
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tf:
         tf.extractall(into, filter="data")
+
+
+def _copy_working_tree(into: Path) -> None:
+    """What ``_extract`` takes from a commit, from the working tree instead,
+    leaving out bytecode caches."""
+    for name in ("src", "rotnbench"):
+        shutil.copytree(ROOT / name, into / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "BENCHMARK.json", into)
 
 
 # rotnbench's peak_rss_mb is getrusage(RUSAGE_SELF).ru_maxrss, and on Linux a
@@ -204,8 +217,9 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        _extract(parent_commit, tmp)
-        sides = {"parent": tmp, "change": ROOT}
+        sides = {"parent": tmp / "parent", "change": tmp / "change"}
+        _extract(parent_commit, sides["parent"])
+        _copy_working_tree(sides["change"])
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": args.workload, "seed": seed, "trace": args.trace,
