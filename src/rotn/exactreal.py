@@ -18,10 +18,11 @@ counter.
 ``Frame`` is the lattice the exact orbit walkers run on.  It fixes one
 common denominator R and one field Q(sqrt(d)) for every value a walk
 touches, and holds each point as an integer pair (P, Q) standing for
-(P + Q*sqrt(d))/R.  A rotation step is then two integer adds, and every
-comparison is one call of the same integer sign test that
-``SurdReal.sign`` uses, against thresholds embedded once, or of its
-array form ``_surd_signs`` on numpy arrays of lattice points.
+(P + Q*sqrt(d))/R.  A rotation step is then two integer adds.  The
+walkers read ``R`` and ``d`` off the frame and call the module's one
+sign test, ``_surd_sign(P, Q, d)``, against thresholds embedded once
+(or its array form ``_surd_signs`` on numpy arrays of lattice points),
+and its one float formula, ``_surd_float(P, Q, R, d)``.
 
 ``CFNumber`` is an eventually periodic continued fraction
 [0; c1, c2, ...] normalized to a primitive period and minimal
@@ -34,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "SurdReal",
@@ -163,11 +164,8 @@ class SurdReal:
         return Fraction(self.p, self.r)
 
     def sign(self) -> int:
-        """Sign of the value as -1, 0 or +1, exactly."""
-        return self._sign()
-
-    def _sign(self) -> int:
-        """Sign of the value, exactly.  r > 0, so only p + q*sqrt(d) matters."""
+        """Sign of the value as -1, 0 or +1, exactly.  r > 0, so only
+        p + q*sqrt(d) matters."""
         return _surd_sign(self.p, self.q, self.d)
 
     # -- field operations ----------------------------------------------
@@ -292,7 +290,7 @@ class SurdReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other)._sign()
+        return (self - other).sign()
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -363,8 +361,9 @@ def _surd_float(p: int, q: int, r: int, d: int) -> float:
 
     Divides p, q and r by gcd(p, q, r) and hands the canonical triple to
     ``_canonical_float``, so every representation of one number gives
-    the float of its canonical form.  ``Frame.float`` and the exact leaf
-    trace call it, so a walker's float shadow equals float() of its surd.
+    the float of its canonical form.  The exact orbit scan and the exact
+    leaf trace call it on lattice points, so a walker's float shadow
+    equals float() of its surd.
     """
     g = math.gcd(p, q, r)
     if g > 1:
@@ -417,20 +416,19 @@ def _canonical_float(p: int, q: int, r: int, d: int) -> float:
     return ((p << _SHIFT) + s) / (r << _SHIFT)
 
 
-def _surd_signs(p, q, d: int, q_part=None):
-    """``_surd_sign`` elementwise over numpy integer arrays p and q.
+def _surd_signs(p, sq, qqd):
+    """``_surd_sign`` elementwise over numpy integer arrays, given p,
+    sq = sign(q) and qqd = q*q*d.
 
     The same test: the sign of p where p and q agree, and otherwise of
-    whichever of p and q*sqrt(d) is larger, p*p against q*q*d.  int64
+    whichever of p and q*sqrt(d) is larger, p*p against q*q*d.  A caller
+    testing several p against one q computes sq and qqd once.  int64
     arrays need p*p and q*q*d below 2^63; object arrays of Python ints
     have no bound.  Returns an array of -1, 0 and +1 of their dtype.
-    A caller that tests several p against one q may pass
-    q_part = (sign(q), q*q*d), computed once, in place of q.
     """
     import numpy as np  # here, so that importing this module needs no numpy
 
     sp = np.sign(p)
-    sq, qqd = (np.sign(q), q * q * d) if q_part is None else q_part
     return np.where((sp == sq) | (p * p > qqd), sp, sq)
 
 
@@ -457,12 +455,10 @@ class Frame:
     their common field, so each of them embeds exactly as an integer
     pair (P, Q).  Sums and differences of embedded values stay on the
     lattice, which is all a rotation or the leaf turn map needs, and
-    x < t is ``frame.sign(Px - Pt, Qx - Qt) < 0``.  Mixing two fields
-    raises, with the same message as ``SurdReal`` arithmetic.  The
-    per-step loops (the exact leaf trace, its turn map and the oracle's
-    first return) bind ``d`` and ``R`` once and call ``_surd_sign`` and
-    ``_surd_float`` themselves, one call less per use than ``sign`` and
-    ``float``.
+    x < t is ``_surd_sign(Px - Pt, Qx - Qt, frame.d) < 0``.  Mixing two
+    fields raises, with the same message as ``SurdReal`` arithmetic.
+    The walkers bind ``R`` and ``d`` once and call ``_surd_sign`` and
+    ``_surd_float`` themselves.
     """
 
     __slots__ = ("R", "d")
@@ -486,17 +482,9 @@ class Frame:
         m = self.R // x.r
         return x.p * m, x.q * m
 
-    def sign(self, P: int, Q: int) -> int:
-        """Sign of the lattice point (P + Q*sqrt(d))/R, exactly."""
-        return _surd_sign(P, Q, self.d)
-
     def surd(self, P: int, Q: int) -> SurdReal:
         """The lattice point as a canonical SurdReal."""
         return SurdReal(P, Q, self.R, self.d)
-
-    def float(self, P: int, Q: int) -> float:
-        """float() of the lattice point, without building its SurdReal."""
-        return _surd_float(P, Q, self.R, self.d)
 
 
 @dataclass(frozen=True)
@@ -584,12 +572,6 @@ class CFNumber:
         if i <= npre:
             return self.preperiod[i - 1]
         return self.period[(i - 1 - npre) % len(self.period)]
-
-    def coefficients(self) -> Iterator[int]:
-        """Infinite coefficient stream c1, c2, ..."""
-        yield from self.preperiod
-        while True:
-            yield from self.period
 
     def shift(self) -> "CFNumber":
         """Drop the first coefficient: [0;c2,c3,...]."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .exactreal import ONE, CFNumber, SurdReal
 from .renorm import tower
-from .words import SignWord, concat_all, power
+from .words import EMPTY, SignWord, concat_all, power
 
 __all__ = [
     "example_alpha",
@@ -122,20 +122,14 @@ def example_m_formulas(m: int, k_max: int, *, strict: bool = True) -> ExampleRep
     # returns landing left of 1/2 and the last of them crosses the wrap
     # region [1-beta, 1), so its return word picks up the f_zero factor;
     # at level 1 f_zero is empty and the factor disappears.
-    witness = None
+    # Each block's factors fold onto the running witness, the same left
+    # fold concat_all makes of all the factors at once.
+    witness = EMPTY
     block_maxima = []
-    parts = []
     for j in range(1, k_max + 1):
         odd, even = levels[2 * j - 2], levels[2 * j - 1]
-        parts.extend(
-            [
-                power(odd.f_minus, m + 1),
-                odd.f_zero,
-                power(odd.f_plus, m),
-                power(even.f_minus, m),
-            ]
-        )
-        witness = concat_all(parts)
+        witness = concat_all((witness, power(odd.f_minus, m + 1), odd.f_zero,
+                              power(odd.f_plus, m), power(even.f_minus, m)))
         block_maxima.append(witness.max_prefix)
 
     report = ExampleReport(m, k_max, alpha, example_point(alpha), rows,

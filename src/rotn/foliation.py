@@ -29,9 +29,9 @@ tests compare them against, so the tracers never consult them.  The
 ``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
 lattice, b(x) and 1 - b(x) are integer differences, and the split
 1 - alpha is a threshold embedded once.  An exact trace keeps each
-entry as its lattice pair and writes its float shadow as
-``Frame.float`` does, by the formula ``float()`` of a ``SurdReal`` uses; its
-surds are built only when ``LeafTrace.exact_x`` is read.
+entry as its lattice pair and writes its float shadow with
+``exactreal._surd_float``, the formula ``float()`` of a ``SurdReal``
+uses; its surds are built only when ``LeafTrace.exact_x`` is read.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
 lives in ``rotn.example``, which needs no numpy; it is re-exported here,
@@ -48,11 +48,10 @@ import numpy as np
 from .example import (ExampleReport, FormulaCheck, example_alpha, example_m_formulas,
                       example_point)
 from .exactreal import HALF, Frame, SurdReal, _surd_float, _surd_sign
-from .scan import orbit_scan, sums_histogram
+from .scan import orbit_scan
 
 __all__ = [
     "LeafTrace",
-    "leaf_turn",
     "trace_ray",
     "trace_leaf_through",
     "example_alpha",
@@ -84,18 +83,6 @@ def _turn_map(frame: Frame, alpha: SurdReal):
         return Ps + R - P, Qs - Q
 
     return turn
-
-
-def leaf_turn(x: SurdReal, alpha: SurdReal) -> SurdReal:
-    """Where the leaf comes back down after going up at x mod 1.
-
-    Refuses x = 1 - alpha: that segment runs into the corner of the
-    rectangle (the singular connection), b would wrap to 1.
-    """
-    x = x.frac()
-    frame = Frame(x, alpha)
-    turn = _turn_map(frame, alpha)
-    return frame.surd(*turn(*frame.embed(x)))
 
 
 @dataclass
@@ -134,11 +121,6 @@ class LeafTrace:
         frame, Ps, Qs = self.lattice
         return [frame.surd(P, Q) for P, Q in zip(Ps, Qs)]
 
-    def levels_visited(self) -> list[int]:
-        """The distinct entry levels, ascending, read off their histogram."""
-        lo, counts = sums_histogram(self.entry_level)
-        return (np.flatnonzero(counts) + lo).tolist()
-
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
                  direction: int, ray_convention: bool):
@@ -149,10 +131,10 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     convention, used by rays) or of the old one (orbit convention, used
     by leaves).  Backward inverts that using that b is an involution.
     Every visit is kept as its lattice pair (P, Q) and written as
-    ``_surd_float(P, Q, R, d)``, what ``frame.float(P, Q)`` returns, and
-    every side is one ``_surd_sign`` call; no SurdReal is built.  All four per-visit
-    containers are allocated before the first step, so a count that
-    cannot fit is refused at once.
+    ``_surd_float(P, Q, R, d)``, and every side is one ``_surd_sign``
+    call; no SurdReal is built.  All four per-visit containers are
+    allocated before the first step, so a count that cannot fit is
+    refused at once.
     """
     frame = Frame(x0, alpha, HALF)
     R, d = frame.R, frame.d

@@ -19,6 +19,8 @@ report is built from once: the histogram (lo, counts) of the sums for
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .circle import VisitSet, visit_set
@@ -38,10 +40,13 @@ _LEAF_CHECK_VISITS = 256
 _PREFIX_STEPS = 1 << 16
 # entry levels per slice of the leaf's step check (512 KiB of int64)
 _STEP_CHUNK = 1 << 16
-# a scan holds a float64 position, an int8 sign and an int64 sum a point
-# (an exact leaf trace more), and numpy refuses an array past 2^63 - 1 bytes
+# a scan holds a float64 position, an int8 sign and an int64 sum a point,
+# and an exact leaf trace about 96 B a visit, its float and level and its
+# lattice pair of Python ints; numpy refuses an array past 2^63 - 1 bytes
 _SCAN_BYTES_PER_POINT = 17
+_TRACE_BYTES_PER_VISIT = 112
 _MAX_ARRAY_BYTES = 2 ** 63 - 1
+_HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _gap_ladder(N: int) -> list:
@@ -55,16 +60,23 @@ def _on_tower(config: ExperimentConfig, cf) -> bool:
     return config.policy == "certified" and admissible(cf)
 
 
-def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
-    """Refuse, naming --N (and --k), a scan of this many points whose
-    arrays cannot be allocated, before any of them is."""
-    need = points * _SCAN_BYTES_PER_POINT
+def _refuse_unallocatable(config: ExperimentConfig, points: int,
+                          per_point: int = _SCAN_BYTES_PER_POINT) -> None:
+    """Refuse, naming --N (and --k), a scan of this many points, per_point
+    bytes each, whose arrays numpy cannot allocate or the host's physical
+    memory cannot hold, before any of them is allocated."""
+    need = points * per_point
     if need > _MAX_ARRAY_BYTES:
-        given = "--N %d" % (config.N,)
-        if config.kind == "density" and config.k > 0:
-            given += " and --k %d" % (config.k,)
-        raise ValueError("%s: a scan of %d points needs %d bytes, %d a point, above the "
-                         "limit of 2^63 - 1" % (given, points, need, _SCAN_BYTES_PER_POINT))
+        limit = "the limit of 2^63 - 1"
+    elif need > _HOST_MEMORY:
+        limit = "the host's memory of %d bytes" % (_HOST_MEMORY,)
+    else:
+        return
+    given = "--N %d" % (config.N,)
+    if config.kind == "density" and config.k > 0:
+        given += " and --k %d" % (config.k,)
+    raise ValueError("%s: a scan of %d points needs %d bytes, %d a point, above %s"
+                     % (given, points, need, per_point, limit))
 
 
 def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
@@ -241,7 +253,8 @@ def _leaf(config: ExperimentConfig):
                                       policy=policy)
 
     if word is None:
-        _refuse_unallocatable(config, N + 1)
+        _refuse_unallocatable(config, N + 1, _TRACE_BYTES_PER_VISIT if policy == "exact"
+                              else _SCAN_BYTES_PER_POINT)
     trace = trace_for(N if word is None else min(N, _PREFIX_STEPS), policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(min(N, _LEAF_CHECK_VISITS),

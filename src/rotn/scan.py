@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactreal import HALF, Frame, SurdReal, _surd_signs, escalations
+from .exactreal import HALF, Frame, SurdReal, _surd_float, _surd_signs, escalations
 from .words import _add_shifted
 
 __all__ = ["OrbitScan", "orbit_scan", "orbit_positions", "sums_histogram", "backend_name",
@@ -371,7 +371,7 @@ def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
         # within 2^-38 of 2*x_k for |alpha| < 1: float(x) is within 2^-53
         # of x < 1, and each of k*af's two roundings and the sum's costs
         # at most 2^-41 for k <= 2^12, so the guess is off by at most one
-        guess = np.floor(2.0 * (kf[: m + 1] * af + frame.float(P, Q)))
+        guess = np.floor(2.0 * (kf[: m + 1] * af + _surd_float(P, Q, R, d)))
         g = _floor_twice(Pk, Qk, R, d, guess.astype(np.int64).astype(dtype))
         Pk -= (g >> 1) * R
         positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]
@@ -384,12 +384,11 @@ def _floor_twice(P, Q, R: int, d: int, g):
     """floor(2x) for the lattice points x = (P + Q*sqrt(d))/R, from a
     guess g that is off by at most ``_ROUNDS`` - 1.
 
-    g is right exactly when g <= 2x < g + 1, that is when
-    ``_surd_signs(2P - gR, 2Q, d) >= 0`` and
-    ``_surd_signs(2P - (g+1)R, 2Q, d) < 0``.  Each round runs both
-    tests on the points still unsettled and moves each failing guess
-    one toward 2x.  Both tests share q = 2Q, so sign(q) and q*q*d are
-    computed once and narrowed with the points.  P, Q and g are int64
+    g is right exactly when g <= 2x < g + 1, that is when p = 2P - gR
+    and p - R, with q = 2Q, give ``_surd_signs`` >= 0 and < 0.  Each
+    round runs both tests on the points still unsettled and moves each
+    failing guess one toward 2x.  sign(q) and q*q*d are computed once
+    and narrowed with the points.  P, Q and g are int64
     arrays whose tested values keep p*p and q*q*d below 2^63, or object
     arrays; g is updated in place and returned.  Raises ArithmeticError
     if the rounds run out.
@@ -399,8 +398,8 @@ def _floor_twice(P, Q, R: int, d: int, g):
     q = 2 * Q
     sq, qqd = np.sign(q), q * q * d
     for _ in range(_ROUNDS):
-        low = _surd_signs(p, None, d, (sq, qqd)) < 0
-        high = _surd_signs(p - R, None, d, (sq, qqd)) >= 0
+        low = _surd_signs(p, sq, qqd) < 0
+        high = _surd_signs(p - R, sq, qqd) >= 0
         miss = np.flatnonzero(low | high)
         if not miss.size:
             return g

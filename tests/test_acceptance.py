@@ -21,7 +21,7 @@ from rotn.foliation import (
 )
 from rotn.harness import ExperimentConfig, run
 from rotn.renorm import fast_birkhoff, tower
-from rotn.scan import orbit_scan
+from rotn.scan import orbit_scan, sums_histogram
 from rotn.words import MINUS, PLUS, concat, expand, power, prefix_sum_at
 
 ALPHAS = ("[0;5,(6)]", "[0;7,(6)]", "[0;5,8,(6)]")
@@ -142,7 +142,8 @@ def test_7_leaf_tracer_entry_law_and_level_visits():
     print("leaf through ((1+a)/2, 0) peaks at level %d over 10^5 both ways"
           % top)
 
-    visited = set(trace_ray(0, A, 10**7).levels_visited())
+    lo, counts = sums_histogram(trace_ray(0, A, 10**7).entry_level)
+    visited = set((np.flatnonzero(counts) + lo).tolist())
     assert set(range(-5, 6)) <= visited
     print("ray r_0 visits levels %d..%d within 10^7"
           % (min(visited), max(visited)))

@@ -35,11 +35,14 @@ def test_a_launched_run_does_not_inherit_the_launchers_peak():
 
 
 def _run(wall_s, tower_s, queries_s, speed_factor=1.0):
-    """A results file cut down to what the summary reads."""
+    """A results file cut down to what the summary reads; rotnbench scales
+    each job's raw_s by the run's speed factor into s."""
     jobs = ([{"kind": "tower", "raw_s": t, "traced": False} for t in tower_s]
             + [{"kind": "queries", "raw_s": t, "traced": False} for t in queries_s]
             # a traced job's time carries the tracer's cost and is left out
             + [{"kind": "tower", "raw_s": 9.0, "traced": True}])
+    for job in jobs:
+        job["s"] = job["raw_s"] * speed_factor
     return {"metrics": {"wall_s": wall_s}, "jobs": jobs,
             "raw_metrics": {"speed_factor": speed_factor}}
 
@@ -67,6 +70,26 @@ def test_the_summary_gives_each_job_kinds_raw_median(monkeypatch):
     assert tower["median_change"] == pytest.approx(0.0085 / 0.011 - 1)
     assert queries["parent"]["median"] == queries["change"]["median"] == 0.0025
     assert queries["change_wins"] == "0/2" and queries["median_change"] == 0
+
+
+def test_the_summary_gives_each_job_kinds_scaled_median(monkeypatch):
+    # the change ran on a slower spell of the host: its raw times are
+    # longer, but scaled by the speed factor they are shorter
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    pairs = [{"workload": "exact_walk", "trace": 0,
+              "parent": _run(1.0, [0.010, 0.012], [0.004], speed_factor=1.0),
+              "change": _run(1.0, [0.014, 0.016], [0.005], speed_factor=0.6)}
+             for _ in range(3)]
+    summary = bench_pairs._summary(pairs, {"wall_s": "lower"})["exact_walk"]
+    raw, scaled = summary["raw_s_by_kind"]["tower"], summary["s_by_kind"]["tower"]
+    assert raw["median_change"] == pytest.approx(0.015 / 0.011 - 1)
+    assert raw["change_wins"] == "0/3"
+    assert scaled["parent"]["median"] == pytest.approx(0.011)
+    assert scaled["change"]["median"] == pytest.approx(0.009)
+    assert scaled["change_wins"] == "3/3"
+    assert scaled["median_change"] == pytest.approx(0.009 / 0.011 - 1)
+    assert summary["s_by_kind"]["queries"]["change"]["median"] == pytest.approx(0.003)
 
 
 def _git(cwd, *args):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rotn.exactreal import HALF, CFNumber, Frame, SurdReal, parse_cf
+from rotn.exactreal import HALF, CFNumber, Frame, SurdReal, _surd_sign, parse_cf
 from rotn.foliation import trace_leaf_through, trace_ray
 from rotn.harness import ExperimentConfig, run
 from rotn.renorm import oracle_first_return, predicted_return_word, tower
@@ -132,7 +132,7 @@ def test_frame_embeds_only_its_lattice():
     frame = Frame(a, HALF)
     P, Q = frame.embed(a)
     assert frame.surd(P, Q) == a
-    assert frame.sign(*frame.embed(HALF)) == 1
+    assert _surd_sign(*frame.embed(HALF), frame.d) == 1
     with pytest.raises(ValueError, match="not on the lattice"):
         frame.embed(SurdReal(1, 0, 7))
     with pytest.raises(ValueError, match="cannot mix"):

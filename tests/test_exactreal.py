@@ -177,7 +177,8 @@ def test_array_sign_is_the_scalar_sign(d, data):
     big = st.tuples(st.integers(-(2**200), 2**200), st.integers(-(2**200), 2**200))
     for dtype, pairs in ((np.int64, small), (object, big)):
         ps, qs = zip(*data.draw(st.lists(pairs, min_size=1, max_size=20)))
-        got = _surd_signs(np.array(ps, dtype=dtype), np.array(qs, dtype=dtype), d)
+        q = np.array(qs, dtype=dtype)
+        got = _surd_signs(np.array(ps, dtype=dtype), np.sign(q), q * q * d)
         assert got.tolist() == [_surd_sign(p, q, d) for p, q in zip(ps, qs)]
 
 
@@ -281,7 +282,8 @@ def test_array_sign_on_pell_near_ties(d, named):
         pairs = [(sp * p, sq * q) for p, q in pell if p < limit
                  for sp in (1, -1) for sq in (1, -1)]
         ps, qs = zip(*pairs)
-        got = _surd_signs(np.array(ps, dtype=dtype), np.array(qs, dtype=dtype), d)
+        q = np.array(qs, dtype=dtype)
+        got = _surd_signs(np.array(ps, dtype=dtype), np.sign(q), q * q * d)
         assert got.tolist() == [_surd_sign(p, q, d) for p, q in pairs]
         larger = [p if p * p > d * q * q else q for p, q in pairs]
         assert got.tolist() == [1 if x > 0 else -1 for x in larger]

@@ -1,7 +1,6 @@
 """The leaf structure: turn map, ray entries, the non-dense example."""
 
 import tracemalloc
-from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -13,12 +12,12 @@ from rotn.foliation import (
     example_alpha,
     example_m_formulas,
     example_point,
-    leaf_turn,
     trace_leaf_through,
     trace_ray,
 )
-from rotn.scan import orbit_scan
-from rotn.words import iter_letters
+from rotn.renorm import tower
+from rotn.scan import orbit_scan, sums_histogram
+from rotn.words import concat_all, iter_letters, power
 
 ALPHA = parse_cf("[0;5,(6)]")
 A = ALPHA.value
@@ -35,34 +34,10 @@ def _sum(x, n):
 # the turn map
 
 
-def test_leaf_turn_frozen():
-    b3 = leaf_turn(SurdReal(3, 0, 10), A)
-    assert b3 == 1 - A - Fraction(3, 10)
-    assert abs(float(b3) - 0.5062870566386034) < 1e-15
-    assert leaf_turn(SurdReal(23, 0, 10), A) == b3  # x is taken mod 1
-    b9 = leaf_turn(SurdReal(9, 0, 10), A)
-    assert b9 == 2 - A - Fraction(9, 10)
-    assert abs(float(b9) - 0.9062870566386034) < 1e-15
-
-
-def test_leaf_turn_singular_corner():
+def test_turn_map_singular_corner():
+    # the leaf going up at x = 1 - alpha runs into the corner; b would wrap to 1
     with pytest.raises(ValueError, match="singular"):
-        leaf_turn(1 - A, A)
-
-
-def test_leaf_turn_is_an_involution():
-    import random
-    rng = random.Random(5)
-    for _ in range(100):
-        x = SurdReal.from_fraction(Fraction(rng.randrange(1, 997), 997))
-        y = leaf_turn(x, A)
-        assert leaf_turn(y, A) == x
-
-
-def test_leaf_turn_is_one_minus_rotation():
-    for num in (1, 3, 450, 996):
-        x = SurdReal.from_fraction(Fraction(num, 997))
-        assert leaf_turn(x, A) == (1 - (x + A).frac()).frac()
+        trace_leaf_through(1 - A, 0, A, 1, policy="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +161,9 @@ def test_levels_visited_matches_unique():
             walk = rng.choice(np.array([-1, 1]), size=visits - 1)
             lv = start + np.concatenate([[0], np.cumsum(walk)])
             trace = LeafTrace("walk", 1, 0, np.zeros(visits), lv, "certified")
-            assert trace.levels_visited() == [int(v) for v in np.unique(lv)]
+            lo, counts = sums_histogram(trace.entry_level)
+            visited = (np.flatnonzero(counts) + lo).tolist()
+            assert visited == [int(v) for v in np.unique(lv)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +187,22 @@ def test_example_report_m2():
     scan = orbit_scan(rep.x, rep.alpha.value, 4000, policy="exact")
     head = list(islice(iter_letters(rep.witness), 4000))
     assert head == list(scan.signs[:4000])
+
+
+def test_example_witness_is_the_fold_of_every_block_factor():
+    # the witness grows block by block; it must be the very word, and give
+    # the very maxima, that folding all the factors from the start gives
+    for m in (2, 3, 4):
+        levels = tower(example_alpha(m), 25)
+        factors = []
+        for j in range(1, 13):
+            odd, even = levels[2 * j - 2], levels[2 * j - 1]
+            factors += [power(odd.f_minus, m + 1), odd.f_zero,
+                        power(odd.f_plus, m), power(even.f_minus, m)]
+            rep = example_m_formulas(m, j)
+            assert rep.witness is concat_all(factors), (m, j)
+            assert rep.block_maxima == [concat_all(factors[:4 * i]).max_prefix
+                                        for i in range(1, j + 1)], (m, j)
 
 
 def test_example_witness_blocks_sum_down():

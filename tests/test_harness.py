@@ -314,6 +314,28 @@ def test_density_refuses_visits_over_budget_before_allocating(capsys):
     assert peak < 2**22
 
 
+@pytest.mark.parametrize("argv, N", [
+    (["heavy", "--alpha", "[0;(2)]"], 10**13),
+    (["leaf", "--alpha", "[0;(2)]", "--ray", "0", "--precision", "exact-only"], 10**11),
+], ids=["certified-scan", "exact-leaf-ray"])
+def test_runs_past_the_hosts_memory_are_refused_before_allocating(capsys, argv, N):
+    # a scan holds 17 B a point and an exact trace 112 B a visit, far past
+    # any host's memory here; these used to end in numpy's "Unable to
+    # allocate", naming no option
+    assert main(argv + ["--N", "1000"]) == 0  # imports
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--N", str(N)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("rotn: error: --N %d: " % N) and err.count("\n") == 1
+    assert "above the host's memory of" in err
+    assert peak < 2**22
+
+
 def test_exact_only_and_inadmissible_runs_scan():
     for fields in (dict(kind="heavy", N=100, precision="exact-only"),
                    dict(kind="density", N=100, precision="exact-only"),

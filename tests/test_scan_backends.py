@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rotn.scan
-from rotn.exactreal import Frame, SurdReal, parse_cf
+from rotn.exactreal import Frame, SurdReal, _surd_sign, parse_cf
 from rotn.renorm import half_word
 from rotn.scan import (
     _CHUNK, _EXACT_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
@@ -187,30 +187,30 @@ def test_exact_scan_memory_is_its_output(direction):
 
 def _reference_exact_scan(x0, alpha, count, direction):
     """The exact scan as a per-step loop: two integer adds a step and
-    one scalar sign test per decision.  Kept verbatim as the reference
+    one scalar ``_surd_sign`` test per decision.  Kept as the reference
     for ``_exact_scan``."""
     if alpha.is_rational:
         raise ValueError("rotation number must be irrational")
     frame = Frame(x0, alpha, HALF)
-    R, sign = frame.R, frame.sign
+    R, d = frame.R, frame.d
     P, Q = frame.embed(x0)
     Pa, Qa = frame.embed(alpha if direction == 1 else -alpha)
     Ph, _ = frame.embed(HALF)
-    short = sign(Ph - direction * Pa, -direction * Qa) > 0
+    short = _surd_sign(Ph - direction * Pa, -direction * Qa, d) > 0
 
-    sqd = math.sqrt(frame.d)
+    sqd = math.sqrt(d)
     positions = np.empty(count, dtype=np.float64)
     signs = np.empty(count, dtype=np.int8)
     for i in range(count):
         positions[i] = (P + Q * sqd) / R
-        left = sign(P - Ph, Q) < 0  # 1/2 itself is on the right
+        left = _surd_sign(P - Ph, Q, d) < 0  # 1/2 itself is on the right
         signs[i] = 1 if left else -1
         P += Pa
         Q += Qa
         if direction == 1:
-            if not (short and left) and sign(P - R, Q) >= 0:
+            if not (short and left) and _surd_sign(P - R, Q, d) >= 0:
                 P -= R
-        elif (left or not short) and sign(P, Q) < 0:
+        elif (left or not short) and _surd_sign(P, Q, d) < 0:
             P += R
     return positions, signs, np.empty(0, dtype=np.int64), 0.0
 

@@ -23,10 +23,10 @@ declares: its median and quartiles per side, how many pairs the change
 won (ties count for neither side), and the relative change of the
 median.  Under ``raw_s_by_kind`` it gives the same for each job kind's
 median raw time per run, before rotnbench scales it by the machine's
-speed factor, and under ``speed_factor`` that factor's median and
-quartiles per side, read from each run's ``raw_metrics``, so a change
-in the code can be told from one in the host's speed.  Nothing under
-``rotnbench/`` is changed.
+speed factor, under ``s_by_kind`` for its median scaled time ``s``, and
+under ``speed_factor`` that factor's median and quartiles per side, read
+from each run's ``raw_metrics``, so a change in the code can be told
+from one in the host's speed.  Nothing under ``rotnbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ NOTE = (
     "quartiles (inclusive method) per side over the pairs, the change's wins "
     "(ties count for neither) and the relative change of the median; "
     "raw_s_by_kind gives the same for each job kind's median raw_s per run, "
-    "the job time before rotnbench's speed factor scales it; speed_factor gives "
-    "that factor's median and quartiles per side, from each run's raw_metrics."
+    "the job time before rotnbench's speed factor scales it, and s_by_kind for "
+    "its median s, the scaled time; speed_factor gives that factor's median "
+    "and quartiles per side, from each run's raw_metrics."
 )
 
 
@@ -133,12 +134,12 @@ def _compare(parent: list, change: list, better: str) -> dict:
     }
 
 
-def _raw_by_kind(run: dict) -> dict:
-    """The median raw_s, unscaled by the speed factor, of each job kind in a run."""
+def _by_kind(run: dict, key: str) -> dict:
+    """The median of one job time, raw_s or the scaled s, of each job kind in a run."""
     times = {}
     for job in run["jobs"]:
         if not job["traced"]:
-            times.setdefault(job["kind"], []).append(job["raw_s"])
+            times.setdefault(job["kind"], []).append(job[key])
     return {kind: statistics.median(ts) for kind, ts in times.items()}
 
 
@@ -154,14 +155,16 @@ def _summary(pairs: list, declared: dict) -> dict:
                                 [p["change"]["metrics"][name] for p in group],
                                 declared[name])
                  for name in names}
-        raw = [{side: _raw_by_kind(p[side]) for side in ("parent", "change")} for p in group]
-        kinds = sorted(set.intersection(*(set(r[side]) for r in raw
-                                          for side in ("parent", "change"))))
-        if kinds:
-            entry["raw_s_by_kind"] = {
-                kind: _compare([r["parent"][kind] for r in raw],
-                               [r["change"][kind] for r in raw], "lower")
-                for kind in kinds}
+        for time in ("raw_s", "s"):
+            runs = [{side: _by_kind(p[side], time) for side in ("parent", "change")}
+                    for p in group]
+            kinds = sorted(set.intersection(*(set(r[side]) for r in runs
+                                              for side in ("parent", "change"))))
+            if kinds:
+                entry[time + "_by_kind"] = {
+                    kind: _compare([r["parent"][kind] for r in runs],
+                                   [r["change"][kind] for r in runs], "lower")
+                    for kind in kinds}
         entry["speed_factor"] = {
             side: _quartiles([p[side]["raw_metrics"]["speed_factor"] for p in group])
             for side in ("parent", "change")}
