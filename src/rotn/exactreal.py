@@ -22,7 +22,11 @@ touches, and holds each point as an integer pair (P, Q) standing for
 walkers read ``R`` and ``d`` off the frame and call the module's one
 sign test, ``_surd_sign(P, Q, d)``, against thresholds embedded once
 (or its array form ``_surd_signs`` on numpy arrays of lattice points),
-and its one float formula, ``_surd_float(P, Q, R, d)``.
+and its one float formula, ``_surd_float(P, Q, R, d)``.  The per-step
+walkers also keep each point's fixed-point key ``Frame.key(P, Q)``,
+which moves by the same integer steps; a comparison whose two keys lie
+further apart than the walk's bound on |Q| is decided by the keys
+alone, and only one inside that band calls ``_surd_sign``.
 
 ``CFNumber`` is an eventually periodic continued fraction
 [0; c1, c2, ...] normalized to a primitive period and minimal
@@ -380,6 +384,8 @@ _BAND = 1 << _GUARD
 _LOW = _BAND - 1
 _ROOTS: dict = {}
 _ROOTS_LIMIT = 64
+# Frame.key's fractional bits, taken from the top of the field root
+_KEY = 64
 
 
 def _field_root(d: int) -> int:
@@ -459,6 +465,17 @@ class Frame:
     fields raises, with the same message as ``SurdReal`` arithmetic.
     The walkers bind ``R`` and ``d`` once and call ``_surd_sign`` and
     ``_surd_float`` themselves.
+
+    ``key(P, Q)`` is the point's fixed-point key X = (P << 64) + Q*S,
+    S = floor(sqrt(d)*2^64), which is additive: a walker moves it by the
+    keys of its steps.  The lemma: with e = sqrt(d)*2^64 - S in [0, 1),
+    x*R*2^64 = X + Q*e, so for two lattice points x and t
+
+        (x - t)*R*2^64 = (X - Xt) + (Q - Qt)*e.
+
+    Hence if |Q - Qt| <= B, then X - Xt > B proves x > t and X - Xt < -B
+    proves x < t; only inside the band |X - Xt| <= B must
+    ``_surd_sign(Px - Pt, Qx - Qt, d)``, the one exact sign test, decide.
     """
 
     __slots__ = ("R", "d")
@@ -485,6 +502,11 @@ class Frame:
     def surd(self, P: int, Q: int) -> SurdReal:
         """The lattice point as a canonical SurdReal."""
         return SurdReal(P, Q, self.R, self.d)
+
+    def key(self, P: int, Q: int) -> int:
+        """(P << 64) + Q*floor(sqrt(d)*2^64), the point's fixed-point key."""
+        S = (_ROOTS.get(self.d) or _field_root(self.d)) >> (_SHIFT + _GUARD - _KEY)
+        return (P << _KEY) + Q * S
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ tests compare them against, so the tracers never consult them.  The
 "certified" policy rides the orbit scan arrays; "exact" steps b on an
 ``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
 lattice, b(x) and 1 - b(x) are integer differences, and the split
-1 - alpha is a threshold embedded once.  An exact trace keeps each
+1 - alpha is a threshold embedded once.  Its sides, and those of 1/2,
+are read off each point's ``Frame.key`` outside a band around the
+threshold, and by ``_surd_sign`` inside it.  An exact trace keeps each
 entry as its lattice pair and writes its float shadow with
 ``exactreal._surd_float``, the formula ``float()`` of a ``SurdReal``
 uses; its surds are built only when ``LeafTrace.exact_x`` is read.
@@ -62,25 +64,33 @@ __all__ = [
 ]
 
 
-def _turn_map(frame: Frame, alpha: SurdReal):
+def _turn_map(frame: Frame, alpha: SurdReal, band: int):
     """b on the lattice of ``frame``, which must hold alpha.
 
     b(x) = 1 - alpha - x left of the split 1 - alpha and 2 - alpha - x
     right of it; for x in [0, 1) both land in (0, 1), so b needs no
     reduction.  x = 1 - alpha runs into the corner of the rectangle
-    (the singular connection) and is refused.
+    (the singular connection) and is refused.  A point is (P, Q, X),
+    X its ``Frame.key``; the side of the split is read off the keys
+    unless they are within ``band``, a bound on |Q - Q_split| over the
+    walk, of each other, and only then calls ``_surd_sign``.
     """
     R, d = frame.R, frame.d
     Pa, Qa = frame.embed(alpha)
     Ps, Qs = R - Pa, -Qa  # the split 1 - alpha
+    Xs, XR = frame.key(Ps, Qs), frame.key(R, 0)
+    lo, hi = Xs - band, Xs + band
 
-    def turn(P: int, Q: int) -> tuple[int, int]:
-        c = _surd_sign(P - Ps, Q - Qs, d)
-        if c == 0:
-            raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
-        if c < 0:
-            return Ps - P, Qs - Q
-        return Ps + R - P, Qs - Q
+    def turn(P: int, Q: int, X: int) -> tuple[int, int, int]:
+        if X < lo:
+            return Ps - P, Qs - Q, Xs - X
+        if X <= hi:
+            c = _surd_sign(P - Ps, Q - Qs, d)
+            if c == 0:
+                raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
+            if c < 0:
+                return Ps - P, Qs - Q, Xs - X
+        return Ps + R - P, Qs - Q, Xs + XR - X
 
     return turn
 
@@ -131,17 +141,22 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     convention, used by rays) or of the old one (orbit convention, used
     by leaves).  Backward inverts that using that b is an involution.
     Every visit is kept as its lattice pair (P, Q) and written as
-    ``_surd_float(P, Q, R, d)``, and every side is one ``_surd_sign``
-    call; no SurdReal is built.  All four per-visit containers are
-    allocated before the first step, so a count that cannot fit is
-    refused at once.
+    ``_surd_float(P, Q, R, d)``; no SurdReal is built.  Beside (P, Q)
+    the walk keeps the point's ``Frame.key`` X: each step moves Q by
+    alpha's Qa, so every tested pair has |Q - Qt| <= |Q0| + (count + 1)*|Qa|,
+    and only a comparison whose keys fall within that band calls
+    ``_surd_sign``.  All four per-visit containers are allocated before
+    the first step, so a count that cannot fit is refused at once.
     """
     frame = Frame(x0, alpha, HALF)
     R, d = frame.R, frame.d
     sign, to_float = _surd_sign, _surd_float
-    turn = _turn_map(frame, alpha)
     Ph, _ = frame.embed(HALF)
     P, Q = frame.embed(x0)
+    band = abs(Q) + (count + 1) * abs(frame.embed(alpha)[1])
+    turn = _turn_map(frame, alpha, band)
+    X, XR = frame.key(P, Q), frame.key(R, 0)
+    h_lo, h_hi = frame.key(Ph, 0) - band, frame.key(Ph, 0) + band
     # forward rays and backward leaves move by f of the new coordinate
     f_of_new = (direction == 1) == ray_convention
     xs = np.empty(count, dtype=np.float64)
@@ -157,15 +172,15 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
         if k + 1 == count:
             break
         if not f_of_new:
-            f = 1 if sign(P - Ph, Q, d) < 0 else -1
+            f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
         if direction == 1:
-            dP, dQ = turn(P, Q)
-            P, Q = R - dP, -dQ  # 1 - b(x), already in (0, 1)
+            dP, dQ, dX = turn(P, Q, X)
+            P, Q, X = R - dP, -dQ, XR - dX  # 1 - b(x), already in (0, 1)
         else:
             # b(1 - x): 1 - x is in (0, 1], and at 1 b agrees with b(0)
-            P, Q = turn(R - P, -Q)
+            P, Q, X = turn(R - P, -Q, XR - X)
         if f_of_new:
-            f = 1 if sign(P - Ph, Q, d) < 0 else -1
+            f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
         j += direction * f
     return xs, lv, (frame, Ps, Qs)
 

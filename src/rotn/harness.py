@@ -46,8 +46,8 @@ from . import __version__
 from .example import example_alpha
 from .exactreal import HALF, ONE, ZERO, SurdReal, parse_cf
 from .renorm import (
+    _local_return_word,
     oracle_first_return,
-    predicted_return_word,
     rationals_strictly_between,
     tower,
     verify_bounds,
@@ -56,7 +56,7 @@ from .renorm import (
 from .words import MAX_HISTOGRAM_LENGTH, expand
 
 PRECISIONS = ("certified-fast", "exact-only")
-# oracle walks: at ~2 us per exact step, 10^8 steps is a few minutes
+# oracle walks: at ~0.3 us per exact step, 10^8 steps is about half a minute
 _MAX_ORACLE_STEPS = 10 ** 8
 # tower levels: the endpoints' integers grow by ~0.8 digits per level, so
 # each level costs more than the last; depth 1000 takes about a second
@@ -519,14 +519,17 @@ def _oracle(config: ExperimentConfig):
             regions = [("plus_zero", ZERO, -lvl.beta),
                        ("plus", -lvl.beta, HALF),
                        ("minus", HALF, ONE)]
+        chart = lvl.interval
         for name, lo, hi in regions:
             good = 0
             for q in rationals_strictly_between(lo, hi, samples, rng):
-                x = lvl.interval.from_local(SurdReal.from_fraction(q))
+                # one chart round trip: the oracle walks x, the words read y
+                x = chart.from_local(SurdReal.from_fraction(q))
+                y = chart.to_local(x)
                 rec = oracle_first_return(lvl, x)
-                pred = predicted_return_word(lvl, x)
+                pred = _local_return_word(lvl, y)
                 if (tuple(expand(pred)) == rec.word
-                        and lvl.return_map(x) == rec.landing):
+                        and chart.from_local((y + lvl.beta).frac()) == rec.landing):
                     good += 1
             rows.append({"level": lvl.index, "region": name,
                          "samples": samples, "matches": good})

@@ -28,8 +28,10 @@ by point in exact arithmetic until it re-enters I_i and record what it
 did.  It shares no code with the substitution side, which is exactly
 why their agreement is evidence.  It walks on an ``exactreal.Frame``
 holding the start, alpha, 1/2 and the interval endpoints, so a step is
-integer adds and exact sign tests; only the landing point is turned
-back into a ``SurdReal``.
+integer adds, and each side is read off the point's ``Frame.key``
+unless the key lies within the walk's band of a threshold's, where the
+exact sign test ``_surd_sign`` decides; only the landing point is
+turned back into a ``SurdReal``.
 """
 
 from __future__ import annotations
@@ -502,6 +504,9 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     Records the sign word written along the way.  The step budget is
     10 * (len(F_minus) + len(F_zero)); a correct tower returns well
     within it, so exceeding it is a hard error, not a longer wait.
+    Each point keeps its ``Frame.key`` beside its pair (P, Q); a
+    comparison calls ``_surd_sign`` only when the keys fall within the
+    walk's bound on |Q| of each other.
     """
     interval = level.interval
     if not interval.contains(x):
@@ -511,27 +516,42 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     alpha = level.base_alpha
     budget = 10 * (level.f_minus.length + level.f_zero.length)
     frame = Frame(x, alpha, HALF, interval.left, interval.right)
-    R, d, sign = frame.R, frame.d, _surd_sign
+    R, d, sign, key = frame.R, frame.d, _surd_sign, frame.key
     P, Q = frame.embed(x)
     Pa, Qa = frame.embed(alpha)
     Ph, _ = frame.embed(HALF)
     Pl, Ql = frame.embed(interval.left)
     Pr, Qr = frame.embed(interval.right)
+    # every tested pair differs from its threshold's Q by at most B, so
+    # a key further than B from the threshold's key decides the test
+    B = abs(Q) + budget * abs(Qa) + abs(Ql) + abs(Qr)
+    X, Xa, Xw = key(P, Q), key(Pa, Qa), key(R, 0)
+    w_lo, w_hi = Xw - B, Xw + B
+    h_lo, h_hi = key(Ph, 0) - B, key(Ph, 0) + B
+    l_lo, l_hi = key(Pl, Ql) - B, key(Pl, Ql) + B
+    r_lo, r_hi = key(Pr, Qr) - B, key(Pr, Qr) + B
     # alpha is in (0, 1), so a step wraps at most once; when alpha < 1/2
     # a point left of 1/2 cannot wrap at all
     short = sign(Ph - Pa, -Qa, d) > 0
-    left = sign(P - Ph, Q, d) < 0
+    left = X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0)
     word = []
     for _ in range(budget):
         word.append(1 if left else -1)
         P += Pa
         Q += Qa
-        if not (short and left) and sign(P - R, Q, d) >= 0:
+        X += Xa
+        if not (short and left) and (
+                X > w_hi or (X >= w_lo and sign(P - R, Q, d) >= 0)):
             P -= R
+            X -= Xw
         # the interval is symmetric about 1/2, so the side of 1/2 the
         # point is on tells which endpoint can exclude it
-        left = sign(P - Ph, Q, d) < 0
-        if (sign(P - Pl, Q - Ql, d) >= 0) if left else (sign(P - Pr, Q - Qr, d) < 0):
+        left = X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0)
+        if left:
+            back = X > l_hi or (X >= l_lo and sign(P - Pl, Q - Ql, d) >= 0)
+        else:
+            back = X < r_lo or (X <= r_hi and sign(P - Pr, Q - Qr, d) < 0)
+        if back:
             return ReturnRecord(start=x, time=len(word), word=tuple(word),
                                 landing=frame.surd(P, Q))
     raise RuntimeError(
