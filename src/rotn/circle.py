@@ -47,13 +47,6 @@ class VisitSet:
     def count(self) -> int:
         return int(self.times.size)
 
-    @property
-    def first_time(self) -> int | None:
-        return int(self.times[0]) if self.times.size else None
-
-    def max_gap(self) -> float:
-        return max_gap(self.positions)
-
     def max_gaps(self, horizons) -> list[float]:
         """max_gap of the positions visited by each horizon h; NaN where none.
 
@@ -88,19 +81,19 @@ def visit_set(
     N: int,
     *,
     k: int = 0,
-    policy: str = "certified",
     scan: OrbitScan | None = None,
 ) -> VisitSet:
     """Collect {n in [0, N] : S_n(x) = m} with positions t^(n+k)(x).
 
-    A precomputed forward scan of at least N + max(k, 0) steps for the
-    same x, alpha and policy may be passed to amortize several queries.
+    A forward scan of at least N + max(k, 0) steps for the same x and
+    alpha, of either policy, may be passed to amortize several queries;
+    without one, the certified scan is taken.
     """
     if N < 0:
         raise ValueError("N must be >= 0, got %r" % (N,))
     need = N + max(k, 0)
     if scan is None:
-        scan = orbit_scan(x, alpha, need, policy=policy)
+        scan = orbit_scan(x, alpha, need)
     elif scan.direction != 1 or scan.count < need + 1:
         raise ValueError("supplied scan is too short or not forward")
 

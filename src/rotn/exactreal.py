@@ -291,10 +291,14 @@ class SurdReal:
         return hash((self.p, self.q, self.r, self.d))
 
     def _cmp(self, other) -> int:
+        """Sign of self - other, without building it: r1*r2 > 0, so the
+        sign of (p1*r2 - p2*r1) + (q1*r2 - q2*r1)*sqrt(d) on the joined field."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign()
+        d = self._join(other)
+        return _surd_sign(self.p * other.r - other.p * self.r,
+                          self.q * other.r - other.q * self.r, d)
 
     def __lt__(self, other):
         c = self._cmp(other)

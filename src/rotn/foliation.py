@@ -30,10 +30,11 @@ tests compare them against, so the tracers never consult them.  The
 lattice, b(x) and 1 - b(x) are integer differences, and the split
 1 - alpha is a threshold embedded once.  Its sides, and those of 1/2,
 are read off each point's ``Frame.key`` outside a band around the
-threshold, and by ``_surd_sign`` inside it.  An exact trace keeps each
-entry as its lattice pair and writes its float shadow with
-``exactreal._surd_float``, the formula ``float()`` of a ``SurdReal``
-uses; its surds are built only when ``LeafTrace.exact_x`` is read.
+threshold, and by ``_surd_sign`` inside it.  An exact trace keeps of
+each entry only what it reports, its float shadow and its level, 16 B
+a visit; the shadow is written with ``exactreal._surd_float``, the
+formula ``float()`` of a ``SurdReal`` uses, so it is float() of the
+orbit formula's exact point, bit for bit.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
 lives in ``rotn.example``, which needs no numpy; it is re-exported here,
@@ -43,7 +44,6 @@ where callers have always found it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -101,12 +101,10 @@ class LeafTrace:
 
     entry_x[k] and entry_level[k] describe the visit with index
     n = start_index + k (ray visits count from 1, leaf visits from 0;
-    backward traces count 1, 2, ... steps into the past).  Exact traces
-    also keep every entry coordinate exactly, as its integer pair on the
-    walk's frame, (frame, Ps, Qs); ``exact_x`` turns them into surds
-    on access, and each entry_x is float() of that surd.  Certified
-    traces bound the error of every entry_x by radius_bound.  The
-    ``leaf`` report reads its level summary off
+    backward traces count 1, 2, ... steps into the past).  An exact
+    trace's entry_x is float() of the exact entry point, bit for bit;
+    certified traces bound the error of every entry_x by radius_bound.
+    The ``leaf`` report reads its level summary off
     ``scan.sums_histogram(entry_level)``.
     """
 
@@ -116,20 +114,11 @@ class LeafTrace:
     entry_x: np.ndarray
     entry_level: np.ndarray
     policy: str
-    lattice: Optional[tuple[Frame, list, list]] = None
     radius_bound: float = 0.0
 
     @property
     def visits(self) -> int:
         return int(self.entry_level.size)
-
-    @property
-    def exact_x(self) -> Optional[list]:
-        """The entry coordinates as canonical surds; None for a certified trace."""
-        if self.lattice is None:
-            return None
-        frame, Ps, Qs = self.lattice
-        return [frame.surd(P, Q) for P, Q in zip(Ps, Qs)]
 
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
@@ -140,13 +129,14 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     1 - b(x) with the level moved by f of the new coordinate (entry
     convention, used by rays) or of the old one (orbit convention, used
     by leaves).  Backward inverts that using that b is an involution.
-    Every visit is kept as its lattice pair (P, Q) and written as
-    ``_surd_float(P, Q, R, d)``; no SurdReal is built.  Beside (P, Q)
-    the walk keeps the point's ``Frame.key`` X: each step moves Q by
-    alpha's Qa, so every tested pair has |Q - Qt| <= |Q0| + (count + 1)*|Qa|,
-    and only a comparison whose keys fall within that band calls
-    ``_surd_sign``.  All four per-visit containers are allocated before
-    the first step, so a count that cannot fit is refused at once.
+    The walk holds the current point as its lattice pair (P, Q) and
+    writes each visit as ``_surd_float(P, Q, R, d)``; no SurdReal is
+    built.  Beside (P, Q) it keeps the point's ``Frame.key`` X: each
+    step moves Q by alpha's Qa, so every tested pair has
+    |Q - Qt| <= |Q0| + (count + 1)*|Qa|, and only a comparison whose keys
+    fall within that band calls ``_surd_sign``.  Both per-visit arrays,
+    (xs, lv), are allocated before the first step, so a count that cannot
+    fit is refused at once.
     """
     frame = Frame(x0, alpha, HALF)
     R, d = frame.R, frame.d
@@ -161,14 +151,10 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     f_of_new = (direction == 1) == ray_convention
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
-    Ps = [0] * count
-    Qs = [0] * count
     j = level0
     for k in range(count):
         xs[k] = to_float(P, Q, R, d)
         lv[k] = j
-        Ps[k] = P
-        Qs[k] = Q
         if k + 1 == count:
             break
         if not f_of_new:
@@ -182,7 +168,7 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
         if f_of_new:
             f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
         j += direction * f
-    return xs, lv, (frame, Ps, Qs)
+    return xs, lv
 
 
 def trace_ray(i: int, alpha: SurdReal, N: int, *,
@@ -196,8 +182,8 @@ def trace_ray(i: int, alpha: SurdReal, N: int, *,
         raise ValueError("need N >= 1 visits, got %r" % (N,))
     seed = "ray %d" % (i,)
     if policy == "exact":
-        xs, lv, lattice = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
-        return LeafTrace(seed, 1, 1, xs, lv, policy, lattice)
+        xs, lv = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
+        return LeafTrace(seed, 1, 1, xs, lv, policy)
     scan = orbit_scan(HALF, alpha, N, policy=policy)
     lv = scan.sums[1 : N + 1]
     lv += i + 1
@@ -221,10 +207,8 @@ def trace_leaf_through(
     x0 = x0.frac()  # the seed names the point on the circle
     seed = "leaf through (%s, %d)" % (x0.exact_str(), j0)
     if policy == "exact":
-        xs, lv, lattice = _trace_exact(
-            x0, j0, alpha, N + 1, direction, ray_convention=False
-        )
-        return LeafTrace(seed, direction, 0, xs, lv, policy, lattice)
+        xs, lv = _trace_exact(x0, j0, alpha, N + 1, direction, ray_convention=False)
+        return LeafTrace(seed, direction, 0, xs, lv, policy)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     scan.sums += j0
     return LeafTrace(

@@ -41,10 +41,9 @@ _PREFIX_STEPS = 1 << 16
 # entry levels per slice of the leaf's step check (512 KiB of int64)
 _STEP_CHUNK = 1 << 16
 # a scan holds a float64 position, an int8 sign and an int64 sum a point,
-# and an exact leaf trace about 96 B a visit, its float and level and its
-# lattice pair of Python ints; numpy refuses an array past 2^63 - 1 bytes
+# and an exact leaf trace only the float64 and the int64, so both are
+# charged 17 B a point; numpy refuses an array past 2^63 - 1 bytes
 _SCAN_BYTES_PER_POINT = 17
-_TRACE_BYTES_PER_VISIT = 112
 _MAX_ARRAY_BYTES = 2 ** 63 - 1
 _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
@@ -60,12 +59,11 @@ def _on_tower(config: ExperimentConfig, cf) -> bool:
     return config.policy == "certified" and admissible(cf)
 
 
-def _refuse_unallocatable(config: ExperimentConfig, points: int,
-                          per_point: int = _SCAN_BYTES_PER_POINT) -> None:
-    """Refuse, naming --N (and --k), a scan of this many points, per_point
-    bytes each, whose arrays numpy cannot allocate or the host's physical
-    memory cannot hold, before any of them is allocated."""
-    need = points * per_point
+def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
+    """Refuse, naming --N (and --k), a scan or trace of this many points
+    whose arrays numpy cannot allocate or the host's physical memory
+    cannot hold, before any of them is allocated."""
+    need = points * _SCAN_BYTES_PER_POINT
     if need > _MAX_ARRAY_BYTES:
         limit = "the limit of 2^63 - 1"
     elif need > _HOST_MEMORY:
@@ -76,7 +74,7 @@ def _refuse_unallocatable(config: ExperimentConfig, points: int,
     if config.kind == "density" and config.k > 0:
         given += " and --k %d" % (config.k,)
     raise ValueError("%s: a scan of %d points needs %d bytes, %d a point, above %s"
-                     % (given, points, need, per_point, limit))
+                     % (given, points, need, _SCAN_BYTES_PER_POINT, limit))
 
 
 def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
@@ -253,8 +251,7 @@ def _leaf(config: ExperimentConfig):
                                       policy=policy)
 
     if word is None:
-        _refuse_unallocatable(config, N + 1, _TRACE_BYTES_PER_VISIT if policy == "exact"
-                              else _SCAN_BYTES_PER_POINT)
+        _refuse_unallocatable(config, N + 1)
     trace = trace_for(N if word is None else min(N, _PREFIX_STEPS), policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(min(N, _LEAF_CHECK_VISITS),

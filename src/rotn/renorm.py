@@ -59,7 +59,6 @@ __all__ = [
     "verify_bounds",
     "verify_chains",
     "oracle_first_return",
-    "predicted_return_word",
     "fast_birkhoff",
     "half_word",
     "orbit_word",
@@ -148,12 +147,6 @@ class RenormLevel:
             "max_minus": self.f_minus.max_prefix,
             "min_minus": self.f_minus.min_prefix,
         }
-
-    def return_map(self, x: SurdReal) -> SurdReal:
-        """The first-return map: rotation by beta in the local chart."""
-        if not self.interval.contains(x):
-            raise ValueError("%s is not in level %d" % (x.exact_str(), self.index))
-        return self.interval.from_local((self.interval.to_local(x) + self.beta).frac())
 
 
 def _inadmissibility(alpha: CFNumber) -> str | None:
@@ -333,11 +326,11 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
     """A word whose first n letters are f(t^j(x)), j = 0..n-1, for exact x in [0, 1).
 
     Follows x down the tower: at level i, the return word that
-    ``predicted_return_word`` names for x covers the orbit up to its
-    next visit to I_i.  If that word reaches n letters, the descent
-    stops; if x lies in I_(i+1) it moves down a level, whose returns are
-    made of level-i returns; otherwise the word is appended and x moves
-    on by the return map.  Each level takes at most 4*n_half + 2
+    ``_local_return_word`` names for x covers the orbit up to its next
+    visit to I_i.  If that word reaches n letters, the descent stops;
+    if x lies in I_(i+1) it moves down a level, whose returns are made
+    of level-i returns; otherwise the word is appended and x moves on
+    by the return map.  Each level takes at most 4*n_half + 2
     returns (see ``_returns_bound``; more raise RuntimeError), so the
     cost is O(depth * b) exact operations whatever n is, and the word
     is built from the levels' words, so its prefix readers cost the
@@ -560,27 +553,17 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     )
 
 
-def predicted_return_word(level: RenormLevel, x: SurdReal) -> SignWord:
-    """The return word the substitution rules predict for x in I_i.
-
-    The case is read off the local coordinate y of x:
+def _local_return_word(level: RenormLevel, y: SurdReal) -> SignWord:
+    """The return word the substitution rules predict for the point of I_i
+    whose local coordinate is y in [0, 1):
 
         beta > 0:  [0, 1/2) -> F+   [1/2, 1-beta) -> F-   [1-beta, 1) -> F- F0
         beta < 0:  [0, |beta|) -> F+ F0   [|beta|, 1/2) -> F+   [1/2, 1) -> F-
 
     Landing exactly on the interior case boundary (1 - beta or |beta|)
-    is refused; those x are measure zero and the caller should perturb.
+    is refused; those points are measure zero and the caller should
+    perturb.  The return lands at local coordinate frac(y + beta).
     """
-    interval = level.interval
-    if not interval.contains(x):
-        raise ValueError(
-            "%s is outside level %d" % (x.exact_str(), level.index)
-        )
-    return _local_return_word(level, interval.to_local(x))
-
-
-def _local_return_word(level: RenormLevel, y: SurdReal) -> SignWord:
-    """predicted_return_word's case choice, from the local coordinate y of x."""
     if level.beta.sign() > 0:
         split = ONE - level.beta
         if y < HALF:

@@ -78,7 +78,7 @@ def test_visit_set_against_hand_loop():
         want = [n for n in range(N + 1) if sums[n] == m]
         assert list(vs.times) == want
         assert vs.count == len(want)
-        assert vs.first_time == (want[0] if want else None)
+        assert vs.times[:1].tolist() == want[:1]  # the first visit, if any
 
 
 def test_visit_set_positions_shift_by_k():
@@ -112,8 +112,8 @@ def test_visit_set_reads_the_scan_at_n_plus_k(k):
 
 def test_visit_set_trivial_cases():
     vs = visit_set(HALF, A, 0, 0)
-    assert vs.count == 1 and vs.max_gap() == 1.0
-    assert visit_set(HALF, A, -1, 10).first_time == 1  # f(1/2) = -1
+    assert vs.count == 1 and max_gap(vs.positions) == 1.0
+    assert visit_set(HALF, A, -1, 10).times[0] == 1  # f(1/2) = -1
     assert visit_set(HALF, A, 5, 10).count == 0
     with pytest.raises(ValueError):
         visit_set(HALF, A, 0, -1)
@@ -141,7 +141,7 @@ def test_max_gaps_equal_max_gap_of_each_horizon(m, k):
     assert [np.float64(g).tobytes() for g in vs.max_gaps(horizons)] \
         == [np.float64(g).tobytes() for g in want]
     if vs.count:
-        assert vs.max_gap() == want[-1]
+        assert max_gap(vs.positions) == want[-1]
 
 
 def test_max_gaps_check_the_range():
@@ -150,7 +150,7 @@ def test_max_gaps_check_the_range():
     with pytest.raises(ValueError):
         vs.max_gaps([10])
     with pytest.raises(ValueError):
-        visit_set(HALF, A, 5, 10).max_gap()  # no visits
+        max_gap(visit_set(HALF, A, 5, 10).positions)  # no visits
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The exact scan, the exact leaf tracer and the first-return oracle all
 walk on an ``exactreal.Frame``.  Their reference here is plain
-``SurdReal`` arithmetic (orbit points ``(x + a*n).frac()``, sums of
-their signs, ``return_map``), which shares no code with the frame
-walks, over random admissible rotation numbers, random exact seeds
-(p + q*a)/r and both directions.
+``SurdReal`` arithmetic (orbit points ``(x + a*n).frac()`` and their
+floats, sums of their signs, and the landing frac(y + beta) in a
+level's local chart), which shares no code with the frame walks, over
+random admissible rotation numbers, random exact seeds (p + q*a)/r and
+both directions.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from rotn.exactreal import HALF, CFNumber, Frame, SurdReal, _surd_sign, parse_cf
 from rotn.foliation import trace_leaf_through, trace_ray
 from rotn.harness import ExperimentConfig, run
-from rotn.renorm import oracle_first_return, predicted_return_word, tower
+from rotn.renorm import _local_return_word, oracle_first_return, tower
 from rotn.scan import orbit_scan
 from rotn.words import expand
 
@@ -46,6 +47,11 @@ def _sum(x, a, n):
     return -sum(f(j) for j in range(n, 0))
 
 
+def _float(x):
+    """float() of an exact point, as the bytes of a float64."""
+    return np.float64(float(x)).tobytes()
+
+
 def _off_the_orbit_of_zero(seed):
     # (p + q*a)/r = n*a + m runs into the singular corner of the leaf
     p, q, r = seed
@@ -61,10 +67,9 @@ def test_exact_leaf_trace_follows_the_rotation(alpha, seed, j0, direction):
     x0 = _point(seed, a)
     N = 40
     tr = trace_leaf_through(x0, j0, a, N, direction=direction, policy="exact")
-    exact = tr.exact_x  # built on each access
     for k in range(N + 1):
         n = direction * k
-        assert exact[k] == (x0 + a * n).frac(), k
+        assert tr.entry_x[k].tobytes() == _float((x0 + a * n).frac()), k
         assert tr.entry_level[k] == j0 + _sum(x0, a, n), k
 
 
@@ -74,23 +79,23 @@ def test_exact_ray_trace_follows_the_rotation(alpha, i):
     a = alpha.value
     N = 40
     tr = trace_ray(i, a, N, policy="exact")
-    exact = tr.exact_x
     for n in range(1, N + 1):
-        assert exact[n - 1] == (HALF + a * (n - 1)).frac(), n
+        assert tr.entry_x[n - 1].tobytes() == _float((HALF + a * (n - 1)).frac()), n
         assert tr.entry_level[n - 1] == i + 1 + _sum(HALF, a, n), n
 
 
 @engine
 @given(alpha=alphas, seed=seeds, level=st.integers(2, 4))
-def test_oracle_lands_where_the_return_map_does(alpha, seed, level):
+def test_oracle_lands_where_the_substitution_predicts(alpha, seed, level):
     lvl = tower(alpha, level)[-1]
     y = _point(seed, alpha.value).frac()
     boundary = SurdReal(1) - lvl.beta if lvl.beta.sign() > 0 else -lvl.beta
     assume(y != boundary)
     x = lvl.interval.from_local(y)
     rec = oracle_first_return(lvl, x)
-    assert rec.landing == lvl.return_map(x)
-    assert list(rec.word) == expand(predicted_return_word(lvl, x))
+    # the first-return map is the rotation by beta in the local chart
+    assert rec.landing == lvl.interval.from_local((y + lvl.beta).frac())
+    assert list(rec.word) == expand(_local_return_word(lvl, y))
 
 
 @engine

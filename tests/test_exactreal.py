@@ -168,6 +168,37 @@ def test_field_ops_match_mpmath(p1, q1, r1, p2, q2, r2):
 _SQUAREFREE = st.integers(2, 10**6).filter(lambda d: _squarefree_core(d)[0] == 1)
 
 
+def _surds(d):
+    big, den = st.integers(-(2**80), 2**80), st.integers(1, 2**40)
+    return st.builds(lambda p, q, r: SurdReal(p, q, r, d), big, big, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10, 9999991]), other_d=st.sampled_from([6, 7, 11]),
+       data=st.data())
+def test_comparisons_are_the_sign_of_the_difference(d, other_d, data):
+    # _cmp takes the sign without building self - other; it must agree
+    # with the subtraction form against every operand a comparison takes
+    rationals = st.builds(SurdReal.from_fraction, st.fractions())
+    x = data.draw(_surds(d) | rationals, label="x")
+    y = data.draw(st.one_of(_surds(d), rationals, st.just(x), st.integers(-10, 10),
+                            st.fractions(max_denominator=10**6)), label="y")
+    want = (x - y).sign()
+    assert x._cmp(y) == want
+    assert (x < y, x <= y, x > y, x >= y) == (want < 0, want <= 0, want > 0, want >= 0)
+    assert (y < x, y > x) == (want > 0, want < 0)  # reflected, for int and Fraction
+    # a point of another field: the same refusal as the subtraction's
+    z = data.draw(_surds(other_d).filter(lambda z: z.q != 0), label="z")
+    if x.q:
+        with pytest.raises(ValueError, match="cannot mix") as sub:
+            x - z
+        with pytest.raises(ValueError) as cmp:
+            x < z
+        assert str(cmp.value) == str(sub.value)
+    else:
+        assert x._cmp(z) == (x - z).sign()
+
+
 @settings(max_examples=100, deadline=None)
 @given(d=_SQUAREFREE, data=st.data())
 def test_array_sign_is_the_scalar_sign(d, data):

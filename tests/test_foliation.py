@@ -30,6 +30,22 @@ def _sum(x, n):
     return int(scan.sums[-1])
 
 
+def _sums(x0, a, n, direction=1):
+    """S_0(x0), S_(+-1)(x0), ..., S_(+-n)(x0), one SurdReal sign test a point."""
+    sums, s = [0], 0
+    for k in range(1, n + 1):
+        # forward S_k adds f(t^(k-1) x0); backward S_(-k) subtracts f(t^(-k) x0)
+        j = k - 1 if direction == 1 else -k
+        s += direction * (1 if (x0 + a * j).frac() < HALF else -1)
+        sums.append(s)
+    return sums
+
+
+def _floats(x0, a, ns):
+    """float() of the orbit formula's exact points (x0 + n*a) mod 1, as bytes."""
+    return np.array([float((x0 + a * n).frac()) for n in ns]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the turn map
 
@@ -48,10 +64,9 @@ def test_ray_entry_law_exact_small():
     for i in (-1, 0, 2):
         tr = trace_ray(i, A, 200, policy="exact")
         assert tr.start_index == 1
-        exact = tr.exact_x  # built on each access
+        assert tr.entry_x.tobytes() == _floats(HALF, A, range(200))
         for k in range(200):
             n = k + 1
-            assert exact[k] == (HALF + A * (n - 1)).frac()
             assert tr.entry_level[k] == i + 1 + _sum(HALF, n)
 
 
@@ -72,7 +87,7 @@ def test_rays_translate_vertically():
 
 def test_ray_first_entry_is_its_own_rectangle():
     tr = trace_ray(7, A, 1, policy="exact")
-    assert tr.exact_x[0] == HALF
+    assert tr.entry_x.tolist() == [0.5]
     assert tr.entry_level[0] == 7  # S_1(1/2) = -1 cancels the +1 in the law
 
 
@@ -88,18 +103,16 @@ def test_trace_ray_validates():
 def test_leaf_through_orbit_convention():
     x = (1 + A) / 2
     tr = trace_leaf_through(x, 3, A, 150, policy="exact")
-    exact = tr.exact_x
+    assert tr.entry_x.tobytes() == _floats(x, A, range(151))
     for n in range(151):
-        assert exact[n] == (x + A * n).frac()
         assert tr.entry_level[n] == 3 + _sum(x, n)
 
 
 def test_leaf_through_backward():
     x = (1 + A) / 2
     tr = trace_leaf_through(x, 0, A, 150, direction=-1, policy="exact")
-    exact = tr.exact_x
+    assert tr.entry_x.tobytes() == _floats(x, A, range(0, -151, -1))
     for k in range(151):
-        assert exact[k] == (x + A * -k).frac()
         assert tr.entry_level[k] == _sum(x, -k)
 
 
@@ -119,39 +132,44 @@ def test_leaf_through_certified_matches_exact():
     ("2**90*a", 1), ("2**90*a", -1),
 ])
 def test_exact_entry_x_is_the_float_of_its_orbit_point(cf, seed, direction):
-    # the float shadow is float() of the canonical surd, bit for bit, and
-    # that surd is the orbit formula's point
+    # every visit's float shadow is float() of the orbit formula's exact
+    # point, bit for bit, and its level the exact Birkhoff sum
     a = parse_cf(cf).value
     N = 300
     if seed == "ray":
         x0 = HALF
         tr = trace_ray(0, a, N + 1, policy="exact")
+        levels = [1 + s for s in _sums(x0, a, N + 1)[1:]]  # entry n at 1 + S_n
     else:
         x0 = {"(1+a)/2": (1 + a) / 2, "1/2 + 1/2**80": HALF + SurdReal(1) / 2**80,
               "2**90*a": 2**90 * a}[seed]
         tr = trace_leaf_through(x0, 0, a, N, direction=direction, policy="exact")
-    exact = tr.exact_x
-    assert len(exact) == tr.visits == N + 1
+        levels = _sums(x0, a, N, direction)
+    exact = [(x0 + a * (direction * k)).frac() for k in range(N + 1)]
+    assert tr.visits == N + 1
     assert tr.entry_x.tobytes() == np.array([float(x) for x in exact]).tobytes()
+    assert tr.entry_level.tolist() == levels
     if seed == "2**90*a":
         assert all(abs(x.q) > 1 << _GUARD for x in exact)
-    for k in range(N + 1):
-        assert exact[k] == (x0 + a * (direction * k)).frac(), k
 
 
-def test_exact_ray_keeps_under_112_bytes_a_visit():
-    # two float64/int64 arrays (16 B) and two lists of lattice ints, two
-    # pointers and two small ints a visit; a SurdReal a visit took 152 B
-    trace_ray(0, A, 100, policy="exact")  # imports
+@pytest.mark.parametrize("trace", [
+    lambda N: trace_ray(0, A, N, policy="exact"),
+    lambda N: trace_leaf_through((1 + A) / 2, 0, A, N - 1, direction=-1, policy="exact"),
+], ids=["ray", "backward-leaf"])
+def test_exact_traces_keep_under_17_bytes_a_visit(trace):
+    # a float64 and an int64 a visit (16 B), under the 17 B a visit that
+    # the leaf's refusal charges
+    trace(100)  # imports
     N = 10**5
     tracemalloc.start()
     try:
-        tr = trace_ray(0, A, N, policy="exact")
+        tr = trace(N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert tr.visits == N
-    assert peak < 112 * N, peak / N
+    assert peak < 17 * N, peak / N
 
 
 def test_levels_visited_matches_unique():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotn import orbits, words
-from rotn.circle import visit_set
+from rotn.circle import max_gap, visit_set
 from rotn.cli import _build_parser, _config, main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
@@ -319,9 +319,9 @@ def test_density_refuses_visits_over_budget_before_allocating(capsys):
     (["leaf", "--alpha", "[0;(2)]", "--ray", "0", "--precision", "exact-only"], 10**11),
 ], ids=["certified-scan", "exact-leaf-ray"])
 def test_runs_past_the_hosts_memory_are_refused_before_allocating(capsys, argv, N):
-    # a scan holds 17 B a point and an exact trace 112 B a visit, far past
-    # any host's memory here; these used to end in numpy's "Unable to
-    # allocate", naming no option
+    # a scan or a trace is charged 17 B a point: 10^13 and 10^11 points are
+    # far past any host's memory here, and are refused naming --N, not by
+    # numpy's "Unable to allocate"
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     tracemalloc.start()
@@ -535,8 +535,8 @@ def test_reports_read_one_summary_whichever_route(monkeypatch, N):
             vs = visit_set(HALF, av, m, N)  # certified positions, as the runs'
             assert vs.count == np.count_nonzero(sums == m)
             want = {"m": m, "k": 0, "N": N, "count": vs.count,
-                    "first_time": vs.first_time,
-                    "max_gap": vs.max_gap() if vs.count else None}
+                    "first_time": int(vs.times[0]) if vs.count else None,
+                    "max_gap": max_gap(vs.positions) if vs.count else None}
             for rep in both(kind="density", m=m):
                 assert {k: rep[k] for k in want} == want
                 last = rep["horizons"][-1]

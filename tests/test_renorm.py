@@ -14,13 +14,13 @@ from rotn.exactreal import ONE, ZERO, CFNumber, SurdReal, alpha_next, gauss_step
 from rotn.renorm import (
     ExactInterval,
     RenormLevel,
+    _local_return_word,
     admissible,
     base_level,
     fast_birkhoff,
     half_word,
     oracle_first_return,
     orbit_word,
-    predicted_return_word,
     rationals_strictly_between,
     step,
     tower,
@@ -531,12 +531,17 @@ def test_verify_bounds_rejects_non_consecutive():
 # dual routes to the first return
 
 
+def _landing(lvl, x):
+    """The first-return map of lvl at x: rotation by beta in the local chart."""
+    return lvl.interval.from_local((lvl.interval.to_local(x) + lvl.beta).frac())
+
+
 def test_oracle_first_return_at_half():
     l2 = tower(ALPHA, 2)[1]
     rec = oracle_first_return(l2, HALF)
     assert rec.time == 5
     assert list(rec.word) == expand(l2.f_minus)
-    assert rec.landing == l2.return_map(HALF)
+    assert rec.landing == _landing(l2, HALF)
 
 
 def test_predicted_matches_oracle_on_sampled_regions():
@@ -550,17 +555,20 @@ def test_predicted_matches_oracle_on_sampled_regions():
             regions = [(SurdReal(0), -lvl.beta), (-lvl.beta, HALF), (HALF, one)]
         for lo, hi in regions:
             for q in rationals_strictly_between(lo, hi, 4, rng):
-                x = lvl.interval.from_local(SurdReal.from_fraction(q))
+                y = SurdReal.from_fraction(q)
+                x = lvl.interval.from_local(y)
                 rec = oracle_first_return(lvl, x)
-                assert list(iter_letters(predicted_return_word(lvl, x))) == list(rec.word)
-                assert rec.landing == lvl.return_map(x)
+                assert list(iter_letters(_local_return_word(lvl, y))) == list(rec.word)
+                assert rec.landing == _landing(lvl, x)
 
 
 def test_predicted_word_refuses_case_boundary():
     l3 = tower(ALPHA, 3)[2]  # beta > 0 here
-    x = l3.interval.from_local(SurdReal(1) - l3.beta)
     with pytest.raises(ValueError, match="boundary"):
-        predicted_return_word(l3, x)
+        _local_return_word(l3, SurdReal(1) - l3.beta)
+    l2 = tower(ALPHA, 2)[1]  # beta < 0 here
+    with pytest.raises(ValueError, match="boundary"):
+        _local_return_word(l2, -l2.beta)
 
 
 def test_oracle_refuses_outside_starts():
@@ -568,16 +576,15 @@ def test_oracle_refuses_outside_starts():
     outside = SurdReal(1, 0, 10)
     with pytest.raises(ValueError):
         oracle_first_return(l2, outside)
-    with pytest.raises(ValueError):
-        predicted_return_word(l2, outside)
 
 
-def test_return_map_stays_inside():
-    l2 = tower(ALPHA, 2)[1]
-    x = HALF
-    for _ in range(50):
-        x = l2.return_map(x)
-        assert l2.interval.contains(x)
+def test_oracle_landings_stay_inside():
+    # 50 first returns in a row, each from the last one's landing
+    for lvl in tower(ALPHA, 3)[1:]:
+        x = HALF
+        for _ in range(50):
+            x = oracle_first_return(lvl, x).landing
+            assert lvl.interval.contains(x)
 
 
 # ---------------------------------------------------------------------------

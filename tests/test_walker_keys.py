@@ -3,11 +3,12 @@
 ``renorm.oracle_first_return`` and ``foliation._trace_exact`` decide
 each comparison on the points' ``Frame.key`` and call ``_surd_sign``
 only inside the band where the keys cannot tell.  Their references
-here are the same walkers as they were before the key, copied
-verbatim, with one ``_surd_sign`` call per comparison.  The walks must
-agree on every output, and on exact hits (a point equal to a
-threshold), which only the band can decide, the counted
-``_surd_sign`` calls show the band was taken.
+here are the same walkers as they were before the key, with one
+``_surd_sign`` call per comparison.  The walks must agree on every
+output (the trace's floats and levels), and on exact hits (a point
+equal to a threshold, placed by the orbit formula), which only the
+band can decide, the counted ``_surd_sign`` calls show the band was
+taken.
 """
 
 import random
@@ -37,7 +38,7 @@ A = parse_cf("[0;5,(6)]")
 
 
 # ---------------------------------------------------------------------------
-# the walkers before the key, verbatim apart from their names
+# the walkers before the key
 
 
 def _reference_oracle(level, x):
@@ -108,14 +109,10 @@ def _reference_trace(x0, level0, alpha, count, direction, ray_convention):
     f_of_new = (direction == 1) == ray_convention
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
-    Ps = [0] * count
-    Qs = [0] * count
     j = level0
     for k in range(count):
         xs[k] = to_float(P, Q, R, d)
         lv[k] = j
-        Ps[k] = P
-        Qs[k] = Q
         if k + 1 == count:
             break
         if not f_of_new:
@@ -129,7 +126,7 @@ def _reference_trace(x0, level0, alpha, count, direction, ray_convention):
         if f_of_new:
             f = 1 if sign(P - Ph, Q, d) < 0 else -1
         j += direction * f
-    return xs, lv, (frame, Ps, Qs)
+    return xs, lv
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +134,7 @@ def _reference_trace(x0, level0, alpha, count, direction, ray_convention):
 
 
 def _same_trace(got, want):
-    (xs, lv, (frame, Ps, Qs)), (xs0, lv0, (frame0, Ps0, Qs0)) = got, want
-    assert (frame.R, frame.d) == (frame0.R, frame0.d)
-    assert Ps == Ps0 and Qs == Qs0
+    (xs, lv), (xs0, lv0) = got, want
     assert np.array_equal(lv, lv0)
     assert xs.tobytes() == xs0.tobytes()
 
@@ -277,7 +272,8 @@ def test_oracle_passes_the_excluded_right_end(ties, alpha, level):
     j, x = _back_into(lvl, right, 10 * (lvl.f_minus.length + lvl.f_zero.length))
     ties.clear()
     rec = oracle_first_return(lvl, x)
-    assert rec.time > j and rec.landing == lvl.return_map(x)
+    y = lvl.interval.to_local(x)
+    assert rec.time > j and rec.landing == lvl.interval.from_local((y + lvl.beta).frac())
     assert rec == _reference_oracle(lvl, x)
     assert (0, 0) in ties
 
@@ -286,11 +282,11 @@ def test_oracle_passes_the_excluded_right_end(ties, alpha, level):
 @pytest.mark.parametrize("ray_convention", [True, False])
 def test_a_leaf_visits_exactly_one_half(ties, direction, ray_convention):
     a = A.value
-    x0 = (HALF - a * (3 * direction)).frac()  # visit 3 sits on 1/2
+    x0 = (HALF - a * (3 * direction)).frac()
+    assert (x0 + a * (3 * direction)).frac() == HALF  # visit 3 sits on 1/2
     args = (x0, 0, a, 10, direction, ray_convention)
     got = _trace_exact(*args)
-    frame, Ps, Qs = got[2]
-    assert frame.surd(Ps[3], Qs[3]) == HALF
+    assert got[0][3] == 0.5
     _same_trace(got, _reference_trace(*args))
     assert (0, 0) in ties
 
@@ -303,8 +299,10 @@ def test_a_leaf_reaching_the_corner_is_refused(ties, direction, ray_convention):
     a = A.value
     corner = 1 - a if direction == 1 else a
     x0 = (corner - a * (2 * direction)).frac()
-    frame, Ps, Qs = _trace_exact(x0, 0, a, 3, direction, ray_convention)[2]
-    assert frame.surd(Ps[2], Qs[2]) == corner
+    assert (x0 + a * (2 * direction)).frac() == corner
+    # three visits take no turn from visit 2, a fourth must
+    xs, _ = _trace_exact(x0, 0, a, 3, direction, ray_convention)
+    assert xs[2] == float(corner)
     ties.clear()
     for walk in (_trace_exact, _reference_trace):
         with pytest.raises(ValueError, match="singular corner"):

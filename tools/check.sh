@@ -4,8 +4,10 @@
 # commands' --out bytes and stdout reports against commit REF, and
 # rotnbench/ and BENCHMARK.json unchanged since REF.  Runs every step,
 # prints FAILED for each that fails, and exits 1 if any did.  Last it
-# prints the size of the change to src/rotn and tests since REF (git
-# diff --shortstat), for information only: that step cannot fail.
+# prints, for information only (these steps cannot fail), the size of the
+# change to src/rotn and tests since REF (git diff --shortstat) and the
+# settable options (tools/options.py) at REF, read from a git archive of
+# its src/, and in this checkout.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -21,4 +23,11 @@ step tools/out_bytes.sh "$1"
 step git diff --quiet "$1" -- rotnbench BENCHMARK.json
 echo "== git diff --shortstat $1 -- src/rotn tests"
 git diff --shortstat "$1" -- src/rotn tests || true
+tmp=$(mktemp -d) || exit 2
+trap 'rm -rf "$tmp"' EXIT
+echo "== settable options at $1"
+git archive "$1" src | tar -x -C "$tmp" \
+    && PYTHONPATH="$tmp/src" python3 tools/options.py || true
+echo "== settable options in this checkout"
+PYTHONPATH=src python3 tools/options.py || true
 exit $status
