@@ -23,6 +23,10 @@ Layout:
 ``scan``, ``circle``, ``foliation`` and ``orbits`` import numpy; in
 ``words`` and ``exactreal`` only the functions that make arrays do.  So
 the exact runs (``tower``, ``oracle``, ``fast_birkhoff``) never load it.
+Nor do they, or ``import rotn.cli``, load ``dataclasses``, ``inspect``
+or ``ast``: the records are slotted classes on ``exactreal.Record`` and
+``exactreal.FrozenRecord``, and only ``harness.parse_point``, which
+parses a leaf's seed expression, imports ``ast``.
 """
 
 from .exactreal import (

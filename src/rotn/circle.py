@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exactreal import SurdReal
+from .exactreal import Record, SurdReal
 from .scan import OrbitScan, orbit_scan
 
 __all__ = ["VisitSet", "visit_set", "max_gap"]
@@ -30,18 +29,25 @@ __all__ = ["VisitSet", "visit_set", "max_gap"]
 _GAP_SLICE = 1 << 14
 
 
-@dataclass
-class VisitSet:
+class VisitSet(Record):
     """Times n in [0, N] with S_n(x) = m, and positions t^(n+k)(x).
 
     The ``density`` report reads only the times, the escalations and
     ``max_gaps`` over its horizons, which end at N.
     """
 
+    __slots__ = _fields = ("times", "positions", "position_radius", "escalations")
     times: np.ndarray  # int64, strictly ascending
     positions: np.ndarray  # float64
     position_radius: float
     escalations: int
+
+    def __init__(self, times: np.ndarray, positions: np.ndarray, position_radius: float,
+                 escalations: int):
+        self.times = times
+        self.positions = positions
+        self.position_radius = position_radius
+        self.escalations = escalations
 
     @property
     def count(self) -> int:

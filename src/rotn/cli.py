@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 
 from .harness import PRECISIONS, ExperimentConfig, json_text, run
 
@@ -95,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(ns: argparse.Namespace) -> ExperimentConfig:
-    given = {f.name: getattr(ns, f.name) for f in fields(ExperimentConfig)
-             if hasattr(ns, f.name)}
+    given = {name: getattr(ns, name) for name in ExperimentConfig._fields
+             if hasattr(ns, name)}
     return ExperimentConfig(**given)
 
 

@@ -31,13 +31,17 @@ alone, and only one inside that band calls ``_surd_sign``.
 ``CFNumber`` is an eventually periodic continued fraction
 [0; c1, c2, ...] normalized to a primitive period and minimal
 preperiod, with an exact ``SurdReal`` value.
+
+``Record`` and ``FrozenRecord`` are the slotted bases of the package's
+result records (``CertifiedFloat`` here): field-wise equality and a
+``Name(field=value, ...)`` repr, and for a frozen record immutability
+and a hash, with no ``dataclasses`` import at start-up.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -513,19 +517,72 @@ class Frame:
         return (P << _KEY) + Q * S
 
 
-@dataclass(frozen=True)
-class CertifiedFloat:
+# ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """A slotted record whose ``_fields`` name its fields, in order.
+
+    Records of one class with equal fields are equal, and a record never
+    equals one of another class; repr is ``Name(field=value, ...)``.  Each
+    subclass stores its fields in its own ``__init__``.  A plain Record
+    is mutable and unhashable, as the numpy-path results need.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            ["%s=%r" % (name, getattr(self, name)) for name in self._fields]))
+
+
+class FrozenRecord(Record):
+    """An immutable, hashable Record.
+
+    ``__init__`` stores each field with ``object.__setattr__``, as
+    ``SurdReal`` does; after that, assigning or deleting an attribute
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % (type(self).__name__,))
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % (type(self).__name__,))
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class CertifiedFloat(FrozenRecord):
     """A float with a rigorous two-sided error bound.
 
     The represented real number lies in [value - radius, value + radius].
     """
 
+    __slots__ = _fields = ("value", "radius")
     value: float
     radius: float
 
-    def __post_init__(self):
-        if not (self.radius >= 0.0) or math.isnan(self.value):
-            raise ValueError("bad certified float (%r, %r)" % (self.value, self.radius))
+    def __init__(self, value: float, radius: float):
+        if not (radius >= 0.0) or math.isnan(value):
+            raise ValueError("bad certified float (%r, %r)" % (value, radius))
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "radius", radius)
 
 
 class EscalationCounter:

@@ -14,9 +14,7 @@ numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactreal import ONE, CFNumber, SurdReal
+from .exactreal import ONE, CFNumber, FrozenRecord, SurdReal
 from .renorm import tower
 from .words import EMPTY, SignWord, concat_all, power
 
@@ -41,20 +39,31 @@ def example_point(alpha: CFNumber) -> SurdReal:
     return (ONE + alpha.value) / 2
 
 
-@dataclass(frozen=True)
-class FormulaCheck:
+class FormulaCheck(FrozenRecord):
+    """One recursion or closed form, checked at one level of the tower."""
+
+    __slots__ = _fields = ("name", "level", "got", "expected")
     name: str
     level: int
     got: int
     expected: int
+
+    def __init__(self, name: str, level: int, got: int, expected: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "got", got)
+        object.__setattr__(self, "expected", expected)
 
     @property
     def ok(self) -> bool:
         return self.got == self.expected
 
 
-@dataclass
-class ExampleReport:
+class ExampleReport(FrozenRecord):
+    """The formula checks and the witness word of one family member m."""
+
+    __slots__ = _fields = ("m", "k_max", "alpha", "x", "rows", "witness",
+                           "block_maxima")
     m: int
     k_max: int
     alpha: CFNumber
@@ -62,6 +71,16 @@ class ExampleReport:
     rows: list
     witness: SignWord
     block_maxima: list
+
+    def __init__(self, m: int, k_max: int, alpha: CFNumber, x: SurdReal, rows: list,
+                 witness: SignWord, block_maxima: list):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "block_maxima", block_maxima)
 
     @property
     def ok(self) -> bool:

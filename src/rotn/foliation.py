@@ -43,13 +43,11 @@ where callers have always found it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .example import (ExampleReport, FormulaCheck, example_alpha, example_m_formulas,
                       example_point)
-from .exactreal import HALF, Frame, SurdReal, _surd_float, _surd_sign
+from .exactreal import HALF, Frame, Record, SurdReal, _surd_float, _surd_sign
 from .scan import orbit_scan
 
 __all__ = [
@@ -95,8 +93,7 @@ def _turn_map(frame: Frame, alpha: SurdReal, band: int):
     return turn
 
 
-@dataclass
-class LeafTrace:
+class LeafTrace(Record):
     """Rectangle entries of one leaf, in visit order.
 
     entry_x[k] and entry_level[k] describe the visit with index
@@ -108,13 +105,25 @@ class LeafTrace:
     ``scan.sums_histogram(entry_level)``.
     """
 
+    __slots__ = _fields = ("seed", "direction", "start_index", "entry_x",
+                           "entry_level", "policy", "radius_bound")
     seed: str
     direction: int
     start_index: int
     entry_x: np.ndarray
     entry_level: np.ndarray
     policy: str
-    radius_bound: float = 0.0
+    radius_bound: float
+
+    def __init__(self, seed: str, direction: int, start_index: int, entry_x: np.ndarray,
+                 entry_level: np.ndarray, policy: str, radius_bound: float = 0.0):
+        self.seed = seed
+        self.direction = direction
+        self.start_index = start_index
+        self.entry_x = entry_x
+        self.entry_level = entry_level
+        self.policy = policy
+        self.radius_bound = radius_bound
 
     @property
     def visits(self) -> int:

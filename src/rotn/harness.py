@@ -8,9 +8,10 @@ scan's own arrays, a range of indices, or a short list), and ``run``
 writes ``config.out`` in one place.  The exact kinds, ``tower`` and
 ``oracle``, are here; the kinds that read an orbit are in
 ``rotn.orbits``, which ``run`` imports for them alone, so that this
-module and the exact kinds need no numpy.  All validation and
-normalization happens when the config is built, so the config a caller
-holds is the config its output header records.
+module and the exact kinds need no numpy.  Nor do they need ``ast``:
+``parse_point`` imports it when a seed expression is parsed.  All
+validation and normalization happens when the config is built, so the
+config a caller holds is the config its output header records.
 
 Output files are self-describing: a JSON header that round-trips the
 full configuration (``config_from_header(read_header(path))`` equals
@@ -31,20 +32,18 @@ benchmark's writer probe, and gives the same bytes.
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 import numbers
 import operator
 import random
-from dataclasses import asdict, dataclass, fields
 from decimal import Decimal
 from itertools import islice
 from typing import Optional
 
 from . import __version__
 from .example import example_alpha
-from .exactreal import HALF, ONE, ZERO, SurdReal, parse_cf
+from .exactreal import HALF, ONE, ZERO, FrozenRecord, SurdReal, parse_cf
 from .renorm import (
     _local_return_word,
     oracle_first_return,
@@ -72,12 +71,9 @@ _MAX_POINT_BITS = 13300
 # CSV rows formatted per write: a chunk's cell strings take about 3 MB
 # at three columns, so a 10^9-row table never holds a whole column
 _ROWS_PER_WRITE = 1 << 13
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(FrozenRecord):
     """Everything needed to reproduce one run.
 
     The alpha literal and the leaf seed stay in their surface syntax so
@@ -85,26 +81,49 @@ class ExperimentConfig:
     checks it and normalizes its derived fields: alpha to its canonical
     literal (for ``example``, the family member ``m`` selects), and the
     precision of the exact-by-construction ``tower`` and ``oracle`` to
-    exact-only.
+    exact-only.  ``_fields`` lists the fields in order: the header, the
+    header reader and the command line all read it.
     """
 
+    __slots__ = _fields = ("kind", "alpha", "depth", "N", "m", "k", "k_max", "samples",
+                           "seed", "ray", "through", "level", "backward", "out",
+                           "precision")
     kind: str
-    alpha: str = "[0;5,(6)]"
-    depth: int = 0
-    N: int = 0
-    m: int = 0
-    k: int = 0
-    k_max: int = 0
-    samples: int = 0
-    seed: int = 0
-    ray: Optional[int] = None
-    through: Optional[str] = None
-    level: int = 0
-    backward: bool = False
-    out: Optional[str] = None
-    precision: str = "certified-fast"
+    alpha: str
+    depth: int
+    N: int
+    m: int
+    k: int
+    k_max: int
+    samples: int
+    seed: int
+    ray: Optional[int]
+    through: Optional[str]
+    level: int
+    backward: bool
+    out: Optional[str]
+    precision: str
 
-    def __post_init__(self):
+    def __init__(self, kind: str, alpha: str = "[0;5,(6)]", depth: int = 0, N: int = 0,
+                 m: int = 0, k: int = 0, k_max: int = 0, samples: int = 0, seed: int = 0,
+                 ray: Optional[int] = None, through: Optional[str] = None, level: int = 0,
+                 backward: bool = False, out: Optional[str] = None,
+                 precision: str = "certified-fast"):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "ray", ray)
+        object.__setattr__(self, "through", through)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "backward", backward)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "precision", precision)
         if self.kind not in KINDS:
             raise ValueError("unknown experiment kind %r" % (self.kind,))
         if self.precision not in PRECISIONS:
@@ -160,14 +179,14 @@ class ExperimentConfig:
         return "exact" if self.precision == "exact-only" else "certified"
 
     def header(self) -> dict:
-        return {"tool": "rotn", "version": __version__, "config": asdict(self)}
+        config = {name: getattr(self, name) for name in self._fields}
+        return {"tool": "rotn", "version": __version__, "config": config}
 
 
 def config_from_header(header: dict) -> ExperimentConfig:
     """Rebuild the config a header was written from."""
     raw = dict(header["config"])
-    known = {f.name for f in fields(ExperimentConfig)}
-    extra = set(raw) - known
+    extra = set(raw).difference(ExperimentConfig._fields)
     if extra:
         raise ValueError("header carries unknown config fields %s" % (sorted(extra),))
     return ExperimentConfig(**raw)
@@ -388,6 +407,10 @@ def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
     must lie in alpha's field.  An exponent may be at most 10^4, and
     the point and every value on the way to it at most 13,300 bits.
     """
+    import ast  # only seed expressions need the parser
+
+    arithmetic = {ast.Add: operator.add, ast.Sub: operator.sub,
+                  ast.Mult: operator.mul, ast.Div: operator.truediv}
     try:
         node = ast.parse(expr, mode="eval").body
     except SyntaxError as err:
@@ -426,8 +449,8 @@ def parse_point(expr: str, alpha: SurdReal) -> SurdReal:
             if e * (_bits(base) - 1) > _MAX_POINT_BITS:
                 raise ValueError(too_large)
             return base ** e
-        if isinstance(n, ast.BinOp) and type(n.op) in _ARITHMETIC:
-            return _ARITHMETIC[type(n.op)](ev(n.left), ev(n.right))
+        if isinstance(n, ast.BinOp) and type(n.op) in arithmetic:
+            return arithmetic[type(n.op)](ev(n.left), ev(n.right))
         raise ValueError("unsupported syntax in point %r" % (expr,))
 
     try:

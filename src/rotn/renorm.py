@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, SurdReal, alpha_next,
-                        _surd_sign, gauss_step)
+from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, FrozenRecord, SurdReal,
+                        alpha_next, _surd_sign, gauss_step)
 from .words import SignWord, concat, concat_all, empty, power, prefix_sum_at
 from .words import MINUS, PLUS
 
@@ -65,27 +64,31 @@ __all__ = [
     "rationals_strictly_between",
 ]
 
-@dataclass(frozen=True)
-class ExactInterval:
+class ExactInterval(FrozenRecord):
     """Half-open [left, right) with exact endpoints, symmetric about 1/2.
 
     ``length`` is right - left, computed once here: ``step`` and the
-    local chart read it at every level and every orbit point.
+    local chart read it at every level and every orbit point.  It is
+    stored but is not a field: equality, hash and repr leave it out.
     """
 
+    _fields = ("left", "right")
+    __slots__ = _fields + ("length",)
     left: SurdReal
     right: SurdReal
-    length: SurdReal = field(init=False, repr=False, compare=False)
+    length: SurdReal
 
-    def __post_init__(self):
-        length = self.right - self.left
+    def __init__(self, left: SurdReal, right: SurdReal):
+        length = right - left
         if length.sign() <= 0:
             raise ValueError("empty interval")
-        if self.left + self.right != ONE:
+        if left + right != ONE:
             raise ValueError(
                 "interval [%s, %s) is not symmetric about 1/2"
-                % (self.left.exact_str(), self.right.exact_str())
+                % (left.exact_str(), right.exact_str())
             )
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         object.__setattr__(self, "length", length)
 
     def contains(self, x: SurdReal) -> bool:
@@ -99,8 +102,7 @@ class ExactInterval:
         return self.left + y * self.length
 
 
-@dataclass(frozen=True)
-class RenormLevel:
+class RenormLevel(FrozenRecord):
     """One floor of the tower.
 
     beta is the signed rotation number of the first-return map in the
@@ -112,6 +114,8 @@ class RenormLevel:
     run without extra context.
     """
 
+    __slots__ = _fields = ("index", "interval", "beta", "beta_cf", "n_half",
+                           "f_plus", "f_minus", "f_zero", "base_alpha")
     index: int
     interval: ExactInterval
     beta: SurdReal
@@ -122,21 +126,32 @@ class RenormLevel:
     f_zero: SignWord
     base_alpha: SurdReal
 
-    def __post_init__(self):
-        sign = 1 if self.index % 2 == 1 else -1
-        if self.beta.sign() != sign:
+    def __init__(self, index: int, interval: ExactInterval, beta: SurdReal,
+                 beta_cf: CFNumber, n_half: int, f_plus: SignWord, f_minus: SignWord,
+                 f_zero: SignWord, base_alpha: SurdReal):
+        sign = 1 if index % 2 == 1 else -1
+        if beta.sign() != sign:
             raise ValueError(
-                "level %d must have beta of sign %+d" % (self.index, sign)
+                "level %d must have beta of sign %+d" % (index, sign)
             )
-        if (self.beta if sign > 0 else -self.beta) != self.beta_cf.value:
+        if (beta if sign > 0 else -beta) != beta_cf.value:
             raise ValueError(
                 "level %d has |beta| = %s, not the value of %s"
-                % (self.index, self.beta.exact_str(), self.beta_cf)
+                % (index, beta.exact_str(), beta_cf)
             )
-        if not (self.f_plus.total == 1 and self.f_minus.total == -1):
+        if not (f_plus.total == 1 and f_minus.total == -1):
             raise ValueError("return words must have totals +1/-1")
-        if self.f_zero.length and self.f_zero.total != 0:
+        if f_zero.length and f_zero.total != 0:
             raise ValueError("F_zero must have total 0")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta_cf", beta_cf)
+        object.__setattr__(self, "n_half", n_half)
+        object.__setattr__(self, "f_plus", f_plus)
+        object.__setattr__(self, "f_minus", f_minus)
+        object.__setattr__(self, "f_zero", f_zero)
+        object.__setattr__(self, "base_alpha", base_alpha)
 
     @property
     def stats(self) -> dict:
@@ -381,15 +396,22 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
 # bounds
 
 
-@dataclass(frozen=True)
-class BoundsCheck:
+class BoundsCheck(FrozenRecord):
     """One verified inequality between word stats."""
 
+    __slots__ = _fields = ("level", "name", "lhs", "rhs", "ok")
     level: int
     name: str
     lhs: int
     rhs: int
     ok: bool
+
+    def __init__(self, level: int, name: str, lhs: int, rhs: int, ok: bool):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "ok", ok)
 
 
 def _ineq(level: int, name: str, lhs: int, relation: str, rhs: int) -> BoundsCheck:
@@ -481,14 +503,20 @@ def verify_chains(levels: list[RenormLevel], *, strict: bool = True) -> list[Bou
 # the two routes to the first return
 
 
-@dataclass(frozen=True)
-class ReturnRecord:
+class ReturnRecord(FrozenRecord):
     """What the simulated orbit did between visits to the interval."""
 
+    __slots__ = _fields = ("start", "time", "word", "landing")
     start: SurdReal
     time: int
     word: tuple
     landing: SurdReal
+
+    def __init__(self, start: SurdReal, time: int, word: tuple, landing: SurdReal):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "landing", landing)
 
 
 def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:

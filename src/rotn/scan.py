@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .exactreal import HALF, Frame, SurdReal, _surd_float, _surd_signs, escalations
+from .exactreal import (HALF, Frame, Record, SurdReal, _surd_float, _surd_signs,
+                        escalations)
 from .words import _add_shifted
 
 __all__ = ["OrbitScan", "orbit_scan", "orbit_positions", "sums_histogram", "backend_name",
@@ -206,8 +206,7 @@ def kernel_for(name: str):
 _POLICIES = ("certified", "exact")
 
 
-@dataclass
-class OrbitScan:
+class OrbitScan(Record):
     """Orbit points 0..n of x0 under rotation by direction*alpha.
 
     positions[i] approximates t^(direction*i)(x0) in [0, 1);
@@ -216,6 +215,8 @@ class OrbitScan:
     forward sums add signs[0..j-1], backward sums are -(signs[1..j]).
     """
 
+    __slots__ = _fields = ("x0", "alpha", "count", "direction", "policy", "positions",
+                           "signs", "sums", "escalated", "radius_bound")
     x0: SurdReal
     alpha: SurdReal
     count: int
@@ -226,6 +227,20 @@ class OrbitScan:
     sums: np.ndarray
     escalated: np.ndarray
     radius_bound: float
+
+    def __init__(self, x0: SurdReal, alpha: SurdReal, count: int, direction: int,
+                 policy: str, positions: np.ndarray, signs: np.ndarray, sums: np.ndarray,
+                 escalated: np.ndarray, radius_bound: float):
+        self.x0 = x0
+        self.alpha = alpha
+        self.count = count
+        self.direction = direction
+        self.policy = policy
+        self.positions = positions
+        self.signs = signs
+        self.sums = sums
+        self.escalated = escalated
+        self.radius_bound = radius_bound
 
 
 def _scan_radii(x0: SurdReal, alpha: SurdReal):

@@ -3,7 +3,6 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -923,7 +922,8 @@ def test_cli_out_file_is_the_stdlib_encoding_of_header_and_report(tmp_path, caps
     assert main(argv) == 0
     capsys.readouterr()
     config = _config(_build_parser().parse_args(argv))
-    doc = {"header": config.header(), "report": run(replace(config, out=None))}
+    unwritten = ExperimentConfig(**dict(config.header()["config"], out=None))
+    doc = {"header": config.header(), "report": run(unwritten)}
     assert open(out).read() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -1085,6 +1085,11 @@ def test_oracle_refuses_before_building_the_whole_tower():
     assert float(seconds) < 0.3
 
 
+# modules a start-up of rotn.cli and an exact run must not load: the
+# records are plain slotted classes, and only seed expressions parse code
+_HEAVY_STDLIB = ("dataclasses", "inspect", "ast")
+
+
 def test_exact_runs_never_import_numpy():
     # tower, oracle and fast_birkhoff are exact arithmetic on words and
     # surds; only the kinds that read an orbit import numpy
@@ -1096,10 +1101,23 @@ def test_exact_runs_never_import_numpy():
             "assert rotn.cli.main(['tower', '--depth', '10']) == 0\n"
             "assert rotn.cli.main(['oracle', '--depth', '3', '--samples', '1']) == 0\n"
             "assert fast_birkhoff(cf, 10**15) == -6\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            "print(sorted(m for m in %r if m in sys.modules))\n" % (_HEAVY_STDLIB,))
     out = _fresh_python("-c", code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+
+def test_a_numpy_run_never_imports_dataclasses():
+    # numpy itself loads inspect and ast, so only dataclasses is rotn's to avoid
+    code = ("import sys, rotn.cli\n"
+            "status = rotn.cli.main(['heavy', '--alpha', '[0;5,(6)]', '--N', '1000'])\n"
+            "assert status in (0, 1), status\n"
+            "assert 'numpy' in sys.modules\n"
+            "print('dataclasses' in sys.modules)\n")
+    out = _fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_small_runs_never_import_sympy():

@@ -5,9 +5,11 @@
 # rotnbench/ and BENCHMARK.json unchanged since REF.  Runs every step,
 # prints FAILED for each that fails, and exits 1 if any did.  Last it
 # prints, for information only (these steps cannot fail), the size of the
-# change to src/rotn and tests since REF (git diff --shortstat) and the
-# settable options (tools/options.py) at REF, read from a git archive of
-# its src/, and in this checkout.
+# change to src/rotn and tests since REF (git diff --shortstat), and at
+# REF, read from a git archive of its src/, and in this checkout: the
+# settable options (tools/options.py) and the start-up import set, the
+# sorted modules that `import rotn.cli` and parse_cf("[0;5,(6)]").value
+# add to a bare interpreter's.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -15,6 +17,16 @@ status=0
 step() {
     echo "== $*"
     "$@" || { echo "FAILED: $*"; status=1; }
+}
+# the modules a fresh `python3 -c` holds before its code runs are those of
+# `python3 -c pass`
+startup_imports() {
+    PYTHONPATH="$1" python3 -c 'import sys
+bare = set(sys.modules)
+import rotn.cli
+from rotn.exactreal import parse_cf
+parse_cf("[0;5,(6)]").value
+print(" ".join(sorted(set(sys.modules) - bare)))'
 }
 step env PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python3 -m pytest -q -p no:cacheprovider --continue-on-collection-errors
@@ -30,4 +42,8 @@ git archive "$1" src | tar -x -C "$tmp" \
     && PYTHONPATH="$tmp/src" python3 tools/options.py || true
 echo "== settable options in this checkout"
 PYTHONPATH=src python3 tools/options.py || true
+echo "== start-up imports at $1"
+startup_imports "$tmp/src" || true
+echo "== start-up imports in this checkout"
+startup_imports src || true
 exit $status

@@ -7,14 +7,15 @@ Usage: PYTHONPATH=SRC python3 tools/options.py
 """
 
 import argparse
-from dataclasses import fields
+import inspect
 
 from rotn.cli import _build_parser
 from rotn.harness import ExperimentConfig
 
 
 def main() -> None:
-    names = [f.name for f in fields(ExperimentConfig)]
+    # the constructor's parameters: the same names for a dataclass config
+    names = list(inspect.signature(ExperimentConfig).parameters)
     print("ExperimentConfig fields (%d): %s" % (len(names), " ".join(names)))
     subcommands = next(a for a in _build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
