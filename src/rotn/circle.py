@@ -100,8 +100,10 @@ def visit_set(
     need = N + max(k, 0)
     if scan is None:
         scan = orbit_scan(x, alpha, need)
-    elif scan.direction != 1 or scan.count < need + 1:
-        raise ValueError("supplied scan is too short or not forward")
+    elif (scan.x0 != x.frac() or scan.alpha != alpha or scan.direction != 1
+          or scan.count < need + 1):
+        raise ValueError("supplied scan is of another start or alpha, too short "
+                         "or not forward")
 
     times = np.flatnonzero(scan.sums[: N + 1] == m)
     idx = times + k if k else times

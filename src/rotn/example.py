@@ -62,20 +62,15 @@ class FormulaCheck(FrozenRecord):
 class ExampleReport(FrozenRecord):
     """The formula checks and the witness word of one family member m."""
 
-    __slots__ = _fields = ("m", "k_max", "alpha", "x", "rows", "witness",
-                           "block_maxima")
-    m: int
-    k_max: int
+    __slots__ = _fields = ("alpha", "x", "rows", "witness", "block_maxima")
     alpha: CFNumber
     x: SurdReal
     rows: list
     witness: SignWord
     block_maxima: list
 
-    def __init__(self, m: int, k_max: int, alpha: CFNumber, x: SurdReal, rows: list,
-                 witness: SignWord, block_maxima: list):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k_max", k_max)
+    def __init__(self, alpha: CFNumber, x: SurdReal, rows: list, witness: SignWord,
+                 block_maxima: list):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "rows", rows)
@@ -151,8 +146,7 @@ def example_m_formulas(m: int, k_max: int, *, strict: bool = True) -> ExampleRep
                               power(odd.f_plus, m), power(even.f_minus, m)))
         block_maxima.append(witness.max_prefix)
 
-    report = ExampleReport(m, k_max, alpha, example_point(alpha), rows,
-                           witness, block_maxima)
+    report = ExampleReport(alpha, example_point(alpha), rows, witness, block_maxima)
     if strict and not report.ok:
         bad = [r for r in report.rows if not r.ok]
         if bad:

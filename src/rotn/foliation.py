@@ -106,23 +106,21 @@ class LeafTrace(Record):
     """
 
     __slots__ = _fields = ("seed", "direction", "start_index", "entry_x",
-                           "entry_level", "policy", "radius_bound")
+                           "entry_level", "radius_bound")
     seed: str
     direction: int
     start_index: int
     entry_x: np.ndarray
     entry_level: np.ndarray
-    policy: str
     radius_bound: float
 
     def __init__(self, seed: str, direction: int, start_index: int, entry_x: np.ndarray,
-                 entry_level: np.ndarray, policy: str, radius_bound: float = 0.0):
+                 entry_level: np.ndarray, radius_bound: float = 0.0):
         self.seed = seed
         self.direction = direction
         self.start_index = start_index
         self.entry_x = entry_x
         self.entry_level = entry_level
-        self.policy = policy
         self.radius_bound = radius_bound
 
     @property
@@ -192,12 +190,11 @@ def trace_ray(i: int, alpha: SurdReal, N: int, *,
     seed = "ray %d" % (i,)
     if policy == "exact":
         xs, lv = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
-        return LeafTrace(seed, 1, 1, xs, lv, policy)
+        return LeafTrace(seed, 1, 1, xs, lv)
     scan = orbit_scan(HALF, alpha, N, policy=policy)
     lv = scan.sums[1 : N + 1]
     lv += i + 1
-    return LeafTrace(seed, 1, 1, scan.positions[:N], lv, policy,
-                     radius_bound=scan.radius_bound)
+    return LeafTrace(seed, 1, 1, scan.positions[:N], lv, radius_bound=scan.radius_bound)
 
 
 def trace_leaf_through(
@@ -217,10 +214,8 @@ def trace_leaf_through(
     seed = "leaf through (%s, %d)" % (x0.exact_str(), j0)
     if policy == "exact":
         xs, lv = _trace_exact(x0, j0, alpha, N + 1, direction, ray_convention=False)
-        return LeafTrace(seed, direction, 0, xs, lv, policy)
+        return LeafTrace(seed, direction, 0, xs, lv)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     scan.sums += j0
-    return LeafTrace(
-        seed, direction, 0, scan.positions, scan.sums, policy,
-        radius_bound=scan.radius_bound,
-    )
+    return LeafTrace(seed, direction, 0, scan.positions, scan.sums,
+                     radius_bound=scan.radius_bound)

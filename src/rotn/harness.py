@@ -47,7 +47,6 @@ from .exactreal import HALF, ONE, ZERO, FrozenRecord, SurdReal, parse_cf
 from .renorm import (
     _local_return_word,
     oracle_first_return,
-    rationals_strictly_between,
     tower,
     verify_bounds,
     verify_chains,
@@ -508,10 +507,12 @@ def _tower(config: ExperimentConfig):
 def _oracle(config: ExperimentConfig):
     """Dual-route check: predicted return words vs simulated first returns.
 
-    For every level 2..depth and each of its three case regions, draws
-    `samples` exact rational starts strictly inside the region, then
-    demands the substitution word equal the simulated sign word letter
-    for letter and both routes land on the same exact point.
+    For every level 2..depth and each of its three case regions (lo, hi),
+    draws `samples` starts lo + (hi - lo)*u by exact construction: u is
+    a random odd multiple of 2^-53, so each start lies strictly inside
+    the region.  Then demands the substitution word equal the simulated
+    sign word letter for letter and both routes land on the same exact
+    point.
     """
     samples = config.samples
     cf = parse_cf(config.alpha)
@@ -545,9 +546,11 @@ def _oracle(config: ExperimentConfig):
         chart = lvl.interval
         for name, lo, hi in regions:
             good = 0
-            for q in rationals_strictly_between(lo, hi, samples, rng):
+            width = hi - lo
+            for _ in range(samples):
+                u = SurdReal(2 * rng.getrandbits(52) + 1, 0, 1 << 53)
                 # one chart round trip: the oracle walks x, the words read y
-                x = chart.from_local(SurdReal.from_fraction(q))
+                x = chart.from_local(lo + width * u)
                 y = chart.to_local(x)
                 rec = oracle_first_return(lvl, x)
                 pred = _local_return_word(lvl, y)

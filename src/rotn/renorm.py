@@ -36,9 +36,7 @@ turned back into a ``SurdReal``.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, FrozenRecord, SurdReal,
@@ -61,7 +59,6 @@ __all__ = [
     "fast_birkhoff",
     "half_word",
     "orbit_word",
-    "rationals_strictly_between",
 ]
 
 class ExactInterval(FrozenRecord):
@@ -399,24 +396,22 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
 class BoundsCheck(FrozenRecord):
     """One verified inequality between word stats."""
 
-    __slots__ = _fields = ("level", "name", "lhs", "rhs", "ok")
+    __slots__ = _fields = ("level", "name", "lhs", "ok")
     level: int
     name: str
     lhs: int
-    rhs: int
     ok: bool
 
-    def __init__(self, level: int, name: str, lhs: int, rhs: int, ok: bool):
+    def __init__(self, level: int, name: str, lhs: int, ok: bool):
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "ok", ok)
 
 
 def _ineq(level: int, name: str, lhs: int, relation: str, rhs: int) -> BoundsCheck:
     ok = lhs >= rhs if relation == ">=" else lhs <= rhs
-    return BoundsCheck(level, "%s %s %s" % (name, relation, rhs), lhs, rhs, ok)
+    return BoundsCheck(level, "%s %s %s" % (name, relation, rhs), lhs, ok)
 
 
 def verify_bounds(
@@ -506,14 +501,12 @@ def verify_chains(levels: list[RenormLevel], *, strict: bool = True) -> list[Bou
 class ReturnRecord(FrozenRecord):
     """What the simulated orbit did between visits to the interval."""
 
-    __slots__ = _fields = ("start", "time", "word", "landing")
-    start: SurdReal
+    __slots__ = _fields = ("time", "word", "landing")
     time: int
     word: tuple
     landing: SurdReal
 
-    def __init__(self, start: SurdReal, time: int, word: tuple, landing: SurdReal):
-        object.__setattr__(self, "start", start)
+    def __init__(self, time: int, word: tuple, landing: SurdReal):
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "word", word)
         object.__setattr__(self, "landing", landing)
@@ -573,8 +566,7 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
         else:
             back = X < r_lo or (X <= r_hi and sign(P - Pr, Q - Qr, d) < 0)
         if back:
-            return ReturnRecord(start=x, time=len(word), word=tuple(word),
-                                landing=frame.surd(P, Q))
+            return ReturnRecord(time=len(word), word=tuple(word), landing=frame.surd(P, Q))
     raise RuntimeError(
         "no return to level %d within %d steps from %s"
         % (level.index, budget, x.exact_str())
@@ -617,28 +609,3 @@ def fast_birkhoff(alpha: CFNumber, n: int) -> int:
         raise ValueError("fast_birkhoff needs n >= 0, got %d" % (n,))
     return prefix_sum_at(half_word(alpha, n), n)
 
-
-def rationals_strictly_between(
-    lo: SurdReal, hi: SurdReal, count: int, rng: random.Random
-) -> list[Fraction]:
-    """Random dyadic rationals strictly inside (lo, hi), exactness-checked.
-
-    Proposes uniform floats inside a certified inner window and keeps
-    the (exact) dyadic values that pass the exact comparison.  Used to
-    sample oracle start points inside case regions with surd endpoints.
-    """
-    clo, chi = lo.certified(), hi.certified()
-    a = clo.value + clo.radius
-    b = chi.value - chi.radius
-    if not (a < b):
-        raise ValueError("window (%r, %r) too narrow to sample" % (a, b))
-    out: list[Fraction] = []
-    for _ in range(count * 20):
-        if len(out) >= count:
-            break
-        q = Fraction(rng.uniform(a, b))
-        if lo < SurdReal.from_fraction(q) < hi:
-            out.append(q)
-    if len(out) < count:
-        raise RuntimeError("sampling (%s, %s) kept failing" % (lo, hi))
-    return out

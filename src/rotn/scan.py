@@ -215,13 +215,12 @@ class OrbitScan(Record):
     forward sums add signs[0..j-1], backward sums are -(signs[1..j]).
     """
 
-    __slots__ = _fields = ("x0", "alpha", "count", "direction", "policy", "positions",
-                           "signs", "sums", "escalated", "radius_bound")
+    __slots__ = _fields = ("x0", "alpha", "count", "direction", "positions", "signs",
+                           "sums", "escalated", "radius_bound")
     x0: SurdReal
     alpha: SurdReal
     count: int
     direction: int
-    policy: str
     positions: np.ndarray
     signs: np.ndarray
     sums: np.ndarray
@@ -229,13 +228,12 @@ class OrbitScan(Record):
     radius_bound: float
 
     def __init__(self, x0: SurdReal, alpha: SurdReal, count: int, direction: int,
-                 policy: str, positions: np.ndarray, signs: np.ndarray, sums: np.ndarray,
+                 positions: np.ndarray, signs: np.ndarray, sums: np.ndarray,
                  escalated: np.ndarray, radius_bound: float):
         self.x0 = x0
         self.alpha = alpha
         self.count = count
         self.direction = direction
-        self.policy = policy
         self.positions = positions
         self.signs = signs
         self.sums = sums
@@ -302,7 +300,6 @@ def orbit_scan(
         alpha=alpha,
         count=count,
         direction=direction,
-        policy=policy,
         positions=positions,
         signs=signs,
         sums=sums,

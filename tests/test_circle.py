@@ -119,6 +119,18 @@ def test_visit_set_trivial_cases():
         visit_set(HALF, A, 0, -1)
 
 
+def test_visit_set_refuses_a_scan_of_another_orbit():
+    N = 50
+    others = [orbit_scan((1 + A) / 2, A, N), orbit_scan(HALF, parse_cf("[0;7,(8,10)]").value, N),
+              orbit_scan(HALF, A, N, direction=-1), orbit_scan(HALF, A, N - 1)]
+    for scan in others:
+        with pytest.raises(ValueError, match="supplied scan"):
+            visit_set(HALF, A, -1, N, scan=scan)
+    # the scan's start is reduced mod 1, so an unreduced x names the same orbit
+    vs = visit_set(HALF + 3, A, -1, N, scan=orbit_scan(HALF, A, N))
+    assert vs.times.tolist() == visit_set(HALF, A, -1, N).times.tolist()
+
+
 def test_max_gap():
     assert max_gap([0.5]) == 1.0
     assert max_gap([0.25, 0.75]) == 0.5

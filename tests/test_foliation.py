@@ -178,7 +178,7 @@ def test_levels_visited_matches_unique():
         for visits in (1, 2, 5000):
             walk = rng.choice(np.array([-1, 1]), size=visits - 1)
             lv = start + np.concatenate([[0], np.cumsum(walk)])
-            trace = LeafTrace("walk", 1, 0, np.zeros(visits), lv, "certified")
+            trace = LeafTrace("walk", 1, 0, np.zeros(visits), lv)
             lo, counts = sums_histogram(trace.entry_level)
             visited = (np.flatnonzero(counts) + lo).tolist()
             assert visited == [int(v) for v in np.unique(lv)]

@@ -1108,6 +1108,17 @@ def test_exact_runs_never_import_numpy():
     assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
+def test_exact_kinds_never_call_certified(monkeypatch):
+    # tower and oracle decide every comparison in the field; only scans
+    # read certified floats
+    def refuse(self):
+        raise AssertionError("SurdReal.certified called on %s" % (self.exact_str(),))
+
+    monkeypatch.setattr(SurdReal, "certified", refuse)
+    assert main(["tower", "--depth", "10"]) == 0
+    assert main(["oracle", "--depth", "3", "--samples", "2"]) == 0
+
+
 def test_a_numpy_run_never_imports_dataclasses():
     # numpy itself loads inspect and ast, so only dataclasses is rotn's to avoid
     code = ("import sys, rotn.cli\n"

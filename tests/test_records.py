@@ -25,10 +25,10 @@ CASES = [
     (ExactInterval, (ZERO, ONE), {}),
     (RenormLevel, (1, LEVEL.interval, LEVEL.beta, CF, 2, LEVEL.f_plus, LEVEL.f_minus,
                    LEVEL.f_zero, LEVEL.base_alpha), {}),
-    (BoundsCheck, (2, "max_plus >= 1", 3, 1, True), {}),
-    (ReturnRecord, (HALF, 3, (1, -1, 1), SurdReal(1, 1, 4, 5)), {}),
+    (BoundsCheck, (2, "max_plus >= 1", 3, True), {}),
+    (ReturnRecord, (3, (1, -1, 1), SurdReal(1, 1, 4, 5)), {}),
     (FormulaCheck, ("M0(2k)=M+(2k-1)", 2, 1, 1), {}),
-    (ExampleReport, (2, 1, CF, (ONE + CF.value) / 2, (ROW,), EMPTY, (-1,)), {}),
+    (ExampleReport, (CF, (ONE + CF.value) / 2, (ROW,), EMPTY, (-1,)), {}),
     (ExperimentConfig,
      ("density", "[0;7,(8,10)]", 4, 10, 1, 2, 3, 100, 7, None, None, 5, False, "g.csv",
       "exact-only"),
@@ -36,10 +36,10 @@ CASES = [
       "samples": 0, "seed": 0, "ray": None, "through": None, "level": 0,
       "backward": False, "out": None, "precision": "certified-fast"}),
     (OrbitScan,
-     (HALF, CF.value, 3, 1, "certified", np.zeros(4), np.ones(4, np.int8),
+     (HALF, CF.value, 3, 1, np.zeros(4), np.ones(4, np.int8),
       np.zeros(4, np.int64), np.zeros(4, bool), 0.0), {}),
     (VisitSet, (np.arange(3), np.zeros(3), 0.0, 0), {}),
-    (LeafTrace, ("ray 0", 1, 1, np.zeros(3), np.arange(3), "certified", 1e-15),
+    (LeafTrace, ("ray 0", 1, 1, np.zeros(3), np.arange(3), 1e-15),
      {"radius_bound": 0.0}),
 ]
 MUTABLE = (OrbitScan, VisitSet, LeafTrace)

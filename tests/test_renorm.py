@@ -2,7 +2,6 @@
 
 import random
 import weakref
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from rotn.renorm import (
     half_word,
     oracle_first_return,
     orbit_word,
-    rationals_strictly_between,
     step,
     tower,
     verify_bounds,
@@ -554,8 +552,10 @@ def test_predicted_matches_oracle_on_sampled_regions():
         else:
             regions = [(SurdReal(0), -lvl.beta), (-lvl.beta, HALF), (HALF, one)]
         for lo, hi in regions:
-            for q in rationals_strictly_between(lo, hi, 4, rng):
-                y = SurdReal.from_fraction(q)
+            for _ in range(4):
+                # an odd multiple of 2^-53 in (0, 1) puts y strictly inside
+                y = lo + (hi - lo) * SurdReal(2 * rng.getrandbits(52) + 1, 0, 1 << 53)
+                assert lo < y < hi
                 x = lvl.interval.from_local(y)
                 rec = oracle_first_return(lvl, x)
                 assert list(iter_letters(_local_return_word(lvl, y))) == list(rec.word)
@@ -585,22 +585,6 @@ def test_oracle_landings_stay_inside():
         for _ in range(50):
             x = oracle_first_return(lvl, x).landing
             assert lvl.interval.contains(x)
-
-
-# ---------------------------------------------------------------------------
-# sampling helper
-
-
-def test_rationals_strictly_between():
-    lo, hi = SurdReal(1, 0, 4), SurdReal(1, 0, 2)
-    got = rationals_strictly_between(lo, hi, 25, random.Random(0))
-    assert len(got) == 25
-    assert all(isinstance(q, Fraction) and lo < SurdReal.from_fraction(q) < hi
-               for q in got)
-    again = rationals_strictly_between(lo, hi, 25, random.Random(0))
-    assert got == again  # same seed, same draw
-    with pytest.raises(ValueError):
-        rationals_strictly_between(lo, lo, 1, random.Random(0))
 
 
 def test_fast_birkhoff_on_a_cold_cache():

@@ -252,6 +252,37 @@ def test_floor_twice_settles_guesses_off_by_one(dtype):
         _floor_twice(P, Q, R, d, (exact + 2).astype(dtype))
 
 
+@pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;1,(3)]"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_exact_scan_settles_near_ties_bit_for_bit(cf, direction, monkeypatch):
+    # a point within 2^-80 below 1/2 or 1 rounds to it as a float, so its
+    # float guess of floor(2x) is one too high and only _floor_twice's
+    # second round settles it; each tie is met at index 0 and again at the
+    # first point of the second chunk, always on Python ints (R = 2^81)
+    alpha = parse_cf(cf).value
+    eps = SurdReal(1, 0, 2**80)
+    n = _EXACT_CHUNK + 5
+    calls = []
+
+    def spy(P, Q, R, d, g):
+        first = g[0]  # g is updated in place
+        out = _floor_twice(P, Q, R, d, g)
+        calls.append((P.dtype, out[0] != first))
+        return out
+
+    monkeypatch.setattr(rotn.scan, "_floor_twice", spy)
+    for tie in (HALF - eps, 1 - eps, HALF + eps, eps):
+        for lead in (0, _EXACT_CHUNK):
+            x0 = (tie - alpha * (direction * lead)).frac()
+            calls.clear()
+            scan = orbit_scan(x0, alpha, n, direction=direction, policy="exact")
+            _same_walk((scan.positions, scan.signs),
+                       _reference_exact_scan(x0, alpha, n + 1, direction))
+            assert [dtype for dtype, _ in calls] == [np.dtype(object)] * 2
+            if tie in (HALF - eps, 1 - eps):  # the guess at the tie was moved
+                assert calls[lead // _EXACT_CHUNK][1]
+
+
 def test_exact_scan_crosses_from_int64_to_python_ints(monkeypatch):
     # d is about 1.2*10^8, so (2*max|Q|)^2 * d passes 2^62 near step 10^5
     alpha = parse_cf("[0;21,(30,28,26)]").value

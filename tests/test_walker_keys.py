@@ -24,8 +24,7 @@ import rotn.renorm
 from rotn.exactreal import (HALF, CFNumber, Frame, SurdReal, _surd_float, _surd_sign,
                             parse_cf)
 from rotn.foliation import _trace_exact
-from rotn.renorm import (ReturnRecord, oracle_first_return, rationals_strictly_between,
-                         tower)
+from rotn.renorm import ReturnRecord, oracle_first_return, tower
 
 alphas = st.builds(
     lambda a1, period: CFNumber((a1,), tuple(period)),
@@ -72,8 +71,7 @@ def _reference_oracle(level, x):
         # point is on tells which endpoint can exclude it
         left = sign(P - Ph, Q, d) < 0
         if (sign(P - Pl, Q - Ql, d) >= 0) if left else (sign(P - Pr, Q - Qr, d) < 0):
-            return ReturnRecord(start=x, time=len(word), word=tuple(word),
-                                landing=frame.surd(P, Q))
+            return ReturnRecord(time=len(word), word=tuple(word), landing=frame.surd(P, Q))
     raise RuntimeError(
         "no return to level %d within %d steps from %s"
         % (level.index, budget, x.exact_str())
@@ -226,8 +224,12 @@ def test_keyed_oracle_equals_the_reference(alpha, level, seed, surd):
         # a rational local coordinate, so a start in alpha's field
         x = lvl.interval.from_local(SurdReal.from_fraction(Fraction(rng.random())))
     else:
-        q, = rationals_strictly_between(lvl.interval.left, lvl.interval.right, 1, rng)
-        x = SurdReal.from_fraction(q)
+        # a rational global start: the float of a point in the interval's
+        # middle third, which lies inside by far more than its rounding
+        lo, hi = lvl.interval.left, lvl.interval.right
+        mid = lo + (hi - lo) * ((1 + SurdReal.from_fraction(Fraction(rng.random()))) / 3)
+        x = SurdReal.from_fraction(Fraction(float(mid)))
+        assert lo < x < hi
     assert oracle_first_return(lvl, x) == _reference_oracle(lvl, x)
 
 

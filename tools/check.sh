@@ -6,10 +6,12 @@
 # prints FAILED for each that fails, and exits 1 if any did.  Last it
 # prints, for information only (these steps cannot fail), the size of the
 # change to src/rotn and tests since REF (git diff --shortstat), and at
-# REF, read from a git archive of its src/, and in this checkout: the
-# settable options (tools/options.py) and the start-up import set, the
-# sorted modules that `import rotn.cli` and parse_cf("[0;5,(6)]").value
-# add to a bare interpreter's.
+# REF, read from a git archive of its src/, and in this checkout: each
+# src/rotn module's code lines and their total (tools/code_lines.py: not
+# blank, not comment-only, not docstring), the settable options
+# (tools/options.py) and the start-up import set, the sorted modules that
+# `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
+# interpreter's.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -37,9 +39,13 @@ echo "== git diff --shortstat $1 -- src/rotn tests"
 git diff --shortstat "$1" -- src/rotn tests || true
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
+git archive "$1" src | tar -x -C "$tmp" || true
+echo "== code lines at $1"
+python3 tools/code_lines.py "$tmp/src/rotn" || true
+echo "== code lines in this checkout"
+python3 tools/code_lines.py src/rotn || true
 echo "== settable options at $1"
-git archive "$1" src | tar -x -C "$tmp" \
-    && PYTHONPATH="$tmp/src" python3 tools/options.py || true
+PYTHONPATH="$tmp/src" python3 tools/options.py || true
 echo "== settable options in this checkout"
 PYTHONPATH=src python3 tools/options.py || true
 echo "== start-up imports at $1"
