@@ -618,10 +618,11 @@ class CFNumber:
     Stored as (preperiod, period) over positive integer coefficients,
     normalized so the period is primitive and the preperiod is as short
     as possible; equal coefficient streams then compare equal.  The
-    value is an exact ``SurdReal`` in (0, 1), computed lazily.
+    value is an exact ``SurdReal`` in (0, 1), computed lazily.  The hash
+    is computed once, as every tower cache lookup takes it.
     """
 
-    __slots__ = ("preperiod", "period", "_value")
+    __slots__ = ("preperiod", "period", "_value", "_hash")
 
     def __init__(self, preperiod, period):
         pre = tuple(int(c) for c in preperiod)
@@ -643,6 +644,7 @@ class CFNumber:
         object.__setattr__(self, "preperiod", tuple(pre))
         object.__setattr__(self, "period", per)
         object.__setattr__(self, "_value", None)
+        object.__setattr__(self, "_hash", hash((self.preperiod, per)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CFNumber is immutable")
@@ -676,7 +678,7 @@ class CFNumber:
         return self.preperiod == other.preperiod and self.period == other.period
 
     def __hash__(self):
-        return hash((self.preperiod, self.period))
+        return self._hash
 
     def __str__(self):
         head = ",".join(str(c) for c in self.preperiod)

@@ -21,11 +21,13 @@ one JSON document with the header inside.  Under the exact-only policy
 identical configs give byte-identical payload bytes.
 
 ``write_columns`` formats a table _ROWS_PER_WRITE (2^13) rows at a
-time: each column's slice becomes a list, one formatter per column
-spells every cell of the slice, and one join writes the chunk, so the
-memory it holds does not grow with the row count.  A range or an
-integer or float array gets its formatter once; any other column gets
-one per chunk, from the types of its cells.  ``write_csv`` takes
+time, each chunk with one call of the % operator: every column gets a
+directive (%d for ints, %r for floats, %s for strings _cell made), the
+row template they spell is repeated once per row, and it is applied to
+one flat tuple of the chunk's cells, so the memory held does not grow
+with the row count and the floats' repr is most of the cost.  A range
+or an integer or float array gets its directive once; any other column
+gets one per chunk, from the types of its cells.  ``write_csv`` takes
 the same table as rows, for callers that build rows, such as the
 benchmark's writer probe, and gives the same bytes.
 """
@@ -36,6 +38,7 @@ import json
 import math
 import numbers
 import operator
+import os
 import random
 from decimal import Decimal
 from itertools import islice
@@ -67,7 +70,7 @@ _MAX_LEVEL = 2 ** 62
 # little and the seed prints under Python's 4300-digit int-to-str limit
 _MAX_EXPONENT = 10 ** 4
 _MAX_POINT_BITS = 13300
-# CSV rows formatted per write: a chunk's cell strings take about 3 MB
+# CSV rows formatted per write: a chunk's cells and text take about 1.5 MB
 # at three columns, so a 10^9-row table never holds a whole column
 _ROWS_PER_WRITE = 1 << 13
 
@@ -212,39 +215,58 @@ def _cell(v) -> str:
 
 
 def _formatter(cells):
-    """One function that formats every cell of a chunk's column as _cell does."""
+    """The directive of a chunk's column, and the cells it formats, as _cell would.
+
+    Exact ints take %d and exact floats %r (float.__repr__) as they
+    are; any other column takes %s over strings: float.__repr__ of each
+    cell when all are floats of a subclass (np.float64), else _cell's.
+    """
     kinds = set(map(type, cells))
     if kinds == {int}:  # not bool, which _cell spells true/false
-        return int.__repr__
+        return "%d", cells
+    if kinds == {float}:
+        return "%r", cells
     if all(issubclass(t, float) for t in kinds):
-        return float.__repr__  # repr(float(v)), also for np.float64
-    return _cell
+        return "%s", list(map(float.__repr__, cells))  # repr(float(v))
+    return "%s", list(map(_cell, cells))
 
 
-# numpy dtype kinds whose .tolist() gives ints or floats only
-_KIND_FORMATTERS = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__}
+# numpy dtype kinds whose .tolist() gives exact ints or floats only
+_KIND_DIRECTIVES = {"i": "%d", "u": "%d", "f": "%r"}
 
 
 def _column_formatter(col):
-    """The formatter of every cell of a whole column, or None to scan each chunk.
+    """The directive of every cell of a whole column, or None to pick per chunk.
 
-    A range holds ints, and an integer or float array's chunks list as
-    ints or floats; any other column, bool arrays and plain lists among
-    them, gets a formatter per chunk from _formatter.
+    A range holds ints (%d), and an integer or float array's chunks list
+    as exact ints (%d) or floats (%r, float.__repr__); any other column,
+    bool arrays and plain lists among them, gets a directive per chunk
+    from _formatter.
     """
     if isinstance(col, range):
-        return int.__repr__
-    return _KIND_FORMATTERS.get(getattr(getattr(col, "dtype", None), "kind", None))
+        return "%d"
+    return _KIND_DIRECTIVES.get(getattr(getattr(col, "dtype", None), "kind", None))
 
 
-def _write_chunk(fh, cols, formatters) -> None:
-    """Write the rows of a chunk given column by column (lists or tuples).
+def _write_chunk(fh, cols, directives) -> None:
+    """Write the rows of a chunk given column by column (lists or tuples), in one write.
 
-    formatters[j] formats column j, or is None to pick one from its cells.
+    directives[j] is column j's %-directive, or None to pick one from its
+    cells.  One row template, such as "%d,%r,%d\\n", is repeated once per
+    row and applied by one % to a flat tuple that interleaves the
+    columns, so the text is spelled in C, with no string per cell of a
+    %d or %r column, no row tuples and no row joins.  A %s cell is a
+    finished string, so a "%" in it is written as it stands.
     """
-    cells = [list(map(f or _formatter(c), c)) for f, c in zip(formatters, cols)]
-    fh.write("\n".join(map(",".join, zip(*cells, strict=True))))
-    fh.write("\n")
+    width, rows = len(cols), len(cols[0])
+    flat = [None] * (width * rows)
+    row = []
+    for j, (directive, col) in enumerate(zip(directives, cols)):
+        if directive is None:
+            directive, col = _formatter(col)
+        flat[j::width] = col
+        row.append(directive)
+    fh.write((",".join(row) + "\n") * rows % tuple(flat))
 
 
 def _write_head(fh, config: ExperimentConfig, names) -> None:
@@ -256,21 +278,23 @@ def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) 
     """Write a column-major table: cols[j] holds column names[j], top to bottom.
 
     A column is any sliceable sequence of one length: a list, a range,
-    or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, so no
-    column is ever converted to a whole-length list.  Columns of
-    different lengths raise ValueError before anything is written.
+    or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, each chunk
+    spelled by one % of a row template with a directive per column
+    (_write_chunk), so no column is ever converted to a whole-length
+    list.  Columns of different lengths raise ValueError before anything
+    is written.
     """
     rows = len(cols[0])
     if any(len(c) != rows for c in cols):
         raise ValueError("columns of different lengths: %s" % [len(c) for c in cols])
-    formatters = [_column_formatter(c) for c in cols]
+    directives = [_column_formatter(c) for c in cols]
     with open(path, "w", newline="") as fh:
         _write_head(fh, config, names)
         for lo in range(0, rows, _ROWS_PER_WRITE):
             chunk = [c[lo: lo + _ROWS_PER_WRITE] for c in cols]
             # an array chunk becomes a list of Python scalars
             _write_chunk(fh, [c.tolist() if hasattr(c, "dtype") else c for c in chunk],
-                         formatters)
+                         directives)
 
 
 def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
@@ -580,8 +604,24 @@ _EXACT_EXPERIMENTS = {"tower": _tower, "oracle": _oracle}
 KINDS = ("tower", "density", "example", "leaf", "heavy", "oracle")
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path that cannot be opened, before the run does its work."""
+    if os.path.isdir(path):
+        raise ValueError("--out %s is a directory" % (path,))
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise ValueError("--out %s: no directory %s" % (path, folder))
+
+
 def run(config: ExperimentConfig) -> dict:
-    """Run the experiment a config describes, write config.out, return the report."""
+    """Run the experiment a config describes, write config.out, return the report.
+
+    An out path whose directory does not exist, or that is a directory,
+    is refused before the experiment runs; any other error opening it
+    comes when it is written.
+    """
+    if config.out:
+        _check_out(config.out)
     experiment = _EXACT_EXPERIMENTS.get(config.kind)
     if experiment is None:
         from .orbits import EXPERIMENTS

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from operator import attrgetter
 
 from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, FrozenRecord, SurdReal,
                         alpha_next, _surd_sign, gauss_step)
@@ -271,7 +272,7 @@ def step(level: RenormLevel) -> RenormLevel:
 
 
 # the towers of the last _TOWER_CACHE_SIZE alphas, oldest first; a hit is
-# one dict lookup (CFNumber hashes in Python), so eviction is FIFO, not LRU
+# one dict lookup (CFNumber keeps its hash), so eviction is FIFO, not LRU
 _TOWER_CACHE_SIZE = 32
 _tower_cache: dict[CFNumber, list[RenormLevel]] = {}
 
@@ -303,6 +304,9 @@ def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
     return levels[:depth]
 
 
+_F_MINUS_LENGTH = attrgetter("f_minus.length")
+
+
 def half_word(alpha: CFNumber, n: int) -> SignWord:
     """F_minus of the shallowest level with at least n letters.
 
@@ -316,7 +320,7 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     levels = _cached_levels(alpha)
     while levels[-1].f_minus.length < n:
         levels.append(step(levels[-1]))
-    return levels[bisect_left(levels, n, key=lambda lvl: lvl.f_minus.length)].f_minus
+    return levels[bisect_left(levels, n, key=_F_MINUS_LENGTH)].f_minus
 
 
 def _returns_bound(level: RenormLevel) -> int:

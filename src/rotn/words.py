@@ -229,23 +229,25 @@ def prefix_sum_at(w: SignWord, k: int) -> int:
     if not (0 <= k <= w.length):
         raise ValueError("prefix length %d outside [0, %d]" % (k, w.length))
     acc = 0
+    # a node's fields tell its kind: a concat has a left, a power a base,
+    # an atom neither, and the empty word has no letter for k to reach
     while k > 0:
-        kind = w.kind
-        if kind == _ATOM:
-            return acc + w.sign
-        if kind == _POWER:
-            copies, k = divmod(k, w.base.length)
-            acc += copies * w.base.total
+        left = w.left
+        if left is not None:  # concat
+            if k <= left.length:
+                w = left
+            else:
+                acc += left.total
+                k -= left.length
+                w = w.right
+        elif (base := w.base) is not None:  # power
+            copies, k = divmod(k, base.length)
+            acc += copies * base.total
             if k == 0:
                 return acc
-            w = w.base
-        else:  # concat
-            if k <= w.left.length:
-                w = w.left
-            else:
-                acc += w.left.total
-                k -= w.left.length
-                w = w.right
+            w = base
+        else:  # atom
+            return acc + w.sign
     return acc
 
 

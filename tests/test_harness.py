@@ -15,6 +15,8 @@ from rotn.cli import _build_parser, _config, main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
     _ROWS_PER_WRITE,
+    _column_formatter,
+    _write_chunk,
     PRECISIONS,
     ExperimentConfig,
     config_from_header,
@@ -688,6 +690,77 @@ def test_writer_matches_the_row_by_row_reference(tmp_path, rows):
     assert open(by_row, "rb").read() == want
 
 
+def _three_ways(tmp_path, names, cols):
+    """The bytes of the reference, write_columns and write_csv on one table."""
+    config = ExperimentConfig(kind="heavy", N=1)
+    rows = list(zip(*cols))
+    ref, by_col, by_row = (str(tmp_path / n) for n in ("ref", "col", "row"))
+    _ref_write_csv(ref, config, names, rows)
+    write_columns(by_col, config, names, cols)
+    write_csv(by_row, config, names, iter(rows))
+    return [open(p, "rb").read() for p in (ref, by_col, by_row)]
+
+
+def test_writer_spells_percent_signs_and_commas_verbatim(tmp_path):
+    # a %s cell is a finished string: the template never reads its "%"
+    cells = ["%", "%s", "%%", "a,b", "%d%r", "100%", "%(x)s"]
+    cols = [range(len(cells)), cells, [float(i) for i in range(len(cells))]]
+    ref, by_col, by_row = _three_ways(tmp_path, ["n", "text", "x"], cols)
+    assert by_col == ref and by_row == ref
+    assert ref.split(b"\n", 2)[2] == b"".join(
+        b"%d,%s,%d.0\n" % (i, c.encode(), i) for i, c in enumerate(cells))
+
+
+def test_writer_makes_one_write_per_chunk():
+    class Spy:
+        def __init__(self):
+            self.texts = []
+
+        def write(self, text):
+            self.texts.append(text)
+
+    names, cols = _table(_C)
+    fh = Spy()
+    _write_chunk(fh, [c.tolist() if hasattr(c, "dtype") else c for c in cols],
+                 [_column_formatter(c) for c in cols])
+    assert len(fh.texts) == 1 and fh.texts[0].count("\n") == _C
+
+
+def test_writer_spells_a_column_of_ints_and_floats_as_each(tmp_path):
+    mixed = [1, 2.5, -0.0, 10 ** 20, math.nan, -7, 1e16, np.int64(-3), np.float64(0.1)]
+    rows = 2 * _C + 3  # the mixture in every chunk
+    col = [mixed[i % len(mixed)] for i in range(rows)]
+    ref, by_col, by_row = _three_ways(tmp_path, ["n", "v"], [range(rows), col])
+    assert by_col == ref and by_row == ref
+    assert ref.split(b"\n")[2:11] == [b"0,1", b"1,2.5", b"2,-0.0", b"3,%d" % 10 ** 20,
+                                       b"4,nan", b"5,-7", b"6,1e+16", b"7,-3", b"8,0.1"]
+
+
+def test_writer_row_form_spells_floats_and_numpy_floats_alike(tmp_path):
+    # float and np.float64 cells in one chunk of the row form, and chunks
+    # of each alone: np.float64's own repr would read np.float64(0.1)
+    rows = 3 * _C
+    xs = [0.1 * i if i % 2 or i >= 2 * _C else np.float64(0.1 * i) for i in range(rows)]
+    xs[_C: 2 * _C] = map(np.float64, xs[_C: 2 * _C])
+    ref, by_col, by_row = _three_ways(tmp_path, ["n", "x"], [range(rows), xs])
+    assert by_col == ref and by_row == ref
+    assert b"np.float64" not in ref and ref.count(b",0.30000000000000004\n") == 1
+
+
+def test_writer_refuses_an_int_past_the_digit_limit_as_the_reference(tmp_path):
+    config = ExperimentConfig(kind="heavy", N=1)
+    huge = 10 ** 5000
+    errors = []
+    for write in (lambda p: _ref_write_csv(p, config, ["n", "v"], [(0, 1), (1, huge)]),
+                  lambda p: write_columns(p, config, ["n", "v"], [range(2), [1, huge]]),
+                  lambda p: write_csv(p, config, ["n", "v"], [(0, 1), (1, huge)]),
+                  lambda p: write_csv(p, config, ["n", "v"], [(0, 1.5), (1, huge)])):
+        with pytest.raises(ValueError) as err:
+            write(str(tmp_path / "big.csv"))
+        errors.append(str(err.value))
+    assert len(set(errors)) == 1 and "4300 digits" in errors[0]
+
+
 def test_writer_takes_the_benchmark_row_form(tmp_path):
     # (int, np.float64, int) rows, as the benchmark's writer probe builds them
     N = 2 * _C + 3
@@ -732,7 +805,7 @@ def test_writer_refuses_columns_of_different_lengths(tmp_path, lengths):
 
 def test_writer_never_holds_a_whole_column(tmp_path):
     # one column as a list of floats would take 32 B/row, 8 MB here; a
-    # chunk's strings take about 3 MB whatever the row count
+    # chunk's cells and text take about 1.5 MB whatever the row count
     N = 250_000
     scan = orbit_scan(HALF, parse_cf("[0;(2)]").value, N)
     config = ExperimentConfig(kind="heavy", alpha="[0;(2)]", N=N)
@@ -786,7 +859,7 @@ def test_leaf_exact_determinism(tmp_path):
 # the command line
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["tower", "--depth", "3"]) == 0
     assert main(["heavy", "--alpha", "[0;(2)]", "--N", "1000"]) == 0
     assert main(["heavy", "--alpha", "[0;5,(6)]", "--N", "1000"]) == 1
@@ -799,6 +872,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["heavy", "--N", "10", "--out", str(tmp_path / "missing" / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("rotn: error: ") and err.count("\n") == 1
+    # one in no directory, or a directory, is refused before the run, which
+    # here would take about a second: the experiment in its place never runs
+    monkeypatch.setitem(orbits.EXPERIMENTS, "heavy", lambda config: pytest.fail("ran"))
+    slow = ["heavy", "--alpha", "[0;(2)]", "--N", str(10 ** 7), "--precision", "exact-only"]
+    for out in (tmp_path / "missing" / "h.csv", tmp_path):
+        assert main(slow + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rotn: error: --out ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
     # 10^18 steps cannot be allocated on any machine: one line, no traceback.
     # A certified density on an admissible alpha allocates only its visits,
     # and refuses the ~10^17 visits of level 0 as over its budget.

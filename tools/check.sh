@@ -9,9 +9,10 @@
 # REF, read from a git archive of its src/, and in this checkout: each
 # src/rotn module's code lines and their total (tools/code_lines.py: not
 # blank, not comment-only, not docstring), the settable options
-# (tools/options.py) and the start-up import set, the sorted modules that
+# (tools/options.py), the start-up import set, the sorted modules that
 # `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
-# interpreter's.
+# interpreter's, and the writer's microseconds per row on heavy-, leaf-
+# and density-shaped tables (tools/writer_probe.py).
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -52,4 +53,8 @@ echo "== start-up imports at $1"
 startup_imports "$tmp/src" || true
 echo "== start-up imports in this checkout"
 startup_imports src || true
+echo "== writer us/row at $1"
+PYTHONPATH="$tmp/src" python3 tools/writer_probe.py || true
+echo "== writer us/row in this checkout"
+PYTHONPATH=src python3 tools/writer_probe.py || true
 exit $status
