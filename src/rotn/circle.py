@@ -21,7 +21,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .exactreal import Record, SurdReal
-from .scan import OrbitScan, orbit_scan
+from .scan import OrbitScan, orbit_positions, orbit_scan
 
 __all__ = ["VisitSet", "visit_set", "max_gap"]
 
@@ -110,8 +110,8 @@ def visit_set(
     positions = np.empty(times.size, dtype=np.float64)
     neg = int(np.searchsorted(idx, 0))  # idx ascending; entries below 0 first
     positions[neg:] = scan.positions[idx[neg:]]
-    for j in range(neg):  # k < 0 can push the first few lookups backward
-        positions[j] = float((x + alpha * int(idx[j])).frac())
+    # k < 0 can push the first few lookups backward, to exact points
+    positions[:neg] = orbit_positions(x, alpha, idx[:neg])[0]
     return VisitSet(times=times, positions=positions, position_radius=scan.radius_bound,
                     escalations=int(scan.escalated.size))
 

@@ -12,19 +12,20 @@ turn map is
 b(x) = 1 - t(x) for the rotation t, and b is an involution.  A leaf
 entering R_j upward at x therefore next enters R_(j + f(t(x))) upward
 at t(x): horizontally it is the rotation orbit, vertically it moves by
-the sign cocycle.  Two bookkeepings are provided:
-
-- ``trace_ray(i, ...)``: the separatrix leaving the singular point
-  (1/2, 0, i) upward.  Its n-th rectangle entry is at horizontal
-  coordinate t^(n-1)(1/2) and level i + 1 + S_n(1/2), n >= 1 (entry
-  levels absorb f of the entry coordinate).
+the sign cocycle.
 
 - ``trace_leaf_through(x0, j0, ...)``: the leaf through an interior
   point, labeled by the skew-product orbit: visit n (signed) sits at
   t^n(x0) with level j0 + S_n(x0).
 
-Both tracers step the turn map; the closed formulas above are what the
-tests compare them against, so the tracers never consult them.  The
+- ``trace_ray(i, ...)``: the separatrix leaving the singular point
+  (1/2, 0, i) upward.  Its n-th rectangle entry, n >= 1, is at
+  horizontal coordinate t^(n-1)(1/2) and level i + 1 + S_n(1/2), so it
+  is read off the leaf through (1/2, i + 1): entry n pairs that leaf's
+  coordinate at visit n - 1 with its level at visit n.
+
+The tracer steps the turn map; the closed formulas above are what the
+tests compare it against, so it never consults them.  The
 "certified" policy rides the orbit scan arrays; "exact" steps b on an
 ``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
 lattice, b(x) and 1 - b(x) are integer differences, and the split
@@ -129,13 +130,13 @@ class LeafTrace(Record):
 
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
-                 direction: int, ray_convention: bool):
+                 direction: int):
     """Step the turn map on one frame; never consult the orbit formula.
 
     Forward, from an upward segment at x: the next upward segment is at
-    1 - b(x) with the level moved by f of the new coordinate (entry
-    convention, used by rays) or of the old one (orbit convention, used
-    by leaves).  Backward inverts that using that b is an involution.
+    1 - b(x) with the level moved by f of the old coordinate.  Backward
+    inverts that using that b is an involution, so the level moves by
+    -f of the new coordinate.
     The walk holds the current point as its lattice pair (P, Q) and
     writes each visit as ``_surd_float(P, Q, R, d)``; no SurdReal is
     built.  Beside (P, Q) it keeps the point's ``Frame.key`` X: each
@@ -154,8 +155,6 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     turn = _turn_map(frame, alpha, band)
     X, XR = frame.key(P, Q), frame.key(R, 0)
     h_lo, h_hi = frame.key(Ph, 0) - band, frame.key(Ph, 0) + band
-    # forward rays and backward leaves move by f of the new coordinate
-    f_of_new = (direction == 1) == ray_convention
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
     j = level0
@@ -164,17 +163,15 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
         lv[k] = j
         if k + 1 == count:
             break
-        if not f_of_new:
-            f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
         if direction == 1:
+            f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
             dP, dQ, dX = turn(P, Q, X)
             P, Q, X = R - dP, -dQ, XR - dX  # 1 - b(x), already in (0, 1)
         else:
             # b(1 - x): 1 - x is in (0, 1], and at 1 b agrees with b(0)
             P, Q, X = turn(R - P, -Q, XR - X)
-        if f_of_new:
-            f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
-        j += direction * f
+            f = -1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else 1
+        j += f
     return xs, lv
 
 
@@ -183,18 +180,14 @@ def trace_ray(i: int, alpha: SurdReal, N: int, *,
     """Entries 1..N of the upward separatrix from the singularity (1/2, 0, i).
 
     Entry n is at t^(n-1)(1/2) with level i + 1 + S_n(1/2); the first
-    rectangle met is R_i itself, entered at 1/2.
+    rectangle met is R_i itself, entered at 1/2.  Both are read off
+    visits 0..N of the leaf through (1/2, i + 1).
     """
     if N < 1:
         raise ValueError("need N >= 1 visits, got %r" % (N,))
-    seed = "ray %d" % (i,)
-    if policy == "exact":
-        xs, lv = _trace_exact(HALF, i, alpha, N, 1, ray_convention=True)
-        return LeafTrace(seed, 1, 1, xs, lv)
-    scan = orbit_scan(HALF, alpha, N, policy=policy)
-    lv = scan.sums[1 : N + 1]
-    lv += i + 1
-    return LeafTrace(seed, 1, 1, scan.positions[:N], lv, radius_bound=scan.radius_bound)
+    leaf = trace_leaf_through(HALF, i + 1, alpha, N, policy=policy)
+    return LeafTrace("ray %d" % (i,), 1, 1, leaf.entry_x[:N], leaf.entry_level[1:],
+                     radius_bound=leaf.radius_bound)
 
 
 def trace_leaf_through(
@@ -213,7 +206,7 @@ def trace_leaf_through(
     x0 = x0.frac()  # the seed names the point on the circle
     seed = "leaf through (%s, %d)" % (x0.exact_str(), j0)
     if policy == "exact":
-        xs, lv = _trace_exact(x0, j0, alpha, N + 1, direction, ray_convention=False)
+        xs, lv = _trace_exact(x0, j0, alpha, N + 1, direction)
         return LeafTrace(seed, direction, 0, xs, lv)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     scan.sums += j0

@@ -271,27 +271,16 @@ def step(level: RenormLevel) -> RenormLevel:
     )
 
 
-# the towers of the last _TOWER_CACHE_SIZE alphas, oldest first; a hit is
-# one dict lookup (CFNumber keeps its hash), so eviction is FIFO, not LRU
-_TOWER_CACHE_SIZE = 32
-_tower_cache: dict[CFNumber, list[RenormLevel]] = {}
-
-
+@lru_cache(maxsize=32)
 def _cached_levels(alpha: CFNumber) -> list[RenormLevel]:
     """The cached list of alpha's levels, which callers grow in place.
 
-    The cache holds the towers of at most _TOWER_CACHE_SIZE alphas and
-    drops the oldest first.  A caller keeps its own list alive, and an
+    The cache holds the towers of at most 32 alphas and drops the least
+    recently used first.  A caller keeps its own list alive, and an
     evicted tower is rebuilt on demand; live words are interned, so the
     rebuilt levels hold the very words a caller kept.
     """
-    levels = _tower_cache.get(alpha)
-    if levels is None:
-        levels = [base_level(alpha)]
-        _tower_cache[alpha] = levels
-        if len(_tower_cache) > _TOWER_CACHE_SIZE:
-            del _tower_cache[next(iter(_tower_cache))]
-    return levels
+    return [base_level(alpha)]
 
 
 def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:

@@ -209,7 +209,11 @@ _POLICIES = ("certified", "exact")
 class OrbitScan(Record):
     """Orbit points 0..n of x0 under rotation by direction*alpha.
 
-    positions[i] approximates t^(direction*i)(x0) in [0, 1);
+    positions[i] approximates t^(direction*i)(x0) in [0, 1), within
+    radius_bound of the exact point at every i: under "certified" the
+    kernel's radius at the last index (an escalated position is float()
+    of the exact point, and closer), under "exact" the rounding bound
+    of the formula the integer walk writes positions with;
     signs[i] is f there, exact under every policy;
     sums[j] is the Birkhoff sum S_(direction*j)(x0), so sums[0] = 0,
     forward sums add signs[0..j-1], backward sums are -(signs[1..j]).
@@ -274,13 +278,10 @@ def orbit_scan(
         raise ValueError("n_steps must be >= 0, got %r" % (n_steps,))
     x0 = x0.frac()
     count = n_steps + 1
-
-    if policy == "exact":
-        positions, signs, escalated, radius = _exact_scan(x0, alpha, count, direction)
-    else:
-        positions, signs, escalated, radius = _certified_scan(
-            x0, alpha, count, direction
-        )
+    # a backward orbit is the forward orbit of the inverse rotation
+    step = alpha if direction == 1 else -alpha
+    scan = _exact_scan if policy == "exact" else _certified_scan
+    positions, signs, escalated, radius = scan(x0, step, count)
 
     # chunk by chunk with a carry, so cumsum's int8 -> int64 cast copy
     # stays chunk-sized
@@ -324,14 +325,12 @@ def sums_histogram(sums: np.ndarray) -> tuple:
     return _add_shifted(np, parts)
 
 
-def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
-    x0f, af, base, slope = _scan_radii(x0, alpha)
-    step = af if direction == 1 else -af
-    positions, signs, ambiguous = scan_kernel(x0f, step, count, base, slope)
+def _certified_scan(x0: SurdReal, step: SurdReal, count: int):
+    x0f, sf, base, slope = _scan_radii(x0, step)
+    positions, signs, ambiguous = scan_kernel(x0f, sf, count, base, slope)
     if ambiguous.size:
-        exact_step = alpha if direction == 1 else -alpha
         for i in ambiguous:
-            exact = (x0 + exact_step * int(i)).frac()
+            exact = (x0 + step * int(i)).frac()
             signs[i] = 1 if exact < HALF else -1
             positions[i] = float(exact)
         escalations.bump(int(ambiguous.size))
@@ -341,7 +340,7 @@ def _certified_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     return positions, signs, ambiguous, base + (count - 1) * slope
 
 
-def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
+def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
     """Integer-only scan on one frame: exact signs, float positions.
 
     Walks ``_EXACT_CHUNK`` points at a time from the chunk's first
@@ -357,18 +356,26 @@ def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
     2^62: every |2P - gR| tested is below 2R + 2|Q|*sqrt(d), and |Q| is
     largest at an end of the chunk.  Past that it runs the same code on
     object arrays of Python ints.  Positions are (P + Q*sqrt(d))/R in
-    IEEE arithmetic, whichever the dtype.
+    IEEE arithmetic, whichever the dtype, so they are not exact.  With
+    M = R + |Q|*sqrt(d), which bounds |P| for a point in [0, 1), the
+    formula's eight roundings (d, P, Q and R to floats, the root, the
+    product, the sum and the quotient) move a position by at most
+    2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order.  The radius returned
+    is 2^-50*M/R at the largest |Q| of the walk, an end of it, since Q
+    moves by Qa a step; it leaves room for the higher-order terms and
+    its own rounding.
     """
-    if alpha.is_rational:
+    if step.is_rational:
         raise ValueError("rotation number must be irrational")
-    step = alpha if direction == 1 else -alpha
-    frame = Frame(x0, alpha)
+    frame = Frame(x0, step)
     R, d = frame.R, frame.d
     P, Q = frame.embed(x0)
     Pa, Qa = frame.embed(step)
     af = float(step)
     sqd = math.sqrt(d)
     root = math.isqrt(d) + 1
+    top = max(abs(Q), abs(Q + (count - 1) * Qa))
+    radius = 2.0**-50 * (1.0 + top / R * sqd)
 
     positions = np.empty(count, dtype=np.float64)
     signs = np.empty(count, dtype=np.int8)
@@ -389,7 +396,7 @@ def _exact_scan(x0: SurdReal, alpha: SurdReal, count: int, direction: int):
         positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]
         signs[lo : lo + m] = 1 - 2 * (g[:m] & 1)
         P, Q = int(Pk[m]), int(Qk[m])
-    return positions, signs, np.empty(0, dtype=np.int64), 0.0
+    return positions, signs, np.empty(0, dtype=np.int64), radius
 
 
 def _floor_twice(P, Q, R: int, d: int, g):

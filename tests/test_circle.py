@@ -100,14 +100,16 @@ def test_visit_set_negative_k():
 @pytest.mark.parametrize("k", [-3, 0, 2])
 def test_visit_set_reads_the_scan_at_n_plus_k(k):
     N = 3000
-    scan = orbit_scan(HALF, A, N + 2)
-    vs = visit_set(HALF, A, 0, N, k=k, scan=scan)
-    want = [n for n in range(N + 1) if scan.sums[n] == 0]
-    shifted = [scan.positions[n + k] if n + k >= 0 else float((HALF + A * (n + k)).frac())
-               for n in want]
-    assert vs.times.dtype == np.int64
-    assert vs.times.tolist() == want
-    assert vs.positions.tolist() == shifted
+    for policy in ("certified", "exact"):
+        scan = orbit_scan(HALF, A, N + 2, policy=policy)
+        vs = visit_set(HALF, A, 0, N, k=k, scan=scan)
+        want = [n for n in range(N + 1) if scan.sums[n] == 0]
+        shifted = [scan.positions[n + k] if n + k >= 0
+                   else float((HALF + A * (n + k)).frac()) for n in want]
+        assert vs.times.dtype == np.int64
+        assert vs.times.tolist() == want
+        assert vs.positions.tolist() == shifted
+        assert vs.escalations == scan.escalated.size  # the exact lookups are not counted
 
 
 def test_visit_set_trivial_cases():

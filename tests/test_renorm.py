@@ -306,12 +306,12 @@ _NODES_PER_LEVEL = 11
 
 
 def _evict(alpha: CFNumber) -> None:
-    """Build depth-1 towers of fresh alphas until alpha's tower leaves the cache."""
-    for literal in _FRESH:
-        if alpha not in renorm._tower_cache:
-            return
+    """Build as many fresh depth-1 towers as the cache holds.  Past that
+    many other alphas, alpha's tower is the least recently used, so it is
+    dropped."""
+    maxsize = renorm._cached_levels.cache_info().maxsize
+    for literal in _FRESH[:maxsize]:
         tower(parse_cf(literal), 1)
-    raise AssertionError("%s outlived %d fresh towers" % (alpha, len(_FRESH)))
 
 
 def _dag(w) -> list:
@@ -345,7 +345,8 @@ def _snapshot(levels) -> list:
 
 def test_500_fresh_towers_keep_both_caches_bounded():
     before = intern_size()
-    live_bound = before + renorm._TOWER_CACHE_SIZE * _NODES_PER_LEVEL * 40
+    maxsize = renorm._cached_levels.cache_info().maxsize
+    live_bound = before + maxsize * _NODES_PER_LEVEL * 40
     # the table also holds dead entries until its next sweep
     table_bound = max(words._SWEEP_MIN, 2 * live_bound) + 1
     # sizes are read into ints first: pytest's report of a failed assert
@@ -353,20 +354,22 @@ def test_500_fresh_towers_keep_both_caches_bounded():
     for i, literal in enumerate(_FRESH):
         tower(parse_cf(literal), 40)
         if i % 50 == 49:
-            cached, live, table = (len(renorm._tower_cache), intern_size(),
-                                   len(words._interned))
-            assert cached <= renorm._TOWER_CACHE_SIZE, (i, cached)
+            cached, live, table = (renorm._cached_levels.cache_info().currsize,
+                                   intern_size(), len(words._interned))
+            assert cached <= maxsize, (i, cached)
             assert live <= live_bound, (i, live, live_bound)
             assert table <= table_bound, (i, table, table_bound)
-    cached = len(renorm._tower_cache)
-    assert cached == renorm._TOWER_CACHE_SIZE
+    cached = renorm._cached_levels.cache_info().currsize
+    assert cached == maxsize == 32
 
 
 def test_a_held_word_is_the_word_of_the_rebuilt_tower():
     alpha = parse_cf(_KEPT)
     kept = tower(alpha, 40)[-1].f_minus
     _evict(alpha)
+    misses = renorm._cached_levels.cache_info().misses
     rebuilt = tower(alpha, 40)
+    assert renorm._cached_levels.cache_info().misses == misses + 1  # not a hit
     # the word kept holds the words of every level below it, and the rebuilt
     # levels are made of those same live nodes
     same = rebuilt[-1].f_minus is kept and rebuilt[-2].f_plus is kept.right.base

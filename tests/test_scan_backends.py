@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -230,10 +231,11 @@ def test_exact_walk_matches_the_loop_bit_for_bit(cf, direction):
     surd = [((SurdReal(int(rng.integers(-50, 50))) + alpha * int(rng.integers(-50, 50)))
              / int(rng.integers(1, 30))).frac() for _ in range(3)]
     sizes = (0, 1, _EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 5)
+    step = alpha if direction == 1 else -alpha  # the loop takes alpha and direction
     for x0 in dyadic + surd:
         ref = _reference_exact_scan(x0, alpha, sizes[-1], direction)
         for n in sizes:
-            _same_walk(_exact_scan(x0, alpha, n, direction), [a[:n] for a in ref[:2]])
+            _same_walk(_exact_scan(x0, step, n), [a[:n] for a in ref[:2]])
 
 
 @pytest.mark.parametrize("dtype", [np.int64, object])
@@ -310,6 +312,29 @@ def test_exact_scan_crosses_from_int64_to_python_ints(monkeypatch):
         ref = _reference_exact_scan(start, alpha, 4 * _EXACT_CHUNK, direction)
         _same_walk((scan.positions[lo:lo + 4 * _EXACT_CHUNK],
                     scan.signs[lo:lo + 4 * _EXACT_CHUNK]), ref)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("cf, seed, n", [
+    ("[0;(2)]", "1/2", 10**6),  # int64 chunks
+    ("[0;5,(6)]", "1/2+2^-80", 5 * _EXACT_CHUNK),  # Python ints from the start
+    ("[0;21,(30,28,26)]", "1/2", 110_000),  # int64, then Python ints
+])
+def test_exact_positions_lie_within_the_radius_bound(cf, seed, n, direction):
+    # the formula (P + Q*sqrt(d))/R rounds, by more as |Q| grows with the
+    # index, so the positions are not float() of the exact points
+    alpha = parse_cf(cf).value
+    x0 = {"1/2": HALF, "1/2+2^-80": HALF + SurdReal(1, 0, 2**80)}[seed]
+    scan = orbit_scan(x0, alpha, n, direction=direction, policy="exact")
+    radius = SurdReal.from_fraction(Fraction(scan.radius_bound))
+    rng = np.random.default_rng(n)
+    idx = np.unique(np.concatenate([np.arange(n - 99, n + 1), rng.integers(0, n + 1, 200)]))
+    for i in idx.tolist():
+        x = (x0 + alpha * (direction * i)).frac()
+        gap = SurdReal.from_fraction(Fraction(scan.positions[i])) - x
+        assert -radius <= gap <= radius, (i, float(gap), scan.radius_bound)
+    if n == 10**6:
+        assert scan.radius_bound < 1e-6
 
 
 @pytest.mark.parametrize("seed", ["1/2", "(1+a)/2", "1/2+2^-80", "1/2-123457*a"])

@@ -23,7 +23,7 @@ import rotn.foliation
 import rotn.renorm
 from rotn.exactreal import (HALF, CFNumber, Frame, SurdReal, _surd_float, _surd_sign,
                             parse_cf)
-from rotn.foliation import _trace_exact
+from rotn.foliation import _trace_exact, trace_leaf_through, trace_ray
 from rotn.renorm import ReturnRecord, oracle_first_return, tower
 
 alphas = st.builds(
@@ -96,7 +96,9 @@ def _reference_turn_map(frame, alpha):
 
 
 def _reference_trace(x0, level0, alpha, count, direction, ray_convention):
-    """``foliation._trace_exact`` with one ``_surd_sign`` call per side."""
+    """``foliation._trace_exact`` with one ``_surd_sign`` call per side, as it
+    was when it also kept the ray bookkeeping: ``trace_ray`` now reads a ray
+    off a leaf, and the forward ray convention is compared with that."""
     frame = Frame(x0, alpha, HALF)
     R, d = frame.R, frame.d
     sign, to_float = _surd_sign, _surd_float
@@ -235,18 +237,23 @@ def test_keyed_oracle_equals_the_reference(alpha, level, seed, surd):
 
 @keyed
 @given(alpha=alphas, x0=starts, q=st.integers(-20, 20), j0=st.integers(-3, 3),
-       direction=st.sampled_from([1, -1]), ray_convention=st.booleans(),
-       count=st.integers(1, 300))
-def test_keyed_trace_equals_the_reference(alpha, x0, q, j0, direction,
-                                          ray_convention, count):
+       direction=st.sampled_from([1, -1]), count=st.integers(1, 300))
+def test_keyed_trace_equals_the_reference(alpha, x0, q, j0, direction, count):
     a = alpha.value
     x = (SurdReal.from_fraction(x0) + a * q).frac()
-    args = (x, j0, a, count, direction, ray_convention)
-    got, err = _outcome(_trace_exact, *args)
-    want, err0 = _outcome(_reference_trace, *args)
+    got, err = _outcome(_trace_exact, x, j0, a, count, direction)
+    want, err0 = _outcome(_reference_trace, x, j0, a, count, direction, False)
     assert err == err0
     if want is not None:
         _same_trace(got, want)
+
+
+@keyed
+@given(alpha=alphas, i=st.integers(-3, 3), count=st.integers(1, 300))
+def test_keyed_ray_equals_the_reference(alpha, i, count):
+    a = alpha.value
+    tr = trace_ray(i, a, count, policy="exact")
+    _same_trace((tr.entry_x, tr.entry_level), _reference_trace(HALF, i, a, count, 1, True))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +291,20 @@ def test_oracle_passes_the_excluded_right_end(ties, alpha, level):
 @pytest.mark.parametrize("ray_convention", [True, False])
 def test_a_leaf_visits_exactly_one_half(ties, direction, ray_convention):
     a = A.value
-    x0 = (HALF - a * (3 * direction)).frac()
-    assert (x0 + a * (3 * direction)).frac() == HALF  # visit 3 sits on 1/2
-    args = (x0, 0, a, 10, direction, ray_convention)
-    got = _trace_exact(*args)
-    assert got[0][3] == 0.5
-    _same_trace(got, _reference_trace(*args))
+    if ray_convention:
+        # a ray enters its first rectangle at 1/2; backward, the orbit of
+        # 1/2 is the forward one under rotation by -alpha, that is 1 - alpha
+        a = a if direction == 1 else 1 - a
+        tr = trace_ray(0, a, 10, policy="exact")
+        got, at = (tr.entry_x, tr.entry_level), 0
+        want = _reference_trace(HALF, 0, a, 10, 1, True)
+    else:
+        x0 = (HALF - a * (3 * direction)).frac()
+        assert (x0 + a * (3 * direction)).frac() == HALF  # visit 3 sits on 1/2
+        got, at = _trace_exact(x0, 0, a, 10, direction), 3
+        want = _reference_trace(x0, 0, a, 10, direction, False)
+    assert got[0][at] == 0.5
+    _same_trace(got, want)
     assert (0, 0) in ties
 
 
@@ -302,11 +317,21 @@ def test_a_leaf_reaching_the_corner_is_refused(ties, direction, ray_convention):
     corner = 1 - a if direction == 1 else a
     x0 = (corner - a * (2 * direction)).frac()
     assert (x0 + a * (2 * direction)).frac() == corner
-    # three visits take no turn from visit 2, a fourth must
-    xs, _ = _trace_exact(x0, 0, a, 3, direction, ray_convention)
+    # three visits take no turn from visit 2, a fourth must.  A ray from
+    # 1/2 never meets the corner (alpha is irrational), so the ray case
+    # runs through trace_leaf_through, the tracer trace_ray reads
+    def walk(count):
+        if ray_convention:
+            tr = trace_leaf_through(x0, 0, a, count - 1, direction=direction,
+                                    policy="exact")
+            return tr.entry_x, tr.entry_level
+        return _trace_exact(x0, 0, a, count, direction)
+
+    xs, _ = walk(3)
     assert xs[2] == float(corner)
     ties.clear()
-    for walk in (_trace_exact, _reference_trace):
-        with pytest.raises(ValueError, match="singular corner"):
-            walk(x0, 0, a, 4, direction, ray_convention)
+    with pytest.raises(ValueError, match="singular corner"):
+        walk(4)
+    with pytest.raises(ValueError, match="singular corner"):
+        _reference_trace(x0, 0, a, 4, direction, ray_convention)
     assert (0, 0) in ties

@@ -6,7 +6,10 @@
 # Every `rotn ...` line of the README's "Command line" block runs with its
 # own --out replaced by one name per command, once per precision when the
 # subcommand takes --precision, and once more as written but without
-# --out, its stdout report kept as NAME.stdout.  It runs from this
+# --out, its stdout report kept as NAME.stdout.  A command that takes
+# --precision also runs without --out under --precision exact-only, its
+# report kept as NAME-exact-only.stdout, since exact-only reports must
+# stay the same bytes too.  It runs from this
 # checkout's src/ and from REF's, extracted with git archive into a
 # temporary directory, in two output directories under the same relative
 # names, so the headers can match too.  Prints "same" per file when both
@@ -78,5 +81,9 @@ while IFS= read -r line; do
     done
     on_both "$i-$kind.stdout" "$@"
     compare "$i-$kind.stdout"
+    if [ "$precisions" != default ]; then
+        on_both "$i-$kind-exact-only.stdout" "$@" --precision exact-only
+        compare "$i-$kind-exact-only.stdout"
+    fi
 done < "$tmp/commands"
 exit $status
