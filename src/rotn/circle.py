@@ -101,7 +101,7 @@ def visit_set(
     if scan is None:
         scan = orbit_scan(x, alpha, need)
     elif (scan.x0 != x.frac() or scan.alpha != alpha or scan.direction != 1
-          or scan.count < need + 1):
+          or scan.sums.size < need + 1):
         raise ValueError("supplied scan is of another start or alpha, too short "
                          "or not forward")
 

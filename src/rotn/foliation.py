@@ -26,16 +26,17 @@ the sign cocycle.
 
 The tracer steps the turn map; the closed formulas above are what the
 tests compare it against, so it never consults them.  The
-"certified" policy rides the orbit scan arrays; "exact" steps b on an
-``exactreal.Frame``, where b is closed: with x, alpha and 1/2 on the
-lattice, b(x) and 1 - b(x) are integer differences, and the split
-1 - alpha is a threshold embedded once.  Its sides, and those of 1/2,
-are read off each point's ``Frame.key`` outside a band around the
-threshold, and by ``_surd_sign`` inside it.  An exact trace keeps of
-each entry only what it reports, its float shadow and its level, 16 B
-a visit; the shadow is written with ``exactreal._surd_float``, the
-formula ``float()`` of a ``SurdReal`` uses, so it is float() of the
-orbit formula's exact point, bit for bit.
+"certified" policy rides the orbit scan arrays; "exact" steps b, for
+alpha taken mod 1, on an ``exactreal.Frame``, where b is closed: with
+x, alpha and 1/2 on the lattice, b(x) and 1 - b(x) are integer
+differences, and the split 1 - alpha is a threshold embedded once.
+Its sides, and those of 1/2, are read off each point's ``Frame.key``
+outside a band around the threshold, and by ``_surd_sign`` inside it.
+An exact trace keeps of each entry only what it reports, its float
+shadow and its level, 16 B a visit; the shadow is written with
+``exactreal._surd_float``, the formula ``float()`` of a ``SurdReal``
+uses, so it is float() of the orbit formula's exact point, bit for
+bit.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
 lives in ``rotn.example``, which needs no numpy; it is re-exported here,
@@ -131,7 +132,8 @@ class LeafTrace(Record):
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
                  direction: int):
-    """Step the turn map on one frame; never consult the orbit formula.
+    """Step the turn map on one frame, for alpha in (0, 1); never consult
+    the orbit formula.
 
     Forward, from an upward segment at x: the next upward segment is at
     1 - b(x) with the level moved by f of the old coordinate.  Backward
@@ -206,7 +208,9 @@ def trace_leaf_through(
     x0 = x0.frac()  # the seed names the point on the circle
     seed = "leaf through (%s, %d)" % (x0.exact_str(), j0)
     if policy == "exact":
-        xs, lv = _trace_exact(x0, j0, alpha, N + 1, direction)
+        # the turn map is written for alpha in (0, 1); alpha mod 1 is the
+        # same rotation
+        xs, lv = _trace_exact(x0, j0, alpha.frac(), N + 1, direction)
         return LeafTrace(seed, direction, 0, xs, lv)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     scan.sums += j0

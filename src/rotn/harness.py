@@ -46,8 +46,9 @@ from typing import Optional
 
 from . import __version__
 from .example import example_alpha
-from .exactreal import HALF, ONE, ZERO, FrozenRecord, SurdReal, parse_cf
+from .exactreal import FrozenRecord, SurdReal, parse_cf
 from .renorm import (
+    _case_regions,
     _local_return_word,
     oracle_first_return,
     tower,
@@ -531,12 +532,13 @@ def _tower(config: ExperimentConfig):
 def _oracle(config: ExperimentConfig):
     """Dual-route check: predicted return words vs simulated first returns.
 
-    For every level 2..depth and each of its three case regions (lo, hi),
-    draws `samples` starts lo + (hi - lo)*u by exact construction: u is
-    a random odd multiple of 2^-53, so each start lies strictly inside
-    the region.  Then demands the substitution word equal the simulated
-    sign word letter for letter and both routes land on the same exact
-    point.
+    For every level 2..depth and each row (name, lo, hi) of its table
+    ``renorm._case_regions``, draws `samples` starts lo + (hi - lo)*u by
+    exact construction: u is a random odd multiple of 2^-53, so each
+    start lies strictly inside the region.  Then demands the
+    substitution word equal the simulated sign word letter for letter
+    and both routes land on the same exact point.  The simulation,
+    ``oracle_first_return``, reads neither the table nor any word.
     """
     samples = config.samples
     cf = parse_cf(config.alpha)
@@ -559,16 +561,8 @@ def _oracle(config: ExperimentConfig):
     rows = []
     total = matched = 0
     for lvl in levels[1:]:
-        if lvl.beta.sign() > 0:
-            regions = [("plus", ZERO, HALF),
-                       ("minus", HALF, ONE - lvl.beta),
-                       ("minus_zero", ONE - lvl.beta, ONE)]
-        else:
-            regions = [("plus_zero", ZERO, -lvl.beta),
-                       ("plus", -lvl.beta, HALF),
-                       ("minus", HALF, ONE)]
         chart = lvl.interval
-        for name, lo, hi in regions:
+        for name, lo, hi, _ in _case_regions(lvl):
             good = 0
             width = hi - lo
             for _ in range(samples):

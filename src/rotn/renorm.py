@@ -12,8 +12,10 @@ coefficients, drop the head and decrement the new head).
 Each level carries three return words over {+1,-1}: the sign sequences
 F_plus, F_minus, F_zero that the orbit of x writes between visits,
 depending on which of three subintervals of I_i (in local coordinates)
-x falls in.  One renormalization step rewrites them by a substitution
-with exponent n = (b-1)/2, b the leading CF coefficient of |beta|:
+x falls in: the rows of ``_case_regions``.  One renormalization step
+rewrites them by a substitution with exponent n = (b-1)/2, b the
+leading CF coefficient of |beta|, which ``RenormLevel.n_half`` reads
+off the level's continued fraction:
 
     beta > 0:  F+' = F+ F-^n F0 F+^n          beta < 0:  F+' = F+^(n+1) F0 F-^n
                F-' = F-^(n+1) F0 F+^n                    F-' = F- F+^n F0 F-^n
@@ -105,28 +107,26 @@ class RenormLevel(FrozenRecord):
 
     beta is the signed rotation number of the first-return map in the
     local chart of ``interval``: positive on odd levels, negative on
-    even ones.  beta_cf is the continued fraction of |beta|, and
-    n_half = (b - 1)/2 for its leading coefficient b, the exponent the
-    next substitution uses.  base_alpha is the rotation being
-    renormalized (level 1's beta), kept so the simulation oracle can
-    run without extra context.
+    even ones.  beta_cf is the continued fraction of |beta|; the
+    exponent the next substitution uses, n_half, is read off it.
+    base_alpha is the rotation being renormalized (level 1's beta),
+    kept so the simulation oracle can run without extra context.
     """
 
-    __slots__ = _fields = ("index", "interval", "beta", "beta_cf", "n_half",
+    __slots__ = _fields = ("index", "interval", "beta", "beta_cf",
                            "f_plus", "f_minus", "f_zero", "base_alpha")
     index: int
     interval: ExactInterval
     beta: SurdReal
     beta_cf: CFNumber
-    n_half: int
     f_plus: SignWord
     f_minus: SignWord
     f_zero: SignWord
     base_alpha: SurdReal
 
     def __init__(self, index: int, interval: ExactInterval, beta: SurdReal,
-                 beta_cf: CFNumber, n_half: int, f_plus: SignWord, f_minus: SignWord,
-                 f_zero: SignWord, base_alpha: SurdReal):
+                 beta_cf: CFNumber, f_plus: SignWord, f_minus: SignWord, f_zero: SignWord,
+                 base_alpha: SurdReal):
         sign = 1 if index % 2 == 1 else -1
         if beta.sign() != sign:
             raise ValueError(
@@ -145,11 +145,15 @@ class RenormLevel(FrozenRecord):
         object.__setattr__(self, "interval", interval)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "beta_cf", beta_cf)
-        object.__setattr__(self, "n_half", n_half)
         object.__setattr__(self, "f_plus", f_plus)
         object.__setattr__(self, "f_minus", f_minus)
         object.__setattr__(self, "f_zero", f_zero)
         object.__setattr__(self, "base_alpha", base_alpha)
+
+    @property
+    def n_half(self) -> int:
+        """(b - 1)/2 for the leading coefficient b of beta_cf."""
+        return (self.beta_cf.coefficient(1) - 1) // 2
 
     @property
     def stats(self) -> dict:
@@ -196,7 +200,6 @@ def base_level(alpha: CFNumber) -> RenormLevel:
         interval=ExactInterval(ZERO, ONE),
         beta=value,
         beta_cf=alpha,
-        n_half=(alpha.coefficient(1) - 1) // 2,
         f_plus=PLUS,
         f_minus=MINUS,
         f_zero=empty(),
@@ -205,16 +208,17 @@ def base_level(alpha: CFNumber) -> RenormLevel:
 
 
 @lru_cache(maxsize=1024)
-def _beta_step(beta_cf: CFNumber) -> tuple[SurdReal, SurdReal, CFNumber, int]:
+def _beta_step(beta_cf: CFNumber) -> tuple[SurdReal, SurdReal, CFNumber]:
     """The exact beta arithmetic of ``step``, a function of beta_cf alone.
 
     With |beta| = beta_cf.value and g = G(|beta|), returns the scale
     |beta|(1 - g) by which the next interval is shorter, the next
-    |beta| = g/(1 - g), its continued fraction (whose value is then
-    cached on it) and that fraction's leading coefficient b.  Checks
-    the contraction (scale <= |beta|, the interval inequality divided
-    by the positive length), the coefficient surgery against the Gauss
-    map, and that b is odd and >= 5.  A tail of an eventually periodic
+    |beta| = g/(1 - g) and its continued fraction (whose value is then
+    cached on it).  Checks the contraction (scale <= |beta|, the
+    interval inequality divided by the positive length), the
+    coefficient surgery against the Gauss map, and that the fraction's
+    leading coefficient b, from which the next level reads its n_half,
+    is odd and >= 5.  A tail of an eventually periodic
     fraction recurs once a period, so a tower runs this once per
     distinct tail; the memo is bounded, and a failed check is never
     cached.
@@ -236,13 +240,13 @@ def _beta_step(beta_cf: CFNumber) -> tuple[SurdReal, SurdReal, CFNumber, int]:
         raise ValueError(
             "next level needs an odd leading coefficient >= 5, got %d" % (b,)
         )
-    return scale, new_beta_abs, new_cf, b
+    return scale, new_beta_abs, new_cf
 
 
 def step(level: RenormLevel) -> RenormLevel:
     """One renormalization: I_(i+1) inside I_i and the rewritten words."""
     n = level.n_half
-    scale, new_beta_abs, new_cf, b = _beta_step(level.beta_cf)
+    scale, new_beta_abs, new_cf = _beta_step(level.beta_cf)
     half_len = scale * level.interval.length * HALF
     interval = ExactInterval(HALF - half_len, HALF + half_len)
 
@@ -263,7 +267,6 @@ def step(level: RenormLevel) -> RenormLevel:
         interval=interval,
         beta=new_beta,
         beta_cf=new_cf,
-        n_half=(b - 1) // 2,
         f_plus=new_plus,
         f_minus=new_minus,
         f_zero=new_zero,
@@ -566,34 +569,39 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     )
 
 
-def _local_return_word(level: RenormLevel, y: SurdReal) -> SignWord:
-    """The return word the substitution rules predict for the point of I_i
-    whose local coordinate is y in [0, 1):
+def _case_regions(level: RenormLevel) -> list[tuple[str, SurdReal, SurdReal, SignWord]]:
+    """The three case regions of I_i's local chart, left to right, as rows
+    (name, lo, hi, word): a point at local coordinate y in [lo, hi)
+    writes ``word`` before its next visit to I_i.
 
         beta > 0:  [0, 1/2) -> F+   [1/2, 1-beta) -> F-   [1-beta, 1) -> F- F0
         beta < 0:  [0, |beta|) -> F+ F0   [|beta|, 1/2) -> F+   [1/2, 1) -> F-
-
-    Landing exactly on the interior case boundary (1 - beta or |beta|)
-    is refused; those points are measure zero and the caller should
-    perturb.  The return lands at local coordinate frac(y + beta).
     """
     if level.beta.sign() > 0:
         split = ONE - level.beta
-        if y < HALF:
-            return level.f_plus
-        if y == split:
-            raise ValueError("local coordinate sits exactly on the case boundary")
-        if y < split:
-            return level.f_minus
-        return concat(level.f_minus, level.f_zero)
+        return [("plus", ZERO, HALF, level.f_plus), ("minus", HALF, split, level.f_minus),
+                ("minus_zero", split, ONE, concat(level.f_minus, level.f_zero))]
     gamma = -level.beta
-    if y == gamma:
+    return [("plus_zero", ZERO, gamma, concat(level.f_plus, level.f_zero)),
+            ("plus", gamma, HALF, level.f_plus), ("minus", HALF, ONE, level.f_minus)]
+
+
+def _local_return_word(level: RenormLevel, y: SurdReal) -> SignWord:
+    """The return word the substitution rules predict for the point of I_i
+    whose local coordinate is y in [0, 1): the word of y's row of
+    ``_case_regions``.
+
+    Landing exactly on the interior case boundary (1 - beta or |beta|,
+    the one row end other than 0, 1/2 and 1) is refused; those points
+    are measure zero and the caller should perturb.  The return lands at
+    local coordinate frac(y + beta).
+    """
+    for _, lo, hi, word in _case_regions(level):
+        if y < hi:
+            break
+    if y == lo and lo != HALF and lo.sign():
         raise ValueError("local coordinate sits exactly on the case boundary")
-    if y < gamma:
-        return concat(level.f_plus, level.f_zero)
-    if y < HALF:
-        return level.f_plus
-    return level.f_minus
+    return word
 
 
 def fast_birkhoff(alpha: CFNumber, n: int) -> int:

@@ -61,6 +61,9 @@ _CHUNK = 1 << 16
 # the second of _ROUNDS rounds.
 _EXACT_CHUNK = 1 << 12
 _INT64_ROOT = 1 << 31
+# the IEEE position formula turns R, P and Q*sqrt(d) into floats; below
+# this bound on them none overflows
+_FLOAT_ROOM = 1 << 1023
 _ROUNDS = 2
 
 
@@ -219,11 +222,10 @@ class OrbitScan(Record):
     forward sums add signs[0..j-1], backward sums are -(signs[1..j]).
     """
 
-    __slots__ = _fields = ("x0", "alpha", "count", "direction", "positions", "signs",
-                           "sums", "escalated", "radius_bound")
+    __slots__ = _fields = ("x0", "alpha", "direction", "positions", "signs", "sums",
+                           "escalated", "radius_bound")
     x0: SurdReal
     alpha: SurdReal
-    count: int
     direction: int
     positions: np.ndarray
     signs: np.ndarray
@@ -231,12 +233,11 @@ class OrbitScan(Record):
     escalated: np.ndarray
     radius_bound: float
 
-    def __init__(self, x0: SurdReal, alpha: SurdReal, count: int, direction: int,
+    def __init__(self, x0: SurdReal, alpha: SurdReal, direction: int,
                  positions: np.ndarray, signs: np.ndarray, sums: np.ndarray,
                  escalated: np.ndarray, radius_bound: float):
         self.x0 = x0
         self.alpha = alpha
-        self.count = count
         self.direction = direction
         self.positions = positions
         self.signs = signs
@@ -299,7 +300,6 @@ def orbit_scan(
     return OrbitScan(
         x0=x0,
         alpha=alpha,
-        count=count,
         direction=direction,
         positions=positions,
         signs=signs,
@@ -356,7 +356,9 @@ def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
     2^62: every |2P - gR| tested is below 2R + 2|Q|*sqrt(d), and |Q| is
     largest at an end of the chunk.  Past that it runs the same code on
     object arrays of Python ints.  Positions are (P + Q*sqrt(d))/R in
-    IEEE arithmetic, whichever the dtype, so they are not exact.  With
+    IEEE arithmetic, whichever the dtype, so they are not exact; a chunk
+    whose R, |P| or |Q|*sqrt(d) may pass float range takes them from
+    ``_surd_float`` instead, float() of the exact point.  With
     M = R + |Q|*sqrt(d), which bounds |P| for a point in [0, 1), the
     formula's eight roundings (d, P, Q and R to floats, the root, the
     product, the sum and the quotient) move a position by at most
@@ -393,7 +395,10 @@ def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
         guess = np.floor(2.0 * (kf[: m + 1] * af + _surd_float(P, Q, R, d)))
         g = _floor_twice(Pk, Qk, R, d, guess.astype(np.int64).astype(dtype))
         Pk -= (g >> 1) * R
-        positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]
+        if R + top * root < _FLOAT_ROOM:
+            positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]
+        else:
+            positions[lo : lo + m] = [_surd_float(p, q, R, d) for p, q in zip(Pk[:m], Qk[:m])]
         signs[lo : lo + m] = 1 - 2 * (g[:m] & 1)
         P, Q = int(Pk[m]), int(Qk[m])
     return positions, signs, np.empty(0, dtype=np.int64), radius

@@ -445,10 +445,11 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
     left to right by descent, the target level moving down by each
     total it passes: a node whose [min_prefix, max_prefix] misses its
     target is skipped; a whole node already written at the same target
-    is copied from there, shifted in time; a power of total 0 writes its
-    base once and tiles it, and one of nonzero total descends only into
+    is copied from there, shifted in time; a power descends only into
     the copies whose target lies in the base's range.  A node prefix of
-    at most 2^16 letters is expanded and summed.
+    at most 2^16 letters is expanded and summed.  Every power a tower,
+    orbit or witness word holds has a base of total +-1; a power of
+    total 0 that the descent must enter raises ValueError.
     """
     import numpy as np
 
@@ -462,26 +463,14 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
     written = {}  # (uid, target) -> (entry, size, time) of a whole node
     summed = {}  # uid -> prefix sums of a whole node of at most 2^16 letters
     # (node, time, count, target, None) writes the times time + i, i <=
-    # count, at which the node's prefix sum s_i equals target; the same
-    # entry with the node's first output entry in place of None runs once
-    # its parts are written, to tile a total-0 power and note a whole node
+    # count, at which the node's prefix sum s_i equals target; for a whole
+    # node, the same entry with the node's first output entry in place of
+    # None runs once its parts are written, to note it in ``written``
     todo = [(w, 0, n, m, None)] if total else []
     while todo:
         node, time, count, target, first = todo.pop()
         if first is not None:
-            if node.kind == _POWER and node.total == 0 and count > node.base.length:
-                bl = node.base.length
-                copies, rem = divmod(count, bl)
-                one = out[first:at]
-                rows = np.arange(1, copies, dtype=np.int64) * bl
-                tiles = out[at:at + rows.size * one.size].reshape(rows.size, one.size)
-                np.add(one, rows[:, None], out=tiles)
-                at += tiles.size
-                part = int(np.searchsorted(one, time + rem, side="right"))
-                np.add(one[:part], copies * bl, out=out[at:at + part])
-                at += part
-            if count == node.length:
-                written[node.uid, target] = (first, at - first, time)
+            written[node.uid, target] = (first, at - first, time)
             continue
         # s_1..s_count lie in the node's range and within count of 0
         if abs(target) > count or not node._minp <= target <= node._maxp:
@@ -505,17 +494,18 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
                 written[node.uid, target] = (at, hits.size, time)
             at += hits.size
             continue
-        todo.append((node, time, count, target, at))
+        if count == node.length:
+            todo.append((node, time, count, target, at))
         if node.kind == _CONCAT:
             left = node.left
             if count > left.length:
                 todo.append((node.right, time + left.length, count - left.length,
                              target - left.total, None))
             todo.append((left, time, min(count, left.length), target, None))
-        elif node.total == 0:  # a power whose copies all write the same times
-            todo.append((node.base, time, min(count, node.base.length), target, None))
         else:  # a power: copy j aims at target - j*step, within the base's range
             base, step = node.base, node.base.total
+            if step == 0:
+                raise ValueError("level_times cannot descend a power of total 0")
             copies, rem = divmod(count, base.length)
             # j*step within [target - max_prefix, target - min_prefix]
             a, b = target - base._maxp, target - base._minp

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: each run's own peak memory, and the summary of the pairs."""
 
+import hashlib
 import importlib
 import json
 import subprocess
@@ -145,3 +146,53 @@ def test_both_sides_run_alike_apart_from_their_checkout(monkeypatch, tmp_path):
         assert parent["cmd"] == change["cmd"] and parent["kwargs"] == change["kwargs"]
         assert parent["files"] == change["files"]
         assert not any("__pycache__" in f for f in change["files"])
+
+
+def test_the_cli_table_records_each_runs_own_exit_peak_and_stdout(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        (roots[side] / "src").mkdir(parents=True)
+    rows = [("exit 3", ("-c", "import sys; print('no'); sys.exit(3)")),
+            ("allocate", ("-c", "held = bytearray(b'x') * (96 << 20); print(len(held))"))]
+    # the runs start from this process while it holds more than any row
+    held = bytearray(b"x") * (192 << 20)
+    runs = bench_pairs.run_table(rows, roots, 3, tmp_path)
+    del held
+    assert [(p["row"], p["first"]) for p in runs] == [
+        (name, first) for name, _ in rows for first in ("parent", "change", "parent")]
+    for pair in runs:
+        for side in ("parent", "change"):
+            run = pair[side]
+            if pair["row"] == "exit 3":
+                assert run["exit"] == 3 and run["peak_rss_mb"] < 64
+            else:
+                assert run["exit"] == 0 and 96 <= run["peak_rss_mb"] < 160
+            assert run["wall_s"] > 0
+    summary = bench_pairs._cli_summary(runs)
+    assert list(summary) == ["exit 3", "allocate"]
+    exits = summary["exit 3"]
+    assert exits["exit"] == {"parent": [3], "change": [3]} and exits["same"]
+    assert exits["stdout_sha256"]["parent"] == [hashlib.sha256(b"no\n").hexdigest()]
+    assert summary["allocate"]["peak_rss_mb"]["parent"]["median"] >= 96
+    assert "same" in bench_pairs._cli_lines(summary)[1]
+    # a row whose stdout differs between the sides is flagged
+    runs[0]["change"]["stdout_sha256"] = "0"
+    assert not bench_pairs._cli_summary(runs)["exit 3"]["same"]
+
+
+def test_the_cli_table_is_the_readme_commands_and_the_import_row(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    readme = TOOLS.parent / "README.md"
+    rows = bench_pairs.cli_table(readme)
+    # the lines tools/out_bytes.sh runs, read its way
+    block = subprocess.run(["sed", "-n", "/^## Command line/,/^## /p", str(readme)],
+                           capture_output=True, text=True, check=True).stdout
+    commands = [line for line in block.splitlines() if line.startswith("rotn ")]
+    assert commands and [name for name, _ in rows] == commands + [bench_pairs.CLI_ROWS[0][0]]
+    name, args = rows[0]
+    assert name.startswith("rotn tower ")
+    assert args == ("-m", "rotn.cli", "tower", "--alpha", "[0;5,(6)]", "--depth", "20")

@@ -153,6 +153,25 @@ def test_exact_entry_x_is_the_float_of_its_orbit_point(cf, seed, direction):
         assert all(abs(x.q) > 1 << _GUARD for x in exact)
 
 
+@pytest.mark.parametrize("alpha", [A + 1, A - 1, -A, A + 5],
+                         ids=["a+1", "a-1", "-a", "a+5"])
+def test_exact_traces_take_alpha_mod_1(alpha):
+    # the turn map is written for alpha in (0, 1); the orbit formula and
+    # the certified trace read alpha as given, and the same rotation
+    x0, N = (1 + A) / 3, 40
+    for direction in (1, -1):
+        levels = _sums(x0, alpha, N, direction)
+        exact = trace_leaf_through(x0, 0, alpha, N, direction=direction, policy="exact")
+        assert exact.entry_level.tolist() == levels
+        assert exact.entry_x.tobytes() == _floats(x0, alpha, range(0, direction * (N + 1),
+                                                                   direction))
+        certified = trace_leaf_through(x0, 0, alpha, N, direction=direction)
+        assert certified.entry_level.tolist() == levels
+    ray = trace_ray(0, alpha, N, policy="exact")
+    assert ray.entry_level.tolist() == [1 + s for s in _sums(HALF, alpha, N)[1:]]
+    assert ray.entry_level.tolist() == trace_ray(0, alpha, N).entry_level.tolist()
+
+
 @pytest.mark.parametrize("trace", [
     lambda N: trace_ray(0, A, N, policy="exact"),
     lambda N: trace_leaf_through((1 + A) / 2, 0, A, N - 1, direction=-1, policy="exact"),

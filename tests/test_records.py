@@ -23,7 +23,7 @@ ROW = FormulaCheck("M+(2k)=M+(2k-1)", 2, 1, 1)
 CASES = [
     (CertifiedFloat, (0.5, 2.0 ** -53), {}),
     (ExactInterval, (ZERO, ONE), {}),
-    (RenormLevel, (1, LEVEL.interval, LEVEL.beta, CF, 2, LEVEL.f_plus, LEVEL.f_minus,
+    (RenormLevel, (1, LEVEL.interval, LEVEL.beta, CF, LEVEL.f_plus, LEVEL.f_minus,
                    LEVEL.f_zero, LEVEL.base_alpha), {}),
     (BoundsCheck, (2, "max_plus >= 1", 3, True), {}),
     (ReturnRecord, (3, (1, -1, 1), SurdReal(1, 1, 4, 5)), {}),
@@ -36,7 +36,7 @@ CASES = [
       "samples": 0, "seed": 0, "ray": None, "through": None, "level": 0,
       "backward": False, "out": None, "precision": "certified-fast"}),
     (OrbitScan,
-     (HALF, CF.value, 3, 1, np.zeros(4), np.ones(4, np.int8),
+     (HALF, CF.value, 1, np.zeros(4), np.ones(4, np.int8),
       np.zeros(4, np.int64), np.zeros(4, bool), 0.0), {}),
     (VisitSet, (np.arange(3), np.zeros(3), 0.0, 0), {}),
     (LeafTrace, ("ray 0", 1, 1, np.zeros(3), np.arange(3), 1e-15),

@@ -13,6 +13,7 @@ from rotn.exactreal import ONE, ZERO, CFNumber, SurdReal, alpha_next, gauss_step
 from rotn.renorm import (
     ExactInterval,
     RenormLevel,
+    _case_regions,
     _local_return_word,
     admissible,
     base_level,
@@ -27,8 +28,8 @@ from rotn.renorm import (
 )
 from rotn.scan import orbit_scan
 from rotn import words
-from rotn.words import (EMPTY, MINUS, PLUS, concat_all, expand, intern_size, iter_letters,
-                        letters, power, prefix_sum_at)
+from rotn.words import (EMPTY, MINUS, PLUS, concat, concat_all, expand, intern_size,
+                        iter_letters, letters, power, prefix_sum_at)
 
 ALPHA = parse_cf("[0;5,(6)]")
 HALF = SurdReal(1, 0, 2)
@@ -135,9 +136,9 @@ def test_tower_is_cached_prefixwise():
 # step's beta memo against the step that redid its arithmetic at every level
 
 
-def _reference_step(level: RenormLevel) -> RenormLevel:
-    """One renormalization: I_(i+1) inside I_i and the rewritten words."""
-    n = level.n_half
+def _reference_step(level: RenormLevel, n: int) -> tuple[RenormLevel, int]:
+    """One renormalization with the exponent n of ``level``: I_(i+1) inside
+    I_i, the rewritten words, and the next level's exponent (b - 1)/2."""
     beta_abs = level.beta if level.beta.sign() > 0 else -level.beta
     g = gauss_step(beta_abs)
     scale = beta_abs * (ONE - g)
@@ -176,12 +177,11 @@ def _reference_step(level: RenormLevel) -> RenormLevel:
         interval=interval,
         beta=new_beta,
         beta_cf=new_cf,
-        n_half=(b - 1) // 2,
         f_plus=new_plus,
         f_minus=new_minus,
         f_zero=new_zero,
         base_alpha=level.base_alpha,
-    )
+    ), (b - 1) // 2
 
 
 def _seeded_alpha(rng: random.Random) -> CFNumber:
@@ -206,7 +206,7 @@ def test_memoized_tower_equals_the_reference_field_by_field(cleared_memo):
     assert {len(a.preperiod) for a in alphas} >= {2, 3}
     for cf in sorted(alphas, key=str):
         levels = tower(cf, 60)
-        ref = base_level(cf)
+        ref, n = base_level(cf), (cf.coefficient(1) - 1) // 2
         for lvl in levels:
             assert lvl.index == ref.index
             # compared as a list of names, so a mismatch of long strings
@@ -216,7 +216,7 @@ def test_memoized_tower_equals_the_reference_field_by_field(cleared_memo):
                      (lvl.interval.length, ref.interval.length), (lvl.beta, ref.beta)]
             differ = [i for i, (a, b) in enumerate(exact) if a.exact_str() != b.exact_str()]
             assert not differ, (str(cf), lvl.index, differ)
-            assert lvl.beta_cf == ref.beta_cf and lvl.n_half == ref.n_half
+            assert lvl.beta_cf == ref.beta_cf and lvl.n_half == n
             # words are interned, so equal words are one node
             assert lvl.f_plus is ref.f_plus
             assert lvl.f_minus is ref.f_minus
@@ -224,7 +224,7 @@ def test_memoized_tower_equals_the_reference_field_by_field(cleared_memo):
             assert lvl.base_alpha == ref.base_alpha
             assert lvl == ref
             if lvl.index < 60:
-                ref = _reference_step(ref)
+                ref, n = _reference_step(ref, n)
     # a tail recurs once a period, so the memo saw far fewer tails than levels
     assert renorm._beta_step.cache_info().hits > 50 * len(alphas)
 
@@ -244,7 +244,7 @@ def test_an_inadmissible_successor_is_refused(cleared_memo):
     # base_level refuses such an alpha, so the level is built by hand
     cf = parse_cf("[0;5,(7,6)]")
     level = RenormLevel(index=1, interval=ExactInterval(ZERO, ONE), beta=cf.value,
-                        beta_cf=cf, n_half=2, f_plus=PLUS, f_minus=MINUS,
+                        beta_cf=cf, f_plus=PLUS, f_minus=MINUS,
                         f_zero=EMPTY, base_alpha=cf.value)
     for _ in range(2):
         with pytest.raises(ValueError, match="odd leading coefficient"):
@@ -255,7 +255,7 @@ def test_a_level_whose_beta_is_not_its_cf_value_is_refused():
     cf = parse_cf("[0;7,(8)]")
     with pytest.raises(ValueError, match="not the value"):
         RenormLevel(index=1, interval=ExactInterval(ZERO, ONE), beta=ALPHA.value,
-                    beta_cf=cf, n_half=3, f_plus=PLUS, f_minus=MINUS,
+                    beta_cf=cf, f_plus=PLUS, f_minus=MINUS,
                     f_zero=EMPTY, base_alpha=ALPHA.value)
 
 
@@ -572,6 +572,26 @@ def test_predicted_word_refuses_case_boundary():
     l2 = tower(ALPHA, 2)[1]  # beta < 0 here
     with pytest.raises(ValueError, match="boundary"):
         _local_return_word(l2, -l2.beta)
+    # 0 and 1/2 are row ends too, and each opens its row
+    assert _local_return_word(l3, ZERO) is l3.f_plus
+    assert _local_return_word(l3, HALF) is l3.f_minus
+    assert _local_return_word(l2, ZERO) is concat(l2.f_plus, l2.f_zero)
+    assert _local_return_word(l2, HALF) is l2.f_minus
+
+
+def test_the_case_table_spells_the_three_regions():
+    l2, l3 = tower(ALPHA, 3)[1:]
+    assert l2.beta.sign() < 0 < l3.beta.sign()
+    gamma = -l2.beta
+    assert _case_regions(l2) == [
+        ("plus_zero", ZERO, gamma, concat(l2.f_plus, l2.f_zero)),
+        ("plus", gamma, HALF, l2.f_plus),
+        ("minus", HALF, ONE, l2.f_minus)]
+    split = ONE - l3.beta
+    assert _case_regions(l3) == [
+        ("plus", ZERO, HALF, l3.f_plus),
+        ("minus", HALF, split, l3.f_minus),
+        ("minus_zero", split, ONE, concat(l3.f_minus, l3.f_zero))]
 
 
 def test_oracle_refuses_outside_starts():

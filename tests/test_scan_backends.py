@@ -315,6 +315,18 @@ def test_exact_scan_crosses_from_int64_to_python_ints(monkeypatch):
 
 
 @pytest.mark.parametrize("direction", [1, -1])
+def test_exact_scan_past_float_range(direction):
+    # R = 2^1100 is no float, so these chunks take float() of each exact point
+    x0 = HALF + SurdReal(1, 0, 2**1100)
+    scan = orbit_scan(x0, A, 10, direction=direction, policy="exact")
+    exact = [(x0 + A * (direction * i)).frac() for i in range(11)]
+    assert scan.positions.tobytes() == np.array([float(x) for x in exact]).tobytes()
+    certified = orbit_scan(x0, A, 10, direction=direction)
+    assert np.array_equal(scan.signs, certified.signs)
+    assert np.array_equal(scan.sums, certified.sums)
+
+
+@pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("cf, seed, n", [
     ("[0;(2)]", "1/2", 10**6),  # int64 chunks
     ("[0;5,(6)]", "1/2+2^-80", 5 * _EXACT_CHUNK),  # Python ints from the start

@@ -150,18 +150,20 @@ def test_repr_of_a_deep_word_is_short():
 
 
 @st.composite
-def sign_words(draw, max_len=10**4):
+def sign_words(draw, max_len=10**4, zero_powers=True):
+    """Random words of at most about max_len letters; with zero_powers
+    False, no power in them has a base of total 0."""
     kind = draw(st.integers(0, 3))
     if kind == 0:
         return draw(st.sampled_from([PLUS, MINUS]))
     if kind == 1:
         return EMPTY
     if kind == 2:
-        a = draw(sign_words(max_len=max_len // 2))
+        a = draw(sign_words(max_len // 2, zero_powers))
         b = draw(st.sampled_from([PLUS, MINUS, a]))  # a twice: a shared node
         return concat(a, b)
-    base = draw(sign_words(max_len=max_len // 4))
-    if base.length == 0:
+    base = draw(sign_words(max_len // 4, zero_powers))
+    if base.length == 0 or (base.total == 0 and not zero_powers):
         return base
     exp = draw(st.integers(1, max(1, min(8, max_len // max(base.length, 1)))))
     return power(base, exp)
@@ -286,11 +288,11 @@ def _check_level_times(w, m, n):
 
 @st.composite
 def power_words(draw):
-    """Concatenations of long powers whose bases total 0, +-1 or +-3."""
+    """Concatenations of long powers whose bases total +-1 or +-3."""
     parts = []
     for _ in range(draw(st.integers(1, 3))):
-        total = draw(st.sampled_from([0, 1, -1, 3, -3]))
-        pairs = draw(st.integers(0 if total else 1, 3))
+        total = draw(st.sampled_from([1, -1, 3, -3]))
+        pairs = draw(st.integers(0, 3))
         signs = draw(st.permutations([1, -1] * pairs + [1 if total > 0 else -1] * abs(total)))
         base = concat_all(atom(s) for s in signs)
         if draw(st.booleans()):  # a power inside the base, and one more letter
@@ -315,9 +317,10 @@ def test_level_times_match_numpy_on_long_powers(w, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sign_words(), st.data())
+@given(sign_words(zero_powers=False), st.data())
 def test_level_times_descend_any_word(w, data):
-    # nodes of more than 4 letters are descended, not expanded
+    # nodes of more than 4 letters are descended, not expanded; a power of
+    # total 0 is refused, below
     n = data.draw(st.integers(0, w.length))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "_SUM_CHUNK", 4)
@@ -335,6 +338,19 @@ def test_level_times_of_half_word_at_every_level(alpha):
         got = level_times(w, m, n)
         assert np.array_equal(got, np.flatnonzero(sums == m) + 1), m
         assert got.size == (counts[m - lo] if lo <= m < lo + counts.size else 0)
+
+
+def test_level_times_refuse_to_descend_a_power_of_total_0():
+    # no tower word holds such a power; the histogram still reads it
+    w = concat(MINUS, power(concat(PLUS, MINUS), 2**17))
+    lo, counts = prefix_histogram(w, w.length)
+    assert (lo, counts.tolist()) == (-1, [2**17 + 1, 2**17])
+    for m in (-1, 0):  # after the first letter, the power's range [0, 1] holds m + 1
+        with pytest.raises(ValueError, match="power of total 0"):
+            level_times(w, m, w.length)
+    assert level_times(w, 1, w.length).size == level_times(w, -2, w.length).size == 0
+    # a prefix of at most 2^16 letters is summed, not descended
+    assert level_times(w, -1, 2**16).tolist() == list(range(1, 2**16, 2))
 
 
 def test_level_times_refuse_a_count_over_budget(monkeypatch):

@@ -3,6 +3,7 @@
 
     tools/bench_pairs.py REF --workload W --seeds S [S ...] --out BENCH_<pr>.json
                          [--trace 0|1]
+    tools/bench_pairs.py REF --cli [--pairs K] [--out BENCH_<pr>.json]
 
 For each seed, runs ``rotnbench/run.py --workload W --seed S`` once from
 commit REF and once from this checkout, the side that runs first
@@ -27,13 +28,31 @@ speed factor, under ``s_by_kind`` for its median scaled time ``s``, and
 under ``speed_factor`` that factor's median and quartiles per side, read
 from each run's ``raw_metrics``, so a change in the code can be told
 from one in the host's speed.  Nothing under ``rotnbench/`` is changed.
+
+With ``--cli`` it times the command-line table instead: every ``rotn``
+line of the README's "Command line" block, read as
+``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``.  Each
+row runs K alternating pairs (default 5) of fresh processes, with
+``python -B`` so that no bytecode cache is read or written, REF's side
+from a git archive and the checkout's from a copy, each side with its
+``--out`` files in a temporary directory of its own.  Each run records
+its wall time, its ``ru_maxrss`` from ``os.wait4``, its exit status and
+the sha256 of its stdout.  It prints per row the medians and quartiles
+of both sides' wall times, the change's wins, the median peak memory,
+and whether every run of both sides exited alike with the same stdout,
+and exits 1 if one did not.  With ``--out``, the table goes into the
+BENCH file under ``cli``, beside any workload pairs measured against
+the same REF.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
+import shlex
 import shutil
 import statistics
 import subprocess
@@ -96,6 +115,108 @@ _HOP = [sys.executable, "-c",
 def launch(cmd: list, **kwargs) -> subprocess.CompletedProcess:
     """subprocess.run(cmd, **kwargs), with cmd started by a fresh interpreter."""
     return subprocess.run(_HOP + cmd, **kwargs)
+
+
+# The --cli table: every `rotn ...` line of the README's "Command line"
+# block, and after them these rows, each a name and the interpreter's
+# arguments.  A row changes only in a change that says so in CHANGES.md.
+CLI_ROWS = (("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli")),)
+CLI_NOTE = (
+    "Each row ran in fresh processes with python -B, the side run first alternating "
+    "from pair to pair, the parent from a git archive of parent_commit and the change "
+    "from a copy of the working tree, each with its --out files in its own temporary "
+    "directory. wall_s runs from spawn to os.wait4 in a bare launcher interpreter "
+    "(python -S), peak_rss_mb is the ru_maxrss that os.wait4 returned, the row's "
+    "own, as the launcher is smaller than any row; exit is the exit status and "
+    "stdout_sha256 the digest of stdout. summary gives wall_s and peak_rss_mb as the "
+    "workloads' summary does, and the exit statuses and stdout digests each side "
+    "showed."
+)
+# A --cli run starts through this launcher, which spawns the row, waits
+# for it with os.wait4 and writes "wall_s ru_maxrss exit" to the file
+# argv[1].  A process starts with the peak RSS of the one it was spawned
+# from, so it is spawned from this bare interpreter, not from this script.
+_WAIT4 = """\
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+status, usage = os.wait4(pid, 0)[1:]
+wall = time.perf_counter() - start
+with open(sys.argv[1], "w") as f:
+    f.write("%r %d %d" % (wall, usage.ru_maxrss, os.waitstatus_to_exitcode(status)))
+"""
+
+
+def cli_table(readme: Path) -> list:
+    """The --cli rows (name, interpreter arguments), in order."""
+    block = readme.read_text().partition("\n## Command line")[2].partition("\n## ")[0]
+    return [(line, ("-m", "rotn.cli", *shlex.split(line)[1:]))
+            for line in block.splitlines() if line.startswith("rotn ")] + list(CLI_ROWS)
+
+
+def _cli_run(root: Path, cwd: Path, args) -> dict:
+    """One fresh run of ``python -B args`` on the sources at root, in cwd."""
+    report = cwd.with_suffix(".wait4")
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _WAIT4, str(report), sys.executable, "-B", *args],
+        cwd=cwd, env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    wall, rss, status = report.read_text().split()
+    return {"wall_s": float(wall), "peak_rss_mb": int(rss) / 1024, "exit": int(status),
+            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+
+
+def run_table(rows, roots: dict, pairs: int, tmp: Path) -> list:
+    """``pairs`` alternating pairs of runs of each (name, args) row, one run
+    on each of roots' "parent" and "change" sources, each side in an output
+    directory of its own under tmp; one entry a pair."""
+    outs = {side: tmp / (side + ".out") for side in roots}
+    for out in outs.values():
+        out.mkdir()
+    runs = []
+    for name, args in rows:
+        for i in range(pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"row": name, "first": order[0]}
+            for side in order:
+                pair[side] = _cli_run(roots[side], outs[side], args)
+            runs.append(pair)
+    return runs
+
+
+def _cli_summary(runs: list) -> dict:
+    """Per row, in table order: wall_s and peak_rss_mb compared as the
+    workloads' metrics are, and each side's exit statuses and stdout digests."""
+    groups = {}
+    for pair in runs:
+        groups.setdefault(pair["row"], []).append(pair)
+    summary = {}
+    for name, group in groups.items():
+        entry = {key: _compare([p["parent"][key] for p in group],
+                               [p["change"][key] for p in group], "lower")
+                 for key in ("wall_s", "peak_rss_mb")}
+        for key in ("exit", "stdout_sha256"):
+            entry[key] = {side: sorted({p[side][key] for p in group})
+                          for side in ("parent", "change")}
+        entry["same"] = len({(p[side]["exit"], p[side]["stdout_sha256"])
+                             for p in group for side in ("parent", "change")}) == 1
+        summary[name] = entry
+    return summary
+
+
+def _cli_lines(summary: dict) -> list:
+    """The --cli table as text, one line a row."""
+    lines = ["wall_s parent [q1, q3]      change [q1, q3]     change  wins  "
+             "peak MB parent change  stdout+exit  row"]
+    for name, e in summary.items():
+        w, m = e["wall_s"], e["peak_rss_mb"]
+        lines.append("%.4f [%.4f, %.4f]  %.4f [%.4f, %.4f]  %+6.1f%%  %4s  %7.1f %7.1f  "
+                     "%-11s  %s" % (
+            w["parent"]["median"], w["parent"]["q1"], w["parent"]["q3"],
+            w["change"]["median"], w["change"]["q1"], w["change"]["q3"],
+            100 * w["median_change"], w["change_wins"], m["parent"]["median"],
+            m["change"]["median"], "same" if e["same"] else "DIFFERS", name))
+    return lines
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -172,24 +293,34 @@ def _summary(pairs: list, declared: dict) -> dict:
     return summary
 
 
-def _write(path: Path, bench: dict, parent_commit: str, pairs: list) -> None:
+def _write(path: Path, bench: dict, doc: dict) -> None:
+    """Write the BENCH file of doc: its parent_commit, its workload pairs and,
+    once the --cli table has run, its ``cli`` entry."""
+    pairs = doc["pairs"]
     declared = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-    out = {
-        "benchmark": "rotnbench",
-        "command": " ".join(bench["command"])
-                   + " --workload W --seed S --seconds %g --trace T" % bench["run_seconds"],
-        "parent_commit": parent_commit,
-        "parent_src_sha256": pairs[-1]["parent"]["header"]["src_sha256"],
-        "change_src_sha256": pairs[-1]["change"]["header"]["src_sha256"],
-        "note": NOTE,
-        "summary": _summary(pairs, declared),
-        "pairs": pairs,
-    }
+    out = {"parent_commit": doc["parent_commit"], "change_src_sha256": _src_digest()}
+    if pairs:
+        out.update({
+            "benchmark": "rotnbench",
+            "command": " ".join(bench["command"])
+                       + " --workload W --seed S --seconds %g --trace T" % bench["run_seconds"],
+            "parent_src_sha256": pairs[-1]["parent"]["header"]["src_sha256"],
+            "change_src_sha256": pairs[-1]["change"]["header"]["src_sha256"],
+            "note": NOTE,
+            "summary": _summary(pairs, declared),
+        })
     # one pair per line, as in BENCH_7.json, so a diff of the file stays readable
     lines = ["{"]
     for key in ("benchmark", "command", "parent_commit", "parent_src_sha256",
                 "change_src_sha256", "note", "summary"):
-        lines.append("%s: %s," % (json.dumps(key), json.dumps(out[key], sort_keys=True)))
+        if key in out:
+            lines.append("%s: %s," % (json.dumps(key), json.dumps(out[key], sort_keys=True)))
+    cli = doc.get("cli")
+    if cli:
+        lines.append('"cli": {"note": %s, "summary": %s, "pairs": ['
+                     % (json.dumps(CLI_NOTE), json.dumps(cli["summary"], sort_keys=True)))
+        lines.append(",\n".join(json.dumps(p, sort_keys=True) for p in cli["pairs"]))
+        lines.append("]},")
     lines.append('"pairs": [')
     lines.append(",\n".join(json.dumps(p, sort_keys=True) for p in pairs))
     lines.append("]")
@@ -200,16 +331,23 @@ def _write(path: Path, bench: dict, parent_commit: str, pairs: list) -> None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("ref")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--workload")
+    p.add_argument("--seeds", type=int, nargs="+")
+    p.add_argument("--out", type=Path)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--cli", action="store_true",
+                   help="time the README commands in fresh processes instead")
+    p.add_argument("--pairs", type=int, default=5, help="--cli pairs a row")
     args = p.parse_args(argv)
+    if not args.cli and None in (args.workload, args.seeds, args.out):
+        p.error("--workload, --seeds and --out are required without --cli")
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent_commit = _git("rev-parse", "--verify", args.ref + "^{commit}")
-    doc = {"pairs": []}
-    if args.out.exists():
+    doc = {"parent_commit": parent_commit, "pairs": []}
+    if args.out is not None and args.out.exists():
         doc = json.loads(args.out.read_text())
         if doc.get("parent_commit") != parent_commit:
             raise SystemExit("bench_pairs: %s was measured against %s, not %s"
@@ -223,6 +361,13 @@ def main(argv=None) -> int:
         sides = {"parent": tmp / "parent", "change": tmp / "change"}
         _extract(parent_commit, sides["parent"])
         _copy_working_tree(sides["change"])
+        if args.cli:
+            runs = run_table(cli_table(ROOT / "README.md"), sides, args.pairs, tmp)
+            doc["cli"] = {"summary": _cli_summary(runs), "pairs": runs}
+            print("\n".join(_cli_lines(doc["cli"]["summary"])))
+            if args.out is not None:
+                _write(args.out, bench, doc)
+            return 0 if all(e["same"] for e in doc["cli"]["summary"].values()) else 1
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": args.workload, "seed": seed, "trace": args.trace,
@@ -232,7 +377,7 @@ def main(argv=None) -> int:
                                   bench["run_seconds"], args.trace)
             doc["pairs"].append(pair)
             # written after every pair, so an interrupted series keeps its pairs
-            _write(args.out, bench, parent_commit, doc["pairs"])
+            _write(args.out, bench, doc)
             # traced runs report the per-layer metrics, without wall_s
             print("%s seed %d trace %d: wall_s parent %s change %s" % (
                 args.workload, seed, args.trace, pair["parent"]["metrics"].get("wall_s"),
