@@ -8,13 +8,13 @@ modules, and ``harness.run`` imports it only for these kinds: ``tower``
 and ``oracle`` run on the standard library alone.
 
 One function, ``_orbit``, picks where the signs of an orbit come from:
-``heavy`` and ``density`` read the orbit of 1/2, ``example`` that of
-(1+alpha)/2.  A certified run on an admissible alpha reads them off the
-tower and scans a prefix that must agree with it; any other run scans
-every step.  ``leaf --ray`` takes the same route test, and checks the
-word against its own trace.  Either route yields one summary that the
-report is built from once: the histogram (lo, counts) of the sums for
-``heavy``, ``example`` and ``leaf``, and the visit set for ``density``.
+``heavy``, ``density`` and ``leaf --ray`` read the orbit of 1/2,
+``example`` that of (1+alpha)/2.  A certified run on an admissible
+alpha reads them off the tower and scans a prefix that must agree with
+it; any other run scans every step (a leaf traces every visit).  Either
+route yields one summary that the report is built from once: the
+histogram (lo, counts) of the sums for ``heavy``, ``example`` and
+``leaf``, and the visit set for ``density``.
 """
 
 from __future__ import annotations
@@ -115,9 +115,11 @@ def _density(config: ExperimentConfig):
     steps.  On the tower, whose check scans min(N, 2^16) steps, the visit
     times come from ``level_times``, by descent of the word, and positions
     only at the visits, by the scan's own formula and radius test, so they
-    equal the scan's bit for bit.  The report reads the visit set once: a
-    row per horizon, the last of which, N's, gives the top-level count,
-    first_time and max_gap (None, and NaN in the table, with no visit).
+    equal the scan's bit for bit; escalations counts the exact fallbacks
+    of both, so an index met by the check and at a visit counts twice.
+    The report reads the visit set once: a row per horizon, the last of
+    which, N's, gives the top-level count, first_time and max_gap (None,
+    and NaN in the table, with no visit).
     """
     m, N, k = config.m, config.N, config.k
     cf = parse_cf(config.alpha)
@@ -225,21 +227,18 @@ def _leaf(config: ExperimentConfig):
 
     min_level, max_level and levels_visited are read off the histogram
     (lo, counts) of the entry levels: a full trace bins its own.  Ray
-    entry n sits at level ray + 1 + S_n(1/2), so when the signs come
-    off the tower and no --out needs every entry_x, it is one prefix
-    histogram of half_word, at any N below 2^63.  The trace then
-    covers only min(N, 2^16) entries: its levels must equal the word's
-    running sums, and the step check runs on it (beyond it every letter
-    is +-1, so the levels step by one by construction).
+    entry n sits at level ray + 1 + S_n(1/2), so when ``_orbit`` reads
+    the signs of 1/2 off the tower, as for ``heavy``, and no --out needs
+    every entry_x, it is ``_sums``' histogram shifted by ray + 1, at any
+    N below 2^63, checked by ``_orbit``'s scan of min(N, 2^16) steps.
+    The trace then covers only the min(N, 256) entries the other
+    precision retraces: the certified ray is that scan's orbit shifted,
+    so past them its levels step by one by construction.
     """
     cf = parse_cf(config.alpha)
     alpha = cf.value
     N, policy = config.N, config.policy
-    word = None
     if config.ray is not None:
-        if not config.out and _on_tower(config, cf):
-            word = half_word(cf, N)
-
         def trace_for(n, policy):
             return trace_ray(config.ray, alpha, n, policy=policy)
     else:
@@ -250,12 +249,19 @@ def _leaf(config: ExperimentConfig):
                                       direction=-1 if config.backward else 1,
                                       policy=policy)
 
-    if word is None:
+    retraced = min(N, _LEAF_CHECK_VISITS)
+    if config.ray is not None and not config.out and _on_tower(config, cf):
+        word, scan, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
+        lo, counts, _ = _sums(word, scan, N)
+        lo += config.ray + 1  # entry n sits at ray + 1 + S_n(1/2)
+        trace = trace_for(retraced, policy)
+    else:
         _refuse_unallocatable(config, N + 1)
-    trace = trace_for(N if word is None else min(N, _PREFIX_STEPS), policy)
+        trace = trace_for(N, policy)
+        lo, counts = sums_histogram(trace.entry_level)
+        check = {"signs": "scan", "prefix_steps_checked": 0}
     # the other policy retraces a short prefix; the two must agree on it
-    other = trace_for(min(N, _LEAF_CHECK_VISITS),
-                      "certified" if policy == "exact" else "exact")
+    other = trace_for(retraced, "certified" if policy == "exact" else "exact")
     cert, exact = (other, trace) if policy == "exact" else (trace, other)
     k = other.visits
     # the differences a chunk at a time, each overlapping the next by one
@@ -265,21 +271,11 @@ def _leaf(config: ExperimentConfig):
         bool(np.all(np.abs(np.diff(levels[i:i + _STEP_CHUNK + 1])) == 1))
         for i in range(0, levels.size - 1, _STEP_CHUNK))
     # an exact entry_x is a float shadow, off by at most one rounding
-    prefix_agrees = bool(
+    prefix_agrees = check.pop("prefix_agrees", True) and bool(
         np.array_equal(cert.entry_level[:k], exact.entry_level[:k])
         and np.all(np.abs(cert.entry_x[:k] - exact.entry_x[:k])
                    <= cert.radius_bound + 2.0 ** -52)
     )
-    if word is None:
-        lo, counts = sums_histogram(trace.entry_level)
-        check = {"signs": "scan", "prefix_steps_checked": 0}
-    else:
-        level0 = config.ray + 1  # entry n sits at level0 + S_n(1/2)
-        lo, counts = prefix_histogram(word, N)
-        lo += level0
-        running = np.cumsum(letters(word, trace.visits), dtype=np.int64) + level0
-        prefix_agrees = prefix_agrees and bool(np.array_equal(trace.entry_level, running))
-        check = {"signs": "tower", "prefix_steps_checked": trace.visits}
     report = {"seed": trace.seed, "N": N, "min_level": lo, "max_level": lo + counts.size - 1,
               "levels_visited": (np.flatnonzero(counts) + lo).tolist(), "policy": policy,
               "levels_step_by_one": levels_step_by_one,

@@ -15,9 +15,11 @@ so the error is linear in i with no compounding.  The kernel and the
 running sums walk the orbit in chunks small enough to stay in a
 per-core L2 cache, writing into the output arrays in place, so a
 certified scan holds little beyond its output: 8 + 1 + 8 bytes per
-step for positions, signs and sums.  ``orbit_positions`` evaluates the
-kernel's formula and radius test at chosen indices only, for callers
-that know the signs already and need a few positions.
+step for positions, signs and sums.  A chunk's body, ``_float_chunk``,
+is the one copy of the formula, the screen and the radius test:
+``orbit_positions`` runs it, without signs, at chosen indices only, in
+any order, for callers that know the signs already and need a few
+positions.
 
 The "exact" policy replaces the float loop with a walk on an
 ``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
@@ -77,16 +79,45 @@ def scan_kernel(x0, alpha, n, base_radius, radius_slope):
 
         d <= rad(i)  or  z <= rad(i)  or  z >= 1 - rad(i).
 
-    The scan runs in chunks of ``_CHUNK`` indices through buffers
-    allocated once per call, writing positions and signs in place.
-    The radius test first screens a chunk against its largest radius
-    rmax: it keeps i when d <= rmax + 2^-50 or d >= 1/2 - 2*rmax - 2^-50,
-    and runs the test above, with the per-index radius, on those
+    The scan runs ``_float_chunk`` on chunks of ``_CHUNK`` ascending
+    indices through buffers allocated once per call, writing positions
+    and signs in place; a chunk's largest index is its last.
+    """
+    pos = np.empty(n, dtype=np.float64)
+    signs = np.empty(n, dtype=np.int8)
+    idx = np.arange(min(n, _CHUNK), dtype=np.float64)  # lo + k, exact below 2^53
+    scratch = _scratch(idx.size)
+    amb_parts = []
+    for lo in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - lo)
+        amb_parts.append(lo + _float_chunk(
+            idx[:m], lo + m - 1, x0, alpha, base_radius, radius_slope,
+            pos[lo:lo + m], signs[lo:lo + m], scratch))
+        idx += _CHUNK
+    ambiguous = np.concatenate(amb_parts) if amb_parts else np.empty(0, dtype=np.int64)
+    return pos, signs, ambiguous
+
+
+def _scratch(size: int) -> tuple:
+    """``_float_chunk``'s scratch buffers for chunks of up to size indices."""
+    return np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+
+
+def _float_chunk(i, top, x0, alpha, base_radius, radius_slope, z, s, scratch):
+    """The float kernel on one chunk of float indices i, none above top.
+
+    Writes z = frac(x0 + i*alpha) in place, and s = f(z) in place unless
+    s is None, and returns the int64 offsets into i whose interval, of
+    radius rad(i) = base_radius + i*radius_slope, touches 0, 1/2 or 1,
+    by ``scan_kernel``'s test, using the buffers ``_scratch`` makes
+    as scratch.  The test first screens the chunk against
+    rmax = rad(top): it keeps i when d <= rmax + 2^-50 or
+    d >= 1/2 - 2*rmax - 2^-50, and runs the per-index test on those
     candidates only.  The candidates are a superset of the flagged
-    indices, so the flagged set is the one the full test gives:
+    offsets, so the flagged set is the one the full test gives:
 
     - rad(i) <= rmax, because rounding is monotone, radius_slope >= 0
-      and i <= hi - 1; so the first clause implies d <= rmax;
+      and i <= top; so the first clause implies d <= rmax;
     - z <= rad(i) <= rmax < 1/4 makes d the rounding of 1/2 - z, at
       least the rounding of 1/2 - rmax, and so d >= 1/2 - 2*rmax - 2^-50;
     - z >= 1 - rad(i) > 1/2 makes d = z - 1/2 exactly (Sterbenz), and
@@ -94,72 +125,43 @@ def scan_kernel(x0, alpha, n, base_radius, radius_slope):
 
     (When rmax >= 1/4 the screen keeps every index.)
     """
-    pos = np.empty(n, dtype=np.float64)
-    signs = np.empty(n, dtype=np.int8)
-    size = min(n, _CHUNK)
-    idx = np.arange(size, dtype=np.float64)  # lo + k, exact below 2^53
-    tmp = np.empty(size, dtype=np.float64)
-    mask = np.empty(size, dtype=bool)
-    far = np.empty(size, dtype=bool)
-    amb_parts = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        m = hi - lo
-        i, d, b, b2 = idx[:m], tmp[:m], mask[:m], far[:m]
-        z = pos[lo:hi]
-        _frac_points(i, x0, alpha, z, d, b)
-        np.less(z, 0.5, out=b)
-        s = signs[lo:hi]
-        np.multiply(b.view(np.int8), 2, out=s)
-        s -= 1
-        np.subtract(z, 0.5, out=d)
-        np.abs(d, out=d)
-        rmax = base_radius + (hi - 1) * radius_slope
-        np.less_equal(d, rmax + 2.0**-50, out=b)
-        np.greater_equal(d, 0.5 - 2.0 * rmax - 2.0**-50, out=b2)
-        b |= b2
-        cand = np.flatnonzero(b)
-        if cand.size:
-            bad = _undecided(z[cand], i[cand], base_radius, radius_slope)
-            if bad.any():
-                amb_parts.append(cand[bad].astype(np.int64) + lo)
-        idx += _CHUNK
-    if amb_parts:
-        ambiguous = np.concatenate(amb_parts)
-    else:
-        ambiguous = np.empty(0, dtype=np.int64)
-    return pos, signs, ambiguous
-
-
-def _frac_points(i, x0, alpha, z, tmp, wrapped) -> None:
-    """z = frac(x0 + i*alpha) in place, for float indices i.
-
-    tmp and wrapped are scratch buffers of z's length (float, bool).
-    """
+    d, b, b2 = (a[:i.size] for a in scratch)
     np.multiply(i, alpha, out=z)
     z += x0
-    np.floor(z, out=tmp)
-    z -= tmp
+    np.floor(z, out=d)
+    z -= d
     # frac can round up to exactly 1.0 for z just under an integer
-    np.greater_equal(z, 1.0, out=wrapped)
-    if wrapped.any():
-        z[wrapped] = 0.0
-
-
-def _undecided(z, i, base_radius, radius_slope):
-    """Mask of the points z at float indices i whose certified interval,
-    of radius base_radius + i*radius_slope, touches 0, 1/2 or 1."""
-    rad = base_radius + i * radius_slope
-    return (np.abs(z - 0.5) <= rad) | (z <= rad) | (z >= 1.0 - rad)
+    np.greater_equal(z, 1.0, out=b)
+    if b.any():
+        z[b] = 0.0
+    if s is not None:
+        np.less(z, 0.5, out=b)
+        np.multiply(b.view(np.int8), 2, out=s)
+        s -= 1
+    np.subtract(z, 0.5, out=d)
+    np.abs(d, out=d)
+    rmax = base_radius + top * radius_slope
+    np.less_equal(d, rmax + 2.0**-50, out=b)
+    np.greater_equal(d, 0.5 - 2.0 * rmax - 2.0**-50, out=b2)
+    b |= b2
+    cand = np.flatnonzero(b)
+    if not cand.size:
+        return cand
+    zc = z[cand]
+    rad = base_radius + i[cand] * radius_slope
+    return cand[(np.abs(zc - 0.5) <= rad) | (zc <= rad) | (zc >= 1.0 - rad)]
 
 
 def orbit_positions(x0: SurdReal, alpha: SurdReal, indices: np.ndarray):
     """Positions t^i(x0) at the given int64 indices i, as the scan gives them.
 
-    Returns (positions, escalated, radius_bound).  An index i >= 0 gets
-    the kernel's float frac(x0 + i*alpha), or the float of the exact
-    point where the kernel's radius test flags i (those indices come
-    back as ``escalated``), so each position is bit-equal to
+    Returns (positions, escalated, radius_bound).  The indices, in any
+    order, run through the kernel's own ``_float_chunk``, without signs,
+    ``_CHUNK`` at a time; since they need not ascend, a chunk's screen
+    radius is that of its largest index.  An index i >= 0 gets the
+    kernel's float frac(x0 + i*alpha), or the float of the exact point
+    where the kernel's radius test flags i (those indices come back as
+    ``escalated``), so each position is bit-equal to
     ``orbit_scan(x0, alpha, n).positions[i]`` for any n >= i.  An index
     below 0 is outside the radius model and gets the exact point.
     radius_bound is the certified radius at the largest index.
@@ -167,13 +169,14 @@ def orbit_positions(x0: SurdReal, alpha: SurdReal, indices: np.ndarray):
     x0 = x0.frac()
     x0f, af, base, slope = _scan_radii(x0, alpha)
     pos = np.empty(indices.size, dtype=np.float64)
+    scratch = _scratch(min(indices.size, _CHUNK))
     escalated = []
     for lo in range(0, indices.size, _CHUNK):
         idx = indices[lo:lo + _CHUNK]
         i = idx.astype(np.float64)
-        z = pos[lo:lo + _CHUNK]
-        _frac_points(i, x0f, af, z, np.empty_like(i), np.empty(i.size, dtype=bool))
-        bad = np.flatnonzero(_undecided(z, i, base, slope) & (idx >= 0))
+        z = pos[lo:lo + i.size]
+        bad = _float_chunk(i, i.max(), x0f, af, base, slope, z, None, scratch)
+        bad = bad[idx[bad] >= 0]
         escalated.append(idx[bad])
         for j in np.flatnonzero(idx < 0).tolist() + bad.tolist():
             z[j] = float((x0 + alpha * int(idx[j])).frac())

@@ -483,6 +483,29 @@ def test_leaf_ray_out_traces_every_entry_once(monkeypatch, tmp_path):
     assert open(tower_out, "rb").readlines()[1:] == open(scan_out, "rb").readlines()[1:]
 
 
+@pytest.mark.parametrize("N", [1, 255, 256, 257, 2**16 + 1, 10**6])
+def test_leaf_ray_on_the_tower_traces_only_the_retraced_entries(monkeypatch, N):
+    traces, scans = [], []
+    honest_trace, honest_scan = orbits.trace_ray, orbits.orbit_scan
+
+    def counted_trace(i, alpha, n, *, policy="certified"):
+        traces.append((n, policy))
+        return honest_trace(i, alpha, n, policy=policy)
+
+    def counted_scan(x, alpha, n, **kwargs):
+        scans.append(n)
+        return honest_scan(x, alpha, n, **kwargs)
+
+    monkeypatch.setattr(orbits, "trace_ray", counted_trace)
+    monkeypatch.setattr(orbits, "orbit_scan", counted_scan)
+    rep = run(ExperimentConfig(kind="leaf", ray=3, N=N))
+    # _orbit's prefix scan checks the word; the trace is only the
+    # certified side of the 256-entry retrace
+    assert scans == [min(N, 2**16)]
+    assert traces == [(min(N, 256), "certified"), (min(N, 256), "exact")]
+    assert rep["signs"] == "tower" and rep["ok"] is True
+
+
 def test_leaf_ray_answers_n_past_memory_off_the_tower():
     # a fresh process, so the tower is built from a cold cache
     code = ("import contextlib, io, json, time\n"

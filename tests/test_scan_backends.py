@@ -368,6 +368,21 @@ def test_positions_at_indices_are_the_scans_bit_for_bit(seed):
     flagged = {"1/2": 0, "1/2+2^-80": 0, "1/2-123457*a": 123457}.get(seed)
     if flagged is not None:
         assert flagged in escalated and pos[np.searchsorted(idx, flagged)] == 0.5
+    # in any order, with negatives mixed in: the first chunk opens with the
+    # flagged indices and closes with the smallest index, so a screen
+    # radius read off a chunk's last index would be too small for them
+    neg = -1 - rng.choice(n, 40, replace=False)
+    mixed = np.concatenate([scan.escalated, rng.permutation(np.concatenate(
+        [np.setdiff1d(np.arange(n + 1), scan.escalated), neg]))])
+    low = int(np.argmin(mixed))
+    mixed[[low, _CHUNK - 1]] = mixed[[_CHUNK - 1, low]]
+    pos, escalated, radius = orbit_positions(x0, A, mixed)
+    ahead = mixed >= 0
+    assert np.array_equal(pos[ahead].view(np.uint64),
+                          scan.positions[mixed[ahead]].view(np.uint64))
+    assert np.array_equal(np.sort(escalated), scan.escalated)
+    assert radius == scan.radius_bound
+    assert pos[~ahead].tolist() == [float((x0 + A * i).frac()) for i in mixed[~ahead].tolist()]
     # indices below 0 are outside the radius model: exact points
     back, escalated, _ = orbit_positions(x0, A, np.array([-3, -1, 2]))
     assert back[:2].tolist() == [float((x0 + A * i).frac()) for i in (-3, -1)]

@@ -7,8 +7,9 @@
 # prints, for information only (these steps cannot fail), the size of the
 # change to src/rotn and tests since REF (git diff --shortstat), and at
 # REF, read from a git archive of its src/, and in this checkout: each
-# src/rotn module's code lines and their total (tools/code_lines.py: not
-# blank, not comment-only, not docstring), the settable options
+# src/rotn module's code lines and their total, at REF, here and the
+# difference, in one table (tools/code_lines.py: not blank, not
+# comment-only, not docstring), the settable options
 # (tools/options.py), the start-up import set, the sorted modules that
 # `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
 # interpreter's, and the writer's microseconds per row on heavy-, leaf-
@@ -41,10 +42,8 @@ git diff --shortstat "$1" -- src/rotn tests || true
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
 git archive "$1" src | tar -x -C "$tmp" || true
-echo "== code lines at $1"
-python3 tools/code_lines.py "$tmp/src/rotn" || true
-echo "== code lines in this checkout"
-python3 tools/code_lines.py src/rotn || true
+echo "== code lines at $1, in this checkout, and the difference"
+python3 tools/code_lines.py "$tmp/src/rotn" src/rotn || true
 echo "== settable options at $1"
 PYTHONPATH="$tmp/src" python3 tools/options.py || true
 echo "== settable options in this checkout"

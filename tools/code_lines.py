@@ -4,9 +4,11 @@ A code line holds at least one token that is not a comment, and lies
 outside every docstring (the first statement of a module, class or
 function, when it is a string).  Blank lines, comment-only lines and
 docstring lines are not counted, so a change's size is read apart from
-its docstring edits.  tools/check.sh runs it on a commit's src/rotn and
-on the checkout's.
-Usage: python3 tools/code_lines.py DIR
+its docstring edits.  Given a second directory, it prints each module's
+count in both, and the difference (the second's minus the first's); a
+module missing from one counts 0 there.  tools/check.sh runs it once, on
+a commit's src/rotn and the checkout's.
+Usage: python3 tools/code_lines.py DIR [DIR2]
 """
 
 import ast
@@ -42,17 +44,20 @@ def code_lines(path: str) -> int:
     return len(lines)
 
 
+def _counts(root: str) -> dict:
+    return {name: code_lines(os.path.join(root, name))
+            for name in os.listdir(root) if name.endswith(".py")}
+
+
 def main() -> None:
-    if len(sys.argv) != 2:
-        sys.exit("usage: python3 tools/code_lines.py DIR")
-    root = sys.argv[1]
-    total = 0
-    for name in sorted(os.listdir(root)):
-        if name.endswith(".py"):
-            n = code_lines(os.path.join(root, name))
-            total += n
-            print("%6d  %s" % (n, name))
-    print("%6d  total" % (total,))
+    if len(sys.argv) not in (2, 3):
+        sys.exit("usage: python3 tools/code_lines.py DIR [DIR2]")
+    sides = [_counts(root) for root in sys.argv[1:]]
+    for name in sorted(set().union(*sides)) + ["total"]:
+        row = [sum(side.values()) if name == "total" else side.get(name, 0)
+               for side in sides]
+        diff = " %+6d" % (row[1] - row[0]) if len(row) == 2 else ""
+        print("".join("%7d" % n for n in row) + diff + "  " + name)
 
 
 if __name__ == "__main__":
