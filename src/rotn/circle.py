@@ -10,7 +10,10 @@ rotation numbers are plain ``SurdReal`` values: t^n(x) is
 
 ``visit_set`` collects the times n in [0, N] with S_n(x) = m together
 with the circle positions t^(n+k)(x); the density experiments reduce to
-the largest circular gap between those positions.
+the largest circular gap between those positions.  One routine, ``_gap``,
+takes every such gap: it finds the only gaps that can be largest from
+which of n/8 to n/4 equal buckets hold a point, and sorts just their
+points, so it returns the float a full sort gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,8 +28,13 @@ from .scan import OrbitScan, orbit_positions, orbit_scan
 
 __all__ = ["VisitSet", "visit_set", "max_gap"]
 
-# points per slice of _sorted_gap's differences (128 KiB of float64)
+# points per slice of _sorted_gap's differences and of _gap's bucket ids
+# and range tests (128 KiB of float64 or intp)
 _GAP_SLICE = 1 << 14
+# _gap sorts all the points below _BUCKET_MIN of them; it finds the points
+# of up to _PAIRS_MAX pairs of buckets by a range test a pair
+_BUCKET_MIN = 1 << 12
+_PAIRS_MAX = 4
 
 
 class VisitSet(Record):
@@ -56,28 +64,18 @@ class VisitSet(Record):
     def max_gaps(self, horizons) -> list[float]:
         """max_gap of the positions visited by each horizon h; NaN where none.
 
-        All positions are sorted once, and that sort serves every horizon
-        that saw them all.  A shorter horizon sorts its own prefix
-        (positions come in time order); when horizons grow tenfold, as
-        density's do, those prefixes together cost about a tenth of the
-        full sort.  Taking each horizon's subset of the full sort by
-        visit time instead needs an argsort, which took 3.6 times as
-        long as np.sort on 400,000 floats (numpy 2.4, x86-64).  Given
-        ascending horizons, each prefix is sorted and dropped before the
-        full sort is made, so at most one sorted copy is alive at a time.
-        Every position is checked to lie in [0, 1), whichever horizons.
+        Positions come in time order, so a horizon's positions are a
+        prefix, and ``_gap`` takes each prefix's gap in place.  The gap of
+        all of them is taken whichever the horizons, so every position is
+        checked to lie in [0, 1).
         """
+        full = _gap(self.positions) if self.count else math.nan
         gaps = []
         for h in horizons:
             cnt = int(np.searchsorted(self.times, h, side="right"))
-            if cnt == 0:
-                gaps.append(math.nan)
-            elif cnt < self.count:
-                gaps.append(_sorted_gap(_on_circle(np.sort(self.positions[:cnt]))))
-            else:
-                gaps.append(None)  # all of them, below
-        full = _on_circle(np.sort(self.positions))  # after the prefixes
-        return [_sorted_gap(full) if g is None else g for g in gaps]
+            gaps.append(math.nan if cnt == 0 else full if cnt == self.count
+                        else _gap(self.positions[:cnt]))
+        return gaps
 
 
 def visit_set(
@@ -117,7 +115,7 @@ def visit_set(
 
 
 def max_gap(points: np.ndarray | Sequence[float]) -> float:
-    """Largest circular gap between points of R/Z, given as floats.
+    """Largest circular gap between points of R/Z, given as floats in [0, 1).
 
     One point leaves the whole circle uncovered: gap 1.  Empty input is
     an error.
@@ -125,17 +123,66 @@ def max_gap(points: np.ndarray | Sequence[float]) -> float:
     arr = np.asarray(points, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("max_gap of no points")
-    return _sorted_gap(_on_circle(np.sort(arr)))
+    return _gap(arr)
 
 
-def _on_circle(arr: np.ndarray) -> np.ndarray:
-    """arr, ascending, after checking its ends lie in [0, 1).
+def _gap(points: np.ndarray) -> float:
+    """max_gap of nonempty float64 points, in any order, sorting few of them.
 
-    np.sort puts NaN last, so a NaN fails the check too.
+    After checking that the points lie in [0, 1) (a NaN fails too), it
+    puts ``_BUCKET_MIN`` or more of them into B = 2^(bit_length(n) - 3)
+    buckets, id floor(p*B), exact since B is a power of two.  The ids are
+    taken a slice at a time, and only which buckets hold a point is kept.
+    Let D be the largest circular distance between consecutive occupied
+    buckets.  The gap across a pair at distance delta >= D - 1 exceeds
+    (D - 1)/B; every other gap, across a pair or within a bucket, is
+    below it; (D - 1)/B is a float, so the rounding of q - p keeps that
+    order.  So the largest gap is the wrap 1.0 - max + min, or
+    min(right bucket) - max(left bucket) over those pairs: the
+    subtractions a full sort makes, of the same floats.  Only the points
+    of those pairs' buckets are gathered and sorted: by a range test a
+    pair for up to ``_PAIRS_MAX`` pairs, each about a tenth of the cost
+    of a sort, or else by taking the ids again.  With D < 3 every pair
+    would qualify, and it sorts all the points, as below ``_BUCKET_MIN``.
     """
-    if arr.size and not (0.0 <= arr[0] and arr[-1] < 1.0):
+    lo, hi = points.min(), points.max()
+    if not (0.0 <= lo and hi < 1.0):
         raise ValueError("points must lie in [0, 1)")
-    return arr
+    n = points.size
+    if n < _BUCKET_MIN:
+        return _sorted_gap(np.sort(points))
+    B = 1 << (n.bit_length() - 3)
+    slices = [points[start:start + _GAP_SLICE] for start in range(0, n, _GAP_SLICE)]
+    occupied = np.zeros(B, dtype=bool)
+    ids = np.empty(_GAP_SLICE, dtype=np.intp)
+    for part in slices:
+        np.multiply(part, B, out=ids[:part.size], casting="unsafe")
+        occupied[ids[:part.size]] = True
+    occ = np.flatnonzero(occupied)
+    delta = np.diff(occ)
+    D = max(int(delta.max(initial=0)), B - int(occ[-1]) + int(occ[0]))
+    if D < 3:
+        return _sorted_gap(np.sort(points))
+    gap = 1.0 - hi + lo
+    pairs = np.flatnonzero(delta >= D - 1)
+    if not pairs.size:
+        return float(gap)
+    left, right = occ[pairs], occ[pairs + 1]
+    if pairs.size <= _PAIRS_MAX:
+        spans = [(a / B, (b + 1) / B) for a, b in zip(left.tolist(), right.tolist())]
+        few = [part[(part >= a) & (part < b)] for part in slices for a, b in spans]
+    else:
+        wanted = np.zeros(B, dtype=bool)
+        wanted[left] = wanted[right] = True
+        few = []
+        for part in slices:
+            np.multiply(part, B, out=ids[:part.size], casting="unsafe")
+            few.append(part[wanted[ids[:part.size]]])
+    few = np.sort(np.concatenate(few))
+    few_ids = (few * B).astype(np.intp)
+    ends = few[np.searchsorted(few_ids, left, side="right") - 1]
+    starts = few[np.searchsorted(few_ids, right)]
+    return float(max(gap, np.max(starts - ends)))
 
 
 def _sorted_gap(arr: np.ndarray) -> float:

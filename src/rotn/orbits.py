@@ -115,8 +115,12 @@ def _density(config: ExperimentConfig):
     steps.  On the tower, whose check scans min(N, 2^16) steps, the visit
     times come from ``level_times``, by descent of the word, and positions
     only at the visits, by the scan's own formula and radius test, so they
-    equal the scan's bit for bit; escalations counts the exact fallbacks
-    of both, so an index met by the check and at a visit counts twice.
+    equal the scan's bit for bit; ``orbit_positions`` adds k to the times
+    a chunk at a time, so no shifted copy of them is made.  The gaps of
+    every horizon come from ``VisitSet.max_gaps``, which as a rule sorts
+    only a few buckets' positions of a horizon of 2^12 visits or more.
+    escalations counts the exact fallbacks of both, so an index met by
+    the check and at a visit counts twice.
     The report reads the visit set once: a row per horizon, the last of
     which, N's, gives the top-level count, first_time and max_gap (None,
     and NaN in the table, with no visit).
@@ -133,7 +137,7 @@ def _density(config: ExperimentConfig):
         times = level_times(word, m, N)
         if m == 0:  # S_0 = 0
             times = np.concatenate([np.zeros(1, dtype=np.int64), times])
-        positions, escalated, radius = orbit_positions(HALF, alpha, times + k if k else times)
+        positions, escalated, radius = orbit_positions(HALF, alpha, times, k)
         vs = VisitSet(times=times, positions=positions, position_radius=radius,
                       escalations=prior + int(escalated.size))
 

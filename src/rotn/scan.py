@@ -152,16 +152,17 @@ def _float_chunk(i, top, x0, alpha, base_radius, radius_slope, z, s, scratch):
     return cand[(np.abs(zc - 0.5) <= rad) | (zc <= rad) | (zc >= 1.0 - rad)]
 
 
-def orbit_positions(x0: SurdReal, alpha: SurdReal, indices: np.ndarray):
-    """Positions t^i(x0) at the given int64 indices i, as the scan gives them.
+def orbit_positions(x0: SurdReal, alpha: SurdReal, indices: np.ndarray, shift: int = 0):
+    """Positions t^i(x0) at the int64 indices i = indices + shift, as the scan gives them.
 
     Returns (positions, escalated, radius_bound).  The indices, in any
     order, run through the kernel's own ``_float_chunk``, without signs,
-    ``_CHUNK`` at a time; since they need not ascend, a chunk's screen
-    radius is that of its largest index.  An index i >= 0 gets the
-    kernel's float frac(x0 + i*alpha), or the float of the exact point
-    where the kernel's radius test flags i (those indices come back as
-    ``escalated``), so each position is bit-equal to
+    ``_CHUNK`` at a time, each chunk shifted into one float buffer, so
+    no shifted copy of the indices is made; since they need not ascend,
+    a chunk's screen radius is that of its largest index.  An index
+    i >= 0 gets the kernel's float frac(x0 + i*alpha), or the float of the
+    exact point where the kernel's radius test flags i (those i come back,
+    shifted, as ``escalated``), so each position is bit-equal to
     ``orbit_scan(x0, alpha, n).positions[i]`` for any n >= i.  An index
     below 0 is outside the radius model and gets the exact point.
     radius_bound is the certified radius at the largest index.
@@ -170,20 +171,22 @@ def orbit_positions(x0: SurdReal, alpha: SurdReal, indices: np.ndarray):
     x0f, af, base, slope = _scan_radii(x0, alpha)
     pos = np.empty(indices.size, dtype=np.float64)
     scratch = _scratch(min(indices.size, _CHUNK))
+    shifted = np.empty(min(indices.size, _CHUNK))
     escalated = []
     for lo in range(0, indices.size, _CHUNK):
         idx = indices[lo:lo + _CHUNK]
-        i = idx.astype(np.float64)
+        i = shifted[:idx.size]
+        np.add(idx, shift, out=i)  # summed in int64, then cast, as (idx + shift).astype would
         z = pos[lo:lo + i.size]
         bad = _float_chunk(i, i.max(), x0f, af, base, slope, z, None, scratch)
-        bad = bad[idx[bad] >= 0]
-        escalated.append(idx[bad])
-        for j in np.flatnonzero(idx < 0).tolist() + bad.tolist():
-            z[j] = float((x0 + alpha * int(idx[j])).frac())
+        bad = bad[i[bad] >= 0]
+        escalated.append(idx[bad] + shift)
+        for j in np.flatnonzero(i < 0).tolist() + bad.tolist():
+            z[j] = float((x0 + alpha * (int(idx[j]) + shift)).frac())
     escalated = np.concatenate(escalated) if escalated else np.empty(0, dtype=np.int64)
     if escalated.size:
         escalations.bump(int(escalated.size))
-    top = int(indices.max()) if indices.size else 0
+    top = int(indices.max()) + shift if indices.size else 0
     return pos, escalated, base + max(top, 0) * slope
 
 

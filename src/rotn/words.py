@@ -425,10 +425,10 @@ def prefix_histogram(w: SignWord, k: int) -> tuple:
 
 
 # level_times answers at most this many visits.  A density run holds
-# 16 B a visit (the time and the position computed at it) and peaks at
-# about 24 B while one sorted copy of the positions is alive:
-# tracemalloc reads 24.6 B a visit for density --N 5000000 --m 2, so
-# the budget allows a peak near 6 GiB
+# 16 B a visit (the time and the position computed at it) and keeps no
+# sorted copy of the positions: tracemalloc reads a peak of 20.4 B a
+# visit for density --N 5000000 --m 2, so the budget allows a peak
+# near 5 GiB
 MAX_LEVEL_TIMES = 2 ** 28
 # a node prefix this short is expanded and summed instead of descended;
 # the sums of up to _SUMMED_NODES whole such nodes (256 KiB each) are

@@ -192,7 +192,13 @@ def test_the_cli_table_is_the_readme_commands_and_the_import_row(monkeypatch):
     block = subprocess.run(["sed", "-n", "/^## Command line/,/^## /p", str(readme)],
                            capture_output=True, text=True, check=True).stdout
     commands = [line for line in block.splitlines() if line.startswith("rotn ")]
-    assert commands and [name for name, _ in rows] == commands + [bench_pairs.CLI_ROWS[0][0]]
+    assert commands and [name for name, _ in rows] \
+        == commands + [name for name, _ in bench_pairs.CLI_ROWS]
     name, args = rows[0]
     assert name.startswith("rotn tower ")
     assert args == ("-m", "rotn.cli", "tower", "--alpha", "[0;5,(6)]", "--depth", "20")
+    # the large rows are read as the README's are; the import row comes last
+    assert dict(rows)['rotn leaf --alpha "[0;5,(6)]" --through "(1+a)/2" --N 1000000'] == (
+        "-m", "rotn.cli", "leaf", "--alpha", "[0;5,(6)]", "--through", "(1+a)/2",
+        "--N", "1000000")
+    assert rows[-1] == ("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli"))

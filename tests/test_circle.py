@@ -1,11 +1,14 @@
 """Rotation orbits, the sign cocycle, visit sets, circular gaps."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotn.circle import max_gap, visit_set
+from rotn.circle import VisitSet, max_gap, visit_set
+from rotn.cli import main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.scan import orbit_scan
 
@@ -165,6 +168,99 @@ def test_max_gaps_check_the_range():
         vs.max_gaps([10])
     with pytest.raises(ValueError):
         max_gap(visit_set(HALF, A, 5, 10).positions)  # no visits
+
+
+def _sorted_max_gap(points):
+    """The largest circular gap, from one full sort."""
+    s = np.sort(np.asarray(points, dtype=np.float64))
+    if s.size == 1:
+        return 1.0
+    return max(1.0 - s[-1] + s[0], np.max(np.diff(s)))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _point_set(kind, n, seed):
+    """n points of [0, 1) of the given shape."""
+    rng = np.random.default_rng(seed)
+    if kind == "clustered":  # a few blurred clusters: long empty runs between them
+        centres = rng.random(rng.integers(1, 12))
+        spread = rng.choice([1e-5, 1e-3, 1e-2])
+        p = (centres[rng.integers(0, centres.size, n)] + rng.normal(0, spread, n)) % 1.0
+        return np.where(p < 1.0, p, 0.0)  # -tiny % 1.0 rounds to 1.0
+    if kind == "tight":  # one cluster: the largest gap is the wrap
+        return (rng.random() + rng.random(n) * 2.0**-30) % 1.0
+    if kind == "bucket edges":  # k/B for _gap's own B, duplicated, with an empty arc
+        B = 1 << max(n.bit_length() - 3, 1)
+        a, b = np.sort(rng.integers(0, B, 2))
+        k = rng.integers(0, B - (b - a), n)
+        k[k >= a] += b - a
+        k[: n // 3] = k[n // 3: 2 * (n // 3)]
+        return k / B
+    if kind == "runs" and n >= 256:
+        # every bucket of _gap's B holds its centre but for 2 to 9 empty runs,
+        # at distance D or D - 1 in turn: across a run of D the points hug
+        # it, across one of D - 1 they keep away, so the shorter runs hold
+        # the larger gaps, by less than 1/B
+        B = 1 << (n.bit_length() - 3)
+        runs = int(rng.integers(2, 10))
+        width = B // runs
+        D = int(rng.integers(3, min(20, width - 1) + 1))
+        keep, off = np.ones(B, dtype=bool), np.full(B, 0.5)
+        for j in range(runs):
+            L = j * width + int(rng.integers(0, width - D))
+            R = L + D - j % 2
+            keep[L + 1:R] = False
+            off[L], off[R] = (1.0 - 2.0**-20, 0.0) if R - L == D else (0.0, 1.0 - 2.0**-20)
+        k = np.flatnonzero(keep)
+        k = np.concatenate([k, rng.choice(k, n - k.size)])
+        return (k + off[k]) / B
+    if kind == "ends":  # points near 0 and just below 1, the largest gap inside
+        near = rng.random(n) * rng.choice([1e-6, 1e-3, 0.1])
+        p = np.where(rng.random(n) < 0.5, near, 1.0 - near)
+        return np.minimum(p, np.nextafter(1.0, 0.0))
+    return rng.random(n)  # "uniform", and "runs" of too few points
+
+
+_KINDS = ["uniform", "clustered", "tight", "bucket edges", "runs", "ends"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KINDS),
+       st.one_of(st.sampled_from([2**12 - 1, 2**12, 2**12 + 1]), st.integers(1, 40000)),
+       st.integers(0, 2**32))
+def test_gaps_are_the_full_sorts_bit_for_bit(kind, n, seed):
+    points = _point_set(kind, n, seed)
+    assert points.size == n and np.all((0.0 <= points) & (points < 1.0))
+    assert _bits(max_gap(points)) == _bits(_sorted_max_gap(points))
+    # max_gaps takes each horizon's prefix, in time order
+    vs = VisitSet(times=np.arange(n, dtype=np.int64) * 3, positions=points,
+                  position_radius=0.0, escalations=0)
+    horizons = [-1, 0, 3 * (n // 10), 3 * (n // 2) + 1, 3 * (n - 1)]
+    want = [np.nan if h < 0 else _sorted_max_gap(points[: h // 3 + 1]) for h in horizons]
+    assert [_bits(g) for g in vs.max_gaps(horizons)] == [_bits(g) for g in want]
+
+
+def test_a_tower_visit_set_is_not_sorted_whole(monkeypatch, capsys):
+    # every horizon of 2^12 visits or more takes the bucket route: no sort
+    # in the whole run sees 2^12 points, only those of a few buckets
+    sorted_sizes = []
+    sort = np.sort
+
+    def spy(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    assert main(["density", "--N", "5000000", "--m", "2"]) == 0
+    monkeypatch.undo()
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["signs"] == "tower" and rep["count"] > 250_000
+    large = [r["count"] for r in rep["horizons"] if r["count"] >= 2**12]
+    assert len(large) >= 2
+    assert sorted_sizes and max(sorted_sizes) < 2**12
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,23 @@ def test_density_on_the_tower_peaks_under_25_bytes_a_visit(capsys):
     assert peak < 25 * rep["count"], peak / rep["count"]
 
 
+def test_density_on_the_tower_peaks_under_22_bytes_a_visit(capsys):
+    # its times and positions, 16 B a visit; no sorted copy of the positions:
+    # the gaps' buckets take 1/4 B or less a visit, and what is left is
+    # chunk- or slice-sized
+    assert main(["density", "--N", "1000", "--m", "2"]) == 0  # imports and tower cache
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["density", "--N", "5000000", "--m", "2"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["signs"] == "tower" and rep["count"] > 250_000
+    assert peak < 22 * rep["count"], peak / rep["count"]
+
+
 def test_density_refuses_visits_over_budget_before_allocating(capsys):
     tracemalloc.start()
     try:

@@ -390,6 +390,22 @@ def test_positions_at_indices_are_the_scans_bit_for_bit(seed):
     assert -3 not in escalated and -1 not in escalated
 
 
+@pytest.mark.parametrize("shift", [0, 3, -5])
+def test_a_shift_is_the_shifted_indices(shift):
+    # shuffled over several chunks; -8..7 holds the index the shift takes to
+    # 0, where the radius test flags 1/2, and indices the shift leaves or
+    # takes below 0 (0..4 for shift -5), which get exact points
+    n = 3 * _CHUNK + 5
+    rng = np.random.default_rng(11)
+    idx = rng.permutation(np.concatenate([np.arange(-8, 8), rng.integers(0, n, 3 * _CHUNK)]))
+    pos, escalated, radius = orbit_positions(HALF, A, idx, shift)
+    want_pos, want_escalated, want_radius = orbit_positions(HALF, A, idx + shift)
+    assert np.array_equal(pos.view(np.uint64), want_pos.view(np.uint64))
+    assert np.array_equal(escalated, want_escalated) and 0 in escalated
+    assert radius == want_radius
+    assert orbit_positions(HALF, A, idx[:0], shift)[2] == orbit_positions(HALF, A, idx[:0])[2]
+
+
 @pytest.mark.parametrize("n", [0, 1, _CHUNK, 3 * _CHUNK + 5])
 def test_sums_histogram_is_the_word_histogram(n):
     # chunks reach different ranges of sums, and are binned each from its own

@@ -31,7 +31,10 @@ from one in the host's speed.  Nothing under ``rotnbench/`` is changed.
 
 With ``--cli`` it times the command-line table instead: every ``rotn``
 line of the README's "Command line" block, read as
-``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``.  Each
+``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``: five
+large runs (a tower-route and a certified ``heavy`` at 10^18 and 10^8
+steps, an exact-only ``heavy`` at 10^7, a ``density`` at 10^8 and a
+``leaf --through`` at 10^6) and ``import rotn.cli`` alone.  Each
 row runs K alternating pairs (default 5) of fresh processes, with
 ``python -B`` so that no bytecode cache is read or written, REF's side
 from a git archive and the checkout's from a copy, each side with its
@@ -117,10 +120,22 @@ def launch(cmd: list, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(_HOP + cmd, **kwargs)
 
 
+def _rotn_row(line: str) -> tuple:
+    """The --cli row of a `rotn ...` command line: its name and the
+    interpreter's arguments."""
+    return line, ("-m", "rotn.cli", *shlex.split(line)[1:])
+
+
 # The --cli table: every `rotn ...` line of the README's "Command line"
-# block, and after them these rows, each a name and the interpreter's
-# arguments.  A row changes only in a change that says so in CHANGES.md.
-CLI_ROWS = (("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli")),)
+# block, and after them these rows: the large runs, and the import alone.
+# A row changes only in a change that says so in CHANGES.md.
+CLI_ROWS = tuple(map(_rotn_row, (
+    'rotn heavy --alpha "[0;5,(6)]" --N 1000000000000000000',
+    'rotn heavy --alpha "[0;(2)]" --N 100000000',
+    'rotn heavy --alpha "[0;(2)]" --precision exact-only --N 10000000',
+    'rotn density --alpha "[0;5,(6)]" --m 0 --N 100000000',
+    'rotn leaf --alpha "[0;5,(6)]" --through "(1+a)/2" --N 1000000',
+))) + (("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli")),)
 CLI_NOTE = (
     "Each row ran in fresh processes with python -B, the side run first alternating "
     "from pair to pair, the parent from a git archive of parent_commit and the change "
@@ -150,8 +165,8 @@ with open(sys.argv[1], "w") as f:
 def cli_table(readme: Path) -> list:
     """The --cli rows (name, interpreter arguments), in order."""
     block = readme.read_text().partition("\n## Command line")[2].partition("\n## ")[0]
-    return [(line, ("-m", "rotn.cli", *shlex.split(line)[1:]))
-            for line in block.splitlines() if line.startswith("rotn ")] + list(CLI_ROWS)
+    return [_rotn_row(line) for line in block.splitlines()
+            if line.startswith("rotn ")] + list(CLI_ROWS)
 
 
 def _cli_run(root: Path, cwd: Path, args) -> dict:
