@@ -52,10 +52,7 @@ class VisitSet(Record):
 
     def __init__(self, times: np.ndarray, positions: np.ndarray, position_radius: float,
                  escalations: int):
-        self.times = times
-        self.positions = positions
-        self.position_radius = position_radius
-        self.escalations = escalations
+        self._store(times, positions, position_radius, escalations)
 
     @property
     def count(self) -> int:
@@ -129,8 +126,9 @@ def max_gap(points: np.ndarray | Sequence[float]) -> float:
 def _gap(points: np.ndarray) -> float:
     """max_gap of nonempty float64 points, in any order, sorting few of them.
 
-    After checking that the points lie in [0, 1) (a NaN fails too), it
-    puts ``_BUCKET_MIN`` or more of them into B = 2^(bit_length(n) - 3)
+    Fewer than ``_BUCKET_MIN`` points it sorts, and range-checks the
+    sorted ends.  Otherwise, after checking that the points lie in [0, 1)
+    (a NaN fails too), it puts them into B = 2^(bit_length(n) - 3)
     buckets, id floor(p*B), exact since B is a power of two.  The ids are
     taken a slice at a time, and only which buckets hold a point is kept.
     Let D be the largest circular distance between consecutive occupied
@@ -145,12 +143,11 @@ def _gap(points: np.ndarray) -> float:
     of a sort, or else by taking the ids again.  With D < 3 every pair
     would qualify, and it sorts all the points, as below ``_BUCKET_MIN``.
     """
-    lo, hi = points.min(), points.max()
-    if not (0.0 <= lo and hi < 1.0):
-        raise ValueError("points must lie in [0, 1)")
     n = points.size
     if n < _BUCKET_MIN:
         return _sorted_gap(np.sort(points))
+    lo, hi = points.min(), points.max()
+    _check_range(lo, hi)
     B = 1 << (n.bit_length() - 3)
     slices = [points[start:start + _GAP_SLICE] for start in range(0, n, _GAP_SLICE)]
     occupied = np.zeros(B, dtype=bool)
@@ -185,12 +182,21 @@ def _gap(points: np.ndarray) -> float:
     return float(max(gap, np.max(starts - ends)))
 
 
+def _check_range(lo, hi) -> None:
+    """Refuse points whose least lo or greatest hi lies outside [0, 1);
+    a NaN fails too."""
+    if not (0.0 <= lo and hi < 1.0):
+        raise ValueError("points must lie in [0, 1)")
+
+
 def _sorted_gap(arr: np.ndarray) -> float:
-    """max_gap of nonempty points of [0, 1), given in ascending order.
+    """max_gap of nonempty points, given in ascending order, after
+    checking their ends lie in [0, 1) (``np.sort`` puts a NaN last).
 
     The gaps are taken slice by slice, each slice overlapping the next
     by one point, so no array of all the gaps is made.
     """
+    _check_range(arr[0], arr[-1])
     if arr.size == 1:
         return 1.0
     gap = 1.0 - arr[-1] + arr[0]

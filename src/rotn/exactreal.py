@@ -35,7 +35,9 @@ preperiod, with an exact ``SurdReal`` value.
 ``Record`` and ``FrozenRecord`` are the slotted bases of the package's
 result records (``CertifiedFloat`` here): field-wise equality and a
 ``Name(field=value, ...)`` repr, and for a frozen record immutability
-and a hash, with no ``dataclasses`` import at start-up.
+and a hash, with no ``dataclasses`` import at start-up.  Each record's
+``__init__`` keeps its explicit signature and checks, then stores all
+its fields in one call, ``Record._store``.
 """
 
 from __future__ import annotations
@@ -526,12 +528,19 @@ class Record:
 
     Records of one class with equal fields are equal, and a record never
     equals one of another class; repr is ``Name(field=value, ...)``.  Each
-    subclass stores its fields in its own ``__init__``.  A plain Record
-    is mutable and unhashable, as the numpy-path results need.
+    subclass's ``__init__`` takes its fields in ``_fields`` order and
+    stores them with one ``_store`` call.  A plain Record is mutable and
+    unhashable, as the numpy-path results need.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+
+    def _store(self, *values) -> None:
+        """Store values as the fields, pairing them with ``_fields`` in
+        order; ``object.__setattr__`` passes a frozen record's guard."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -551,9 +560,9 @@ class Record:
 class FrozenRecord(Record):
     """An immutable, hashable Record.
 
-    ``__init__`` stores each field with ``object.__setattr__``, as
-    ``SurdReal`` does; after that, assigning or deleting an attribute
-    raises AttributeError.
+    ``__init__`` stores its fields through ``Record._store``, which
+    goes round the guard with ``object.__setattr__``; after that,
+    assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -581,8 +590,7 @@ class CertifiedFloat(FrozenRecord):
     def __init__(self, value: float, radius: float):
         if not (radius >= 0.0) or math.isnan(value):
             raise ValueError("bad certified float (%r, %r)" % (value, radius))
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "radius", radius)
+        self._store(value, radius)
 
 
 class EscalationCounter:

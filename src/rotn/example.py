@@ -49,10 +49,7 @@ class FormulaCheck(FrozenRecord):
     expected: int
 
     def __init__(self, name: str, level: int, got: int, expected: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "got", got)
-        object.__setattr__(self, "expected", expected)
+        self._store(name, level, got, expected)
 
     @property
     def ok(self) -> bool:
@@ -71,11 +68,7 @@ class ExampleReport(FrozenRecord):
 
     def __init__(self, alpha: CFNumber, x: SurdReal, rows: list, witness: SignWord,
                  block_maxima: list):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "block_maxima", block_maxima)
+        self._store(alpha, x, rows, witness, block_maxima)
 
     @property
     def ok(self) -> bool:

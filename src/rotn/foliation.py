@@ -118,12 +118,7 @@ class LeafTrace(Record):
 
     def __init__(self, seed: str, direction: int, start_index: int, entry_x: np.ndarray,
                  entry_level: np.ndarray, radius_bound: float = 0.0):
-        self.seed = seed
-        self.direction = direction
-        self.start_index = start_index
-        self.entry_x = entry_x
-        self.entry_level = entry_level
-        self.radius_bound = radius_bound
+        self._store(seed, direction, start_index, entry_x, entry_level, radius_bound)
 
     @property
     def visits(self) -> int:

@@ -112,21 +112,8 @@ class ExperimentConfig(FrozenRecord):
                  ray: Optional[int] = None, through: Optional[str] = None, level: int = 0,
                  backward: bool = False, out: Optional[str] = None,
                  precision: str = "certified-fast"):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "ray", ray)
-        object.__setattr__(self, "through", through)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "backward", backward)
-        object.__setattr__(self, "out", out)
-        object.__setattr__(self, "precision", precision)
+        self._store(kind, alpha, depth, N, m, k, k_max, samples, seed, ray, through, level,
+                    backward, out, precision)
         if self.kind not in KINDS:
             raise ValueError("unknown experiment kind %r" % (self.kind,))
         if self.precision not in PRECISIONS:

@@ -87,8 +87,7 @@ class ExactInterval(FrozenRecord):
                 "interval [%s, %s) is not symmetric about 1/2"
                 % (left.exact_str(), right.exact_str())
             )
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self._store(left, right)
         object.__setattr__(self, "length", length)
 
     def contains(self, x: SurdReal) -> bool:
@@ -141,14 +140,7 @@ class RenormLevel(FrozenRecord):
             raise ValueError("return words must have totals +1/-1")
         if f_zero.length and f_zero.total != 0:
             raise ValueError("F_zero must have total 0")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "interval", interval)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "beta_cf", beta_cf)
-        object.__setattr__(self, "f_plus", f_plus)
-        object.__setattr__(self, "f_minus", f_minus)
-        object.__setattr__(self, "f_zero", f_zero)
-        object.__setattr__(self, "base_alpha", base_alpha)
+        self._store(index, interval, beta, beta_cf, f_plus, f_minus, f_zero, base_alpha)
 
     @property
     def n_half(self) -> int:
@@ -399,10 +391,7 @@ class BoundsCheck(FrozenRecord):
     ok: bool
 
     def __init__(self, level: int, name: str, lhs: int, ok: bool):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "ok", ok)
+        self._store(level, name, lhs, ok)
 
 
 def _ineq(level: int, name: str, lhs: int, relation: str, rhs: int) -> BoundsCheck:
@@ -503,9 +492,7 @@ class ReturnRecord(FrozenRecord):
     landing: SurdReal
 
     def __init__(self, time: int, word: tuple, landing: SurdReal):
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "landing", landing)
+        self._store(time, word, landing)
 
 
 def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:

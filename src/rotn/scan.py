@@ -242,14 +242,7 @@ class OrbitScan(Record):
     def __init__(self, x0: SurdReal, alpha: SurdReal, direction: int,
                  positions: np.ndarray, signs: np.ndarray, sums: np.ndarray,
                  escalated: np.ndarray, radius_bound: float):
-        self.x0 = x0
-        self.alpha = alpha
-        self.direction = direction
-        self.positions = positions
-        self.signs = signs
-        self.sums = sums
-        self.escalated = escalated
-        self.radius_bound = radius_bound
+        self._store(x0, alpha, direction, positions, signs, sums, escalated, radius_bound)
 
 
 def _scan_radii(x0: SurdReal, alpha: SurdReal):

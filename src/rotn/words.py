@@ -355,7 +355,8 @@ def _power_histogram(np, hist: tuple, total: int, exp: int) -> tuple:
 
 
 def _histogram(np, w: SignWord) -> tuple:
-    """The histogram of all prefix sums of w, memoized on every node."""
+    """The histogram of all prefix sums of a nonempty w, memoized on every
+    node; ``concat`` and ``power`` build no node with an empty part."""
     todo = [w]
     while todo:
         node = todo[-1]
@@ -365,8 +366,6 @@ def _histogram(np, w: SignWord) -> tuple:
         kind = node.kind
         if kind == _ATOM:
             node._hist = (node.sign, np.ones(1, dtype=np.int64))
-        elif kind == _EMPTY:
-            node._hist = (0, np.zeros(0, dtype=np.int64))
         else:
             kids = [node.base] if kind == _POWER else [node.left, node.right]
             missing = [c for c in kids if c._hist is None]

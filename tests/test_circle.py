@@ -168,6 +168,18 @@ def test_max_gaps_check_the_range():
         vs.max_gaps([10])
     with pytest.raises(ValueError):
         max_gap(visit_set(HALF, A, 5, 10).positions)  # no visits
+    # the sorting route (5 points) and the bucket route (2^12 + 5) alike,
+    # with a bad point first, in the middle and last
+    for n in (5, (1 << 12) + 5):
+        for bad in (-1e-300, 1.0, np.nan):
+            for i in (0, n // 2, n - 1):
+                points = np.random.default_rng(n).random(n)
+                points[i] = bad
+                with pytest.raises(ValueError, match="must lie in"):
+                    max_gap(points)
+                vs = VisitSet(np.arange(n), points, 0.0, 0)
+                with pytest.raises(ValueError, match="must lie in"):
+                    vs.max_gaps([0])  # all the points are checked, whichever the horizons
 
 
 def _sorted_max_gap(points):

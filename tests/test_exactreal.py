@@ -108,6 +108,7 @@ def test_arithmetic_identities():
     assert a ** 0 == SurdReal(1)
     # the defining quadratic of the field member: 6a^2 + 4a - 1 = 0
     assert 6 * a * a + 4 * a - 1 == 0
+    assert 3 / a == a.reciprocal() * 3
 
 
 def test_floats_and_floor():
@@ -381,6 +382,11 @@ def test_gauss_step_and_alpha_next():
     assert nxt == ALPHA  # the self-similar point of the family
     assert nxt.value == g / (1 - g)
     assert alpha_next(parse_cf("[0;5,8,(6)]")) == parse_cf("[0;7,(6)]")
+    # a purely periodic fraction shifts by rotating its period
+    periodic = parse_cf("[0;(3,4)]")
+    g = gauss_step(periodic.value)
+    assert alpha_next(periodic) == parse_cf("[0;3,(3,4)]")
+    assert alpha_next(periodic).value == g / (1 - g)
 
 
 def test_alpha_next_needs_room():

@@ -1,13 +1,17 @@
 """The record classes: constructors, immutability, equality, hash and repr."""
 
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
+import rotn
 from rotn.circle import VisitSet
 from rotn.example import ExampleReport, FormulaCheck
-from rotn.exactreal import HALF, ONE, ZERO, CertifiedFloat, SurdReal, parse_cf
+from rotn.exactreal import (HALF, ONE, ZERO, CertifiedFloat, FrozenRecord, Record, SurdReal,
+                            parse_cf)
 from rotn.foliation import LeafTrace
 from rotn.harness import ExperimentConfig
 from rotn.renorm import BoundsCheck, ExactInterval, RenormLevel, ReturnRecord, base_level
@@ -86,6 +90,22 @@ def test_record_contract(cls, args, defaults):
     assert by_position != twin and twin != by_position
     assert by_position != args
     assert repr(by_position).startswith(cls.__name__ + "(")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_class_is_in_the_contract():
+    # each record stores its arguments by _fields order, so a class left out
+    # of CASES could pair an argument with the wrong field unseen
+    for module in pkgutil.iter_modules(rotn.__path__):
+        importlib.import_module("rotn." + module.name)
+    records = {cls for cls in _subclasses(Record) if cls.__module__.startswith("rotn.")}
+    missing = records - {FrozenRecord} - {cls for cls, _, _ in CASES}
+    assert not missing, sorted(cls.__qualname__ for cls in missing)
 
 
 def test_config_constructor_keeps_its_checks_and_normal_form():

@@ -147,6 +147,13 @@ def test_kernel_matches_reference_bit_for_bit(cf, seed, direction):
     assert flagged > 0  # the radius screen was exercised
 
 
+def test_a_frac_that_rounds_to_1_is_position_0_and_flagged():
+    # x0 + 0*alpha = -2^-60: frac is 1 - 2^-60, which rounds to 1.0
+    pos, signs, amb = scan_kernel(-2.0**-60, 0.25, 3, 2.0**-51, 2.0**-51)
+    assert pos[0] == 0.0 and signs[0] == 1
+    assert 0 in amb.tolist()
+
+
 @pytest.mark.parametrize("direction", [1, -1])
 def test_sums_are_a_plain_cumsum_across_chunks(direction):
     for n in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3):

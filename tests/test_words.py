@@ -340,6 +340,16 @@ def test_level_times_of_half_word_at_every_level(alpha):
         assert got.size == (counts[m - lo] if lo <= m < lo + counts.size else 0)
 
 
+def test_level_times_with_one_summed_node_kept(monkeypatch):
+    # the sums of whole short nodes are dropped each time a second is kept
+    monkeypatch.setattr(words, "_SUMMED_NODES", 1)
+    n = 10**6
+    w = half_word(parse_cf("[0;5,(6)]"), n)
+    lo, counts = prefix_histogram(w, n)
+    for m in range(lo, lo + counts.size):
+        _check_level_times(w, m, n)
+
+
 def test_level_times_refuse_to_descend_a_power_of_total_0():
     # no tower word holds such a power; the histogram still reads it
     w = concat(MINUS, power(concat(PLUS, MINUS), 2**17))
