@@ -37,7 +37,8 @@ result records (``CertifiedFloat`` here): field-wise equality and a
 ``Name(field=value, ...)`` repr, and for a frozen record immutability
 and a hash, with no ``dataclasses`` import at start-up.  Each record's
 ``__init__`` keeps its explicit signature and checks, then stores all
-its fields in one call, ``Record._store``.
+its fields in one call, ``Record._store``, through each field's slot
+setter, which every record class collects once, when it is defined.
 """
 
 from __future__ import annotations
@@ -535,12 +536,19 @@ class Record:
 
     __slots__ = ()
     _fields: tuple = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # each field's slot descriptor stores into the slot directly, past a
+        # frozen record's __setattr__ guard
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls._fields])
 
     def _store(self, *values) -> None:
         """Store values as the fields, pairing them with ``_fields`` in
-        order; ``object.__setattr__`` passes a frozen record's guard."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        order through the setters ``__init_subclass__`` collected."""
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -560,9 +568,9 @@ class Record:
 class FrozenRecord(Record):
     """An immutable, hashable Record.
 
-    ``__init__`` stores its fields through ``Record._store``, which
-    goes round the guard with ``object.__setattr__``; after that,
-    assigning or deleting an attribute raises AttributeError.
+    ``__init__`` stores its fields through ``Record._store``, whose slot
+    setters go round the guard; after that, assigning or deleting an
+    attribute raises AttributeError.
     """
 
     __slots__ = ()

@@ -10,16 +10,18 @@ and ``oracle`` run on the standard library alone.
 One function, ``_orbit``, picks where the signs of an orbit come from:
 ``heavy``, ``density`` and ``leaf --ray`` read the orbit of 1/2,
 ``example`` that of (1+alpha)/2.  A certified run on an admissible
-alpha reads them off the tower and scans a prefix that must agree with
-it; any other run scans every step (a leaf traces every visit).  Either
-route yields one summary that the report is built from once: the
-histogram (lo, counts) of the sums for ``heavy``, ``example`` and
-``leaf``, and the visit set for ``density``.
+alpha reads them off the tower and checks a prefix by the 64-bit keys
+of ``key_signs``, whose signs must agree with it; any other run scans
+every step (a leaf traces every visit).  Either route yields one
+summary that the report is built from once: the histogram (lo, counts)
+of the sums for ``heavy``, ``example`` and ``leaf``, and the visit set
+for ``density``.
 """
 
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,14 +31,14 @@ from .exactreal import HALF, SurdReal, parse_cf
 from .foliation import trace_leaf_through, trace_ray
 from .harness import ExperimentConfig, parse_point
 from .renorm import admissible, half_word, orbit_word
-from .scan import orbit_positions, orbit_scan, sums_histogram
+from .scan import key_signs, orbit_positions, orbit_scan, sums_histogram
 from .words import letters, level_times, prefix_histogram, prefix_sum_at
 
 # leaf visits retraced under the other policy; small enough that the
 # check stays cheap next to a long certified trace
 _LEAF_CHECK_VISITS = 256
 # steps of the orbit of 1/2 that a run reading its signs off the tower
-# also scans, so the two routes check each other; about 1 ms of scan
+# also keys, so the two routes check each other; about 0.2 ms of key_signs
 _PREFIX_STEPS = 1 << 16
 # entry levels per slice of the leaf's step check (512 KiB of int64)
 _STEP_CHUNK = 1 << 16
@@ -46,6 +48,9 @@ _STEP_CHUNK = 1 << 16
 _SCAN_BYTES_PER_POINT = 17
 _MAX_ARRAY_BYTES = 2 ** 63 - 1
 _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# the checked signs of a tower-route run and the indices key_signs left
+# to the exact test, under an OrbitScan's names for them
+_KeySigns = namedtuple("_KeySigns", "signs escalated")
 
 
 def _gap_ladder(N: int) -> list:
@@ -77,14 +82,19 @@ def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
                      % (given, points, need, _SCAN_BYTES_PER_POINT, limit))
 
 
-def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
+def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
+           table: bool = False):
     """The signs of n steps of the orbit of x, as (word, scan, check).
 
     On the tower (``_on_tower``) the word's first n letters are the signs,
     exactly: ``half_word`` at x = 1/2, else ``orbit_word``, the descent of
-    x (the same word at 1/2, at far more cost); scan covers min(n, checked)
-    steps, and check says whether they agree with the word.  Any other run
-    scans all n steps, with word None.  check holds the route's report keys.
+    x (the same word at 1/2, at far more cost).  scan then holds the signs
+    of min(n, checked) steps and the indices they escalated, and check
+    says whether those signs agree with the word: the signs come from
+    ``key_signs``, checked by the 64-bit key with no position or sum, or,
+    when table asks for positions and sums, from a certified scan of those
+    steps.  Any other run scans all n steps, with word None.  check holds
+    the route's report keys.
     """
     on_tower = _on_tower(config, cf)
     steps = min(n, checked) if on_tower else n
@@ -93,7 +103,10 @@ def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int):
         scan = orbit_scan(x, cf.value, n, policy=config.policy)
         return None, scan, {"signs": "scan", "prefix_steps_checked": 0}
     word = half_word(cf, n) if x == HALF else orbit_word(cf, x, n)
-    scan = orbit_scan(x, cf.value, steps)
+    if table:
+        scan = orbit_scan(x, cf.value, steps)
+    else:
+        scan = _KeySigns(*key_signs(x, cf.value, steps))
     agrees = bool(np.array_equal(scan.signs[:steps], letters(word, steps)))
     return word, scan, {"signs": "tower", "prefix_steps_checked": steps,
                         "prefix_agrees": agrees}
@@ -112,15 +125,15 @@ def _density(config: ExperimentConfig):
     """How the level-m visit positions fill the circle as N grows.
 
     The scan route reads its visit set off ``_orbit``'s scan of N + max(k, 0)
-    steps.  On the tower, whose check scans min(N, 2^16) steps, the visit
+    steps.  On the tower, whose check keys min(N, 2^16) signs, the visit
     times come from ``level_times``, by descent of the word, and positions
     only at the visits, by the scan's own formula and radius test, so they
     equal the scan's bit for bit; ``orbit_positions`` adds k to the times
     a chunk at a time, so no shifted copy of them is made.  The gaps of
     every horizon come from ``VisitSet.max_gaps``, which as a rule sorts
     only a few buckets' positions of a horizon of 2^12 visits or more.
-    escalations counts the exact fallbacks of both, so an index met by
-    the check and at a visit counts twice.
+    escalations counts the exact fallbacks of both: the check's undecided
+    keys and the positions' flagged indices.
     The report reads the visit set once: a row per horizon, the last of
     which, N's, gives the top-level count, first_time and max_gap (None,
     and NaN in the table, with no visit).
@@ -133,7 +146,7 @@ def _density(config: ExperimentConfig):
         vs = visit_set(HALF, alpha, m, N, k=k, scan=scan)
     else:
         prior = int(scan.escalated.size)
-        del scan  # 17 B a checked step, not to be held across level_times
+        del scan  # the checked signs, not to be held across level_times
         times = level_times(word, m, N)
         if m == 0:  # S_0 = 0
             times = np.concatenate([np.zeros(1, dtype=np.int64), times])
@@ -170,16 +183,18 @@ def _example(config: ExperimentConfig):
     """The bounded-above orbit family: formulas plus an orbit audit.
 
     The audit follows x = (1+alpha)/2 for N steps: max_forward_sum is the
-    largest of S_1(x)..S_N(x), symmetric_sums compares the first
-    min(N, 10^5) forward sums with the backward ones, and
+    largest of S_1(x)..S_N(x), symmetric_sums says whether the first
+    n = min(N, 10^5) forward sums equal the backward ones, that is whether
+    the backward signs 1..n are the forward signs 0..n-1 negated, and
     witness_prefix_ok compares the first min(N, 20,000, witness length)
     signs with the witness word.  The forward signs come from ``_orbit``
     with a check of 10^5 steps: on the tower, max_forward_sum is one
     prefix histogram of orbit_word, the descent of x, at any N below
-    2^63, and the forward scan covers only min(N, 10^5) steps, serves
-    both checks above, and must equal the descent's letters for ok to
-    hold; any other run scans all N steps.  The descent never reads the
-    witness, which is what the audit checks.
+    2^63, and the forward signs are ``key_signs``' n, by alpha, which
+    serve both checks above and must equal the descent's letters for ok
+    to hold, and the backward ones its n + 1 by -alpha; any other run
+    scans all N steps forward and n backward.  The descent never reads
+    the witness, which is what the audit checks.
     """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
@@ -203,10 +218,14 @@ def _example(config: ExperimentConfig):
         n_sym = min(N, 10 ** 5)
         word, fwd, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
         lo, counts, _ = _sums(word, fwd, N)
-        back = orbit_scan(rep.x, rep.alpha.value, n_sym, direction=-1, policy=config.policy)
+        alpha = rep.alpha.value
+        if word is None:
+            back = orbit_scan(rep.x, alpha, n_sym, direction=-1, policy=config.policy).signs
+        else:
+            back = key_signs(rep.x, -alpha, n_sym + 1)[0]
         report["max_forward_sum"] = lo + counts.size - 1
         report["symmetric_sums"] = bool(
-            np.array_equal(back.sums[1: n_sym + 1], fwd.sums[1: n_sym + 1])
+            np.array_equal(back[1: n_sym + 1], np.negative(fwd.signs[:n_sym]))
         )
         n_pref = min(N, 20000, rep.witness.length)
         prefix = letters(rep.witness, n_pref)
@@ -234,9 +253,9 @@ def _leaf(config: ExperimentConfig):
     entry n sits at level ray + 1 + S_n(1/2), so when ``_orbit`` reads
     the signs of 1/2 off the tower, as for ``heavy``, and no --out needs
     every entry_x, it is ``_sums``' histogram shifted by ray + 1, at any
-    N below 2^63, checked by ``_orbit``'s scan of min(N, 2^16) steps.
+    N below 2^63, checked by ``_orbit``'s keys of min(N, 2^16) signs.
     The trace then covers only the min(N, 256) entries the other
-    precision retraces: the certified ray is that scan's orbit shifted,
+    precision retraces: the certified ray is the orbit of 1/2 shifted,
     so past them its levels step by one by construction.
     """
     cf = parse_cf(config.alpha)
@@ -295,19 +314,25 @@ def _heavy(config: ExperimentConfig):
 
     The report reads only the histogram (lo, counts) of S_1..S_N and
     S_N, which ``_sums`` gives from either route of ``_orbit``: on the
-    tower the scan only checks the word, over 2^16 steps, or over all N
-    when --out needs its table.
+    tower the keyed signs only check the word, over 2^16 steps, and only
+    when --out needs its table is the check a scan, over all N steps.
     """
     N = config.N
     cf = parse_cf(config.alpha)
-    word, scan, check = _orbit(config, cf, HALF, N, N if config.out else _PREFIX_STEPS)
+    out = bool(config.out)
+    word, scan, check = _orbit(config, cf, HALF, N, N if out else _PREFIX_STEPS, table=out)
     lo, counts, final_sum = _sums(word, scan, N)
     violations = int(counts[max(0, -lo):].sum())
     report = {"alpha": config.alpha, "N": N, "violations": violations, "min_sum": lo,
               "max_sum": lo + counts.size - 1, "final_sum": final_sum,
               "escalations": int(scan.escalated.size), **check,
               "ok": violations == 0 and check.get("prefix_agrees", True)}
-    # written only with --out, when the scan covers all N steps
+    if word is not None and not out:
+        return report, None  # the keyed check has no positions or sums
+    # written only with --out, when the scan covers all N steps; the scan
+    # route hands it back unwritten as well, since freeing its arrays here,
+    # not in harness.run, cost an exact 50,000-step run about 100 more
+    # minor page faults
     return report, (["n", "position", "S_n"], [range(N + 1), scan.positions, scan.sums])
 
 

@@ -183,6 +183,44 @@ def test_the_cli_table_records_each_runs_own_exit_peak_and_stdout(monkeypatch, t
     assert not bench_pairs._cli_summary(runs)["exit 3"]["same"]
 
 
+# maps PAGES fresh pages, kept small pages, and writes one byte to each
+_TOUCH = """
+import mmap
+PAGES = %d
+m = mmap.mmap(-1, PAGES * mmap.PAGESIZE)
+if hasattr(m, "madvise") and hasattr(mmap, "MADV_NOHUGEPAGE"):
+    m.madvise(mmap.MADV_NOHUGEPAGE)
+for i in range(0, len(m), mmap.PAGESIZE):
+    m[i] = 1
+"""
+
+
+def test_the_cli_table_records_each_runs_minor_page_faults(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        (roots[side] / "src").mkdir(parents=True)
+    pages = 8192
+    rows = [("none", ("-c", "import mmap")),
+            ("touch", ("-c", _TOUCH % pages))]
+    runs = bench_pairs.run_table(rows, roots, 2, tmp_path)
+    none, touch = runs[:2], runs[2:]
+    # each touched page is one fault more than the bare import's, which
+    # itself varies by a few faults from run to run
+    for quiet, busy in zip(none, touch):
+        for side in ("parent", "change"):
+            extra = busy[side]["minflt"] - quiet[side]["minflt"]
+            assert abs(extra - pages) < 200, extra
+    summary = bench_pairs._cli_summary(runs)
+    for side in ("parent", "change"):
+        extra = summary["touch"]["minflt"][side]["median"] \
+            - summary["none"]["minflt"][side]["median"]
+        assert abs(extra - pages) < 200, extra
+    assert "minflt" in bench_pairs._cli_lines(summary)[0]
+
+
 def test_the_cli_table_is_the_readme_commands_and_the_import_row(monkeypatch):
     monkeypatch.syspath_prepend(str(TOOLS))
     bench_pairs = importlib.import_module("bench_pairs")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotn import orbits, words
+from rotn import orbits, scan, words
 from rotn.circle import max_gap, visit_set
 from rotn.cli import _build_parser, _config, main
 from rotn.exactreal import HALF, SurdReal, parse_cf
@@ -395,23 +395,31 @@ def test_example_off_the_descent_equals_the_exact_scan(m):
 @pytest.mark.parametrize("N", [1, 2**16 + 1, 10**5 + 1])
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
-    # the descent scans only the 10^5 steps it checks; the scan route, the
-    # same run with no alpha admissible, scans all N
-    forward = []
-    honest = orbits.orbit_scan
+    # the descent keys only the 10^5 signs it checks forward, and one more
+    # backward, and scans nothing; the scan route, the same run with no
+    # alpha admissible, scans all N forward and keys nothing
+    forward, keyed = [], []
+    honest_scan, honest_keys = orbits.orbit_scan, orbits.key_signs
 
-    def counted(x, alpha, n, *, direction=1, policy="certified"):
+    def counted_scan(x, alpha, n, *, direction=1, policy="certified"):
         if direction == 1:
             forward.append(n)
-        return honest(x, alpha, n, direction=direction, policy=policy)
+        return honest_scan(x, alpha, n, direction=direction, policy=policy)
 
-    monkeypatch.setattr(orbits, "orbit_scan", counted)
+    def counted_keys(x, step, n):
+        keyed.append((n, "forward" if step > 0 else "backward"))
+        return honest_keys(x, step, n)
+
+    monkeypatch.setattr(orbits, "orbit_scan", counted_scan)
+    monkeypatch.setattr(orbits, "key_signs", counted_keys)
     fields = dict(kind="example", m=m, k_max=6, N=N)
     rep = run(ExperimentConfig(**fields))
-    assert forward == [min(N, 10**5)] and rep["ok"] is True
-    forward.clear()
+    n = min(N, 10**5)
+    assert keyed == [(n, "forward"), (n + 1, "backward")] and forward == []
+    assert rep["ok"] is True
+    keyed.clear()
     assert _scan_route(monkeypatch, **fields) == rep
-    assert forward == [N]
+    assert forward == [N] and keyed == []
 
 
 def test_example_forward_max_is_the_witness_prefix_max_far_out():
@@ -502,8 +510,9 @@ def test_leaf_ray_out_traces_every_entry_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("N", [1, 255, 256, 257, 2**16 + 1, 10**6])
 def test_leaf_ray_on_the_tower_traces_only_the_retraced_entries(monkeypatch, N):
-    traces, scans = [], []
+    traces, scans, keyed = [], [], []
     honest_trace, honest_scan = orbits.trace_ray, orbits.orbit_scan
+    honest_keys = orbits.key_signs
 
     def counted_trace(i, alpha, n, *, policy="certified"):
         traces.append((n, policy))
@@ -513,14 +522,58 @@ def test_leaf_ray_on_the_tower_traces_only_the_retraced_entries(monkeypatch, N):
         scans.append(n)
         return honest_scan(x, alpha, n, **kwargs)
 
+    def counted_keys(x, step, n):
+        keyed.append(n)
+        return honest_keys(x, step, n)
+
     monkeypatch.setattr(orbits, "trace_ray", counted_trace)
     monkeypatch.setattr(orbits, "orbit_scan", counted_scan)
+    monkeypatch.setattr(orbits, "key_signs", counted_keys)
     rep = run(ExperimentConfig(kind="leaf", ray=3, N=N))
-    # _orbit's prefix scan checks the word; the trace is only the
-    # certified side of the 256-entry retrace
-    assert scans == [min(N, 2**16)]
+    # _orbit's prefix keys check the word, and nothing is scanned; the
+    # trace is only the certified side of the 256-entry retrace
+    assert keyed == [min(N, 2**16)] and scans == []
     assert traces == [(min(N, 256), "certified"), (min(N, 256), "exact")]
     assert rep["signs"] == "tower" and rep["ok"] is True
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["heavy", "--alpha", "[0;5,(6)]"], 2**16),
+    (["density", "--m", "40"], 2**16),  # level 40 is never visited
+    (["leaf", "--ray", "2"], 2**16),
+    (["example", "--m", "2", "--kmax", "6"], 10**5),
+], ids=["heavy", "density", "leaf-ray", "example"])
+def test_tower_runs_without_out_never_scan(monkeypatch, capsys, argv, steps):
+    # their checks key the signs: no orbit_scan, no scan of any policy
+    # past the leaf's 256-entry retrace, and a peak below one float64 or
+    # int64 array of the checked steps, 8 B a step
+    def refuse(*args, **kwargs):
+        raise AssertionError("orbit_scan called")
+
+    def short(honest):
+        def scan_of(x0, step, count):
+            assert count <= 257, count
+            return honest(x0, step, count)
+        return scan_of
+
+    status = 1 if argv[0] == "heavy" else 0  # heavy: its sums cross 0
+    assert main(argv + ["--N", "1000"]) == status  # imports and tower cache
+    capsys.readouterr()
+    monkeypatch.setattr(orbits, "orbit_scan", refuse)
+    for name in ("_certified_scan", "_exact_scan"):
+        monkeypatch.setattr(scan, name, short(getattr(scan, name)))
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--N", str(10**6)]) == status
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rep = json.loads(capsys.readouterr().out)
+    if argv[0] != "example":
+        assert rep["signs"] == "tower" and rep["prefix_agrees"] is True
+        assert rep["prefix_steps_checked"] == steps
+    assert rep["ok"] is (status == 0)
+    assert peak < 8 * steps, peak
 
 
 def test_leaf_ray_answers_n_past_memory_off_the_tower():

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotn.scan
-from rotn.exactreal import Frame, SurdReal, _surd_sign, parse_cf
+from rotn.exactreal import CFNumber, Frame, SurdReal, _surd_sign, escalations, parse_cf
 from rotn.renorm import half_word
 from rotn.scan import (
-    _CHUNK, _EXACT_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
-    kernel_for, orbit_positions, orbit_scan, scan_kernel, sums_histogram,
+    _CHUNK, _EXACT_CHUNK, _KEY_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
+    key_signs, kernel_for, orbit_positions, orbit_scan, scan_kernel, sums_histogram,
 )
 from rotn.words import prefix_histogram
 
@@ -425,3 +427,85 @@ def test_sums_histogram_is_the_word_histogram(n):
     # values that skip a level leave a zero count
     lo, counts = sums_histogram(np.array([5, 2, 5, -1], dtype=np.int64))
     assert lo == -1 and counts.tolist() == [1, 0, 0, 1, 0, 0, 2]
+
+
+def test_positions_refuse_indices_that_are_not_integers():
+    # a float index names a point no scan has: frac(1/2 + 1.5*alpha)
+    for indices in (np.array([1.5]), np.array([1.0]), np.array([True])):
+        with pytest.raises(ValueError, match="integer.*%s" % indices.dtype):
+            orbit_positions(HALF, A, indices)
+    assert orbit_positions(HALF, A, np.array([1], dtype=np.uint8))[0][0] \
+        == orbit_scan(HALF, A, 1).positions[1]
+
+
+# ---------------------------------------------------------------------------
+# key_signs: signs off the 64-bit key mod 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(pre=st.lists(st.integers(1, 12), max_size=2),
+       period=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       a=st.fractions(0, 1, max_denominator=10**4), b=st.integers(-50, 50),
+       n=st.integers(0, 10**5), direction=st.sampled_from([1, -1]))
+def test_key_signs_are_the_exact_scans(pre, period, a, b, n, direction):
+    # any continued fraction, admissible or not, any start in its field
+    alpha = CFNumber(tuple(pre), tuple(period)).value
+    x0 = (SurdReal.from_fraction(a) + alpha * b).frac()
+    signs, undecided = key_signs(x0, alpha * direction, n + 1)
+    exact = orbit_scan(x0, alpha, n, direction=direction, policy="exact")
+    assert signs.dtype == np.int8 and np.array_equal(signs, exact.signs)
+    assert undecided.dtype == np.int64 and undecided.size <= n + 1
+
+
+def _keyed(x0, step, n):
+    """key_signs(x0, step, n), the escalations it counted, and the exact signs."""
+    before = escalations.count
+    signs, undecided = key_signs(x0, step, n)
+    exact = [1 if (x0 + step * i).frac() < HALF else -1 for i in range(n)]
+    return signs, undecided, escalations.count - before, exact
+
+
+def test_key_signs_decide_a_key_on_a_boundary():
+    # 1/2 keys as 2^63 exactly: x_0 = 1/2 is no point below 1/2, so -1
+    signs, undecided, counted, exact = _keyed(HALF, A, 300)
+    assert signs[0] == -1 and undecided.size == counted == 0
+    assert signs.tolist() == exact
+    # 2^-80 keys as 0, and [0, 1) reaches no boundary above it: +1
+    signs, undecided, counted, exact = _keyed(SurdReal(1, 0, 2**80), A, 300)
+    assert signs[0] == 1 and undecided.size == counted == 0
+    assert signs.tolist() == exact
+
+
+@pytest.mark.parametrize("x0, sign", [(HALF - SurdReal(1, 0, 2**80), 1),
+                                      (1 - SurdReal(1, 0, 2**80), -1)],
+                         ids=["below 1/2", "below 1"])
+def test_key_signs_resolve_a_key_within_the_band_at_index_0(x0, sign):
+    # floor(x0*2^64) = 2^63 - 1 or 2^64 - 1, within 1 below the boundary
+    signs, undecided, counted, exact = _keyed(x0, A, 300)
+    assert undecided.tolist() == [0] and counted == 1
+    assert signs[0] == sign and signs.tolist() == exact
+
+
+_TINY = SurdReal(1, 0, 2**80)
+
+
+@pytest.mark.parametrize("target, sign", [
+    (HALF - _TINY, 1), (HALF, -1), (HALF + _TINY, -1), (1 - _TINY, -1), (_TINY, 1),
+], ids=["below 1/2", "1/2", "above 1/2", "below 1", "above 0"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_key_signs_resolve_a_key_within_the_band_in_a_later_chunk(target, sign, direction):
+    # x_i is the target at i = _KEY_CHUNK + 5, and X_i is at most the
+    # target's floor(x*2^64) and above it less i + 1: in the band below the
+    # boundary unless both sit on it.  Just above a boundary the key falls
+    # below it, on the wrong side, and only the exact test gets it right
+    i = _KEY_CHUNK + 5
+    step = A * direction
+    x0 = (target - step * i).frac()
+    signs, undecided, counted, _ = _keyed(x0, step, 0)  # n = 0: no key at all
+    assert signs.size == undecided.size == counted == 0
+    before = escalations.count
+    signs, undecided = key_signs(x0, step, 3 * _KEY_CHUNK)
+    assert i in undecided.tolist() and escalations.count - before == undecided.size
+    assert signs[i] == sign
+    exact = orbit_scan(x0, A, 3 * _KEY_CHUNK - 1, direction=direction, policy="exact")
+    assert np.array_equal(signs, exact.signs)
