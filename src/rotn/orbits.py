@@ -21,7 +21,6 @@ for ``density``.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
 
 import numpy as np
 
@@ -48,9 +47,6 @@ _STEP_CHUNK = 1 << 16
 _SCAN_BYTES_PER_POINT = 17
 _MAX_ARRAY_BYTES = 2 ** 63 - 1
 _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-# the checked signs of a tower-route run and the indices key_signs left
-# to the exact test, under an OrbitScan's names for them
-_KeySigns = namedtuple("_KeySigns", "signs escalated")
 
 
 def _gap_ladder(N: int) -> list:
@@ -84,32 +80,37 @@ def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
 
 def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
            table: bool = False):
-    """The signs of n steps of the orbit of x, as (word, scan, check).
+    """The signs of n steps of the orbit of x, as
+    (word, scan, signs, escalations, check).
 
     On the tower (``_on_tower``) the word's first n letters are the signs,
     exactly: ``half_word`` at x = 1/2, else ``orbit_word``, the descent of
-    x (the same word at 1/2, at far more cost).  scan then holds the signs
-    of min(n, checked) steps and the indices they escalated, and check
-    says whether those signs agree with the word: the signs come from
-    ``key_signs``, checked by the 64-bit key with no position or sum, or,
-    when table asks for positions and sums, from a certified scan of those
-    steps.  Any other run scans all n steps, with word None.  check holds
-    the route's report keys.
+    x (the same word at 1/2, at far more cost).  signs then holds the signs
+    of min(n, checked) steps, escalations the number of them that took
+    the exact test, and check says whether they agree with the word.  They
+    come from ``key_signs``, by the 64-bit key with no position or sum and
+    scan None, or, when table asks for positions and sums, from scan, a
+    certified scan of those steps.  Any other run scans all n steps, with
+    word None, and signs and escalations are the scan's.  check holds the
+    route's report keys.
     """
     on_tower = _on_tower(config, cf)
     steps = min(n, checked) if on_tower else n
     _refuse_unallocatable(config, steps + 1)
     if not on_tower:
         scan = orbit_scan(x, cf.value, n, policy=config.policy)
-        return None, scan, {"signs": "scan", "prefix_steps_checked": 0}
+        return (None, scan, scan.signs, int(scan.escalated.size),
+                {"signs": "scan", "prefix_steps_checked": 0})
     word = half_word(cf, n) if x == HALF else orbit_word(cf, x, n)
     if table:
         scan = orbit_scan(x, cf.value, steps)
+        signs, escalated = scan.signs, scan.escalated
     else:
-        scan = _KeySigns(*key_signs(x, cf.value, steps))
-    agrees = bool(np.array_equal(scan.signs[:steps], letters(word, steps)))
-    return word, scan, {"signs": "tower", "prefix_steps_checked": steps,
-                        "prefix_agrees": agrees}
+        scan = None
+        signs, escalated = key_signs(x, cf.value, steps)
+    agrees = bool(np.array_equal(signs[:steps], letters(word, steps)))
+    return word, scan, signs, int(escalated.size), {
+        "signs": "tower", "prefix_steps_checked": steps, "prefix_agrees": agrees}
 
 
 def _sums(word, scan, n: int) -> tuple:
@@ -141,12 +142,12 @@ def _density(config: ExperimentConfig):
     m, N, k = config.m, config.N, config.k
     cf = parse_cf(config.alpha)
     alpha = cf.value
-    word, scan, check = _orbit(config, cf, HALF, N + max(k, 0), min(N, _PREFIX_STEPS))
+    word, scan, signs, prior, check = _orbit(config, cf, HALF, N + max(k, 0),
+                                             min(N, _PREFIX_STEPS))
+    del signs  # the checked signs, not to be held across level_times
     if word is None:
         vs = visit_set(HALF, alpha, m, N, k=k, scan=scan)
     else:
-        prior = int(scan.escalated.size)
-        del scan  # the checked signs, not to be held across level_times
         times = level_times(word, m, N)
         if m == 0:  # S_0 = 0
             times = np.concatenate([np.zeros(1, dtype=np.int64), times])
@@ -192,9 +193,9 @@ def _example(config: ExperimentConfig):
     prefix histogram of orbit_word, the descent of x, at any N below
     2^63, and the forward signs are ``key_signs``' n, by alpha, which
     serve both checks above and must equal the descent's letters for ok
-    to hold, and the backward ones its n + 1 by -alpha; any other run
-    scans all N steps forward and n backward.  The descent never reads
-    the witness, which is what the audit checks.
+    to hold; any other run scans all N steps forward.  On every route the
+    backward signs are ``key_signs``' n + 1 by -alpha, exact as a scan's.
+    The descent never reads the witness, which is what the audit checks.
     """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
@@ -216,20 +217,16 @@ def _example(config: ExperimentConfig):
 
     if N >= 1:
         n_sym = min(N, 10 ** 5)
-        word, fwd, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
+        word, fwd, signs, _, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
         lo, counts, _ = _sums(word, fwd, N)
-        alpha = rep.alpha.value
-        if word is None:
-            back = orbit_scan(rep.x, alpha, n_sym, direction=-1, policy=config.policy).signs
-        else:
-            back = key_signs(rep.x, -alpha, n_sym + 1)[0]
+        back = key_signs(rep.x, -rep.alpha.value, n_sym + 1)[0]
         report["max_forward_sum"] = lo + counts.size - 1
         report["symmetric_sums"] = bool(
-            np.array_equal(back[1: n_sym + 1], np.negative(fwd.signs[:n_sym]))
+            np.array_equal(back[1: n_sym + 1], np.negative(signs[:n_sym]))
         )
         n_pref = min(N, 20000, rep.witness.length)
         prefix = letters(rep.witness, n_pref)
-        report["witness_prefix_ok"] = bool(np.array_equal(prefix, fwd.signs[:n_pref]))
+        report["witness_prefix_ok"] = bool(np.array_equal(prefix, signs[:n_pref]))
         report["ok"] = (report["formulas_ok"] and rep.ok
                         and report["max_forward_sum"] == -1
                         and report["symmetric_sums"]
@@ -274,7 +271,7 @@ def _leaf(config: ExperimentConfig):
 
     retraced = min(N, _LEAF_CHECK_VISITS)
     if config.ray is not None and not config.out and _on_tower(config, cf):
-        word, scan, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
+        word, scan, _, _, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
         lo, counts, _ = _sums(word, scan, N)
         lo += config.ray + 1  # entry n sits at ray + 1 + S_n(1/2)
         trace = trace_for(retraced, policy)
@@ -320,14 +317,15 @@ def _heavy(config: ExperimentConfig):
     N = config.N
     cf = parse_cf(config.alpha)
     out = bool(config.out)
-    word, scan, check = _orbit(config, cf, HALF, N, N if out else _PREFIX_STEPS, table=out)
+    word, scan, _, escalated, check = _orbit(config, cf, HALF, N, N if out else _PREFIX_STEPS,
+                                             table=out)
     lo, counts, final_sum = _sums(word, scan, N)
     violations = int(counts[max(0, -lo):].sum())
     report = {"alpha": config.alpha, "N": N, "violations": violations, "min_sum": lo,
               "max_sum": lo + counts.size - 1, "final_sum": final_sum,
-              "escalations": int(scan.escalated.size), **check,
+              "escalations": escalated, **check,
               "ok": violations == 0 and check.get("prefix_agrees", True)}
-    if word is not None and not out:
+    if scan is None:
         return report, None  # the keyed check has no positions or sums
     # written only with --out, when the scan covers all N steps; the scan
     # route hands it back unwritten as well, since freeing its arrays here,

@@ -397,7 +397,7 @@ def test_example_off_the_descent_equals_the_exact_scan(m):
 def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     # the descent keys only the 10^5 signs it checks forward, and one more
     # backward, and scans nothing; the scan route, the same run with no
-    # alpha admissible, scans all N forward and keys nothing
+    # alpha admissible, scans all N forward and keys the same backward signs
     forward, keyed = [], []
     honest_scan, honest_keys = orbits.orbit_scan, orbits.key_signs
 
@@ -419,7 +419,7 @@ def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     assert rep["ok"] is True
     keyed.clear()
     assert _scan_route(monkeypatch, **fields) == rep
-    assert forward == [N] and keyed == []
+    assert forward == [N] and keyed == [(n + 1, "backward")]
 
 
 def test_example_forward_max_is_the_witness_prefix_max_far_out():
