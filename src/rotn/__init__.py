@@ -17,10 +17,11 @@ Layout:
 - ``foliation``:  rectangle-to-rectangle leaf tracing
 - ``example``:    the orbit family whose forward sums stay at most -1
 - ``harness``:    configs, output files, and the exact experiments
+- ``spell``:      CSV rows of numeric columns, spelled in numpy
 - ``orbits``:     the experiments that read an orbit
 - ``cli``:        the ``rotn`` command line
 
-``scan``, ``circle``, ``foliation`` and ``orbits`` import numpy; in
+``scan``, ``circle``, ``foliation``, ``orbits`` and ``spell`` import numpy; in
 ``words`` and ``exactreal`` only the functions that make arrays do.  So
 the exact runs (``tower``, ``oracle``, ``fast_birkhoff``) never load it.
 Nor do they, or ``import rotn.cli``, load ``dataclasses``, ``inspect``

@@ -187,6 +187,21 @@ def trace_ray(i: int, alpha: SurdReal, N: int, *,
                      radius_bound=leaf.radius_bound)
 
 
+def _refuse_corner(x0: SurdReal, alpha: SurdReal, N: int, direction: int) -> None:
+    """Refuse, as the exact tracer does, a leaf whose turns at visits
+    0..N - 1 meet the corner.
+
+    Forward, visit k turns at x = 1 - alpha; backward, at 1 - x = 1 - alpha.
+    Either way x0 + direction*(k + 1)*alpha is an integer, and alpha being
+    irrational, only the m = k + 1 that cancels x0's sqrt(d) part can make
+    it one: an exact solve, where the certified scan never sees the corner.
+    """
+    num, den = -direction * x0.q * alpha.r, x0.r * alpha.q
+    if x0.q and x0.d == alpha.d and num % den == 0 and 1 <= num // den <= N \
+            and (x0 + alpha * (direction * (num // den))).frac() == 0:
+        raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
+
+
 def trace_leaf_through(
     x0: SurdReal, j0: int, alpha: SurdReal, N: int, *, direction: int = 1,
     policy: str = "certified",
@@ -194,7 +209,9 @@ def trace_leaf_through(
     """Visits 0..N of the leaf through (x0 mod 1, j0), labeled by the skew orbit.
 
     Visit n (n signed via ``direction``) is at t^n(x0) with level
-    j0 + S_n(x0); levels never skip, moving by f along the leaf.
+    j0 + S_n(x0); levels never skip, moving by f along the leaf.  A leaf
+    that runs into the singular corner within its N turns is refused
+    under either policy.
     """
     if N < 0:
         raise ValueError("need N >= 0, got %r" % (N,))
@@ -207,6 +224,7 @@ def trace_leaf_through(
         # same rotation
         xs, lv = _trace_exact(x0, j0, alpha.frac(), N + 1, direction)
         return LeafTrace(seed, direction, 0, xs, lv)
+    _refuse_corner(x0, alpha, N, direction)
     scan = orbit_scan(x0, alpha, N, direction=direction, policy=policy)
     scan.sums += j0
     return LeafTrace(seed, direction, 0, scan.positions, scan.sums,

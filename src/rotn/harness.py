@@ -20,16 +20,22 @@ the header on a single leading comment line; report-shaped outputs are
 one JSON document with the header inside.  Under the exact-only policy
 identical configs give byte-identical payload bytes.
 
-``write_columns`` formats a table _ROWS_PER_WRITE (2^13) rows at a
-time, each chunk with one call of the % operator: every column gets a
-directive (%d for ints, %r for floats, %s for strings _cell made), the
-row template they spell is repeated once per row, and it is applied to
-one flat tuple of the chunk's cells, so the memory held does not grow
-with the row count and the floats' repr is most of the cost.  A range
-or an integer or float array gets its directive once; any other column
-gets one per chunk, from the types of its cells.  ``write_csv`` takes
-the same table as rows, for callers that build rows, such as the
-benchmark's writer probe, and gives the same bytes.
+``write_columns`` writes a table _ROWS_PER_WRITE (2^13) rows at a time,
+so the memory it holds does not grow with the row count.  A table whose
+columns are all ranges or integer or float arrays, as heavy's and
+leaf's are, is spelled in numpy by ``rotn.spell``, imported for such a
+table alone: each chunk is one uint8 matrix of fixed-width cells and
+one write, and each float cell comes from the shortest digits that
+``rotn.spell`` proves, or from ``float.__repr__`` where it proves none.
+Any other table, such as density's ladder with its list columns,
+formats each chunk with one call of the % operator: every column gets
+a directive (%d for ints, %r for floats, %s for strings _cell made),
+the row template they spell is repeated once per row, and it is
+applied to one flat tuple of the chunk's cells.  A range or an integer
+or float array gets its directive once; any other column gets one per
+chunk, from the types of its cells.  ``write_csv`` takes a table as
+rows, for callers that build rows, such as the benchmark's writer
+probe, and formats it the second way.  Both ways give ``_cell``'s bytes.
 """
 
 from __future__ import annotations
@@ -219,7 +225,8 @@ def _formatter(cells):
     return "%s", list(map(_cell, cells))
 
 
-# numpy dtype kinds whose .tolist() gives exact ints or floats only
+# numpy dtype kinds whose .tolist() gives exact ints or floats only, a
+# float array's once cast to float64
 _KIND_DIRECTIVES = {"i": "%d", "u": "%d", "f": "%r"}
 
 
@@ -257,31 +264,58 @@ def _write_chunk(fh, cols, directives) -> None:
     fh.write((",".join(row) + "\n") * rows % tuple(flat))
 
 
-def _write_head(fh, config: ExperimentConfig, names) -> None:
-    fh.write("# %s\n" % json.dumps(config.header(), sort_keys=True))
-    fh.write(",".join(names) + "\n")
+def _head(config: ExperimentConfig, names) -> str:
+    return "# %s\n%s\n" % (json.dumps(config.header(), sort_keys=True), ",".join(names))
+
+
+_INT64 = range(-(1 << 63), 1 << 63)
+
+
+def _numeric(col) -> bool:
+    """Whether rotn.spell spells the column: a range of int64 values, its
+    step one too, or an integer or float array."""
+    if isinstance(col, range):
+        return not col or all(v in _INT64 for v in (col[0], col[-1], col.step))
+    return getattr(getattr(col, "dtype", None), "kind", None) in ("i", "u", "f")
+
+
+def _as_cells(chunk):
+    """A chunk as _write_chunk takes it: an array's as a list of Python
+    scalars, a float array's cast to float64 first, as _cell's float(v)."""
+    if getattr(getattr(chunk, "dtype", None), "kind", None) == "f":
+        chunk = chunk.astype(float)
+    return chunk.tolist() if hasattr(chunk, "dtype") else chunk
 
 
 def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) -> None:
     """Write a column-major table: cols[j] holds column names[j], top to bottom.
 
     A column is any sliceable sequence of one length: a list, a range,
-    or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, each chunk
-    spelled by one % of a row template with a directive per column
-    (_write_chunk), so no column is ever converted to a whole-length
-    list.  Columns of different lengths raise ValueError before anything
-    is written.
+    or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, so no
+    column is ever converted to a whole-length list.  A table whose
+    columns are all ranges or integer or float arrays (_numeric), as
+    heavy's and leaf's are, is spelled a chunk at a time in numpy by
+    ``rotn.spell.spell_rows``; any other, a list column among them, by
+    one % of a row template with a directive per column (_write_chunk).
+    Both give _cell's bytes.  Columns of different lengths raise
+    ValueError before anything is written.
     """
     rows = len(cols[0])
     if any(len(c) != rows for c in cols):
         raise ValueError("columns of different lengths: %s" % [len(c) for c in cols])
+    if all(map(_numeric, cols)):
+        from .spell import spell_rows
+
+        with open(path, "wb") as fh:
+            fh.write(_head(config, names).encode())
+            for lo in range(0, rows, _ROWS_PER_WRITE):
+                fh.write(spell_rows([c[lo: lo + _ROWS_PER_WRITE] for c in cols]))
+        return
     directives = [_column_formatter(c) for c in cols]
     with open(path, "w", newline="") as fh:
-        _write_head(fh, config, names)
+        fh.write(_head(config, names))
         for lo in range(0, rows, _ROWS_PER_WRITE):
-            chunk = [c[lo: lo + _ROWS_PER_WRITE] for c in cols]
-            # an array chunk becomes a list of Python scalars
-            _write_chunk(fh, [c.tolist() if hasattr(c, "dtype") else c for c in chunk],
+            _write_chunk(fh, [_as_cells(c[lo: lo + _ROWS_PER_WRITE]) for c in cols],
                          directives)
 
 
@@ -289,15 +323,16 @@ def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
     """Write a row-major table with the column names ``columns``.
 
     ``rows`` is any iterable of equal-length rows.  Each chunk of
-    _ROWS_PER_WRITE rows is transposed and formatted as write_columns
-    formats it, so both give the same bytes.  A row of another length
-    raises ValueError; the chunks before its own are already written.
-    ``run`` writes column tables; this form serves callers that build
-    rows, such as the benchmark's writer probe (rotnbench/layers.py).
+    _ROWS_PER_WRITE rows is transposed and formatted by _write_chunk, as
+    write_columns formats a table with a list column, so both give the
+    same bytes.  A row of another length raises ValueError; the chunks
+    before its own are already written.  ``run`` writes column tables;
+    this form serves callers that build rows, such as the benchmark's
+    writer probe (rotnbench/layers.py).
     """
     rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        _write_head(fh, config, columns)
+        fh.write(_head(config, columns))
         while chunk := list(islice(rows, _ROWS_PER_WRITE)):
             cols = list(zip(*chunk, strict=True))
             _write_chunk(fh, cols, [None] * len(cols))

@@ -56,6 +56,22 @@ def test_turn_map_singular_corner():
         trace_leaf_through(1 - A, 0, A, 1, policy="exact")
 
 
+@pytest.mark.parametrize("policy", ["certified", "exact"])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("visit", [2, 999])
+def test_both_policies_refuse_a_leaf_at_the_corner(policy, direction, visit):
+    # visit `visit` sits at the corner's turn: 1 - alpha forward, alpha
+    # backward; the certified scan never meets it, so it solves for it,
+    # also past the 256 visits a leaf run retraces under the other policy
+    corner = 1 - A if direction == 1 else A
+    x0 = (corner - A * (visit * direction)).frac()
+    # N visits take the turns of visits 0..N-1
+    tr = trace_leaf_through(x0, 0, A, visit, direction=direction, policy=policy)
+    assert abs(tr.entry_x[visit] - float(corner)) <= tr.radius_bound + 2.0 ** -52
+    with pytest.raises(ValueError, match="singular corner"):
+        trace_leaf_through(x0, 0, A, visit + 1, direction=direction, policy=policy)
+
+
 # ---------------------------------------------------------------------------
 # ray entries
 

@@ -319,6 +319,19 @@ def test_density_on_the_tower_peaks_under_22_bytes_a_visit(capsys):
     assert peak < 22 * rep["count"], peak / rep["count"]
 
 
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("through, backward", [("1000*a", True), ("0-1000*a", False)])
+def test_leaf_past_256_visits_into_the_corner_is_refused_at_either_precision(
+        tmp_path, capsys, precision, through, backward):
+    # the corner's turn is visit 999, past the 256 the other precision retraces
+    out = tmp_path / "leaf.csv"
+    argv = ["leaf", "--alpha", "[0;5,(6)]", "--through", through, "--level", "0",
+            "--N", "2000", "--precision", precision, "--out", str(out)]
+    assert main(argv + ["--backward"] * backward) == 2
+    assert "leaf at x = 1 - alpha runs into the singular corner" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_refuses_visits_over_budget_before_allocating(capsys):
     tracemalloc.start()
     try:
@@ -781,6 +794,75 @@ def test_writer_matches_the_row_by_row_reference(tmp_path, rows):
     assert want.count(b"\n") == rows + 2
     assert open(by_col, "rb").read() == want
     assert open(by_row, "rb").read() == want
+
+
+def _numeric_table(rows):
+    """Ranges and integer and float arrays only, rows long: the columns
+    write_columns spells in numpy."""
+    rng = np.random.default_rng(rows + 1)
+    x = rng.random(rows)
+    x[: len(_FLOATS)] = _FLOATS[:rows]
+    x[rows // 2: rows // 2 + 1] = 0.5  # a power of two, spelled by float.__repr__
+    s = rng.integers(-(2 ** 40), 2 ** 40, rows)
+    s[: len(_INTS)] = _INTS[:rows]
+    small = rng.integers(-128, 128, rows).astype(np.int8)
+    narrow = x.astype(np.float32)
+    return (["n", "x", "S", "small", "narrow"],
+            [range(5, 5 - rows, -1), x, s, small, narrow])
+
+
+@pytest.mark.parametrize("rows", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 5])
+def test_numeric_writer_matches_the_row_by_row_reference(tmp_path, rows):
+    config = ExperimentConfig(kind="heavy", N=1)
+    names, cols = _numeric_table(rows)
+    ref, by_col = str(tmp_path / "ref"), str(tmp_path / "col")
+    _ref_write_csv(ref, config, names, [tuple(c[i] for c in cols) for i in range(rows)])
+    write_columns(by_col, config, names, cols)
+    want = open(ref, "rb").read()
+    assert want.count(b"\n") == rows + 2
+    assert open(by_col, "rb").read() == want
+
+
+def test_numeric_writer_makes_one_write_per_chunk(tmp_path, monkeypatch):
+    writes = []
+
+    class Spy:
+        def __init__(self, path, mode, **kwargs):
+            self.fh = open(path, mode, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            writes.append(data)
+            return self.fh.write(data)
+
+    rows = 3 * _C + 5
+    names, cols = _numeric_table(rows)
+    config = ExperimentConfig(kind="heavy", N=1)
+    monkeypatch.setattr("rotn.harness.open", Spy, raising=False)
+    write_columns(str(tmp_path / "t.csv"), config, names, cols)
+    # the header, then one write for each of the four chunks
+    assert len(writes) == 5
+    assert [w.count(b"\n") for w in writes[1:]] == [_C, _C, _C, 5]
+
+
+@pytest.mark.parametrize("with_list", [False, True])
+def test_writer_spells_float_arrays_of_any_width_as_float64(tmp_path, with_list):
+    # a longdouble array once listed as np.longdouble('0.10000000000000000555')
+    x = np.array([0.1, 1 / 3, 2.5, 7e-5, -0.0, math.nan])
+    cols = [range(x.size)] + [x.astype(t) for t in
+                              (np.float16, np.float32, np.float64, np.longdouble)]
+    names = ["n", "half", "single", "double", "long"]
+    if with_list:  # the % writer's path
+        cols.append(list(range(x.size)))
+        names.append("k")
+    ref, by_col, by_row = _three_ways(tmp_path, names, cols)
+    assert by_col == ref and by_row == ref
+    assert b"np." not in ref and b",0.1,0.1" in ref
 
 
 def _three_ways(tmp_path, names, cols):

@@ -1,8 +1,12 @@
 """Print the microseconds per row of harness.write_columns, the writer of `rotn --out`.
 
-Three table shapes, each at 25,000 and 10^6 rows:
+Five table shapes, each at 25,000 and 10^6 rows:
 - heavy: a range of indices, float64 positions and int64 sums;
 - leaf: a backward range of indices, float64 entry points and int64 levels;
+- heavy-scan and leaf-scan: the same, with the positions and sums of a
+  certified scan of [0;(2)] from 1/2, forward and backward, in place of
+  random ones; real positions include 0.5 and short decimals, which the
+  numeric writer hands to float.__repr__;
 - density: one list per column, of ints, ints, ints or None, and floats
   with a NaN, as density's horizon rows are.
 The values are seeded, so each run writes the same tables.  Each table is
@@ -10,7 +14,7 @@ timed in a fresh interpreter: one warm-up write, then the best of
 max(3, 10^6 // rows) writes to a temporary file (40 at 25,000 rows), as
 a shared host's load swings single writes by half.  tools/check.sh runs
 it at a commit and in the checkout, for information.
-Usage: PYTHONPATH=SRC python3 tools/writer_probe.py
+Usage: PYTHONPATH=SRC python3 tools/writer_probe.py [SHAPE ROWS]
 """
 
 import math
@@ -20,13 +24,23 @@ import sys
 import tempfile
 import time
 
-SHAPES = ("heavy", "leaf", "density")
+SHAPES = ("heavy", "leaf", "heavy-scan", "leaf-scan", "density")
 ROWS = (25_000, 10 ** 6)
 
 
 def _table(shape: str, rows: int):
     import numpy as np
 
+    if shape.endswith("-scan"):
+        from rotn.exactreal import HALF, parse_cf
+        from rotn.scan import orbit_scan
+
+        backward = shape == "leaf-scan"
+        scan = orbit_scan(HALF, parse_cf("[0;(2)]").value, rows - 1,
+                          direction=-1 if backward else 1)
+        if backward:
+            return ["n", "x", "level"], [range(0, -rows, -1), scan.positions, scan.sums + 3]
+        return ["n", "position", "S_n"], [range(rows), scan.positions, scan.sums]
     rng = np.random.default_rng(rows)
     x = rng.random(rows)
     walk = np.cumsum(rng.choice(np.array([-1, 1], dtype=np.int64), rows))
@@ -61,7 +75,7 @@ def _time_one(shape: str, rows: int) -> float:
 def main() -> None:
     if len(sys.argv) == 3:
         shape, rows = sys.argv[1], int(sys.argv[2])
-        print("%-8s %9d rows: %6.3f us/row" % (shape, rows, _time_one(shape, rows)))
+        print("%-10s %9d rows: %6.3f us/row" % (shape, rows, _time_one(shape, rows)))
         return
     for shape in SHAPES:
         for rows in ROWS:
