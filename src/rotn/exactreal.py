@@ -122,6 +122,14 @@ class SurdReal:
     Arithmetic stays inside one field: mixing two irrational operands
     with different d raises.  Construct roots with ``SurdReal.root``,
     which extracts the square part of d.
+
+    A SurdReal is immutable: ``__setattr__`` raises.  ``__init__``
+    stores the four canonical fields through the slots' own setters
+    (``SurdReal.p.__set__`` and so on, taken once below the class), as
+    ``Record._store`` does, which go past that guard without the
+    lookup an ``object.__setattr__`` call makes by name.  A sum, a
+    difference and a product each build one SurdReal: a difference
+    is not a sum with the negated right side.
     """
 
     __slots__ = ("p", "q", "r", "d")
@@ -142,10 +150,10 @@ class SurdReal:
             p //= g
             q //= g
             r //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "d", d)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_r(self, r)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurdReal is immutable")
@@ -211,13 +219,19 @@ class SurdReal:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        d = self._join(other)
+        return SurdReal(
+            self.p * other.r - other.p * self.r,
+            self.q * other.r - other.q * self.r,
+            self.r * other.r,
+            d,
+        )
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -349,6 +363,11 @@ class SurdReal:
 
     def __repr__(self):
         return "SurdReal[%s ~ %.12g]" % (self.exact_str(), float(self))
+
+
+# the slots' own setters store past the __setattr__ guard, as Record._store's do
+_set_p, _set_q, _set_r, _set_d = (SurdReal.p.__set__, SurdReal.q.__set__,
+                                  SurdReal.r.__set__, SurdReal.d.__set__)
 
 
 def _surd_sign(p: int, q: int, d: int) -> int:

@@ -54,6 +54,7 @@ from . import __version__
 from .example import example_alpha
 from .exactreal import FrozenRecord, SurdReal, parse_cf
 from .renorm import (
+    MAX_LEVELS,
     _case_regions,
     _local_return_word,
     oracle_first_return,
@@ -66,9 +67,9 @@ from .words import MAX_HISTOGRAM_LENGTH, expand
 PRECISIONS = ("certified-fast", "exact-only")
 # oracle walks: at ~0.3 us per exact step, 10^8 steps is about half a minute
 _MAX_ORACLE_STEPS = 10 ** 8
-# tower levels: the endpoints' integers grow by ~0.8 digits per level, so
-# each level costs more than the last; depth 1000 takes about a second
-_MAX_DEPTH = 1000
+# tower levels: example builds 2*k_max + 1 levels, so k_max up to
+# _MAX_DEPTH // 2 keeps every run within renorm's budget of MAX_LEVELS
+_MAX_DEPTH = MAX_LEVELS - 1
 # a leaf's level moves by one a visit, and rotation Birkhoff sums grow
 # like log N, so a seed level this far inside int64 cannot leave it
 _MAX_LEVEL = 2 ** 62

@@ -62,14 +62,16 @@ __all__ = [
     "fast_birkhoff",
     "half_word",
     "orbit_word",
+    "MAX_LEVELS",
 ]
 
 class ExactInterval(FrozenRecord):
     """Half-open [left, right) with exact endpoints, symmetric about 1/2.
 
-    ``length`` is right - left, computed once here: ``step`` and the
-    local chart read it at every level and every orbit point.  It is
-    stored but is not a field: equality, hash and repr leave it out.
+    ``length`` is right - left, stored at construction: ``step`` forms
+    each level's interval from the next length (``_centred``), and the
+    local chart reads it at every orbit point.  It is stored but is not
+    a field: equality, hash and repr leave it out.
     """
 
     _fields = ("left", "right")
@@ -79,7 +81,24 @@ class ExactInterval(FrozenRecord):
     length: SurdReal
 
     def __init__(self, left: SurdReal, right: SurdReal):
-        length = right - left
+        self._check_store(left, right, right - left)
+
+    @classmethod
+    def _centred(cls, length: SurdReal) -> "ExactInterval":
+        """[1/2 - length/2, 1/2 + length/2), as ``step`` builds each level's.
+
+        With length = (p + q*sqrt(d))/r the endpoints are (r -+ p -+
+        q*sqrt(d))/(2r), one SurdReal each, and the public constructor's
+        exact tests check them.
+        """
+        p, q, r, d = length.p, length.q, length.r, length.d
+        self = cls.__new__(cls)
+        self._check_store(SurdReal(r - p, -q, 2 * r, d), SurdReal(r + p, q, 2 * r, d),
+                          length)
+        return self
+
+    def _check_store(self, left: SurdReal, right: SurdReal, length: SurdReal) -> None:
+        """Refuse an empty or asymmetric interval, else store it."""
         if length.sign() <= 0:
             raise ValueError("empty interval")
         if left + right != ONE:
@@ -88,7 +107,7 @@ class ExactInterval(FrozenRecord):
                 % (left.exact_str(), right.exact_str())
             )
         self._store(left, right)
-        object.__setattr__(self, "length", length)
+        _set_length(self, length)
 
     def contains(self, x: SurdReal) -> bool:
         return self.left <= x < self.right
@@ -99,6 +118,9 @@ class ExactInterval(FrozenRecord):
 
     def from_local(self, y: SurdReal) -> SurdReal:
         return self.left + y * self.length
+
+
+_set_length = ExactInterval.length.__set__
 
 
 class RenormLevel(FrozenRecord):
@@ -239,31 +261,39 @@ def step(level: RenormLevel) -> RenormLevel:
     """One renormalization: I_(i+1) inside I_i and the rewritten words."""
     n = level.n_half
     scale, new_beta_abs, new_cf = _beta_step(level.beta_cf)
-    half_len = scale * level.interval.length * HALF
-    interval = ExactInterval(HALF - half_len, HALF + half_len)
+    interval = ExactInterval._centred(scale * level.interval.length)
 
-    fp, fm, f0 = level.f_plus, level.f_minus, level.f_zero
-    if level.beta.sign() > 0:
-        new_plus = concat_all([fp, power(fm, n), f0, power(fp, n)])
-        new_minus = concat_all([power(fm, n + 1), f0, power(fp, n)])
-        new_zero = concat_all([fp, power(fm, n + 1), f0, power(fp, n)])
-        new_beta = -new_beta_abs
-    else:
-        new_plus = concat_all([power(fp, n + 1), f0, power(fm, n)])
-        new_minus = concat_all([fm, power(fp, n), f0, power(fm, n)])
-        new_zero = concat_all([fm, power(fp, n + 1), f0, power(fm, n)])
-        new_beta = new_beta_abs
+    # the rules for beta < 0 are those for beta > 0 with F+ and F- swapped:
+    # F_a' = F_a F_b^n F0 F_a^n, F_b' = F_b^(n+1) F0 F_a^n, F0' = F_a F_b^(n+1) F0 F_a^n
+    positive = level.beta.sign() > 0
+    f0 = level.f_zero
+    a, b = (level.f_plus, level.f_minus) if positive else (level.f_minus, level.f_plus)
+    a_n, b_n1 = power(a, n), power(b, n + 1)
+    new_a = concat_all([a, power(b, n), f0, a_n])
+    new_b = concat_all([b_n1, f0, a_n])
+    new_zero = concat_all([a, b_n1, f0, a_n])
+    new_plus, new_minus = (new_a, new_b) if positive else (new_b, new_a)
 
     return RenormLevel(
         index=level.index + 1,
         interval=interval,
-        beta=new_beta,
+        beta=-new_beta_abs if positive else new_beta_abs,
         beta_cf=new_cf,
         f_plus=new_plus,
         f_minus=new_minus,
         f_zero=new_zero,
         base_alpha=level.base_alpha,
     )
+
+
+# The most levels a tower holds: where levels are appended, a deeper
+# one is refused with ValueError.  It is the most a command builds
+# (example --kmax 500).  A level's integers are a digit or so longer than
+# the last's, so each level costs more: the 1001 levels of
+# [0;21,(30,28,26)] end at 1,450 digits and took 0.12 s on a 2-core host.
+# Each level's words are at least three times as long as the last's, so
+# 1001 levels answer every prefix of up to 3^1000 > 10^477 letters.
+MAX_LEVELS = 1001
 
 
 @lru_cache(maxsize=32)
@@ -279,13 +309,26 @@ def _cached_levels(alpha: CFNumber) -> list[RenormLevel]:
 
 
 def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
-    """Levels 1..depth.  Levels are deterministic, so they are cached."""
+    """Levels 1..depth, at most MAX_LEVELS.  Levels are deterministic, so
+    they are cached."""
     if depth < 1:
         raise ValueError("depth must be >= 1, got %r" % (depth,))
+    if depth > MAX_LEVELS:
+        raise ValueError("depth %d is above the limit of %d tower levels"
+                         % (depth, MAX_LEVELS))
     levels = _cached_levels(alpha)
     while len(levels) < depth:
         levels.append(step(levels[-1]))
     return levels[:depth]
+
+
+def _grow(levels: list[RenormLevel], n: int) -> None:
+    """Append the next level to levels, on the way to a prefix of n letters;
+    past MAX_LEVELS levels raise ValueError instead."""
+    if len(levels) >= MAX_LEVELS:
+        raise ValueError("n of %d bits needs more than the limit of %d tower levels"
+                         % (n.bit_length(), MAX_LEVELS))
+    levels.append(step(levels[-1]))
 
 
 _F_MINUS_LENGTH = attrgetter("f_minus.length")
@@ -299,11 +342,11 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     are nested prefixes of one another, and the first n letters of the
     returned word are the signs f(t^j(1/2)), j = 0..n-1.  Each level is
     at least three times as long as the last, so the tower grows by
-    O(log n) levels at most.
+    O(log n) levels at most; past MAX_LEVELS it raises ValueError.
     """
     levels = _cached_levels(alpha)
     while levels[-1].f_minus.length < n:
-        levels.append(step(levels[-1]))
+        _grow(levels, n)
     return levels[bisect_left(levels, n, key=_F_MINUS_LENGTH)].f_minus
 
 
@@ -335,7 +378,8 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
     cost is O(depth * b) exact operations whatever n is, and the word
     is built from the levels' words, so its prefix readers cost the
     same.  A start outside [0, 1), outside alpha's field, or whose orbit
-    meets a case boundary (a singular orbit) raises ValueError.
+    meets a case boundary (a singular orbit) raises ValueError, as does
+    a descent past MAX_LEVELS levels.
     """
     if n < 0:
         raise ValueError("orbit_word needs n >= 0, got %d" % (n,))
@@ -360,7 +404,7 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
             parts.append([w, 1])
             break
         if i + 1 == len(levels):
-            levels.append(step(lvl))
+            _grow(levels, n)
         if levels[i + 1].interval.contains(x):
             i, returns = i + 1, 0
             continue

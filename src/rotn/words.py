@@ -21,10 +21,15 @@ summaries:
 
 (min is the mirror image).  Nodes are interned, so structurally equal
 *live* words are the same object and the memoized stats are shared.
-The intern table holds its nodes weakly: a node lives as long as some
-word or caller holds it, and a word dropped by everyone is freed with
-its memoized histogram.  All counters are Python ints: a depth-40 tower
-has word lengths around 10^28 and that must not overflow.
+Each of ``atom``, ``empty``, ``concat`` and ``power`` forms its node's
+key from its kind and its parts' uids, looks it up, and on a miss
+composes the stats above from its parts and hands them to ``_node``,
+the one constructor of every kind: it stores the slots, takes a fresh
+uid and enters the node in the table.  The intern table holds its nodes
+weakly: a node lives as long as some word or caller holds it, and a
+word dropped by everyone is freed with its memoized histogram.  All
+counters are Python ints: a depth-40 tower has word lengths around
+10^28 and that must not overflow.
 
 Three more readers work by descent, at a cost that grows with the
 depth of the DAG and not with the prefix length: ``letters`` writes a
@@ -100,41 +105,6 @@ class SignWord:
         "__weakref__",
     )
 
-    def __init__(self, kind, *, sign=0, left=None, right=None, base=None, exp=0):
-        global _next_uid
-        self.kind = kind
-        self.sign = sign
-        self.left = left
-        self.right = right
-        self.base = base
-        self.exp = exp
-        self.uid = _next_uid
-        _next_uid += 1
-        self._hist = None  # (lo, counts), filled by _histogram
-        if kind == _ATOM:
-            self.length = 1
-            self.total = sign
-            self._maxp = sign
-            self._minp = sign
-        elif kind == _EMPTY:
-            self.length = 0
-            self.total = 0
-            self._maxp = None
-            self._minp = None
-        elif kind == _CONCAT:
-            self.length = left.length + right.length
-            self.total = left.total + right.total
-            self._maxp = max(left._maxp, left.total + right._maxp)
-            self._minp = min(left._minp, left.total + right._minp)
-        elif kind == _POWER:
-            self.length = exp * base.length
-            self.total = exp * base.total
-            tail = (exp - 1) * base.total
-            self._maxp = base._maxp + max(0, tail)
-            self._minp = base._minp + min(0, tail)
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-
     @property
     def max_prefix(self) -> int:
         if self._maxp is None:
@@ -154,14 +124,27 @@ class SignWord:
         return "SignWord[%s len=%d total=%d]" % (spelled, self.length, self.total)
 
 
-def _intern(key, make) -> SignWord:
-    global _interned, _sweep_at
-    ref = _interned.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    node = make()
+_new_word = SignWord.__new__
+
+
+def _node(key, kind, sign, left, right, base, exp, length, total, maxp, minp) -> SignWord:
+    """A new node under key, which the caller found in no live entry of the
+    intern table, with the stats the caller composed from its parts."""
+    global _interned, _next_uid, _sweep_at
+    node = _new_word(SignWord)
+    node.kind = kind
+    node.sign = sign
+    node.left = left
+    node.right = right
+    node.base = base
+    node.exp = exp
+    node.length = length
+    node.total = total
+    node._maxp = maxp
+    node._minp = minp
+    node._hist = None  # (lo, counts), filled by _histogram
+    node.uid = _next_uid
+    _next_uid += 1
     _interned[key] = weakref.ref(node)
     if len(_interned) > _sweep_at:
         _interned = {k: r for k, r in _interned.items() if r() is not None}
@@ -169,30 +152,44 @@ def _intern(key, make) -> SignWord:
     return node
 
 
+def _live(key) -> SignWord | None:
+    """The live node interned under key, or None.  A node is always true,
+    so ``_live(key) or _node(key, ...)`` builds only on a miss."""
+    ref = _interned.get(key)
+    return None if ref is None else ref()
+
+
 def atom(sign: int) -> SignWord:
     """The one-letter word (+1) or (-1)."""
     if sign not in (1, -1):
         raise ValueError("atom sign must be +1 or -1, got %r" % (sign,))
-    return _intern((_ATOM, sign), lambda: SignWord(_ATOM, sign=sign))
+    key = (_ATOM, sign)
+    return _live(key) or _node(key, _ATOM, sign, None, None, None, 0, 1, sign, sign, sign)
 
 
 def empty() -> SignWord:
-    return _intern((_EMPTY,), lambda: SignWord(_EMPTY))
+    key = (_EMPTY,)
+    return _live(key) or _node(key, _EMPTY, 0, None, None, None, 0, 0, 0, None, None)
 
 
 def concat(a: SignWord, b: SignWord) -> SignWord:
     """The word a followed by b."""
-    if a.kind == _EMPTY:
+    if not a.length:
         return b
-    if b.kind == _EMPTY:
+    if not b.length:
         return a
-    return _intern(
-        (_CONCAT, a.uid, b.uid), lambda: SignWord(_CONCAT, left=a, right=b)
-    )
+    key = (_CONCAT, a.uid, b.uid)
+    total = a.total
+    maxp, minp = total + b._maxp, total + b._minp
+    return _live(key) or _node(
+        key, _CONCAT, 0, a, b, None, 0, a.length + b.length, total + b.total,
+        a._maxp if a._maxp > maxp else maxp, a._minp if a._minp < minp else minp)
 
 
 def concat_all(parts: Iterable[SignWord]) -> SignWord:
-    out = empty()
+    """The parts one after another, folded left; no part gives the empty word."""
+    parts = iter(parts)
+    out = next(parts, EMPTY)
     for part in parts:
         out = concat(out, part)
     return out
@@ -202,13 +199,17 @@ def power(base: SignWord, exp: int) -> SignWord:
     """The word repeated exp times, exp >= 1 (use empty() for nothing)."""
     if exp < 1:
         raise ValueError("power exponent must be >= 1, got %r" % (exp,))
-    if base.kind == _EMPTY:
-        return base
-    if exp == 1:
+    if exp == 1 or not base.length:
         return base
     if base.kind == _POWER:
         base, exp = base.base, exp * base.exp
-    return _intern((_POWER, base.uid, exp), lambda: SignWord(_POWER, base=base, exp=exp))
+    key = (_POWER, base.uid, exp)
+    total = base.total
+    tail = (exp - 1) * total
+    return _live(key) or _node(
+        key, _POWER, 0, None, None, base, exp, exp * base.length, exp * total,
+        base._maxp + tail if tail > 0 else base._maxp,
+        base._minp + tail if tail < 0 else base._minp)
 
 
 PLUS = atom(1)

@@ -166,6 +166,22 @@ def test_field_ops_match_mpmath(p1, q1, r1, p2, q2, r2):
             assert abs(float(got) - float(want)) < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 10, 9999991]), data=st.data())
+def test_a_difference_is_the_sum_with_the_negation(d, data):
+    big, den = st.integers(-(2**70), 2**70), st.integers(-(2**30), 2**30).filter(bool)
+    x = SurdReal(data.draw(big), data.draw(big), data.draw(den), d)
+    y = SurdReal(data.draw(big), data.draw(big), data.draw(den), d)
+    k, f = data.draw(big), Fraction(data.draw(big), data.draw(den))
+    for got, want in [(x - y, x + (-y)), (x - k, x + (-k)), (k - x, -x + k),
+                      (x - f, x + (-f)), (f - x, -x + f), (x - x, SurdReal(0))]:
+        assert (got.p, got.q, got.r, got.d) == (want.p, want.q, want.r, want.d)
+    with pytest.raises(ValueError, match="cannot mix"):
+        SurdReal.root(2) - SurdReal.root(3)
+    with pytest.raises(AttributeError, match="immutable"):
+        x.p = 1
+
+
 _SQUAREFREE = st.integers(2, 10**6).filter(lambda d: _squarefree_core(d)[0] == 1)
 
 

@@ -126,6 +126,47 @@ def test_tower_depth_validation():
         tower(ALPHA, 0)
 
 
+def test_the_tower_refuses_more_levels_than_its_budget():
+    assert renorm.MAX_LEVELS == 1001
+    calls = renorm._cached_levels.cache_info()
+    with pytest.raises(ValueError,
+                       match="depth 1002 is above the limit of 1001 tower levels"):
+        tower(parse_cf("[0;5,(6,8)]"), renorm.MAX_LEVELS + 1)
+    assert renorm._cached_levels.cache_info() == calls  # refused before building
+
+
+def test_a_prefix_past_the_level_budget_is_refused_and_one_within_it_answered():
+    cf = parse_cf("[0;5,(8)]")
+    word = half_word(cf, 10 ** 300)
+    levels = renorm._cached_levels(cf)
+    assert word.length >= 10 ** 300 and len(levels) < renorm.MAX_LEVELS
+    assert fast_birkhoff(cf, word.length) == -1  # the total of F_minus
+    assert word.min_prefix <= fast_birkhoff(cf, 10 ** 300) <= word.max_prefix
+    for n, bits in ((10 ** 3000, 9966), (10 ** 30000, 99658)):
+        with pytest.raises(ValueError, match="n of %d bits needs more than the limit "
+                                             "of 1001 tower levels" % bits):
+            fast_birkhoff(cf, n)
+        assert len(levels) == renorm.MAX_LEVELS
+    x = ((1 + cf.value) / 3).frac()
+    with pytest.raises(ValueError, match="needs more than the limit of 1001 tower levels"):
+        orbit_word(cf, x, 10 ** 3000)
+    assert orbit_word(cf, x, 10 ** 300).length >= 10 ** 300
+
+
+def test_the_deepest_run_the_config_admits_fits_the_budget():
+    from rotn.example import example_alpha, example_m_formulas
+    from rotn.harness import ExperimentConfig, run
+
+    # example --kmax 500 builds 2*500 + 1 levels, exactly the budget
+    assert ExperimentConfig(kind="example", m=2, k_max=500).k_max == 500
+    assert example_m_formulas(2, 500).ok
+    assert len(renorm._cached_levels(example_alpha(2))) == renorm.MAX_LEVELS
+    report = run(ExperimentConfig(kind="tower", alpha="[0;5,(6)]", depth=1000))
+    assert report["ok"] and len(report["levels"]) == 1000
+    with pytest.raises(ValueError, match="depth 1001 is above the limit of 1000"):
+        ExperimentConfig(kind="tower", depth=1001)
+
+
 def test_tower_is_cached_prefixwise():
     t5 = tower(ALPHA, 5)
     t8 = tower(ALPHA, 8)
@@ -291,6 +332,35 @@ def test_interval_length_is_stored_and_outside_equality():
 def test_interval_refuses_empty_and_lopsided_ends(left, right, said):
     with pytest.raises(ValueError, match=said):
         ExactInterval(left, right)
+
+
+@pytest.mark.parametrize("literal", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;21,6,(30,6,14)]"])
+def test_the_centred_interval_equals_the_public_one_field_by_field(literal):
+    lengths = [lvl.interval.length for lvl in tower(parse_cf(literal), 12)]
+    lengths += [ONE, SurdReal(1, 0, 3), SurdReal.root(2) / 3, SurdReal(1, 1, 5, 5)]
+    for length in lengths:
+        h = length / 2
+        want = ExactInterval(HALF - h, HALF + h)
+        got = ExactInterval._centred(length)
+        for name in ("left", "right", "length"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.p, a.q, a.r, a.d) == (b.p, b.q, b.r, b.d), (literal, name)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+
+
+def test_both_interval_constructors_refuse_empty_and_lopsided_intervals(monkeypatch):
+    for length in (ZERO, -ONE, 3 - SurdReal.root(10)):
+        with pytest.raises(ValueError, match="empty interval"):
+            ExactInterval._centred(length)
+    root = SurdReal.root(10)
+    with pytest.raises(ValueError, match="empty interval"):
+        ExactInterval(HALF + root / 9, HALF - root / 9)
+    with pytest.raises(ValueError, match="not symmetric about 1/2"):
+        ExactInterval(root - 3, HALF + root / 9)
+    # the symmetry test runs on the endpoints _centred builds
+    monkeypatch.setattr(renorm, "ONE", SurdReal(2))
+    with pytest.raises(ValueError, match="not symmetric about 1/2"):
+        ExactInterval._centred(HALF)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hash-consed sign words: structure sharing, stats, lazy expansion."""
 
+import random
 import time
 import weakref
 from itertools import islice
@@ -182,6 +183,121 @@ def test_dag_stats_match_naive(w, data):
         assert w.min_prefix == int(sums.min())
         k = data.draw(st.integers(0, w.length))
         assert prefix_sum_at(w, k) == (int(sums[k - 1]) if k else 0)
+
+
+# ---------------------------------------------------------------------------
+# the node constructors against a reference built from recipes
+
+
+def _recipe(rng, budget):
+    """A random recipe ("atom", s), ("concat", A, B) or ("power", A, e) of at
+    most budget letters, budget >= 1, with its length."""
+    kind = rng.randrange(3) if budget > 1 else 0
+    if kind == 0:
+        return ("atom", rng.choice((1, -1))), 1
+    if kind == 1:
+        a, la = _recipe(rng, budget - 1)
+        b, lb = _recipe(rng, budget - la)
+        return ("concat", a, b), la + lb
+    a, la = _recipe(rng, budget // 2)
+    e = rng.randint(1, budget // la)
+    return ("power", a, e), la * e
+
+
+def _build(recipe):
+    if recipe[0] == "atom":
+        return atom(recipe[1])
+    if recipe[0] == "concat":
+        return concat(_build(recipe[1]), _build(recipe[2]))
+    return power(_build(recipe[1]), recipe[2])
+
+
+def _law_stats(recipe):
+    """(length, total, max_prefix, min_prefix) by the composition laws: a
+    concat composes its two parts, a power folds e copies one by one."""
+    if recipe[0] == "atom":
+        s = recipe[1]
+        return 1, s, s, s
+    if recipe[0] == "concat":
+        parts = [_law_stats(recipe[1]), _law_stats(recipe[2])]
+    else:
+        parts = [_law_stats(recipe[1])] * recipe[2]
+    length, total, hi, lo = parts[0]
+    for n, t, h, m in parts[1:]:
+        length, total, hi, lo = (length + n, total + t, max(hi, total + h),
+                                 min(lo, total + m))
+    return length, total, hi, lo
+
+
+def _letters(recipe):
+    if recipe[0] == "atom":
+        return [recipe[1]]
+    if recipe[0] == "concat":
+        return _letters(recipe[1]) + _letters(recipe[2])
+    return _letters(recipe[1]) * recipe[2]
+
+
+def _nodes(w):
+    """Every node of w's DAG, each once."""
+    seen, todo = {}, [w]
+    while todo:
+        node = todo.pop()
+        if node.uid not in seen:
+            seen[node.uid] = node
+            todo.extend(k for k in (node.left, node.right, node.base) if k is not None)
+    return list(seen.values())
+
+
+def test_built_words_match_the_laws_and_their_letters():
+    rng = random.Random(3701)
+    for _ in range(300):
+        recipe, size = _recipe(rng, rng.choice((4, 64, 2 ** 12)))
+        w = _build(recipe)
+        spelled = _letters(recipe)
+        sums = np.cumsum(spelled)
+        assert len(spelled) == size <= 2 ** 12
+        assert (w.length, w.total, w.max_prefix, w.min_prefix) == _law_stats(recipe)
+        assert (w.length, w.total, w.max_prefix, w.min_prefix) == (
+            size, int(sums[-1]), int(sums.max()), int(sums.min()))
+        assert expand(w) == spelled
+        # structurally equal words are one object
+        assert _build(recipe) is w
+
+
+def test_new_nodes_get_fresh_increasing_uids_and_no_histogram():
+    rng = random.Random(3702)
+    held = []
+    for _ in range(50):
+        before = max(n.uid for n in _nodes(held[-1])) if held else -1
+        top = words._next_uid
+        # an exponent no other test uses makes the power, and every node
+        # above it, new
+        recipe, _ = _recipe(rng, 2 ** 10)
+        recipe = ("concat", recipe, ("power", ("atom", 1), 10 ** 12 + len(held)))
+        w = _build(recipe)
+        held.append(w)
+        new = sorted((n for n in _nodes(w) if n.uid >= top), key=lambda n: n.uid)
+        assert new and new[-1] is w and new[0].uid >= top > before
+        assert all(n._hist is None for n in new)
+        assert words._next_uid == new[-1].uid + 1
+        # a node is built after its parts, so its uid is the larger
+        for n in new:
+            assert all(k.uid < n.uid for k in (n.left, n.right, n.base) if k is not None)
+
+
+def test_a_swept_node_leaves_the_table_and_is_never_matched():
+    key = ("power", PLUS.uid, 10 ** 13 + 7)  # an exponent no other test uses
+    dead = power(PLUS, 10 ** 13 + 7)
+    old_uid = dead.uid
+    assert words._interned[key]() is dead
+    del dead
+    assert words._interned[key]() is None  # dead, still in the table
+    # more new entries than the table takes before its next sweep
+    kept = [power(MINUS, 10 ** 13 + k) for k in range(words._sweep_at + 1)]
+    assert key not in words._interned
+    again = power(PLUS, 10 ** 13 + 7)
+    assert again.uid > old_uid and again.uid > max(w.uid for w in kept)
+    assert words._interned[key]() is again
 
 
 # ---------------------------------------------------------------------------

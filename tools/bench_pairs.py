@@ -31,10 +31,11 @@ from one in the host's speed.  Nothing under ``rotnbench/`` is changed.
 
 With ``--cli`` it times the command-line table instead: every ``rotn``
 line of the README's "Command line" block, read as
-``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``: five
+``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``: six
 large runs (a tower-route and a certified ``heavy`` at 10^18 and 10^8
-steps, an exact-only ``heavy`` at 10^7, a ``density`` at 10^8 and a
-``leaf --through`` at 10^6) and ``import rotn.cli`` alone.  Each
+steps, an exact-only ``heavy`` at 10^7, a ``density`` at 10^8, a
+``leaf --through`` at 10^6 and a ``tower`` of 1000 levels) and
+``import rotn.cli`` alone.  Each
 row runs K alternating pairs (default 5) of fresh processes, with
 ``python -B`` so that no bytecode cache is read or written, REF's side
 from a git archive and the checkout's from a copy, each side with its
@@ -136,6 +137,7 @@ CLI_ROWS = tuple(map(_rotn_row, (
     'rotn heavy --alpha "[0;(2)]" --precision exact-only --N 10000000',
     'rotn density --alpha "[0;5,(6)]" --m 0 --N 100000000',
     'rotn leaf --alpha "[0;5,(6)]" --through "(1+a)/2" --N 1000000',
+    'rotn tower --alpha "[0;5,(6)]" --depth 1000',
 ))) + (("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli")),)
 CLI_NOTE = (
     "Each row ran in fresh processes with python -B, the side run first alternating "

@@ -12,8 +12,10 @@
 # comment-only, not docstring), the settable options
 # (tools/options.py), the start-up import set, the sorted modules that
 # `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
-# interpreter's, and the writer's microseconds per row on heavy-, leaf-
-# and density-shaped tables (tools/writer_probe.py).
+# interpreter's, the writer's microseconds per row on heavy-, leaf-
+# and density-shaped tables (tools/writer_probe.py), and the cost of
+# fresh depth-40 towers: build and verify microseconds per level and the
+# report's json_text milliseconds (tools/tower_probe.py).
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -56,4 +58,8 @@ echo "== writer us/row at $1"
 PYTHONPATH="$tmp/src" python3 tools/writer_probe.py || true
 echo "== writer us/row in this checkout"
 PYTHONPATH=src python3 tools/writer_probe.py || true
+echo "== tower probe at $1"
+PYTHONPATH="$tmp/src" python3 tools/tower_probe.py || true
+echo "== tower probe in this checkout"
+PYTHONPATH=src python3 tools/tower_probe.py || true
 exit $status
