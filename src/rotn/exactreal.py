@@ -22,11 +22,49 @@ touches, and holds each point as an integer pair (P, Q) standing for
 walkers read ``R`` and ``d`` off the frame and call the module's one
 sign test, ``_surd_sign(P, Q, d)``, against thresholds embedded once
 (or its array form ``_surd_signs`` on numpy arrays of lattice points),
-and its one float formula, ``_surd_float(P, Q, R, d)``.  The per-step
-walkers also keep each point's fixed-point key ``Frame.key(P, Q)``,
-which moves by the same integer steps; a comparison whose two keys lie
-further apart than the walk's bound on |Q| is decided by the keys
-alone, and only one inside that band calls ``_surd_sign``.
+and its one float formula, ``_surd_float(P, Q, R, d)`` (or its proven
+batch form ``_surd_floats`` on sequences of lattice points).  The
+per-step walkers also keep each point's fixed-point key
+``Frame.key(P, Q)``, which moves by the same integer steps; a comparison
+whose two keys lie further apart than the walk's bound on |Q| is decided
+by the keys alone, and only one inside that band calls ``_surd_sign``.
+
+The batch float (``_surd_floats``).  ``_canonical_float`` rounds, for a
+canonical triple (p, q, r) with q != 0, the rational
+V = ((p << 72) + s)/(r << 72), s = +-floor(|q|*sqrt(d)*2^72) with the
+sign of q, to the nearest double; with v = (p + q*sqrt(d))/r,
+|V - v| < 2^-72/r.  For q = 0 it returns p/r, the double nearest
+V = v.  Take |p|, |q|, r < 2^53, so that each is an exact double, write
+u = 2^-53, s = sqrt(d) and A = |p| + |q|*s, and evaluate v in
+double-double arithmetic (Dekker, 1971), with no FMA:
+
+- sqrt(d) ~ sh + sl, sh = fl(S*2^-136) and sl = fl(S*2^-136 - sh), from
+  the field's root S = floor(sqrt(d)*2^136): |sl| <= u*sh, and
+  |sh + sl - s| < 2^-136 + u^2*sh <= 1.01*u^2*s.
+- q*sh = m1 + m2 exactly, by Dekker's two-product on Veltkamp's halves;
+  p + m1 = s1 + s2 exactly, by a two-sum; e = fl(fl(s2 + m2) + fl(q*sl)).
+  |s2|, |m2| and |q*sl| are each at most 1.01u*A, so the three
+  roundings cost at most 6.1u^2*A, and n1 + n2 = s1 + e (a two-sum) lies
+  within 7.1u^2*A of p + q*s, the root's error included.
+- q1 = fl(n1/r).  Its remainder n1 - q1*r is a double, |n1 - q1*r| <=
+  u*|q1|*r, and with q1*r = pi1 + pi2 by two-product, n1 - pi1 is exact
+  (Sterbenz) and so is (n1 - pi1) - pi2.  c = fl(that + n2) and
+  q2 = fl(c/r) err by at most 2.01u^2*|n1| and 2.02u^2*|n1|/r, and
+  |n1| <= 1.01*A, so w = q1 + q2 lies within 4.1u^2*A/r of n/r.
+- So |w - v| <= 11.2u^2*A/r < 2^-102*A/r, and |w - V| < B =
+  (2^-102*A + 2^-72)/r.  h + low = w by a two-sum, h = fl(w).
+
+Lemma: if h is normal, not a power of two, and |low| + B < half, where
+|h| is in [2^t, 2^(t+1)) and half = 2^(t-53), then the double nearest V
+is h.  Its neighbours are h -+ 2*half, so V, within |low| + B < half of
+h, lies strictly inside h's rounding interval: no tie, and no other
+double is as near.  The kernel tests fl(|low| + B') < half with
+B' = fl(fl(fl((|p| + fl(|q|*sh))*2^-101) + 2^-71)/r), which is 2B to
+within 6u, so B' >= B; rounding is monotone and half is a double, so
+the computed test implies the exact one.  Every other point, a tie, a
+value beside a power of two, or one the bound does not decide, takes
+``_surd_float``, as does a point whose reduced |p|, |q| or r reaches
+2^53.
 
 ``CFNumber`` is an eventually periodic continued fraction
 [0; c1, c2, ...] normalized to a primitive period and minimal
@@ -450,6 +488,136 @@ def _canonical_float(p: int, q: int, r: int, d: int) -> float:
     if q < 0:
         s = -s
     return ((p << _SHIFT) + s) / (r << _SHIFT)
+
+
+# _surd_floats: p, q and r below _EXACT are exact doubles; _SPLIT is
+# Veltkamp's constant, which splits a double into two halves of 26 bits;
+# the lemma's bound B, doubled, is (|p| + |q|*sh)*_ERR_REL/r + _ERR_ABS/r
+_EXACT = 1 << 53
+_SPLIT = 2.0 ** 27 + 1
+_ERR_REL, _ERR_ABS = 2.0 ** -101, 2.0 ** -71
+_EXPONENT, _MANTISSA = 0x7FF << 52, (1 << 52) - 1
+
+
+def _split(a):
+    """Veltkamp's split: (hi, lo) with hi + lo = a, each of 26 bits."""
+    hi = a * _SPLIT
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """Dekker's two-product, with no FMA: (x, y) with x = fl(a*b) and
+    x + y = a*b exactly."""
+    x = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    y = ah * bh - x
+    y += ah * bl
+    y += al * bh
+    al *= bl
+    y += al
+    return x, y
+
+
+def _two_sum(a, b):
+    """Knuth's two-sum: (s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    c = s - a
+    return s, (a - (s - c)) + (b - c)
+
+
+def _surd_floats(P, Q, R: int, d: int):
+    """``_surd_float(p, q, R, d)`` for each pair (p, q) of the sequences P
+    and Q, as a float64 array, bit for bit: its proven batch form.
+
+    ``_proven_floats`` writes each point's float in int64 and double-double
+    arithmetic, and each point it does not prove takes ``_surd_float``,
+    as does every point of a call whose R or d reach 2^63 or whose P or
+    Q do not fit in int64.
+    """
+    import numpy as np  # here, so that importing this module needs no numpy
+
+    n = len(P)
+    out, proven = np.empty(n, dtype=np.float64), np.zeros(n, dtype=bool)
+    if n and R < 1 << 63 and d < 1 << 63:
+        try:
+            out, proven = _proven_floats(P, Q, R, d)
+        except OverflowError:  # a point past int64
+            pass
+    if not proven.all():
+        for i in np.flatnonzero(~proven).tolist():
+            out[i] = _surd_float(int(P[i]), int(Q[i]), R, d)
+    return out
+
+
+def _proven_floats(P, Q, R: int, d: int):
+    """(h, proven): for each point (P, Q) over R, the float h the lemma
+    gives it, and whether the lemma proves h is ``_surd_float``'s.
+    Raises OverflowError if P or Q do not fit in int64.
+
+    A point is reduced by gcd(p, q, R) first, in int64; one whose
+    reduced |p|, |q| or r reaches 2^53 is not proven.
+    """
+    import numpy as np
+
+    p, q = np.array(P, dtype=np.int64), np.array(Q, dtype=np.int64)
+    # |p|, |q| < 2^53 exactly when p + 2^53 and q + 2^53, wrapped to
+    # uint64, are below 2^54; a point outside becomes 0, and stays unproven
+    proven = ((p + _EXACT).view(np.uint64) | (q + _EXACT).view(np.uint64)) < 2 * _EXACT
+    if not proven.all():
+        p *= proven
+        q *= proven
+    r = np.gcd(np.gcd(q, R), p)
+    p //= r
+    q //= r
+    np.floor_divide(R, r, out=r)
+    if R >= _EXACT:
+        proven &= r < _EXACT
+    pf, qf, rf = p.astype(np.float64), q.astype(np.float64), r.astype(np.float64)
+    del p, q, r
+    S = _ROOTS.get(d) or _field_root(d)
+    scale = 2.0 ** -(_SHIFT + _GUARD)
+    sh = float(S) * scale  # sqrt(d) as sh + sl
+    sl = float(S - int(sh / scale)) * scale
+    h, low = _dd_quotient(pf, qf, rf, sh, sl)
+    err = np.abs(qf)
+    err *= sh
+    err += np.abs(pf)
+    err *= _ERR_REL
+    err += _ERR_ABS
+    err /= rf
+    err += np.abs(low)
+    bits = h.view(np.uint64)
+    half = (bits & _EXPONENT).view(np.float64)
+    half *= 2.0 ** -53
+    proven &= bits & _MANTISSA != 0
+    proven &= err < half
+    return h, proven
+
+
+def _dd_quotient(pf, qf, rf, sh: float, sl: float):
+    """(h, low): (p + q*(sh + sl))/r in double-double, w = h + low with
+    h = fl(w), by the steps of the module docstring's lemma.  Each array
+    is deleted once read, so a call holds a few arrays at a time."""
+    m1, m2 = _two_prod(qf, sh)
+    n1, e = _two_sum(pf, m1)
+    del m1
+    e += m2
+    del m2
+    e += qf * sl
+    n1, n2 = _two_sum(n1, e)
+    del e
+    q1 = n1 / rf
+    pi1, pi2 = _two_prod(q1, rf)
+    n1 -= pi1  # exact, and then n1 - q1*r, the division's remainder
+    del pi1
+    n1 -= pi2
+    del pi2
+    n1 += n2
+    del n2
+    n1 /= rf
+    return _two_sum(q1, n1)
 
 
 def _surd_signs(p, sq, qqd):

@@ -33,10 +33,11 @@ differences, and the split 1 - alpha is a threshold embedded once.
 Its sides, and those of 1/2, are read off each point's ``Frame.key``
 outside a band around the threshold, and by ``_surd_sign`` inside it.
 An exact trace keeps of each entry only what it reports, its float
-shadow and its level, 16 B a visit; the shadow is written with
-``exactreal._surd_float``, the formula ``float()`` of a ``SurdReal``
-uses, so it is float() of the orbit formula's exact point, bit for
-bit.
+shadow and its level, 16 B a visit, beside the lattice points of the
+chunk of about ``_CHUNK`` visits it is on; it writes each chunk's
+shadows with one ``exactreal._surd_floats`` call, the proven batch form
+of ``_surd_float``, the formula ``float()`` of a ``SurdReal`` uses, so
+each is float() of the orbit formula's exact point, bit for bit.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
 lives in ``rotn.example``, which needs no numpy; it is re-exported here,
@@ -49,7 +50,7 @@ import numpy as np
 
 from .example import (ExampleReport, FormulaCheck, example_alpha, example_m_formulas,
                       example_point)
-from .exactreal import HALF, Frame, Record, SurdReal, _surd_float, _surd_sign
+from .exactreal import HALF, Frame, Record, SurdReal, _surd_floats, _surd_sign
 from .scan import orbit_scan
 
 __all__ = [
@@ -62,37 +63,6 @@ __all__ = [
     "FormulaCheck",
     "ExampleReport",
 ]
-
-
-def _turn_map(frame: Frame, alpha: SurdReal, band: int):
-    """b on the lattice of ``frame``, which must hold alpha.
-
-    b(x) = 1 - alpha - x left of the split 1 - alpha and 2 - alpha - x
-    right of it; for x in [0, 1) both land in (0, 1), so b needs no
-    reduction.  x = 1 - alpha runs into the corner of the rectangle
-    (the singular connection) and is refused.  A point is (P, Q, X),
-    X its ``Frame.key``; the side of the split is read off the keys
-    unless they are within ``band``, a bound on |Q - Q_split| over the
-    walk, of each other, and only then calls ``_surd_sign``.
-    """
-    R, d = frame.R, frame.d
-    Pa, Qa = frame.embed(alpha)
-    Ps, Qs = R - Pa, -Qa  # the split 1 - alpha
-    Xs, XR = frame.key(Ps, Qs), frame.key(R, 0)
-    lo, hi = Xs - band, Xs + band
-
-    def turn(P: int, Q: int, X: int) -> tuple[int, int, int]:
-        if X < lo:
-            return Ps - P, Qs - Q, Xs - X
-        if X <= hi:
-            c = _surd_sign(P - Ps, Q - Qs, d)
-            if c == 0:
-                raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
-            if c < 0:
-                return Ps - P, Qs - Q, Xs - X
-        return Ps + R - P, Qs - Q, Xs + XR - X
-
-    return turn
 
 
 class LeafTrace(Record):
@@ -125,51 +95,96 @@ class LeafTrace(Record):
         return int(self.entry_level.size)
 
 
+# visits a chunk: the trace collects each chunk's lattice points and
+# writes their floats with one ``_surd_floats`` call
+_CHUNK = 256
+
+
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
                  direction: int):
     """Step the turn map on one frame, for alpha in (0, 1); never consult
     the orbit formula.
 
-    Forward, from an upward segment at x: the next upward segment is at
-    1 - b(x) with the level moved by f of the old coordinate.  Backward
-    inverts that using that b is an involution, so the level moves by
-    -f of the new coordinate.
-    The walk holds the current point as its lattice pair (P, Q) and
-    writes each visit as ``_surd_float(P, Q, R, d)``; no SurdReal is
-    built.  Beside (P, Q) it keeps the point's ``Frame.key`` X: each
-    step moves Q by alpha's Qa, so every tested pair has
-    |Q - Qt| <= |Q0| + (count + 1)*|Qa|, and only a comparison whose keys
-    fall within that band calls ``_surd_sign``.  Both per-visit arrays,
-    (xs, lv), are allocated before the first step, so a count that cannot
-    fit is refused at once.
+    The turn map is b(x) = c - x, with c = 1 - alpha left of the split
+    1 - alpha and c = 2 - alpha right of it; for x in [0, 1) both land in
+    (0, 1), so b needs no reduction, and x = 1 - alpha runs into the
+    corner of the rectangle (the singular connection) and is refused.
+    Forward, from an upward segment at x, the next upward segment is at
+    1 - b(x) = x + 1 - c, with the level moved by f of the old
+    coordinate.  Backward inverts that using that b is an involution:
+    the next point is b(1 - x) = x + c - 1, c read off the side of 1 - x
+    (at 1 - x = 1, b agrees with b(0)), and the level moves by -f of the
+    new coordinate.  So a step adds one of two lattice moves, chosen by
+    the side of one threshold T: forward T = 1 - alpha, backward
+    T = alpha, where 1 - x meets the split.
+    The walk holds the current point as its lattice pair (P, Q), and
+    beside it its ``Frame.key`` X: each step moves Q by alpha's Qa, so
+    every tested pair has |Q - Qt| <= |Q0| + (count + 1)*|Qa|, and only
+    a comparison whose keys fall within that band calls ``_surd_sign``.
+    It collects the pairs of about ``_CHUNK`` visits at a time and
+    writes their floats with one ``_surd_floats(P, Q, R, d)`` call, so
+    each is ``_surd_float`` of its pair; no SurdReal is built.  Both
+    per-visit arrays, (xs, lv), are allocated before the first step, so
+    a count that cannot fit is refused at once.
     """
     frame = Frame(x0, alpha, HALF)
     R, d = frame.R, frame.d
-    sign, to_float = _surd_sign, _surd_float
+    sign = _surd_sign
     Ph, _ = frame.embed(HALF)
+    Pa, Qa = frame.embed(alpha)
+    Ps, Qs = R - Pa, -Qa  # the split 1 - alpha
     P, Q = frame.embed(x0)
-    band = abs(Q) + (count + 1) * abs(frame.embed(alpha)[1])
-    turn = _turn_map(frame, alpha, band)
-    X, XR = frame.key(P, Q), frame.key(R, 0)
+    band = abs(Q) + (count + 1) * abs(Qa)
+    X, XR, Xs = frame.key(P, Q), frame.key(R, 0), frame.key(Ps, Qs)
+    forward = direction == 1
+    # the moves (dP0, dX0) below T and (dP1, dX1) above it, and dQ
+    if forward:  # x + 1 - c: below T, x is left of the split
+        PT, QT, XT = Ps, Qs, Xs
+        dP0, dX0, dP1, dX1, dQ = R - Ps, XR - Xs, -Ps, -Xs, -Qs
+    else:  # x + c - 1: below T, 1 - x is right of the split
+        PT, QT, XT = Pa, Qa, XR - Xs
+        dP0, dX0, dP1, dX1, dQ = Ps, Xs, Ps - R, Xs - XR, Qs
+    t_lo, t_hi = XT - band, XT + band
     h_lo, h_hi = frame.key(Ph, 0) - band, frame.key(Ph, 0) + band
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
     j = level0
-    for k in range(count):
-        xs[k] = to_float(P, Q, R, d)
-        lv[k] = j
-        if k + 1 == count:
-            break
-        if direction == 1:
-            f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
-            dP, dQ, dX = turn(P, Q, X)
-            P, Q, X = R - dP, -dQ, XR - dX  # 1 - b(x), already in (0, 1)
-        else:
-            # b(1 - x): 1 - x is in (0, 1], and at 1 b agrees with b(0)
-            P, Q, X = turn(R - P, -Q, XR - X)
-            f = -1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else 1
-        j += f
+    chunks = max(1, (count + _CHUNK // 2) // _CHUNK)
+    for i in range(chunks):
+        k0, k1 = count * i // chunks, count * (i + 1) // chunks
+        last = k1 == count  # the last visit takes no turn
+        Pc, Qc = [], []
+        put_P, put_Q = Pc.append, Qc.append
+        for k in range(k0, k1 - last):
+            put_P(P)
+            put_Q(Q)
+            lv[k] = j
+            if forward:
+                f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
+            if X < t_lo or (X <= t_hi and _below(P - PT, Q - QT, d)):
+                P += dP0
+                X += dX0
+            else:
+                P += dP1
+                X += dX1
+            Q += dQ
+            if not forward:
+                f = -1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else 1
+            j += f
+        if last:
+            put_P(P)
+            put_Q(Q)
+            lv[count - 1] = j
+        xs[k0:k1] = _surd_floats(Pc, Qc, R, d)
     return xs, lv
+
+
+def _below(dP: int, dQ: int, d: int) -> bool:
+    """Whether x < T, given x - T as (dP, dQ); x = T is the corner, refused."""
+    c = _surd_sign(dP, dQ, d)
+    if c == 0:
+        raise ValueError("leaf at x = 1 - alpha runs into the singular corner")
+    return c < 0
 
 
 def trace_ray(i: int, alpha: SurdReal, N: int, *,

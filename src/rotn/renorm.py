@@ -322,12 +322,51 @@ def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
     return levels[:depth]
 
 
+@lru_cache(maxsize=32)
+def _reach(alpha: CFNumber) -> int:
+    """A bound on the prefixes that MAX_LEVELS levels of alpha's tower answer.
+
+    Level i's words have at most L_i letters: L_1 = 1, and `step` makes
+    each new word of at most 2n + 3 words of the level (F0' = F_a
+    F_b^(n+1) F0 F_a^n), so L_(i+1) <= (2n_i + 3)*L_i = (b_i + 2)*L_i,
+    b_i = 2n_i + 1 the leading coefficient of level i's beta_cf: a_1,
+    then a_i - 1 (``alpha_next``).  So L_i <= U_i = prod_(k<i) (b_k + 2).
+    ``half_word`` answers n only if n <= L_MAX.  ``orbit_word`` appends
+    at most 4n_i + 2 returns of level i, each of at most L_i letters,
+    then one word of the level where it stops, so it answers only
+    n <= sum_(i<=MAX) (4n_i + 3)*L_i <= sum 2*U_(i+1) <= 3*U_(MAX+1), as
+    U grows by b + 2 >= 7 a level.  That is the bound returned.
+    """
+    U = alpha.coefficient(1) + 2
+    for i in range(2, MAX_LEVELS + 1):
+        U *= alpha.coefficient(i) + 1
+    return 3 * U
+
+
+# below _reach of every admissible alpha, whose U grows by at least 7 a
+# level, so only a longer prefix needs its bound computed
+_SURE = 3 ** (MAX_LEVELS - 1)
+
+
+def _levels_for(alpha: CFNumber, n: int) -> list[RenormLevel]:
+    """alpha's cached levels, on the way to a prefix of n letters; an n
+    beyond ``_reach`` is refused at once, before a level is built or read."""
+    levels = _cached_levels(alpha)
+    if n > _SURE and n > _reach(alpha):
+        raise _too_deep(n)
+    return levels
+
+
+def _too_deep(n: int) -> ValueError:
+    return ValueError("n of %d bits needs more than the limit of %d tower levels"
+                      % (n.bit_length(), MAX_LEVELS))
+
+
 def _grow(levels: list[RenormLevel], n: int) -> None:
     """Append the next level to levels, on the way to a prefix of n letters;
     past MAX_LEVELS levels raise ValueError instead."""
     if len(levels) >= MAX_LEVELS:
-        raise ValueError("n of %d bits needs more than the limit of %d tower levels"
-                         % (n.bit_length(), MAX_LEVELS))
+        raise _too_deep(n)
     levels.append(step(levels[-1]))
 
 
@@ -342,9 +381,10 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     are nested prefixes of one another, and the first n letters of the
     returned word are the signs f(t^j(1/2)), j = 0..n-1.  Each level is
     at least three times as long as the last, so the tower grows by
-    O(log n) levels at most; past MAX_LEVELS it raises ValueError.
+    O(log n) levels at most; past MAX_LEVELS it raises ValueError, at
+    once for an n beyond ``_reach``.
     """
-    levels = _cached_levels(alpha)
+    levels = _levels_for(alpha, n)
     while levels[-1].f_minus.length < n:
         _grow(levels, n)
     return levels[bisect_left(levels, n, key=_F_MINUS_LENGTH)].f_minus
@@ -379,7 +419,7 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
     is built from the levels' words, so its prefix readers cost the
     same.  A start outside [0, 1), outside alpha's field, or whose orbit
     meets a case boundary (a singular orbit) raises ValueError, as does
-    a descent past MAX_LEVELS levels.
+    a descent past MAX_LEVELS levels, at once for an n beyond ``_reach``.
     """
     if n < 0:
         raise ValueError("orbit_word needs n >= 0, got %d" % (n,))
@@ -387,7 +427,7 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
         raise ValueError("start %s is outside [0, 1)" % (x.exact_str(),))
     if x.q and x.d != alpha.value.d:
         raise ValueError("start %s is not in the field of %s" % (x.exact_str(), alpha))
-    levels = _cached_levels(alpha)
+    levels = _levels_for(alpha, n)
     start = x
     parts = []  # [word, repeats]: runs of one return word at one level
     length = 0

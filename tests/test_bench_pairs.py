@@ -240,3 +240,38 @@ def test_the_cli_table_is_the_readme_commands_and_the_import_row(monkeypatch):
         "-m", "rotn.cli", "leaf", "--alpha", "[0;5,(6)]", "--through", "(1+a)/2",
         "--N", "1000000")
     assert rows[-1] == ("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli"))
+
+
+def _timed_pairs(row: str, parent: list, change: list) -> list:
+    """--cli pairs of one row with the given wall times and alike runs."""
+    run = {"peak_rss_mb": 10.0, "minflt": 100, "exit": 0, "stdout_sha256": "0"}
+    return [{"row": row, "first": "parent", "parent": dict(run, wall_s=p),
+             "change": dict(run, wall_s=c)} for p, c in zip(parent, change)]
+
+
+def test_the_cli_table_marks_a_row_whose_move_is_noise(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    parent = [1.00, 1.10, 1.20, 1.30, 1.40]
+    rows = {
+        "faster": [0.50, 0.55, 0.60, 0.65, 0.70],  # 5/5, median below the IQR
+        "slower": [2.0, 2.1, 2.2, 2.3, 2.4],       # 0/5: a verdict as well
+        "mixed": [0.9, 1.2, 1.1, 1.5, 1.0],        # 3/5
+        "inside": [0.99, 1.09, 1.19, 1.29, 1.41],  # 4/5, median in the IQR
+        "four": [0.90, 1.00, 1.05, 1.35, 1.20],    # 4/5, median 1.05 below q1 1.10
+    }
+    runs = [pair for name, change in rows.items()
+            for pair in _timed_pairs(name, parent, change)]
+    summary = bench_pairs._cli_summary(runs)
+    assert {name: e["noise"] for name, e in summary.items()} == {
+        "faster": False, "slower": False, "mixed": True, "inside": True, "four": False}
+    lines = bench_pairs._cli_lines(summary)
+    assert "noise" in lines[0].split()
+    for line, (name, e) in zip(lines[1:], summary.items()):
+        assert line.endswith(name)
+        assert (" noise " in line) == e["noise"]
+    # ten pairs need eight wins
+    assert bench_pairs._noise(list(range(10, 20)), [x - 1 for x in range(10, 17)]
+                              + [99, 99, 99])
+    assert not bench_pairs._noise(list(range(10, 20)), [x - 5 for x in range(10, 18)]
+                                  + [99, 99])

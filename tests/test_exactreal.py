@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rotn.exactreal
 from rotn.exactreal import (
     _GUARD,
     _ROOTS,
@@ -19,6 +20,7 @@ from rotn.exactreal import (
     _canonical_float,
     _squarefree_core,
     _surd_float,
+    _surd_floats,
     _surd_sign,
     _surd_signs,
     alpha_next,
@@ -309,6 +311,183 @@ def test_float_formulas_root_cache_stays_bounded():
         assert len(_ROOTS) <= _ROOTS_LIMIT
     # the newest fields are kept, each with its own root
     assert _ROOTS == {d: math.isqrt(d << 2 * (72 + _GUARD)) for d in fields[-_ROOTS_LIMIT:]}
+
+
+# ---------------------------------------------------------------------------
+# _surd_floats, the proven batch form of _surd_float
+
+# the fields of [0;21,(30,28,26)] and [0;5,(1000)], small ones, and a large one
+_BATCH_FIELDS = [parse_cf("[0;21,(30,28,26)]").value.d, parse_cf("[0;5,(1000)]").value.d,
+                 2, 3, 5, 10, 1234567, 10 ** 12 + 39]
+_EDGES = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 62, 2 ** 63 - 1, 2 ** 63]
+
+
+def _q_sqrt_d(q: int, d: int) -> int:
+    """The integer nearest q*sqrt(d) from below, for either sign of q."""
+    s = math.isqrt(q * q * d)
+    return s if q >= 0 else -s - 1
+
+
+@st.composite
+def _batches(draw):
+    """(P, Q, R, d): one call's lattice points, of every kind the kernel
+    must match: random, sharing a factor k with R, rational, at the
+    int64 and 2^53 edges, cancelling (|q|*sqrt(d) far above r) and
+    beside a power of two."""
+    d = draw(st.sampled_from(_BATCH_FIELDS))
+    r = draw(st.one_of(st.integers(1, 2 ** 20), st.integers(1, 2 ** 53 + 2),
+                       st.sampled_from([1, 2, 2 ** 40 + 15] + _EDGES)))
+    k = draw(st.sampled_from([1, 1, 2, 3, 12, 2 ** 12 + 1]))
+    R = r * k
+    P, Q = [], []
+    magnitude = st.integers(0, 64).flatmap(lambda b: st.integers(-(2 ** b), 2 ** b))
+    for kind in draw(st.lists(st.sampled_from(["random", "shared", "rational", "edge",
+                                               "cancel", "power"]), min_size=1, max_size=24)):
+        q = draw(magnitude)
+        if kind == "random":
+            p = draw(magnitude)
+        elif kind == "shared":
+            p, q = k * draw(magnitude), k * q
+        elif kind == "rational":
+            p, q = draw(magnitude), 0
+        elif kind == "edge":
+            p, q = (draw(st.sampled_from(_EDGES)) * draw(st.sampled_from([1, -1])) + draw(
+                st.integers(-1, 1)) for _ in range(2))
+        elif kind == "cancel":
+            q = draw(st.integers(-(2 ** 52), 2 ** 52)) // math.isqrt(d)
+            p = -_q_sqrt_d(q, d) + draw(st.integers(-3, 3))
+        else:
+            # (p + q*sqrt(d))/R within about |1/R| of 2^e
+            q = draw(st.integers(-(2 ** 40), 2 ** 40))
+            e = draw(st.integers(-8, 2))
+            p = (R << 8 >> (8 - e) if e <= 0 else R << e) - _q_sqrt_d(q, d) + draw(
+                st.integers(-2, 2))
+        P.append(p)
+        Q.append(q)
+    return P, Q, R, d
+
+
+def _bits(floats) -> list:
+    return np.asarray(floats, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=600, deadline=None)
+@given(batch=_batches())
+def test_batch_floats_are_the_scalar_floats_bit_for_bit(batch):
+    P, Q, R, d = batch
+    assert _bits(_surd_floats(P, Q, R, d)) == _bits([_surd_float(p, q, R, d)
+                                                     for p, q in zip(P, Q)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.sampled_from(_BATCH_FIELDS), p=st.integers(-(2 ** 53) + 1, 2 ** 53 - 1),
+       q=st.integers(-(2 ** 53) + 1, 2 ** 53 - 1), r=st.integers(1, 2 ** 53 - 1),
+       cancel=st.booleans())
+def test_the_double_double_value_is_within_the_lemmas_bound(d, p, q, r, cancel):
+    # |w - v| <= 11.2u^2*A/r, u = 2^-53 and A = |p| + |q|*sqrt(d), w = h + low
+    if cancel:
+        q //= math.isqrt(d) + 1
+        p = -_q_sqrt_d(q, d) + p % 7 - 3
+    S = rotn.exactreal._ROOTS.get(d) or rotn.exactreal._field_root(d)
+    sh = float(S) * 2.0 ** -136
+    sl = float(S - int(sh * 2.0 ** 136)) * 2.0 ** -136
+    h, low = rotn.exactreal._dd_quotient(np.array([float(p)]), np.array([float(q)]),
+                                         np.array([float(r)]), sh, sl)
+    with mpmath.workdps(120):
+        root = mpmath.sqrt(d)
+        v = (p + q * root) / r
+        w = mpmath.mpf(float(h[0])) + mpmath.mpf(float(low[0]))
+        assert float(h[0]) == float(w)  # h = fl(w)
+        assert abs(w - v) <= 11.2 * mpmath.mpf(2) ** -106 * (abs(p) + abs(q) * root) / r
+
+
+def _pell_points(d: int, p1: int, q1: int, top: int) -> tuple:
+    """(P, Q): the points -p + q*sqrt(d) and p - q*sqrt(d) of the solutions
+    of p^2 - d*q^2 = +-1 up to q = top, each within 1/(2p) of 0."""
+    P, Q = [], []
+    p, q = p1, q1
+    while q < top:
+        P += [-p, p, -p + 1]
+        Q += [q, -q, q]
+        p, q = p * p1 + d * q * q1, p * q1 + q * p1
+    return P, Q
+
+
+@pytest.mark.parametrize("d, p1, q1", [(2, 1, 1), (3, 2, 1), (7, 8, 3), (13, 18, 5)])
+@pytest.mark.parametrize("k", [1, 3, 2 ** 12 + 1])
+def test_batch_floats_where_the_formulas_truncation_decides(d, p1, q1, k):
+    # at |p + q*sqrt(d)| near 1/(2p) the truncation under 2^-72/r is many
+    # ulps of the value: a bound relative to the value would prove floats
+    # that _surd_float's formula does not give
+    P, Q = _pell_points(d, p1, q1, 2 ** 53 // k)
+    R = 5 * k
+    P, Q = [k * p for p in P], [k * q for q in Q]
+    want = [_surd_float(p, q, R, d) for p, q in zip(P, Q)]
+    assert _bits(_surd_floats(P, Q, R, d)) == _bits(want)
+    with mpmath.workdps(60):
+        exact = [float((p + q * mpmath.sqrt(d)) / R) for p, q in zip(P, Q)]
+    assert any(a != b for a, b in zip(want, exact))
+
+
+def _power_of_two_points(d: int, R: int, count: int) -> tuple:
+    """Lattice points over R whose float is exactly 1.0 or 2^-3, from below
+    and above, found by a scan over q."""
+    P, Q = [], []
+    q = 1
+    while len(P) < count:
+        for e in (0, -3):
+            for p in ((R >> -e) - _q_sqrt_d(q, d) + delta for delta in (-1, 0, 1)):
+                if _surd_float(p, q, R, d) == 2.0 ** e:
+                    P.append(p)
+                    Q.append(q)
+        q += 1
+    return P, Q
+
+
+@pytest.mark.parametrize("d", _BATCH_FIELDS[:4])
+def test_batch_floats_at_powers_of_two(d):
+    R = 2 ** 52
+    P, Q = _power_of_two_points(d, R, 40)
+    want = [_surd_float(p, q, R, d) for p, q in zip(P, Q)]
+    assert {1.0, 0.125} == set(want)
+    assert _bits(_surd_floats(P, Q, R, d)) == _bits(want)
+
+
+@pytest.fixture
+def scalar_calls(monkeypatch):
+    """Count the points _surd_floats hands to _surd_float."""
+    calls = []
+
+    def counted(p, q, r, d):
+        calls.append((p, q))
+        return _surd_float(p, q, r, d)
+
+    monkeypatch.setattr(rotn.exactreal, "_surd_float", counted)
+    return calls
+
+
+def test_a_bound_that_proves_nothing_gives_the_same_bits(monkeypatch, scalar_calls):
+    monkeypatch.setattr(rotn.exactreal, "_ERR_ABS", math.inf)
+    for d in _BATCH_FIELDS:
+        R = 2 ** 40 + 15
+        P = [(i * 7919) % R - R // 2 for i in range(300)]
+        Q = [i - 150 for i in range(300)]
+        scalar_calls.clear()
+        got = _surd_floats(P, Q, R, d)
+        assert len(scalar_calls) == len(P)
+        assert _bits(got) == _bits([_surd_float(p, q, R, d) for p, q in zip(P, Q)])
+
+
+def test_the_lemma_proves_almost_every_trace_point(scalar_calls):
+    from rotn.foliation import _trace_exact
+
+    a = ALPHA.value
+    for x0, direction in ((SurdReal(1, 0, 2), 1), ((1 + a) / 2, -1)):
+        scalar_calls.clear()
+        xs, _ = _trace_exact(x0, 0, a, 10 ** 5, direction)
+        assert len(scalar_calls) <= 100, len(scalar_calls)
+        for k in range(0, 10 ** 5, 997):
+            assert xs[k] == float((x0 + a * (direction * k)).frac())
 
 
 @pytest.mark.parametrize("d, named", [

@@ -1,6 +1,7 @@
 """The interval tower: substitution words, stats inequalities, oracles."""
 
 import random
+import time
 import weakref
 
 import numpy as np
@@ -135,22 +136,61 @@ def test_the_tower_refuses_more_levels_than_its_budget():
     assert renorm._cached_levels.cache_info() == calls  # refused before building
 
 
-def test_a_prefix_past_the_level_budget_is_refused_and_one_within_it_answered():
+def test_a_prefix_past_the_level_budget_is_refused_before_building_and_one_within_answered():
     cf = parse_cf("[0;5,(8)]")
     word = half_word(cf, 10 ** 300)
     levels = renorm._cached_levels(cf)
-    assert word.length >= 10 ** 300 and len(levels) < renorm.MAX_LEVELS
+    built = len(levels)
+    assert word.length >= 10 ** 300 and built < renorm.MAX_LEVELS
     assert fast_birkhoff(cf, word.length) == -1  # the total of F_minus
     assert word.min_prefix <= fast_birkhoff(cf, 10 ** 300) <= word.max_prefix
     for n, bits in ((10 ** 3000, 9966), (10 ** 30000, 99658)):
         with pytest.raises(ValueError, match="n of %d bits needs more than the limit "
                                              "of 1001 tower levels" % bits):
             fast_birkhoff(cf, n)
-        assert len(levels) == renorm.MAX_LEVELS
+        assert len(levels) == built
     x = ((1 + cf.value) / 3).frac()
     with pytest.raises(ValueError, match="needs more than the limit of 1001 tower levels"):
         orbit_word(cf, x, 10 ** 3000)
+    assert len(levels) == built
     assert orbit_word(cf, x, 10 ** 300).length >= 10 ** 300
+
+
+# 10^3000 is past the bound of two of these alphas; [0;5,(1000)]'s reaches it
+@pytest.mark.parametrize("alpha, digits, bits", [("[0;21,(30,28,26)]", 3000, 9966),
+                                                ("[0;5,(1000)]", 30000, 99658),
+                                                ("[0;7,10,(8,12)]", 3000, 9966)])
+def test_a_prefix_beyond_reach_is_refused_at_once_without_a_level(alpha, digits, bits):
+    cf, n = parse_cf(alpha), 10 ** digits
+    levels = renorm._cached_levels(cf)
+    before = len(levels)
+    start = time.thread_time()
+    for refuse in (lambda: half_word(cf, n), lambda: fast_birkhoff(cf, n),
+                   lambda: orbit_word(cf, ((1 + cf.value) / 3).frac(), n)):
+        with pytest.raises(ValueError, match="n of %d bits needs more than the limit "
+                                             "of 1001 tower levels" % bits):
+            refuse()
+    assert time.thread_time() - start < 0.01
+    assert len(levels) == before
+    fast_birkhoff(cf, 10 ** 300)  # answers
+    assert half_word(cf, 10 ** 300).length >= 10 ** 300
+
+
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;21,(30,28,26)]", "[0;7,10,(8,12)]"])
+def test_reach_bounds_every_levels_words_and_the_prefixes_answered(alpha):
+    # the bound's steps: L_i <= U_i = prod_(k<i) (b_k + 2), b_k the leading
+    # coefficient of level k's beta_cf, which reads a_1, then a_k - 1
+    cf = parse_cf(alpha)
+    U = 1
+    for i, level in enumerate(tower(cf, 30), start=1):
+        b = level.beta_cf.coefficient(1)
+        assert b == (cf.coefficient(1) if i == 1 else cf.coefficient(i) - 1)
+        assert max(level.f_plus.length, level.f_minus.length, level.f_zero.length) <= U
+        U *= b + 2
+    reach = renorm._reach(cf)
+    assert reach > 10 ** 300
+    assert half_word(cf, 10 ** 300).length <= reach
+    assert orbit_word(cf, ((1 + cf.value) / 3).frac(), 10 ** 300).length <= reach
 
 
 def test_the_deepest_run_the_config_admits_fits_the_budget():
@@ -699,3 +739,15 @@ def test_fast_birkhoff_on_a_cold_cache():
                          env=dict(os.environ, PYTHONPATH=path))
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) == orbit_scan(HALF, ALPHA.value, 100, policy="exact").sums[100]
+
+
+def test_prefixes_below_the_sure_bound_never_compute_the_reach(monkeypatch):
+    # every admissible alpha's reach is past 3^1000, so a shorter prefix
+    # skips the bound, which costs a product of 1000 coefficients
+    cf = parse_cf("[0;9,(14,20)]")
+    assert renorm._reach(cf) > renorm._SURE
+    assert min(renorm._reach(parse_cf(a)) for a in ("[0;5,(6)]", "[0;5,(6,6,6)]")) \
+        >= 3 * 7 ** renorm.MAX_LEVELS > renorm._SURE
+    monkeypatch.setattr(renorm, "_reach", lambda alpha: pytest.fail("reach computed"))
+    assert fast_birkhoff(cf, 10 ** 18) == prefix_sum_at(half_word(cf, 10 ** 18), 10 ** 18)
+    orbit_word(cf, ((1 + cf.value) / 3).frac(), 10 ** 18)

@@ -335,3 +335,42 @@ def test_a_leaf_reaching_the_corner_is_refused(ties, direction, ray_convention):
     with pytest.raises(ValueError, match="singular corner"):
         _reference_trace(x0, 0, a, 4, direction, ray_convention)
     assert (0, 0) in ties
+
+
+# ---------------------------------------------------------------------------
+# the chunks: one _surd_floats call writes each chunk's floats
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]"])
+def test_chunked_trace_equals_the_reference_at_every_chunk_edge(monkeypatch, chunk, direction,
+                                                                 alpha):
+    if chunk is not None:
+        monkeypatch.setattr(rotn.foliation, "_CHUNK", chunk)
+    C = rotn.foliation._CHUNK
+    a = parse_cf(alpha).value
+    for x0 in ((1 + a) / 3, HALF, SurdReal.from_fraction(Fraction(2, 7))):
+        for count in (1, 2, C - 1, C, C + 1, 2 * C - 1, 3 * C + 5):
+            got = _trace_exact(x0, 2, a, count, direction)
+            _same_trace(got, _reference_trace(x0, 2, a, count, direction, False))
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_a_corner_met_mid_chunk_is_refused_with_the_references_message(monkeypatch, chunk,
+                                                                       direction):
+    if chunk is not None:
+        monkeypatch.setattr(rotn.foliation, "_CHUNK", chunk)
+    C = rotn.foliation._CHUNK
+    a = A.value
+    corner = 1 - a if direction == 1 else a
+    at = C + C // 2  # the visit that sits on the corner, inside the second chunk
+    x0 = (corner - a * (at * direction)).frac()
+    got, err = _outcome(_trace_exact, x0, 0, a, 3 * C + 5, direction)
+    want, err0 = _outcome(_reference_trace, x0, 0, a, 3 * C + 5, direction, False)
+    assert got is None and want is None
+    assert err == err0 == "leaf at x = 1 - alpha runs into the singular corner"
+    # up to the corner's visit the walk takes no turn there
+    _same_trace(_trace_exact(x0, 0, a, at + 1, direction),
+                _reference_trace(x0, 0, a, at + 1, direction, False))

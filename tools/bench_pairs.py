@@ -42,7 +42,9 @@ from a git archive and the checkout's from a copy, each side with its
 ``--out`` files in a temporary directory of its own.  Each run records
 its wall time, its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``, its
 exit status and the sha256 of its stdout.  It prints per row the medians
-and quartiles of both sides' wall times, the change's wins, the median
+and quartiles of both sides' wall times, the change's wins, whether the
+row's move is noise (neither side faster in at least 4 of 5 pairs, or
+the change's median inside the parent's quartiles), the median
 peak memory and minor page faults, and whether every run of both sides
 exited alike with the same stdout,
 and exits 1 if one did not.  With ``--out``, the table goes into the
@@ -148,8 +150,10 @@ CLI_NOTE = (
     "own, as the launcher is smaller than any row, and minflt the ru_minflt it "
     "returned, the row's minor page faults; exit is the exit status and "
     "stdout_sha256 the digest of stdout. summary gives wall_s, peak_rss_mb and "
-    "minflt as the workloads' summary does, and the exit statuses and stdout "
-    "digests each side showed."
+    "minflt as the workloads' summary does, the exit statuses and stdout "
+    "digests each side showed, and noise: true when neither side's wall_s was "
+    "lower in at least 4 of 5 pairs (rounded up) or the change's median lies "
+    "inside the parent's quartiles."
 )
 # A --cli run starts through this launcher, which spawns the row, waits
 # for it with os.wait4 and writes "wall_s ru_maxrss ru_minflt exit" to the file
@@ -221,21 +225,37 @@ def _cli_summary(runs: list) -> dict:
                           for side in ("parent", "change")}
         entry["same"] = len({(p[side]["exit"], p[side]["stdout_sha256"])
                              for p in group for side in ("parent", "change")}) == 1
+        entry["noise"] = _noise([p["parent"]["wall_s"] for p in group],
+                                [p["change"]["wall_s"] for p in group])
         summary[name] = entry
     return summary
 
 
+def _noise(parent: list, change: list) -> bool:
+    """Whether a row's wall time moved by no more than noise: neither side
+    was faster in at least 4 of 5 pairs (rounded up), or the change's
+    median lies inside the parent's quartiles.  A row that loses that
+    clearly is a verdict too, a slowdown."""
+    need = -(-4 * len(parent) // 5)
+    wins = sum(c < p for c, p in zip(change, parent))
+    losses = sum(c > p for c, p in zip(change, parent))
+    spread = _quartiles(parent)
+    return max(wins, losses) < need \
+        or spread["q1"] <= _quartiles(change)["median"] <= spread["q3"]
+
+
 def _cli_lines(summary: dict) -> list:
     """The --cli table as text, one line a row."""
-    lines = ["wall_s parent [q1, q3]      change [q1, q3]     change  wins  "
+    lines = ["wall_s parent [q1, q3]      change [q1, q3]     change  wins  noise  "
              "peak MB parent change  minflt parent  change  stdout+exit  row"]
     for name, e in summary.items():
         w, m, f = e["wall_s"], e["peak_rss_mb"], e["minflt"]
-        lines.append("%.4f [%.4f, %.4f]  %.4f [%.4f, %.4f]  %+6.1f%%  %4s  %7.1f %7.1f  "
+        lines.append("%.4f [%.4f, %.4f]  %.4f [%.4f, %.4f]  %+6.1f%%  %4s  %-5s  %7.1f %7.1f  "
                      "%13d %7d  %-11s  %s" % (
             w["parent"]["median"], w["parent"]["q1"], w["parent"]["q3"],
             w["change"]["median"], w["change"]["q1"], w["change"]["q3"],
-            100 * w["median_change"], w["change_wins"], m["parent"]["median"],
+            100 * w["median_change"], w["change_wins"], "noise" if e["noise"] else "-",
+            m["parent"]["median"],
             m["change"]["median"], f["parent"]["median"], f["change"]["median"],
             "same" if e["same"] else "DIFFERS", name))
     return lines

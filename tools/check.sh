@@ -15,7 +15,10 @@
 # interpreter's, the writer's microseconds per row on heavy-, leaf-
 # and density-shaped tables (tools/writer_probe.py), and the cost of
 # fresh depth-40 towers: build and verify microseconds per level and the
-# report's json_text milliseconds (tools/tower_probe.py).
+# report's json_text milliseconds (tools/tower_probe.py), and the cost of
+# exact leaf traces, microseconds per visit of a ray and of a backward
+# leaf at 2,000 and 100,000 visits, with the share of their floats the
+# batch kernel proves (tools/trace_probe.py).
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -62,4 +65,8 @@ echo "== tower probe at $1"
 PYTHONPATH="$tmp/src" python3 tools/tower_probe.py || true
 echo "== tower probe in this checkout"
 PYTHONPATH=src python3 tools/tower_probe.py || true
+echo "== trace probe at $1"
+PYTHONPATH="$tmp/src" python3 tools/trace_probe.py || true
+echo "== trace probe in this checkout"
+PYTHONPATH=src python3 tools/trace_probe.py || true
 exit $status
