@@ -24,9 +24,10 @@ identical configs give byte-identical payload bytes.
 so the memory it holds does not grow with the row count.  A table whose
 columns are all ranges or integer or float arrays, as heavy's and
 leaf's are, is spelled in numpy by ``rotn.spell``, imported for such a
-table alone: each chunk is one uint8 matrix of fixed-width cells and
-one write, and each float cell comes from the shortest digits that
-``rotn.spell`` proves, or from ``float.__repr__`` where it proves none.
+table alone: each chunk is one uint8 matrix of cells, slots as wide
+as the chunk's cells need, kept for the table's chunks, and one write,
+and each float cell comes from the shortest digits that ``rotn.spell``
+proves, or from ``float.__repr__`` where it proves none.
 Any other table, such as density's ladder with its list columns,
 formats each chunk with one call of the % operator: every column gets
 a directive (%d for ints, %r for floats, %s for strings _cell made),
@@ -305,12 +306,13 @@ def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) 
     if any(len(c) != rows for c in cols):
         raise ValueError("columns of different lengths: %s" % [len(c) for c in cols])
     if all(map(_numeric, cols)):
-        from .spell import spell_rows
+        from .spell import Kept, spell_rows
 
+        kept = Kept()
         with open(path, "wb") as fh:
             fh.write(_head(config, names).encode())
             for lo in range(0, rows, _ROWS_PER_WRITE):
-                fh.write(spell_rows([c[lo: lo + _ROWS_PER_WRITE] for c in cols]))
+                fh.write(spell_rows([c[lo: lo + _ROWS_PER_WRITE] for c in cols], kept))
         return
     directives = [_column_formatter(c) for c in cols]
     with open(path, "w", newline="") as fh:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import count, islice
 from operator import attrgetter
 
 from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, FrozenRecord, SurdReal,
@@ -343,16 +344,45 @@ def _reach(alpha: CFNumber) -> int:
     return 3 * U
 
 
-# below _reach of every admissible alpha, whose U grows by at least 7 a
-# level, so only a longer prefix needs its bound computed
+def _lengths(alpha: CFNumber):
+    """The lengths of (F_plus, F_minus, F_zero) at levels 1, 2, ..., from
+    `step`'s rules in lengths alone: level i takes n = n_half = (b - 1)/2,
+    b the leading coefficient of its beta_cf (a_1, then a_i - 1, as
+    ``_reach`` reads it), and with a and c the lengths of F_plus and
+    F_minus on an odd level, of F_minus and F_plus on an even one (beta's
+    sign alternates), and z that of F_zero, the next level's are
+    (n + 1)a + nc + z in a's place, (n + 1)c + na + z in c's, and
+    (n + 1)(a + c) + z."""
+    plus, minus, zero = 1, 1, 0
+    for i in count(1):
+        yield plus, minus, zero
+        b = alpha.coefficient(1) if i == 1 else alpha.coefficient(i) - 1
+        n = (b - 1) // 2
+        a, c = (plus, minus) if i % 2 else (minus, plus)
+        a, c, zero = ((n + 1) * a + n * c + zero, (n + 1) * c + n * a + zero,
+                      (n + 1) * (a + c) + zero)
+        plus, minus = (a, c) if i % 2 else (c, a)
+
+
+@lru_cache(maxsize=32)
+def _half_reach(alpha: CFNumber) -> int:
+    """The longest prefix ``half_word`` answers: the length of F_minus at
+    level MAX_LEVELS, computed without building a level."""
+    return next(islice(_lengths(alpha), MAX_LEVELS - 1, None))[1]
+
+
+# below both bounds of every admissible alpha: each word is at least 5
+# times as long as the shorter of F_plus and F_minus a level before (n >= 2),
+# so level MAX_LEVELS's are at least 5^(MAX_LEVELS - 1) long, and U grows
+# by at least 7 a level; so only a longer prefix needs its bound computed
 _SURE = 3 ** (MAX_LEVELS - 1)
 
 
-def _levels_for(alpha: CFNumber, n: int) -> list[RenormLevel]:
+def _levels_for(alpha: CFNumber, n: int, reach) -> list[RenormLevel]:
     """alpha's cached levels, on the way to a prefix of n letters; an n
-    beyond ``_reach`` is refused at once, before a level is built or read."""
+    beyond reach(alpha) is refused at once, before a level is built or read."""
     levels = _cached_levels(alpha)
-    if n > _SURE and n > _reach(alpha):
+    if n > _SURE and n > reach(alpha):
         raise _too_deep(n)
     return levels
 
@@ -382,9 +412,9 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     returned word are the signs f(t^j(1/2)), j = 0..n-1.  Each level is
     at least three times as long as the last, so the tower grows by
     O(log n) levels at most; past MAX_LEVELS it raises ValueError, at
-    once for an n beyond ``_reach``.
+    once, for an n beyond ``_half_reach``.
     """
-    levels = _levels_for(alpha, n)
+    levels = _levels_for(alpha, n, _half_reach)
     while levels[-1].f_minus.length < n:
         _grow(levels, n)
     return levels[bisect_left(levels, n, key=_F_MINUS_LENGTH)].f_minus
@@ -427,7 +457,7 @@ def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
         raise ValueError("start %s is outside [0, 1)" % (x.exact_str(),))
     if x.q and x.d != alpha.value.d:
         raise ValueError("start %s is not in the field of %s" % (x.exact_str(), alpha))
-    levels = _levels_for(alpha, n)
+    levels = _levels_for(alpha, n, _reach)
     start = x
     parts = []  # [word, repeats]: runs of one return word at one level
     length = 0

@@ -1,15 +1,38 @@
 """CSV rows of numeric columns, spelled in numpy with the bytes ``_cell`` gives.
 
-``spell_rows(cols)`` returns the rows of a chunk whose columns are all
-ranges or integer or float arrays, as ASCII bytes: cells joined by
+``spell_rows(cols, kept)`` returns the rows of a chunk whose columns are
+all ranges or integer or float arrays, as ASCII bytes: cells joined by
 commas, rows ended by newlines.  An int cell is its decimal digits, and
 a float cell is ``float.__repr__`` of the cell cast to float64, as
 ``harness._cell``'s ``repr(float(v))``: a cell that ``_shortest`` proves
 is spelled from its digits, and every other cell by ``float.__repr__``
-itself.  Each cell has a fixed-width slot in a uint8 matrix of the
-chunk's rows, padded with NUL bytes, whose digits are written four at a
-time from a table of 4-byte groups; the rows are the matrix's bytes
-without the NULs.
+itself.
+
+The slots.  The chunk's rows are a uint8 matrix padded with NUL bytes,
+and the text is the matrix's bytes without the NULs.  Digits are written
+four at a time, as uint32 words from a table of 4-byte groups, so each
+column's slot is ``need`` bytes that may start on the byte after the
+separator before it, then ``digits`` bytes of whole words, then its
+separator; each is as wide as its chunk's cells need:
+- an int slot's words are the 4-digit groups of the chunk's largest
+  magnitude, right-aligned, and its one loose byte is a sign, there only
+  when the chunk holds a negative cell;
+- a float slot's words are the 16 digits after a proven cell's first,
+  its trailing zeros NUL, and its loose bytes end in the head: "0.",
+  j - 1 zeros and the first digit, as few bytes as the chunk's largest j
+  needs.  A cell that is not proven is written over the whole slot, so
+  the slot is as wide as the longest such cell too.
+A range of step 1 or -1, the index column of every heavy and leaf
+table, takes its ones groups as slices of the group table, in runs of
+at most 10^4 rows, and its higher groups and signs as one value a run.
+
+``Kept`` holds the matrix for a table's chunks, as a view of a
+bytearray whose own translate drops the NULs, with no copy of the
+matrix.  The separators, the newlines and the padding that no cell
+writes stay in place from one chunk to the next, so a chunk whose slots
+have the widths of the chunk before writes its cells over the same
+matrix, and only one whose widths change lays it out again: zeroes it
+and writes the separators.
 
 The shortest digits (``_shortest``).  ``float.__repr__`` spells a double
 v by the fewest significant digits that read back as v, and of those
@@ -50,11 +73,10 @@ below 2^-13, and powers of two, whose neighbours are not equally far.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-# a float's slot: float.__repr__ of a double takes at most 24 bytes, as
-# -2.2250738585072014e-308 does
-_FLOAT_SLOT = 24
 _LOW = 2.0 ** -13
 _MANTISSA = (1 << 52) - 1
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp: a double as two halves of 26 bits
@@ -77,46 +99,56 @@ def _pairs(strip) -> np.ndarray:
 
 
 def _groups():
-    """Every 4-digit group "0000".."9999" as a uint32 of its 4 bytes, three
+    """Every 4-digit group "0000".."9999" as a uint32 of its 4 bytes, four
     ways: in full; LEAD, its leading zeros NUL, as the top group of a
-    number ("0000" all NUL); and TRAIL, its trailing zeros NUL, as a
-    group with no nonzero digit after it.  Each is a high pair and a low
-    pair from the 100 pairs of the same three kinds."""
+    number ("0000" all NUL); TRAIL, its trailing zeros NUL, as a group
+    with no nonzero digit after it; and SOLE, LEAD but "0000" as "0", as
+    the one group of a number below 10^4.  Each is a high pair and a low
+    pair from the 100 pairs of the same kinds."""
     full = _pairs(lambda p: p)
     lead = _pairs(lambda p: p.lstrip(b"0").rjust(2, b"\0"))
     trail = _pairs(lambda p: p.rstrip(b"0"))
-    table = np.empty((3, 100, 100, 2), dtype=np.uint16)
+    table = np.empty((4, 100, 100, 2), dtype=np.uint16)
     table[0, :, :, 0], table[0, :, :, 1] = full[:, None], full
     table[1, :, :, 0], table[1, :, :, 1] = lead[:, None], full
     table[1, 0, :, 1] = lead  # below 100, the low pair leads
     table[2, :, :, 0], table[2, :, :, 1] = full[:, None], trail
     table[2, :, 0, 0] = trail  # a multiple of 100, the high pair trails
+    table[3] = table[1]
+    table[3, 0, 0, 1] = _pairs(lambda p: p[1:].rjust(2, b"\0"))[0]  # "0000" as "0"
     return table.view(np.uint32).ravel()
 
 
 _GROUPS = _groups()
-_LEAD, _TRAIL = 10 ** 4, 2 * 10 ** 4
+_GROUP = 10 ** 4
+_LEAD, _TRAIL, _SOLE = _GROUP, 2 * _GROUP, 3 * _GROUP
 
 
-def _words(texts) -> np.ndarray:
-    """4-byte strings, NUL-padded, as uint32s."""
-    return np.array(texts, dtype="S4").view(np.uint32)
-
-
-# a proven float's first 8 bytes: "0." and j - 1 zeros, then its top digit
-_HEAD = _words([b"", b"0.", b"0.0", b"0.00", b"0.00"])  # by j
-_HEAD2 = _words([b"%s%d" % (z, d) for z in (b"\0", b"0") for d in range(10)])
+@lru_cache(maxsize=None)
+def _heads(words: int, comma: bool) -> np.ndarray:
+    """A proven float's head, "0.", j - 1 zeros and its first digit d,
+    right-aligned in words NUL-padded 4-byte words and cut to them, as
+    row i of a (words, 55) uint32 array at column 11*j + d (d = 10 is
+    read only by a cell that is not proven); with comma, the first byte
+    is the separator before the slot, as the first word holds it."""
+    heads = np.frombuffer(b"".join(
+        (b"0." + b"0" * (j - 1) + b"%d" % d).rjust(12, b"\0")[-4 * words:]
+        for j in range(5) for d in range(11)), dtype=np.uint8).reshape(55, -1)
+    if comma:
+        heads = heads.copy()
+        heads[:, 0] = ord(",")
+    return np.ascontiguousarray(heads.view(np.uint32).T)
 
 
 def _scaled(w: np.ndarray, j: np.ndarray):
     """(n, e) with w*10^(16+j) = n + e exactly, n an int64 and
     |e| <= 1/2, from Dekker's two-product p + err."""
-    P = _SCALE[j]
+    P = _SCALE.take(j)
     p = w * P
     hi = w * _SPLIT
     hi -= hi - w  # Veltkamp's split, w = hi + lo
     lo = w - hi
-    Ph, Pl = _SCALE_HI[j], _SCALE_LO[j]
+    Ph, Pl = _SCALE_HI.take(j), _SCALE_LO.take(j)
     err = hi * Ph - p
     err += hi * Pl
     err += lo * Ph
@@ -146,7 +178,7 @@ def _shortest(v: np.ndarray):
     j = 1 + (w < 0.1) + (w < 0.01) + (w < 0.001)
     n, e = _scaled(w, j)
     H = (w.view(np.uint64) & _EXPONENT).view(np.float64)  # 2^t, w in [2^t, 2^(t+1))
-    H *= _SCALE[j]
+    H *= _SCALE.take(j)
     H *= 2.0 ** -53
     c10, back10, sure10 = _nearest(n, e, H, 10)
     c100, back100, sure100 = _nearest(n, e, H, 100)
@@ -156,91 +188,163 @@ def _shortest(v: np.ndarray):
     return proven, m, j
 
 
-def _floats(x: np.ndarray, text: np.ndarray, at: int) -> None:
-    """Write float.__repr__ of each cell of x, cast to float64, into the
-    24 bytes of each row of text from at, a multiple of 4."""
+def _float_column(x):
+    """(need, digits, write) of a chunk's float column (see _slots)."""
     v = np.ascontiguousarray(x, dtype=np.float64)
     proven, m, j = _shortest(v)
-    words = text.view(np.uint32)
-    col = at // 4
-    top = m // 10 ** 16
-    words[:, col] = _HEAD[j]
-    words[:, col + 1] = _HEAD2[top + 10 * (j == 4)]
-    low = m - top * 10 ** 16
-    zeros = np.full(v.size, _TRAIL, dtype=np.int64)  # no nonzero digit after
-    for i in range(col + 5, col + 1, -1):
-        q = low // 10 ** 4
-        g = low - q * 10 ** 4
-        words[:, i] = _GROUPS[g + zeros]
-        zeros *= g == 0
-        low = q
     rest = np.flatnonzero(~proven)
+    reprs = [float.__repr__(f) for f in v[rest].tolist()]
+    longest = max(map(len, reprs), default=0)
+    if rest.size == v.size:
+        return longest, 0, lambda text, p, at: _fallbacks(text, p, at, rest, reprs)
+    need = max(int(j.max(where=proven, initial=0)) + 2, longest - 16)
+
+    def write(text, p, at):
+        words = text.view(np.uint32)
+        first = max(p, 0) // 4  # the word that holds the slot's first byte
+        top = m // 10 ** 16
+        row = top + 11 * j
+        for i, head in enumerate(_heads(at // 4 - first, p >= 0)):
+            words[:, first + i] = head.take(row)
+        low = m - top * 10 ** 16
+        zeros = _TRAIL  # no nonzero digit after
+        for i in range(at // 4 + 3, at // 4 - 1, -1):
+            q = low // _GROUP
+            g = low - q * _GROUP
+            words[:, i] = _GROUPS.take(g + zeros)
+            if i > at // 4:
+                zeros = zeros * (g == 0)
+            low = q
+        _fallbacks(text, p, at + 16, rest, reprs)
+
+    return need, 16, write
+
+
+def _fallbacks(text, p, end, rest, reprs) -> None:
+    """Write float.__repr__'s reprs over the whole slot, p + 1 to end, of
+    the rows rest."""
     if rest.size:
-        reprs = np.array([float.__repr__(f) for f in v[rest].tolist()],
-                         dtype="S%d" % _FLOAT_SLOT)
-        text[rest, at:at + _FLOAT_SLOT] = reprs.view(np.uint8).reshape(rest.size, -1)
+        cells = np.array(reprs, dtype="S%d" % (end - p - 1))
+        text[rest, p + 1:end] = cells.view(np.uint8).reshape(rest.size, -1)
 
 
-def _int_groups(x: np.ndarray) -> int:
-    """The 4-digit groups of an int column's largest magnitude."""
-    top = max(abs(int(x.min())), abs(int(x.max()))) if x.size else 0
-    return max(1, (len(str(top)) + 3) // 4)
-
-
-def _ints(x: np.ndarray, text: np.ndarray, at: int, groups: int) -> None:
-    """Write each cell of x into the rows of text: a minus sign, or NUL, at
-    at - 1 and the digits, right-aligned, in groups 4-byte groups from at,
-    a multiple of 4."""
-    if x.dtype.kind == "u":
-        u = x.astype(np.uint64)
+def _int_column(x):
+    """(need, digits, write) of a chunk's int column (see _slots)."""
+    if isinstance(x, range):
+        lo, hi = sorted((x[0], x[-1]))
     else:
-        x = x.astype(np.int64)
-        text[:, at - 1] = (x < 0) * ord("-")
+        lo, hi = int(x.min()), int(x.max())
+    groups = max(1, (len(str(max(-lo, hi))) + 3) // 4)
+    sign = lo < 0
+    if isinstance(x, range) and x.step in (1, -1):
+        return sign, 4 * groups, lambda text, p, at: _range(x, text, at, groups, sign)
+    if isinstance(x, range):
+        a = np.arange(len(x), dtype=np.int64)
+        a *= x.step  # wrapping int64 arithmetic: exact, as every cell fits
+        a += x.start
+        x = a
+    return sign, 4 * groups, lambda text, p, at: _ints(x, text, at, groups, sign)
+
+
+def _ints(x: np.ndarray, text: np.ndarray, at: int, groups: int, sign: bool) -> None:
+    """Write each cell of x into the rows of text: with sign, a minus or
+    NUL at at - 1, and the digits, right-aligned, in groups 4-byte groups
+    from at, a multiple of 4."""
+    if x.dtype.kind == "u":
+        u = x.astype(np.uint64, copy=False)
+    else:
+        x = x.astype(np.int64, copy=False)
+        if sign:
+            text[:, at - 1] = (x < 0) * ord("-")
+            x = np.abs(x)  # -2^63 stays, and reads 2^63 as a uint64
         u = x.view(np.uint64)
-        u = np.where(x < 0, -u, u)  # |x| mod 2^64, so -2^63 too
-    n, lead = np.uint64(10 ** 4), np.uint64(_LEAD)
     words = text.view(np.uint32)
-    for i in range(at // 4 + groups - 1, at // 4 - 1, -1):
-        q = u // n
-        words[:, i] = _GROUPS[(u - q * n) + (u < n) * lead]
-        u = q
-    text[x == 0, at + 4 * groups - 1] = ord("0")
+    col = at // 4 + groups - 1
+    lead = _SOLE  # the ones group leads below 10^4
+    for i in range(col, col - groups + 1, -1):
+        q = u // _GROUP
+        words[:, i] = _GROUPS.take((u - q * _GROUP).view(np.int64) + (q == 0) * lead)
+        u, lead = q, _LEAD
+    words[:, col - groups + 1] = _GROUPS.take(u.view(np.int64) + lead)
 
 
-def _array(col) -> np.ndarray:
-    if isinstance(col, range):
-        a = np.arange(len(col), dtype=np.int64)
-        a *= col.step  # wrapping int64 arithmetic: exact, as every cell fits
-        a += col.start
-        return a
-    return col
+def _range(r: range, text: np.ndarray, at: int, groups: int, sign: bool) -> None:
+    """_ints of a range of step 1 or -1, by slices: in a run of rows of
+    one sign whose magnitudes share their digits above the ones group,
+    the ones groups are consecutive entries of the group table, and each
+    higher group and the sign are one value."""
+    words = text.view(np.uint32)
+    col = at // 4 + groups - 1
+    i, rows = 0, len(r)
+    while i < rows:
+        v = r[i]
+        high, low = divmod(abs(v), _GROUP)
+        base = _SOLE if high == 0 else 0
+        if (v >= 0) == (r.step > 0):  # magnitudes rise, to the group's 9999
+            k = min(rows - i, _GROUP - low)
+            words[i:i + k, col] = _GROUPS[base + low:base + low + k]
+        else:  # they fall, to the group's 0000, or to 1 before 0 at high 0
+            k = min(rows - i, low + (v >= 0 or high > 0))
+            words[i:i + k, col] = _GROUPS[base + low - k + 1:base + low + 1][::-1]
+        for g in range(col - 1, col - groups, -1):
+            high, group = divmod(high, _GROUP)
+            words[i:i + k, g] = _GROUPS[group + (_LEAD if high == 0 else 0)]
+        if sign:
+            text[i:i + k, at - 1] = ord("-") if v < 0 else 0
+        i += k
 
 
-def spell_rows(cols: list) -> bytes:
+def _slots(columns) -> tuple:
+    """Each column's (p, at), its slot's first word at at, a multiple of
+    4, after at least need bytes from p + 1, p the separator before it
+    (-1 before the first), and the newline's place.  A slot that holds
+    need loose bytes and digits bytes of words ends at at + digits,
+    where the next separator goes."""
+    places, p = [], -1
+    for need, digits, _ in columns:
+        at = -(-(p + 1 + need) // 4) * 4
+        places.append((p, at))
+        p = at + digits
+    return places, p
+
+
+class Kept:
+    """A table's text matrix and its layout, kept from chunk to chunk:
+    ``harness.write_columns`` makes one a table, so the matrix lives as
+    long as the table's write.  The matrix is a view of a bytearray,
+    whose own translate drops the NULs with no copy of the matrix."""
+
+    def __init__(self):
+        self.layout = None
+        self.buf = bytearray()
+        self.text = None
+
+
+def spell_rows(cols: list, kept: Kept | None = None) -> bytearray:
     """The CSV rows of equal-length columns, each a range of int64 values
-    or a 1-d integer or float array, as ASCII bytes."""
-    arrays = [_array(c) for c in cols]
-    # each cell's slot starts at a multiple of 4, an int's after its sign
-    # byte, and is followed by its separator
-    slots, at = [], 0
-    for a in arrays:
-        if a.dtype.kind == "f":
-            at = -(-at // 4) * 4
-            slots.append((at, None))
-            at += _FLOAT_SLOT + 1
-        else:
-            groups = _int_groups(a)
-            at = -(-(at + 1) // 4) * 4
-            slots.append((at, groups))
-            at += 4 * groups + 1
-    text = np.zeros((len(arrays[0]), -(-at // 4) * 4), dtype=np.uint8)
-    for a, (at, groups) in zip(arrays, slots):
-        if groups is None:
-            _floats(a, text, at)
-            at += _FLOAT_SLOT
-        else:
-            _ints(a, text, at, groups)
-            at += 4 * groups
-        text[:, at] = ord(",")
-    text[:, at] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
+    or a 1-d integer or float array, as a bytearray of ASCII.  kept, one
+    Kept for each table's chunks, keeps the matrix; without it, a fresh
+    one."""
+    rows = len(cols[0])
+    if not rows:
+        return bytearray()
+    kept = Kept() if kept is None else kept
+    columns = [_float_column(c) if getattr(c, "dtype", None) is not None
+               and c.dtype.kind == "f" else _int_column(c) for c in cols]
+    layout = [(need, digits) for need, digits, _ in columns]
+    places, end = _slots(columns)
+    if kept.layout != layout or kept.text.shape[0] < rows:
+        width = -(-(end + 1) // 4) * 4
+        if len(kept.buf) < rows * width:
+            kept.buf = bytearray(rows * width)
+        text = np.frombuffer(kept.buf, np.uint8, rows * width).reshape(rows, width)
+        text.fill(0)
+        for p, _ in places[1:]:
+            text[:, p] = ord(",")
+        text[:, end] = ord("\n")
+        kept.layout, kept.text = layout, text
+    text = kept.text[:rows]
+    for (_, _, write), (p, at) in zip(columns, places):
+        write(text, p, at)
+    whole = kept.buf if text.size == len(kept.buf) else kept.buf[:text.size]
+    return whole.translate(None, b"\0")

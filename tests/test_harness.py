@@ -823,6 +823,32 @@ def test_numeric_writer_matches_the_row_by_row_reference(tmp_path, rows):
     assert open(by_col, "rb").read() == want
 
 
+def _narrowing_table(seed):
+    """Five chunks whose slots narrow after wider ones: an int column of
+    3 digit groups in chunk 1 and 1 after, negative only in chunk 2, and
+    24-byte float fallbacks in chunk 1 only."""
+    rng = np.random.default_rng(seed)
+    rows = 4 * _C + 5
+    s = rng.integers(0, 10 ** 4, rows)
+    s[:_C] = rng.integers(10 ** 8, 10 ** 10, _C)
+    s[_C:2 * _C] = -rng.integers(1, 10 ** 4, _C)
+    x = rng.random(rows)
+    x[_C - 3:_C] = [5e-324, -2.2250738585072014e-308, math.nan]
+    return ["n", "x", "S"], [range(0, -rows, -1), x, s]
+
+
+def test_numeric_writer_keeps_no_stale_bytes_as_its_slots_narrow(tmp_path):
+    config = ExperimentConfig(kind="heavy", N=1)
+    # two tables back to back, each on its own kept matrix
+    for seed in (1, 2):
+        names, cols = _narrowing_table(seed)
+        rows = len(cols[0])
+        ref, by_col = str(tmp_path / ("ref%d" % seed)), str(tmp_path / ("col%d" % seed))
+        _ref_write_csv(ref, config, names, [tuple(c[i] for c in cols) for i in range(rows)])
+        write_columns(by_col, config, names, cols)
+        assert open(by_col, "rb").read() == open(ref, "rb").read()
+
+
 def test_numeric_writer_makes_one_write_per_chunk(tmp_path, monkeypatch):
     writes = []
 

@@ -1,5 +1,6 @@
 """The interval tower: substitution words, stats inequalities, oracles."""
 
+import itertools
 import random
 import time
 import weakref
@@ -191,6 +192,35 @@ def test_reach_bounds_every_levels_words_and_the_prefixes_answered(alpha):
     assert reach > 10 ** 300
     assert half_word(cf, 10 ** 300).length <= reach
     assert orbit_word(cf, ((1 + cf.value) / 3).frac(), 10 ** 300).length <= reach
+
+
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;21,(30,28,26)]", "[0;7,10,(8,12)]",
+                                   "[0;5,(1000)]"])
+def test_the_length_recurrence_is_the_towers(alpha):
+    cf = parse_cf(alpha)
+    levels = tower(cf, 30)
+    assert [(lv.f_plus.length, lv.f_minus.length, lv.f_zero.length) for lv in levels] \
+        == list(itertools.islice(renorm._lengths(cf), 30))
+
+
+def test_a_prefix_past_level_1001s_half_word_is_refused_before_building():
+    # _reach (9,972 bits) passes 10^3000 (9,966 bits) here, but level
+    # 1001's F_minus has 9,959: the refusal once came after all 1001 levels
+    cf = parse_cf("[0;5,(1000)]")
+    assert (renorm._half_reach(cf).bit_length(), renorm._reach(cf).bit_length()) == (9959, 9972)
+    levels = renorm._cached_levels(cf)
+    before = list(levels)
+    start = time.thread_time()
+    with pytest.raises(ValueError, match="n of 9966 bits needs more than the limit "
+                                         "of 1001 tower levels"):
+        fast_birkhoff(cf, 10 ** 3000)
+    assert time.thread_time() - start < 0.05
+    assert levels == before
+    # and it is the exact bound: that prefix is answered by level 1001
+    reach = renorm._half_reach(cf)
+    assert half_word(cf, reach).length == reach and len(levels) == renorm.MAX_LEVELS
+    with pytest.raises(ValueError, match="needs more than the limit of 1001 tower levels"):
+        half_word(cf, reach + 1)
 
 
 def test_the_deepest_run_the_config_admits_fits_the_budget():

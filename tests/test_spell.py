@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotn.spell import _shortest, spell_rows
+from rotn.spell import Kept, _shortest, spell_rows
 
 
 def _reprs(values) -> bytes:
@@ -93,3 +93,62 @@ def test_rows_join_cells_by_commas():
     x = np.array([0.5, 0.25, 0.1])
     got = spell_rows([range(3), x, np.array([-7, 0, 12345], dtype=np.int64), x])
     assert got == b"0,0.5,-7,0.5\n1,0.25,0,0.25\n2,0.1,12345,0.1\n"
+
+
+def _lines(values) -> bytes:
+    return "".join("%d\n" % v for v in values).encode()
+
+
+def _chunked(cols, chunk, kept=None):
+    """spell_rows over chunk-row slices of cols, one Kept for all, as
+    harness.write_columns spells a table."""
+    kept = Kept() if kept is None else kept
+    rows = len(cols[0])
+    return b"".join(spell_rows([c[lo:lo + chunk] for c in cols], kept)
+                    for lo in range(0, rows, chunk))
+
+
+@pytest.mark.parametrize("start", [0, 9995, -9995, 99_999_998, -99_999_998, 2 ** 63 - 5,
+                                   -(2 ** 63) + 5])
+@pytest.mark.parametrize("step", [1, 3])
+def test_ranges_cross_their_group_edges_inside_a_chunk_and_at_its_edge(start, step):
+    # 40 values about start, clipped to int64, each way: whole, a group
+    # edge falls inside the chunk; in chunks of one row, on a chunk edge
+    lo, hi = max(start - 20 * step, -(2 ** 63)), min(start + 20 * step, 2 ** 63)
+    for r in (range(lo, hi, step), range(hi - 1, lo - 1, -step)):
+        assert spell_rows([r]) == _lines(r), r
+        for chunk in (1, 7):
+            assert _chunked([r], chunk) == _lines(r), (r, chunk)
+
+
+def test_backward_and_forward_index_ranges_at_table_sizes():
+    C = 8192
+    # a leaf's backward indices, and indices whose group edge is a chunk edge
+    for r in (range(0, -25_001, -1), range(10 ** 4 - C, 10 ** 4 - C + 3 * C),
+              range(-(10 ** 4 - C), -(10 ** 4 - C) - 3 * C, -1),
+              range(10 ** 8 - C - 1, 10 ** 8 + C), range(-5, 3 * C, 3)):
+        assert _chunked([r], C) == _lines(r), r
+
+
+def test_a_kept_matrix_narrows_and_leaves_no_stale_bytes():
+    # chunk 1: 3-group ints and 24-byte float fallbacks; chunk 2: negative
+    # ints; chunk 3: floats in [0.1, 1) and one-group ints; chunk 4: only
+    # floats float.__repr__ spells; chunk 5: as chunk 3
+    C, rng = 64, np.random.default_rng(39)
+    s = rng.integers(0, 10 ** 4, 5 * C)
+    s[:C] = rng.integers(10 ** 8, 10 ** 10, C)
+    s[C:2 * C] = -rng.integers(1, 10 ** 4, C)
+    x = rng.random(5 * C)
+    x[:3] = [5e-324, -2.2250738585072014e-308, math.nan]
+    x[2 * C:] = 0.1 + 0.9 * x[2 * C:]
+    x[3 * C:4 * C] = rng.integers(1, 9, C) / 8
+    cols = [range(5 * C), x, s]
+    kept, widths = Kept(), []
+    for lo in range(0, 5 * C, C):
+        chunk = [c[lo:lo + C] for c in cols]
+        assert spell_rows(chunk, kept) == spell_rows(chunk)
+        widths.append(kept.text.shape[1])
+    assert widths[0] > widths[1] > widths[2] == widths[4] and widths[3] < widths[0]
+    want = b"".join(b"%d,%s,%d\n" % (i, repr(float(v)).encode(), w)
+                    for i, (v, w) in enumerate(zip(x.tolist(), s.tolist())))
+    assert _chunked(cols, C) == want

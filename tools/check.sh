@@ -12,8 +12,9 @@
 # comment-only, not docstring), the settable options
 # (tools/options.py), the start-up import set, the sorted modules that
 # `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
-# interpreter's, the writer's microseconds per row on heavy-, leaf-
-# and density-shaped tables (tools/writer_probe.py), and the cost of
+# interpreter's, the writer's best and median microseconds per row and
+# minor page faults per write on heavy-, leaf- and density-shaped tables
+# (tools/writer_probe.py), and the cost of
 # fresh depth-40 towers: build and verify microseconds per level and the
 # report's json_text milliseconds (tools/tower_probe.py), and the cost of
 # exact leaf traces, microseconds per visit of a ray and of a backward

@@ -10,15 +10,19 @@ Five table shapes, each at 25,000 and 10^6 rows:
 - density: one list per column, of ints, ints, ints or None, and floats
   with a NaN, as density's horizon rows are.
 The values are seeded, so each run writes the same tables.  Each table is
-timed in a fresh interpreter: one warm-up write, then the best of
-max(3, 10^6 // rows) writes to a temporary file (40 at 25,000 rows), as
-a shared host's load swings single writes by half.  tools/check.sh runs
-it at a commit and in the checkout, for information.
+timed in a fresh interpreter: one warm-up write, then max(3, 10^6 // rows)
+writes to a temporary file (40 at 25,000 rows).  It prints the best
+write, as a shared host's load swings single writes by half, the median
+write, and the minor page faults per write (ru_minflt of that
+interpreter over the timed writes, divided by their count).
+tools/check.sh runs it at a commit and in the checkout, for information.
 Usage: PYTHONPATH=SRC python3 tools/writer_probe.py [SHAPE ROWS]
 """
 
 import math
 import os
+import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,27 +59,32 @@ def _table(shape: str, rows: int):
             [[10 * i + 1 for i in range(rows)], walk.tolist(), first, gaps])
 
 
-def _time_one(shape: str, rows: int) -> float:
-    """The best write of one table, in microseconds per row."""
+def _time_one(shape: str, rows: int):
+    """(best, median) microseconds per row of one table's writes, and its
+    minor page faults per write."""
     from rotn.harness import ExperimentConfig, write_columns
 
     config = ExperimentConfig(kind="heavy", N=1)
     names, cols = _table(shape, rows)
+    times = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "probe.csv")
         write_columns(path, config, names, cols)  # warm-up
-        best = math.inf
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(max(3, 10 ** 6 // rows)):
             start = time.perf_counter()
             write_columns(path, config, names, cols)
-            best = min(best, time.perf_counter() - start)
-    return 1e6 * best / rows
+            times.append(time.perf_counter() - start)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return (1e6 * min(times) / rows, 1e6 * statistics.median(times) / rows,
+            faults / len(times))
 
 
 def main() -> None:
     if len(sys.argv) == 3:
         shape, rows = sys.argv[1], int(sys.argv[2])
-        print("%-10s %9d rows: %6.3f us/row" % (shape, rows, _time_one(shape, rows)))
+        print("%-10s %9d rows: %6.3f us/row best, %6.3f median, %7.1f minor faults/write"
+              % ((shape, rows) + _time_one(shape, rows)))
         return
     for shape in SHAPES:
         for rows in ROWS:
