@@ -21,22 +21,17 @@ one JSON document with the header inside.  Under the exact-only policy
 identical configs give byte-identical payload bytes.
 
 ``write_columns`` writes a table _ROWS_PER_WRITE (2^13) rows at a time,
-so the memory it holds does not grow with the row count.  A table whose
-columns are all ranges or integer or float arrays, as heavy's and
-leaf's are, is spelled in numpy by ``rotn.spell``, imported for such a
-table alone: each chunk is one uint8 matrix of cells, slots as wide
-as the chunk's cells need, kept for the table's chunks, and one write,
-and each float cell comes from the shortest digits that ``rotn.spell``
-proves, or from ``float.__repr__`` where it proves none.
-Any other table, such as density's ladder with its list columns,
-formats each chunk with one call of the % operator: every column gets
-a directive (%d for ints, %r for floats, %s for strings _cell made),
-the row template they spell is repeated once per row, and it is
-applied to one flat tuple of the chunk's cells.  A range or an integer
-or float array gets its directive once; any other column gets one per
-chunk, from the types of its cells.  ``write_csv`` takes a table as
-rows, for callers that build rows, such as the benchmark's writer
-probe, and formats it the second way.  Both ways give ``_cell``'s bytes.
+so the memory it holds does not grow with the row count, and
+``write_csv``, a table given as rows, transposes each chunk of rows and
+writes it the same way.  A chunk whose columns are all ranges, integer
+or float arrays, or lists of ints or of floats, as heavy's and leaf's
+are and density's ladder is when it holds no None, is spelled in numpy
+by ``rotn.spell``, imported for such a chunk alone: one uint8 matrix of
+cells, slots as wide as the chunk's cells need, kept for the table's
+chunks, and one write, and each float cell comes from the shortest
+digits that ``rotn.spell`` proves, or from ``float.__repr__`` where it
+proves none.  Any other chunk is spelled row by row by ``_cell`` and
+written in one write.  Both ways give ``_cell``'s bytes.
 """
 
 from __future__ import annotations
@@ -210,62 +205,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _formatter(cells):
-    """The directive of a chunk's column, and the cells it formats, as _cell would.
-
-    Exact ints take %d and exact floats %r (float.__repr__) as they
-    are; any other column takes %s over strings: float.__repr__ of each
-    cell when all are floats of a subclass (np.float64), else _cell's.
-    """
-    kinds = set(map(type, cells))
-    if kinds == {int}:  # not bool, which _cell spells true/false
-        return "%d", cells
-    if kinds == {float}:
-        return "%r", cells
-    if all(issubclass(t, float) for t in kinds):
-        return "%s", list(map(float.__repr__, cells))  # repr(float(v))
-    return "%s", list(map(_cell, cells))
-
-
-# numpy dtype kinds whose .tolist() gives exact ints or floats only, a
-# float array's once cast to float64
-_KIND_DIRECTIVES = {"i": "%d", "u": "%d", "f": "%r"}
-
-
-def _column_formatter(col):
-    """The directive of every cell of a whole column, or None to pick per chunk.
-
-    A range holds ints (%d), and an integer or float array's chunks list
-    as exact ints (%d) or floats (%r, float.__repr__); any other column,
-    bool arrays and plain lists among them, gets a directive per chunk
-    from _formatter.
-    """
-    if isinstance(col, range):
-        return "%d"
-    return _KIND_DIRECTIVES.get(getattr(getattr(col, "dtype", None), "kind", None))
-
-
-def _write_chunk(fh, cols, directives) -> None:
-    """Write the rows of a chunk given column by column (lists or tuples), in one write.
-
-    directives[j] is column j's %-directive, or None to pick one from its
-    cells.  One row template, such as "%d,%r,%d\\n", is repeated once per
-    row and applied by one % to a flat tuple that interleaves the
-    columns, so the text is spelled in C, with no string per cell of a
-    %d or %r column, no row tuples and no row joins.  A %s cell is a
-    finished string, so a "%" in it is written as it stands.
-    """
-    width, rows = len(cols), len(cols[0])
-    flat = [None] * (width * rows)
-    row = []
-    for j, (directive, col) in enumerate(zip(directives, cols)):
-        if directive is None:
-            directive, col = _formatter(col)
-        flat[j::width] = col
-        row.append(directive)
-    fh.write((",".join(row) + "\n") * rows % tuple(flat))
-
-
 def _head(config: ExperimentConfig, names) -> str:
     return "# %s\n%s\n" % (json.dumps(config.header(), sort_keys=True), ",".join(names))
 
@@ -273,20 +212,54 @@ def _head(config: ExperimentConfig, names) -> str:
 _INT64 = range(-(1 << 63), 1 << 63)
 
 
-def _numeric(col) -> bool:
-    """Whether rotn.spell spells the column: a range of int64 values, its
-    step one too, or an integer or float array."""
-    if isinstance(col, range):
-        return not col or all(v in _INT64 for v in (col[0], col[-1], col.step))
-    return getattr(getattr(col, "dtype", None), "kind", None) in ("i", "u", "f")
+def _numeric(chunk):
+    """A column's chunk as rotn.spell spells it, or None where it cannot.
+
+    A range of int64 values, its step one too, and an integer or float
+    array are spelled as they are; a list or tuple of exact ints (not
+    bools) that fit int64, or of floats (np.float64 among them), as an
+    int64 or a float64 array.
+    """
+    if isinstance(chunk, range):
+        return chunk if all(v in _INT64 for v in (chunk[0], chunk[-1], chunk.step)) else None
+    if getattr(getattr(chunk, "dtype", None), "kind", None) in ("i", "u", "f"):
+        return chunk
+    if not isinstance(chunk, (list, tuple)):
+        return None
+    kinds = set(map(type, chunk))
+    if kinds == {int} and min(chunk) in _INT64 and max(chunk) in _INT64:
+        dtype = "int64"
+    elif all(issubclass(t, float) for t in kinds):
+        dtype = "float64"
+    else:
+        return None
+    import numpy as np
+
+    return np.array(chunk, dtype=dtype)
 
 
-def _as_cells(chunk):
-    """A chunk as _write_chunk takes it: an array's as a list of Python
-    scalars, a float array's cast to float64 first, as _cell's float(v)."""
-    if getattr(getattr(chunk, "dtype", None), "kind", None) == "f":
-        chunk = chunk.astype(float)
-    return chunk.tolist() if hasattr(chunk, "dtype") else chunk
+def _write_table(path: str, config: ExperimentConfig, names, chunks) -> None:
+    """Write the header, then each chunk, a list of the columns' slices,
+    in one write.
+
+    A chunk whose columns are all numeric (_numeric) is spelled in numpy
+    by ``rotn.spell.spell_rows``, imported for the first such chunk, on
+    one matrix kept for the table; any other is spelled row by row by
+    _cell.  Both give _cell's bytes, written as UTF-8.
+    """
+    kept = None
+    with open(path, "wb") as fh:
+        fh.write(_head(config, names).encode())
+        for cols in chunks:
+            spelt = [_numeric(c) for c in cols]
+            if all(c is not None for c in spelt):
+                from .spell import Kept, spell_rows
+
+                kept = Kept() if kept is None else kept
+                fh.write(spell_rows(spelt, kept))
+            else:
+                fh.write("".join([",".join(map(_cell, row)) + "\n"
+                                  for row in zip(*cols)]).encode())
 
 
 def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) -> None:
@@ -294,51 +267,31 @@ def write_columns(path: str, config: ExperimentConfig, names: list, cols: list) 
 
     A column is any sliceable sequence of one length: a list, a range,
     or a numpy array.  Rows go out _ROWS_PER_WRITE at a time, so no
-    column is ever converted to a whole-length list.  A table whose
-    columns are all ranges or integer or float arrays (_numeric), as
-    heavy's and leaf's are, is spelled a chunk at a time in numpy by
-    ``rotn.spell.spell_rows``; any other, a list column among them, by
-    one % of a row template with a directive per column (_write_chunk).
-    Both give _cell's bytes.  Columns of different lengths raise
+    column is ever converted to a whole-length list; each chunk is
+    spelled by _write_table.  Columns of different lengths raise
     ValueError before anything is written.
     """
     rows = len(cols[0])
     if any(len(c) != rows for c in cols):
         raise ValueError("columns of different lengths: %s" % [len(c) for c in cols])
-    if all(map(_numeric, cols)):
-        from .spell import Kept, spell_rows
-
-        kept = Kept()
-        with open(path, "wb") as fh:
-            fh.write(_head(config, names).encode())
-            for lo in range(0, rows, _ROWS_PER_WRITE):
-                fh.write(spell_rows([c[lo: lo + _ROWS_PER_WRITE] for c in cols], kept))
-        return
-    directives = [_column_formatter(c) for c in cols]
-    with open(path, "w", newline="") as fh:
-        fh.write(_head(config, names))
-        for lo in range(0, rows, _ROWS_PER_WRITE):
-            _write_chunk(fh, [_as_cells(c[lo: lo + _ROWS_PER_WRITE]) for c in cols],
-                         directives)
+    _write_table(path, config, names, ([c[lo: lo + _ROWS_PER_WRITE] for c in cols]
+                                       for lo in range(0, rows, _ROWS_PER_WRITE)))
 
 
 def write_csv(path: str, config: ExperimentConfig, columns: list, rows) -> None:
     """Write a row-major table with the column names ``columns``.
 
     ``rows`` is any iterable of equal-length rows.  Each chunk of
-    _ROWS_PER_WRITE rows is transposed and formatted by _write_chunk, as
-    write_columns formats a table with a list column, so both give the
-    same bytes.  A row of another length raises ValueError; the chunks
-    before its own are already written.  ``run`` writes column tables;
-    this form serves callers that build rows, such as the benchmark's
-    writer probe (rotnbench/layers.py).
+    _ROWS_PER_WRITE rows is transposed and spelled by _write_table, as
+    write_columns spells its chunks, so both give the same bytes.  A row
+    of another length raises ValueError; the chunks before its own are
+    already written.  ``run`` writes column tables; this form serves
+    callers that build rows, such as the benchmark's writer probe
+    (rotnbench/layers.py).
     """
     rows = iter(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(_head(config, columns))
-        while chunk := list(islice(rows, _ROWS_PER_WRITE)):
-            cols = list(zip(*chunk, strict=True))
-            _write_chunk(fh, cols, [None] * len(cols))
+    chunks = iter(lambda: list(islice(rows, _ROWS_PER_WRITE)), [])
+    _write_table(path, config, columns, (list(zip(*chunk, strict=True)) for chunk in chunks))
 
 
 # the JSON scalars (bool is an int): a container of these alone, or a list of

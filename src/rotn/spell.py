@@ -77,18 +77,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .exactreal import _EXPONENT, _MANTISSA, _two_prod
+
 _LOW = 2.0 ** -13
-_MANTISSA = (1 << 52) - 1
-_SPLIT = 2.0 ** 27 + 1  # Veltkamp: a double as two halves of 26 bits
-_EXPONENT = 0x7FF << 52
 # a distance R below H*_BELOW reads back, and one at or above H*_ABOVE
 # does not
 _BELOW, _ABOVE = 1 - 2.0 ** -48, 1 + 2.0 ** -48
 _TOP = 10 ** 17
-# 10^(16 + j) and its Veltkamp halves, by j
+# 10^(16 + j), by j
 _SCALE = np.array([0.0, 1e17, 1e18, 1e19, 1e20])
-_SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
-_SCALE_LO = _SCALE - _SCALE_HI
 
 
 def _pairs(strip) -> np.ndarray:
@@ -143,16 +140,7 @@ def _heads(words: int, comma: bool) -> np.ndarray:
 def _scaled(w: np.ndarray, j: np.ndarray):
     """(n, e) with w*10^(16+j) = n + e exactly, n an int64 and
     |e| <= 1/2, from Dekker's two-product p + err."""
-    P = _SCALE.take(j)
-    p = w * P
-    hi = w * _SPLIT
-    hi -= hi - w  # Veltkamp's split, w = hi + lo
-    lo = w - hi
-    Ph, Pl = _SCALE_HI.take(j), _SCALE_LO.take(j)
-    err = hi * Ph - p
-    err += hi * Pl
-    err += lo * Ph
-    err += lo * Pl
+    p, err = _two_prod(w, _SCALE.take(j))
     r = np.rint(err)
     err -= r
     return p.astype(np.int64) + r.astype(np.int64), err

@@ -9,14 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotn import orbits, scan, words
+from rotn import orbits, scan, spell, words
 from rotn.circle import max_gap, visit_set
 from rotn.cli import _build_parser, _config, main
 from rotn.exactreal import HALF, SurdReal, parse_cf
 from rotn.harness import (
     _ROWS_PER_WRITE,
-    _column_formatter,
-    _write_chunk,
     PRECISIONS,
     ExperimentConfig,
     config_from_header,
@@ -849,7 +847,8 @@ def test_numeric_writer_keeps_no_stale_bytes_as_its_slots_narrow(tmp_path):
         assert open(by_col, "rb").read() == open(ref, "rb").read()
 
 
-def test_numeric_writer_makes_one_write_per_chunk(tmp_path, monkeypatch):
+def _spy_writes(monkeypatch):
+    """The data of every write of rotn.harness's files, in order."""
     writes = []
 
     class Spy:
@@ -866,10 +865,15 @@ def test_numeric_writer_makes_one_write_per_chunk(tmp_path, monkeypatch):
             writes.append(data)
             return self.fh.write(data)
 
+    monkeypatch.setattr("rotn.harness.open", Spy, raising=False)
+    return writes
+
+
+def test_numeric_writer_makes_one_write_per_chunk(tmp_path, monkeypatch):
     rows = 3 * _C + 5
     names, cols = _numeric_table(rows)
     config = ExperimentConfig(kind="heavy", N=1)
-    monkeypatch.setattr("rotn.harness.open", Spy, raising=False)
+    writes = _spy_writes(monkeypatch)
     write_columns(str(tmp_path / "t.csv"), config, names, cols)
     # the header, then one write for each of the four chunks
     assert len(writes) == 5
@@ -883,8 +887,8 @@ def test_writer_spells_float_arrays_of_any_width_as_float64(tmp_path, with_list)
     cols = [range(x.size)] + [x.astype(t) for t in
                               (np.float16, np.float32, np.float64, np.longdouble)]
     names = ["n", "half", "single", "double", "long"]
-    if with_list:  # the % writer's path
-        cols.append(list(range(x.size)))
+    if with_list:  # a None sends every chunk to the row join
+        cols.append([None] + list(range(1, x.size)))
         names.append("k")
     ref, by_col, by_row = _three_ways(tmp_path, names, cols)
     assert by_col == ref and by_row == ref
@@ -903,7 +907,7 @@ def _three_ways(tmp_path, names, cols):
 
 
 def test_writer_spells_percent_signs_and_commas_verbatim(tmp_path):
-    # a %s cell is a finished string: the template never reads its "%"
+    # a text cell is written as it stands, "%" and "," alike
     cells = ["%", "%s", "%%", "a,b", "%d%r", "100%", "%(x)s"]
     cols = [range(len(cells)), cells, [float(i) for i in range(len(cells))]]
     ref, by_col, by_row = _three_ways(tmp_path, ["n", "text", "x"], cols)
@@ -912,19 +916,49 @@ def test_writer_spells_percent_signs_and_commas_verbatim(tmp_path):
         b"%d,%s,%d.0\n" % (i, c.encode(), i) for i, c in enumerate(cells))
 
 
-def test_writer_makes_one_write_per_chunk():
-    class Spy:
-        def __init__(self):
-            self.texts = []
+def test_writer_makes_one_write_per_chunk(tmp_path, monkeypatch):
+    # the mixed table takes the row join, in both forms
+    rows = 3 * _C + 5
+    names, cols = _table(rows)
+    config = ExperimentConfig(kind="heavy", N=1)
+    writes = _spy_writes(monkeypatch)
+    write_columns(str(tmp_path / "c.csv"), config, names, cols)
+    write_csv(str(tmp_path / "r.csv"), config, names, zip(*cols))
+    # each: the header, then one write for each of the four chunks
+    assert [w.count(b"\n") for w in writes] == [2, _C, _C, _C, 5] * 2
 
-        def write(self, text):
-            self.texts.append(text)
 
-    names, cols = _table(_C)
-    fh = Spy()
-    _write_chunk(fh, [c.tolist() if hasattr(c, "dtype") else c for c in cols],
-                 [_column_formatter(c) for c in cols])
-    assert len(fh.texts) == 1 and fh.texts[0].count("\n") == _C
+def test_writer_writes_text_cells_as_utf8(tmp_path):
+    # whatever the locale's encoding
+    cells = ["α", "S_n ≥ 0", "naïve", "日本"]
+    config = ExperimentConfig(kind="heavy", N=1)
+    by_col, by_row = str(tmp_path / "col"), str(tmp_path / "row")
+    write_columns(by_col, config, ["n", "text"], [range(len(cells)), cells])
+    write_csv(by_row, config, ["n", "text"], enumerate(cells))
+    want = "".join("%d,%s\n" % (i, c) for i, c in enumerate(cells)).encode("utf-8")
+    for path in (by_col, by_row):
+        assert open(path, "rb").read().split(b"\n", 2)[2] == want
+
+
+@pytest.mark.parametrize("col, numeric", [
+    ([-(2 ** 63), 2 ** 63 - 1, 0], True),  # int64's edges
+    ([-(2 ** 63) - 1, 0, 1], False),  # just past them
+    ([2 ** 63, 0, 1], False),
+    ((7, -1, 12345), True),
+    ([1, True, 0], False),  # _cell spells a bool true or false
+    ([0.5, np.float64(0.1), math.nan], True),
+    ([1, 2.5, 3], False),
+    ([None, 1, 2], False),  # as density's ladder with an empty cell
+])
+def test_writer_spells_list_chunks_of_ints_or_of_floats_in_numpy(tmp_path, monkeypatch,
+                                                                col, numeric):
+    calls = []
+    real = spell.spell_rows
+    monkeypatch.setattr(spell, "spell_rows",
+                        lambda cols, kept: calls.append(kept) or real(cols, kept))
+    ref, by_col, by_row = _three_ways(tmp_path, ["n", "v"], [range(len(col)), col])
+    assert by_col == ref and by_row == ref
+    assert len(calls) == (2 if numeric else 0)
 
 
 def test_writer_spells_a_column_of_ints_and_floats_as_each(tmp_path):

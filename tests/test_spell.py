@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotn.spell import Kept, _shortest, spell_rows
+from rotn.exactreal import _two_prod
+from rotn.spell import Kept, _scaled, _shortest, spell_rows
 
 
 def _reprs(values) -> bytes:
@@ -64,6 +65,22 @@ def test_float_cells_are_float_repr_over_a_million_values():
     proven = _shortest(v)[0]
     assert not proven[(v < 2.0 ** -13) | (v >= 1)].any()
     assert not proven[np.frexp(v)[0] == 0.5].any()
+
+
+def test_scaled_splits_the_exact_two_product():
+    # w*10^(16+j) = n + e exactly, |e| <= 1/2, with (n, e) the rounded
+    # split of exactreal's two-product, on every class's cells the proof takes
+    rng = np.random.default_rng(20261020)
+    v = np.concatenate(list(_classes(rng, 2000).values()))
+    w = v[(v >= 2.0 ** -13) & (v < 1.0)]
+    j = 1 + (w < 0.1) + (w < 0.01) + (w < 0.001)
+    n, e = _scaled(w, j)
+    x, y = _two_prod(w, 10.0 ** (16 + j))
+    r = np.rint(y)
+    assert np.array_equal(n, x.astype(np.int64) + r.astype(np.int64))
+    assert np.array_equal(e, y - r) and (np.abs(e) <= 0.5).all()
+    for wi, ji, ni, ei in zip(w.tolist(), j.tolist(), n.tolist(), e.tolist()):
+        assert ni + Fraction(ei) == Fraction(wi) * 10 ** (16 + ji)
 
 
 def test_float_arrays_of_any_width_spell_their_float64_value():

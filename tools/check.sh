@@ -13,8 +13,9 @@
 # (tools/options.py), the start-up import set, the sorted modules that
 # `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
 # interpreter's, the writer's best and median microseconds per row and
-# minor page faults per write on heavy-, leaf- and density-shaped tables
-# (tools/writer_probe.py), and the cost of
+# minor page faults per write on heavy-, leaf-, row- and density-shaped
+# tables, each table timed at REF and here in turn (tools/writer_probe.py),
+# and the cost of
 # fresh depth-40 towers: build and verify microseconds per level and the
 # report's json_text milliseconds (tools/tower_probe.py), and the cost of
 # exact leaf traces, microseconds per visit of a ray and of a backward
@@ -58,10 +59,8 @@ echo "== start-up imports at $1"
 startup_imports "$tmp/src" || true
 echo "== start-up imports in this checkout"
 startup_imports src || true
-echo "== writer us/row at $1"
-PYTHONPATH="$tmp/src" python3 tools/writer_probe.py || true
-echo "== writer us/row in this checkout"
-PYTHONPATH=src python3 tools/writer_probe.py || true
+echo "== writer us/row at $1 and in this checkout, interleaved table by table"
+python3 tools/writer_probe.py "$tmp/src" || true
 echo "== tower probe at $1"
 PYTHONPATH="$tmp/src" python3 tools/tower_probe.py || true
 echo "== tower probe in this checkout"
