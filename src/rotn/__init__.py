@@ -14,6 +14,7 @@ Layout:
 - ``scan``:       long orbit scans: certified float kernel or exact walk
 - ``circle``:     visit sets of one level and their circular gaps
 - ``renorm``:     the tower of return maps, substitutions, bounds checks
+- ``euclid``:     the sign word of any orbit, by Euclid's algorithm
 - ``foliation``:  rectangle-to-rectangle leaf tracing
 - ``example``:    the orbit family whose forward sums stay at most -1
 - ``harness``:    configs, output files, and the exact experiments

@@ -9,7 +9,9 @@ whose forward sign word is the infinite product of blocks
 with every block-boundary prefix maximum equal to -1, plus recursions
 and closed forms for the prefix maxima of the return words.  All of it
 is exact arithmetic on the tower and its words; nothing here needs
-numpy.
+numpy.  The ``example`` command audits the witness against
+``euclid.sign_word``'s word of x, which reads neither the tower nor the
+witness.
 """
 
 from __future__ import annotations

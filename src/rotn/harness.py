@@ -23,15 +23,16 @@ identical configs give byte-identical payload bytes.
 ``write_columns`` writes a table _ROWS_PER_WRITE (2^13) rows at a time,
 so the memory it holds does not grow with the row count, and
 ``write_csv``, a table given as rows, transposes each chunk of rows and
-writes it the same way.  A chunk whose columns are all ranges, integer
-or float arrays, or lists of ints or of floats, as heavy's and leaf's
-are and density's ladder is when it holds no None, is spelled in numpy
-by ``rotn.spell``, imported for such a chunk alone: one uint8 matrix of
+writes it the same way.  A chunk of at least _SPELL_ROWS (128) rows
+whose columns are all ranges, integer or float arrays, or lists of ints
+or of floats, as heavy's and leaf's are, is spelled in numpy by
+``rotn.spell``, imported for such a chunk alone: one uint8 matrix of
 cells, slots as wide as the chunk's cells need, kept for the table's
 chunks, and one write, and each float cell comes from the shortest
 digits that ``rotn.spell`` proves, or from ``float.__repr__`` where it
-proves none.  Any other chunk is spelled row by row by ``_cell`` and
-written in one write.  Both ways give ``_cell``'s bytes.
+proves none.  Any other chunk, density's ladder of at most 9 rows among
+them, is spelled row by row by ``_cell`` and written in one write.  Both
+ways give ``_cell``'s bytes.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ _MAX_POINT_BITS = 13300
 # CSV rows formatted per write: a chunk's cells and text take about 1.5 MB
 # at three columns, so a 10^9-row table never holds a whole column
 _ROWS_PER_WRITE = 1 << 13
+# a chunk of fewer rows takes the _cell row join: rotn.spell costs about
+# 120 us a call whatever the rows, and the two cross near 128 to 192 rows
+# (tools/writer_probe.py, its ladder shape, on a 2-core host)
+_SPELL_ROWS = 128
 
 
 class ExperimentConfig(FrozenRecord):
@@ -190,18 +195,21 @@ def config_from_header(header: dict) -> ExperimentConfig:
 
 
 def _cell(v) -> str:
+    # the cells most tables hold first, ahead of the ABC checks below
+    if type(v) is int:
+        return str(v)
+    if type(v) is float:
+        return repr(v)
     if v is None:
         return ""
-    if isinstance(v, bool):
+    # np.bool_ is neither a bool nor a numbers.Integral
+    if isinstance(v, bool) or getattr(getattr(v, "dtype", None), "kind", None) == "b":
         return "true" if v else "false"
     # numpy registers its integer and floating scalars with these ABCs
     if isinstance(v, numbers.Integral):
         return str(int(v))
     if isinstance(v, numbers.Real):
         return repr(float(v))  # shortest round-trip form, stable across runs
-    # np.bool_ is neither a bool nor a numbers.Integral
-    if getattr(getattr(v, "dtype", None), "kind", None) == "b":
-        return "true" if v else "false"
     return str(v)
 
 
@@ -242,16 +250,17 @@ def _write_table(path: str, config: ExperimentConfig, names, chunks) -> None:
     """Write the header, then each chunk, a list of the columns' slices,
     in one write.
 
-    A chunk whose columns are all numeric (_numeric) is spelled in numpy
-    by ``rotn.spell.spell_rows``, imported for the first such chunk, on
-    one matrix kept for the table; any other is spelled row by row by
-    _cell.  Both give _cell's bytes, written as UTF-8.
+    A chunk of at least _SPELL_ROWS rows whose columns are all numeric
+    (_numeric) is spelled in numpy by ``rotn.spell.spell_rows``, imported
+    for the first such chunk, on one matrix kept for the table; any other
+    is spelled row by row by _cell.  Both give _cell's bytes, written as
+    UTF-8.
     """
     kept = None
     with open(path, "wb") as fh:
         fh.write(_head(config, names).encode())
         for cols in chunks:
-            spelt = [_numeric(c) for c in cols]
+            spelt = [_numeric(c) for c in cols] if len(cols[0]) >= _SPELL_ROWS else [None]
             if all(c is not None for c in spelt):
                 from .spell import Kept, spell_rows
 

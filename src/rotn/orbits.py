@@ -2,20 +2,21 @@
 
 Each is a function of its ``ExperimentConfig`` that returns (report,
 table), as ``harness`` describes, and ``EXPERIMENTS`` maps their kinds
-to them.  They work on numpy arrays (orbit scans, letters of the tower
+to them.  They work on numpy arrays (orbit scans, letters of the sign
 words, visit sets), so this module imports numpy and the array
 modules, and ``harness.run`` imports it only for these kinds: ``tower``
 and ``oracle`` run on the standard library alone.
 
 One function, ``_orbit``, picks where the signs of an orbit come from:
 ``heavy``, ``density`` and ``leaf --ray`` read the orbit of 1/2,
-``example`` that of (1+alpha)/2.  A certified run on an admissible
-alpha reads them off the tower and checks a prefix by the 64-bit keys
-of ``key_signs``, whose signs must agree with it; any other run scans
-every step (a leaf traces every visit).  Either route yields one
-summary that the report is built from once: the histogram (lo, counts)
-of the sums for ``heavy``, ``example`` and ``leaf``, and the visit set
-for ``density``.
+``example`` that of (1+alpha)/2.  A certified run reads them off a
+word: the tower's ``half_word`` at 1/2 on an admissible alpha, else
+``euclid.sign_word``, on any alpha and from any start; it checks a
+prefix by the 64-bit keys of ``key_signs``, whose signs must agree with
+the word.  An exact-only run, the ground truth, scans every step (a
+leaf traces every visit).  Either route yields one summary that the
+report is built from once: the histogram (lo, counts) of the sums for
+``heavy``, ``example`` and ``leaf``, and the visit set for ``density``.
 """
 
 from __future__ import annotations
@@ -25,19 +26,20 @@ import os
 import numpy as np
 
 from .circle import VisitSet, visit_set
+from .euclid import sign_word
 from .example import example_m_formulas
 from .exactreal import HALF, SurdReal, parse_cf
 from .foliation import trace_leaf_through, trace_ray
 from .harness import ExperimentConfig, parse_point
-from .renorm import admissible, half_word, orbit_word
+from .renorm import admissible, half_word
 from .scan import key_signs, orbit_positions, orbit_scan, sums_histogram
 from .words import letters, level_times, prefix_histogram, prefix_sum_at
 
 # leaf visits retraced under the other policy; small enough that the
 # check stays cheap next to a long certified trace
 _LEAF_CHECK_VISITS = 256
-# steps of the orbit of 1/2 that a run reading its signs off the tower
-# also keys, so the two routes check each other; about 0.2 ms of key_signs
+# steps of the orbit that a run reading its signs off a word also keys,
+# so the word and the keys check each other; about 0.2 ms of key_signs
 _PREFIX_STEPS = 1 << 16
 # entry levels per slice of the leaf's step check (512 KiB of int64)
 _STEP_CHUNK = 1 << 16
@@ -52,12 +54,6 @@ _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 def _gap_ladder(N: int) -> list:
     horizons = {N} | {10 ** e for e in range(2, 9) if 10 ** e < N}
     return sorted(horizons)
-
-
-def _on_tower(config: ExperimentConfig, cf) -> bool:
-    """Whether the run reads its signs off the tower: certified, on an
-    admissible alpha.  Exact-only runs, the ground truth, always scan."""
-    return config.policy == "certified" and admissible(cf)
 
 
 def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
@@ -83,34 +79,36 @@ def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
     """The signs of n steps of the orbit of x, as
     (word, scan, signs, escalations, check).
 
-    On the tower (``_on_tower``) the word's first n letters are the signs,
-    exactly: ``half_word`` at x = 1/2, else ``orbit_word``, the descent of
-    x (the same word at 1/2, at far more cost).  signs then holds the signs
-    of min(n, checked) steps, escalations the number of them that took
-    the exact test, and check says whether they agree with the word.  They
-    come from ``key_signs``, by the 64-bit key with no position or sum and
-    scan None, or, when table asks for positions and sums, from scan, a
-    certified scan of those steps.  Any other run scans all n steps, with
-    word None, and signs and escalations are the scan's.  check holds the
+    An exact-only run, the ground truth, scans all n steps, with word
+    None, and signs and escalations are the scan's.  A certified run
+    reads a word whose first n letters are the signs, exactly: the
+    tower's ``half_word`` at x = 1/2 on an admissible alpha, which is the
+    faster there, else ``euclid.sign_word``.  signs then holds
+    the signs of min(n, checked) steps, escalations the number of them
+    that took the exact test, and check says whether they agree with the
+    word.  They come from ``key_signs``, by the 64-bit key with no
+    position or sum and scan None, or, when table asks for positions and
+    sums, from scan, a certified scan of those steps.  check holds the
     route's report keys.
     """
-    on_tower = _on_tower(config, cf)
-    steps = min(n, checked) if on_tower else n
-    _refuse_unallocatable(config, steps + 1)
-    if not on_tower:
-        scan = orbit_scan(x, cf.value, n, policy=config.policy)
-        return (None, scan, scan.signs, int(scan.escalated.size),
-                {"signs": "scan", "prefix_steps_checked": 0})
-    word = half_word(cf, n) if x == HALF else orbit_word(cf, x, n)
-    if table:
-        scan = orbit_scan(x, cf.value, steps)
+    exact = config.policy == "exact"
+    steps = n if exact else min(n, checked)
+    if exact or table:
+        _refuse_unallocatable(config, steps + 1)
+        scan = orbit_scan(x, cf.value, steps, policy=config.policy)
         signs, escalated = scan.signs, scan.escalated
     else:
         scan = None
         signs, escalated = key_signs(x, cf.value, steps)
+    if exact:
+        return None, scan, signs, int(escalated.size), {"signs": "scan", "prefix_steps_checked": 0}
+    if x == HALF and admissible(cf):
+        word, route = half_word(cf, n), "tower"
+    else:
+        word, route = sign_word(cf.value, x, n), "euclid"
     agrees = bool(np.array_equal(signs[:steps], letters(word, steps)))
     return word, scan, signs, int(escalated.size), {
-        "signs": "tower", "prefix_steps_checked": steps, "prefix_agrees": agrees}
+        "signs": route, "prefix_steps_checked": steps, "prefix_agrees": agrees}
 
 
 def _sums(word, scan, n: int) -> tuple:
@@ -125,12 +123,13 @@ def _sums(word, scan, n: int) -> tuple:
 def _density(config: ExperimentConfig):
     """How the level-m visit positions fill the circle as N grows.
 
-    The scan route reads its visit set off ``_orbit``'s scan of N + max(k, 0)
-    steps.  On the tower, whose check keys min(N, 2^16) signs, the visit
-    times come from ``level_times``, by descent of the word, and positions
-    only at the visits, by the scan's own formula and radius test, so they
-    equal the scan's bit for bit; ``orbit_positions`` adds k to the times
-    a chunk at a time, so no shifted copy of them is made.  The gaps of
+    An exact-only run reads its visit set off ``_orbit``'s scan of
+    N + max(k, 0) steps.  A certified run, whose check keys min(N, 2^16)
+    signs, takes the visit times from ``level_times``, by descent of the
+    word, and positions only at the visits, by the scan's own formula and
+    radius test, so they equal the scan's bit for bit; ``orbit_positions``
+    adds k to the times a chunk at a time, so no shifted copy of them is
+    made.  The gaps of
     every horizon come from ``VisitSet.max_gaps``, which as a rule sorts
     only a few buckets' positions of a horizon of 2^12 visits or more.
     escalations counts the exact fallbacks of both: the check's undecided
@@ -189,13 +188,14 @@ def _example(config: ExperimentConfig):
     the backward signs 1..n are the forward signs 0..n-1 negated, and
     witness_prefix_ok compares the first min(N, 20,000, witness length)
     signs with the witness word.  The forward signs come from ``_orbit``
-    with a check of 10^5 steps: on the tower, max_forward_sum is one
-    prefix histogram of orbit_word, the descent of x, at any N below
-    2^63, and the forward signs are ``key_signs``' n, by alpha, which
-    serve both checks above and must equal the descent's letters for ok
-    to hold; any other run scans all N steps forward.  On every route the
-    backward signs are ``key_signs``' n + 1 by -alpha, exact as a scan's.
-    The descent never reads the witness, which is what the audit checks.
+    with a check of 10^5 steps: a certified run takes max_forward_sum
+    from one prefix histogram of ``euclid.sign_word``'s word of x, at any
+    N below 2^63, and the forward signs are ``key_signs``' n, by alpha,
+    which serve both checks above and must equal the word's letters for
+    ok to hold; an exact-only run scans all N steps forward.  On every
+    route the backward signs are ``key_signs``' n + 1 by -alpha, exact as
+    a scan's.  The word reads neither the witness nor the tower, which is
+    what the audit checks.
     """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
@@ -247,10 +247,11 @@ def _leaf(config: ExperimentConfig):
 
     min_level, max_level and levels_visited are read off the histogram
     (lo, counts) of the entry levels: a full trace bins its own.  Ray
-    entry n sits at level ray + 1 + S_n(1/2), so when ``_orbit`` reads
-    the signs of 1/2 off the tower, as for ``heavy``, and no --out needs
-    every entry_x, it is ``_sums``' histogram shifted by ray + 1, at any
-    N below 2^63, checked by ``_orbit``'s keys of min(N, 2^16) signs.
+    entry n sits at level ray + 1 + S_n(1/2), so when a certified ray
+    needs no --out, and so no entry_x past the check, ``_orbit`` reads the
+    signs of 1/2 off a word, as for ``heavy``, and the histogram is
+    ``_sums``' shifted by ray + 1, at any N below 2^63, checked by
+    ``_orbit``'s keys of min(N, 2^16) signs.
     The trace then covers only the min(N, 256) entries the other
     precision retraces: the certified ray is the orbit of 1/2 shifted,
     so past them its levels step by one by construction.
@@ -270,7 +271,7 @@ def _leaf(config: ExperimentConfig):
                                       policy=policy)
 
     retraced = min(N, _LEAF_CHECK_VISITS)
-    if config.ray is not None and not config.out and _on_tower(config, cf):
+    if config.ray is not None and not config.out and policy == "certified":
         word, scan, _, _, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
         lo, counts, _ = _sums(word, scan, N)
         lo += config.ray + 1  # entry n sits at ray + 1 + S_n(1/2)
@@ -310,9 +311,9 @@ def _heavy(config: ExperimentConfig):
     """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N.
 
     The report reads only the histogram (lo, counts) of S_1..S_N and
-    S_N, which ``_sums`` gives from either route of ``_orbit``: on the
-    tower the keyed signs only check the word, over 2^16 steps, and only
-    when --out needs its table is the check a scan, over all N steps.
+    S_N, which ``_sums`` gives from either route of ``_orbit``: a
+    certified run's keyed signs only check the word, over 2^16 steps, and
+    only when --out needs its table is the check a scan, over all N steps.
     """
     N = config.N
     cf = parse_cf(config.alpha)

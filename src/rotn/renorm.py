@@ -25,6 +25,11 @@ Totals are always (+1, -1, 0); lengths are the return times.  The word
 DAG keeps all of this O(1) per level, so prefix extrema of return words
 at level 40 (length ~ 10^28) are a few integer operations.
 
+The orbit of 1/2 writes F_minus of every level as its opening letters,
+so ``half_word`` reads the signs of that orbit off the tower, and
+``fast_birkhoff`` its sums; the word of any other start, or of an alpha
+with no tower, is ``euclid.sign_word``'s, which never reads the tower.
+
 ``oracle_first_return`` is the dual route: simulate the rotation point
 by point in exact arithmetic until it re-enters I_i and record what it
 did.  It shares no code with the substitution side, which is exactly
@@ -62,7 +67,6 @@ __all__ = [
     "oracle_first_return",
     "fast_birkhoff",
     "half_word",
-    "orbit_word",
     "MAX_LEVELS",
 ]
 
@@ -323,32 +327,11 @@ def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
     return levels[:depth]
 
 
-@lru_cache(maxsize=32)
-def _reach(alpha: CFNumber) -> int:
-    """A bound on the prefixes that MAX_LEVELS levels of alpha's tower answer.
-
-    Level i's words have at most L_i letters: L_1 = 1, and `step` makes
-    each new word of at most 2n + 3 words of the level (F0' = F_a
-    F_b^(n+1) F0 F_a^n), so L_(i+1) <= (2n_i + 3)*L_i = (b_i + 2)*L_i,
-    b_i = 2n_i + 1 the leading coefficient of level i's beta_cf: a_1,
-    then a_i - 1 (``alpha_next``).  So L_i <= U_i = prod_(k<i) (b_k + 2).
-    ``half_word`` answers n only if n <= L_MAX.  ``orbit_word`` appends
-    at most 4n_i + 2 returns of level i, each of at most L_i letters,
-    then one word of the level where it stops, so it answers only
-    n <= sum_(i<=MAX) (4n_i + 3)*L_i <= sum 2*U_(i+1) <= 3*U_(MAX+1), as
-    U grows by b + 2 >= 7 a level.  That is the bound returned.
-    """
-    U = alpha.coefficient(1) + 2
-    for i in range(2, MAX_LEVELS + 1):
-        U *= alpha.coefficient(i) + 1
-    return 3 * U
-
-
 def _lengths(alpha: CFNumber):
     """The lengths of (F_plus, F_minus, F_zero) at levels 1, 2, ..., from
     `step`'s rules in lengths alone: level i takes n = n_half = (b - 1)/2,
     b the leading coefficient of its beta_cf (a_1, then a_i - 1, as
-    ``_reach`` reads it), and with a and c the lengths of F_plus and
+    ``alpha_next`` makes it), and with a and c the lengths of F_plus and
     F_minus on an odd level, of F_minus and F_plus on an even one (beta's
     sign alternates), and z that of F_zero, the next level's are
     (n + 1)a + nc + z in a's place, (n + 1)c + na + z in c's, and
@@ -371,33 +354,11 @@ def _half_reach(alpha: CFNumber) -> int:
     return next(islice(_lengths(alpha), MAX_LEVELS - 1, None))[1]
 
 
-# below both bounds of every admissible alpha: each word is at least 5
+# below ``_half_reach`` of every admissible alpha: each word is at least 5
 # times as long as the shorter of F_plus and F_minus a level before (n >= 2),
-# so level MAX_LEVELS's are at least 5^(MAX_LEVELS - 1) long, and U grows
-# by at least 7 a level; so only a longer prefix needs its bound computed
+# so level MAX_LEVELS's are at least 5^(MAX_LEVELS - 1) long; so only a
+# longer prefix needs its reach computed
 _SURE = 3 ** (MAX_LEVELS - 1)
-
-
-def _levels_for(alpha: CFNumber, n: int, reach) -> list[RenormLevel]:
-    """alpha's cached levels, on the way to a prefix of n letters; an n
-    beyond reach(alpha) is refused at once, before a level is built or read."""
-    levels = _cached_levels(alpha)
-    if n > _SURE and n > reach(alpha):
-        raise _too_deep(n)
-    return levels
-
-
-def _too_deep(n: int) -> ValueError:
-    return ValueError("n of %d bits needs more than the limit of %d tower levels"
-                      % (n.bit_length(), MAX_LEVELS))
-
-
-def _grow(levels: list[RenormLevel], n: int) -> None:
-    """Append the next level to levels, on the way to a prefix of n letters;
-    past MAX_LEVELS levels raise ValueError instead."""
-    if len(levels) >= MAX_LEVELS:
-        raise _too_deep(n)
-    levels.append(step(levels[-1]))
 
 
 _F_MINUS_LENGTH = attrgetter("f_minus.length")
@@ -411,84 +372,16 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     are nested prefixes of one another, and the first n letters of the
     returned word are the signs f(t^j(1/2)), j = 0..n-1.  Each level is
     at least three times as long as the last, so the tower grows by
-    O(log n) levels at most; past MAX_LEVELS it raises ValueError, at
-    once, for an n beyond ``_half_reach``.
+    O(log n) levels at most; past MAX_LEVELS it raises ValueError, and
+    before a level is built for an n beyond ``_half_reach``.
     """
-    levels = _levels_for(alpha, n, _half_reach)
+    levels = _cached_levels(alpha)
     while levels[-1].f_minus.length < n:
-        _grow(levels, n)
+        if len(levels) >= MAX_LEVELS or n > _SURE and n > _half_reach(alpha):
+            raise ValueError("n of %d bits needs more than the limit of %d tower levels"
+                             % (n.bit_length(), MAX_LEVELS))
+        levels.append(step(levels[-1]))
     return levels[bisect_left(levels, n, key=_F_MINUS_LENGTH)].f_minus
-
-
-def _returns_bound(level: RenormLevel) -> int:
-    """Most return-map steps the orbit of a point of I_i takes to enter I_(i+1).
-
-    In the local chart of I_i the return map is rotation by beta, with
-    |beta| = 1/(b + g) for the leading coefficient b = 2*n_half + 1 and
-    g = G(|beta|) < 1/6, and I_(i+1) is |beta|*(1 - g) long.  After b
-    steps a point sits delta = g*|beta| from where it started, so the
-    first 2b + 1 points of any orbit are x_j and x_j - delta, j < b,
-    and x_0 - 2*delta, whose gaps are delta or |beta| - delta, all at
-    most the length of I_(i+1): one of them lies in it, after at most 2b
-    steps.  Random starts in five fields reach 2b at every level.
-    """
-    return 4 * level.n_half + 2
-
-
-def orbit_word(alpha: CFNumber, x: SurdReal, n: int) -> SignWord:
-    """A word whose first n letters are f(t^j(x)), j = 0..n-1, for exact x in [0, 1).
-
-    Follows x down the tower: at level i, the return word that
-    ``_local_return_word`` names for x covers the orbit up to its next
-    visit to I_i.  If that word reaches n letters, the descent stops;
-    if x lies in I_(i+1) it moves down a level, whose returns are made
-    of level-i returns; otherwise the word is appended and x moves on
-    by the return map.  Each level takes at most 4*n_half + 2
-    returns (see ``_returns_bound``; more raise RuntimeError), so the
-    cost is O(depth * b) exact operations whatever n is, and the word
-    is built from the levels' words, so its prefix readers cost the
-    same.  A start outside [0, 1), outside alpha's field, or whose orbit
-    meets a case boundary (a singular orbit) raises ValueError, as does
-    a descent past MAX_LEVELS levels, at once for an n beyond ``_reach``.
-    """
-    if n < 0:
-        raise ValueError("orbit_word needs n >= 0, got %d" % (n,))
-    if not ZERO <= x < ONE:
-        raise ValueError("start %s is outside [0, 1)" % (x.exact_str(),))
-    if x.q and x.d != alpha.value.d:
-        raise ValueError("start %s is not in the field of %s" % (x.exact_str(), alpha))
-    levels = _levels_for(alpha, n, _reach)
-    start = x
-    parts = []  # [word, repeats]: runs of one return word at one level
-    length = 0
-    i = returns = 0  # the level, and the returns taken on it
-    while True:
-        lvl = levels[i]
-        y = lvl.interval.to_local(x)
-        try:
-            w = _local_return_word(lvl, y)
-        except ValueError:
-            raise ValueError("the orbit of %s meets a case boundary of level %d"
-                             % (start.exact_str(), lvl.index)) from None
-        if length + w.length >= n:
-            parts.append([w, 1])
-            break
-        if i + 1 == len(levels):
-            _grow(levels, n)
-        if levels[i + 1].interval.contains(x):
-            i, returns = i + 1, 0
-            continue
-        returns += 1
-        if returns > _returns_bound(lvl):
-            raise RuntimeError("no entry into level %d within %d returns from %s"
-                               % (i + 2, _returns_bound(lvl), start.exact_str()))
-        if parts and parts[-1][0] is w:
-            parts[-1][1] += 1
-        else:
-            parts.append([w, 1])
-        length += w.length
-        x = lvl.interval.from_local((y + lvl.beta).frac())
-    return concat_all(power(w, k) for w, k in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -447,9 +447,10 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
     target is skipped; a whole node already written at the same target
     is copied from there, shifted in time; a power descends only into
     the copies whose target lies in the base's range.  A node prefix of
-    at most 2^16 letters is expanded and summed.  Every power a tower,
-    orbit or witness word holds has a base of total +-1; a power of
-    total 0 that the descent must enter raises ValueError.
+    at most 2^16 letters is expanded and summed.  A power of total 0,
+    as ``euclid.sign_word``'s words hold, has every copy in the range of
+    its base, which the check above found to hold the target, so the
+    descent enters every copy.
     """
     import numpy as np
 
@@ -504,15 +505,14 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
             todo.append((left, time, min(count, left.length), target, None))
         else:  # a power: copy j aims at target - j*step, within the base's range
             base, step = node.base, node.base.total
-            if step == 0:
-                raise ValueError("level_times cannot descend a power of total 0")
             copies, rem = divmod(count, base.length)
-            # j*step within [target - max_prefix, target - min_prefix]
-            a, b = target - base._maxp, target - base._minp
-            if step < 0:
-                a, b = b, a
-            j_lo = max(0, -(-a // step))
-            j_hi = min(copies if rem else copies - 1, b // step)
+            # of total 0, every copy's range is the base's, which holds target
+            j_lo, j_hi = 0, copies if rem else copies - 1
+            if step:  # j*step within [target - max_prefix, target - min_prefix]
+                a, b = target - base._maxp, target - base._minp
+                if step < 0:
+                    a, b = b, a
+                j_lo, j_hi = max(0, -(-a // step)), min(j_hi, b // step)
             for j in range(j_hi, j_lo - 1, -1):
                 todo.append((base, time + j * base.length,
                              rem if j == copies else base.length, target - j * step,

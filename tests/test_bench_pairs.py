@@ -156,7 +156,9 @@ def test_the_cli_table_records_each_runs_own_exit_peak_and_stdout(monkeypatch, t
         roots[side] = tmp_path / side
         (roots[side] / "src").mkdir(parents=True)
     rows = [("exit 3", ("-c", "import sys; print('no'); sys.exit(3)")),
-            ("allocate", ("-c", "held = bytearray(b'x') * (96 << 20); print(len(held))"))]
+            ("allocate", ("-c", "held = bytearray(b'x') * (96 << 20); print(len(held))")),
+            ("spin", ("-c", "import time\nt = time.process_time()\n"
+                            "while time.process_time() - t < 0.1: pass"))]
     # the runs start from this process while it holds more than any row
     held = bytearray(b"x") * (192 << 20)
     runs = bench_pairs.run_table(rows, roots, 3, tmp_path)
@@ -168,16 +170,19 @@ def test_the_cli_table_records_each_runs_own_exit_peak_and_stdout(monkeypatch, t
             run = pair[side]
             if pair["row"] == "exit 3":
                 assert run["exit"] == 3 and run["peak_rss_mb"] < 64
-            else:
+            elif pair["row"] == "allocate":
                 assert run["exit"] == 0 and 96 <= run["peak_rss_mb"] < 160
-            assert run["wall_s"] > 0
+            else:  # its CPU time, the child's own, is the spin and the start-up
+                assert run["exit"] == 0 and run["cpu_s"] >= 0.1
+            assert run["wall_s"] > 0 and run["cpu_s"] > 0
     summary = bench_pairs._cli_summary(runs)
-    assert list(summary) == ["exit 3", "allocate"]
+    assert list(summary) == ["exit 3", "allocate", "spin"]
     exits = summary["exit 3"]
     assert exits["exit"] == {"parent": [3], "change": [3]} and exits["same"]
     assert exits["stdout_sha256"]["parent"] == [hashlib.sha256(b"no\n").hexdigest()]
     assert summary["allocate"]["peak_rss_mb"]["parent"]["median"] >= 96
     assert "same" in bench_pairs._cli_lines(summary)[1]
+    assert "cpu_s" in bench_pairs._cli_lines(summary)[0]
     # a row whose stdout differs between the sides is flagged
     runs[0]["change"]["stdout_sha256"] = "0"
     assert not bench_pairs._cli_summary(runs)["exit 3"]["same"]
@@ -244,7 +249,8 @@ def test_the_cli_table_is_the_readme_commands_and_the_import_row(monkeypatch):
 
 def _timed_pairs(row: str, parent: list, change: list) -> list:
     """--cli pairs of one row with the given wall times and alike runs."""
-    run = {"peak_rss_mb": 10.0, "minflt": 100, "exit": 0, "stdout_sha256": "0"}
+    run = {"cpu_s": 0.5, "peak_rss_mb": 10.0, "minflt": 100, "exit": 0,
+           "stdout_sha256": "0"}
     return [{"row": row, "first": "parent", "parent": dict(run, wall_s=p),
              "change": dict(run, wall_s=c)} for p, c in zip(parent, change)]
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotn import orbits, scan, spell, words
+from rotn import harness, orbits, scan, spell, words
 from rotn.circle import max_gap, visit_set
 from rotn.cli import _build_parser, _config, main
 from rotn.exactreal import HALF, SurdReal, parse_cf
@@ -207,46 +207,72 @@ def test_run_heavy_contrast():
 
 
 # ---------------------------------------------------------------------------
-# the orbit of 1/2 read off the tower, against the scan
+# the orbit of 1/2 read off the tower, against Euclid's word and the scan
 
 
-def _scan_route(monkeypatch, **fields):
-    """The report of the scan route (orbit_scan and visit_set): the same
-    run with no alpha admissible, so no tower is read."""
+def _euclid_route(monkeypatch, **fields):
+    """The report of the Euclid route (euclid.sign_word): the same run
+    with no alpha admissible, so no tower is read."""
     with monkeypatch.context() as patch:
         patch.setattr(orbits, "admissible", lambda cf: False)
         return run(ExperimentConfig(**fields))
 
 
-def _same_values(tower_rep, scan_rep, steps):
-    assert tower_rep["signs"] == "tower" and tower_rep["prefix_agrees"] is True
+def _scanned(scan, **fields):
+    """The values a heavy, density or summary leaf --ray report of fields
+    reads, off scan, a certified scan of the orbit of 1/2 of at least
+    N + max(k, 0) steps: a check that shares no code with either word
+    route past the signs (no level_times, orbit_positions or histogram)."""
+    config = ExperimentConfig(**fields)
+    N = config.N
+    s = scan.sums[1:N + 1]  # S_1..S_N
+    if config.kind == "heavy":
+        return {"violations": int(np.count_nonzero(s >= 0)), "min_sum": int(s.min()),
+                "max_sum": int(s.max()), "final_sum": int(s[-1])}
+    if config.kind == "leaf":  # ray entry n sits at level ray + 1 + S_n(1/2)
+        levels = (config.ray + 1 + np.unique(s)).tolist()
+        return {"min_level": levels[0], "max_level": levels[-1], "levels_visited": levels}
+    vs = visit_set(HALF, scan.alpha, config.m, N, k=config.k, scan=scan)
+    rows = []
+    for h in sorted({N} | {10 ** e for e in range(2, 9) if 10 ** e < N}):
+        cnt = int(np.count_nonzero(vs.times <= h))
+        rows.append({"N": h, "count": cnt, "first_time": int(vs.times[0]) if cnt else None,
+                     "max_gap": max_gap(vs.positions[:cnt]) if cnt else None})
+    return {"count": rows[-1]["count"], "first_time": rows[-1]["first_time"],
+            "max_gap": rows[-1]["max_gap"], "horizons": rows}
+
+
+def _same_values(tower_rep, euclid_rep, steps, want):
+    # both routes key, or scan, the same steps: only the word differs
+    assert tower_rep["signs"] == "tower" and euclid_rep["signs"] == "euclid"
+    assert tower_rep["prefix_agrees"] is euclid_rep["prefix_agrees"] is True
     assert tower_rep["prefix_steps_checked"] == steps
-    assert scan_rep["signs"] == "scan" and scan_rep["prefix_steps_checked"] == 0
-    assert "prefix_agrees" not in scan_rep
-    own = {"signs", "prefix_steps_checked", "prefix_agrees", "escalations"}
-    assert {k: v for k, v in tower_rep.items() if k not in own} \
-        == {k: v for k, v in scan_rep.items() if k not in own}
-    # max_gap bit for bit: nan == nan, and 0.0 != -0.0, in this form
+    assert {k: v for k, v in tower_rep.items() if k != "signs"} \
+        == {k: v for k, v in euclid_rep.items() if k != "signs"}
+    # and both equal the scan's values, max_gap bit for bit: nan == nan,
+    # and 0.0 != -0.0, in this form
+    assert {k: tower_rep[k] for k in want} == want
     gaps = [np.float64(h["max_gap"]).tobytes() for h in tower_rep.get("horizons", [])]
-    assert gaps == [np.float64(h["max_gap"]).tobytes()
-                    for h in scan_rep.get("horizons", [])]
+    assert gaps == [np.float64(h["max_gap"]).tobytes() for h in want.get("horizons", [])]
 
 
 @pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
 def test_density_off_the_tower_equals_the_scan(monkeypatch, N):
+    scan = orbit_scan(HALF, A, N + 3)  # N + max(k, 0) steps for every k
     for m in range(-3, 4):
         for k in (-2, 0, 3):
             fields = dict(kind="density", m=m, k=k, N=N)
             _same_values(run(ExperimentConfig(**fields)),
-                         _scan_route(monkeypatch, **fields), min(N, 2**16))
+                         _euclid_route(monkeypatch, **fields), min(N, 2**16),
+                         _scanned(scan, **fields))
 
 
 @pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
 @pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"])
 def test_heavy_off_the_tower_equals_the_scan(monkeypatch, alpha, N):
     fields = dict(kind="heavy", alpha=alpha, N=N)
-    _same_values(run(ExperimentConfig(**fields)), _scan_route(monkeypatch, **fields),
-                 min(N, 2**16))
+    _same_values(run(ExperimentConfig(**fields)), _euclid_route(monkeypatch, **fields),
+                 min(N, 2**16), _scanned(orbit_scan(HALF, parse_cf(alpha).value, N), **fields))
 
 
 def test_heavy_out_scans_every_step_once(monkeypatch, tmp_path):
@@ -259,12 +285,14 @@ def test_heavy_out_scans_every_step_once(monkeypatch, tmp_path):
         return honest(*args, **kwargs)
 
     monkeypatch.setattr(orbits, "orbit_scan", counted)
-    tower_out, scan_out = str(tmp_path / "tower.csv"), str(tmp_path / "scan.csv")
+    tower_out, euclid_out = str(tmp_path / "tower.csv"), str(tmp_path / "euclid.csv")
     rep = run(ExperimentConfig(kind="heavy", N=N, out=tower_out))
     assert scans == [N]
-    _same_values(rep, _scan_route(monkeypatch, kind="heavy", N=N, out=scan_out), N)
+    _same_values(rep, _euclid_route(monkeypatch, kind="heavy", N=N, out=euclid_out), N,
+                 _scanned(orbit_scan(HALF, A, N), kind="heavy", N=N))
+    assert scans == [N, N]
     # the header lines differ only in the --out path they record
-    assert open(tower_out, "rb").readlines()[1:] == open(scan_out, "rb").readlines()[1:]
+    assert open(tower_out, "rb").readlines()[1:] == open(euclid_out, "rb").readlines()[1:]
 
 
 def test_density_expands_no_more_letters_than_the_prefix_check(monkeypatch):
@@ -344,13 +372,16 @@ def test_density_refuses_visits_over_budget_before_allocating(capsys):
 
 
 @pytest.mark.parametrize("argv, N", [
-    (["heavy", "--alpha", "[0;(2)]"], 10**13),
-    (["leaf", "--alpha", "[0;(2)]", "--ray", "0", "--precision", "exact-only"], 10**11),
+    (["heavy", "--alpha", "[0;(2)]", "--out"], 10**13),
+    (["leaf", "--alpha", "[0;(2)]", "--ray", "0", "--precision", "exact-only", "--out"],
+     10**11),
 ], ids=["certified-scan", "exact-leaf-ray"])
-def test_runs_past_the_hosts_memory_are_refused_before_allocating(capsys, argv, N):
+def test_runs_past_the_hosts_memory_are_refused_before_allocating(tmp_path, capsys, argv,
+                                                                  N):
     # a scan or a trace is charged 17 B a point: 10^13 and 10^11 points are
     # far past any host's memory here, and are refused naming --N, not by
-    # numpy's "Unable to allocate"
+    # numpy's "Unable to allocate".  A certified heavy scans only for --out
+    argv = argv + [str(tmp_path / "run.csv")]
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     tracemalloc.start()
@@ -366,12 +397,28 @@ def test_runs_past_the_hosts_memory_are_refused_before_allocating(capsys, argv, 
 
 
 def test_exact_only_and_inadmissible_runs_scan():
+    # exact-only runs scan, on an alpha with a tower or with none
     for fields in (dict(kind="heavy", N=100, precision="exact-only"),
                    dict(kind="density", N=100, precision="exact-only"),
-                   dict(kind="heavy", alpha="[0;(2)]", N=100),
-                   dict(kind="density", alpha="[0;(2)]", N=100)):
+                   dict(kind="heavy", alpha="[0;(2)]", N=100, precision="exact-only"),
+                   dict(kind="density", alpha="[0;(2)]", N=100, precision="exact-only")):
         rep = run(ExperimentConfig(**fields))
         assert rep["signs"] == "scan" and rep["prefix_steps_checked"] == 0
+
+
+@pytest.mark.parametrize("N", [1, 100, 2**16 + 1])
+def test_certified_runs_with_no_tower_read_euclids_word(N):
+    # they key the first 2^16 steps of Euclid's word, and report what a
+    # certified scan of every step reads
+    scan = orbit_scan(HALF, parse_cf("[0;(2)]").value, N + 2)
+    for fields in (dict(kind="heavy"), dict(kind="density", m=-3, k=2),
+                   dict(kind="density", m=0, k=-1), dict(kind="leaf", ray=-2)):
+        fields.update(alpha="[0;(2)]", N=N)
+        rep = run(ExperimentConfig(**fields))
+        assert rep["signs"] == "euclid" and rep["prefix_steps_checked"] == min(N, 2**16)
+        assert rep["prefix_agrees"] is True
+        want = _scanned(scan, **fields)
+        assert {k: rep[k] for k in want} == want
 
 
 @pytest.mark.parametrize("kind", ["density", "heavy", "leaf"])
@@ -396,7 +443,7 @@ def test_a_flipped_tower_letter_fails_the_prefix_check(monkeypatch, capsys, kind
 
 @pytest.mark.parametrize("m", [2, 5])
 def test_example_off_the_descent_equals_the_exact_scan(m):
-    # past the 10^5-step scan window, only the descent covers the steps
+    # past the 10^5-step scan window, only Euclid's word covers the steps
     fields = dict(kind="example", m=m, k_max=6, N=3 * 10**5)
     cert = run(ExperimentConfig(**fields))
     assert cert == run(ExperimentConfig(**fields, precision="exact-only"))
@@ -406,9 +453,9 @@ def test_example_off_the_descent_equals_the_exact_scan(m):
 @pytest.mark.parametrize("N", [1, 2**16 + 1, 10**5 + 1])
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
-    # the descent keys only the 10^5 signs it checks forward, and one more
-    # backward, and scans nothing; the scan route, the same run with no
-    # alpha admissible, scans all N forward and keys the same backward signs
+    # Euclid's word keys only the 10^5 signs it checks forward, and one more
+    # backward, and scans nothing; the scan route, the same run exact-only,
+    # scans all N forward and keys the same backward signs
     forward, keyed = [], []
     honest_scan, honest_keys = orbits.orbit_scan, orbits.key_signs
 
@@ -429,7 +476,7 @@ def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     assert keyed == [(n, "forward"), (n + 1, "backward")] and forward == []
     assert rep["ok"] is True
     keyed.clear()
-    assert _scan_route(monkeypatch, **fields) == rep
+    assert run(ExperimentConfig(**fields, precision="exact-only")) == rep
     assert forward == [N] and keyed == [(n + 1, "backward")]
 
 
@@ -481,22 +528,23 @@ def test_heavy_answers_n_past_memory_off_the_tower():
     assert 0 < rep["violations"] < 10**18
 
 
-def _same_ray(tower_rep, scan_rep, steps):
+def _same_ray(tower_rep, euclid_rep, steps, want):
     assert tower_rep["signs"] == "tower" and tower_rep["prefix_steps_checked"] == steps
-    assert scan_rep["signs"] == "scan" and scan_rep["prefix_steps_checked"] == 0
+    assert euclid_rep["signs"] == "euclid"
     assert tower_rep["ok"] is tower_rep["prefix_agrees"] is True
-    own = {"signs", "prefix_steps_checked"}
-    assert {k: v for k, v in tower_rep.items() if k not in own} \
-        == {k: v for k, v in scan_rep.items() if k not in own}
+    assert {k: v for k, v in tower_rep.items() if k != "signs"} \
+        == {k: v for k, v in euclid_rep.items() if k != "signs"}
+    assert {k: tower_rep[k] for k in want} == want
 
 
 @pytest.mark.parametrize("N", [1, 255, 256, 257, 2**16 - 1, 2**16, 2**16 + 1, 10**6])
 @pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"])
 def test_leaf_ray_off_the_tower_equals_the_scan(monkeypatch, alpha, N):
+    scan = orbit_scan(HALF, parse_cf(alpha).value, N)
     for ray in range(-5, 6):
         fields = dict(kind="leaf", alpha=alpha, ray=ray, N=N)
-        _same_ray(run(ExperimentConfig(**fields)), _scan_route(monkeypatch, **fields),
-                  min(N, 2**16))
+        _same_ray(run(ExperimentConfig(**fields)), _euclid_route(monkeypatch, **fields),
+                  min(N, 2**16), _scanned(scan, **fields))
 
 
 def test_leaf_ray_out_traces_every_entry_once(monkeypatch, tmp_path):
@@ -509,14 +557,15 @@ def test_leaf_ray_out_traces_every_entry_once(monkeypatch, tmp_path):
         return honest(i, alpha, n, policy=policy)
 
     monkeypatch.setattr(orbits, "trace_ray", counted)
-    tower_out, scan_out = str(tmp_path / "tower.csv"), str(tmp_path / "scan.csv")
+    tower_out, euclid_out = str(tmp_path / "tower.csv"), str(tmp_path / "euclid.csv")
     rep = run(ExperimentConfig(kind="leaf", ray=3, N=N, out=tower_out))
     # one full certified trace, and the 256-entry exact retrace
     assert traces == [(N, "certified"), (256, "exact")]
     assert rep["signs"] == "scan" and rep["ok"] is True
-    assert rep == _scan_route(monkeypatch, kind="leaf", ray=3, N=N, out=scan_out)
+    # with no alpha admissible it traces the same, and reads no word
+    assert rep == _euclid_route(monkeypatch, kind="leaf", ray=3, N=N, out=euclid_out)
     # the header lines differ only in the --out path they record
-    assert open(tower_out, "rb").readlines()[1:] == open(scan_out, "rb").readlines()[1:]
+    assert open(tower_out, "rb").readlines()[1:] == open(euclid_out, "rb").readlines()[1:]
 
 
 @pytest.mark.parametrize("N", [1, 255, 256, 257, 2**16 + 1, 10**6])
@@ -553,11 +602,16 @@ def test_leaf_ray_on_the_tower_traces_only_the_retraced_entries(monkeypatch, N):
     (["density", "--m", "40"], 2**16),  # level 40 is never visited
     (["leaf", "--ray", "2"], 2**16),
     (["example", "--m", "2", "--kmax", "6"], 10**5),
-], ids=["heavy", "density", "leaf-ray", "example"])
+    (["heavy", "--alpha", "[0;(2)]"], 2**16),
+    (["density", "--alpha", "[0;(2)]", "--m", "40"], 2**16),
+    (["leaf", "--alpha", "[0;(2)]", "--ray", "2"], 2**16),
+], ids=["heavy", "density", "leaf-ray", "example", "euclid-heavy", "euclid-density",
+        "euclid-leaf-ray"])
 def test_tower_runs_without_out_never_scan(monkeypatch, capsys, argv, steps):
     # their checks key the signs: no orbit_scan, no scan of any policy
     # past the leaf's 256-entry retrace, and a peak below one float64 or
-    # int64 array of the checked steps, 8 B a step
+    # int64 array of the checked steps, 8 B a step; so do the runs on an
+    # alpha with no tower, which read Euclid's word
     def refuse(*args, **kwargs):
         raise AssertionError("orbit_scan called")
 
@@ -567,7 +621,7 @@ def test_tower_runs_without_out_never_scan(monkeypatch, capsys, argv, steps):
             return honest(x0, step, count)
         return scan_of
 
-    status = 1 if argv[0] == "heavy" else 0  # heavy: its sums cross 0
+    status = 1 if argv[:3] == ["heavy", "--alpha", "[0;5,(6)]"] else 0  # its sums cross 0
     assert main(argv + ["--N", "1000"]) == status  # imports and tower cache
     capsys.readouterr()
     monkeypatch.setattr(orbits, "orbit_scan", refuse)
@@ -581,8 +635,8 @@ def test_tower_runs_without_out_never_scan(monkeypatch, capsys, argv, steps):
         tracemalloc.stop()
     rep = json.loads(capsys.readouterr().out)
     if argv[0] != "example":
-        assert rep["signs"] == "tower" and rep["prefix_agrees"] is True
-        assert rep["prefix_steps_checked"] == steps
+        assert rep["signs"] == ("euclid" if "[0;(2)]" in argv else "tower")
+        assert rep["prefix_agrees"] is True and rep["prefix_steps_checked"] == steps
     assert rep["ok"] is (status == 0)
     assert peak < 8 * steps, peak
 
@@ -613,15 +667,15 @@ def test_leaf_ray_answers_n_past_memory_off_the_tower():
 @pytest.mark.parametrize("N", [1, 2**16 - 1, 2**16 + 1, 10**5])
 def test_reports_read_one_summary_whichever_route(monkeypatch, N):
     # each report against its own run with no alpha admissible (the
-    # scan route), and both against one exact scan of the orbit of 1/2
+    # Euclid route), and both against one exact scan of the orbit of 1/2
     for alpha in ("[0;5,(6)]", "[0;7,(8,10)]", "[0;15,(20)]"):
         av = parse_cf(alpha).value
         sums = orbit_scan(HALF, av, N, policy="exact").sums
 
         def both(**fields):
             reps = run(ExperimentConfig(alpha=alpha, N=N, **fields)), \
-                _scan_route(monkeypatch, alpha=alpha, N=N, **fields)
-            assert [r["signs"] for r in reps] == ["tower", "scan"]
+                _euclid_route(monkeypatch, alpha=alpha, N=N, **fields)
+            assert [r["signs"] for r in reps] == ["tower", "euclid"]
             return reps
 
         s = sums[1:]
@@ -654,14 +708,15 @@ def test_reports_read_one_summary_whichever_route(monkeypatch, N):
 
 
 @pytest.mark.parametrize("argv, bytes_per_step", [
-    (["heavy", "--alpha", "[0;(2)]"], 17.6),
-    (["leaf", "--alpha", "[0;(2)]", "--ray", "0"], 17.6),
+    (["heavy", "--alpha", "[0;(2)]", "--precision", "exact-only"], 17.6),
+    (["leaf", "--alpha", "[0;(2)]", "--through", "(1+a)/2"], 17.6),
 ])
 def test_scan_route_summaries_copy_no_full_array(capsys, argv, bytes_per_step):
-    # heavy holds its scan, 17 B a step (positions, signs and sums), and
-    # leaf its trace, 16 B (positions and levels); the summary bins the
-    # sums, and leaf's step check takes the levels' differences, a chunk
-    # at a time
+    # an exact-only heavy holds its scan, 17 B a step (positions, signs and
+    # sums), and a leaf through a point its certified trace, 16 B (positions
+    # and levels); the summary bins the sums, and leaf's step check takes
+    # the levels' differences, a chunk at a time.  (A certified ray reads a
+    # word, and an exact trace of 10^6 visits takes 15 s under tracemalloc.)
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     tracemalloc.start()
@@ -956,9 +1011,28 @@ def test_writer_spells_list_chunks_of_ints_or_of_floats_in_numpy(tmp_path, monke
     real = spell.spell_rows
     monkeypatch.setattr(spell, "spell_rows",
                         lambda cols, kept: calls.append(kept) or real(cols, kept))
+    monkeypatch.setattr(harness, "_SPELL_ROWS", 1)  # so that 3 rows are not short
     ref, by_col, by_row = _three_ways(tmp_path, ["n", "v"], [range(len(col)), col])
     assert by_col == ref and by_row == ref
     assert len(calls) == (2 if numeric else 0)
+
+
+def test_writer_spells_a_short_chunk_row_by_row(tmp_path, monkeypatch):
+    # below _SPELL_ROWS rows, as density's ladder of at most 9 is, the
+    # _cell row join is faster than rotn.spell's fixed cost; the bytes agree
+    calls = []
+    real = spell.spell_rows
+    monkeypatch.setattr(spell, "spell_rows",
+                        lambda cols, kept: calls.append(kept) or real(cols, kept))
+    short = harness._SPELL_ROWS
+    # a call a chunk of short rows or more, by write_columns and write_csv;
+    # a table's short last chunk takes the row join too
+    for rows, spelt in ((short - 1, 0), (short, 2), (_C + short - 1, 2)):
+        calls.clear()
+        col = [0.1 * i for i in range(rows)]
+        ref, by_col, by_row = _three_ways(tmp_path, ["n", "v"], [range(rows), col])
+        assert by_col == ref and by_row == ref
+        assert len(calls) == spelt, rows
 
 
 def test_writer_spells_a_column_of_ints_and_floats_as_each(tmp_path):
@@ -1118,17 +1192,17 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
     # 10^18 steps cannot be allocated on any machine: one line, no traceback.
-    # A certified density on an admissible alpha allocates only its visits,
-    # and refuses the ~10^17 visits of level 0 as over its budget.
-    # A summary-only certified ray on an admissible alpha reads its levels
-    # off the tower instead, and a certified example its forward sums off
-    # the descent of x; an exact one, one with no tower and one that
-    # writes every entry must still scan
+    # A certified density allocates only its visits, and refuses the ~10^17
+    # visits of level 0 as over its budget.  A certified heavy (its default
+    # alpha, [0;(2)], has no tower) and a summary-only certified ray read
+    # their sums off a word instead, the tower's or Euclid's, and a
+    # certified example its forward sums off Euclid's word of x; an exact
+    # one and one that writes every entry must still scan
     huge = str(10**18)
     ray = ["leaf", "--ray", "0", "--N", huge]
-    for argv in (["heavy", "--N", huge], ["heavy", "--N", huge, "--precision", "exact-only"],
+    for argv in (["heavy", "--N", huge, "--precision", "exact-only"],
                  ["density", "--N", huge], ["example", "--N", huge, "--precision", "exact-only"],
-                 ray + ["--precision", "exact-only"], ray + ["--alpha", "[0;(2)]"],
+                 ray + ["--precision", "exact-only"],
                  ray + ["--out", str(tmp_path / "ray.csv")],
                  ["leaf", "--through", "(1+a)/2", "--N", huge, "--precision", "exact-only"]):
         assert main(argv) == 2
@@ -1136,6 +1210,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert err.startswith("rotn: error: ") and err.count("\n") == 1
     assert main(["example", "--N", huge]) == 0
     assert json.loads(capsys.readouterr().out)["max_forward_sum"] == -1
+    for argv in (["heavy", "--N", huge], ray + ["--alpha", "[0;(2)]"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["signs"] == "euclid"
     # a seed with a 12,900-bit denominator runs in both precisions
     for precision in PRECISIONS:
         assert main(["leaf", "--through", "a**5000", "--N", "3",
@@ -1367,9 +1444,10 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
      "|k| + N = 100000000000000000010 is above the limit of 2^63 - 1"),
     # scans whose arrays numpy cannot allocate, 17 B a point; these used
     # to exit 2 with numpy's "array is too big", naming no option
-    (["density", "--alpha", "[0;(2)]", "--N", str(2 ** 62)],
+    (["density", "--alpha", "[0;(2)]", "--N", str(2 ** 62), "--precision", "exact-only"],
      "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
-    (["density", "--alpha", "[0;(2)]", "--k", str(2 ** 62), "--N", "10"],
+    (["density", "--alpha", "[0;(2)]", "--k", str(2 ** 62), "--N", "10",
+      "--precision", "exact-only"],
      "--N 10 and --k 4611686018427387904: a scan of 4611686018427387915 points"),
     (["heavy", "--alpha", "[0;(2)]", "--N", str(2 ** 62), "--precision", "exact-only"],
      "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),

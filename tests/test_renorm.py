@@ -5,12 +5,10 @@ import random
 import time
 import weakref
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rotn import renorm
+from rotn.euclid import sign_word
 from rotn.exactreal import ONE, ZERO, CFNumber, SurdReal, alpha_next, gauss_step, parse_cf
 from rotn.renorm import (
     ExactInterval,
@@ -22,7 +20,6 @@ from rotn.renorm import (
     fast_birkhoff,
     half_word,
     oracle_first_return,
-    orbit_word,
     step,
     tower,
     verify_bounds,
@@ -31,7 +28,7 @@ from rotn.renorm import (
 from rotn.scan import orbit_scan
 from rotn import words
 from rotn.words import (EMPTY, MINUS, PLUS, concat, concat_all, expand, intern_size,
-                        iter_letters, letters, power, prefix_sum_at)
+                        iter_letters, power, prefix_sum_at)
 
 ALPHA = parse_cf("[0;5,(6)]")
 HALF = SurdReal(1, 0, 2)
@@ -150,11 +147,9 @@ def test_a_prefix_past_the_level_budget_is_refused_before_building_and_one_withi
                                              "of 1001 tower levels" % bits):
             fast_birkhoff(cf, n)
         assert len(levels) == built
-    x = ((1 + cf.value) / 3).frac()
-    with pytest.raises(ValueError, match="needs more than the limit of 1001 tower levels"):
-        orbit_word(cf, x, 10 ** 3000)
+    # Euclid's word of another start never reads the tower
+    assert sign_word(cf.value, ((1 + cf.value) / 3).frac(), 10 ** 300).length == 10 ** 300
     assert len(levels) == built
-    assert orbit_word(cf, x, 10 ** 300).length >= 10 ** 300
 
 
 # 10^3000 is past the bound of two of these alphas; [0;5,(1000)]'s reaches it
@@ -166,8 +161,7 @@ def test_a_prefix_beyond_reach_is_refused_at_once_without_a_level(alpha, digits,
     levels = renorm._cached_levels(cf)
     before = len(levels)
     start = time.thread_time()
-    for refuse in (lambda: half_word(cf, n), lambda: fast_birkhoff(cf, n),
-                   lambda: orbit_word(cf, ((1 + cf.value) / 3).frac(), n)):
+    for refuse in (lambda: half_word(cf, n), lambda: fast_birkhoff(cf, n)):
         with pytest.raises(ValueError, match="n of %d bits needs more than the limit "
                                              "of 1001 tower levels" % bits):
             refuse()
@@ -188,10 +182,10 @@ def test_reach_bounds_every_levels_words_and_the_prefixes_answered(alpha):
         assert b == (cf.coefficient(1) if i == 1 else cf.coefficient(i) - 1)
         assert max(level.f_plus.length, level.f_minus.length, level.f_zero.length) <= U
         U *= b + 2
-    reach = renorm._reach(cf)
+        assert level.f_minus.length <= renorm._half_reach(cf)
+    reach = renorm._half_reach(cf)
     assert reach > 10 ** 300
     assert half_word(cf, 10 ** 300).length <= reach
-    assert orbit_word(cf, ((1 + cf.value) / 3).frac(), 10 ** 300).length <= reach
 
 
 @pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;21,(30,28,26)]", "[0;7,10,(8,12)]",
@@ -204,10 +198,11 @@ def test_the_length_recurrence_is_the_towers(alpha):
 
 
 def test_a_prefix_past_level_1001s_half_word_is_refused_before_building():
-    # _reach (9,972 bits) passes 10^3000 (9,966 bits) here, but level
-    # 1001's F_minus has 9,959: the refusal once came after all 1001 levels
+    # a bound on all word lengths (9,972 bits) once passed 10^3000 (9,966
+    # bits) here, but level 1001's F_minus has 9,959: the refusal came after
+    # all 1001 levels
     cf = parse_cf("[0;5,(1000)]")
-    assert (renorm._half_reach(cf).bit_length(), renorm._reach(cf).bit_length()) == (9959, 9972)
+    assert renorm._half_reach(cf).bit_length() == 9959
     levels = renorm._cached_levels(cf)
     before = list(levels)
     start = time.thread_time()
@@ -572,77 +567,6 @@ def test_fast_birkhoff_equals_direct():
 
 
 # ---------------------------------------------------------------------------
-# the tower descent of any start point
-
-FIELDS = ["[0;5,(6)]", "[0;7,(8)]", "[0;9,(18)]", "[0;13,(20,6)]", "[0;5,6,(8)]"]
-# (p, q, r) for the start ((p + q*alpha)/r).frac(): dyadic rationals, and
-# surds off the orbit of 0, whose backward half meets the case boundaries
-dyadic = st.integers(0, 40).flatmap(
-    lambda k: st.tuples(st.integers(0, 2 ** k - 1), st.just(0), st.just(2 ** k)))
-surd = st.tuples(st.integers(-30, 30), st.integers(-30, 30).filter(bool),
-                 st.integers(2, 40)).filter(lambda s: s[0] % s[2] or s[1] % s[2])
-
-
-@settings(max_examples=40, deadline=None)
-@given(alpha=st.sampled_from(FIELDS), seed=st.one_of(dyadic, surd),
-       n=st.one_of(st.integers(0, 200), st.integers(2 * 10 ** 4, 10 ** 5)))
-def test_orbit_word_letters_are_the_exact_scan_signs(alpha, seed, n):
-    cf = parse_cf(alpha)
-    p, q, r = seed
-    x = ((SurdReal(p) + cf.value * q) / r).frac()
-    w = orbit_word(cf, x, n)
-    assert w.length >= n
-    signs = orbit_scan(x, cf.value, n, policy="exact").signs[:n]
-    assert np.array_equal(letters(w, n), signs)
-
-
-def test_orbit_word_at_half_is_half_word():
-    for alpha in FIELDS:
-        cf = parse_cf(alpha)
-        for n in (0, 1, 2, 17, 5 * 10 ** 6, 10 ** 18):
-            assert orbit_word(cf, HALF, n) is half_word(cf, n)
-
-
-def test_orbit_word_refuses_singular_outside_and_foreign_starts():
-    a = ALPHA.value
-    with pytest.raises(ValueError, match="case boundary of level 1"):
-        orbit_word(ALPHA, ONE - a, 10)
-    l3 = tower(ALPHA, 3)[2]
-    on_l3 = l3.interval.from_local(ONE - l3.beta)
-    with pytest.raises(ValueError, match="case boundary of level 3"):
-        orbit_word(ALPHA, on_l3, 10 ** 6)
-    for outside in (ONE, SurdReal(-1, 0, 4), a + 1):
-        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
-            orbit_word(ALPHA, outside, 10)
-    with pytest.raises(ValueError, match="not in the field"):
-        orbit_word(ALPHA, SurdReal(0, 1, 2, 2), 10)  # sqrt(2)/2
-    with pytest.raises(ValueError, match="n >= 0"):
-        orbit_word(ALPHA, HALF, -1)
-
-
-def test_orbit_word_returns_reach_the_bound_and_never_pass_it(monkeypatch):
-    # the descent raises past the bound, so every start passing is "never
-    # past it"; one return fewer on level L alone fails some start, so
-    # some start reaches the bound on that level
-    rng = random.Random(3)
-    starts = [SurdReal(rng.getrandbits(40), 0, 2 ** 40) for _ in range(200)]
-    for alpha in FIELDS:
-        for x in starts[:50]:
-            orbit_word(parse_cf(alpha), x, 10 ** 9)
-    # the starts that need all 2b returns fill about G(|beta|)*|beta| of a
-    # level, so the fields with small coefficients reach the bound soonest
-    for alpha in ("[0;5,(6)]", "[0;7,(8)]"):
-        cf = parse_cf(alpha)
-        for level in range(1, 9):
-            monkeypatch.setattr(renorm, "_returns_bound", lambda lvl: (
-                4 * lvl.n_half + 2 - (lvl.index == level)))
-            with pytest.raises(RuntimeError, match="no entry into level %d " % (level + 1)):
-                for x in starts:
-                    orbit_word(cf, x, 10 ** 9)
-            monkeypatch.undo()
-
-
-# ---------------------------------------------------------------------------
 # the stats inequalities
 
 
@@ -773,11 +697,11 @@ def test_fast_birkhoff_on_a_cold_cache():
 
 def test_prefixes_below_the_sure_bound_never_compute_the_reach(monkeypatch):
     # every admissible alpha's reach is past 3^1000, so a shorter prefix
-    # skips the bound, which costs a product of 1000 coefficients
+    # skips the bound, which costs 1000 levels of length recurrence
     cf = parse_cf("[0;9,(14,20)]")
-    assert renorm._reach(cf) > renorm._SURE
-    assert min(renorm._reach(parse_cf(a)) for a in ("[0;5,(6)]", "[0;5,(6,6,6)]")) \
-        >= 3 * 7 ** renorm.MAX_LEVELS > renorm._SURE
-    monkeypatch.setattr(renorm, "_reach", lambda alpha: pytest.fail("reach computed"))
+    assert renorm._half_reach(cf) > renorm._SURE
+    assert min(renorm._half_reach(parse_cf(a)) for a in ("[0;5,(6)]", "[0;5,(6,6,6)]")) \
+        >= 5 ** (renorm.MAX_LEVELS - 1) > renorm._SURE
+    monkeypatch.setattr(renorm, "_half_reach", lambda alpha: pytest.fail("reach computed"))
     assert fast_birkhoff(cf, 10 ** 18) == prefix_sum_at(half_word(cf, 10 ** 18), 10 ** 18)
-    orbit_word(cf, ((1 + cf.value) / 3).frac(), 10 ** 18)
+    assert half_word(cf, renorm._SURE).length >= renorm._SURE

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotn import words
-from rotn.exactreal import parse_cf
+from rotn.euclid import sign_word
+from rotn.exactreal import HALF, parse_cf
 from rotn.renorm import half_word, tower
+from rotn.scan import orbit_scan
 from rotn.words import (
     EMPTY,
     MAX_HISTOGRAM_LENGTH,
@@ -151,20 +153,19 @@ def test_repr_of_a_deep_word_is_short():
 
 
 @st.composite
-def sign_words(draw, max_len=10**4, zero_powers=True):
-    """Random words of at most about max_len letters; with zero_powers
-    False, no power in them has a base of total 0."""
+def sign_words(draw, max_len=10**4):
+    """Random words of at most about max_len letters."""
     kind = draw(st.integers(0, 3))
     if kind == 0:
         return draw(st.sampled_from([PLUS, MINUS]))
     if kind == 1:
         return EMPTY
     if kind == 2:
-        a = draw(sign_words(max_len // 2, zero_powers))
+        a = draw(sign_words(max_len // 2))
         b = draw(st.sampled_from([PLUS, MINUS, a]))  # a twice: a shared node
         return concat(a, b)
-    base = draw(sign_words(max_len // 4, zero_powers))
-    if base.length == 0 or (base.total == 0 and not zero_powers):
+    base = draw(sign_words(max_len // 4))
+    if base.length == 0:
         return base
     exp = draw(st.integers(1, max(1, min(8, max_len // max(base.length, 1)))))
     return power(base, exp)
@@ -433,10 +434,10 @@ def test_level_times_match_numpy_on_long_powers(w, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sign_words(zero_powers=False), st.data())
+@given(sign_words(), st.data())
 def test_level_times_descend_any_word(w, data):
-    # nodes of more than 4 letters are descended, not expanded; a power of
-    # total 0 is refused, below
+    # nodes of more than 4 letters are descended, not expanded, powers of
+    # total 0 among them
     n = data.draw(st.integers(0, w.length))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(words, "_SUM_CHUNK", 4)
@@ -466,17 +467,40 @@ def test_level_times_with_one_summed_node_kept(monkeypatch):
         _check_level_times(w, m, n)
 
 
-def test_level_times_refuse_to_descend_a_power_of_total_0():
-    # no tower word holds such a power; the histogram still reads it
+def test_level_times_descend_powers_of_total_0():
+    # after the first letter, the power's range [0, 1] holds m + 1 for m in
+    # (-1, 0): every copy is entered, and none for m outside
     w = concat(MINUS, power(concat(PLUS, MINUS), 2**17))
     lo, counts = prefix_histogram(w, w.length)
     assert (lo, counts.tolist()) == (-1, [2**17 + 1, 2**17])
-    for m in (-1, 0):  # after the first letter, the power's range [0, 1] holds m + 1
-        with pytest.raises(ValueError, match="power of total 0"):
-            level_times(w, m, w.length)
+    assert level_times(w, -1, w.length).tolist() == list(range(1, w.length + 1, 2))
+    assert level_times(w, 0, w.length).tolist() == list(range(2, w.length + 1, 2))
     assert level_times(w, 1, w.length).size == level_times(w, -2, w.length).size == 0
-    # a prefix of at most 2^16 letters is summed, not descended
     assert level_times(w, -1, 2**16).tolist() == list(range(1, 2**16, 2))
+    # Euclid's words on alphas without a tower hold such powers, (w wbar)^q
+    N = 2 * 10**5
+    for alpha in ("[0;(2)]", "[0;(1)]"):
+        a = parse_cf(alpha).value
+        for step in (a, -a):
+            w = sign_word(step, HALF, N)
+            sums = orbit_scan(HALF, step, N, policy="exact").sums
+            for m in range(-6, 4):
+                assert np.array_equal(level_times(w, m, N),
+                                      np.flatnonzero(sums[1:] == m) + 1), (alpha, m)
+    assert _has_power_of_total_0(sign_word(parse_cf("[0;(2)]").value, HALF, N))
+
+
+def _has_power_of_total_0(w) -> bool:
+    todo, seen = [w], set()
+    while todo:
+        node = todo.pop()
+        if node.uid in seen:
+            continue
+        seen.add(node.uid)
+        if node.kind == "power" and node.base.total == 0:
+            return True
+        todo.extend(c for c in (node.left, node.right, node.base) if c is not None)
+    return False
 
 
 def test_level_times_refuse_a_count_over_budget(monkeypatch):

@@ -40,16 +40,19 @@ row runs K alternating pairs (default 5) of fresh processes, with
 ``python -B`` so that no bytecode cache is read or written, REF's side
 from a git archive and the checkout's from a copy, each side with its
 ``--out`` files in a temporary directory of its own.  Each run records
-its wall time, its ``ru_maxrss`` and ``ru_minflt`` from ``os.wait4``, its
-exit status and the sha256 of its stdout.  It prints per row the medians
-and quartiles of both sides' wall times, the change's wins, whether the
-row's move is noise (neither side faster in at least 4 of 5 pairs, or
-the change's median inside the parent's quartiles), the median
-peak memory and minor page faults, and whether every run of both sides
-exited alike with the same stdout,
-and exits 1 if one did not.  With ``--out``, the table goes into the
-BENCH file under ``cli``, beside any workload pairs measured against
-the same REF.
+its wall time, its CPU time ``ru_utime + ru_stime``, its ``ru_maxrss``
+and ``ru_minflt``, all from ``os.wait4``, its exit status and the sha256
+of its stdout.  CPU time is less exposed than wall time to what else the
+host runs.  It prints per row the medians and quartiles of both sides'
+wall times, the change's wins, whether the row's move is noise (neither
+side faster in at least 4 of 5 pairs, or the change's median inside the
+parent's quartiles), the median CPU time, peak memory and minor page
+faults, and whether every run of both sides exited alike with the same
+stdout, and exits 1 if one did not.  So a change whose stdout changes by
+design, such as a report's new key or value, exits 1 on those rows: the
+table is still complete, and the change names the rows that differ.
+With ``--out``, the table goes into the BENCH file under ``cli``, beside
+any workload pairs measured against the same REF.
 """
 
 from __future__ import annotations
@@ -146,18 +149,19 @@ CLI_NOTE = (
     "from pair to pair, the parent from a git archive of parent_commit and the change "
     "from a copy of the working tree, each with its --out files in its own temporary "
     "directory. wall_s runs from spawn to os.wait4 in a bare launcher interpreter "
-    "(python -S), peak_rss_mb is the ru_maxrss that os.wait4 returned, the row's "
+    "(python -S), cpu_s is the ru_utime + ru_stime that os.wait4 returned, "
+    "peak_rss_mb its ru_maxrss, the row's "
     "own, as the launcher is smaller than any row, and minflt the ru_minflt it "
     "returned, the row's minor page faults; exit is the exit status and "
-    "stdout_sha256 the digest of stdout. summary gives wall_s, peak_rss_mb and "
-    "minflt as the workloads' summary does, the exit statuses and stdout "
+    "stdout_sha256 the digest of stdout. summary gives wall_s, cpu_s, peak_rss_mb "
+    "and minflt as the workloads' summary does, the exit statuses and stdout "
     "digests each side showed, and noise: true when neither side's wall_s was "
     "lower in at least 4 of 5 pairs (rounded up) or the change's median lies "
     "inside the parent's quartiles."
 )
 # A --cli run starts through this launcher, which spawns the row, waits
-# for it with os.wait4 and writes "wall_s ru_maxrss ru_minflt exit" to the file
-# argv[1].  A process starts with the peak RSS of the one it was spawned
+# for it with os.wait4 and writes "wall_s cpu_s ru_maxrss ru_minflt exit" to
+# the file argv[1].  A process starts with the peak RSS of the one it was spawned
 # from, so it is spawned from this bare interpreter, not from this script.
 _WAIT4 = """\
 import os, sys, time
@@ -166,8 +170,8 @@ pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
 status, usage = os.wait4(pid, 0)[1:]
 wall = time.perf_counter() - start
 with open(sys.argv[1], "w") as f:
-    f.write("%r %d %d %d" % (wall, usage.ru_maxrss, usage.ru_minflt,
-                            os.waitstatus_to_exitcode(status)))
+    f.write("%r %r %d %d %d" % (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss,
+                               usage.ru_minflt, os.waitstatus_to_exitcode(status)))
 """
 
 
@@ -185,9 +189,10 @@ def _cli_run(root: Path, cwd: Path, args) -> dict:
         [sys.executable, "-S", "-c", _WAIT4, str(report), sys.executable, "-B", *args],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    wall, rss, minflt, status = report.read_text().split()
-    return {"wall_s": float(wall), "peak_rss_mb": int(rss) / 1024, "minflt": int(minflt),
-            "exit": int(status), "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+    wall, cpu, rss, minflt, status = report.read_text().split()
+    return {"wall_s": float(wall), "cpu_s": float(cpu), "peak_rss_mb": int(rss) / 1024,
+            "minflt": int(minflt), "exit": int(status),
+            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
 
 
 def run_table(rows, roots: dict, pairs: int, tmp: Path) -> list:
@@ -209,8 +214,8 @@ def run_table(rows, roots: dict, pairs: int, tmp: Path) -> list:
 
 
 def _cli_summary(runs: list) -> dict:
-    """Per row, in table order: wall_s, peak_rss_mb and minflt compared as
-    the workloads' metrics are, and each side's exit statuses and stdout
+    """Per row, in table order: wall_s, cpu_s, peak_rss_mb and minflt
+    compared as the workloads' metrics are, and each side's exit statuses and stdout
     digests."""
     groups = {}
     for pair in runs:
@@ -219,7 +224,7 @@ def _cli_summary(runs: list) -> dict:
     for name, group in groups.items():
         entry = {key: _compare([p["parent"][key] for p in group],
                                [p["change"][key] for p in group], "lower")
-                 for key in ("wall_s", "peak_rss_mb", "minflt")}
+                 for key in ("wall_s", "cpu_s", "peak_rss_mb", "minflt")}
         for key in ("exit", "stdout_sha256"):
             entry[key] = {side: sorted({p[side][key] for p in group})
                           for side in ("parent", "change")}
@@ -247,15 +252,16 @@ def _noise(parent: list, change: list) -> bool:
 def _cli_lines(summary: dict) -> list:
     """The --cli table as text, one line a row."""
     lines = ["wall_s parent [q1, q3]      change [q1, q3]     change  wins  noise  "
-             "peak MB parent change  minflt parent  change  stdout+exit  row"]
+             "cpu_s parent change  peak MB parent change  minflt parent  change  "
+             "stdout+exit  row"]
     for name, e in summary.items():
-        w, m, f = e["wall_s"], e["peak_rss_mb"], e["minflt"]
-        lines.append("%.4f [%.4f, %.4f]  %.4f [%.4f, %.4f]  %+6.1f%%  %4s  %-5s  %7.1f %7.1f  "
-                     "%13d %7d  %-11s  %s" % (
+        w, c, m, f = e["wall_s"], e["cpu_s"], e["peak_rss_mb"], e["minflt"]
+        lines.append("%.4f [%.4f, %.4f]  %.4f [%.4f, %.4f]  %+6.1f%%  %4s  %-5s  %12.4f %6.4f  "
+                     "%14.1f %6.1f  %13d %7d  %-11s  %s" % (
             w["parent"]["median"], w["parent"]["q1"], w["parent"]["q3"],
             w["change"]["median"], w["change"]["q1"], w["change"]["q3"],
             100 * w["median_change"], w["change_wins"], "noise" if e["noise"] else "-",
-            m["parent"]["median"],
+            c["parent"]["median"], c["change"]["median"], m["parent"]["median"],
             m["change"]["median"], f["parent"]["median"], f["change"]["median"],
             "same" if e["same"] else "DIFFERS", name))
     return lines

@@ -1,6 +1,6 @@
 """Print the microseconds per row of the CSV writer of `rotn --out`, at REF and here.
 
-Six table shapes, each at 25,000 and 10^6 rows:
+Six table shapes, each at 25,000 and 10^6 rows, and one short one:
 - heavy: a range of indices, float64 positions and int64 sums;
 - leaf: a backward range of indices, float64 entry points and int64 levels;
 - heavy-scan and leaf-scan: the same, with the positions and sums of a
@@ -11,11 +11,15 @@ Six table shapes, each at 25,000 and 10^6 rows:
   (rotnbench/layers.py), (int, np.float64, int) rows through
   harness.write_csv, the row form;
 - density: one list per column, of ints, ints, ints or None, and floats
-  with a NaN, as density's horizon rows are (density writes at most 9).
+  with a NaN, as density's horizon rows are (density writes at most 9);
+- ladder, at 9, 32, 128 and 512 rows: density's lists with a visit at
+  every horizon, so no None, as density's ladder of at most 9 rows
+  mostly is: where a chunk this short takes the row join rather than
+  rotn.spell (harness._SPELL_ROWS) is read off these rows.
 Every other shape goes through harness.write_columns.  The values are
 seeded, so each run writes the same tables.  Each table is timed in a
-fresh interpreter: one warm-up write, then max(3, 10^6 // rows) writes
-to a temporary file (40 at 25,000 rows).  It prints the best write, as a
+fresh interpreter: one warm-up write, then max(3, min(2000, 10^6 // rows))
+writes to a temporary file (40 at 25,000 rows).  It prints the best write, as a
 shared host's load swings single writes by half, the median write, and
 the minor page faults per write (ru_minflt of that interpreter over the
 timed writes, divided by their count).
@@ -40,6 +44,8 @@ import time
 
 SHAPES = ("heavy", "leaf", "heavy-scan", "leaf-scan", "rows", "density")
 ROWS = (25_000, 10 ** 6)
+TABLES = [(shape, rows) for shape in SHAPES for rows in ROWS] \
+    + [("ladder", rows) for rows in (9, 32, 128, 512)]
 HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
@@ -63,9 +69,10 @@ def _table(shape: str, rows: int):
         return ["n", "position", "S_n"], [range(rows), x, walk]
     if shape == "leaf":
         return ["n", "x", "level"], [range(0, -rows, -1), x, walk + 3]
-    first = [None if i % 7 == 0 else 3 * i for i in range(rows)]
+    first = [3 * i if shape == "ladder" or i % 7 else None for i in range(rows)]
     gaps = x.tolist()
-    gaps[::11] = [math.nan] * len(gaps[::11])
+    if shape == "density":
+        gaps[::11] = [math.nan] * len(gaps[::11])
     return (["N", "count", "first_time", "max_gap"],
             [[10 * i + 1 for i in range(rows)], walk.tolist(), first, gaps])
 
@@ -91,7 +98,7 @@ def _time_one(shape: str, rows: int):
         path = os.path.join(tmp, "probe.csv")
         write(path)  # warm-up
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(max(3, 10 ** 6 // rows)):
+        for _ in range(max(3, min(2000, 10 ** 6 // rows))):
             start = time.perf_counter()
             write(path)
             times.append(time.perf_counter() - start)
@@ -119,8 +126,7 @@ def main() -> None:
           + "".join("  %-22s" % (side + " best median faults")
                     for side in (["here"] if ref is None else ["REF", "here"]))
           + ("" if ref is None else "  here/REF"))
-    tables = [(shape, rows) for shape in SHAPES for rows in ROWS]
-    for turn, (shape, rows) in enumerate(tables):
+    for turn, (shape, rows) in enumerate(TABLES):
         timed = {src: _side(src, shape, rows) for src in (sides if turn % 2 == 0 else sides[::-1])}
         line = "%-10s %9d" % (shape, rows) + "".join("  " + cell % timed[s] for s in sides)
         if ref is not None:
