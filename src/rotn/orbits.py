@@ -7,16 +7,18 @@ words, visit sets), so this module imports numpy and the array
 modules, and ``harness.run`` imports it only for these kinds: ``tower``
 and ``oracle`` run on the standard library alone.
 
-One function, ``_orbit``, picks where the signs of an orbit come from:
 ``heavy``, ``density`` and ``leaf --ray`` read the orbit of 1/2,
-``example`` that of (1+alpha)/2.  A certified run reads them off a
-word: the tower's ``half_word`` at 1/2 on an admissible alpha, else
-``euclid.sign_word``, on any alpha and from any start; it checks a
-prefix by the 64-bit keys of ``key_signs``, whose signs must agree with
-the word.  An exact-only run, the ground truth, scans every step (a
-leaf traces every visit).  Either route yields one summary that the
-report is built from once: the histogram (lo, counts) of the sums for
-``heavy``, ``example`` and ``leaf``, and the visit set for ``density``.
+``example`` that of (1+alpha)/2.  A certified run reads its signs off a
+word, which ``_word`` picks: the tower's ``half_word`` at 1/2 on an
+admissible alpha, else ``euclid.sign_word``, on any alpha and from any
+start; it checks a prefix by the 64-bit keys of ``key_signs``, whose
+signs must agree with the word.  An exact-only run, the ground truth,
+walks every step: ``heavy`` and ``example`` fold the walk into their
+sums as it goes (``scan.exact_sums``), and ``density`` and every
+``--out`` table scan it (a leaf traces every visit).  Either route
+yields one summary that the report is built from once: the histogram
+(lo, counts) of the sums for ``heavy``, ``example`` and ``leaf``, which
+``_orbit`` gives, and the visit set for ``density``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .exactreal import HALF, SurdReal, parse_cf
 from .foliation import trace_leaf_through, trace_ray
 from .harness import ExperimentConfig, parse_point
 from .renorm import admissible, half_word
-from .scan import key_signs, orbit_positions, orbit_scan, sums_histogram
+from .scan import exact_sums, key_signs, orbit_positions, orbit_scan, sums_histogram
 from .words import letters, level_times, prefix_histogram, prefix_sum_at
 
 # leaf visits retraced under the other policy; small enough that the
@@ -49,6 +51,16 @@ _STEP_CHUNK = 1 << 16
 _SCAN_BYTES_PER_POINT = 17
 _MAX_ARRAY_BYTES = 2 ** 63 - 1
 _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# steps of an exact walk that folds its sums (exact-only heavy without
+# --out, and example), which allocates nothing it could refuse.  A step
+# takes 25-30 ns while the walk's integers fit int64 and 0.5-0.9 us on
+# Python ints past that: heavy --N 10^9 on [0;(2)], on int64 to 5.4*10^8
+# steps, took 428 s and peaked at 32.5 MB (2-core host); on
+# [0;21,(30,28,26)], on Python ints past 10^5 steps, 10^9 take 8-15 min
+_MAX_EXACT_STEPS = 10 ** 9
+# the report keys of a run that reads its signs off an exact walk or a
+# trace of every step, with no word to check
+_SCAN_CHECK = {"signs": "scan", "prefix_steps_checked": 0}
 
 
 def _gap_ladder(N: int) -> list:
@@ -74,34 +86,28 @@ def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
                      % (given, points, need, _SCAN_BYTES_PER_POINT, limit))
 
 
-def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
-           table: bool = False):
-    """The signs of n steps of the orbit of x, as
+def _word(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
+          table: bool = False):
+    """A certified run's signs of n steps of the orbit of x, as
     (word, scan, signs, escalations, check).
 
-    An exact-only run, the ground truth, scans all n steps, with word
-    None, and signs and escalations are the scan's.  A certified run
-    reads a word whose first n letters are the signs, exactly: the
-    tower's ``half_word`` at x = 1/2 on an admissible alpha, which is the
-    faster there, else ``euclid.sign_word``.  signs then holds
-    the signs of min(n, checked) steps, escalations the number of them
-    that took the exact test, and check says whether they agree with the
-    word.  They come from ``key_signs``, by the 64-bit key with no
-    position or sum and scan None, or, when table asks for positions and
-    sums, from scan, a certified scan of those steps.  check holds the
-    route's report keys.
+    The signs are the first n letters of a word, exactly: the tower's
+    ``half_word`` at x = 1/2 on an admissible alpha, which is the faster
+    there, else ``euclid.sign_word``.  signs holds the signs of
+    min(n, checked) steps, escalations the number of them that took the
+    exact test, and check says whether they agree with the word.  They
+    come from ``key_signs``, by the 64-bit key with no position or sum
+    and scan None, or, when table asks for positions and sums, from scan,
+    a certified scan of those steps.  check holds the route's report keys.
     """
-    exact = config.policy == "exact"
-    steps = n if exact else min(n, checked)
-    if exact or table:
+    steps = min(n, checked)
+    if table:
         _refuse_unallocatable(config, steps + 1)
-        scan = orbit_scan(x, cf.value, steps, policy=config.policy)
+        scan = orbit_scan(x, cf.value, steps)
         signs, escalated = scan.signs, scan.escalated
     else:
         scan = None
         signs, escalated = key_signs(x, cf.value, steps)
-    if exact:
-        return None, scan, signs, int(escalated.size), {"signs": "scan", "prefix_steps_checked": 0}
     if x == HALF and admissible(cf):
         word, route = half_word(cf, n), "tower"
     else:
@@ -111,19 +117,42 @@ def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
         "signs": route, "prefix_steps_checked": steps, "prefix_agrees": agrees}
 
 
-def _sums(word, scan, n: int) -> tuple:
-    """(lo, counts, S_n) of the orbit ``_orbit`` gave for n steps, with
-    (lo, counts) the histogram of S_1..S_n in ``prefix_histogram``'s format:
-    off the word at any n below 2^63, or off the scan a chunk at a time."""
-    if word is None:
-        return (*sums_histogram(scan.sums[1:]), int(scan.sums[-1]))
-    return (*prefix_histogram(word, n), prefix_sum_at(word, n))
+def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
+           table: bool = False):
+    """The sums of n steps of the orbit of x, as
+    ((lo, counts, S_n), scan, signs, escalations, check), with (lo, counts)
+    the histogram of S_1..S_n in ``prefix_histogram``'s format.
+
+    A certified run reads them off ``_word``'s word, at any n below 2^63,
+    and the rest is what ``_word`` gives.  An exact-only run, the ground
+    truth, walks all n steps and takes no exact fallback: by
+    ``exact_sums``, which holds no array of length n and keeps the signs
+    of min(n, checked) steps, after refusing more than _MAX_EXACT_STEPS
+    steps; or, when table asks for positions and sums, by an exact scan,
+    binned a chunk at a time.
+    """
+    if config.policy == "certified":
+        word, scan, signs, escalated, check = _word(config, cf, x, n, checked, table)
+        sums = (*prefix_histogram(word, n), prefix_sum_at(word, n))
+        return sums, scan, signs, escalated, check
+    if table:
+        _refuse_unallocatable(config, n + 1)
+        scan = orbit_scan(x, cf.value, n, policy="exact")
+        sums, signs = (*sums_histogram(scan.sums[1:]), int(scan.sums[-1])), scan.signs
+    else:
+        if n > _MAX_EXACT_STEPS:
+            raise ValueError("--N %d: an exact walk of %d steps is above the budget of %d "
+                             "steps" % (config.N, n, _MAX_EXACT_STEPS))
+        scan = None
+        lo, counts, final, signs = exact_sums(x, cf.value, n, min(n, checked))
+        sums = lo, counts, final
+    return sums, scan, signs, 0, dict(_SCAN_CHECK)
 
 
 def _density(config: ExperimentConfig):
     """How the level-m visit positions fill the circle as N grows.
 
-    An exact-only run reads its visit set off ``_orbit``'s scan of
+    An exact-only run reads its visit set off an exact scan of
     N + max(k, 0) steps.  A certified run, whose check keys min(N, 2^16)
     signs, takes the visit times from ``level_times``, by descent of the
     word, and positions only at the visits, by the scan's own formula and
@@ -141,12 +170,15 @@ def _density(config: ExperimentConfig):
     m, N, k = config.m, config.N, config.k
     cf = parse_cf(config.alpha)
     alpha = cf.value
-    word, scan, signs, prior, check = _orbit(config, cf, HALF, N + max(k, 0),
-                                             min(N, _PREFIX_STEPS))
-    del signs  # the checked signs, not to be held across level_times
-    if word is None:
+    if config.policy == "exact":
+        _refuse_unallocatable(config, N + max(k, 0) + 1)
+        scan = orbit_scan(HALF, alpha, N + max(k, 0), policy="exact")
         vs = visit_set(HALF, alpha, m, N, k=k, scan=scan)
+        check = dict(_SCAN_CHECK)
     else:
+        word, _, signs, prior, check = _word(config, cf, HALF, N + max(k, 0),
+                                             min(N, _PREFIX_STEPS))
+        del signs  # the checked signs, not to be held across level_times
         times = level_times(word, m, N)
         if m == 0:  # S_0 = 0
             times = np.concatenate([np.zeros(1, dtype=np.int64), times])
@@ -192,7 +224,8 @@ def _example(config: ExperimentConfig):
     from one prefix histogram of ``euclid.sign_word``'s word of x, at any
     N below 2^63, and the forward signs are ``key_signs``' n, by alpha,
     which serve both checks above and must equal the word's letters for
-    ok to hold; an exact-only run scans all N steps forward.  On every
+    ok to hold; an exact-only run folds all N steps forward, keeping n
+    signs, by ``_orbit``'s step budget.  On every
     route the backward signs are ``key_signs``' n + 1 by -alpha, exact as
     a scan's.  The word reads neither the witness nor the tower, which is
     what the audit checks.
@@ -217,8 +250,7 @@ def _example(config: ExperimentConfig):
 
     if N >= 1:
         n_sym = min(N, 10 ** 5)
-        word, fwd, signs, _, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
-        lo, counts, _ = _sums(word, fwd, N)
+        (lo, counts, _), _, signs, _, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
         back = key_signs(rep.x, -rep.alpha.value, n_sym + 1)[0]
         report["max_forward_sum"] = lo + counts.size - 1
         report["symmetric_sums"] = bool(
@@ -250,7 +282,7 @@ def _leaf(config: ExperimentConfig):
     entry n sits at level ray + 1 + S_n(1/2), so when a certified ray
     needs no --out, and so no entry_x past the check, ``_orbit`` reads the
     signs of 1/2 off a word, as for ``heavy``, and the histogram is
-    ``_sums``' shifted by ray + 1, at any N below 2^63, checked by
+    its sums' shifted by ray + 1, at any N below 2^63, checked by
     ``_orbit``'s keys of min(N, 2^16) signs.
     The trace then covers only the min(N, 256) entries the other
     precision retraces: the certified ray is the orbit of 1/2 shifted,
@@ -272,15 +304,14 @@ def _leaf(config: ExperimentConfig):
 
     retraced = min(N, _LEAF_CHECK_VISITS)
     if config.ray is not None and not config.out and policy == "certified":
-        word, scan, _, _, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
-        lo, counts, _ = _sums(word, scan, N)
+        (lo, counts, _), _, _, _, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
         lo += config.ray + 1  # entry n sits at ray + 1 + S_n(1/2)
         trace = trace_for(retraced, policy)
     else:
         _refuse_unallocatable(config, N + 1)
         trace = trace_for(N, policy)
         lo, counts = sums_histogram(trace.entry_level)
-        check = {"signs": "scan", "prefix_steps_checked": 0}
+        check = dict(_SCAN_CHECK)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(retraced, "certified" if policy == "exact" else "exact")
     cert, exact = (other, trace) if policy == "exact" else (trace, other)
@@ -311,16 +342,16 @@ def _heavy(config: ExperimentConfig):
     """Contrast run: count sign violations of S_n(1/2) < 0 for 1 <= n <= N.
 
     The report reads only the histogram (lo, counts) of S_1..S_N and
-    S_N, which ``_sums`` gives from either route of ``_orbit``: a
-    certified run's keyed signs only check the word, over 2^16 steps, and
-    only when --out needs its table is the check a scan, over all N steps.
+    S_N, which either route of ``_orbit`` gives: a certified run's keyed
+    signs only check the word, over 2^16 steps, and an exact-only run
+    folds its walk, holding no array of length N; only when --out needs
+    its table does either scan all N steps.
     """
     N = config.N
     cf = parse_cf(config.alpha)
     out = bool(config.out)
-    word, scan, _, escalated, check = _orbit(config, cf, HALF, N, N if out else _PREFIX_STEPS,
-                                             table=out)
-    lo, counts, final_sum = _sums(word, scan, N)
+    (lo, counts, final_sum), scan, _, escalated, check = _orbit(
+        config, cf, HALF, N, N if out else _PREFIX_STEPS, table=out)
     violations = int(counts[max(0, -lo):].sum())
     report = {"alpha": config.alpha, "N": N, "violations": violations, "min_sum": lo,
               "max_sum": lo + counts.size - 1, "final_sum": final_sum,

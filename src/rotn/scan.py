@@ -42,7 +42,12 @@ integer they test, so every sign (the parity of g) and every wrap (by
 g >> 1) is exact.  The arrays are int64 while the tests' squares stay
 below 2^62, which for the README's alphas holds past 10^8 steps (for
 [0;21,(30,28,26)], with d ~ 1.2*10^8, only to ~10^5), and Python ints
-past that.  Positions are still reported as floats, (P + Q*sqrt(d))/R.
+past that.  ``_exact_walk`` is that walk, chunk by chunk, and it has two
+consumers: ``orbit_scan(policy="exact")`` writes its positions, as
+floats (P + Q*sqrt(d))/R, signs and sums into arrays of n + 1 points,
+and ``exact_sums`` folds each chunk's sums into a histogram as it comes,
+with no position and no array of length n, keeping only a prefix of the
+signs.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ from .exactreal import (HALF, Frame, Record, SurdReal, _surd_float, _surd_signs,
                         escalations)
 from .words import _add_shifted
 
-__all__ = ["OrbitScan", "orbit_scan", "key_signs", "orbit_positions", "sums_histogram",
-           "backend_name", "kernel_for"]
+__all__ = ["OrbitScan", "orbit_scan", "exact_sums", "key_signs", "orbit_positions",
+           "sums_histogram", "backend_name", "kernel_for"]
 
 logger = logging.getLogger(__name__)
 
@@ -409,10 +414,72 @@ def _certified_scan(x0: SurdReal, step: SurdReal, count: int):
 def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
     """Integer-only scan on one frame: exact signs, float positions.
 
+    Writes ``_exact_walk``'s chunks into arrays of count points.  The
+    radius returned is 2^-50*M/R, with M = R + |Q|*sqrt(d), at the
+    largest |Q| of the walk, an end of it, since Q moves by Qa a step:
+    ``_exact_walk`` bounds each position's rounding by
+    2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order, and this leaves room for
+    the higher-order terms and its own rounding.
+    """
+    positions = np.empty(count, dtype=np.float64)
+    signs = np.empty(count, dtype=np.int8)
+    for lo, s, z in _exact_walk(x0, step, count, positions=True):
+        signs[lo : lo + s.size] = s
+        positions[lo : lo + s.size] = z
+    frame = Frame(x0, step)
+    Q, Qa = frame.embed(x0)[1], frame.embed(step)[1]
+    top = max(abs(Q), abs(Q + (count - 1) * Qa))
+    radius = 2.0**-50 * (1.0 + top / frame.R * math.sqrt(frame.d))
+    return positions, signs, np.empty(0, dtype=np.int64), radius
+
+
+# exact_sums adds up its chunks' histograms once it holds this many
+_FOLD_PARTS = 256
+
+
+def exact_sums(x0: SurdReal, alpha: SurdReal, n: int, keep: int) -> tuple:
+    """(lo, counts, S_n, signs) of the forward orbit of x0 by the exact
+    walk, with no array of length n: (lo, counts) is the histogram of
+    S_1..S_n in ``sums_histogram``'s format and signs the first keep <= n
+    signs, int8, so they equal ``sums_histogram(scan.sums[1:])``,
+    ``scan.sums[n]`` and ``scan.signs[:keep]`` of
+    ``orbit_scan(x0, alpha, n, policy="exact")``.
+
+    Folds ``_exact_walk``'s chunks of n points, with no position: a
+    chunk's sums are the sum of the signs before it plus its own signs'
+    cumsum, which is binned from its own minimum as ``sums_histogram``
+    bins a chunk and shifted by that carry, and the histograms are added
+    up every ``_FOLD_PARTS`` chunks.
+    """
+    if not 0 <= keep <= n:
+        raise ValueError("keep must be in [0, %d], got %r" % (n, keep))
+    kept = np.empty(keep, dtype=np.int8)
+    sums = np.empty(min(n, _EXACT_CHUNK), dtype=np.int64)
+    parts, carry = [], 0
+    for lo, s, _ in _exact_walk(x0.frac(), alpha, n, positions=False):
+        if lo < keep:
+            kept[lo : lo + s.size] = s[: keep - lo]
+        part = sums[: s.size]
+        np.cumsum(s, out=part)
+        base = int(part.min())
+        part -= base
+        parts.append((carry, (base, np.bincount(part))))
+        carry += base + int(part[-1])
+        if len(parts) == _FOLD_PARTS:
+            parts = [(0, _add_shifted(np, parts))]
+    return (*_add_shifted(np, parts), carry, kept)
+
+
+def _exact_walk(x0: SurdReal, step: SurdReal, count: int, positions: bool):
+    """The integer-only walk of count points on one frame: yields, for
+    each chunk of points lo, lo + 1, ..., (lo, signs, z), signs their
+    exact signs as int64 and z their float positions, or None unless
+    positions.
+
     Walks ``_EXACT_CHUNK`` points at a time from the chunk's first
     point (P, Q), which lies in [0, 1).  Its k-th point, unwrapped, is
     x_k = (P + k*Pa + (Q + k*Qa)*sqrt(d))/R, and g_k = floor(2*x_k)
-    says everything the scan needs: the sign is +1 exactly when g_k is
+    says everything the walk needs: the sign is +1 exactly when g_k is
     even, and the wrapped point is P + k*Pa - (g_k >> 1)*R over the same
     Q.  ``_floor_twice`` finds g_k from a float guess.  The last point
     of one chunk, wrapped, is the first of the next, so no chunk's
@@ -428,10 +495,8 @@ def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
     M = R + |Q|*sqrt(d), which bounds |P| for a point in [0, 1), the
     formula's eight roundings (d, P, Q and R to floats, the root, the
     product, the sum and the quotient) move a position by at most
-    2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order.  The radius returned
-    is 2^-50*M/R at the largest |Q| of the walk, an end of it, since Q
-    moves by Qa a step; it leaves room for the higher-order terms and
-    its own rounding.
+    2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order.  Without positions
+    only a chunk's last point, the next one's first, is wrapped.
     """
     if step.is_rational:
         raise ValueError("rotation number must be irrational")
@@ -442,11 +507,6 @@ def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
     af = float(step)
     sqd = math.sqrt(d)
     root = math.isqrt(d) + 1
-    top = max(abs(Q), abs(Q + (count - 1) * Qa))
-    radius = 2.0**-50 * (1.0 + top / R * sqd)
-
-    positions = np.empty(count, dtype=np.float64)
-    signs = np.empty(count, dtype=np.int8)
     kf = np.arange(_EXACT_CHUNK + 1, dtype=np.float64)
     for lo in range(0, count, _EXACT_CHUNK):
         m = min(_EXACT_CHUNK, count - lo)
@@ -460,14 +520,15 @@ def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
         # at most 2^-41 for k <= 2^12, so the guess is off by at most one
         guess = np.floor(2.0 * (kf[: m + 1] * af + _surd_float(P, Q, R, d)))
         g = _floor_twice(Pk, Qk, R, d, guess.astype(np.int64).astype(dtype))
-        Pk -= (g >> 1) * R
-        if R + top * root < _FLOAT_ROOM:
-            positions[lo : lo + m] = ((Pk + Qk * sqd) / R)[:m]
-        else:
-            positions[lo : lo + m] = [_surd_float(p, q, R, d) for p, q in zip(Pk[:m], Qk[:m])]
-        signs[lo : lo + m] = 1 - 2 * (g[:m] & 1)
-        P, Q = int(Pk[m]), int(Qk[m])
-    return positions, signs, np.empty(0, dtype=np.int64), radius
+        P, Q = int(Pk[m]) - (int(g[m]) >> 1) * R, int(Qk[m])  # the next chunk's first
+        z = None
+        if positions:
+            Pk -= (g >> 1) * R
+            if R + top * root < _FLOAT_ROOM:
+                z = ((Pk + Qk * sqd) / R)[:m]
+            else:
+                z = [_surd_float(p, q, R, d) for p, q in zip(Pk[:m], Qk[:m])]
+        yield lo, (1 - 2 * (g[:m] & 1)).astype(np.int64, copy=False), z
 
 
 def _floor_twice(P, Q, R: int, d: int, g):

@@ -431,9 +431,13 @@ def prefix_histogram(w: SignWord, k: int) -> tuple:
 # near 5 GiB
 MAX_LEVEL_TIMES = 2 ** 28
 # a node prefix this short is expanded and summed instead of descended;
-# the sums of up to _SUMMED_NODES whole such nodes (256 KiB each) are
-# kept, for the other levels the same node is read at
-_SUM_CHUNK = 1 << 16
+# the sums of up to _SUMMED_NODES whole such nodes (64 KiB each) are
+# kept, for the other levels the same node is read at.  Against 2^16, a
+# call on 60 of scan_long's (alpha, m) at N = 5*10^6 took a median
+# 1.44 ms, not 1.79, faster on 45 (best of 5, in process, 2-core host),
+# and m = 0 at N = 10^8 about as long on the README's alphas: a short
+# node whose range misses the target is skipped, not expanded
+_SUM_CHUNK = 1 << 14
 _SUMMED_NODES = 16
 
 
@@ -447,7 +451,7 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
     target is skipped; a whole node already written at the same target
     is copied from there, shifted in time; a power descends only into
     the copies whose target lies in the base's range.  A node prefix of
-    at most 2^16 letters is expanded and summed.  A power of total 0,
+    at most 2^14 letters is expanded and summed.  A power of total 0,
     as ``euclid.sign_word``'s words hold, has every copy in the range of
     its base, which the check above found to hold the target, so the
     descent enters every copy.
@@ -462,7 +466,7 @@ def level_times(w: SignWord, m: int, n: int) -> np.ndarray:
     out = np.empty(total, dtype=np.int64)
     at = 0  # the next entry of out to write
     written = {}  # (uid, target) -> (entry, size, time) of a whole node
-    summed = {}  # uid -> prefix sums of a whole node of at most 2^16 letters
+    summed = {}  # uid -> prefix sums of a whole node of at most 2^14 letters
     # (node, time, count, target, None) writes the times time + i, i <=
     # count, at which the node's prefix sum s_i equals target; for a whole
     # node, the same entry with the node's first output entry in place of

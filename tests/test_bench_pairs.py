@@ -21,8 +21,8 @@ held = bytearray(b"x") * (256 << 20)
 child = [sys.executable, "-c",
          "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"]
 direct = subprocess.run(child, capture_output=True, text=True, check=True)
-hopped = bench_pairs.launch(child, capture_output=True, text=True, check=True)
-print(int(direct.stdout) // 1024, int(hopped.stdout) // 1024)
+hopped, usage = bench_pairs.launch(child, capture_output=True, text=True, check=True)
+print(int(direct.stdout) // 1024, int(hopped.stdout) // 1024, usage["peak_rss_mb"])
 """
 
 
@@ -30,9 +30,9 @@ def test_a_launched_run_does_not_inherit_the_launchers_peak():
     done = subprocess.run([sys.executable, "-c", _HOLDER, str(TOOLS)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    direct_mb, hopped_mb = map(int, done.stdout.split())
+    direct_mb, hopped_mb, waited_mb = map(float, done.stdout.split())
     assert direct_mb >= 200  # the inheritance the helper avoids happens here
-    assert hopped_mb < 100
+    assert hopped_mb < 100 and waited_mb < 100
 
 
 def _run(wall_s, tower_s, queries_s, speed_factor=1.0):
@@ -93,6 +93,51 @@ def test_the_summary_gives_each_job_kinds_scaled_median(monkeypatch):
     assert summary["s_by_kind"]["queries"]["change"]["median"] == pytest.approx(0.003)
 
 
+def test_the_summary_gives_each_workloads_cpu_time(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    pairs = [{"workload": "exact_walk", "trace": 0, "cpu_s": {"parent": p, "change": c},
+              "parent": _run(1.0, [0.01], [0.01]), "change": _run(1.0, [0.01], [0.01])}
+             for p, c in ((20.0, 19.0), (21.0, 19.5), (22.0, 22.5))]
+    cpu = bench_pairs._summary(pairs, {"wall_s": "lower"})["exact_walk"]["cpu_s"]
+    assert cpu["parent"]["median"] == 21.0 and cpu["change"]["median"] == 19.5
+    assert cpu["change_wins"] == "2/3"
+    assert cpu["median_change"] == pytest.approx(19.5 / 21.0 - 1)
+    # pairs recorded without it give no cpu_s
+    del pairs[0]["cpu_s"]
+    assert "cpu_s" not in bench_pairs._summary(pairs, {"wall_s": "lower"})["exact_walk"]
+
+
+# a stand-in for rotnbench/run.py: spins for 0.2 s of CPU time, then writes
+# the results file bench_pairs reads
+_SPIN_RUN = """
+import json, sys, time
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+t = time.process_time()
+while time.process_time() - t < 0.2:
+    pass
+out = Path(".rotnbench/results/%s-seed%s-trace%s.json"
+           % (args["--workload"], args["--seed"], args["--trace"]))
+out.parent.mkdir(parents=True, exist_ok=True)
+out.write_text(json.dumps({"metrics": {"wall_s": 0.2}}))
+"""
+
+
+def test_a_workload_run_records_its_own_cpu_time(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    (tmp_path / "rotnbench").mkdir()
+    (tmp_path / "rotnbench" / "run.py").write_text(_SPIN_RUN)
+    results, cpu_s = bench_pairs._run(tmp_path, "w", 3, 1.0, 0)
+    assert results == {"metrics": {"wall_s": 0.2}}
+    # the run's own spin and start-up, not the launcher's
+    assert 0.2 <= cpu_s < 2.0
+    (tmp_path / "rotnbench" / "run.py").write_text("import sys; sys.exit(4)")
+    with pytest.raises(SystemExit, match="exited 4"):
+        bench_pairs._run(tmp_path, "w", 3, 1.0, 0)
+
+
 def _git(cwd, *args):
     subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
                    cwd=cwd, check=True, capture_output=True)
@@ -132,13 +177,19 @@ def test_both_sides_run_alike_apart_from_their_checkout(monkeypatch, tmp_path):
         results.write_text(json.dumps({
             "header": {"src_sha256": "0"}, "metrics": {"wall_s": 1.0}, "jobs": [],
             "raw_metrics": {"speed_factor": 1.0}}))
-        return subprocess.CompletedProcess(cmd, 0, "", "")
+        return subprocess.CompletedProcess(cmd, 0, "", ""), {"cpu_s": 0.5 + len(runs),
+                                                             "exit": 0}
 
     monkeypatch.setattr(bench_pairs, "launch", launch)
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main(["HEAD", "--workload", "w", "--seeds", "1", "2",
                              "--out", str(out)]) == 0
-    assert len(runs) == 4 and json.loads(out.read_text())["summary"]["w"]
+    bench = json.loads(out.read_text())
+    assert len(runs) == 4 and bench["summary"]["w"]
+    # each pair holds its runs' CPU times, in the order they ran
+    assert [p["cpu_s"] for p in bench["pairs"]] == [{"parent": 1.5, "change": 2.5},
+                                                    {"change": 3.5, "parent": 4.5}]
+    assert bench["summary"]["w"]["cpu_s"]["parent"]["median"] == 3.0
     # the first pair runs the parent first, the second the change
     for parent, change in ((runs[0], runs[1]), (runs[3], runs[2])):
         assert parent["root"] != change["root"]

@@ -454,22 +454,23 @@ def test_example_off_the_descent_equals_the_exact_scan(m):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     # Euclid's word keys only the 10^5 signs it checks forward, and one more
-    # backward, and scans nothing; the scan route, the same run exact-only,
-    # scans all N forward and keys the same backward signs
+    # backward, and walks nothing; the exact route, the same run exact-only,
+    # folds all N steps forward, keeping the 10^5 signs it checks, scans
+    # nothing and keys the same backward signs
     forward, keyed = [], []
-    honest_scan, honest_keys = orbits.orbit_scan, orbits.key_signs
+    honest_fold, honest_keys = orbits.exact_sums, orbits.key_signs
 
-    def counted_scan(x, alpha, n, *, direction=1, policy="certified"):
-        if direction == 1:
-            forward.append(n)
-        return honest_scan(x, alpha, n, direction=direction, policy=policy)
+    def counted_fold(x, alpha, n, keep):
+        forward.append((n, keep))
+        return honest_fold(x, alpha, n, keep)
 
     def counted_keys(x, step, n):
         keyed.append((n, "forward" if step > 0 else "backward"))
         return honest_keys(x, step, n)
 
-    monkeypatch.setattr(orbits, "orbit_scan", counted_scan)
+    monkeypatch.setattr(orbits, "exact_sums", counted_fold)
     monkeypatch.setattr(orbits, "key_signs", counted_keys)
+    monkeypatch.setattr(orbits, "orbit_scan", lambda *a, **k: pytest.fail("scanned"))
     fields = dict(kind="example", m=m, k_max=6, N=N)
     rep = run(ExperimentConfig(**fields))
     n = min(N, 10**5)
@@ -477,7 +478,7 @@ def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     assert rep["ok"] is True
     keyed.clear()
     assert run(ExperimentConfig(**fields, precision="exact-only")) == rep
-    assert forward == [N] and keyed == [(n + 1, "backward")]
+    assert forward == [(N, n)] and keyed == [(n + 1, "backward")]
 
 
 def test_example_forward_max_is_the_witness_prefix_max_far_out():
@@ -707,16 +708,13 @@ def test_reports_read_one_summary_whichever_route(monkeypatch, N):
                     assert last["max_gap"] is None
 
 
-@pytest.mark.parametrize("argv, bytes_per_step", [
-    (["heavy", "--alpha", "[0;(2)]", "--precision", "exact-only"], 17.6),
-    (["leaf", "--alpha", "[0;(2)]", "--through", "(1+a)/2"], 17.6),
-])
-def test_scan_route_summaries_copy_no_full_array(capsys, argv, bytes_per_step):
-    # an exact-only heavy holds its scan, 17 B a step (positions, signs and
-    # sums), and a leaf through a point its certified trace, 16 B (positions
-    # and levels); the summary bins the sums, and leaf's step check takes
-    # the levels' differences, a chunk at a time.  (A certified ray reads a
-    # word, and an exact trace of 10^6 visits takes 15 s under tracemalloc.)
+def test_scan_route_summaries_copy_no_full_array(capsys):
+    # a leaf through a point holds its certified trace, 16 B a step
+    # (positions and levels); the summary bins the levels, and the step
+    # check takes their differences, a chunk at a time.  (A certified ray
+    # reads a word, and an exact trace of 10^6 visits takes 15 s under
+    # tracemalloc.)
+    argv = ["leaf", "--alpha", "[0;(2)]", "--through", "(1+a)/2"]
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     tracemalloc.start()
@@ -726,7 +724,39 @@ def test_scan_route_summaries_copy_no_full_array(capsys, argv, bytes_per_step):
     finally:
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["signs"] == "scan"
-    assert peak <= bytes_per_step * 10**6, peak / 10**6
+    assert peak <= 17.6 * 10**6, peak / 10**6
+
+
+@pytest.mark.parametrize("argv", [
+    ["heavy", "--alpha", "[0;(2)]", "--precision", "exact-only"],
+    ["example", "--m", "3", "--precision", "exact-only"],
+], ids=["heavy", "example"])
+def test_exact_only_heavy_and_example_fold_in_bounded_memory(monkeypatch, capsys, argv):
+    # the exact walk's chunks are folded into the histogram as they come,
+    # so the peak is a chunk's temporaries and the kept signs, whatever N
+    assert main(argv + ["--N", "1000"]) == 0  # imports
+    capsys.readouterr()
+    monkeypatch.setattr(orbits, "orbit_scan", lambda *a, **k: pytest.fail("scanned"))
+    for N in (1000, 10**6):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--N", str(N)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert peak <= 2 * 2**20, (N, peak)
+
+
+@pytest.mark.parametrize("kind", ["heavy", "example"])
+def test_the_exact_walk_budget_answers_its_own_size(monkeypatch, capsys, kind):
+    monkeypatch.setattr(orbits, "_MAX_EXACT_STEPS", 1000)
+    argv = [kind, "--precision", "exact-only", "--N"]
+    assert main(argv + ["1000"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["1001"]) == 2
+    assert capsys.readouterr().err == ("rotn: error: --N 1001: an exact walk of 1001 steps "
+                                       "is above the budget of 1000 steps\n")
 
 
 def test_run_oracle_report(tmp_path):
@@ -1191,13 +1221,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert err.startswith("rotn: error: --out ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
     monkeypatch.undo()
-    # 10^18 steps cannot be allocated on any machine: one line, no traceback.
-    # A certified density allocates only its visits, and refuses the ~10^17
-    # visits of level 0 as over its budget.  A certified heavy (its default
-    # alpha, [0;(2)], has no tower) and a summary-only certified ray read
-    # their sums off a word instead, the tower's or Euclid's, and a
-    # certified example its forward sums off Euclid's word of x; an exact
-    # one and one that writes every entry must still scan
+    # 10^18 steps cannot be allocated, or walked, on any machine: one line,
+    # no traceback.  A certified density allocates only its visits, and
+    # refuses the ~10^17 visits of level 0 as over its budget.  A certified
+    # heavy (its default alpha, [0;(2)], has no tower) and a summary-only
+    # certified ray read their sums off a word instead, the tower's or
+    # Euclid's, and a certified example its forward sums off Euclid's word
+    # of x; an exact heavy or example must walk every step, past the exact
+    # walk's step budget, and an exact ray or one that writes every entry
+    # must trace or scan every step
     huge = str(10**18)
     ray = ["leaf", "--ray", "0", "--N", huge]
     for argv in (["heavy", "--N", huge, "--precision", "exact-only"],
@@ -1449,8 +1481,13 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
     (["density", "--alpha", "[0;(2)]", "--k", str(2 ** 62), "--N", "10",
       "--precision", "exact-only"],
      "--N 10 and --k 4611686018427387904: a scan of 4611686018427387915 points"),
+    # an exact-only heavy or example folds its walk and allocates nothing it
+    # could refuse: its step budget refuses it before the first step
     (["heavy", "--alpha", "[0;(2)]", "--N", str(2 ** 62), "--precision", "exact-only"],
-     "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
+     "--N 4611686018427387904: an exact walk of 4611686018427387904 steps is above the "
+     "budget of 1000000000 steps"),
+    (["example", "--N", str(10 ** 9 + 1), "--precision", "exact-only"],
+     "--N 1000000001: an exact walk of 1000000001 steps is above the budget of 1000000000"),
     (["leaf", "--through", "1/3", "--N", str(2 ** 62)],
      "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
     # on the tower, --out needs the scan of every step
@@ -1463,7 +1500,8 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
         "leaf-ray-past-int64", "exact-leaf-ray-past-int64", "leaf-level-past-int64",
         "density-k-past-int64", "density-negative-k-past-int64",
         "scan-density-k-past-int64", "scan-density-past-numpy", "scan-density-k-past-numpy",
-        "exact-heavy-past-numpy", "leaf-through-past-numpy", "tower-heavy-out-past-numpy"])
+        "exact-heavy-past-budget", "exact-example-past-budget", "leaf-through-past-numpy",
+        "tower-heavy-out-past-numpy"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)
 

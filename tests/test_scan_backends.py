@@ -14,7 +14,7 @@ from rotn.exactreal import CFNumber, Frame, SurdReal, _surd_sign, escalations, p
 from rotn.renorm import half_word
 from rotn.scan import (
     _CHUNK, _EXACT_CHUNK, _KEY_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
-    key_signs, kernel_for, orbit_positions, orbit_scan, scan_kernel, sums_histogram,
+    exact_sums, key_signs, kernel_for, orbit_positions, orbit_scan, scan_kernel, sums_histogram,
 )
 from rotn.words import prefix_histogram
 
@@ -321,6 +321,54 @@ def test_exact_scan_crosses_from_int64_to_python_ints(monkeypatch):
         ref = _reference_exact_scan(start, alpha, 4 * _EXACT_CHUNK, direction)
         _same_walk((scan.positions[lo:lo + 4 * _EXACT_CHUNK],
                     scan.signs[lo:lo + 4 * _EXACT_CHUNK]), ref)
+
+
+def _scanned_sums(x0, alpha, n, keep):
+    """What ``exact_sums`` folds, read off the exact scan of n steps."""
+    scan = orbit_scan(x0, alpha, n, policy="exact")
+    return (*sums_histogram(scan.sums[1:]), int(scan.sums[-1]), scan.signs[:keep])
+
+
+def _same_sums(got, want):
+    lo, counts, final, signs = got
+    assert (lo, final) == (want[0], want[2])
+    assert counts.dtype == np.int64 and np.array_equal(counts, want[1])
+    assert signs.dtype == np.int8 and np.array_equal(signs, want[3])
+
+
+@pytest.mark.parametrize("fold_parts", [None, 2])
+@pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;1,(3)]", "[0;(2)]", "[0;7,10,(8,12)]"])
+def test_exact_sums_fold_the_exact_scan(cf, fold_parts, monkeypatch):
+    # the histogram, S_n and the kept signs at the chunk's edges, from
+    # starts on int64 and (R = 2^40) on Python ints, one outside [0, 1);
+    # with fold_parts 2 the chunks' histograms are added up every 2 chunks
+    if fold_parts:
+        monkeypatch.setattr(rotn.scan, "_FOLD_PARTS", fold_parts)
+    alpha = parse_cf(cf).value
+    c = _EXACT_CHUNK
+    for x0 in (HALF, (1 + alpha) / 2, alpha * 7 - 2, HALF + SurdReal(1, 0, 2**40)):
+        for n in (0, 1, c - 1, c, c + 1, 3 * c + 5):
+            for keep in {0, min(n, 5), n}:
+                _same_sums(exact_sums(x0, alpha, n, keep), _scanned_sums(x0, alpha, n, keep))
+    with pytest.raises(ValueError, match="keep"):
+        exact_sums(HALF, alpha, 10, 11)
+
+
+def test_exact_sums_fold_across_the_switch_to_python_ints(monkeypatch):
+    # as test_exact_scan_crosses_from_int64_to_python_ints: the walk passes
+    # from int64 to Python ints near step 10^5
+    alpha = parse_cf("[0;21,(30,28,26)]").value
+    n = 100_000 + 3 * _EXACT_CHUNK
+    dtypes = []
+
+    def spy(P, *args):
+        dtypes.append(P.dtype)
+        return _floor_twice(P, *args)
+
+    monkeypatch.setattr(rotn.scan, "_floor_twice", spy)
+    got = exact_sums(HALF, alpha, n, n)
+    assert dtypes[0] == np.int64 and dtypes[-1] == np.dtype(object)
+    _same_sums(got, _scanned_sums(HALF, alpha, n, n))
 
 
 @pytest.mark.parametrize("direction", [1, -1])

@@ -423,7 +423,8 @@ def power_words(draw):
 @settings(max_examples=60, deadline=None)
 @given(power_words(), st.data())
 def test_level_times_match_numpy_on_long_powers(w, data):
-    edges = [n for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, w.length) if n <= w.length]
+    chunk = words._SUM_CHUNK
+    edges = [n for n in (0, 1, chunk - 1, chunk, chunk + 1, 2**16, w.length) if n <= w.length]
     for n in edges + [data.draw(st.integers(0, w.length))]:  # a partial last copy, often
         lo, counts = prefix_histogram(w, n)
         hi = lo + counts.size - 1

@@ -27,7 +27,11 @@ median raw time per run, before rotnbench scales it by the machine's
 speed factor, under ``s_by_kind`` for its median scaled time ``s``, and
 under ``speed_factor`` that factor's median and quartiles per side, read
 from each run's ``raw_metrics``, so a change in the code can be told
-from one in the host's speed.  Nothing under ``rotnbench/`` is changed.
+from one in the host's speed.  Under ``cpu_s`` it gives the same for
+each run's CPU time, ``ru_utime + ru_stime`` from ``os.wait4``, which
+the pair holds beside the results files, as ``--cli`` rows do; on Linux
+it includes the fresh interpreters a run starts and waits for, such as
+rotnbench's set-up probes.  Nothing under ``rotnbench/`` is changed.
 
 With ``--cli`` it times the command-line table instead: every ``rotn``
 line of the README's "Command line" block, read as
@@ -88,7 +92,8 @@ NOTE = (
     "raw_s_by_kind gives the same for each job kind's median raw_s per run, "
     "the job time before rotnbench's speed factor scales it, and s_by_kind for "
     "its median s, the scaled time; speed_factor gives that factor's median "
-    "and quartiles per side, from each run's raw_metrics."
+    "and quartiles per side, from each run's raw_metrics; cpu_s, the same for each "
+    "run's ru_utime + ru_stime from os.wait4, held in each pair's cpu_s."
 )
 
 
@@ -117,14 +122,36 @@ def _copy_working_tree(into: Path) -> None:
 # rotnbench's peak_rss_mb is getrusage(RUSAGE_SELF).ru_maxrss, and on Linux a
 # process inherits the high-water mark of the process that forked and exec'd
 # it.  This launcher holds numpy, rotn and the BENCH file, so each run starts
-# through one small interpreter: the run then inherits that one's ~10 MB.
-_HOP = [sys.executable, "-c",
-        "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"]
+# through a bare interpreter, _WAIT4's: the run then inherits that one's few MB.
+# That interpreter spawns the run, waits for it with os.wait4 and writes
+# "wall_s cpu_s ru_maxrss ru_minflt exit" to the file argv[1].
+_WAIT4 = """\
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+status, usage = os.wait4(pid, 0)[1:]
+wall = time.perf_counter() - start
+with open(sys.argv[1], "w") as f:
+    f.write("%r %r %d %d %d" % (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss,
+                               usage.ru_minflt, os.waitstatus_to_exitcode(status)))
+"""
 
 
-def launch(cmd: list, **kwargs) -> subprocess.CompletedProcess:
-    """subprocess.run(cmd, **kwargs), with cmd started by a fresh interpreter."""
-    return subprocess.run(_HOP + cmd, **kwargs)
+def launch(cmd: list, **kwargs) -> tuple:
+    """subprocess.run(cmd, **kwargs), with cmd, whose cmd[0] is a path,
+    started by _WAIT4's bare interpreter; returns that run's
+    CompletedProcess, whose stdout and stderr are cmd's, and cmd's own
+    wall_s, cpu_s (``ru_utime + ru_stime``), peak_rss_mb (``ru_maxrss``),
+    minflt (``ru_minflt``) and exit status, all from os.wait4."""
+    fd, report = tempfile.mkstemp(prefix="bench_pairs-", suffix=".wait4")
+    os.close(fd)
+    try:
+        done = subprocess.run([sys.executable, "-S", "-c", _WAIT4, report, *cmd], **kwargs)
+        wall, cpu, rss, minflt, status = Path(report).read_text().split()
+    finally:
+        os.unlink(report)
+    return done, {"wall_s": float(wall), "cpu_s": float(cpu), "peak_rss_mb": int(rss) / 1024,
+                  "minflt": int(minflt), "exit": int(status)}
 
 
 def _rotn_row(line: str) -> tuple:
@@ -159,20 +186,6 @@ CLI_NOTE = (
     "lower in at least 4 of 5 pairs (rounded up) or the change's median lies "
     "inside the parent's quartiles."
 )
-# A --cli run starts through this launcher, which spawns the row, waits
-# for it with os.wait4 and writes "wall_s cpu_s ru_maxrss ru_minflt exit" to
-# the file argv[1].  A process starts with the peak RSS of the one it was spawned
-# from, so it is spawned from this bare interpreter, not from this script.
-_WAIT4 = """\
-import os, sys, time
-start = time.perf_counter()
-pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
-status, usage = os.wait4(pid, 0)[1:]
-wall = time.perf_counter() - start
-with open(sys.argv[1], "w") as f:
-    f.write("%r %r %d %d %d" % (wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss,
-                               usage.ru_minflt, os.waitstatus_to_exitcode(status)))
-"""
 
 
 def cli_table(readme: Path) -> list:
@@ -184,15 +197,11 @@ def cli_table(readme: Path) -> list:
 
 def _cli_run(root: Path, cwd: Path, args) -> dict:
     """One fresh run of ``python -B args`` on the sources at root, in cwd."""
-    report = cwd.with_suffix(".wait4")
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", _WAIT4, str(report), sys.executable, "-B", *args],
+    done, usage = launch(
+        [sys.executable, "-B", *args],
         cwd=cwd, env=dict(os.environ, PYTHONPATH=str(root / "src")), check=True,
         stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    wall, cpu, rss, minflt, status = report.read_text().split()
-    return {"wall_s": float(wall), "cpu_s": float(cpu), "peak_rss_mb": int(rss) / 1024,
-            "minflt": int(minflt), "exit": int(status),
-            "stdout_sha256": hashlib.sha256(done.stdout).hexdigest()}
+    return dict(usage, stdout_sha256=hashlib.sha256(done.stdout).hexdigest())
 
 
 def run_table(rows, roots: dict, pairs: int, tmp: Path) -> list:
@@ -267,19 +276,20 @@ def _cli_lines(summary: dict) -> list:
     return lines
 
 
-def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run from the checkout at root; returns its results file."""
+def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """One benchmark run from the checkout at root; returns its results file
+    and the run's CPU time, ``ru_utime + ru_stime`` from os.wait4."""
     path = root / ".rotnbench" / "results" / ("%s-seed%d-trace%d.json"
                                               % (workload, seed, trace))
     if path.exists():
         path.unlink()
     cmd = [sys.executable, str(root / "rotnbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
-    done = launch(cmd, cwd=root, capture_output=True, text=True)
-    if done.returncode != 0 or not path.exists():
+    done, usage = launch(cmd, cwd=root, capture_output=True, text=True)
+    if usage["exit"] != 0 or not path.exists():
         raise SystemExit("bench_pairs: %s exited %d\n%s"
-                         % (" ".join(cmd), done.returncode, done.stderr[-2000:]))
-    return json.loads(path.read_text())
+                         % (" ".join(cmd), usage["exit"], done.stderr[-2000:]))
+    return json.loads(path.read_text()), usage["cpu_s"]
 
 
 def _quartiles(values: list) -> dict:
@@ -324,6 +334,9 @@ def _summary(pairs: list, declared: dict) -> dict:
                                 [p["change"]["metrics"][name] for p in group],
                                 declared[name])
                  for name in names}
+        if all("cpu_s" in p for p in group):  # pairs recorded before it have none
+            entry["cpu_s"] = _compare([p["cpu_s"]["parent"] for p in group],
+                                      [p["cpu_s"]["change"] for p in group], "lower")
         for time in ("raw_s", "s"):
             runs = [{side: _by_kind(p[side], time) for side in ("parent", "change")}
                     for p in group]
@@ -419,10 +432,10 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"workload": args.workload, "seed": seed, "trace": args.trace,
-                    "first": order[0]}
+                    "first": order[0], "cpu_s": {}}
             for side in order:
-                pair[side] = _run(sides[side], args.workload, seed,
-                                  bench["run_seconds"], args.trace)
+                pair[side], pair["cpu_s"][side] = _run(sides[side], args.workload, seed,
+                                                       bench["run_seconds"], args.trace)
             doc["pairs"].append(pair)
             # written after every pair, so an interrupted series keeps its pairs
             _write(args.out, bench, doc)

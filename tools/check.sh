@@ -20,7 +20,8 @@
 # report's json_text milliseconds (tools/tower_probe.py), and the cost of
 # exact leaf traces, microseconds per visit of a ray and of a backward
 # leaf at 2,000 and 100,000 visits, with the share of their floats the
-# batch kernel proves (tools/trace_probe.py).
+# batch kernel proves, and of exact-only heavy runs, microseconds per step
+# and tracemalloc peak at 50,000 and 10^6 steps (tools/trace_probe.py).
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
