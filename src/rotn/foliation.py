@@ -73,8 +73,8 @@ class LeafTrace(Record):
     backward traces count 1, 2, ... steps into the past).  An exact
     trace's entry_x is float() of the exact entry point, bit for bit;
     certified traces bound the error of every entry_x by radius_bound.
-    The ``leaf`` report reads its level summary off
-    ``scan.sums_histogram(entry_level)``.
+    A ``leaf`` run with --out reads its level summary off
+    ``scan.sums_histogram(entry_level)``; without, off the orbit's sums.
     """
 
     __slots__ = _fields = ("seed", "direction", "start_index", "entry_x",

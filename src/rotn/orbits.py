@@ -8,17 +8,20 @@ modules, and ``harness.run`` imports it only for these kinds: ``tower``
 and ``oracle`` run on the standard library alone.
 
 ``heavy``, ``density`` and ``leaf --ray`` read the orbit of 1/2,
-``example`` that of (1+alpha)/2.  A certified run reads its signs off a
-word, which ``_word`` picks: the tower's ``half_word`` at 1/2 on an
-admissible alpha, else ``euclid.sign_word``, on any alpha and from any
-start; it checks a prefix by the 64-bit keys of ``key_signs``, whose
-signs must agree with the word.  An exact-only run, the ground truth,
-walks every step: ``heavy`` and ``example`` fold the walk into their
-sums as it goes (``scan.exact_sums``), and ``density`` and every
-``--out`` table scan it (a leaf traces every visit).  Either route
-yields one summary that the report is built from once: the histogram
+``example`` that of (1+alpha)/2, and ``leaf --through`` that of its
+point, by alpha forward and by -alpha backward.  A certified run reads
+its signs off a word, which ``_word`` picks: the tower's ``half_word``
+at 1/2, forward, on an admissible alpha, else ``euclid.sign_word``, on
+any alpha and from any start, by either step; it checks a prefix by the
+64-bit keys of ``key_signs``, whose signs must agree with the word.  An
+exact-only run, the ground truth, walks every step: ``heavy``,
+``example`` and ``leaf`` fold the walk into their sums as it goes
+(``scan.exact_sums``), and ``density`` scans it.  Either route yields
+one summary that the report is built from once: the histogram
 (lo, counts) of the sums for ``heavy``, ``example`` and ``leaf``, which
-``_orbit`` gives, and the visit set for ``density``.
+``_orbit`` gives, and the visit set for ``density``.  Only an ``--out``
+table holds N points: ``heavy`` scans the orbit for it, and ``leaf``
+traces every visit.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ from .circle import VisitSet, visit_set
 from .euclid import sign_word
 from .example import example_m_formulas
 from .exactreal import HALF, SurdReal, parse_cf
-from .foliation import trace_leaf_through, trace_ray
+from .foliation import _refuse_corner, trace_leaf_through, trace_ray
 from .harness import ExperimentConfig, parse_point
 from .renorm import admissible, half_word
 from .scan import exact_sums, key_signs, orbit_positions, orbit_scan, sums_histogram
-from .words import letters, level_times, prefix_histogram, prefix_sum_at
+from .words import _add_shifted, letters, level_times, prefix_histogram, prefix_sum_at
 
-# leaf visits retraced under the other policy; small enough that the
-# check stays cheap next to a long certified trace
+# leaf visits the other policy retraces, and all that a leaf without
+# --out traces; few enough that both traces stay cheap next to a summary
 _LEAF_CHECK_VISITS = 256
 # steps of the orbit that a run reading its signs off a word also keys,
 # so the word and the keys check each other; about 0.2 ms of key_signs
@@ -51,10 +54,10 @@ _STEP_CHUNK = 1 << 16
 _SCAN_BYTES_PER_POINT = 17
 _MAX_ARRAY_BYTES = 2 ** 63 - 1
 _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-# steps of an exact walk that folds its sums (exact-only heavy without
-# --out, and example), which allocates nothing it could refuse.  A step
-# takes 25-30 ns while the walk's integers fit int64 and 0.5-0.9 us on
-# Python ints past that: heavy --N 10^9 on [0;(2)], on int64 to 5.4*10^8
+# steps of an exact walk that folds its sums (exact-only heavy and leaf
+# without --out, and example), which allocates nothing it could refuse.
+# A step takes 25-30 ns while the walk's integers fit int64 and 0.5-0.9 us
+# on Python ints past that: heavy --N 10^9 on [0;(2)], on int64 to 5.4*10^8
 # steps, took 428 s and peaked at 32.5 MB (2-core host); on
 # [0;21,(30,28,26)], on Python ints past 10^5 steps, 10^9 take 8-15 min
 _MAX_EXACT_STEPS = 10 ** 9
@@ -86,41 +89,34 @@ def _refuse_unallocatable(config: ExperimentConfig, points: int) -> None:
                      % (given, points, need, _SCAN_BYTES_PER_POINT, limit))
 
 
-def _word(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
-          table: bool = False):
-    """A certified run's signs of n steps of the orbit of x, as
-    (word, scan, signs, escalations, check).
+def _word(cf, x: SurdReal, step: SurdReal, n: int, checked: int, scan=None):
+    """A certified run's signs of n steps of the orbit of x by step, as
+    (word, signs, escalations, check).
 
     The signs are the first n letters of a word, exactly: the tower's
-    ``half_word`` at x = 1/2 on an admissible alpha, which is the faster
-    there, else ``euclid.sign_word``.  signs holds the signs of
+    ``half_word`` at x = 1/2, forward, on an admissible alpha, which is
+    the faster there, else ``euclid.sign_word``.  signs holds the signs of
     min(n, checked) steps, escalations the number of them that took the
     exact test, and check says whether they agree with the word.  They
-    come from ``key_signs``, by the 64-bit key with no position or sum
-    and scan None, or, when table asks for positions and sums, from scan,
-    a certified scan of those steps.  check holds the route's report keys.
+    come from ``key_signs``, by the 64-bit key with no position or sum,
+    or from scan, a certified scan of those steps that the caller made
+    for its table.  check holds the route's report keys.
     """
     steps = min(n, checked)
-    if table:
-        _refuse_unallocatable(config, steps + 1)
-        scan = orbit_scan(x, cf.value, steps)
-        signs, escalated = scan.signs, scan.escalated
-    else:
-        scan = None
-        signs, escalated = key_signs(x, cf.value, steps)
-    if x == HALF and admissible(cf):
+    signs, escalated = (scan.signs, scan.escalated) if scan else key_signs(x, step, steps)
+    if x == HALF and step == cf.value and admissible(cf):
         word, route = half_word(cf, n), "tower"
     else:
-        word, route = sign_word(cf.value, x, n), "euclid"
+        word, route = sign_word(step, x, n), "euclid"
     agrees = bool(np.array_equal(signs[:steps], letters(word, steps)))
-    return word, scan, signs, int(escalated.size), {
+    return word, signs, int(escalated.size), {
         "signs": route, "prefix_steps_checked": steps, "prefix_agrees": agrees}
 
 
-def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
-           table: bool = False):
-    """The sums of n steps of the orbit of x, as
-    ((lo, counts, S_n), scan, signs, escalations, check), with (lo, counts)
+def _orbit(config: ExperimentConfig, cf, x: SurdReal, step: SurdReal, n: int,
+           checked: int, scan=None):
+    """The sums of n steps of the orbit of x by step, as
+    ((lo, counts, S_n), signs, escalations, check), with (lo, counts)
     the histogram of S_1..S_n in ``prefix_histogram``'s format.
 
     A certified run reads them off ``_word``'s word, at any n below 2^63,
@@ -128,25 +124,20 @@ def _orbit(config: ExperimentConfig, cf, x: SurdReal, n: int, checked: int,
     truth, walks all n steps and takes no exact fallback: by
     ``exact_sums``, which holds no array of length n and keeps the signs
     of min(n, checked) steps, after refusing more than _MAX_EXACT_STEPS
-    steps; or, when table asks for positions and sums, by an exact scan,
-    binned a chunk at a time.
+    steps; or, given scan, an exact scan of all n steps that the caller
+    made for its table, by binning its sums a chunk at a time.
     """
     if config.policy == "certified":
-        word, scan, signs, escalated, check = _word(config, cf, x, n, checked, table)
-        sums = (*prefix_histogram(word, n), prefix_sum_at(word, n))
-        return sums, scan, signs, escalated, check
-    if table:
-        _refuse_unallocatable(config, n + 1)
-        scan = orbit_scan(x, cf.value, n, policy="exact")
+        word, signs, escalated, check = _word(cf, x, step, n, checked, scan)
+        return (*prefix_histogram(word, n), prefix_sum_at(word, n)), signs, escalated, check
+    if scan:
         sums, signs = (*sums_histogram(scan.sums[1:]), int(scan.sums[-1])), scan.signs
+    elif n > _MAX_EXACT_STEPS:
+        raise ValueError("--N %d: an exact walk of %d steps is above the budget of %d "
+                         "steps" % (config.N, n, _MAX_EXACT_STEPS))
     else:
-        if n > _MAX_EXACT_STEPS:
-            raise ValueError("--N %d: an exact walk of %d steps is above the budget of %d "
-                             "steps" % (config.N, n, _MAX_EXACT_STEPS))
-        scan = None
-        lo, counts, final, signs = exact_sums(x, cf.value, n, min(n, checked))
-        sums = lo, counts, final
-    return sums, scan, signs, 0, dict(_SCAN_CHECK)
+        *sums, signs = exact_sums(x, step, n, min(n, checked))
+    return sums, signs, 0, dict(_SCAN_CHECK)
 
 
 def _density(config: ExperimentConfig):
@@ -176,8 +167,8 @@ def _density(config: ExperimentConfig):
         vs = visit_set(HALF, alpha, m, N, k=k, scan=scan)
         check = dict(_SCAN_CHECK)
     else:
-        word, _, signs, prior, check = _word(config, cf, HALF, N + max(k, 0),
-                                             min(N, _PREFIX_STEPS))
+        word, signs, prior, check = _word(cf, HALF, alpha, N + max(k, 0),
+                                          min(N, _PREFIX_STEPS))
         del signs  # the checked signs, not to be held across level_times
         times = level_times(word, m, N)
         if m == 0:  # S_0 = 0
@@ -250,7 +241,8 @@ def _example(config: ExperimentConfig):
 
     if N >= 1:
         n_sym = min(N, 10 ** 5)
-        (lo, counts, _), _, signs, _, check = _orbit(config, rep.alpha, rep.x, N, n_sym)
+        (lo, counts, _), signs, _, check = _orbit(config, rep.alpha, rep.x, rep.alpha.value,
+                                                  N, n_sym)
         back = key_signs(rep.x, -rep.alpha.value, n_sym + 1)[0]
         report["max_forward_sum"] = lo + counts.size - 1
         report["symmetric_sums"] = bool(
@@ -278,15 +270,18 @@ def _leaf(config: ExperimentConfig):
     equal levels, and positions within the certified radius.
 
     min_level, max_level and levels_visited are read off the histogram
-    (lo, counts) of the entry levels: a full trace bins its own.  Ray
-    entry n sits at level ray + 1 + S_n(1/2), so when a certified ray
-    needs no --out, and so no entry_x past the check, ``_orbit`` reads the
-    signs of 1/2 off a word, as for ``heavy``, and the histogram is
-    its sums' shifted by ray + 1, at any N below 2^63, checked by
-    ``_orbit``'s keys of min(N, 2^16) signs.
-    The trace then covers only the min(N, 256) entries the other
-    precision retraces: the certified ray is the orbit of 1/2 shifted,
-    so past them its levels step by one by construction.
+    (lo, counts) of the entry levels, which are Birkhoff sums shifted.
+    Ray entry n sits at level ray + 1 + S_n(1/2), and visit n of the
+    leaf through (x0, j0) at j0 + S_n(x0), or backward at j0 - S'_n,
+    with S' the sums of the orbit of x0 - alpha by -alpha; visit 0
+    adds S_0 = 0.  So without --out ``_orbit`` gives the histogram, as
+    for ``heavy``: a certified run off a word, at any N below 2^63,
+    checked by its keys of min(N, 2^16) signs, and an exact-only run off
+    the folded walk, within its step budget.  A corner leaf is refused
+    first, by an exact solve.  The trace then covers only the
+    min(N, 256) visits the other precision retraces, the turn map
+    against the orbit formula; only --out traces all N and bins its own
+    levels.
     """
     cf = parse_cf(config.alpha)
     alpha = cf.value
@@ -294,24 +289,32 @@ def _leaf(config: ExperimentConfig):
     if config.ray is not None:
         def trace_for(n, policy):
             return trace_ray(config.ray, alpha, n, policy=policy)
+        x, step, shift = HALF, alpha, config.ray + 1
     else:
         x0 = parse_point(config.through, alpha)
+        direction = -1 if config.backward else 1
+        _refuse_corner(x0, alpha, N, direction)
 
         def trace_for(n, policy):
-            return trace_leaf_through(x0, config.level, alpha, n,
-                                      direction=-1 if config.backward else 1,
+            return trace_leaf_through(x0, config.level, alpha, n, direction=direction,
                                       policy=policy)
+        x, step = (x0, alpha) if direction == 1 else (x0 - alpha, -alpha)
+        shift = config.level
 
     retraced = min(N, _LEAF_CHECK_VISITS)
-    if config.ray is not None and not config.out and policy == "certified":
-        (lo, counts, _), _, _, _, check = _orbit(config, cf, HALF, N, _PREFIX_STEPS)
-        lo += config.ray + 1  # entry n sits at ray + 1 + S_n(1/2)
-        trace = trace_for(retraced, policy)
-    else:
+    if config.out:
         _refuse_unallocatable(config, N + 1)
         trace = trace_for(N, policy)
         lo, counts = sums_histogram(trace.entry_level)
         check = dict(_SCAN_CHECK)
+    else:
+        (lo, counts, _), _, _, check = _orbit(config, cf, x, step, N, _PREFIX_STEPS)
+        if config.ray is None:
+            if config.backward:
+                lo, counts = -(lo + counts.size - 1), counts[::-1]
+            lo, counts = _add_shifted(np, [(0, (lo, counts)), (0, (0, np.ones(1, np.int64)))])
+        lo += shift
+        trace = trace_for(retraced, policy)
     # the other policy retraces a short prefix; the two must agree on it
     other = trace_for(retraced, "certified" if policy == "exact" else "exact")
     cert, exact = (other, trace) if policy == "exact" else (trace, other)
@@ -322,19 +325,22 @@ def _leaf(config: ExperimentConfig):
     levels_step_by_one = all(
         bool(np.all(np.abs(np.diff(levels[i:i + _STEP_CHUNK + 1])) == 1))
         for i in range(0, levels.size - 1, _STEP_CHUNK))
-    # an exact entry_x is a float shadow, off by at most one rounding
+    # an exact entry_x is a float shadow, off by at most one rounding; and
+    # the summary, whichever route read it, is a run of levels with no gap
+    # (the sums step by one) that holds every retraced level
     prefix_agrees = check.pop("prefix_agrees", True) and bool(
         np.array_equal(cert.entry_level[:k], exact.entry_level[:k])
         and np.all(np.abs(cert.entry_x[:k] - exact.entry_x[:k])
                    <= cert.radius_bound + 2.0 ** -52)
+        and lo <= levels[:k].min() and levels[:k].max() < lo + counts.size and counts.all()
     )
     report = {"seed": trace.seed, "N": N, "min_level": lo, "max_level": lo + counts.size - 1,
               "levels_visited": (np.flatnonzero(counts) + lo).tolist(), "policy": policy,
               "levels_step_by_one": levels_step_by_one,
               "prefix_visits_checked": k, "prefix_agrees": prefix_agrees,
               **check, "ok": levels_step_by_one and prefix_agrees}
-    start, step = trace.start_index, trace.direction
-    ns = range(start, start + step * trace.visits, step)
+    start, by = trace.start_index, trace.direction
+    ns = range(start, start + by * trace.visits, by)
     return report, (["n", "x", "level"], [ns, trace.entry_x, trace.entry_level])
 
 
@@ -349,9 +355,11 @@ def _heavy(config: ExperimentConfig):
     """
     N = config.N
     cf = parse_cf(config.alpha)
-    out = bool(config.out)
-    (lo, counts, final_sum), scan, _, escalated, check = _orbit(
-        config, cf, HALF, N, N if out else _PREFIX_STEPS, table=out)
+    if config.out:
+        _refuse_unallocatable(config, N + 1)
+    scan = orbit_scan(HALF, cf.value, N, policy=config.policy) if config.out else None
+    (lo, counts, final_sum), _, escalated, check = _orbit(
+        config, cf, HALF, cf.value, N, N if config.out else _PREFIX_STEPS, scan)
     violations = int(counts[max(0, -lo):].sum())
     report = {"alpha": config.alpha, "N": N, "violations": violations, "min_sum": lo,
               "max_sum": lo + counts.size - 1, "final_sum": final_sum,

@@ -120,16 +120,29 @@ def test_certified_scan_matches_the_exact_engine(alpha, seed, direction, n):
         p = (p + step).frac()
 
 
+# alphas with no renormalization tower, whose words only Euclid's algorithm gives
+untowered = st.sampled_from([parse_cf("[0;(2)]"), parse_cf("[0;(1,4)]")])
+
+
 @settings(max_examples=15, deadline=None)
-@given(alpha=alphas, seed=seeds, direction=directions,
+@given(alpha=st.one_of(alphas, untowered), seed=seeds, direction=directions,
        precision=st.sampled_from(["certified-fast", "exact-only"]))
+@example(alpha=parse_cf("[0;(1,4)]"), seed=(1, 1, 2), direction=-1, precision="exact-only")
+@example(alpha=parse_cf("[0;(2)]"), seed=(1, 0, 2), direction=1, precision="certified-fast")
 def test_leaf_checks_pass_on_honest_traces(alpha, seed, direction, precision):
     assume(_off_the_orbit_of_zero(seed))
     p, q, r = seed
-    rep = run(ExperimentConfig(kind="leaf", alpha=str(alpha), N=300,
+    N, j0 = 300, 2
+    rep = run(ExperimentConfig(kind="leaf", alpha=str(alpha), N=N, level=j0,
                                through="(%d+%d*a)/%d" % (p, q, r),
                                backward=direction == -1, precision=precision))
     assert rep["ok"] and rep["prefix_visits_checked"] == 257
+    # the summary reads the orbit's sums; the full exact trace steps the turn map
+    a = alpha.value
+    levels = trace_leaf_through(_point(seed, a), j0, a, N, direction=direction,
+                                policy="exact").entry_level
+    assert (rep["min_level"], rep["max_level"], rep["levels_visited"]) \
+        == (int(levels.min()), int(levels.max()), np.unique(levels).tolist())
 
 
 def test_frame_embeds_only_its_lattice():

@@ -345,17 +345,21 @@ def test_density_on_the_tower_peaks_under_22_bytes_a_visit(capsys):
     assert peak < 22 * rep["count"], peak / rep["count"]
 
 
+@pytest.mark.parametrize("out", [True, False], ids=["out", "summary"])
 @pytest.mark.parametrize("precision", PRECISIONS)
 @pytest.mark.parametrize("through, backward", [("1000*a", True), ("0-1000*a", False)])
 def test_leaf_past_256_visits_into_the_corner_is_refused_at_either_precision(
-        tmp_path, capsys, precision, through, backward):
-    # the corner's turn is visit 999, past the 256 the other precision retraces
-    out = tmp_path / "leaf.csv"
+        tmp_path, capsys, precision, through, backward, out):
+    # the corner's turn is visit 999, past the 256 the other precision
+    # retraces; a summary reads no trace of it, and refuses it all the same
+    path = tmp_path / "leaf.csv"
     argv = ["leaf", "--alpha", "[0;5,(6)]", "--through", through, "--level", "0",
-            "--N", "2000", "--precision", precision, "--out", str(out)]
+            "--N", "2000", "--precision", precision] + ["--out", str(path)] * out
     assert main(argv + ["--backward"] * backward) == 2
     assert "leaf at x = 1 - alpha runs into the singular corner" in capsys.readouterr().err
-    assert not out.exists()
+    assert not path.exists()
+    argv[argv.index("2000")] = "999"  # its last turn is visit 998
+    assert main(argv + ["--backward"] * backward) == 0
 
 
 def test_density_refuses_visits_over_budget_before_allocating(capsys):
@@ -708,32 +712,38 @@ def test_reports_read_one_summary_whichever_route(monkeypatch, N):
                     assert last["max_gap"] is None
 
 
-def test_scan_route_summaries_copy_no_full_array(capsys):
-    # a leaf through a point holds its certified trace, 16 B a step
-    # (positions and levels); the summary bins the levels, and the step
-    # check takes their differences, a chunk at a time.  (A certified ray
-    # reads a word, and an exact trace of 10^6 visits takes 15 s under
-    # tracemalloc.)
-    argv = ["leaf", "--alpha", "[0;(2)]", "--through", "(1+a)/2"]
-    assert main(argv + ["--N", "1000"]) == 0  # imports
-    capsys.readouterr()
+def test_scan_route_summaries_copy_no_full_array():
+    # a leaf traced for its --out table holds its certified trace, 16 B a
+    # step (positions and levels); the report bins the levels, and the
+    # step check takes their differences, a chunk at a time.  The table is
+    # built, not written.  (Without --out a leaf reads a word, and an
+    # exact trace of 10^6 visits takes 15 s under tracemalloc.)
+    leaf = orbits.EXPERIMENTS["leaf"]
+
+    def config(N):
+        return ExperimentConfig(kind="leaf", alpha="[0;(2)]", through="(1+a)/2", N=N,
+                                out="leaf.csv")
+    leaf(config(1000))  # imports
     tracemalloc.start()
     try:
-        assert main(argv + ["--N", str(10**6)]) == 0
+        report, table = leaf(config(10**6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert json.loads(capsys.readouterr().out)["signs"] == "scan"
+    assert report["ok"] and report["signs"] == "scan" and len(table[1][2]) == 10**6 + 1
     assert peak <= 17.6 * 10**6, peak / 10**6
 
 
 @pytest.mark.parametrize("argv", [
     ["heavy", "--alpha", "[0;(2)]", "--precision", "exact-only"],
     ["example", "--m", "3", "--precision", "exact-only"],
-], ids=["heavy", "example"])
+    ["leaf", "--alpha", "[0;(2)]", "--ray", "0", "--precision", "exact-only"],
+    ["leaf", "--through", "(1+a)/2", "--backward", "--precision", "exact-only"],
+], ids=["heavy", "example", "leaf-ray", "leaf-through-backward"])
 def test_exact_only_heavy_and_example_fold_in_bounded_memory(monkeypatch, capsys, argv):
     # the exact walk's chunks are folded into the histogram as they come,
-    # so the peak is a chunk's temporaries and the kept signs, whatever N
+    # so the peak is a chunk's temporaries and the kept signs, whatever N;
+    # a leaf traces only the visits the other precision retraces
     assert main(argv + ["--N", "1000"]) == 0  # imports
     capsys.readouterr()
     monkeypatch.setattr(orbits, "orbit_scan", lambda *a, **k: pytest.fail("scanned"))
@@ -1389,6 +1399,24 @@ def test_leaf_checks_catch_a_doctored_trace(monkeypatch, capsys, doctor, failed)
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("through", [None, "(1+a)/2"])
+def test_leaf_checks_catch_a_summary_off_the_traced_levels(monkeypatch, precision, through):
+    # sums read 100 levels off pass both retraces, which trace the same
+    # honest leaf; only the summary's check of the retraced levels fails
+    honest = orbits._orbit
+
+    def shifted(*args, **kwargs):
+        (lo, counts, final), *rest = honest(*args, **kwargs)
+        return ((lo + 100, counts, final), *rest)
+
+    monkeypatch.setattr(orbits, "_orbit", shifted)
+    where = {"ray": 0} if through is None else {"through": through, "backward": True}
+    rep = run(ExperimentConfig(kind="leaf", N=100, precision=precision, **where))
+    assert rep["levels_step_by_one"] is True
+    assert rep["prefix_agrees"] is False and rep["ok"] is False
+
+
 def test_cli_refuses_a_point_from_another_field(capsys):
     argv = ["leaf", "--through", "sqrt(2)/3", "--precision", "exact-only",
             "--N", "5"]
@@ -1488,7 +1516,9 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
      "budget of 1000000000 steps"),
     (["example", "--N", str(10 ** 9 + 1), "--precision", "exact-only"],
      "--N 1000000001: an exact walk of 1000000001 steps is above the budget of 1000000000"),
-    (["leaf", "--through", "1/3", "--N", str(2 ** 62)],
+    (["leaf", "--through", "1/3", "--N", str(10 ** 9 + 1), "--precision", "exact-only"],
+     "--N 1000000001: an exact walk of 1000000001 steps is above the budget of 1000000000"),
+    (["leaf", "--through", "1/3", "--N", str(2 ** 62), "--out", "/dev/null"],
      "--N 4611686018427387904: a scan of 4611686018427387905 points needs"),
     # on the tower, --out needs the scan of every step
     (["heavy", "--alpha", "[0;5,(6)]", "--N", str(2 ** 62), "--out", "/dev/null"],
@@ -1500,7 +1530,8 @@ def test_cli_parses_a_point_in_bounded_time(expr, said):
         "leaf-ray-past-int64", "exact-leaf-ray-past-int64", "leaf-level-past-int64",
         "density-k-past-int64", "density-negative-k-past-int64",
         "scan-density-k-past-int64", "scan-density-past-numpy", "scan-density-k-past-numpy",
-        "exact-heavy-past-budget", "exact-example-past-budget", "leaf-through-past-numpy",
+        "exact-heavy-past-budget", "exact-example-past-budget", "exact-leaf-past-budget",
+        "leaf-through-past-numpy",
         "tower-heavy-out-past-numpy"])
 def test_cli_refuses_unbounded_work_in_bounded_time(args, said):
     _refused_in_one_line(said, *args)

@@ -35,10 +35,11 @@ rotnbench's set-up probes.  Nothing under ``rotnbench/`` is changed.
 
 With ``--cli`` it times the command-line table instead: every ``rotn``
 line of the README's "Command line" block, read as
-``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``: six
+``tools/out_bytes.sh`` reads them, and the rows of ``CLI_ROWS``: seven
 large runs (a tower-route and a certified ``heavy`` at 10^18 and 10^8
 steps, an exact-only ``heavy`` at 10^7, a ``density`` at 10^8, a
-``leaf --through`` at 10^6 and a ``tower`` of 1000 levels) and
+certified ``leaf --through`` and an exact-only backward one at 10^6 and
+a ``tower`` of 1000 levels) and
 ``import rotn.cli`` alone.  Each
 row runs K alternating pairs (default 5) of fresh processes, with
 ``python -B`` so that no bytecode cache is read or written, REF's side
@@ -169,6 +170,8 @@ CLI_ROWS = tuple(map(_rotn_row, (
     'rotn heavy --alpha "[0;(2)]" --precision exact-only --N 10000000',
     'rotn density --alpha "[0;5,(6)]" --m 0 --N 100000000',
     'rotn leaf --alpha "[0;5,(6)]" --through "(1+a)/2" --N 1000000',
+    'rotn leaf --alpha "[0;5,(6)]" --through "(1+a)/2" --backward --precision exact-only '
+    '--N 1000000',
     'rotn tower --alpha "[0;5,(6)]" --depth 1000',
 ))) + (("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli")),)
 CLI_NOTE = (
