@@ -12,16 +12,15 @@
 # comment-only, not docstring), the settable options
 # (tools/options.py), the start-up import set, the sorted modules that
 # `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
-# interpreter's, the writer's best and median microseconds per row and
-# minor page faults per write on heavy-, leaf-, row- and density-shaped
-# tables, each table timed at REF and here in turn (tools/writer_probe.py),
-# and the cost of
-# fresh depth-40 towers: build and verify microseconds per level and the
-# report's json_text milliseconds (tools/tower_probe.py), and the cost of
-# exact leaf traces, microseconds per visit of a ray and of a backward
-# leaf at 2,000 and 100,000 visits, with the share of their floats the
-# batch kernel proves, and of exact-only heavy runs, microseconds per step
-# and tracemalloc peak at 50,000 and 10^6 steps (tools/trace_probe.py).
+# interpreter's, and tools/probe.py's rows, each measured at REF and here
+# in turn in fresh interpreters: the writer's best and median microseconds
+# per row and minor page faults per write on heavy-, leaf-, row- and
+# density-shaped tables; fresh depth-40 towers, build and verify
+# microseconds per level and the report's json_text milliseconds; exact
+# leaf traces, microseconds per visit of a ray and of a backward leaf at
+# 2,000 and 100,000 visits, with the share of their floats the batch
+# kernel proves; and exact-only heavy runs, microseconds per step and
+# tracemalloc peak at 50,000 and 10^6 steps.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
@@ -60,14 +59,6 @@ echo "== start-up imports at $1"
 startup_imports "$tmp/src" || true
 echo "== start-up imports in this checkout"
 startup_imports src || true
-echo "== writer us/row at $1 and in this checkout, interleaved table by table"
-python3 tools/writer_probe.py "$tmp/src" || true
-echo "== tower probe at $1"
-PYTHONPATH="$tmp/src" python3 tools/tower_probe.py || true
-echo "== tower probe in this checkout"
-PYTHONPATH=src python3 tools/tower_probe.py || true
-echo "== trace probe at $1"
-PYTHONPATH="$tmp/src" python3 tools/trace_probe.py || true
-echo "== trace probe in this checkout"
-PYTHONPATH=src python3 tools/trace_probe.py || true
+echo "== probe at $1 and in this checkout, interleaved row by row"
+python3 tools/probe.py "$tmp/src" || true
 exit $status
