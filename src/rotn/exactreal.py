@@ -822,7 +822,8 @@ class CFNumber:
     normalized so the period is primitive and the preperiod is as short
     as possible; equal coefficient streams then compare equal.  The
     value is an exact ``SurdReal`` in (0, 1), computed lazily.  The hash
-    is computed once, as every tower cache lookup takes it.
+    is computed once, as every lookup of ``renorm``'s beta memo takes it;
+    its tower cache keys on the two tuples themselves.
     """
 
     __slots__ = ("preperiod", "period", "_value", "_hash")

@@ -80,7 +80,7 @@ _MAX_POINT_BITS = 13300
 _ROWS_PER_WRITE = 1 << 13
 # a chunk of fewer rows takes the _cell row join: rotn.spell costs about
 # 120 us a call whatever the rows, and the two cross near 128 to 192 rows
-# (tools/writer_probe.py, its ladder shape, on a 2-core host)
+# (tools/probe.py, its `writer ladder` rows, on a 2-core host)
 _SPELL_ROWS = 128
 
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import count, islice
-from operator import attrgetter
 
 from .exactreal import (HALF, ONE, ZERO, CFNumber, Frame, FrozenRecord, SurdReal,
                         alpha_next, _surd_sign, gauss_step)
@@ -301,16 +300,49 @@ def step(level: RenormLevel) -> RenormLevel:
 MAX_LEVELS = 1001
 
 
-@lru_cache(maxsize=32)
-def _cached_levels(alpha: CFNumber) -> list[RenormLevel]:
-    """The cached list of alpha's levels, which callers grow in place.
+class _Tower:
+    """One alpha's tower: its levels, which callers grow in place, the
+    lengths of their F_minus words, kept in step by ``grow``, and the
+    reach, the length of level MAX_LEVELS's F_minus, read off alpha's
+    coefficients by ``_lengths`` the first time a prefix passes _SURE.
+    The cache key holds no alpha, so a record starts empty and ``grow``
+    builds level 1 from the alpha its caller holds (whose value that
+    caller has often evaluated already); an alpha ``base_level`` refuses
+    leaves its record empty."""
 
-    The cache holds the towers of at most 32 alphas and drops the least
-    recently used first.  A caller keeps its own list alive, and an
-    evicted tower is rebuilt on demand; live words are interned, so the
-    rebuilt levels hold the very words a caller kept.
+    __slots__ = ("levels", "minus", "_reach")
+
+    def __init__(self):
+        self.levels, self.minus, self._reach = [], [], None
+
+    def grow(self, alpha: CFNumber, depth: int) -> None:
+        """Append levels until there are depth of them."""
+        levels, minus = self.levels, self.minus
+        while len(levels) < depth:
+            level = step(levels[-1]) if levels else base_level(alpha)
+            levels.append(level)
+            minus.append(level.f_minus.length)
+
+    def reach(self, alpha: CFNumber) -> int:
+        """The longest prefix ``half_word`` answers, computed without
+        building a level."""
+        if self._reach is None:
+            self._reach = next(islice(_lengths(alpha), MAX_LEVELS - 1, None))[1]
+        return self._reach
+
+
+@lru_cache(maxsize=32)
+def _towers(key: tuple) -> _Tower:
+    """The tower record of the alpha with key (preperiod, period).
+
+    Keyed by CFNumber's normalized coefficient tuples, whose hash and
+    equality run in C, the cache holds the towers of at most 32 alphas
+    and drops the least recently used first.  A caller keeps its own
+    list alive, and an evicted tower is rebuilt on demand; live words
+    are interned, so the rebuilt levels hold the very words a caller
+    kept.
     """
-    return [base_level(alpha)]
+    return _Tower()
 
 
 def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
@@ -321,10 +353,9 @@ def tower(alpha: CFNumber, depth: int) -> list[RenormLevel]:
     if depth > MAX_LEVELS:
         raise ValueError("depth %d is above the limit of %d tower levels"
                          % (depth, MAX_LEVELS))
-    levels = _cached_levels(alpha)
-    while len(levels) < depth:
-        levels.append(step(levels[-1]))
-    return levels[:depth]
+    record = _towers((alpha.preperiod, alpha.period))
+    record.grow(alpha, depth)
+    return record.levels[:depth]
 
 
 def _lengths(alpha: CFNumber):
@@ -347,21 +378,11 @@ def _lengths(alpha: CFNumber):
         plus, minus = (a, c) if i % 2 else (c, a)
 
 
-@lru_cache(maxsize=32)
-def _half_reach(alpha: CFNumber) -> int:
-    """The longest prefix ``half_word`` answers: the length of F_minus at
-    level MAX_LEVELS, computed without building a level."""
-    return next(islice(_lengths(alpha), MAX_LEVELS - 1, None))[1]
-
-
-# below ``_half_reach`` of every admissible alpha: each word is at least 5
-# times as long as the shorter of F_plus and F_minus a level before (n >= 2),
-# so level MAX_LEVELS's are at least 5^(MAX_LEVELS - 1) long; so only a
+# below the reach of every admissible alpha: each word is at least 5 times
+# as long as the shorter of F_plus and F_minus a level before (n >= 2), so
+# level MAX_LEVELS's are at least 5^(MAX_LEVELS - 1) long; so only a
 # longer prefix needs its reach computed
 _SURE = 3 ** (MAX_LEVELS - 1)
-
-
-_F_MINUS_LENGTH = attrgetter("f_minus.length")
 
 
 def half_word(alpha: CFNumber, n: int) -> SignWord:
@@ -373,15 +394,16 @@ def half_word(alpha: CFNumber, n: int) -> SignWord:
     returned word are the signs f(t^j(1/2)), j = 0..n-1.  Each level is
     at least three times as long as the last, so the tower grows by
     O(log n) levels at most; past MAX_LEVELS it raises ValueError, and
-    before a level is built for an n beyond ``_half_reach``.
+    before a level is built for an n beyond the tower's reach.
     """
-    levels = _cached_levels(alpha)
-    while levels[-1].f_minus.length < n:
-        if len(levels) >= MAX_LEVELS or n > _SURE and n > _half_reach(alpha):
+    record = _towers((alpha.preperiod, alpha.period))
+    minus = record.minus
+    while not minus or minus[-1] < n:
+        if len(minus) >= MAX_LEVELS or n > _SURE and n > record.reach(alpha):
             raise ValueError("n of %d bits needs more than the limit of %d tower levels"
                              % (n.bit_length(), MAX_LEVELS))
-        levels.append(step(levels[-1]))
-    return levels[bisect_left(levels, n, key=_F_MINUS_LENGTH)].f_minus
+        record.grow(alpha, len(minus) + 1)
+    return record.levels[bisect_left(minus, n)].f_minus
 
 
 # ---------------------------------------------------------------------------

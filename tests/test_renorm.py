@@ -47,9 +47,12 @@ HALF = SurdReal(1, 0, 2)
     ("[0;5,(4)]", "a2 = 4"),
 ])
 def test_admissibility_diagnostics(bad, fragment):
-    assert not admissible(parse_cf(bad))
-    with pytest.raises(ValueError, match=fragment.replace("(", "\\(")):
-        tower(parse_cf(bad), 3)
+    cf = parse_cf(bad)
+    assert not admissible(cf)
+    for refuse in (lambda: tower(cf, 3), lambda: half_word(cf, 10)):
+        with pytest.raises(ValueError, match=fragment.replace("(", "\\(")):
+            refuse()
+    assert _record(cf).levels == _record(cf).minus == []  # the refused record holds no level
 
 
 @pytest.mark.parametrize("good", ["[0;5,(6)]", "[0;7,(8,10)]", "[0;9,6,(12)]",
@@ -120,6 +123,11 @@ def abs_val(x: SurdReal) -> SurdReal:
     return x if x.sign() >= 0 else -x
 
 
+def _record(cf: CFNumber):
+    """cf's record in the tower cache."""
+    return renorm._towers((cf.preperiod, cf.period))
+
+
 def test_tower_depth_validation():
     with pytest.raises(ValueError):
         tower(ALPHA, 0)
@@ -127,17 +135,17 @@ def test_tower_depth_validation():
 
 def test_the_tower_refuses_more_levels_than_its_budget():
     assert renorm.MAX_LEVELS == 1001
-    calls = renorm._cached_levels.cache_info()
+    calls = renorm._towers.cache_info()
     with pytest.raises(ValueError,
                        match="depth 1002 is above the limit of 1001 tower levels"):
         tower(parse_cf("[0;5,(6,8)]"), renorm.MAX_LEVELS + 1)
-    assert renorm._cached_levels.cache_info() == calls  # refused before building
+    assert renorm._towers.cache_info() == calls  # refused before building
 
 
 def test_a_prefix_past_the_level_budget_is_refused_before_building_and_one_within_answered():
     cf = parse_cf("[0;5,(8)]")
     word = half_word(cf, 10 ** 300)
-    levels = renorm._cached_levels(cf)
+    levels = _record(cf).levels
     built = len(levels)
     assert word.length >= 10 ** 300 and built < renorm.MAX_LEVELS
     assert fast_birkhoff(cf, word.length) == -1  # the total of F_minus
@@ -158,7 +166,7 @@ def test_a_prefix_past_the_level_budget_is_refused_before_building_and_one_withi
                                                 ("[0;7,10,(8,12)]", 3000, 9966)])
 def test_a_prefix_beyond_reach_is_refused_at_once_without_a_level(alpha, digits, bits):
     cf, n = parse_cf(alpha), 10 ** digits
-    levels = renorm._cached_levels(cf)
+    levels = _record(cf).levels
     before = len(levels)
     start = time.thread_time()
     for refuse in (lambda: half_word(cf, n), lambda: fast_birkhoff(cf, n)):
@@ -182,8 +190,8 @@ def test_reach_bounds_every_levels_words_and_the_prefixes_answered(alpha):
         assert b == (cf.coefficient(1) if i == 1 else cf.coefficient(i) - 1)
         assert max(level.f_plus.length, level.f_minus.length, level.f_zero.length) <= U
         U *= b + 2
-        assert level.f_minus.length <= renorm._half_reach(cf)
-    reach = renorm._half_reach(cf)
+        assert level.f_minus.length <= _record(cf).reach(cf)
+    reach = _record(cf).reach(cf)
     assert reach > 10 ** 300
     assert half_word(cf, 10 ** 300).length <= reach
 
@@ -202,8 +210,8 @@ def test_a_prefix_past_level_1001s_half_word_is_refused_before_building():
     # bits) here, but level 1001's F_minus has 9,959: the refusal came after
     # all 1001 levels
     cf = parse_cf("[0;5,(1000)]")
-    assert renorm._half_reach(cf).bit_length() == 9959
-    levels = renorm._cached_levels(cf)
+    assert _record(cf).reach(cf).bit_length() == 9959
+    levels = _record(cf).levels
     before = list(levels)
     start = time.thread_time()
     with pytest.raises(ValueError, match="n of 9966 bits needs more than the limit "
@@ -212,7 +220,7 @@ def test_a_prefix_past_level_1001s_half_word_is_refused_before_building():
     assert time.thread_time() - start < 0.05
     assert levels == before
     # and it is the exact bound: that prefix is answered by level 1001
-    reach = renorm._half_reach(cf)
+    reach = _record(cf).reach(cf)
     assert half_word(cf, reach).length == reach and len(levels) == renorm.MAX_LEVELS
     with pytest.raises(ValueError, match="needs more than the limit of 1001 tower levels"):
         half_word(cf, reach + 1)
@@ -225,7 +233,7 @@ def test_the_deepest_run_the_config_admits_fits_the_budget():
     # example --kmax 500 builds 2*500 + 1 levels, exactly the budget
     assert ExperimentConfig(kind="example", m=2, k_max=500).k_max == 500
     assert example_m_formulas(2, 500).ok
-    assert len(renorm._cached_levels(example_alpha(2))) == renorm.MAX_LEVELS
+    assert len(_record(example_alpha(2)).levels) == renorm.MAX_LEVELS
     report = run(ExperimentConfig(kind="tower", alpha="[0;5,(6)]", depth=1000))
     assert report["ok"] and len(report["levels"]) == 1000
     with pytest.raises(ValueError, match="depth 1001 is above the limit of 1000"):
@@ -441,12 +449,13 @@ _NODES_PER_LEVEL = 11
 
 
 def _evict(alpha: CFNumber) -> None:
-    """Build as many fresh depth-1 towers as the cache holds.  Past that
-    many other alphas, alpha's tower is the least recently used, so it is
-    dropped."""
-    maxsize = renorm._cached_levels.cache_info().maxsize
-    for literal in _FRESH[:maxsize]:
-        tower(parse_cf(literal), 1)
+    """Build as many fresh depth-1 towers of other alphas as the cache
+    holds.  Past that many other alphas, alpha's tower is the least
+    recently used, so it is dropped."""
+    maxsize = renorm._towers.cache_info().maxsize
+    others = [cf for cf in map(parse_cf, _FRESH[:maxsize + 1]) if cf != alpha]
+    for cf in others[:maxsize]:
+        tower(cf, 1)
 
 
 def _dag(w) -> list:
@@ -480,7 +489,7 @@ def _snapshot(levels) -> list:
 
 def test_500_fresh_towers_keep_both_caches_bounded():
     before = intern_size()
-    maxsize = renorm._cached_levels.cache_info().maxsize
+    maxsize = renorm._towers.cache_info().maxsize
     live_bound = before + maxsize * _NODES_PER_LEVEL * 40
     # the table also holds dead entries until its next sweep
     table_bound = max(words._SWEEP_MIN, 2 * live_bound) + 1
@@ -489,12 +498,12 @@ def test_500_fresh_towers_keep_both_caches_bounded():
     for i, literal in enumerate(_FRESH):
         tower(parse_cf(literal), 40)
         if i % 50 == 49:
-            cached, live, table = (renorm._cached_levels.cache_info().currsize,
+            cached, live, table = (renorm._towers.cache_info().currsize,
                                    intern_size(), len(words._interned))
             assert cached <= maxsize, (i, cached)
             assert live <= live_bound, (i, live, live_bound)
             assert table <= table_bound, (i, table, table_bound)
-    cached = renorm._cached_levels.cache_info().currsize
+    cached = renorm._towers.cache_info().currsize
     assert cached == maxsize == 32
 
 
@@ -502,9 +511,9 @@ def test_a_held_word_is_the_word_of_the_rebuilt_tower():
     alpha = parse_cf(_KEPT)
     kept = tower(alpha, 40)[-1].f_minus
     _evict(alpha)
-    misses = renorm._cached_levels.cache_info().misses
+    misses = renorm._towers.cache_info().misses
     rebuilt = tower(alpha, 40)
-    assert renorm._cached_levels.cache_info().misses == misses + 1  # not a hit
+    assert renorm._towers.cache_info().misses == misses + 1  # not a hit
     # the word kept holds the words of every level below it, and the rebuilt
     # levels are made of those same live nodes
     same = rebuilt[-1].f_minus is kept and rebuilt[-2].f_plus is kept.right.base
@@ -524,6 +533,51 @@ def test_a_rebuilt_tower_equals_the_dropped_one_field_by_field():
     got = _snapshot(tower(alpha, 40))
     differ = [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
     assert len(got) == len(want) == 40 and not differ, differ
+
+
+# the README's tower alphas and five seeded fresh ones
+_RECORD_ALPHAS = ["[0;5,(6)]", "[0;7,10,(8,12)]", "[0;21,(30,28,26)]"] + [
+    str(_seeded_alpha(random.Random(4500 + i))) for i in range(5)]
+
+
+@pytest.mark.parametrize("alpha", _RECORD_ALPHAS)
+def test_fast_birkhoff_is_the_prefix_sum_of_euclids_word_at_half(alpha):
+    # Euclid's word never reads the tower; n drawn as tower_queries draws them
+    cf = parse_cf(alpha)
+    word = sign_word(cf.value, HALF, 2 ** 63 - 1)
+    rng = random.Random(alpha)
+    ns = [max(1, int(10 ** rng.uniform(0, 15))) for _ in range(300)]
+    assert [fast_birkhoff(cf, n) for n in ns] == [prefix_sum_at(word, n) for n in ns]
+
+
+@pytest.mark.parametrize("alpha", _RECORD_ALPHAS)
+def test_the_record_keeps_its_lengths_in_step_with_its_levels(alpha):
+    cf = parse_cf(alpha)
+    # a prefix one letter past level 19's F_minus needs level 20
+    deep = next(itertools.islice(renorm._lengths(cf), 18, None))[1] + 1
+
+    def grow_by_query():
+        half_word(cf, deep)
+
+    def in_step(depth):
+        record = _record(cf)
+        assert len(record.levels) == depth
+        assert record.minus == [level.f_minus.length for level in record.levels]
+        return record
+
+    for order in ((lambda: tower(cf, 3), 3, grow_by_query, 20),
+                  (grow_by_query, 20, lambda: tower(cf, 3), 20)):
+        _evict(cf)
+        misses = renorm._towers.cache_info().misses
+        for grow, depth in zip(order[::2], order[1::2]):
+            grow()
+            record = in_step(depth)
+        tower(cf, 40)
+        assert in_step(40) is record
+        assert renorm._towers.cache_info().misses == misses + 1  # one record throughout
+    _evict(cf)
+    tower(cf, 40)
+    assert in_step(40) is not record  # rebuilt
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +753,9 @@ def test_prefixes_below_the_sure_bound_never_compute_the_reach(monkeypatch):
     # every admissible alpha's reach is past 3^1000, so a shorter prefix
     # skips the bound, which costs 1000 levels of length recurrence
     cf = parse_cf("[0;9,(14,20)]")
-    assert renorm._half_reach(cf) > renorm._SURE
-    assert min(renorm._half_reach(parse_cf(a)) for a in ("[0;5,(6)]", "[0;5,(6,6,6)]")) \
+    assert _record(cf).reach(cf) > renorm._SURE
+    assert min(_record(cf).reach(cf) for cf in map(parse_cf, ("[0;5,(6)]", "[0;5,(6,6,6)]"))) \
         >= 5 ** (renorm.MAX_LEVELS - 1) > renorm._SURE
-    monkeypatch.setattr(renorm, "_half_reach", lambda alpha: pytest.fail("reach computed"))
+    monkeypatch.setattr(renorm._Tower, "reach", lambda record, alpha: pytest.fail("reach computed"))
     assert fast_birkhoff(cf, 10 ** 18) == prefix_sum_at(half_word(cf, 10 ** 18), 10 ** 18)
     assert half_word(cf, renorm._SURE).length >= renorm._SURE

@@ -16,11 +16,13 @@
 # in turn in fresh interpreters: the writer's best and median microseconds
 # per row and minor page faults per write on heavy-, leaf-, row- and
 # density-shaped tables; fresh depth-40 towers, build and verify
-# microseconds per level and the report's json_text milliseconds; exact
-# leaf traces, microseconds per visit of a ray and of a backward leaf at
-# 2,000 and 100,000 visits, with the share of their floats the batch
-# kernel proves; and exact-only heavy runs, microseconds per step and
-# tracemalloc peak at 50,000 and 10^6 steps.
+# microseconds per level and the report's json_text milliseconds;
+# fast_birkhoff microseconds per query on such towers; exact leaf traces,
+# microseconds per visit of a ray and of a backward leaf at 2,000 and
+# 100,000 visits, with the share of their floats the batch kernel proves;
+# and exact-only heavy runs, microseconds per step and tracemalloc peak
+# at 50,000 and 10^6 steps.  A row timed over at most 3 calls runs in 3
+# pairs and prints the median here/REF.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }

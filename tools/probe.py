@@ -11,17 +11,29 @@
   warm-up one: renorm.tower(alpha, 40), then verify_bounds and
   verify_chains, in us a level, and json_text of the `rotn tower` report
   in ms; median and best over the alphas.
+- queries COUNT RUNS: on the depth-40 towers of COUNT such alphas,
+  after a warm-up one, renorm.fast_birkhoff on a fresh parse of the
+  alpha for 300 seeded n <= 10^15, log-uniform as the benchmark's
+  tower_queries draws them: each alpha's best of RUNS batches, one a
+  round over all the alphas, in us a query; median and best over the
+  alphas.
 - trace KIND N RUNS: exact trace_ray(0, a, N) or, backward,
   trace_leaf_through((1 + a)/2, 0, a, N - 1, direction=-1): median and
   best over ALPHAS of each one's best of RUNS, in us a visit.
 - decided N: the share of both traces' points whose floats
   exactreal._surd_floats proves, the points, and the _surd_float calls.
-- heavy N RUNS: exact-only heavy, us a step as trace (and the worst),
-  and the largest tracemalloc peak over ALPHAS, in MB.
+- heavy N RUNS: exact-only heavy, us a step as trace (and the worst).
+- peak N: the largest tracemalloc peak of exact-only heavy over ALPHAS,
+  in MB; a row of its own, as tracing allocations slows the walk on
+  [0;21,(30,28,26)] about 25-fold.
 With REF_SRC, another checkout's src, each row runs from REF_SRC and
-from this one's, the side that goes first alternating row by row, so a
+from this one's, the side that goes first alternating turn by turn, so a
 change of the host's speed reaches both alike; the last column is here's
-first number over REF's.  Usage: python3 tools/probe.py [REF_SRC]
+first number over REF's.  A row timed over at most 3 calls (the 10^6-row
+tables, the one-run traces and heavy, each alpha's query batches) runs
+in 3 such pairs, and prints each number's median and the median
+here/REF.
+Usage: python3 tools/probe.py [REF_SRC]
 """
 
 import ast
@@ -42,16 +54,20 @@ ALPHAS = ("[0;5,(6)]", "[0;7,10,(8,12)]", "[0;21,(30,28,26)]")
 SHAPES = ("heavy", "leaf", "heavy-scan", "leaf-scan", "rows", "density")
 ROWS = ([("writer", shape, rows) for shape in SHAPES for rows in (25_000, 10 ** 6)]
         + [("writer", "ladder", rows) for rows in (9, 32, 128, 512)] + [("tower", 40)]
+        + [("queries", 30, 3)]
         + [("trace", kind, N, runs) for N, runs in ((2000, 5), (100_000, 1))
            for kind in ("ray", "backward")]
-        + [("decided", 100_000)] + [("heavy", N, runs) for N, runs in ((50_000, 5), (10 ** 6, 1))])
+        + [("decided", 100_000)] + [("heavy", N, runs) for N, runs in ((50_000, 5), (10 ** 6, 1))]
+        + [("peak", N) for N in (50_000, 10 ** 6)])
 # per section: what its numbers are, and how each is printed
 UNITS = {"writer": ("best, median us/row; minor faults/write", "%6.3f %6.3f %8.1f"),
          "tower": ("build, verify median best us/level; json_text median best ms/report",
                    "%6.2f %6.2f  %6.2f %6.2f  %5.2f %5.2f"),
+         "queries": ("median, best us/query over the alphas", "%6.3f %6.3f"),
          "trace": ("median, best us/visit over ALPHAS", "%6.3f %6.3f"),
          "decided": ("% of trace points proved; points; _surd_float calls", "%8.4f %7d %4d"),
-         "heavy": ("median, best, worst us/step over ALPHAS; peak MB", "%6.3f %6.3f %6.3f %6.2f")}
+         "heavy": ("median, best, worst us/step over ALPHAS", "%6.3f %6.3f %6.3f"),
+         "peak": ("largest tracemalloc peak over ALPHAS, MB", "%6.2f")}
 
 
 def _best(call, runs: int) -> float:
@@ -91,6 +107,20 @@ def _table(shape: str, rows: int):
             [[10 * i + 1 for i in range(rows)], walk.tolist(), first, gaps])
 
 
+def _writes(rows: int) -> int:
+    """How many times a writer row writes its table."""
+    return max(3, min(2000, 10 ** 6 // rows))
+
+
+def _pairs(row: tuple) -> int:
+    """3 for a row timed over at most 3 calls, a writer row's writes or a
+    trace, queries or heavy row's runs (its last number); else 1."""
+    section, calls = row[0], row[-1]
+    if section == "writer":
+        calls = _writes(calls)
+    return 3 if section in ("writer", "trace", "queries", "heavy") and calls <= 3 else 1
+
+
 def writer(shape: str, rows: int):
     from rotn.harness import ExperimentConfig, write_columns, write_csv
 
@@ -106,25 +136,33 @@ def writer(shape: str, rows: int):
         path = os.path.join(tmp, "probe.csv")
         write(path)  # warm-up
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        times = [_best(lambda: write(path), 1) for _ in range(max(3, min(2000, 10 ** 6 // rows)))]
+        times = [_best(lambda: write(path), 1) for _ in range(_writes(rows))]
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return (1e6 * min(times) / rows, 1e6 * statistics.median(times) / rows,
             faults / len(times))
 
 
-def tower(count: int, depth: int = 40):
+def _fresh(count: int):
+    """count + 1 seeded admissible alphas, each new to the cache, as
+    (literal, CFNumber); the first is the warm-up."""
     from rotn.exactreal import parse_cf
-    from rotn.harness import ExperimentConfig, json_text, run
-    from rotn.renorm import tower as build, verify_bounds, verify_chains
 
-    rng, seen, costs = random.Random(3701), set(), []
-    while len(costs) <= count:
+    rng, seen = random.Random(3701), set()
+    while len(seen) <= count:
         text = "[0;%d,(%s)]" % (rng.randrange(5, 22, 2), ",".join(
             str(rng.randrange(6, 31, 2)) for _ in range(rng.randint(1, 3))))
         cf = parse_cf(text)
-        if str(cf) in seen:
-            continue
-        seen.add(str(cf))
+        if str(cf) not in seen:
+            seen.add(str(cf))
+            yield text, cf
+
+
+def tower(count: int, depth: int = 40):
+    from rotn.harness import ExperimentConfig, json_text, run
+    from rotn.renorm import tower as build, verify_bounds, verify_chains
+
+    costs = []
+    for text, cf in _fresh(count):
         start = time.perf_counter()
         levels = build(cf, depth)
         built = time.perf_counter()
@@ -137,6 +175,26 @@ def tower(count: int, depth: int = 40):
                       1e3 * _best(lambda: json_text(report), 1)))
     # the first alpha is the warm-up
     return tuple(f(c) for c in zip(*costs[1:]) for f in (statistics.median, min))
+
+
+def queries(count: int, runs: int, depth: int = 40):
+    from rotn.exactreal import parse_cf
+    from rotn.renorm import fast_birkhoff, tower as build
+
+    # count + 1 towers fit the tower cache (32), so no batch rebuilds one
+    rng, batches = random.Random(4501), []
+    for text, cf in _fresh(count):
+        build(cf, depth)
+        batches.append((text, [max(1, int(10 ** rng.uniform(0, 15))) for _ in range(300)]))
+    best = [math.inf] * len(batches)
+    # round by round, so a burst of load on the host reaches one batch of each alpha
+    for _ in range(runs):
+        for i, (text, ns) in enumerate(batches):
+            alpha = parse_cf(text)  # a fresh parse a batch, as tower_queries' jobs make
+            best[i] = min(best[i], _best(lambda: [fast_birkhoff(alpha, n) for n in ns], 1))
+    # the first alpha is the warm-up
+    costs = [1e6 * b / 300 for b in best[1:]]
+    return statistics.median(costs), min(costs)
 
 
 def _traces():
@@ -169,22 +227,27 @@ def decided(N: int):
     return 100 * (1 - len(calls) / points), points, len(calls)
 
 
-def heavy(N: int, runs: int):
+def _heavy(alpha: str, N: int):
     from rotn.harness import ExperimentConfig, run
 
-    def once(alpha, N):
-        return lambda: run(ExperimentConfig(kind="heavy", alpha=alpha, N=N,
-                                            precision="exact-only"))
+    return lambda: run(ExperimentConfig(kind="heavy", alpha=alpha, N=N, precision="exact-only"))
 
-    once(ALPHAS[0], 100)()  # warm-up: imports
-    per_step = [1e6 * _best(once(a, N), runs) / N for a in ALPHAS]
-    peak = 0
+
+def heavy(N: int, runs: int):
+    _heavy(ALPHAS[0], 100)()  # warm-up: imports
+    per_step = [1e6 * _best(_heavy(a, N), runs) / N for a in ALPHAS]
+    return statistics.median(per_step), min(per_step), max(per_step)
+
+
+def peak(N: int):
+    _heavy(ALPHAS[0], 100)()  # warm-up: imports
+    most = 0
     for a in ALPHAS:
         tracemalloc.start()
-        once(a, N)()
-        peak = max(peak, tracemalloc.get_traced_memory()[1])
+        _heavy(a, N)()
+        most = max(most, tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    return (statistics.median(per_step), min(per_step), max(per_step), peak / 2 ** 20)
+    return (most / 2 ** 20,)
 
 
 def _side(src: str, row: tuple):
@@ -198,20 +261,26 @@ def _side(src: str, row: tuple):
 
 def main(ref: str | None = None, rows=ROWS) -> None:
     sides = [HERE] if ref is None else [ref, HERE]
-    section = None
-    for turn, row in enumerate(rows):
+    section, turns = None, 0
+    for row in rows:
         if row[0] != section:
             section = row[0]
             print("== %s: %s%s" % (section, UNITS[section][0],
                                    "" if ref is None else "; at REF, here, here/REF"))
-        turned = slice(None, None, -1 if turn % 2 else 1)
-        got = [_side(src, row) for src in sides[turned]][turned]
+        runs = []
+        for _ in range(_pairs(row)):
+            turned = slice(None, None, -1 if turns % 2 else 1)
+            runs.append([_side(src, row) for src in sides[turned]][turned])
+            turns += 1
+        # each side's numbers, or its note, and the ratios of the pairs
+        got = [side[0] if str in map(type, side) else tuple(map(statistics.median, zip(*side)))
+               for side in zip(*runs)]
         cells = [g if isinstance(g, str) else UNITS[section][1] % g for g in got]
         line = "%-25s" % " ".join(map(str, row)) + "".join("  " + c for c in cells)
         if ref is not None:  # a note, or a first number of 0 at REF, has no ratio
-            there, here = got
-            line += "  " + ("-" if str in map(type, got) or not there[0]
-                            else "%.3f" % (here[0] / there[0]))
+            line += "  " + ("-" if any(str in map(type, r) or not r[0][0] for r in runs)
+                            else "%.3f" % statistics.median(here[0] / there[0]
+                                                            for there, here in runs))
         print(line, flush=True)
 
 
