@@ -20,8 +20,7 @@ common denominator R and one field Q(sqrt(d)) for every value a walk
 touches, and holds each point as an integer pair (P, Q) standing for
 (P + Q*sqrt(d))/R.  A rotation step is then two integer adds.  The
 walkers read ``R`` and ``d`` off the frame and call the module's one
-sign test, ``_surd_sign(P, Q, d)``, against thresholds embedded once
-(or its array form ``_surd_signs`` on numpy arrays of lattice points),
+sign test, ``_surd_sign(P, Q, d)``, against thresholds embedded once,
 and its one float formula, ``_surd_float(P, Q, R, d)`` (or its proven
 batch form ``_surd_floats`` on sequences of lattice points).  The
 per-step walkers also keep each point's fixed-point key
@@ -413,8 +412,7 @@ def _surd_sign(p: int, q: int, d: int) -> int:
 
     d must be square-free, and d > 1 whenever q != 0: then q*sqrt(d) is
     irrational, so when p and q*sqrt(d) have opposite signs their
-    squares never tie.  This is the package's one exact sign test;
-    ``_surd_signs`` is its array form.
+    squares never tie.  This is the package's one exact sign test.
     """
     if q == 0:
         return (p > 0) - (p < 0)
@@ -618,22 +616,6 @@ def _dd_quotient(pf, qf, rf, sh: float, sl: float):
     del n2
     n1 /= rf
     return _two_sum(q1, n1)
-
-
-def _surd_signs(p, sq, qqd):
-    """``_surd_sign`` elementwise over numpy integer arrays, given p,
-    sq = sign(q) and qqd = q*q*d.
-
-    The same test: the sign of p where p and q agree, and otherwise of
-    whichever of p and q*sqrt(d) is larger, p*p against q*q*d.  A caller
-    testing several p against one q computes sq and qqd once.  int64
-    arrays need p*p and q*q*d below 2^63; object arrays of Python ints
-    have no bound.  Returns an array of -1, 0 and +1 of their dtype.
-    """
-    import numpy as np  # here, so that importing this module needs no numpy
-
-    sp = np.sign(p)
-    return np.where((sp == sq) | (p * p > qqd), sp, sq)
 
 
 def _coerce(x):

@@ -56,10 +56,9 @@ _MAX_ARRAY_BYTES = 2 ** 63 - 1
 _HOST_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 # steps of an exact walk that folds its sums (exact-only heavy and leaf
 # without --out, and example), which allocates nothing it could refuse.
-# A step takes 25-30 ns while the walk's integers fit int64 and 0.5-0.9 us
-# on Python ints past that: heavy --N 10^9 on [0;(2)], on int64 to 5.4*10^8
-# steps, took 428 s and peaked at 32.5 MB (2-core host); on
-# [0;21,(30,28,26)], on Python ints past 10^5 steps, 10^9 take 8-15 min
+# The folded walk reads its signs off uint64 keys at 8-10 ns a step on
+# every alpha: heavy --N 10^9 took 8.6-9.6 s and 31 MB on [0;(2)] and on
+# [0;21,(30,28,26)] (fresh processes, 2-core host)
 _MAX_EXACT_STEPS = 10 ** 9
 # the report keys of a run that reads its signs off an exact walk or a
 # trace of every step, with no word to check

@@ -31,23 +31,24 @@ lies within i + 1 below 2^63 or below 2^64; only at those indices does
 the exact test decide.  The band is (i + 1)*2^-64 wide on each side,
 so n steps of an equidistributed orbit meet it about n^2*2^-64 times.
 
-The "exact" policy replaces the float loop with a walk on an
-``exactreal.Frame``: orbit points are integer pairs (P, Q) over one
-common denominator R, and the walk takes 2^12 of them at a time as
-numpy arrays.  For each point it finds g = floor(2x) of the unwrapped
-point x: a float guess that two exact bracket tests, g <= 2x and
-2x < g + 1, confirm or move by one.  Those tests are the package's one
-exact integer sign test in array form, and the float only picks which
-integer they test, so every sign (the parity of g) and every wrap (by
-g >> 1) is exact.  The arrays are int64 while the tests' squares stay
-below 2^62, which for the README's alphas holds past 10^8 steps (for
-[0;21,(30,28,26)], with d ~ 1.2*10^8, only to ~10^5), and Python ints
-past that.  ``_exact_walk`` is that walk, chunk by chunk, and it has two
-consumers: ``orbit_scan(policy="exact")`` writes its positions, as
-floats (P + Q*sqrt(d))/R, signs and sums into arrays of n + 1 points,
-and ``exact_sums`` folds each chunk's sums into a histogram as it comes,
-with no position and no array of length n, keeping only a prefix of the
-signs.
+The "exact" policy, the ground truth, reads the same keys: ``_key_walk``
+takes 2^13 points at a time, re-keyed at each chunk's first point, which
+it holds exactly as an integer pair (P, Q) over the common denominator
+R of an ``exactreal.Frame``.  Past the sign, the key gives the floor of
+the unwrapped point: the high word of K0 + k*floor(alpha*2^64), which
+is k*h, for floor(alpha*2^64) = h*2^64 + Ka, plus the count of uint64
+wraps X_k < X_(k-1) so far, again proven outside the band.  The few
+points in the band take the exact floor and sign of their point, by
+``SurdReal``.  With the floor W_k exact, the wrapped lattice point is
+P + k*Pa - W_k*R over Q + k*Qa, on int64 while that fits and on Python
+ints past that; the keys stay uint64, and no square is formed.  Each
+chunk costs a few uint64 passes (8-10 ns a step folded, 11-13 ns with
+positions on int64; 2-core host), and its band restarts at width 1.
+The walk has two consumers: ``orbit_scan(policy="exact")`` writes its
+positions, as floats (P + Q*sqrt(d))/R, signs and sums into arrays of
+n + 1 points, and ``exact_sums`` folds each chunk's sums into a
+histogram as it comes, with no position and no array of length n,
+keeping only a prefix of the signs.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ import math
 
 import numpy as np
 
-from .exactreal import (HALF, Frame, Record, SurdReal, _surd_float, _surd_signs,
-                        escalations)
+from .exactreal import HALF, Frame, Record, SurdReal, _surd_float, escalations
 from .words import _add_shifted
 
 __all__ = ["OrbitScan", "orbit_scan", "exact_sums", "key_signs", "orbit_positions",
@@ -80,18 +80,15 @@ _CHUNK = 1 << 16
 _KEY_ONE = 1 << 64
 _KEY_HALF = 1 << 63
 _KEY_CHUNK = 1 << 14
+# ``_key_walk``'s chunk length: its 64 KB buffers stay below glibc's
+# 128 KB mmap threshold.  At 2^14 the exact_walk workload's peak RSS
+# rose 0.06-0.25 MB over the bracket walk's in 7 of 7 seeds, and at 2^13
+# (3 seeds) it did not, for about 1 ns a step more in process (2-core host)
+_WALK_CHUNK = 1 << 13
 
-# The exact walk's chunk length: its temporaries are a few dozen arrays
-# of this many integers.  Bracket tests run on int64 while p and
-# q*sqrt(d) stay below _INT64_ROOT, so that p*p and q*q*d stay below
-# 2^62, and on Python ints past that.  A guess off by one settles in
-# the second of _ROUNDS rounds.
-_EXACT_CHUNK = 1 << 12
-_INT64_ROOT = 1 << 31
 # the IEEE position formula turns R, P and Q*sqrt(d) into floats; below
 # this bound on them none overflows
 _FLOAT_ROOM = 1 << 1023
-_ROUNDS = 2
 
 
 def scan_kernel(x0, alpha, n, base_radius, radius_slope):
@@ -133,9 +130,9 @@ def key_signs(x0: SurdReal, step: SurdReal, n: int):
     those undecided indices take the exact test
     (x0 + i*step).frac() < 1/2, and each bumps ``escalations``.  The keys
     are formed ``_KEY_CHUNK`` at a time, as the chunk's first key plus
-    k*Ka, through buffers allocated once per call.  The band test screens
-    a chunk with the width of its largest index, then tests each
-    candidate with its own.
+    k*Ka, through buffers allocated once per call, and ``_key_band``
+    reads their signs and band.  Unlike the exact walk, it keys every
+    chunk off x0, so its band widens with i.
     """
     x0 = x0.frac()
     k0 = math.floor(x0 * _KEY_ONE)
@@ -146,18 +143,9 @@ def key_signs(x0: SurdReal, step: SurdReal, n: int):
     undecided = []
     for lo in range(0, n, _KEY_CHUNK):
         m = min(_KEY_CHUNK, n - lo)
-        X, s = keys[:m], signs[lo:lo + m]
-        np.add(offsets[:m], np.uint64((k0 + lo * ka) % _KEY_ONE), out=X)
-        np.less(X, _KEY_HALF, out=b[:m])
-        np.multiply(b[:m].view(np.int8), 2, out=s)
-        s -= 1
-        # X mod 2^63 is within w below 2^63 exactly when X is within w
-        # below 2^63 or 2^64
-        X &= _KEY_HALF - 1
-        np.greater_equal(X, _KEY_HALF - (lo + m), out=b[:m])
-        cand = np.flatnonzero(b[:m])
+        X = np.add(offsets[:m], np.uint64((k0 + lo * ka) % _KEY_ONE), out=keys[:m])
+        cand = _key_band(X, signs[lo:lo + m], b, lo)
         if cand.size:
-            cand = cand[X[cand] >= _KEY_HALF - 1 - (lo + cand).astype(np.uint64)]
             undecided.append(lo + cand)
     undecided = np.concatenate(undecided) if undecided else np.empty(0, dtype=np.int64)
     for i in undecided.tolist():
@@ -165,6 +153,28 @@ def key_signs(x0: SurdReal, step: SurdReal, n: int):
     if undecided.size:
         escalations.bump(int(undecided.size))
     return signs, undecided
+
+
+def _key_band(X, s, b, lo: int):
+    """Write f of the keys X into s, of their length, and return the
+    int64 offsets j whose key the sign or the wrap leaves open: X[j]
+    within lo + j + 1 below 2^63 or 2^64.  b is a bool buffer as long as
+    X, and X is reduced mod 2^63 in place.  The band test screens X
+    with the width of its last offset, then tests each candidate with
+    its own.
+    """
+    m = X.size
+    np.less(X, _KEY_HALF, out=b[:m])
+    np.multiply(b[:m].view(np.int8), 2, out=s)
+    s -= 1
+    # X mod 2^63 is within w below 2^63 exactly when X is within w
+    # below 2^63 or 2^64
+    X &= _KEY_HALF - 1
+    np.greater_equal(X, _KEY_HALF - (lo + m), out=b[:m])
+    cand = np.flatnonzero(b[:m])
+    if cand.size:
+        cand = cand[X[cand] >= _KEY_HALF - 1 - (lo + cand).astype(np.uint64)]
+    return cand
 
 
 def _scratch(size: int) -> tuple:
@@ -414,18 +424,17 @@ def _certified_scan(x0: SurdReal, step: SurdReal, count: int):
 def _exact_scan(x0: SurdReal, step: SurdReal, count: int):
     """Integer-only scan on one frame: exact signs, float positions.
 
-    Writes ``_exact_walk``'s chunks into arrays of count points.  The
+    Writes ``_key_walk``'s chunks into arrays of count points.  The
     radius returned is 2^-50*M/R, with M = R + |Q|*sqrt(d), at the
     largest |Q| of the walk, an end of it, since Q moves by Qa a step:
-    ``_exact_walk`` bounds each position's rounding by
+    ``_key_walk`` bounds each position's rounding by
     2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order, and this leaves room for
     the higher-order terms and its own rounding.
     """
     positions = np.empty(count, dtype=np.float64)
     signs = np.empty(count, dtype=np.int8)
-    for lo, s, z in _exact_walk(x0, step, count, positions=True):
+    for lo, s in _key_walk(x0, step, count, positions):
         signs[lo : lo + s.size] = s
-        positions[lo : lo + s.size] = z
     frame = Frame(x0, step)
     Q, Qa = frame.embed(x0)[1], frame.embed(step)[1]
     top = max(abs(Q), abs(Q + (count - 1) * Qa))
@@ -445,7 +454,7 @@ def exact_sums(x0: SurdReal, alpha: SurdReal, n: int, keep: int) -> tuple:
     ``scan.sums[n]`` and ``scan.signs[:keep]`` of
     ``orbit_scan(x0, alpha, n, policy="exact")``.
 
-    Folds ``_exact_walk``'s chunks of n points, with no position: a
+    Folds ``_key_walk``'s chunks of n points, with no position: a
     chunk's sums are the sum of the signs before it plus its own signs'
     cumsum, which is binned from its own minimum as ``sums_histogram``
     bins a chunk and shifted by that carry, and the histograms are added
@@ -454,9 +463,9 @@ def exact_sums(x0: SurdReal, alpha: SurdReal, n: int, keep: int) -> tuple:
     if not 0 <= keep <= n:
         raise ValueError("keep must be in [0, %d], got %r" % (n, keep))
     kept = np.empty(keep, dtype=np.int8)
-    sums = np.empty(min(n, _EXACT_CHUNK), dtype=np.int64)
+    sums = np.empty(min(n, _WALK_CHUNK), dtype=np.int64)
     parts, carry = [], 0
-    for lo, s, _ in _exact_walk(x0.frac(), alpha, n, positions=False):
+    for lo, s in _key_walk(x0, alpha, n):
         if lo < keep:
             kept[lo : lo + s.size] = s[: keep - lo]
         part = sums[: s.size]
@@ -470,33 +479,38 @@ def exact_sums(x0: SurdReal, alpha: SurdReal, n: int, keep: int) -> tuple:
     return (*_add_shifted(np, parts), carry, kept)
 
 
-def _exact_walk(x0: SurdReal, step: SurdReal, count: int, positions: bool):
-    """The integer-only walk of count points on one frame: yields, for
-    each chunk of points lo, lo + 1, ..., (lo, signs, z), signs their
-    exact signs as int64 and z their float positions, or None unless
-    positions.
+def _key_walk(x0: SurdReal, step: SurdReal, count: int, positions=None):
+    """The exact walk of the count points x_k = frac(x0 + k*step), read
+    off the 64-bit key: yields, for each chunk of points lo, lo + 1, ...,
+    (lo, signs), their exact signs as int8 in a buffer that the next
+    chunk overwrites, and writes their float positions into
+    positions[lo:...] when positions is given.
 
-    Walks ``_EXACT_CHUNK`` points at a time from the chunk's first
-    point (P, Q), which lies in [0, 1).  Its k-th point, unwrapped, is
-    x_k = (P + k*Pa + (Q + k*Qa)*sqrt(d))/R, and g_k = floor(2*x_k)
-    says everything the walk needs: the sign is +1 exactly when g_k is
-    even, and the wrapped point is P + k*Pa - (g_k >> 1)*R over the same
-    Q.  ``_floor_twice`` finds g_k from a float guess.  The last point
-    of one chunk, wrapped, is the first of the next, so no chunk's
-    integers grow with its index, only Q does.
+    Takes ``_WALK_CHUNK`` points at a time, re-keyed at the chunk's first
+    point x_lo, exact on one frame as (P, Q) over R and wrapped into
+    [0, 1): K0 = floor(x_lo*2^64), and with floor(step*2^64) =
+    h*2^64 + Ka, X_k = K0 + k*Ka mod 2^64.  By the module's key lemma
+    the sign of x_lo + k*step is +1 exactly when X_k < 2^63, and its floor
+    W_k is k*h plus the wraps of the low word so far, the k' in 1..k with
+    X_k' < X_(k'-1): (x_lo + k*step)*2^64 = K0 + k*(h*2^64 + Ka) + e with
+    e in [0, k + 1), and K0 + k*Ka + e passes the next multiple of 2^64
+    beyond K0 + k*Ka only if X_k is within k + 1 below it.  The indices
+    whose key lies within k + 1 below 2^63 or 2^64 take the exact sign
+    and floor of the unwrapped point instead, by ``SurdReal`` floor and
+    one ``_surd_sign`` test; that is no escalation, as nothing was
+    certified.  Each chunk's first point and key come from the exact
+    floor of the last chunk's end times 2^64, so no error carries over.
 
-    A chunk runs on int64 arrays while its bracket tests stay below
-    2^62: every |2P - gR| tested is below 2R + 2|Q|*sqrt(d), and |Q| is
-    largest at an end of the chunk.  Past that it runs the same code on
-    object arrays of Python ints.  Positions are (P + Q*sqrt(d))/R in
-    IEEE arithmetic, whichever the dtype, so they are not exact; a chunk
-    whose R, |P| or |Q|*sqrt(d) may pass float range takes them from
-    ``_surd_float`` instead, float() of the exact point.  With
-    M = R + |Q|*sqrt(d), which bounds |P| for a point in [0, 1), the
-    formula's eight roundings (d, P, Q and R to floats, the root, the
-    product, the sum and the quotient) move a position by at most
-    2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order.  Without positions
-    only a chunk's last point, the next one's first, is wrapped.
+    The wrapped point is P_k = P + k*Pa - W_k*R over Q_k = Q + k*Qa,
+    the lattice point itself, on int64 while that arithmetic fits and on
+    Python ints past that; the keys stay uint64 and no square is formed.
+    Positions are (P_k + Q_k*sqrt(d))/R in IEEE arithmetic, whichever the
+    dtype, so they are not exact; a chunk whose R, |P| or |Q|*sqrt(d) may
+    pass float range takes them from ``_surd_float`` instead, float() of
+    the exact point.  With M = R + |Q|*sqrt(d), which bounds |P| for a
+    point in [0, 1), the formula's eight roundings (d, P, Q and R to
+    floats, the root, the product, the sum and the quotient) move a
+    position by at most 2^-53*(4R + 4.5|Q|*sqrt(d))/R to first order.
     """
     if step.is_rational:
         raise ValueError("rotation number must be irrational")
@@ -504,61 +518,54 @@ def _exact_walk(x0: SurdReal, step: SurdReal, count: int, positions: bool):
     R, d = frame.R, frame.d
     P, Q = frame.embed(x0)
     Pa, Qa = frame.embed(step)
-    af = float(step)
-    sqd = math.sqrt(d)
-    root = math.isqrt(d) + 1
-    kf = np.arange(_EXACT_CHUNK + 1, dtype=np.float64)
-    for lo in range(0, count, _EXACT_CHUNK):
-        m = min(_EXACT_CHUNK, count - lo)
-        top = max(abs(Q), abs(Q + m * Qa))
-        dtype = np.int64 if 2 * R + 2 * top * root < _INT64_ROOT else object
-        k = np.arange(m + 1, dtype=dtype)
-        Pk = P + k * Pa
-        Qk = Q + k * Qa
-        # within 2^-38 of 2*x_k for |alpha| < 1: float(x) is within 2^-53
-        # of x < 1, and each of k*af's two roundings and the sum's costs
-        # at most 2^-41 for k <= 2^12, so the guess is off by at most one
-        guess = np.floor(2.0 * (kf[: m + 1] * af + _surd_float(P, Q, R, d)))
-        g = _floor_twice(Pk, Qk, R, d, guess.astype(np.int64).astype(dtype))
-        P, Q = int(Pk[m]) - (int(g[m]) >> 1) * R, int(Qk[m])  # the next chunk's first
-        z = None
-        if positions:
-            Pk -= (g >> 1) * R
-            if R + top * root < _FLOAT_ROOM:
-                z = ((Pk + Qk * sqd) / R)[:m]
+    h, ka = divmod(math.floor(step * _KEY_ONE), _KEY_ONE)
+    sqd, root = math.sqrt(d), math.isqrt(d) + 1
+    size = min(count, _WALK_CHUNK)
+    offsets = np.arange(size, dtype=np.uint64) * np.uint64(ka)  # k*Ka, wrapped
+    keys, b = np.empty_like(offsets), np.empty(size, dtype=bool)
+    signs = np.empty(size, dtype=np.int8)
+    if positions is not None:  # the floors, which only positions need
+        ks, floors = np.arange(size), np.empty(size, dtype=np.int64)
+    for lo in range(0, count, _WALK_CHUNK):
+        m = min(_WALK_CHUNK, count - lo)
+        # the chunk's first point, unwrapped: its floor, and its key below that
+        top, key = divmod(math.floor(frame.surd(P << 64, Q << 64)), _KEY_ONE)
+        P -= top * R
+        X, s = np.add(offsets[:m], np.uint64(key), out=keys[:m]), signs[:m]
+        if positions is not None:
+            b[0] = False
+            np.less(X[1:], X[:-1], out=b[1:m])
+            W = np.cumsum(b[:m], out=floors[:m])
+            if h:
+                W += ks[:m] * h
+        for j in _key_band(X, s, b, 0).tolist():
+            y = frame.surd(P + j * Pa, Q + j * Qa)
+            g = math.floor(y)
+            s[j] = 1 if y - g < HALF else -1
+            if positions is not None:
+                W[j] = g
+        if positions is not None:
+            z = positions[lo : lo + m]
+            Pk, Qk = _lattice(ks[:m], W, P, Pa, Q, Qa, R)
+            if R + max(abs(Q), abs(Q + m * Qa)) * root < _FLOAT_ROOM:
+                np.multiply(Qk, sqd, out=z, casting="unsafe")
+                np.add(z, Pk, out=z, casting="unsafe")
+                z /= R
             else:
-                z = [_surd_float(p, q, R, d) for p, q in zip(Pk[:m], Qk[:m])]
-        yield lo, (1 - 2 * (g[:m] & 1)).astype(np.int64, copy=False), z
+                z[:] = [_surd_float(p, q, R, d) for p, q in zip(Pk.tolist(), Qk.tolist())]
+        yield lo, s
+        P, Q = P + m * Pa, Q + m * Qa
 
 
-def _floor_twice(P, Q, R: int, d: int, g):
-    """floor(2x) for the lattice points x = (P + Q*sqrt(d))/R, from a
-    guess g that is off by at most ``_ROUNDS`` - 1.
-
-    g is right exactly when g <= 2x < g + 1, that is when p = 2P - gR
-    and p - R, with q = 2Q, give ``_surd_signs`` >= 0 and < 0.  Each
-    round runs both tests on the points still unsettled and moves each
-    failing guess one toward 2x.  sign(q) and q*q*d are computed once
-    and narrowed with the points.  P, Q and g are int64
-    arrays whose tested values keep p*p and q*q*d below 2^63, or object
-    arrays; g is updated in place and returned.  Raises ArithmeticError
-    if the rounds run out.
+def _lattice(k, W, P: int, Pa: int, Q: int, Qa: int, R: int):
+    """The lattice points (P + k*Pa - W*R, Q + k*Qa) for the int64 arrays
+    k, ascending from 0, and W, monotone from 0: int64 arrays while every
+    term fits, else object arrays of Python ints.
     """
-    at = np.arange(g.size)
-    p = 2 * P - g * R
-    q = 2 * Q
-    sq, qqd = np.sign(q), q * q * d
-    for _ in range(_ROUNDS):
-        low = _surd_signs(p, sq, qqd) < 0
-        high = _surd_signs(p - R, sq, qqd) >= 0
-        miss = np.flatnonzero(low | high)
-        if not miss.size:
-            return g
-        move = high[miss].astype(g.dtype) - low[miss].astype(g.dtype)
-        at, p = at[miss], p[miss] - move * R
-        sq, qqd = sq[miss], qqd[miss]
-        g[at] += move
-    raise ArithmeticError(
-        "floor(2x) not settled in %d rounds at %d of %d points: the float "
-        "guess was off by more than %d" % (_ROUNDS, at.size, g.size, _ROUNDS - 1)
-    )
+    if abs(P) + abs(Q) + k.size * (abs(Pa) + abs(Qa)) + (abs(int(W[-1])) + 1) * R >= _KEY_HALF:
+        k, W = k.astype(object), W.astype(object)
+    Pk, Qk = k * Pa, k * Qa
+    Pk += P
+    Pk -= W * R
+    Qk += Q
+    return Pk, Qk

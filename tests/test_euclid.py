@@ -9,7 +9,7 @@ from rotn import euclid
 from rotn.euclid import sign_word
 from rotn.exactreal import HALF, ONE, SurdReal, parse_cf
 from rotn.renorm import fast_birkhoff, half_word
-from rotn.scan import orbit_scan
+from rotn.scan import exact_sums, orbit_scan
 from rotn.words import EMPTY, letters, prefix_histogram, prefix_sum_at
 
 
@@ -115,6 +115,24 @@ def test_sign_word_far_out_from_the_descents_old_starts(alpha):
     back = sign_word(-a, x, n + 1)
     assert prefix_sum_at(back, n + 1) - prefix_sum_at(back, 1) \
         == -prefix_sum_at(sign_word(a, x, n), n)
+
+
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,10,(8,12)]", "[0;21,(30,28,26)]"])
+@pytest.mark.parametrize("seed", ["1/2", "(1+2a)/7"])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_sign_word_sums_are_the_exact_walks(alpha, seed, direction):
+    # the exact walk, the ground truth, read off 64-bit keys, against a word
+    # built by Euclid's algorithm, which reads no key: the histogram of
+    # S_1..S_n and S_n at 10^6 steps on the three tower alphas of the
+    # README, from 1/2 and from a start off the orbits of 1/2 and 0
+    a = parse_cf(alpha).value
+    x = HALF if seed == "1/2" else (1 + a * 2) / 7
+    step, n = a * direction, 10**6
+    w = sign_word(step, x, n)
+    lo, counts, final, _ = exact_sums(x, step, n, 0)
+    want_lo, want = prefix_histogram(w, n)
+    assert (lo, final) == (want_lo, prefix_sum_at(w, n))
+    assert np.array_equal(counts, want) and counts.sum() == n
 
 
 def test_sign_word_of_the_example_family_stays_below_zero():

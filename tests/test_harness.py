@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rotn import harness, orbits, scan, spell, words
 from rotn.circle import max_gap, visit_set
 from rotn.cli import _build_parser, _config, main
-from rotn.exactreal import HALF, SurdReal, parse_cf
+from rotn.exactreal import HALF, SurdReal, escalations, parse_cf
 from rotn.harness import (
     _ROWS_PER_WRITE,
     PRECISIONS,
@@ -756,6 +756,37 @@ def test_exact_only_heavy_and_example_fold_in_bounded_memory(monkeypatch, capsys
             tracemalloc.stop()
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert peak <= 2 * 2**20, (N, peak)
+
+
+def test_exact_only_reports_count_no_escalation_with_every_key_open(monkeypatch):
+    # the exact walk certifies nothing: with its key band widened to every
+    # point, each takes the exact floor and sign of its point, the reports
+    # keep their bytes and heavy's and density's escalations 0, and the
+    # counter of the certified fallbacks does not move
+    configs = [ExperimentConfig(kind="heavy", N=3000, precision="exact-only"),
+               ExperimentConfig(kind="density", m=-1, N=3000, precision="exact-only"),
+               ExperimentConfig(kind="example", m=3, k_max=2, N=3000, precision="exact-only")]
+    honest = [json_text(run(config)) for config in configs]
+    band, keys = scan._key_band, orbits.key_signs
+
+    def every_key(X, s, b, lo):
+        band(X, s, b, lo)
+        return np.arange(X.size)
+
+    def honest_keys(*args):
+        # example's backward signs come from key_signs, a certified
+        # fallback that counts its own undecided keys: it keeps its band
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_key_band", band)
+            return keys(*args)
+
+    monkeypatch.setattr(scan, "_key_band", every_key)
+    monkeypatch.setattr(orbits, "key_signs", honest_keys)
+    before = escalations.count
+    for config, text in zip(configs, honest):
+        assert json_text(run(config)) == text
+        assert json.loads(text).get("escalations", 0) == 0  # example has no such key
+    assert escalations.count == before
 
 
 @pytest.mark.parametrize("kind", ["heavy", "example"])

@@ -1,5 +1,6 @@
 """The scan kernel, certified-vs-exact agreement, escalation."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ import rotn.scan
 from rotn.exactreal import CFNumber, Frame, SurdReal, _surd_sign, escalations, parse_cf
 from rotn.renorm import half_word
 from rotn.scan import (
-    _CHUNK, _EXACT_CHUNK, _KEY_CHUNK, _exact_scan, _floor_twice, _scan_radii, backend_name,
+    _CHUNK, _KEY_CHUNK, _WALK_CHUNK, _exact_scan, _key_band, _scan_radii, backend_name,
     exact_sums, key_signs, kernel_for, orbit_positions, orbit_scan, scan_kernel, sums_histogram,
 )
 from rotn.words import prefix_histogram
@@ -235,11 +236,12 @@ def _same_walk(got, ref):
 def test_exact_walk_matches_the_loop_bit_for_bit(cf, direction):
     alpha = parse_cf(cf).value
     rng = np.random.default_rng(len(cf) + direction)
-    # R = 2^40 is past the int64 bound: that seed walks on Python ints
-    dyadic = [SurdReal(int(rng.integers(0, 2**k)), 0, 2**k) for k in (1, 7, 40)]
+    # R = 2^62 puts the lattice points past int64: that seed walks on Python ints
+    dyadic = [SurdReal(int(rng.integers(0, 2**k)), 0, 2**k) for k in (1, 7, 40, 62)]
     surd = [((SurdReal(int(rng.integers(-50, 50))) + alpha * int(rng.integers(-50, 50)))
              / int(rng.integers(1, 30))).frac() for _ in range(3)]
-    sizes = (0, 1, _EXACT_CHUNK - 1, _EXACT_CHUNK, _EXACT_CHUNK + 1, 3 * _EXACT_CHUNK + 5)
+    c = _WALK_CHUNK
+    sizes = (0, 1, c - 1, c, c + 1, 2 * c + 5)
     step = alpha if direction == 1 else -alpha  # the loop takes alpha and direction
     for x0 in dyadic + surd:
         ref = _reference_exact_scan(x0, alpha, sizes[-1], direction)
@@ -247,80 +249,133 @@ def test_exact_walk_matches_the_loop_bit_for_bit(cf, direction):
             _same_walk(_exact_scan(x0, step, n), [a[:n] for a in ref[:2]])
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
-def test_floor_twice_settles_guesses_off_by_one(dtype):
-    alpha = parse_cf("[0;13,(20,6)]").value
-    frame = Frame(HALF, alpha)
-    R, d = frame.R, frame.d
-    Pa, Qa = frame.embed(alpha)
-    k = np.arange(-300, 300)
-    P, Q = (k * Pa).astype(dtype), (k * Qa + 1).astype(dtype)
-    exact = np.array([math.floor(2 * SurdReal(int(p), int(q), R, d)) for p, q in zip(P, Q)])
-    for off in (-1, 0, 1):
-        g = (exact + off).astype(dtype)
-        assert np.array_equal(_floor_twice(P, Q, R, d, g), exact)
-    with pytest.raises(ArithmeticError, match="off by more than 1"):
-        _floor_twice(P, Q, R, d, (exact + 2).astype(dtype))
+def _open_keys(X, lo):
+    """The offsets j whose key X[j] lies within lo + j + 1 below 2^63 or
+    2^64, by the definition, one Python int at a time."""
+    return [j for j, x in enumerate(X.tolist())
+            if 1 <= (1 << 63) - x % (1 << 63) <= lo + j + 1]
+
+
+@pytest.mark.parametrize("lo", [0, 5, _KEY_CHUNK])
+def test_key_band_is_every_key_within_its_width_below_a_boundary(lo):
+    # keys at and around both edges of each band, and random ones; the
+    # signs are +1 exactly below 2^63, whatever the band says
+    rng = np.random.default_rng(lo)
+    m = 600
+    near = [b - w for b in (1 << 63, 1 << 64) for w in range(0, lo + m + 3)]
+    X = np.array(rng.choice(near, m).tolist(), dtype=np.uint64)
+    X[::7] = rng.integers(0, 2**64 - 1, X[::7].size, dtype=np.uint64, endpoint=True)
+    X[:4] = [2**63 - 1, 2**64 - 1, 2**63, 0]  # just below a boundary, and on one
+    want_signs = [1 if x < 2**63 else -1 for x in X.tolist()]
+    want = _open_keys(X, lo)
+    s, b = np.empty(m, dtype=np.int8), np.empty(m, dtype=bool)
+    got = _key_band(X, s, b, lo)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert s.tolist() == want_signs
+    assert want[:2] == [0, 1] and 2 not in want and 3 not in want
+
+
+def _widened(every):
+    """``_key_band`` with its band widened to every every-th offset as well."""
+    def band(X, s, b, lo):
+        return np.union1d(_key_band(X, s, b, lo), np.arange(0, X.size, every))
+    return band
+
+
+@pytest.mark.parametrize("cf, seed", [
+    ("[0;5,(6)]", "1/2"), ("[0;1,(3)]", "1/2+2^-80"), ("[0;21,(30,28,26)]", "(1+a)/2"),
+    ("[0;7,10,(8,12)]", "1/2-3a"),
+])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_exact_scan_with_a_widened_band_is_the_loop_bit_for_bit(cf, seed, direction, monkeypatch):
+    # every third key of each chunk, its first among them, takes the exact
+    # floor and sign of its point: the walk must not change a bit, and
+    # takes no escalation, as it certified nothing
+    alpha = parse_cf(cf).value
+    x0 = {"1/2": HALF, "1/2+2^-80": HALF + SurdReal(1, 0, 2**80), "(1+a)/2": (1 + alpha) / 2,
+          "1/2-3a": (HALF - alpha * 3).frac()}[seed]
+    n = 2 * _WALK_CHUNK + 5
+    ref = _reference_exact_scan(x0, alpha, n + 1, direction)
+    monkeypatch.setattr(rotn.scan, "_key_band", _widened(3))
+    before = escalations.count
+    scan = orbit_scan(x0, alpha, n, direction=direction, policy="exact")
+    _same_walk((scan.positions, scan.signs), ref)
+    assert scan.escalated.size == 0 and escalations.count == before
+    got = exact_sums(x0, alpha * direction, n, n)
+    assert escalations.count == before
+    monkeypatch.undo()
+    _same_sums(got, _scanned_sums(x0, alpha * direction, n, n))
 
 
 @pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;1,(3)]"])
 @pytest.mark.parametrize("direction", [1, -1])
 def test_exact_scan_settles_near_ties_bit_for_bit(cf, direction, monkeypatch):
-    # a point within 2^-80 below 1/2 or 1 rounds to it as a float, so its
-    # float guess of floor(2x) is one too high and only _floor_twice's
-    # second round settles it; each tie is met at index 0 and again at the
-    # first point of the second chunk, always on Python ints (R = 2^81)
+    # a point within 2^-80 of 1/2 or of an integer keys within k + 1 of
+    # 2^63 or 2^64 at offset k of its chunk; below a boundary that is the
+    # band, where only the exact floor and sign of the point settle it.
+    # Each tie is met at the first point of the first and the second chunk,
+    # keyed exactly, and at offset 5 of each, always on Python ints
+    # (R = 2^81).  Just above an integer at offset 5, the key may sit below
+    # 2^64 and miss the wrap, so the floor must come from the point
     alpha = parse_cf(cf).value
     eps = SurdReal(1, 0, 2**80)
-    n = _EXACT_CHUNK + 5
-    calls = []
+    n = _WALK_CHUNK + 5
+    bands = []
 
-    def spy(P, Q, R, d, g):
-        first = g[0]  # g is updated in place
-        out = _floor_twice(P, Q, R, d, g)
-        calls.append((P.dtype, out[0] != first))
-        return out
+    def spy(X, s, b, lo):
+        bands.append(_key_band(X, s, b, lo).tolist())
+        return np.array(bands[-1], dtype=np.int64)
 
-    monkeypatch.setattr(rotn.scan, "_floor_twice", spy)
+    monkeypatch.setattr(rotn.scan, "_key_band", spy)
     for tie in (HALF - eps, 1 - eps, HALF + eps, eps):
-        for lead in (0, _EXACT_CHUNK):
+        for lead in (0, 5, _WALK_CHUNK, _WALK_CHUNK + 5):
             x0 = (tie - alpha * (direction * lead)).frac()
-            calls.clear()
+            bands.clear()
             scan = orbit_scan(x0, alpha, n, direction=direction, policy="exact")
             _same_walk((scan.positions, scan.signs),
                        _reference_exact_scan(x0, alpha, n + 1, direction))
-            assert [dtype for dtype, _ in calls] == [np.dtype(object)] * 2
-            if tie in (HALF - eps, 1 - eps):  # the guess at the tie was moved
-                assert calls[lead // _EXACT_CHUNK][1]
+            assert len(bands) == 2 and scan.escalated.size == 0
+            chunk, k = divmod(lead, _WALK_CHUNK)
+            if tie in (HALF - eps, 1 - eps):  # keyed below its boundary
+                assert k in bands[chunk]
+            elif k == 0:  # keyed on it, exactly
+                assert k not in bands[chunk]
 
 
 def test_exact_scan_crosses_from_int64_to_python_ints(monkeypatch):
-    # d is about 1.2*10^8, so (2*max|Q|)^2 * d passes 2^62 near step 10^5
-    alpha = parse_cf("[0;21,(30,28,26)]").value
-    n = 100_000 + 3 * _EXACT_CHUNK
+    # from 1/2 + 2^-47 (R = 3*2^48 on [0;5,(6)]) the lattice arithmetic of
+    # the first chunks fits int64, and |Q|, growing by Qa a step, takes it
+    # to Python ints at the fourth; from 1/2 + 2^-80 it is on Python ints
+    # from the start.  The keys stay uint64 either way
+    alpha = parse_cf("[0;5,(6)]").value
     dtypes = []
+    honest = rotn.scan._lattice
 
-    def spy(P, *args):
-        dtypes.append(P.dtype)
-        return _floor_twice(P, *args)
+    def spy(*args):
+        points = honest(*args)
+        dtypes.append(points[0].dtype)
+        return points
 
-    monkeypatch.setattr(rotn.scan, "_floor_twice", spy)
-    for direction in (1, -1):
+    monkeypatch.setattr(rotn.scan, "_lattice", spy)
+    c = _WALK_CHUNK
+    for direction, (k, chunks) in itertools.product((1, -1), ((47, 6), (80, 4))):
+        x0 = HALF + SurdReal(1, 0, 2**k)
         dtypes.clear()
-        scan = orbit_scan(HALF, alpha, n, direction=direction, policy="exact")
-        switch = dtypes.index(np.dtype(object)) * _EXACT_CHUNK
-        assert 0 < switch < n and set(dtypes[switch // _EXACT_CHUNK:]) == {np.dtype(object)}
-        rng = np.random.default_rng(11)
-        for i in rng.integers(0, n + 1, 200).tolist() + [switch - 1, switch, n]:
-            x = (HALF + alpha * (direction * i)).frac()
+        scan = orbit_scan(x0, alpha, chunks * c - 1, direction=direction, policy="exact")
+        assert len(dtypes) == chunks
+        switch = dtypes.index(np.dtype(object)) * c
+        assert set(dtypes[switch // c:]) == {np.dtype(object)}
+        assert switch == (3 * c if k == 47 else 0)
+        # the loop from the exact point a chunk before the switch walks the
+        # same lattice points, so its window must match bit for bit
+        lo = max(switch - c, 0)
+        start = (x0 + alpha * (direction * lo)).frac()
+        ref = _reference_exact_scan(start, alpha, 2 * c, direction)
+        _same_walk((scan.positions[lo:lo + 2 * c], scan.signs[lo:lo + 2 * c]), ref)
+        rng = np.random.default_rng(k)
+        for i in rng.integers(0, chunks * c, 100).tolist() + [max(switch - 1, 0), switch]:
+            x = (x0 + alpha * (direction * i)).frac()
             assert scan.signs[i] == (1 if x < HALF else -1), i
-        # the loop from the exact point two chunks before the switch walks
-        # the same lattice points, so its window must match bit for bit
-        lo = switch - 2 * _EXACT_CHUNK
-        start = (HALF + alpha * (direction * lo)).frac()
-        ref = _reference_exact_scan(start, alpha, 4 * _EXACT_CHUNK, direction)
-        _same_walk((scan.positions[lo:lo + 4 * _EXACT_CHUNK],
-                    scan.signs[lo:lo + 4 * _EXACT_CHUNK]), ref)
 
 
 def _scanned_sums(x0, alpha, n, keep):
@@ -340,13 +395,13 @@ def _same_sums(got, want):
 @pytest.mark.parametrize("cf", ["[0;5,(6)]", "[0;1,(3)]", "[0;(2)]", "[0;7,10,(8,12)]"])
 def test_exact_sums_fold_the_exact_scan(cf, fold_parts, monkeypatch):
     # the histogram, S_n and the kept signs at the chunk's edges, from
-    # starts on int64 and (R = 2^40) on Python ints, one outside [0, 1);
+    # starts on int64 and (R = 2^81) on Python ints, one outside [0, 1);
     # with fold_parts 2 the chunks' histograms are added up every 2 chunks
     if fold_parts:
         monkeypatch.setattr(rotn.scan, "_FOLD_PARTS", fold_parts)
     alpha = parse_cf(cf).value
-    c = _EXACT_CHUNK
-    for x0 in (HALF, (1 + alpha) / 2, alpha * 7 - 2, HALF + SurdReal(1, 0, 2**40)):
+    c = _WALK_CHUNK
+    for x0 in (HALF, (1 + alpha) / 2, alpha * 7 - 2, HALF + SurdReal(1, 0, 2**80)):
         for n in (0, 1, c - 1, c, c + 1, 3 * c + 5):
             for keep in {0, min(n, 5), n}:
                 _same_sums(exact_sums(x0, alpha, n, keep), _scanned_sums(x0, alpha, n, keep))
@@ -354,21 +409,14 @@ def test_exact_sums_fold_the_exact_scan(cf, fold_parts, monkeypatch):
         exact_sums(HALF, alpha, 10, 11)
 
 
-def test_exact_sums_fold_across_the_switch_to_python_ints(monkeypatch):
-    # as test_exact_scan_crosses_from_int64_to_python_ints: the walk passes
-    # from int64 to Python ints near step 10^5
-    alpha = parse_cf("[0;21,(30,28,26)]").value
-    n = 100_000 + 3 * _EXACT_CHUNK
-    dtypes = []
-
-    def spy(P, *args):
-        dtypes.append(P.dtype)
-        return _floor_twice(P, *args)
-
-    monkeypatch.setattr(rotn.scan, "_floor_twice", spy)
-    got = exact_sums(HALF, alpha, n, n)
-    assert dtypes[0] == np.int64 and dtypes[-1] == np.dtype(object)
-    _same_sums(got, _scanned_sums(HALF, alpha, n, n))
+def test_exact_sums_fold_across_the_switch_to_python_ints():
+    # the starts of test_exact_scan_crosses_from_int64_to_python_ints: the
+    # fold re-keys each chunk from its first point, on Python ints where
+    # the scan's lattice arithmetic passes int64, and forms no position
+    alpha = parse_cf("[0;5,(6)]").value
+    for step, (k, chunks) in itertools.product((alpha, -alpha), ((47, 6), (80, 4))):
+        x0, n = HALF + SurdReal(1, 0, 2**k), chunks * _WALK_CHUNK - 1
+        _same_sums(exact_sums(x0, step, n, n), _scanned_sums(x0, step, n, n))
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -386,7 +434,7 @@ def test_exact_scan_past_float_range(direction):
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("cf, seed, n", [
     ("[0;(2)]", "1/2", 10**6),  # int64 chunks
-    ("[0;5,(6)]", "1/2+2^-80", 5 * _EXACT_CHUNK),  # Python ints from the start
+    ("[0;5,(6)]", "1/2+2^-80", 20480),  # Python ints from the start
     ("[0;21,(30,28,26)]", "1/2", 110_000),  # int64, then Python ints
 ])
 def test_exact_positions_lie_within_the_radius_bound(cf, seed, n, direction):

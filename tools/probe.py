@@ -23,6 +23,9 @@
 - decided N: the share of both traces' points whose floats
   exactreal._surd_floats proves, the points, and the _surd_float calls.
 - heavy N RUNS: exact-only heavy, us a step as trace (and the worst).
+- walk N RUNS: orbit_scan(HALF, a, N, policy="exact"), positions and
+  all, forward and backward on each of ALPHAS: median, best and worst
+  over the six of each one's best of RUNS, in ns a step.
 - peak N: the largest tracemalloc peak of exact-only heavy over ALPHAS,
   in MB; a row of its own, as tracing allocations slows the walk on
   [0;21,(30,28,26)] about 25-fold.
@@ -30,8 +33,8 @@ With REF_SRC, another checkout's src, each row runs from REF_SRC and
 from this one's, the side that goes first alternating turn by turn, so a
 change of the host's speed reaches both alike; the last column is here's
 first number over REF's.  A row timed over at most 3 calls (the 10^6-row
-tables, the one-run traces and heavy, each alpha's query batches) runs
-in 3 such pairs, and prints each number's median and the median
+tables, the one-run traces, heavy and walk, each alpha's query batches)
+runs in 3 such pairs, and prints each number's median and the median
 here/REF.
 Usage: python3 tools/probe.py [REF_SRC]
 """
@@ -58,6 +61,7 @@ ROWS = ([("writer", shape, rows) for shape in SHAPES for rows in (25_000, 10 ** 
         + [("trace", kind, N, runs) for N, runs in ((2000, 5), (100_000, 1))
            for kind in ("ray", "backward")]
         + [("decided", 100_000)] + [("heavy", N, runs) for N, runs in ((50_000, 5), (10 ** 6, 1))]
+        + [("walk", N, runs) for N, runs in ((200_000, 5), (10 ** 6, 1))]
         + [("peak", N) for N in (50_000, 10 ** 6)])
 # per section: what its numbers are, and how each is printed
 UNITS = {"writer": ("best, median us/row; minor faults/write", "%6.3f %6.3f %8.1f"),
@@ -67,6 +71,8 @@ UNITS = {"writer": ("best, median us/row; minor faults/write", "%6.3f %6.3f %8.1
          "trace": ("median, best us/visit over ALPHAS", "%6.3f %6.3f"),
          "decided": ("% of trace points proved; points; _surd_float calls", "%8.4f %7d %4d"),
          "heavy": ("median, best, worst us/step over ALPHAS", "%6.3f %6.3f %6.3f"),
+         "walk": ("median, best, worst ns/step over ALPHAS, forward and backward",
+                  "%7.2f %7.2f %7.2f"),
          "peak": ("largest tracemalloc peak over ALPHAS, MB", "%6.2f")}
 
 
@@ -114,11 +120,11 @@ def _writes(rows: int) -> int:
 
 def _pairs(row: tuple) -> int:
     """3 for a row timed over at most 3 calls, a writer row's writes or a
-    trace, queries or heavy row's runs (its last number); else 1."""
+    trace, queries, heavy or walk row's runs (its last number); else 1."""
     section, calls = row[0], row[-1]
     if section == "writer":
         calls = _writes(calls)
-    return 3 if section in ("writer", "trace", "queries", "heavy") and calls <= 3 else 1
+    return 3 if section in ("writer", "trace", "queries", "heavy", "walk") and calls <= 3 else 1
 
 
 def writer(shape: str, rows: int):
@@ -248,6 +254,17 @@ def peak(N: int):
         most = max(most, tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     return (most / 2 ** 20,)
+
+
+def walk(N: int, runs: int):
+    from rotn.exactreal import HALF, parse_cf
+    from rotn.scan import orbit_scan
+
+    values = [parse_cf(text).value for text in ALPHAS]
+    orbit_scan(HALF, values[0], 100, policy="exact")  # warm-up: imports
+    per_step = [1e9 * _best(lambda: orbit_scan(HALF, a, N, direction=d, policy="exact"), runs) / N
+                for a in values for d in (1, -1)]
+    return statistics.median(per_step), min(per_step), max(per_step)
 
 
 def _side(src: str, row: tuple):
