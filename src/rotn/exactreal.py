@@ -506,23 +506,34 @@ def _split(a):
 
 def _two_prod(a, b):
     """Dekker's two-product, with no FMA: (x, y) with x = fl(a*b) and
-    x + y = a*b exactly."""
+    x + y = a*b exactly, for an array a.  Each partial product is written
+    into a half that it reads last, so a call holds six arrays at most."""
     x = a * b
     ah, al = _split(a)
     bh, bl = _split(b)
-    y = ah * bh - x
-    y += ah * bl
-    y += al * bh
+    y = ah * bh
+    y -= x
+    ah *= bl
+    y += ah
+    bh *= al  # in place unless b, and so bh, is a float
+    y += bh
     al *= bl
     y += al
     return x, y
 
 
 def _two_sum(a, b):
-    """Knuth's two-sum: (s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    """Knuth's two-sum: (s, e) with s = fl(a + b) and s + e = a + b
+    exactly, for arrays a and b, through three arrays."""
+    import numpy as np
+
     s = a + b
     c = s - a
-    return s, (a - (s - c)) + (b - c)
+    e = s - c
+    np.subtract(a, e, out=e)
+    np.subtract(b, c, out=c)
+    e += c
+    return s, e
 
 
 def _surd_floats(P, Q, R: int, d: int):
@@ -537,12 +548,14 @@ def _surd_floats(P, Q, R: int, d: int):
     import numpy as np  # here, so that importing this module needs no numpy
 
     n = len(P)
-    out, proven = np.empty(n, dtype=np.float64), np.zeros(n, dtype=bool)
+    out = None
     if n and R < 1 << 63 and d < 1 << 63:
         try:
             out, proven = _proven_floats(P, Q, R, d)
         except OverflowError:  # a point past int64
             pass
+    if out is None:
+        out, proven = np.empty(n, dtype=np.float64), np.zeros(n, dtype=bool)
     if not proven.all():
         for i in np.flatnonzero(~proven).tolist():
             out[i] = _surd_float(int(P[i]), int(Q[i]), R, d)

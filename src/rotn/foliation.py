@@ -30,14 +30,18 @@ tests compare it against, so it never consults them.  The
 alpha taken mod 1, on an ``exactreal.Frame``, where b is closed: with
 x, alpha and 1/2 on the lattice, b(x) and 1 - b(x) are integer
 differences, and the split 1 - alpha is a threshold embedded once.
-Its sides, and those of 1/2, are read off each point's ``Frame.key``
-outside a band around the threshold, and by ``_surd_sign`` inside it.
+Its sides, and those of 1/2, are read off each point's ``Frame.key``,
+the one number the loop steps, outside a band around the threshold; the
+point's lattice pair is formed only inside it, for ``_surd_sign``.  The
+loop records each turn's side and each f, one byte each; the levels are
+their running sums, and the lattice points the running sums of the
+walk's own moves, formed a chunk of about ``_CHUNK`` visits at a time.
 An exact trace keeps of each entry only what it reports, its float
-shadow and its level, 16 B a visit, beside the lattice points of the
-chunk of about ``_CHUNK`` visits it is on; it writes each chunk's
-shadows with one ``exactreal._surd_floats`` call, the proven batch form
-of ``_surd_float``, the formula ``float()`` of a ``SurdReal`` uses, so
-each is float() of the orbit formula's exact point, bit for bit.
+shadow and its level, 16 B a visit, beside the chunk it is on; it
+writes each chunk's shadows with one ``exactreal._surd_floats`` call,
+the proven batch form of ``_surd_float``, the formula ``float()`` of a
+``SurdReal`` uses, so each is float() of the orbit formula's exact
+point, bit for bit.
 
 The non-dense leaf family, ``example_alpha`` and ``example_m_formulas``,
 lives in ``rotn.example``, which needs no numpy; it is re-exported here,
@@ -51,7 +55,7 @@ import numpy as np
 from .example import (ExampleReport, FormulaCheck, example_alpha, example_m_formulas,
                       example_point)
 from .exactreal import HALF, Frame, Record, SurdReal, _surd_floats, _surd_sign
-from .scan import orbit_scan
+from .scan import _lattice, orbit_scan
 
 __all__ = [
     "LeafTrace",
@@ -95,9 +99,14 @@ class LeafTrace(Record):
         return int(self.entry_level.size)
 
 
-# visits a chunk: the trace collects each chunk's lattice points and
-# writes their floats with one ``_surd_floats`` call
-_CHUNK = 256
+# visits a chunk: the trace steps a chunk's keys, recording its turns,
+# then writes the chunk's levels, lattice points and floats with a few
+# numpy passes and one ``_surd_floats`` call, whose per-call dispatch
+# cost about as much as its points at 256.  A 10^5-visit trace peaked at
+# 16.71-16.85 B a visit here, 16.83-16.95 at 576, 16.88-17.02 at 640 and
+# 17.38-17.50 at 1024 (tracemalloc), against the 17 B of its test; 512
+# is the largest power of two that keeps a margin
+_CHUNK = 512
 
 
 def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
@@ -116,16 +125,23 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     (at 1 - x = 1, b agrees with b(0)), and the level moves by -f of the
     new coordinate.  So a step adds one of two lattice moves, chosen by
     the side of one threshold T: forward T = 1 - alpha, backward
-    T = alpha, where 1 - x meets the split.
-    The walk holds the current point as its lattice pair (P, Q), and
-    beside it its ``Frame.key`` X: each step moves Q by alpha's Qa, so
-    every tested pair has |Q - Qt| <= |Q0| + (count + 1)*|Qa|, and only
-    a comparison whose keys fall within that band calls ``_surd_sign``.
-    It collects the pairs of about ``_CHUNK`` visits at a time and
-    writes their floats with one ``_surd_floats(P, Q, R, d)`` call, so
-    each is ``_surd_float`` of its pair; no SurdReal is built.  Both
-    per-visit arrays, (xs, lv), are allocated before the first step, so
-    a count that cannot fit is refused at once.
+    T = alpha, where 1 - x meets the split; the move below T is the one
+    above it plus 1.
+    The loop steps only the current point's ``Frame.key`` X, and records
+    two bytes a step: whether the point turned below T, and whether the
+    point f is read at lies below 1/2.  Each move changes Q by alpha's
+    Qa, so every tested pair has |Q - Qt| <= |Q0| + (count + 1)*|Qa|, and
+    only a comparison whose keys fall within that band forms the point's
+    lattice pair (P, Q), from the chunk's first pair and its turns below
+    T so far, and calls ``_surd_sign``.
+    After about ``_CHUNK`` visits the chunk's levels are the cumsum of
+    its f bytes, its lattice points ``scan._lattice`` of the cumsum of
+    its turn bytes, the integer form the key walk uses, and its floats
+    one ``_surd_floats(P, Q, R, d)`` call on those arrays, so each is
+    ``_surd_float`` of its pair; no SurdReal is built.  The turns come
+    from stepping b alone: only the running totals of the walk's own
+    moves are summed.  Both per-visit arrays, (xs, lv), are allocated
+    before the first step, so a count that cannot fit is refused at once.
     """
     frame = Frame(x0, alpha, HALF)
     R, d = frame.R, frame.d
@@ -133,49 +149,70 @@ def _trace_exact(x0: SurdReal, level0: int, alpha: SurdReal, count: int,
     Ph, _ = frame.embed(HALF)
     Pa, Qa = frame.embed(alpha)
     Ps, Qs = R - Pa, -Qa  # the split 1 - alpha
-    P, Q = frame.embed(x0)
-    band = abs(Q) + (count + 1) * abs(Qa)
-    X, XR, Xs = frame.key(P, Q), frame.key(R, 0), frame.key(Ps, Qs)
+    Pc, Qc = frame.embed(x0)
+    band = abs(Qc) + (count + 1) * abs(Qa)
+    X, XR, Xs = frame.key(Pc, Qc), frame.key(R, 0), frame.key(Ps, Qs)
     forward = direction == 1
-    # the moves (dP0, dX0) below T and (dP1, dX1) above it, and dQ
+    # the move (dP, dX) above T, and dQ; below T, P moves by R more
     if forward:  # x + 1 - c: below T, x is left of the split
         PT, QT, XT = Ps, Qs, Xs
-        dP0, dX0, dP1, dX1, dQ = R - Ps, XR - Xs, -Ps, -Xs, -Qs
+        dP, dX, dQ = -Ps, -Xs, -Qs
     else:  # x + c - 1: below T, 1 - x is right of the split
         PT, QT, XT = Pa, Qa, XR - Xs
-        dP0, dX0, dP1, dX1, dQ = Ps, Xs, Ps - R, Xs - XR, Qs
+        dP, dX, dQ = Ps - R, Xs - XR, Qs
+    dX0 = dX + XR
     t_lo, t_hi = XT - band, XT + band
     h_lo, h_hi = frame.key(Ph, 0) - band, frame.key(Ph, 0) + band
     xs = np.empty(count, dtype=np.float64)
     lv = np.empty(count, dtype=np.int64)
-    j = level0
     chunks = max(1, (count + _CHUNK // 2) // _CHUNK)
+    size = -(-count // chunks)
+    # step k of a chunk: below[k] = 1 if it turned below T, half[k] = 1
+    # if its f is +1
+    below, half = bytearray(size), bytearray(size)
+    ks, W = np.arange(size), np.empty(size, dtype=np.int64)
+
+    def offset(k: int, Pt: int, Qt: int):
+        """The chunk's point k minus (Pt, Qt), as a lattice pair."""
+        return Pc + k * dP + below.count(1, 0, k) * R - Pt, Qc + k * dQ - Qt
+
+    j = level0
     for i in range(chunks):
         k0, k1 = count * i // chunks, count * (i + 1) // chunks
-        last = k1 == count  # the last visit takes no turn
-        Pc, Qc = [], []
-        put_P, put_Q = Pc.append, Qc.append
-        for k in range(k0, k1 - last):
-            put_P(P)
-            put_Q(Q)
-            lv[k] = j
+        m = k1 - k0
+        n = m - (k1 == count)  # the last visit takes no turn
+        for k in range(n):
             if forward:
-                f = 1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else -1
-            if X < t_lo or (X <= t_hi and _below(P - PT, Q - QT, d)):
-                P += dP0
+                half[k] = X < h_lo or (X <= h_hi and sign(*offset(k, Ph, 0), d) < 0)
+            if X < t_lo or (X <= t_hi and _below(*offset(k, PT, QT), d)):
+                below[k] = 1
                 X += dX0
             else:
-                P += dP1
-                X += dX1
-            Q += dQ
+                below[k] = 0
+                X += dX
             if not forward:
-                f = -1 if X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0) else 1
-            j += f
-        if last:
-            put_P(P)
-            put_Q(Q)
-            lv[count - 1] = j
-        xs[k0:k1] = _surd_floats(Pc, Qc, R, d)
+                half[k] = X < h_lo or (X <= h_hi and sign(*offset(k + 1, Ph, 0), d) < 0)
+        # step k moves the level by direction*f: with c the count of half
+        # bytes in steps 0..k, visit k0 + k + 1 is at j + direction*(2c - k - 1)
+        lv[k0] = j
+        up = np.cumsum(np.frombuffer(half, np.uint8, m - 1), dtype=np.int64,
+                       out=lv[k0 + 1:k1])
+        up *= 2
+        up -= ks[1:m]
+        if not forward:
+            np.negative(up, out=up)
+        up += j
+        # point k0 + k is the chunk's first moved k times by (dP, dQ), and
+        # by R more at each turn below T: _lattice's form, with W the
+        # negated count of those turns
+        W[0] = 0
+        np.cumsum(np.frombuffer(below, np.uint8, m - 1), dtype=np.int64, out=W[1:m])
+        np.negative(W[:m], out=W[:m])
+        Pk, Qk = _lattice(ks[:m], W[:m], Pc, dP, Qc, dQ, R)
+        xs[k0:k1] = _surd_floats(Pk, Qk, R, d)
+        j += direction * (2 * half.count(1, 0, n) - n)
+        Pc += n * dP + below.count(1, 0, n) * R
+        Qc += n * dQ
     return xs, lv
 
 

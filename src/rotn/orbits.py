@@ -215,10 +215,11 @@ def _example(config: ExperimentConfig):
     N below 2^63, and the forward signs are ``key_signs``' n, by alpha,
     which serve both checks above and must equal the word's letters for
     ok to hold; an exact-only run folds all N steps forward, keeping n
-    signs, by ``_orbit``'s step budget.  On every
-    route the backward signs are ``key_signs``' n + 1 by -alpha, exact as
-    a scan's.  The word reads neither the witness nor the tower, which is
-    what the audit checks.
+    signs, by ``_orbit``'s step budget.  The backward signs are n + 1 by
+    -alpha, exact on both routes: a certified run's from ``key_signs``,
+    and an exact-only run's from the exact walk (``exact_sums``), which
+    takes no certified fallback.  The word reads neither the witness nor
+    the tower, which is what the audit checks.
     """
     m, k_max, N = config.m, config.k_max, config.N
     rep = example_m_formulas(m, k_max, strict=False)
@@ -242,7 +243,10 @@ def _example(config: ExperimentConfig):
         n_sym = min(N, 10 ** 5)
         (lo, counts, _), signs, _, check = _orbit(config, rep.alpha, rep.x, rep.alpha.value,
                                                   N, n_sym)
-        back = key_signs(rep.x, -rep.alpha.value, n_sym + 1)[0]
+        if config.policy == "exact":
+            back = exact_sums(rep.x, -rep.alpha.value, n_sym + 1, n_sym + 1)[-1]
+        else:
+            back = key_signs(rep.x, -rep.alpha.value, n_sym + 1)[0]
         report["max_forward_sum"] = lo + counts.size - 1
         report["symmetric_sums"] = bool(
             np.array_equal(back[1: n_sym + 1], np.negative(signs[:n_sym]))

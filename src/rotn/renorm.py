@@ -35,10 +35,11 @@ by point in exact arithmetic until it re-enters I_i and record what it
 did.  It shares no code with the substitution side, which is exactly
 why their agreement is evidence.  It walks on an ``exactreal.Frame``
 holding the start, alpha, 1/2 and the interval endpoints, so a step is
-integer adds, and each side is read off the point's ``Frame.key``
-unless the key lies within the walk's band of a threshold's, where the
-exact sign test ``_surd_sign`` decides; only the landing point is
-turned back into a ``SurdReal``.
+integer adds on the point's ``Frame.key`` alone, and each side is read
+off that key unless it lies within the walk's band of a threshold's;
+there the point's pair is formed from its counts of steps and wraps,
+and the exact sign test ``_surd_sign`` decides.  Only the landing point
+is turned back into a ``SurdReal``.
 """
 
 from __future__ import annotations
@@ -530,9 +531,11 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     Records the sign word written along the way.  The step budget is
     10 * (len(F_minus) + len(F_zero)); a correct tower returns well
     within it, so exceeding it is a hard error, not a longer wait.
-    Each point keeps its ``Frame.key`` beside its pair (P, Q); a
-    comparison calls ``_surd_sign`` only when the keys fall within the
-    walk's bound on |Q| of each other.
+    The loop steps only the point's ``Frame.key`` X and counts the
+    steps t and the wraps w: the point is (P + t*Pa - w*R, Q + t*Qa)
+    for the start (P, Q), and that pair is formed only where a
+    comparison's keys fall within the walk's bound on |Q| of each other
+    and ``_surd_sign`` must decide, and once for the landing.
     """
     interval = level.interval
     if not interval.contains(x):
@@ -556,29 +559,32 @@ def oracle_first_return(level: RenormLevel, x: SurdReal) -> ReturnRecord:
     h_lo, h_hi = key(Ph, 0) - B, key(Ph, 0) + B
     l_lo, l_hi = key(Pl, Ql) - B, key(Pl, Ql) + B
     r_lo, r_hi = key(Pr, Qr) - B, key(Pr, Qr) + B
+
+    def side(t: int, w: int, Pt: int, Qt: int) -> int:
+        """The sign of the point after t steps and w wraps minus (Pt, Qt)."""
+        return sign(P + t * Pa - w * R - Pt, Q + t * Qa - Qt, d)
+
     # alpha is in (0, 1), so a step wraps at most once; when alpha < 1/2
     # a point left of 1/2 cannot wrap at all
     short = sign(Ph - Pa, -Qa, d) > 0
-    left = X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0)
-    word = []
-    for _ in range(budget):
+    left = X < h_lo or (X <= h_hi and side(0, 0, Ph, 0) < 0)
+    word, w = [], 0
+    for t in range(1, budget + 1):
         word.append(1 if left else -1)
-        P += Pa
-        Q += Qa
         X += Xa
-        if not (short and left) and (
-                X > w_hi or (X >= w_lo and sign(P - R, Q, d) >= 0)):
-            P -= R
+        if not (short and left) and (X > w_hi or (X >= w_lo and side(t, w, R, 0) >= 0)):
+            w += 1
             X -= Xw
         # the interval is symmetric about 1/2, so the side of 1/2 the
         # point is on tells which endpoint can exclude it
-        left = X < h_lo or (X <= h_hi and sign(P - Ph, Q, d) < 0)
+        left = X < h_lo or (X <= h_hi and side(t, w, Ph, 0) < 0)
         if left:
-            back = X > l_hi or (X >= l_lo and sign(P - Pl, Q - Ql, d) >= 0)
+            back = X > l_hi or (X >= l_lo and side(t, w, Pl, Ql) >= 0)
         else:
-            back = X < r_lo or (X <= r_hi and sign(P - Pr, Q - Qr, d) < 0)
+            back = X < r_lo or (X <= r_hi and side(t, w, Pr, Qr) < 0)
         if back:
-            return ReturnRecord(time=len(word), word=tuple(word), landing=frame.surd(P, Q))
+            return ReturnRecord(time=t, word=tuple(word),
+                                landing=frame.surd(P + t * Pa - w * R, Q + t * Qa))
     raise RuntimeError(
         "no return to level %d within %d steps from %s"
         % (level.index, budget, x.exact_str())

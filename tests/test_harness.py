@@ -459,8 +459,8 @@ def test_example_off_the_descent_equals_the_exact_scan(m):
 def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     # Euclid's word keys only the 10^5 signs it checks forward, and one more
     # backward, and walks nothing; the exact route, the same run exact-only,
-    # folds all N steps forward, keeping the 10^5 signs it checks, scans
-    # nothing and keys the same backward signs
+    # folds all N steps forward, keeping the 10^5 signs it checks, and the
+    # same backward signs as the keys, keys nothing and scans nothing
     forward, keyed = [], []
     honest_fold, honest_keys = orbits.exact_sums, orbits.key_signs
 
@@ -482,7 +482,7 @@ def test_example_reports_the_same_on_either_route(monkeypatch, m, N):
     assert rep["ok"] is True
     keyed.clear()
     assert run(ExperimentConfig(**fields, precision="exact-only")) == rep
-    assert forward == [(N, n)] and keyed == [(n + 1, "backward")]
+    assert forward == [(N, n), (n + 1, n + 1)] and keyed == []
 
 
 def test_example_forward_max_is_the_witness_prefix_max_far_out():
@@ -759,34 +759,30 @@ def test_exact_only_heavy_and_example_fold_in_bounded_memory(monkeypatch, capsys
 
 
 def test_exact_only_reports_count_no_escalation_with_every_key_open(monkeypatch):
-    # the exact walk certifies nothing: with its key band widened to every
-    # point, each takes the exact floor and sign of its point, the reports
-    # keep their bytes and heavy's and density's escalations 0, and the
-    # counter of the certified fallbacks does not move
+    # the exact walk certifies nothing: with the key band widened to every
+    # point, for the walk and for key_signs alike, each point takes the
+    # exact floor and sign of its point, the reports keep their bytes and
+    # heavy's and density's escalations 0, and the counter of the
+    # certified fallbacks does not move: example's backward signs come
+    # from the walk too, not from key_signs
     configs = [ExperimentConfig(kind="heavy", N=3000, precision="exact-only"),
                ExperimentConfig(kind="density", m=-1, N=3000, precision="exact-only"),
                ExperimentConfig(kind="example", m=3, k_max=2, N=3000, precision="exact-only")]
     honest = [json_text(run(config)) for config in configs]
-    band, keys = scan._key_band, orbits.key_signs
+    band = scan._key_band
 
     def every_key(X, s, b, lo):
         band(X, s, b, lo)
         return np.arange(X.size)
 
-    def honest_keys(*args):
-        # example's backward signs come from key_signs, a certified
-        # fallback that counts its own undecided keys: it keeps its band
-        with monkeypatch.context() as patch:
-            patch.setattr(scan, "_key_band", band)
-            return keys(*args)
-
     monkeypatch.setattr(scan, "_key_band", every_key)
-    monkeypatch.setattr(orbits, "key_signs", honest_keys)
+    # key_signs reads the widened band too: any call of it would count
+    assert scan.key_signs(HALF, parse_cf("[0;5,(6)]").value, 10)[1].size == 10
     before = escalations.count
     for config, text in zip(configs, honest):
         assert json_text(run(config)) == text
         assert json.loads(text).get("escalations", 0) == 0  # example has no such key
-    assert escalations.count == before
+        assert escalations.count == before, config.kind
 
 
 @pytest.mark.parametrize("kind", ["heavy", "example"])

@@ -44,8 +44,8 @@ def test_a_row_timed_over_at_most_3_calls_runs_in_3_pairs_and_prints_medians(
 
     monkeypatch.setattr(probe, "_side", side)
     assert [probe._pairs(row) for row in probe.ROWS if probe._pairs(row) == 3] \
-        == [3] * 11  # the six 10^6-row tables, the two 100,000-visit traces, the
-    # queries, heavy 10^6 and walk 10^6
+        == [3] * 12  # the six 10^6-row tables, the two 100,000-visit traces,
+    # oracle 5, the queries, heavy 10^6 and walk 10^6
     probe.main("REF", [("trace", "ray", 10, 1)])
     assert calls == ["REF", probe.HERE, probe.HERE, "REF", "REF", probe.HERE]
     row = capsys.readouterr().out.splitlines()[1]
@@ -57,11 +57,11 @@ def test_each_section_prints_its_row_from_a_fresh_interpreter(probe, capsys):
     rows = [("writer", "ladder", 9), ("writer", "heavy-scan", 50), ("tower", 2),
             ("trace", "ray", 200, 1), ("trace", "backward", 200, 1),
             ("decided", 200), ("heavy", 200, 1), ("peak", 200), ("queries", 2, 1),
-            ("walk", 200, 1)]
+            ("walk", 200, 1), ("oracle", 3, 1)]
     probe.main(None, rows)
     lines = capsys.readouterr().out.splitlines()
     widths = {"writer": 3, "tower": 6, "trace": 2, "decided": 3, "heavy": 3, "peak": 1,
-              "queries": 2, "walk": 3}
+              "queries": 2, "walk": 3, "oracle": 2}
     printed = [line for line in lines if not line.startswith("==")]
     assert sum(line.startswith("== ") for line in lines) == len(widths)
     assert len(printed) == len(rows)

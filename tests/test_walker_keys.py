@@ -8,7 +8,9 @@ here are the same walkers as they were before the key, with one
 output (the trace's floats and levels), and on exact hits (a point
 equal to a threshold, placed by the orbit formula), which only the
 band can decide, the counted ``_surd_sign`` calls show the band was
-taken.
+taken.  With every key 0, so that the band decides every comparison on
+the pair the walker rebuilds, they must agree too; and the tracer must
+agree with its reference without the key walk, the keys or the scan.
 """
 
 import random
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 
 import rotn.foliation
 import rotn.renorm
+import rotn.scan
 from rotn.exactreal import (HALF, CFNumber, Frame, SurdReal, _surd_float, _surd_sign,
                             parse_cf)
 from rotn.foliation import _trace_exact, trace_leaf_through, trace_ray
@@ -374,3 +377,90 @@ def test_a_corner_met_mid_chunk_is_refused_with_the_references_message(monkeypat
     # up to the corner's visit the walk takes no turn there
     _same_trace(_trace_exact(x0, 0, a, at + 1, direction),
                 _reference_trace(x0, 0, a, at + 1, direction, False))
+
+
+# ---------------------------------------------------------------------------
+# the band: with every key 0, every comparison rebuilds its lattice pair
+
+
+@pytest.fixture
+def keyless(monkeypatch):
+    """Every ``Frame.key`` 0, so every comparison falls in its band."""
+    monkeypatch.setattr(Frame, "key", lambda self, P, Q: 0)
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("direction", [1, -1])
+def test_a_trace_decided_in_the_band_alone_equals_the_reference(keyless, monkeypatch, chunk,
+                                                                direction):
+    if chunk is not None:
+        monkeypatch.setattr(rotn.foliation, "_CHUNK", chunk)
+    C = rotn.foliation._CHUNK
+    for alpha in ("[0;5,(6)]", "[0;7,(8,10)]"):
+        a = parse_cf(alpha).value
+        for x0 in ((1 + a) / 3, HALF, (HALF - a * (3 * direction)).frac()):
+            for count in (1, 2, C - 1, C, C + 1, 2 * C - 1, 3 * C + 5):
+                _same_trace(_trace_exact(x0, -1, a, count, direction),
+                            _reference_trace(x0, -1, a, count, direction, False))
+
+
+@pytest.mark.parametrize("alpha", ["[0;5,(6)]", "[0;7,(8,10)]"])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_an_oracle_decided_in_the_band_alone_equals_the_reference(keyless, alpha, level):
+    lvl = tower(parse_cf(alpha), level)[-1]
+    budget = 10 * (lvl.f_minus.length + lvl.f_zero.length)
+    starts = [_back_into(lvl, lvl.interval.left, budget)[1],
+              _back_into(lvl, lvl.interval.right, budget)[1],
+              lvl.interval.from_local(SurdReal.from_fraction(Fraction(2, 7)))]
+    for x in starts:
+        assert oracle_first_return(lvl, x) == _reference_oracle(lvl, x)
+
+
+# ---------------------------------------------------------------------------
+# the lattice points of a chunk, on int64 and on Python ints
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_traces_past_int64_take_python_int_chunks_and_equal_the_reference(monkeypatch,
+                                                                          direction):
+    # from 1/2 + 2^-47 the points of [0;5,(6)] stay on int64; from
+    # 1/2 + 2^-80, R passes 2^80 and every chunk's points are Python ints
+    kinds, lattice = [], rotn.foliation._lattice
+
+    def spy(*args):
+        Pk, Qk = lattice(*args)
+        kinds.append(Pk.dtype.kind)
+        return Pk, Qk
+
+    monkeypatch.setattr(rotn.foliation, "_lattice", spy)
+    count = 3 * rotn.foliation._CHUNK + 5
+    for e in (47, 80):
+        x0, start = HALF + SurdReal(1, 0, 2 ** e), len(kinds)
+        for a in (A.value, parse_cf("[0;7,(8,10)]").value):
+            _same_trace(_trace_exact(x0, 0, a, count, direction),
+                        _reference_trace(x0, 0, a, count, direction, False))
+        if e == 80:
+            assert set(kinds[start:]) == {"O"}
+    assert set(kinds) == {"i", "O"}
+
+
+# ---------------------------------------------------------------------------
+# the tracer reads no orbit: not the key walk, nor the keys, nor the scan
+
+
+def test_exact_traces_read_neither_the_walk_nor_the_keys_nor_the_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact tracer read the orbit")
+
+    for name in ("_key_walk", "key_signs", "orbit_scan"):
+        monkeypatch.setattr(rotn.scan, name, refuse)
+    monkeypatch.setattr(rotn.foliation, "orbit_scan", refuse)
+    for alpha in ("[0;5,(6)]", "[0;7,(8,10)]"):
+        a = parse_cf(alpha).value
+        for direction in (1, -1):
+            x0 = (1 + a) / 3
+            tr = trace_leaf_through(x0, 1, a, 700, direction=direction, policy="exact")
+            _same_trace((tr.entry_x, tr.entry_level),
+                        _reference_trace(x0, 1, a, 701, direction, False))
+        tr = trace_ray(2, a, 700, policy="exact")
+        _same_trace((tr.entry_x, tr.entry_level), _reference_trace(HALF, 2, a, 700, 1, True))

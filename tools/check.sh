@@ -20,7 +20,8 @@
 # fast_birkhoff microseconds per query on such towers; exact leaf traces,
 # microseconds per visit of a ray and of a backward leaf at 2,000 and
 # 100,000 visits, with the share of their floats the batch kernel proves;
-# and exact-only heavy runs, microseconds per step and tracemalloc peak
+# the oracle's microseconds per step from seeded starts in every case
+# region of levels 2 to 4 and 2 to 5; and exact-only heavy runs, microseconds per step and tracemalloc peak
 # at 50,000 and 10^6 steps.  A row timed over at most 3 calls runs in 3
 # pairs and prints the median here/REF.
 # Usage: tools/check.sh REF

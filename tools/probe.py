@@ -20,6 +20,10 @@
 - trace KIND N RUNS: exact trace_ray(0, a, N) or, backward,
   trace_leaf_through((1 + a)/2, 0, a, N - 1, direction=-1): median and
   best over ALPHAS of each one's best of RUNS, in us a visit.
+- oracle DEPTH RUNS: renorm.oracle_first_return from one seeded start
+  in each case region of levels 2..DEPTH of each of ALPHAS' towers, as
+  `rotn oracle` draws them: median and best over ALPHAS of each one's
+  best of RUNS passes over its starts, in us a step.
 - decided N: the share of both traces' points whose floats
   exactreal._surd_floats proves, the points, and the _surd_float calls.
 - heavy N RUNS: exact-only heavy, us a step as trace (and the worst).
@@ -33,7 +37,8 @@ With REF_SRC, another checkout's src, each row runs from REF_SRC and
 from this one's, the side that goes first alternating turn by turn, so a
 change of the host's speed reaches both alike; the last column is here's
 first number over REF's.  A row timed over at most 3 calls (the 10^6-row
-tables, the one-run traces, heavy and walk, each alpha's query batches)
+tables, the one-run traces and oracles, heavy and walk, each alpha's
+query batches)
 runs in 3 such pairs, and prints each number's median and the median
 here/REF.
 Usage: python3 tools/probe.py [REF_SRC]
@@ -60,6 +65,7 @@ ROWS = ([("writer", shape, rows) for shape in SHAPES for rows in (25_000, 10 ** 
         + [("queries", 30, 3)]
         + [("trace", kind, N, runs) for N, runs in ((2000, 5), (100_000, 1))
            for kind in ("ray", "backward")]
+        + [("oracle", depth, runs) for depth, runs in ((4, 5), (5, 1))]
         + [("decided", 100_000)] + [("heavy", N, runs) for N, runs in ((50_000, 5), (10 ** 6, 1))]
         + [("walk", N, runs) for N, runs in ((200_000, 5), (10 ** 6, 1))]
         + [("peak", N) for N in (50_000, 10 ** 6)])
@@ -69,6 +75,7 @@ UNITS = {"writer": ("best, median us/row; minor faults/write", "%6.3f %6.3f %8.1
                    "%6.2f %6.2f  %6.2f %6.2f  %5.2f %5.2f"),
          "queries": ("median, best us/query over the alphas", "%6.3f %6.3f"),
          "trace": ("median, best us/visit over ALPHAS", "%6.3f %6.3f"),
+         "oracle": ("median, best us/step over ALPHAS", "%6.3f %6.3f"),
          "decided": ("% of trace points proved; points; _surd_float calls", "%8.4f %7d %4d"),
          "heavy": ("median, best, worst us/step over ALPHAS", "%6.3f %6.3f %6.3f"),
          "walk": ("median, best, worst ns/step over ALPHAS, forward and backward",
@@ -120,11 +127,13 @@ def _writes(rows: int) -> int:
 
 def _pairs(row: tuple) -> int:
     """3 for a row timed over at most 3 calls, a writer row's writes or a
-    trace, queries, heavy or walk row's runs (its last number); else 1."""
+    trace, oracle, queries, heavy or walk row's runs (its last number);
+    else 1."""
     section, calls = row[0], row[-1]
     if section == "writer":
         calls = _writes(calls)
-    return 3 if section in ("writer", "trace", "queries", "heavy", "walk") and calls <= 3 else 1
+    return 3 if section in ("writer", "trace", "oracle", "queries", "heavy", "walk") \
+        and calls <= 3 else 1
 
 
 def writer(shape: str, rows: int):
@@ -218,6 +227,25 @@ def trace(kind: str, N: int, runs: int):
     kinds[kind](values[0], 100)  # warm-up: imports
     per_visit = [1e6 * _best(lambda: kinds[kind](a, N), runs) / N for a in values]
     return statistics.median(per_visit), min(per_visit)
+
+
+def oracle(depth: int, runs: int):
+    from rotn.exactreal import SurdReal, parse_cf
+    from rotn.renorm import _case_regions, oracle_first_return, tower as build
+
+    rng, per_step = random.Random(4703), []
+    for text in ALPHAS:
+        starts = []
+        for level in build(parse_cf(text), depth)[1:]:
+            for _, lo, hi, _ in _case_regions(level):
+                # an odd multiple of 2^-53, strictly inside the region
+                u = SurdReal(2 * rng.getrandbits(52) + 1, 0, 1 << 53)
+                starts.append((level, level.interval.from_local(lo + (hi - lo) * u)))
+        # the first pass is the warm-up, and counts the steps
+        steps = sum(oracle_first_return(level, x).time for level, x in starts)
+        best = _best(lambda: [oracle_first_return(level, x) for level, x in starts], runs)
+        per_step.append(1e6 * best / steps)
+    return statistics.median(per_step), min(per_step)
 
 
 def decided(N: int):
