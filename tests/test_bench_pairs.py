@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py: each run's own peak memory, and the summary of the pairs."""
+"""tools/bench_pairs.py: each run's own peak memory, the summary of the
+pairs, and the layer rows, each run on its own side's rotn."""
 
 import hashlib
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -214,8 +216,9 @@ def test_the_cli_table_records_each_runs_own_exit_peak_and_stdout(monkeypatch, t
     held = bytearray(b"x") * (192 << 20)
     runs = bench_pairs.run_table(rows, roots, 3, tmp_path)
     del held
+    # round by round: pair i of every row before pair i + 1 of any row
     assert [(p["row"], p["first"]) for p in runs] == [
-        (name, first) for name, _ in rows for first in ("parent", "change", "parent")]
+        (name, first) for first in ("parent", "change", "parent") for name, _ in rows]
     for pair in runs:
         for side in ("parent", "change"):
             run = pair[side]
@@ -262,7 +265,7 @@ def test_the_cli_table_records_each_runs_minor_page_faults(monkeypatch, tmp_path
     rows = [("none", ("-c", "import mmap")),
             ("touch", ("-c", _TOUCH % pages))]
     runs = bench_pairs.run_table(rows, roots, 2, tmp_path)
-    none, touch = runs[:2], runs[2:]
+    none, touch = runs[0::2], runs[1::2]
     # each touched page is one fault more than the bare import's, which
     # itself varies by a few faults from run to run
     for quiet, busy in zip(none, touch):
@@ -287,15 +290,20 @@ def test_the_cli_table_is_the_readme_commands_and_the_import_row(monkeypatch):
                            capture_output=True, text=True, check=True).stdout
     commands = [line for line in block.splitlines() if line.startswith("rotn ")]
     assert commands and [name for name, _ in rows] \
-        == commands + [name for name, _ in bench_pairs.CLI_ROWS]
+        == commands + [name for name, _ in bench_pairs.CLI_ROWS] \
+        + [" ".join(map(str, row)) for row in bench_pairs.LAYER_ROWS]
     name, args = rows[0]
     assert name.startswith("rotn tower ")
     assert args == ("-m", "rotn.cli", "tower", "--alpha", "[0;5,(6)]", "--depth", "20")
-    # the large rows are read as the README's are; the import row comes last
+    # the large rows are read as the README's are; the import row comes
+    # last of the command rows, before the layer rows
     assert dict(rows)['rotn leaf --alpha "[0;5,(6)]" --through "(1+a)/2" --N 1000000'] == (
         "-m", "rotn.cli", "leaf", "--alpha", "[0;5,(6)]", "--through", "(1+a)/2",
         "--N", "1000000")
-    assert rows[-1] == ("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli"))
+    first_layer = len(rows) - len(bench_pairs.LAYER_ROWS)
+    assert rows[first_layer - 1] == ("python3 -c 'import rotn.cli'", ("-c", "import rotn.cli"))
+    assert rows[first_layer] == ("writer heavy 25000",
+                                 ("-c", bench_pairs._LAYER, "writer", "heavy", "25000"))
 
 
 def _timed_pairs(row: str, parent: list, change: list) -> list:
@@ -314,21 +322,145 @@ def test_the_cli_table_marks_a_row_whose_move_is_noise(monkeypatch):
         "faster": [0.50, 0.55, 0.60, 0.65, 0.70],  # 5/5, median below the IQR
         "slower": [2.0, 2.1, 2.2, 2.3, 2.4],       # 0/5: a verdict as well
         "mixed": [0.9, 1.2, 1.1, 1.5, 1.0],        # 3/5
-        "inside": [0.99, 1.09, 1.19, 1.29, 1.41],  # 4/5, median in the IQR
-        "four": [0.90, 1.00, 1.05, 1.35, 1.20],    # 4/5, median 1.05 below q1 1.10
+        "four": [0.50, 0.55, 0.60, 1.35, 0.70],    # 4/5, however far the median moved
+        "inside": [0.99, 1.09, 1.19, 1.29, 1.39],  # 5/5, median in the IQR
+        "near": [0.90, 1.00, 1.05, 1.25, 1.20],    # 5/5, median below q1 but only 0.15 below
+        "clear": [0.90, 0.95, 0.98, 1.25, 1.20],   # 5/5, median 0.22 below, IQR width 0.20
     }
     runs = [pair for name, change in rows.items()
             for pair in _timed_pairs(name, parent, change)]
     summary = bench_pairs._cli_summary(runs)
     assert {name: e["noise"] for name, e in summary.items()} == {
-        "faster": False, "slower": False, "mixed": True, "inside": True, "four": False}
+        "faster": False, "slower": False, "mixed": True, "four": True, "inside": True,
+        "near": True, "clear": False}
     lines = bench_pairs._cli_lines(summary)
     assert "noise" in lines[0].split()
     for line, (name, e) in zip(lines[1:], summary.items()):
         assert line.endswith(name)
         assert (" noise " in line) == e["noise"]
-    # ten pairs need eight wins
-    assert bench_pairs._noise(list(range(10, 20)), [x - 1 for x in range(10, 17)]
-                              + [99, 99, 99])
-    assert not bench_pairs._noise(list(range(10, 20)), [x - 5 for x in range(10, 18)]
-                                  + [99, 99])
+    # ten pairs need nine wins
+    assert bench_pairs._noise(list(range(10, 20)), [x - 5 for x in range(10, 18)]
+                              + [99, 99])
+    assert not bench_pairs._noise(list(range(10, 20)), [x - 5 for x in range(10, 19)]
+                                  + [99])
+
+
+def test_the_layer_rows_are_the_31_section_rows(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    names = [name for name, _ in bench_pairs.cli_table(TOOLS.parent / "README.md")]
+    assert names[-31:] == [
+        "writer %s %d" % (shape, rows)
+        for shape in ("heavy", "leaf", "heavy-scan", "leaf-scan", "rows", "density")
+        for rows in (25000, 1000000)] + [
+        "writer ladder 9", "writer ladder 32", "writer ladder 128", "writer ladder 512",
+        "tower 40", "queries 30 3", "trace ray 2000 5", "trace backward 2000 5",
+        "trace ray 100000 1", "trace backward 100000 1", "oracle 4 5", "oracle 5 1",
+        "decided 100000", "heavy 50000 5", "heavy 1000000 1", "walk 200000 5",
+        "walk 1000000 1", "peak 50000", "peak 1000000"]
+    assert len(bench_pairs.LAYER_ROWS) == 31
+
+
+def _sides(tmp_path) -> dict:
+    """Two copies of this checkout's src/rotn, one a side."""
+    roots = {}
+    for side in ("parent", "change"):
+        roots[side] = tmp_path / side
+        shutil.copytree(TOOLS.parent / "src" / "rotn", roots[side] / "src" / "rotn",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return roots
+
+
+def test_each_layer_section_runs_on_its_own_sides_rotn(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    roots = _sides(tmp_path)
+    # what a layer row's process runs before its section, then rotn.__file__
+    where = ("where", ("-c", bench_pairs._PRELUDE + "import rotn; print(rotn.__file__)"))
+    rows = [("writer", "ladder", 9), ("writer", "heavy-scan", 50), ("tower", 2),
+            ("trace", "ray", 200, 1), ("trace", "backward", 200, 1), ("decided", 200),
+            ("heavy", 200, 1), ("peak", 200), ("queries", 2, 1), ("walk", 200, 1),
+            ("oracle", 3, 1)]
+    runs = bench_pairs.run_table([where] + list(map(bench_pairs._layer_row, rows)), roots, 1,
+                                 tmp_path)
+    for side in ("parent", "change"):
+        # rotn came from this side's copy, though bench_pairs was imported
+        init = "%s\n" % (roots[side] / "src" / "rotn" / "__init__.py")
+        assert runs[0][side]["stdout_sha256"] == hashlib.sha256(init.encode()).hexdigest()
+    widths = {"writer": 3, "tower": 9, "trace": 3, "decided": 3, "heavy": 3, "peak": 1,
+              "queries": 3, "walk": 3, "oracle": 3}
+    for row, pair in zip(rows, runs[1:]):
+        assert pair["row"] == " ".join(map(str, row))
+        for side in ("parent", "change"):
+            numbers = pair[side]["layer"]
+            assert pair[side]["exit"] == 0 and "stdout_sha256" not in pair[side]
+            assert len(numbers) == widths[row[0]] and all(x >= 0 for x in numbers.values())
+            assert next(iter(numbers.values())) > 0 or row[0] == "decided", (row, numbers)
+    # both traces' 200 visits on the three alphas
+    assert runs[6]["change"]["layer"]["points"] == 1200
+    summary = bench_pairs._cli_summary(runs[1:])
+    assert summary["tower 2"]["judged"] == "median_build_us_per_level"
+    assert set(summary["tower 2"]["layer"]["best_json_ms"]) \
+        == {"parent", "change", "change_wins", "median_change"}
+    assert all(e["same"] and e["noise"] in (True, False) for e in summary.values())
+
+
+def test_a_layer_row_a_side_cannot_run_records_its_note_and_gets_no_verdict(
+        monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    roots = _sides(tmp_path)
+    # the parent's tree has no batch float kernel, nor anything else
+    shutil.rmtree(roots["parent"] / "src" / "rotn")
+    (roots["parent"] / "src" / "rotn").mkdir()
+    (roots["parent"] / "src" / "rotn" / "__init__.py").write_text("")
+    (roots["parent"] / "src" / "rotn" / "exactreal.py").write_text("")
+    rows = [("decided", 200), ("peak", 200), ("writer", "ladder", 9)]
+    runs = bench_pairs.run_table(list(map(bench_pairs._layer_row, rows)), roots, 2, tmp_path)
+    summary = bench_pairs._cli_summary(runs)
+    note = "no batch float kernel (exactreal._surd_floats) in this tree"
+    decided = summary["decided 200"]
+    assert decided["note"] == {"parent": [note], "change": []}
+    assert decided["noise"] is None and decided["judged"] is None and "layer" not in decided
+    assert decided["same"]  # both sides exited 0
+    # a section that fails on one side is its note there, and the table goes on
+    for name in ("peak 200", "writer ladder 9"):
+        assert summary[name]["note"] == {"parent": ["exited 1"], "change": []}
+        assert summary[name]["noise"] is None and not summary[name]["same"]
+    assert all(isinstance(p["change"]["layer"], dict) for p in runs)
+    line = bench_pairs._cli_lines(summary)[1]
+    assert line.startswith("parent: " + note + "; change: -") and line.endswith("decided 200")
+
+
+def test_a_layer_row_lands_in_the_bench_file_number_by_number(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_pairs = importlib.import_module("bench_pairs")
+    run = {"wall_s": 1.0, "cpu_s": 0.5, "peak_rss_mb": 10.0, "minflt": 100, "exit": 0}
+    runs = [{"row": "trace ray 10 1", "first": "parent",
+             "parent": dict(run, layer={"median_us_per_visit": p, "best_us_per_visit": 1.0}),
+             "change": dict(run, layer={"median_us_per_visit": c, "best_us_per_visit": 2.0})}
+            for p, c in ((3.0, 1.0), (3.1, 1.1), (3.2, 1.2), (3.3, 1.3), (3.4, 1.4))]
+    doc = {"parent_commit": "0" * 40, "pairs": [],
+           "cli": {"summary": bench_pairs._cli_summary(runs), "pairs": runs}}
+    bench = {"end_to_end": [], "per_layer": []}
+    out = tmp_path / "BENCH.json"
+    bench_pairs._write(out, bench, doc)
+    cli = json.loads(out.read_text())["cli"]
+    entry = cli["summary"]["trace ray 10 1"]
+    assert entry["judged"] == "median_us_per_visit" and entry["noise"] is False
+    median = entry["layer"]["median_us_per_visit"]
+    assert median["parent"] == pytest.approx({"median": 3.2, "q1": 3.1, "q3": 3.3})
+    assert median["change"]["median"] == pytest.approx(1.2)
+    assert median["change_wins"] == "5/5"
+    assert entry["layer"]["best_us_per_visit"]["change_wins"] == "0/5"
+    assert [p["change"]["layer"]["median_us_per_visit"] for p in cli["pairs"]] \
+        == [1.0, 1.1, 1.2, 1.3, 1.4]
+
+
+def test_the_change_digest_is_the_one_rotnbench_records(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "src"))
+    monkeypatch.syspath_prepend(str(TOOLS.parent / "rotnbench"))
+    bench_pairs = importlib.import_module("bench_pairs")
+    runner = importlib.import_module("runner")
+    assert bench_pairs._src_digest() == runner._src_digest()

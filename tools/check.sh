@@ -10,27 +10,33 @@
 # src/rotn module's code lines and their total, at REF, here and the
 # difference, in one table (tools/code_lines.py: not blank, not
 # comment-only, not docstring), the settable options
-# (tools/options.py), the start-up import set, the sorted modules that
-# `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
-# interpreter's, and tools/probe.py's rows, each measured at REF and here
-# in turn in fresh interpreters: the writer's best and median microseconds
-# per row and minor page faults per write on heavy-, leaf-, row- and
-# density-shaped tables; fresh depth-40 towers, build and verify
-# microseconds per level and the report's json_text milliseconds;
-# fast_birkhoff microseconds per query on such towers; exact leaf traces,
-# microseconds per visit of a ray and of a backward leaf at 2,000 and
-# 100,000 visits, with the share of their floats the batch kernel proves;
-# the oracle's microseconds per step from seeded starts in every case
-# region of levels 2 to 4 and 2 to 5; and exact-only heavy runs, microseconds per step and tracemalloc peak
-# at 50,000 and 10^6 steps.  A row timed over at most 3 calls runs in 3
-# pairs and prints the median here/REF.
+# (tools/options.py), and the start-up import set, the sorted modules
+# that `import rotn.cli` and parse_cf("[0;5,(6)]").value add to a bare
+# interpreter's.  After each step it prints the step's wall time, and
+# last the whole gate's.  Timings of REF against the checkout are
+# tools/bench_pairs.py's.
 # Usage: tools/check.sh REF
 cd "$(dirname "$0")/.." || exit 2
 [ $# -eq 1 ] || { echo "usage: $0 REF" >&2; exit 2; }
 status=0
+begin=$(date +%s)
+# runs "$@" and prints its wall time, in whole seconds
+timed() {
+    start=$(date +%s)
+    "$@"
+    rc=$?
+    echo "-- $(($(date +%s) - start)) s"
+    return $rc
+}
 step() {
     echo "== $*"
-    "$@" || { echo "FAILED: $*"; status=1; }
+    timed "$@" || { echo "FAILED: $*"; status=1; }
+}
+# an info step: its title, then its command, whose failure is ignored
+info() {
+    echo "== $1"
+    shift
+    timed "$@" || true
 }
 # the modules a fresh `python3 -c` holds before its code runs are those of
 # `python3 -c pass`
@@ -47,21 +53,15 @@ step env PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 step tools/test_each_file.sh
 step tools/out_bytes.sh "$1"
 step git diff --quiet "$1" -- rotnbench BENCHMARK.json
-echo "== git diff --shortstat $1 -- src/rotn tests"
-git diff --shortstat "$1" -- src/rotn tests || true
+info "git diff --shortstat $1 -- src/rotn tests" git diff --shortstat "$1" -- src/rotn tests
 tmp=$(mktemp -d) || exit 2
 trap 'rm -rf "$tmp"' EXIT
 git archive "$1" src | tar -x -C "$tmp" || true
-echo "== code lines at $1, in this checkout, and the difference"
-python3 tools/code_lines.py "$tmp/src/rotn" src/rotn || true
-echo "== settable options at $1"
-PYTHONPATH="$tmp/src" python3 tools/options.py || true
-echo "== settable options in this checkout"
-PYTHONPATH=src python3 tools/options.py || true
-echo "== start-up imports at $1"
-startup_imports "$tmp/src" || true
-echo "== start-up imports in this checkout"
-startup_imports src || true
-echo "== probe at $1 and in this checkout, interleaved row by row"
-python3 tools/probe.py "$tmp/src" || true
+info "code lines at $1, in this checkout, and the difference" \
+    python3 tools/code_lines.py "$tmp/src/rotn" src/rotn
+info "settable options at $1" env PYTHONPATH="$tmp/src" python3 tools/options.py
+info "settable options in this checkout" env PYTHONPATH=src python3 tools/options.py
+info "start-up imports at $1" startup_imports "$tmp/src"
+info "start-up imports in this checkout" startup_imports src
+echo "== check.sh took $(($(date +%s) - begin)) s"
 exit $status
